@@ -189,18 +189,18 @@ def _report_payload(
 
 
 def _print_text_findings(outcomes: list[FileOutcome], root: Path) -> None:
-    cache: dict[str, str] = {}
+    cache: dict[str, bytes] = {}
     for finding in _sorted_findings(outcomes):
-        text = cache.get(finding.file)
-        if text is None:
+        data = cache.get(finding.file)
+        if data is None:
             candidate = root / finding.file if not root.is_file() else root
             try:
-                text = candidate.read_text(encoding="utf-8", errors="replace")
+                data = candidate.read_bytes()
             except OSError:
-                text = ""
-            cache[finding.file] = text
-        if text and finding.span.start <= len(text):
-            line, col = line_col(text, finding.span.start)
+                data = b""
+            cache[finding.file] = data
+        if data and finding.span.start <= len(data):
+            line, col = line_col(data, finding.span.start)
             location = f"{finding.file}:{line}:{col}"
         else:
             location = finding.file

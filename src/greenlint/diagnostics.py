@@ -17,8 +17,8 @@ class ParseDiagnostic:
         return f"{self.line}:{self.column}: {self.message}"
 
 
-def line_col(text: str, offset: int) -> tuple[int, int]:
-    """1-based (line, column) of a character offset."""
-    line = text.count("\n", 0, offset) + 1
-    nl = text.rfind("\n", 0, offset)
-    return line, offset - nl
+def line_col(data: bytes, offset: int) -> tuple[int, int]:
+    """1-based (line, column) of a byte offset; the column counts characters."""
+    line = data.count(b"\n", 0, offset) + 1
+    start = data.rfind(b"\n", 0, offset) + 1
+    return line, len(data[start:offset].decode("utf-8", errors="replace")) + 1

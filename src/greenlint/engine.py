@@ -1,10 +1,11 @@
 """File discovery and the per-project analysis/refactoring pipeline.
 
-Rules run per file in a fixed order; each rule re-parses the text produced
-by the previous rule's edits, so edit sets never need cross-rule merging.
-The engine owns the safety net: rewritten text must re-parse cleanly and a
-re-run of the rules must report nothing fixable, otherwise the file's
-fixes are rolled back and surfaced as an internal error.
+Each Java pass parses the current text once, runs every enabled rule on
+that tree and applies their merged edit sets in one step; the first pass
+is the report, so findings point into the file on disk. The engine owns
+the safety net: rewritten text must re-parse cleanly and the rules must
+then report nothing fixable, otherwise the file's fixes are rolled back
+and surfaced as an internal error.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from .diagnostics import ParseDiagnostic
-from .java.parser import parse_java_source
+from .java.parser import SyntaxTree, parse_java_source
 from .rules import (
     JAVA_RULE_ORDER,
     Finding,
@@ -32,7 +33,7 @@ from .rules import (
     apply_view_holder,
     apply_wake_lock,
 )
-from .spans import EditError, apply_edit_set
+from .spans import EditError, EditSet, apply_edit_set
 from .xmltree import parse_layout_xml
 
 DEFAULT_EXCLUDES = ("**/build/**", "**/.git/**", "**/generated/**")
@@ -179,25 +180,6 @@ def discover_files(
     return found
 
 
-_JavaRule = Callable[..., RuleResult]
-
-
-def _java_rule_runner(
-    rule: RuleId, config: RunConfig
-) -> Callable[[object, str], RuleResult]:
-    if rule == RuleId.VIEW_HOLDER:
-        return apply_view_holder
-    if rule == RuleId.DRAW_ALLOCATION:
-        return apply_draw_allocation
-    if rule == RuleId.WAKE_LOCK:
-        return lambda tree, path: apply_wake_lock(
-            tree, path, paper_faithful_guard=config.paper_faithful_wakelock_guard
-        )
-    if rule == RuleId.RECYCLE:
-        return apply_recycle
-    raise ValueError(rule)
-
-
 def process_file(
     path: Path,
     language: str,
@@ -224,30 +206,9 @@ def process_file(
     text = original
     try:
         if language == "java":
-            rules = [r for r in JAVA_RULE_ORDER if r in config.enabled_rules]
-            for rule in rules:
-                tree, diags = parse_java_source(text)
-                if tree is None:
-                    if text is original:
-                        outcome.parse_ok = False
-                        outcome.diagnostics = diags
-                        return outcome
-                    raise _VerificationError(
-                        f"rewritten text no longer parses: {diags[0]}"
-                    )
-                result = _java_rule_runner(rule, config)(tree, shown)
-                outcome.findings.extend(result.findings)
-                outcome.fixable_counts[rule] = (
-                    outcome.fixable_counts.get(rule, 0) + result.fixable_count
-                )
-                if result.edits and config.mode != MODE_REPORT:
-                    text = apply_edit_set(text, result.edits)
-                elif result.edits and config.mode == MODE_REPORT:
-                    # chain rewrites internally so later rules see the same
-                    # text they would in fix mode; nothing is written
-                    text = apply_edit_set(text, result.edits)
-            if text != original:
-                _verify_java(text, rules, config, shown)
+            text = _fix_java(original, config, shown, outcome)
+            if not outcome.parse_ok:
+                return outcome
         elif language == "xml":
             if RuleId.OBSOLETE_LAYOUT_PARAM in config.enabled_rules:
                 tree, diags = parse_layout_xml(text)
@@ -287,18 +248,78 @@ class _VerificationError(Exception):
     pass
 
 
-def _verify_java(
-    text: bytes, rules: list[RuleId], config: RunConfig, shown: str
-) -> None:
-    tree, diags = parse_java_source(text)
-    if tree is None:
-        raise _VerificationError(f"rewritten output does not parse: {diags[0]}")
-    for rule in rules:
-        result = _java_rule_runner(rule, config)(tree, shown)
-        if result.fixable_count:
-            raise _VerificationError(
-                f"rule {rule} still reports fixable findings after its own fix"
-            )
+def _fix_java(
+    original: bytes, config: RunConfig, shown: str, outcome: FileOutcome
+) -> bytes:
+    """Run the enabled Java rules in passes of one parse each; return the
+    fixed text.
+
+    Pass 0 is the report, so findings are in original-file coordinates. A
+    rule whose edits touch those accepted before it in a pass waits, with
+    the rules after it, for the next pass over the rewritten text; so the
+    bytes are those a rule-by-rule chain writes. A pass after a rewrite is
+    its verification: a rule already applied must find nothing fixable.
+    Each pass applies at least the first pending rule, hence the bound.
+    """
+    rules = [r for r in JAVA_RULE_ORDER if r in config.enabled_rules]
+    if not rules:
+        return original
+    applied: set[RuleId] = set()
+    text = original
+    for pass_no in range(len(rules) + 1):
+        tree, diags = parse_java_source(text)
+        if tree is None:
+            if pass_no == 0:
+                outcome.parse_ok = False
+                outcome.diagnostics = diags
+                return text
+            raise _VerificationError(f"rewritten output does not parse: {diags[0]}")
+        merged = EditSet()
+        deferring = False
+        for rule in rules:
+            result = _run_java_rule(rule, tree, shown, config)
+            if pass_no == 0:
+                outcome.findings.extend(result.findings)
+                outcome.fixable_counts[rule] = result.fixable_count
+            if rule in applied:
+                if result.fixable_count:
+                    raise _VerificationError(
+                        f"rule {rule} still reports fixable findings after its own fix"
+                    )
+            elif deferring or _touches(merged, result.edits):
+                deferring = True
+            else:
+                merged.extend(result.edits)
+                applied.add(rule)
+        if not merged:
+            break
+        text = apply_edit_set(text, merged)
+    return text
+
+
+def _run_java_rule(
+    rule: RuleId, tree: SyntaxTree, shown: str, config: RunConfig
+) -> RuleResult:
+    # Calls go through this module's names, so wrapping those names (as the
+    # benchmark's tracer does) sees every rule call.
+    if rule is RuleId.VIEW_HOLDER:
+        return apply_view_holder(tree, shown)
+    if rule is RuleId.DRAW_ALLOCATION:
+        return apply_draw_allocation(tree, shown)
+    if rule is RuleId.WAKE_LOCK:
+        return apply_wake_lock(
+            tree, shown, paper_faithful_guard=config.paper_faithful_wakelock_guard
+        )
+    return apply_recycle(tree, shown)
+
+
+def _touches(accepted: EditSet, edits: EditSet) -> bool:
+    """True if an edit shares a byte or an end point with an accepted one."""
+    return any(
+        a.span.start <= b.span.end and b.span.start <= a.span.end
+        for a in accepted.edits
+        for b in edits.edits
+    )
 
 
 def _verify_xml(text: bytes, table: LayoutParamTable, shown: str) -> None:

@@ -38,11 +38,15 @@ def line_indent(data: bytes, offset: int) -> bytes:
 
 
 def indent_unit(data: bytes) -> bytes:
-    """Best-effort indentation step: the smallest nonzero line indent."""
+    """Best-effort indentation step: the smallest nonzero line indent.
+
+    Lines starting with ``*`` are skipped: they continue a block comment and
+    sit one space in, whatever the code's step.
+    """
     best: Optional[bytes] = None
     for line in data.split(b"\n"):
         stripped = line.lstrip(b" \t")
-        if not stripped:
+        if not stripped or stripped.startswith(b"*"):
             continue
         ws = line[: len(line) - len(stripped)]
         if ws and (best is None or len(ws) < len(best)):
@@ -179,10 +183,6 @@ def find_creations(tokens: list[Token], lo: int, hi: int) -> Iterator[Creation]:
         )
 
 
-def ident_values(tokens: list[Token], lo: int, hi: int) -> set[str]:
-    return {t.value for t in tokens[lo:hi] if t.kind == "ident"}
-
-
 def single_declarator(node: Node) -> Optional[dict]:
     """The declarator of a one-variable local declaration, else None."""
     decls = node.props.get("declarators", [])
@@ -193,26 +193,6 @@ def single_declarator(node: Node) -> Optional[dict]:
 
 def statements_of(block: Node) -> list[Node]:
     return [c for c in block.children if c.kind != "annotation"]
-
-
-def iter_statements(node: Node) -> Iterator[Node]:
-    """All statement-ish nodes under ``node``, depth first."""
-    for n in node.walk():
-        if n.kind in (
-            "block",
-            "expression_statement",
-            "local_variable_declaration",
-            "if_statement",
-            "for_statement",
-            "while_statement",
-            "do_statement",
-            "try_statement",
-            "switch_statement",
-            "synchronized_statement",
-            "return_statement",
-            "throw_statement",
-        ):
-            yield n
 
 
 OWNER_KINDS = (

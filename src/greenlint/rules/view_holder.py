@@ -123,10 +123,9 @@ def _holder_name(taken: set[str]) -> str:
 
 
 def _reindent(text: str, old_indent: str, new_indent: str, eol: str) -> str:
-    lines = text.split("\n")
+    lines = text.replace("\r\n", "\n").split("\n")
     out = [lines[0]]
     for line in lines[1:]:
-        line = line.rstrip("\r")
         if line.startswith(old_indent):
             line = new_indent + line[len(old_indent) :]
         out.append(line)

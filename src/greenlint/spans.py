@@ -34,9 +34,6 @@ class SourceSpan:
     def contains(self, other: "SourceSpan") -> bool:
         return self.start <= other.start and other.end <= self.end
 
-    def overlaps(self, other: "SourceSpan") -> bool:
-        return self.start < other.end and other.start < self.end
-
 
 @dataclass(frozen=True)
 class Edit:

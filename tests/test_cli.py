@@ -134,3 +134,16 @@ def test_corpus_requires_project_directories(tmp_path, capsys):
     empty = tmp_path / "corpus"
     empty.mkdir()
     assert main(["corpus", str(empty), "--out", str(tmp_path / "s.csv")]) == EXIT_USAGE
+
+
+def test_text_locations_count_bytes_as_lines_and_characters_as_columns(
+    tmp_path, capsys
+):
+    before = (GOLDEN / "wake_lock" / "before.java").read_bytes()
+    source = "// é é é é é é é é\n".encode() + before.replace(
+        b"        wl.acquire();", "        /* é */ wl.acquire();".encode()
+    )
+    (tmp_path / "W.java").write_bytes(source)
+    assert main(["check", str(tmp_path)]) == EXIT_FINDINGS
+    out = capsys.readouterr().out
+    assert out.startswith("W.java:16:17: [WakeLock]"), out

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import greenlint.engine as engine
+from greenlint.cli import EXIT_FINDINGS, main
 from greenlint.engine import (
     MODE_FIX,
     MODE_PATCH,
@@ -12,10 +13,21 @@ from greenlint.engine import (
     discover_files,
     run_project,
 )
-from greenlint.rules import RuleId, RuleResult
-from greenlint.spans import Edit
+from greenlint.rules import (
+    Finding,
+    LayoutParamTable,
+    RuleId,
+    RuleResult,
+    apply_draw_allocation,
+    apply_obsolete_layout_param,
+    apply_recycle,
+    apply_view_holder,
+    apply_wake_lock,
+)
+from greenlint.spans import Edit, SourceSpan, apply_edit_set
 
-from conftest import CLEAN_CORPUS, GOLDEN, GOLDEN_CASES
+from conftest import CLEAN_CORPUS, GOLDEN, GOLDEN_CASES, parse_java, parse_xml
+from mutations import java_mutations, xml_mutations
 
 
 def _write(root: Path, rel: str, data: bytes = b"class A {}\n") -> Path:
@@ -179,24 +191,63 @@ def test_verification_failure_rolls_back(tmp_path, monkeypatch):
     before = (GOLDEN / "recycle" / "before.java").read_bytes()
     _write(proj, "src/R.java", before)
 
-    real_runner = engine._java_rule_runner
+    real_recycle = engine.apply_recycle
 
-    def sabotaged(rule, config):
-        if rule is RuleId.RECYCLE:
-            def bad_rule(tree, path):
-                result = real_runner(rule, config)(tree, path)
-                result.edits.add(Edit.insert(0, b"%%% not java\n"))
-                return result
+    def sabotaged(tree, path):
+        result = real_recycle(tree, path)
+        result.edits.add(Edit.insert(0, b"%%% not java\n"))
+        return result
 
-            return bad_rule
-        return real_runner(rule, config)
-
-    monkeypatch.setattr(engine, "_java_rule_runner", sabotaged)
+    monkeypatch.setattr(engine, "apply_recycle", sabotaged)
     report, outcomes = run_project(RunConfig(input_path=proj, mode=MODE_FIX))
     assert outcomes[0].internal_error is not None
     assert not outcomes[0].rewritten
     assert (proj / "src/R.java").read_bytes() == before
     assert any("error" in w for w in report.warnings)
+
+
+def _marker_rule(marker: bytes, at_start: bool, at_end: bool, stubborn=False):
+    """A stand-in rule: one fixable finding that inserts ``marker`` at the
+    start and/or end of the file, until the file holds it (``stubborn``:
+    always)."""
+
+    def rule(tree, path, **_):
+        result = RuleResult()
+        if stubborn or marker not in tree.data:
+            result.findings.append(
+                Finding(RuleId.RECYCLE, path, SourceSpan(0, 0), "")
+            )
+            if at_start:
+                result.edits.add(Edit.insert(0, marker))
+            if at_end:
+                result.edits.add(Edit.insert(len(tree.data), marker))
+        return result
+
+    return rule
+
+
+def test_rule_still_fixable_after_its_fix_rolls_back(tmp_path, monkeypatch):
+    path = _write(tmp_path, "A.java")
+    stubborn = _marker_rule(b"/*x*/", False, True, stubborn=True)
+    monkeypatch.setattr(engine, "apply_recycle", stubborn)
+    _, outcomes = run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX, jobs=1))
+    assert "still reports fixable" in outcomes[0].internal_error
+    assert path.read_bytes() == b"class A {}\n"
+
+
+def test_deferred_rule_holds_back_the_rules_after_it(tmp_path, monkeypatch):
+    # DrawAllocation's start insert touches ViewHolder's, so it waits a
+    # pass; WakeLock, whose edit touches neither, must still run after it.
+    for name, rule in (
+        ("apply_view_holder", _marker_rule(b"/*A*/", True, False)),
+        ("apply_draw_allocation", _marker_rule(b"/*B*/", True, True)),
+        ("apply_wake_lock", _marker_rule(b"/*C*/", False, True)),
+    ):
+        monkeypatch.setattr(engine, name, rule)
+    path = _write(tmp_path, "A.java")
+    _, outcomes = run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX, jobs=1))
+    assert outcomes[0].internal_error is None
+    assert path.read_bytes() == b"/*B*//*A*/class A {}\n/*B*//*C*/"
 
 
 def test_clean_corpus_yields_zero_findings():
@@ -214,3 +265,128 @@ def test_config_validation(tmp_path):
         RunConfig(input_path=tmp_path, enabled_rules=frozenset())
     with pytest.raises(FileNotFoundError):
         RunConfig(input_path=tmp_path / "missing")
+
+
+def test_check_locates_findings_of_every_rule_in_the_file_on_disk(
+    tmp_path, capsys
+):
+    view_holder = (GOLDEN / "view_holder" / "before.java").read_bytes()
+    recycle = (GOLDEN / "recycle" / "before.java").read_bytes()
+    _write(tmp_path, "VR.java", view_holder + b"\n" + recycle)
+    assert main(["check", str(tmp_path)]) == EXIT_FINDINGS
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" [")[0] for line in lines] == [
+        "VR.java:4:17:",
+        "VR.java:15:43:",
+    ]
+    assert "[ViewHolder]" in lines[0] and "[Recycle]" in lines[1]
+
+
+# WakeLock and Recycle both insert at the line of onPause's closing brace.
+SHARED_INSERT_POINT = """\
+public class PlayerActivity extends Activity {
+    private WakeLock wl;
+
+    @Override
+    protected void onCreate(Bundle savedInstanceState) {
+        super.onCreate(savedInstanceState);
+        PowerManager pm = (PowerManager) getSystemService(Context.POWER_SERVICE);
+        wl = pm.newWakeLock(PowerManager.SCREEN_DIM_WAKE_LOCK, "Player");
+        wl.acquire();
+    }
+
+    @Override
+    protected void onPause() {
+        super.onPause();
+        Cursor c = db.query("t", null, null, null, null, null, null);
+        String s = c.getString(0);
+    }
+}
+"""
+
+
+def _count_parses(monkeypatch) -> list[int]:
+    calls = [0]
+    real_parse = engine.parse_java_source
+
+    def counting(data):
+        calls[0] += 1
+        return real_parse(data)
+
+    monkeypatch.setattr(engine, "parse_java_source", counting)
+    return calls
+
+
+def test_clean_java_file_is_parsed_once(tmp_path, monkeypatch):
+    calls = _count_parses(monkeypatch)
+    _write(tmp_path, "Fine.java", b"class Fine {\n    int x;\n}\n")
+    run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX, jobs=1))
+    assert calls[0] == 1
+
+
+@pytest.mark.parametrize(
+    "name", [n for n, ext in GOLDEN_CASES.items() if ext == "java"]
+)
+def test_rewritten_java_file_is_parsed_twice(tmp_path, monkeypatch, name):
+    calls = _count_parses(monkeypatch)
+    path = _write(tmp_path, "A.java", (GOLDEN / name / "before.java").read_bytes())
+    _, outcomes = run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX, jobs=1))
+    assert outcomes[0].rewritten
+    assert path.read_bytes() == (GOLDEN / name / "after.java").read_bytes()
+    assert calls[0] == 2
+
+
+def test_rule_whose_edits_touch_earlier_ones_waits_a_pass(tmp_path, monkeypatch):
+    calls = _count_parses(monkeypatch)
+    _write(tmp_path, "P.java", SHARED_INSERT_POINT.encode())
+    report, outcomes = run_project(
+        RunConfig(input_path=tmp_path, mode=MODE_FIX, jobs=1)
+    )
+    assert outcomes[0].rewritten
+    assert report.rule_counts[RuleId.WAKE_LOCK].fixed == 1
+    assert report.rule_counts[RuleId.RECYCLE].fixed == 1
+    assert calls[0] == 3
+
+
+def _chained_fix(data: bytes, ext: str) -> bytes:
+    """Reference: parse, run one rule, apply its edits, then the next rule."""
+    if ext == "xml":
+        result = apply_obsolete_layout_param(parse_xml(data), "", LayoutParamTable())
+        return apply_edit_set(data, result.edits)
+    for rule in (
+        apply_view_holder,
+        apply_draw_allocation,
+        apply_wake_lock,
+        apply_recycle,
+    ):
+        data = apply_edit_set(data, rule(parse_java(data), "").edits)
+    return data
+
+
+def _differential_cases() -> list:
+    cases = []
+    for name, ext in GOLDEN_CASES.items():
+        before = (GOLDEN / name / f"before.{ext}").read_text()
+        cases.append((name, ext, before))
+        variants = (
+            java_mutations(name, before) if ext == "java" else xml_mutations(before)
+        )
+        cases.extend((f"{name}-{i}", ext, v) for i, v in enumerate(variants))
+    all_java = "\n".join(
+        (GOLDEN / name / "before.java").read_text()
+        for name, ext in GOLDEN_CASES.items()
+        if ext == "java"
+    )
+    cases.append(("all-java", "java", all_java))
+    cases.append(("all-java-crlf", "java", all_java.replace("\n", "\r\n")))
+    cases.append(("shared-insert-point", "java", SHARED_INSERT_POINT))
+    return [pytest.param(ext, text.encode(), id=cid) for cid, ext, text in cases]
+
+
+@pytest.mark.parametrize("ext,before", _differential_cases())
+def test_fix_matches_rule_by_rule_chain(tmp_path, ext, before):
+    rel = "Case.java" if ext == "java" else "res/layout/case.xml"
+    path = _write(tmp_path, rel, before)
+    _, outcomes = run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX, jobs=1))
+    assert outcomes[0].internal_error is None
+    assert path.read_bytes() == _chained_fix(before, ext)

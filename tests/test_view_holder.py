@@ -103,3 +103,10 @@ def test_multiple_cached_views(golden):
     assert b"ImageView icon = viewHolderItem.icon;" in fixed
     _, again = fix_java(apply_view_holder, fixed)
     assert again == fixed
+
+
+def test_crlf_input_keeps_crlf_line_endings(golden):
+    before, after = golden("view_holder")
+    _, fixed = fix_java(apply_view_holder, before.replace(b"\n", b"\r\n"))
+    assert b"\r\r" not in fixed
+    assert fixed == after.replace(b"\n", b"\r\n")

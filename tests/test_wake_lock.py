@@ -1,4 +1,5 @@
 from greenlint.rules.base import RuleId
+from greenlint.rules.javautil import indent_unit
 from greenlint.rules.wake_lock import apply_wake_lock
 
 from conftest import fix_java, parse_java
@@ -119,3 +120,11 @@ def test_two_unreleased_fields_one_on_pause():
     check, again = fix_java(apply_wake_lock, fixed)
     assert check.findings == []
     assert again == fixed
+
+
+def test_javadoc_continuation_lines_do_not_set_the_indent_unit(golden):
+    before, after = golden("wake_lock")
+    javadoc = b"/**\n * Holds the screen on while playing.\n */\n"
+    assert indent_unit(javadoc + before) == b"    "
+    _, fixed = fix_java(apply_wake_lock, javadoc + before)
+    assert fixed == javadoc + after
