@@ -9,14 +9,7 @@ findings across many projects.
 from .engine import FileOutcome, ProjectReport, RunConfig, discover_files, run_project
 from .java.parser import SyntaxTree, parse_java_source
 from .report import CorpusSummary, aggregate, emit
-from .rules import (
-    ALL_RULE_ORDER,
-    RULE_METADATA,
-    Finding,
-    RuleId,
-    RuleMeta,
-    RuleResult,
-)
+from .rules import ALL_RULE_ORDER, Finding, RuleId, RuleResult
 from .spans import Edit, EditSet, SourceSpan, apply_edit_set
 from .xmltree import XmlTree, parse_layout_xml
 
@@ -30,9 +23,7 @@ __all__ = [
     "FileOutcome",
     "Finding",
     "ProjectReport",
-    "RULE_METADATA",
     "RuleId",
-    "RuleMeta",
     "RuleResult",
     "RunConfig",
     "SourceSpan",

@@ -398,6 +398,10 @@ def run_project(
             xml_files += 1
         if not outcome.parse_ok:
             parse_failures += 1
+            for d in outcome.diagnostics:
+                warnings.append(
+                    f"{outcome.path}:{d.line}:{d.column}: parse error: {d.message}"
+                )
         if outcome.skip_reason:
             warnings.append(f"{outcome.path}: skipped: {outcome.skip_reason}")
         if outcome.internal_error:

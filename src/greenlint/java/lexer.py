@@ -1,18 +1,25 @@
 """Byte-offset tokenizer for Java source.
 
-Operates directly on UTF-8 bytes so token spans are byte spans; any byte
->= 0x80 is treated as an identifier-continue character, which is sound for
-the syntactic analysis done here (non-ASCII only ever appears inside
-identifiers, literals and comments). Trivia (whitespace and comments) is
-dropped from the token stream but always recoverable from the original
+One compiled bytes regex does the work, in the style of "Writing a
+Tokenizer" from the Python `re` docs: each `match` skips trivia
+(whitespace, `//` and `/* */` comments), then captures one token in a named
+group whose name is the token kind. Operators are tried longest first. A
+literal or comment that does not close, or a byte no token can start with,
+matches an error group instead, so malformed input raises `LexError` rather
+than lexing as something shorter.
+
+Offsets are byte offsets into the UTF-8 input. Any byte >= 0x80 continues
+an identifier, which is sound for the syntactic analysis done here:
+non-ASCII only ever appears inside identifiers, literals and comments.
+Trivia is dropped from the token stream but always recoverable from the
 bytes between adjacent token spans.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
-from ..diagnostics import ParseDiagnostic
+from ..diagnostics import ParseDiagnostic, line_col
 
 KEYWORDS = frozenset(
     """abstract assert boolean break byte case catch char class const continue
@@ -30,7 +37,26 @@ _OPERATORS = [
     b"||", b"++", b"--", b"+=", b"-=", b"*=", b"/=", b"%=", b"&=", b"|=",
     b"^=",
 ]
-_SINGLE = set(b"(){}[];,.=<>+-*/%&|^!~?:@")
+_SINGLE = b"(){}[];,.=<>+-*/%&|^!~?:@"
+
+# Trivia, then one token in a group named after its kind. A group named
+# "unterminated_..." matches only where the real token failed to close, and
+# "bad" takes any other byte; so no malformed input lexes as a shorter token.
+_TOKEN = re.compile(
+    rb"(?:[ \t\n\r\f]+|//[^\n]*\n?|/\*.*?\*/)*"
+    rb"(?:(?P<word>[A-Za-z_$\x80-\xff][A-Za-z0-9_$\x80-\xff]*)"
+    rb"|(?P<number>(?:[0-9]|\.[0-9])(?:[A-Za-z0-9_$\x80-\xff.]|(?<=[eEpP])[+-])*)"
+    rb'|(?P<string>""".*?"""|(?!""")"(?:[^"\\\n]|\\.)*")'
+    rb"|(?P<char>'(?:[^'\\\n]|\\.)*')"
+    rb"|(?P<unterminated_block_comment>/\*)"
+    rb"|(?P<op>" + b"|".join(re.escape(op) for op in _OPERATORS)
+    + rb"|[" + re.escape(_SINGLE) + rb"])"
+    rb'|(?P<unterminated_text_block>""")'
+    rb'|(?P<unterminated_string_literal>")'
+    rb"|(?P<unterminated_character_literal>')"
+    rb"|(?P<bad>.))?",
+    re.DOTALL,
+)
 
 
 class LexError(Exception):
@@ -39,12 +65,17 @@ class LexError(Exception):
         self.diagnostic = diagnostic
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # ident | keyword | number | string | char | op
-    value: str
-    start: int  # byte offset, inclusive
-    end: int  # byte offset, exclusive
+    __slots__ = ("kind", "value", "start", "end")
+
+    def __init__(self, kind: str, value: str, start: int, end: int):
+        self.kind = kind  # ident | keyword | number | string | char | op
+        self.value = value
+        self.start = start  # byte offset, inclusive
+        self.end = end  # byte offset, exclusive
+
+    def __repr__(self) -> str:
+        return f"Token({self.kind!r}, {self.value!r}, {self.start}, {self.end})"
 
     def is_op(self, value: str) -> bool:
         return self.kind == "op" and self.value == value
@@ -53,120 +84,32 @@ class Token:
         return self.kind == "keyword" and self.value == value
 
 
-def _line_col(data: bytes, offset: int) -> tuple[int, int]:
-    line = data.count(b"\n", 0, offset) + 1
-    nl = data.rfind(b"\n", 0, offset)
-    return line, offset - nl
-
-
-def _is_ident_start(b: int) -> bool:
-    return b == 0x5F or b == 0x24 or 0x41 <= b <= 0x5A or 0x61 <= b <= 0x7A or b >= 0x80
-
-
-def _is_ident_part(b: int) -> bool:
-    return _is_ident_start(b) or 0x30 <= b <= 0x39
-
-
 def tokenize(data: bytes) -> list[Token]:
-    """Tokenize Java source bytes; raises LexError on malformed literals."""
+    """Tokenize Java source bytes; raises LexError on malformed input."""
     tokens: list[Token] = []
-    i = 0
-    n = len(data)
-    while i < n:
-        b = data[i]
-        # whitespace
-        if b in (0x20, 0x09, 0x0A, 0x0D, 0x0C):
-            i += 1
-            continue
-        # comments
-        if data.startswith(b"//", i):
-            j = data.find(b"\n", i)
-            i = n if j < 0 else j + 1
-            continue
-        if data.startswith(b"/*", i):
-            j = data.find(b"*/", i + 2)
-            if j < 0:
-                raise LexError(
-                    ParseDiagnostic(*_line_col(data, i), "unterminated block comment")
-                )
-            i = j + 2
-            continue
-        # identifiers / keywords
-        if _is_ident_start(b):
-            j = i + 1
-            while j < n and _is_ident_part(data[j]):
-                j += 1
-            word = data[i:j].decode("utf-8", errors="replace")
-            kind = "keyword" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, i, j))
-            i = j
-            continue
-        # numbers (incl. hex/bin, underscores, suffixes, exponents)
-        if 0x30 <= b <= 0x39 or (
-            b == 0x2E and i + 1 < n and 0x30 <= data[i + 1] <= 0x39
-        ):
-            j = i + 1
-            while j < n:
-                c = data[j]
-                if _is_ident_part(c) or c == 0x2E:
-                    j += 1
-                elif c in (0x2B, 0x2D) and data[j - 1] in (0x65, 0x45, 0x70, 0x50):
-                    j += 1  # exponent sign
-                else:
-                    break
-            tokens.append(Token("number", data[i:j].decode("ascii", "replace"), i, j))
-            i = j
-            continue
-        # text blocks and string literals
-        if data.startswith(b'"""', i):
-            j = data.find(b'"""', i + 3)
-            if j < 0:
-                raise LexError(
-                    ParseDiagnostic(*_line_col(data, i), "unterminated text block")
-                )
-            j += 3
-            tokens.append(Token("string", data[i:j].decode("utf-8", "replace"), i, j))
-            i = j
-            continue
-        if b == 0x22 or b == 0x27:  # " or '
-            quote = b
-            j = i + 1
-            while j < n:
-                c = data[j]
-                if c == 0x5C:  # backslash
-                    j += 2
-                    continue
-                if c == quote:
-                    break
-                if c == 0x0A:
-                    j = n  # newline inside literal: malformed
-                    break
-                j += 1
-            if j >= n:
-                what = "string" if quote == 0x22 else "character"
-                raise LexError(
-                    ParseDiagnostic(*_line_col(data, i), f"unterminated {what} literal")
-                )
-            j += 1
-            kind = "string" if quote == 0x22 else "char"
-            tokens.append(Token(kind, data[i:j].decode("utf-8", "replace"), i, j))
-            i = j
-            continue
-        # operators
-        matched = False
-        for op in _OPERATORS:
-            if data.startswith(op, i):
-                tokens.append(Token("op", op.decode("ascii"), i, i + len(op)))
-                i += len(op)
-                matched = True
-                break
-        if matched:
-            continue
-        if b in _SINGLE:
-            tokens.append(Token("op", chr(b), i, i + 1))
-            i += 1
-            continue
-        raise LexError(
-            ParseDiagnostic(*_line_col(data, i), f"unexpected character {chr(b)!r}")
-        )
-    return tokens
+    append = tokens.append
+    match = _TOKEN.match
+    keywords = KEYWORDS
+    pos = 0
+    while True:
+        m = match(data, pos)
+        kind = m.lastgroup
+        if kind is None:  # only trivia was left
+            return tokens
+        start, pos = m.span(kind)
+        text = data[start:pos]
+        if kind == "word":
+            value = text.decode("utf-8", "replace")
+            append(Token("keyword" if value in keywords else "ident", value, start, pos))
+        elif kind == "op":
+            append(Token("op", text.decode("ascii"), start, pos))
+        elif kind == "number":
+            append(Token("number", text.decode("ascii", "replace"), start, pos))
+        elif kind == "string" or kind == "char":
+            append(Token(kind, text.decode("utf-8", "replace"), start, pos))
+        else:
+            if kind == "bad":
+                message = f"unexpected character {chr(text[0])!r}"
+            else:
+                message = kind.replace("_", " ")
+            raise LexError(ParseDiagnostic(*line_col(data, start), message))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional, Union
 
-from ..diagnostics import ParseDiagnostic
+from ..diagnostics import ParseDiagnostic, line_col
 from ..spans import SourceSpan
 from .lexer import LexError, Token, tokenize
 
@@ -29,6 +29,8 @@ MODIFIER_KEYWORDS = frozenset(
 PRIMITIVE_TYPES = frozenset(
     "boolean byte char short int long float double void".split()
 )
+
+_CLOSERS = {"(": ")", "[": "]", "{": "}", "<": ">"}
 
 
 @dataclass(eq=False)
@@ -84,46 +86,50 @@ class SyntaxTree:
 
 
 class _ParseFailure(Exception):
-    def __init__(self, diagnostic: ParseDiagnostic):
-        super().__init__(str(diagnostic))
-        self.diagnostic = diagnostic
+    """A failure at a byte offset; the line and column are computed only
+    when it leaves `parse_java_source`, so a backtracking miss stays cheap."""
+
+    def __init__(self, offset: int, message: str):
+        super().__init__(message)
+        self.offset = offset
+        self.message = message
 
 
 class _Parser:
     def __init__(self, data: bytes, tokens: list[Token]):
         self.data = data
         self.toks = tokens
+        self.n = len(tokens)
         self.i = 0
 
     # --- token helpers -------------------------------------------------
 
-    def _line_col(self, offset: int) -> tuple[int, int]:
-        line = self.data.count(b"\n", 0, offset) + 1
-        nl = self.data.rfind(b"\n", 0, offset)
-        return line, offset - nl
-
     def fail(self, message: str) -> "_ParseFailure":
-        offset = self.toks[self.i].start if self.i < len(self.toks) else len(self.data)
-        return _ParseFailure(ParseDiagnostic(*self._line_col(offset), message))
+        offset = self.toks[self.i].start if self.i < self.n else len(self.data)
+        return _ParseFailure(offset, message)
 
     def peek(self, ahead: int = 0) -> Optional[Token]:
         j = self.i + ahead
-        return self.toks[j] if j < len(self.toks) else None
+        return self.toks[j] if j < self.n else None
 
     def at_op(self, value: str) -> bool:
-        t = self.peek()
-        return t is not None and t.is_op(value)
+        if self.i >= self.n:
+            return False
+        t = self.toks[self.i]
+        return t.value == value and t.kind == "op"
 
     def at_kw(self, value: str) -> bool:
-        t = self.peek()
-        return t is not None and t.is_kw(value)
+        if self.i >= self.n:
+            return False
+        t = self.toks[self.i]
+        return t.value == value and t.kind == "keyword"
 
     def advance(self) -> Token:
-        if self.i >= len(self.toks):
+        i = self.i
+        if i >= self.n:
             raise self.fail("unexpected end of file")
-        t = self.toks[self.i]
-        self.i += 1
-        return t
+        self.i = i + 1
+        return self.toks[i]
 
     def expect_op(self, value: str) -> Token:
         if not self.at_op(value):
@@ -145,7 +151,7 @@ class _Parser:
             children.append(self._parse_package())
         while self.at_kw("import"):
             children.append(self._parse_import())
-        while self.i < len(self.toks):
+        while self.i < self.n:
             if self.at_op(";"):
                 self.advance()
                 continue
@@ -155,31 +161,33 @@ class _Parser:
     def _at_package_decl(self) -> bool:
         # annotations may precede `package`
         j = self.i
-        while j < len(self.toks) and self.toks[j].is_op("@"):
+        while j < self.n and self.toks[j].is_op("@"):
             j += 1
-            while j < len(self.toks) and self.toks[j].kind in ("ident", "keyword"):
+            while j < self.n and self.toks[j].kind in ("ident", "keyword"):
                 j += 1
-                if j < len(self.toks) and self.toks[j].is_op("."):
+                if j < self.n and self.toks[j].is_op("."):
                     j += 1
                 else:
                     break
-            if j < len(self.toks) and self.toks[j].is_op("("):
+            if j < self.n and self.toks[j].is_op("("):
                 j = self._match_group_from(j)
-        return j < len(self.toks) and self.toks[j].is_kw("package")
+        return j < self.n and self.toks[j].is_kw("package")
 
     def _match_group_from(self, j: int) -> int:
         # index just past the group that opens at toks[j]
-        opens = {"(": ")", "[": "]", "{": "}", "<": ">"}
-        close = opens[self.toks[j].value]
+        toks = self.toks
+        opener = toks[j].value
+        close = _CLOSERS[opener]
         depth = 0
-        while j < len(self.toks):
-            v = self.toks[j].value if self.toks[j].kind == "op" else None
-            if v in opens and opens[v] == close:
-                depth += 1
-            elif v == close:
-                depth -= 1
-                if depth == 0:
-                    return j + 1
+        while j < self.n:
+            t = toks[j]
+            if t.kind == "op":
+                if t.value == opener:
+                    depth += 1
+                elif t.value == close:
+                    depth -= 1
+                    if depth == 0:
+                        return j + 1
             j += 1
         raise self.fail(f"unbalanced {close!r}")
 
@@ -495,9 +503,7 @@ class _Parser:
             init_lo = init_hi = None
             if self.at_op("="):
                 self.advance()
-                init_lo = self.i
-                children.extend(self._consume_expression(stop_at_comma=True))
-                init_hi = self.i
+                init_lo, init_hi = self._parse_initializer(children)
             declarators.append(
                 {
                     "name": tok.value,
@@ -543,22 +549,12 @@ class _Parser:
             self.advance()
             return Node("empty_statement", lo, self.i)
         if t.kind == "keyword":
-            handler = {
-                "if": self._parse_if,
-                "for": self._parse_for,
-                "while": self._parse_while,
-                "do": self._parse_do,
-                "try": self._parse_try,
-                "switch": self._parse_switch,
-                "synchronized": self._parse_synchronized,
-                "return": self._parse_return,
-                "throw": self._parse_simple_semi("throw_statement"),
-                "break": self._parse_simple_semi("break_statement"),
-                "continue": self._parse_simple_semi("continue_statement"),
-                "assert": self._parse_simple_semi("assert_statement"),
-            }.get(t.value)
+            handler = _STATEMENT_PARSERS.get(t.value)
             if handler is not None:
-                return handler()
+                return handler(self)
+            kind = _SIMPLE_STATEMENTS.get(t.value)
+            if kind is not None:
+                return self._parse_simple_semi(kind)
             if t.value in ("class", "interface", "enum") or t.value in (
                 "final",
                 "abstract",
@@ -575,15 +571,12 @@ class _Parser:
             return decl
         return self._parse_expression_statement()
 
-    def _parse_simple_semi(self, kind: str):
-        def parse() -> Node:
-            lo = self.i
-            self.advance()
-            children = self._consume_expression()
-            self.expect_op(";")
-            return Node(kind, lo, self.i, children)
-
-        return parse
+    def _parse_simple_semi(self, kind: str) -> Node:
+        lo = self.i
+        self.advance()
+        children = self._consume_expression()
+        self.expect_op(";")
+        return Node(kind, lo, self.i, children)
 
     def _parse_return(self) -> Node:
         lo = self.i
@@ -711,9 +704,7 @@ class _Parser:
             init_lo = init_hi = None
             if self.at_op("="):
                 self.advance()
-                init_lo = self.i
-                children.extend(self._consume_expression(stop_at_comma=True))
-                init_hi = self.i
+                init_lo, init_hi = self._parse_initializer(children)
             declarators.append(
                 {
                     "name": tok.value,
@@ -729,6 +720,15 @@ class _Parser:
         node = Node("local_variable_declaration", lo, self.i, children)
         node.props.update(type=type_text, modifiers=modifiers, declarators=declarators)
         return node
+
+    def _parse_initializer(self, children: list[Node]) -> tuple[int, int]:
+        """Consume a variable initializer after its '='; returns its token
+        range and adds any anonymous class bodies in it to `children`."""
+        lo = self.i
+        children.extend(self._consume_expression(stop_at_comma=True))
+        if self.i == lo:
+            raise self.fail("expected expression")
+        return lo, self.i
 
     def _parse_expression_statement(self) -> Node:
         lo = self.i
@@ -746,11 +746,12 @@ class _Parser:
         child nodes discovered along the way.
         """
         children: list[Node] = []
+        toks, n = self.toks, self.n
         depth = 0
         while True:
-            t = self.peek()
-            if t is None:
+            if self.i >= n:
                 raise self.fail("unexpected end of file in expression")
+            t = toks[self.i]
             if t.kind == "op":
                 v = t.value
                 if v in "([":
@@ -773,7 +774,7 @@ class _Parser:
                     continue
                 elif v == "}":
                     raise self.fail("unexpected '}' in expression")
-            self.advance()
+            self.i += 1
 
     def _brace_opens_anonymous_body(self) -> bool:
         """True iff the '{' at the cursor follows `new Type(...)`."""
@@ -824,6 +825,27 @@ class _Parser:
         return node
 
 
+# Statement parsers by leading keyword. They are looked up here, not kept on
+# the parser as bound methods, which would make each parser a reference
+# cycle that holds its token list until the cyclic collector runs.
+_STATEMENT_PARSERS = {
+    "if": _Parser._parse_if,
+    "for": _Parser._parse_for,
+    "while": _Parser._parse_while,
+    "do": _Parser._parse_do,
+    "try": _Parser._parse_try,
+    "switch": _Parser._parse_switch,
+    "synchronized": _Parser._parse_synchronized,
+    "return": _Parser._parse_return,
+}
+_SIMPLE_STATEMENTS = {
+    "throw": "throw_statement",
+    "break": "break_statement",
+    "continue": "continue_statement",
+    "assert": "assert_statement",
+}
+
+
 def parse_java_source(
     data: bytes, max_size: int = 16 * 1024 * 1024
 ) -> tuple[Optional[SyntaxTree], list[ParseDiagnostic]]:
@@ -846,7 +868,7 @@ def parse_java_source(
     try:
         root = parser.parse_compilation_unit()
     except _ParseFailure as exc:
-        return None, [exc.diagnostic]
+        return None, [ParseDiagnostic(*line_col(data, exc.offset), exc.message)]
     except RecursionError:
         return None, [ParseDiagnostic(1, 1, "nesting too deep")]
     return SyntaxTree(data, tokens, root), []

@@ -1,14 +1,6 @@
 """The five energy rules and their shared result types."""
 
-from .base import (
-    ALL_RULE_ORDER,
-    JAVA_RULE_ORDER,
-    RULE_METADATA,
-    Finding,
-    RuleId,
-    RuleMeta,
-    RuleResult,
-)
+from .base import ALL_RULE_ORDER, JAVA_RULE_ORDER, Finding, RuleId, RuleResult
 from .draw_allocation import apply_draw_allocation
 from .layout_params import LayoutParamTable, apply_obsolete_layout_param
 from .recycle import DEFAULT_FACTORIES, ResourceFactory, apply_recycle
@@ -18,10 +10,8 @@ from .wake_lock import apply_wake_lock
 __all__ = [
     "ALL_RULE_ORDER",
     "JAVA_RULE_ORDER",
-    "RULE_METADATA",
     "Finding",
     "RuleId",
-    "RuleMeta",
     "RuleResult",
     "LayoutParamTable",
     "ResourceFactory",

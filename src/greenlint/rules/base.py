@@ -1,4 +1,4 @@
-"""Rule identifiers, metadata and result types shared by all five rules."""
+"""Rule identifiers, rule order and result types shared by all five rules."""
 
 from __future__ import annotations
 
@@ -28,25 +28,6 @@ JAVA_RULE_ORDER = (
     RuleId.RECYCLE,
 )
 ALL_RULE_ORDER = JAVA_RULE_ORDER + (RuleId.OBSOLETE_LAYOUT_PARAM,)
-
-
-@dataclass(frozen=True)
-class RuleMeta:
-    """Lint priority (1-10 scale) and reported energy improvement, carried
-    as metadata only -- this tool never measures energy."""
-
-    rule: RuleId
-    lint_priority: int
-    energy_improvement_pct: float
-
-
-RULE_METADATA: dict[RuleId, RuleMeta] = {
-    RuleId.VIEW_HOLDER: RuleMeta(RuleId.VIEW_HOLDER, 5, 4.5),
-    RuleId.DRAW_ALLOCATION: RuleMeta(RuleId.DRAW_ALLOCATION, 9, 1.5),
-    RuleId.WAKE_LOCK: RuleMeta(RuleId.WAKE_LOCK, 9, 1.5),
-    RuleId.RECYCLE: RuleMeta(RuleId.RECYCLE, 7, 0.7),
-    RuleId.OBSOLETE_LAYOUT_PARAM: RuleMeta(RuleId.OBSOLETE_LAYOUT_PARAM, 6, 0.7),
-}
 
 
 @dataclass

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .diagnostics import ParseDiagnostic
+from .diagnostics import ParseDiagnostic, line_col
 from .spans import SourceSpan
 
 _NAME_RE = re.compile(rb"[A-Za-z_:\x80-\xff][-A-Za-z0-9_:.\x80-\xff]*")
@@ -79,9 +79,7 @@ class _XmlParser:
 
     def fail(self, message: str, offset: Optional[int] = None) -> _XmlFailure:
         off = self.i if offset is None else offset
-        line = self.data.count(b"\n", 0, off) + 1
-        col = off - self.data.rfind(b"\n", 0, off)
-        return _XmlFailure(ParseDiagnostic(line, col, message))
+        return _XmlFailure(ParseDiagnostic(*line_col(self.data, off), message))
 
     def skip_ws(self) -> None:
         while self.i < len(self.data) and self.data[self.i] in _WS:

@@ -147,3 +147,12 @@ def test_text_locations_count_bytes_as_lines_and_characters_as_columns(
     assert main(["check", str(tmp_path)]) == EXIT_FINDINGS
     out = capsys.readouterr().out
     assert out.startswith("W.java:16:17: [WakeLock]"), out
+
+
+def test_check_prints_parse_errors(tmp_path, capsys):
+    target = tmp_path / "proj" / "src" / "A.java"
+    target.parent.mkdir(parents=True)
+    target.write_bytes('class A { String s = "ééé"; # int x; }\n'.encode())
+    assert main(["check", str(tmp_path / "proj")]) == EXIT_CLEAN
+    err = capsys.readouterr().err
+    assert f"{target}:1:29: parse error: unexpected character '#'" in err.splitlines()

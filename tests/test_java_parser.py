@@ -94,3 +94,42 @@ def test_span_nesting(path: Path):
             check(child)
 
     check(tree.root)
+
+
+def test_diagnostic_column_counts_characters():
+    tree, diags = parse_java_source('class A { String s = "ééé"; # int x; }'.encode())
+    assert tree is None
+    assert (diags[0].line, diags[0].column) == (1, 29)
+    assert diags[0].message == "unexpected character '#'"
+
+
+def test_parse_failure_location_after_a_backtracked_declaration():
+    source = "class A {\n  void f() {\n    é.call();\n    int y = ;\n  }\n}\n"
+    tree, diags = parse_java_source(source.encode())
+    assert tree is None
+    assert (diags[0].line, diags[0].column, diags[0].message) == (4, 13, "expected expression")
+
+
+@pytest.mark.parametrize(
+    "source",
+    [b"class A { int x = ; }", b"class A { void f() { int x = ; } }", b"class A { int x = 1, y = ; }"],
+)
+def test_empty_initializer_is_rejected(source):
+    tree, diags = parse_java_source(source)
+    assert tree is None
+    assert diags[0].message == "expected expression"
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        b"class A { int x; }",
+        b"class A { int x = 0; }",
+        b"class A { void f() { int x; } }",
+        b"class A { void f() { int x = 0, y; } }",
+    ],
+)
+def test_declarations_with_and_without_initializer_parse(source):
+    tree, diags = parse_java_source(source)
+    assert diags == []
+    assert tree.serialize() == source

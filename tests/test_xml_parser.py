@@ -86,3 +86,9 @@ def test_attribute_spans_disjoint_within_start_tag(path: Path):
             prev_end = attr.span.end
             # span really covers name="value"
             assert data[attr.span.start : attr.span.end].decode().startswith(attr.name)
+
+
+def test_diagnostic_column_counts_characters():
+    tree, diags = parse_layout_xml('<a>\n<b t="ééé" <'.encode())
+    assert tree is None
+    assert (diags[0].line, diags[0].column) == (2, 12)
