@@ -63,7 +63,9 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="GLOB",
             help="exclude glob, repeatable (default: build/, .git/, generated/)",
         )
-        p.add_argument("--jobs", type=int, default=0, help="worker count (0 = CPUs)")
+        # Accepted for compatibility and ignored: files are processed in order
+        # in one thread.
+        p.add_argument("--jobs", type=int, default=0, help=argparse.SUPPRESS)
         p.add_argument(
             "--paper-faithful-wakelock-guard",
             action="store_true",
@@ -134,7 +136,6 @@ def _make_config(args: argparse.Namespace, path: Path, mode: str) -> RunConfig:
             exclude_globs=excludes,
             paper_faithful_wakelock_guard=args.paper_faithful_wakelock_guard,
             layout_param_table=args.layout_param_table,
-            jobs=args.jobs,
             backup=args.backup,
         )
     except FileNotFoundError as exc:

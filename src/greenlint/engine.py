@@ -1,11 +1,14 @@
 """File discovery and the per-project analysis/refactoring pipeline.
 
-Each Java pass parses the current text once, runs every enabled rule on
-that tree and applies their merged edit sets in one step; the first pass
-is the report, so findings point into the file on disk. The engine owns
-the safety net: rewritten text must re-parse cleanly and the rules must
-then report nothing fixable, otherwise the file's fixes are rolled back
-and surfaced as an internal error.
+Files are processed one after another, in sorted order, in the calling
+thread. Every file, `.java` or `res/layout*/*.xml`, goes through the same
+pass loop with its language's parser and rules: each pass parses the
+current text once, runs every enabled rule on that tree and applies their
+merged edit sets in one step. The first pass is the report, so findings
+point into the file on disk; the pass after a rewrite is its verification.
+Rewritten text must re-parse cleanly and the rules must then report
+nothing fixable, otherwise the file's fixes are rolled back and surfaced
+as an internal error.
 """
 
 from __future__ import annotations
@@ -13,11 +16,9 @@ from __future__ import annotations
 import difflib
 import os
 import re
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional, Union
 
 from .diagnostics import ParseDiagnostic
 from .java.parser import SyntaxTree, parse_java_source
@@ -34,7 +35,7 @@ from .rules import (
     apply_wake_lock,
 )
 from .spans import EditError, EditSet, apply_edit_set
-from .xmltree import parse_layout_xml
+from .xmltree import XmlTree, parse_layout_xml
 
 DEFAULT_EXCLUDES = ("**/build/**", "**/.git/**", "**/generated/**")
 
@@ -51,7 +52,6 @@ class RunConfig:
     exclude_globs: tuple[str, ...] = DEFAULT_EXCLUDES
     paper_faithful_wakelock_guard: bool = False
     layout_param_table: Optional[Path] = None
-    jobs: int = 0  # 0 = logical CPUs
     backup: bool = False
 
     def __post_init__(self) -> None:
@@ -92,7 +92,6 @@ class ProjectReport:
     java_files: int = 0
     xml_files: int = 0
     parse_failures: int = 0
-    wall_time_s: float = 0.0
     warnings: list[str] = field(default_factory=list)
 
 
@@ -203,29 +202,19 @@ def process_file(
         outcome.skip_reason = "not UTF-8; refusing to touch unknown encodings"
         return outcome
 
-    text = original
+    # The parser is looked up here, at call time, so wrapping this module's
+    # names (as the benchmark's tracer does) sees every parse.
+    if language == "java":
+        parse, order = parse_java_source, JAVA_RULE_ORDER
+    else:
+        parse, order = parse_layout_xml, (RuleId.OBSOLETE_LAYOUT_PARAM,)
+    rules = [r for r in order if r in config.enabled_rules]
     try:
-        if language == "java":
-            text = _fix_java(original, config, shown, outcome)
-            if not outcome.parse_ok:
-                return outcome
-        elif language == "xml":
-            if RuleId.OBSOLETE_LAYOUT_PARAM in config.enabled_rules:
-                tree, diags = parse_layout_xml(text)
-                if tree is None:
-                    outcome.parse_ok = False
-                    outcome.diagnostics = diags
-                    return outcome
-                result = apply_obsolete_layout_param(tree, shown, table)
-                outcome.findings.extend(result.findings)
-                outcome.fixable_counts[RuleId.OBSOLETE_LAYOUT_PARAM] = (
-                    result.fixable_count
-                )
-                if result.edits:
-                    text = apply_edit_set(text, result.edits)
-                    _verify_xml(text, table, shown)
+        text = _fix(original, parse, rules, config, table, shown, outcome)
     except (_VerificationError, EditError) as exc:
         outcome.internal_error = str(exc)
+        return outcome
+    if not outcome.parse_ok:
         return outcome
 
     if text != original and config.mode == MODE_FIX:
@@ -248,11 +237,19 @@ class _VerificationError(Exception):
     pass
 
 
-def _fix_java(
-    original: bytes, config: RunConfig, shown: str, outcome: FileOutcome
+_Tree = Union[SyntaxTree, XmlTree]
+
+
+def _fix(
+    original: bytes,
+    parse: Callable[[bytes], tuple[Optional[_Tree], list[ParseDiagnostic]]],
+    rules: list[RuleId],
+    config: RunConfig,
+    table: LayoutParamTable,
+    shown: str,
+    outcome: FileOutcome,
 ) -> bytes:
-    """Run the enabled Java rules in passes of one parse each; return the
-    fixed text.
+    """Run ``rules`` in passes of one ``parse`` each; return the fixed text.
 
     Pass 0 is the report, so findings are in original-file coordinates. A
     rule whose edits touch those accepted before it in a pass waits, with
@@ -261,13 +258,12 @@ def _fix_java(
     its verification: a rule already applied must find nothing fixable.
     Each pass applies at least the first pending rule, hence the bound.
     """
-    rules = [r for r in JAVA_RULE_ORDER if r in config.enabled_rules]
     if not rules:
         return original
     applied: set[RuleId] = set()
     text = original
     for pass_no in range(len(rules) + 1):
-        tree, diags = parse_java_source(text)
+        tree, diags = parse(text)
         if tree is None:
             if pass_no == 0:
                 outcome.parse_ok = False
@@ -277,7 +273,7 @@ def _fix_java(
         merged = EditSet()
         deferring = False
         for rule in rules:
-            result = _run_java_rule(rule, tree, shown, config)
+            result = _run_rule(rule, tree, shown, config, table)
             if pass_no == 0:
                 outcome.findings.extend(result.findings)
                 outcome.fixable_counts[rule] = result.fixable_count
@@ -297,11 +293,13 @@ def _fix_java(
     return text
 
 
-def _run_java_rule(
-    rule: RuleId, tree: SyntaxTree, shown: str, config: RunConfig
+def _run_rule(
+    rule: RuleId, tree: _Tree, shown: str, config: RunConfig, table: LayoutParamTable
 ) -> RuleResult:
     # Calls go through this module's names, so wrapping those names (as the
     # benchmark's tracer does) sees every rule call.
+    if rule is RuleId.OBSOLETE_LAYOUT_PARAM:
+        return apply_obsolete_layout_param(tree, shown, table)
     if rule is RuleId.VIEW_HOLDER:
         return apply_view_holder(tree, shown)
     if rule is RuleId.DRAW_ALLOCATION:
@@ -320,17 +318,6 @@ def _touches(accepted: EditSet, edits: EditSet) -> bool:
         for a in accepted.edits
         for b in edits.edits
     )
-
-
-def _verify_xml(text: bytes, table: LayoutParamTable, shown: str) -> None:
-    tree, diags = parse_layout_xml(text)
-    if tree is None:
-        raise _VerificationError(f"rewritten output does not parse: {diags[0]}")
-    result = apply_obsolete_layout_param(tree, shown, table)
-    if result.fixable_count:
-        raise _VerificationError(
-            "ObsoleteLayoutParam still reports findings after its own fix"
-        )
 
 
 def _atomic_replace(path: Path, text: bytes, backup: bool) -> None:
@@ -354,7 +341,6 @@ def run_project(
     config: RunConfig, project_id: Optional[str] = None
 ) -> tuple[ProjectReport, list[FileOutcome]]:
     """Analyze (and, per mode, rewrite) every eligible file under the input."""
-    start = time.monotonic()
     warnings: list[str] = []
     root = Path(config.input_path)
     if project_id is None:
@@ -372,22 +358,7 @@ def run_project(
         except ValueError:
             return path.as_posix()
 
-    jobs = config.jobs if config.jobs > 0 else (os.cpu_count() or 1)
-    if jobs == 1 or len(files) <= 1:
-        outcomes = [
-            process_file(p, lang, config, table, display(p)) for p, lang in files
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(
-                pool.map(
-                    lambda pair: process_file(
-                        pair[0], pair[1], config, table, display(pair[0])
-                    ),
-                    files,
-                )
-            )
-    outcomes.sort(key=lambda o: o.path.as_posix())
+    outcomes = [process_file(p, lang, config, table, display(p)) for p, lang in files]
 
     counts = {rule: RuleCount() for rule in RuleId}
     java_files = xml_files = parse_failures = 0
@@ -420,7 +391,6 @@ def run_project(
         java_files=java_files,
         xml_files=xml_files,
         parse_failures=parse_failures,
-        wall_time_s=time.monotonic() - start,
         warnings=warnings,
     )
     return report, outcomes

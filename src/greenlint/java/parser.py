@@ -32,6 +32,29 @@ PRIMITIVE_TYPES = frozenset(
 
 _CLOSERS = {"(": ")", "[": "]", "{": "}", "<": ">"}
 
+# An expression never starts or ends with an assignment operator. `>>=` and
+# `>>>=` lex as `>` tokens then `>=`, since `>` is always a token of its own.
+_ASSIGNMENT_TAILS = frozenset("= += -= *= /= %= &= |= ^= <<= >=".split())
+_ASSIGNMENT_HEADS = _ASSIGNMENT_TAILS | {">"}
+
+
+def match_group(tokens: list[Token], j: int) -> Optional[int]:
+    """Index just past the group that opens at ``tokens[j]`` (one of
+    ``_CLOSERS``), or None if it never closes."""
+    opener = tokens[j].value
+    close = _CLOSERS[opener]
+    depth = 0
+    for k in range(j, len(tokens)):
+        t = tokens[k]
+        if t.kind == "op":
+            if t.value == opener:
+                depth += 1
+            elif t.value == close:
+                depth -= 1
+                if depth == 0:
+                    return k + 1
+    return None
+
 
 @dataclass(eq=False)
 class Node:
@@ -170,26 +193,14 @@ class _Parser:
                 else:
                     break
             if j < self.n and self.toks[j].is_op("("):
-                j = self._match_group_from(j)
+                j = self._skip_group(j)
         return j < self.n and self.toks[j].is_kw("package")
 
-    def _match_group_from(self, j: int) -> int:
-        # index just past the group that opens at toks[j]
-        toks = self.toks
-        opener = toks[j].value
-        close = _CLOSERS[opener]
-        depth = 0
-        while j < self.n:
-            t = toks[j]
-            if t.kind == "op":
-                if t.value == opener:
-                    depth += 1
-                elif t.value == close:
-                    depth -= 1
-                    if depth == 0:
-                        return j + 1
-            j += 1
-        raise self.fail(f"unbalanced {close!r}")
+    def _skip_group(self, j: int) -> int:
+        end = match_group(self.toks, j)
+        if end is None:
+            raise self.fail(f"unbalanced {_CLOSERS[self.toks[j].value]!r}")
+        return end
 
     def _parse_package(self) -> Node:
         lo = self.i
@@ -226,7 +237,7 @@ class _Parser:
         self.expect_op("@")
         name = self._parse_qualified_name()
         if self.at_op("("):
-            self.i = self._match_group_from(self.i)
+            self.i = self._skip_group(self.i)
         return Node("annotation", lo, self.i, props={"name": name})
 
     def _parse_modifiers(self) -> tuple[list[Node], list[str], int]:
@@ -268,7 +279,7 @@ class _Parser:
         elif t.kind == "ident":
             self._parse_qualified_name()
             if self.at_op("<"):
-                self.i = self._match_group_from(self.i)
+                self.i = self._skip_group(self.i)
         else:
             raise self.fail("expected type")
         while self.at_op("[") and (p := self.peek(1)) is not None and p.is_op("]"):
@@ -304,7 +315,7 @@ class _Parser:
     ) -> Node:
         name = self.expect_ident("type name").value
         if self.at_op("<"):
-            self.i = self._match_group_from(self.i)
+            self.i = self._skip_group(self.i)
         extends: Optional[str] = None
         if self.at_kw("extends"):
             self.advance()
@@ -349,7 +360,7 @@ class _Parser:
                 break
             self.expect_ident("enum constant")
             if self.at_op("("):
-                self.i = self._match_group_from(self.i)
+                self.i = self._skip_group(self.i)
             if self.at_op("{"):
                 self.advance()
                 members.extend(self._parse_members(enclosing))
@@ -391,7 +402,7 @@ class _Parser:
             return Node("initializer", lo, self.i, [body])
         # generic method type parameters
         if t.is_op("<"):
-            self.i = self._match_group_from(self.i)
+            self.i = self._skip_group(self.i)
         # constructor: Name (
         t = self.peek()
         if (
@@ -593,7 +604,7 @@ class _Parser:
         lo = self.i
         self.advance()
         cond_lo = self.i
-        self.i = self._match_group_from(self.i) if self.at_op("(") else self.i
+        self.i = self._skip_group(self.i) if self.at_op("(") else self.i
         if cond_lo == self.i:
             raise self.fail("expected '(' after if")
         cond_hi = self.i
@@ -611,7 +622,7 @@ class _Parser:
         self.advance()
         if not self.at_op("("):
             raise self.fail("expected '(' after for")
-        self.i = self._match_group_from(self.i)
+        self.i = self._skip_group(self.i)
         body = self._parse_statement()
         return Node("for_statement", lo, self.i, [body])
 
@@ -620,7 +631,7 @@ class _Parser:
         self.advance()
         if not self.at_op("("):
             raise self.fail("expected '(' after while")
-        self.i = self._match_group_from(self.i)
+        self.i = self._skip_group(self.i)
         body = self._parse_statement()
         return Node("while_statement", lo, self.i, [body])
 
@@ -633,7 +644,7 @@ class _Parser:
         self.advance()
         if not self.at_op("("):
             raise self.fail("expected '(' after while")
-        self.i = self._match_group_from(self.i)
+        self.i = self._skip_group(self.i)
         self.expect_op(";")
         return Node("do_statement", lo, self.i, [body])
 
@@ -642,13 +653,13 @@ class _Parser:
         self.advance()
         children: list[Node] = []
         if self.at_op("("):  # try-with-resources header, kept opaque
-            self.i = self._match_group_from(self.i)
+            self.i = self._skip_group(self.i)
         children.append(self._parse_block())
         while self.at_kw("catch"):
             self.advance()
             if not self.at_op("("):
                 raise self.fail("expected '(' after catch")
-            self.i = self._match_group_from(self.i)
+            self.i = self._skip_group(self.i)
             children.append(self._parse_block())
         if self.at_kw("finally"):
             self.advance()
@@ -660,19 +671,19 @@ class _Parser:
         self.advance()
         if not self.at_op("("):
             raise self.fail("expected '(' after switch")
-        self.i = self._match_group_from(self.i)
+        self.i = self._skip_group(self.i)
         if not self.at_op("{"):
             raise self.fail("expected '{' after switch header")
         # Case bodies stay opaque token runs; anonymous classes inside are
         # still brace-balanced by the group matcher.
-        self.i = self._match_group_from(self.i)
+        self.i = self._skip_group(self.i)
         return Node("switch_statement", lo, self.i)
 
     def _parse_synchronized(self) -> Node:
         lo = self.i
         self.advance()
         if self.at_op("("):
-            self.i = self._match_group_from(self.i)
+            self.i = self._skip_group(self.i)
         body = self._parse_block()
         return Node("synchronized_statement", lo, self.i, [body])
 
@@ -741,12 +752,14 @@ class _Parser:
     def _consume_expression(self, stop_at_comma: bool = False) -> list[Node]:
         """Consume expression tokens up to ';' (or top-level ',').
 
-        Anonymous class bodies (`new T(...) { ... }`) are parsed into child
+        A run that starts or ends with an assignment operator fails with
+        "expected expression". Anonymous class bodies (`new T(...) { ... }`) are parsed into child
         class-body nodes; everything else remains a token run. Returns the
         child nodes discovered along the way.
         """
         children: list[Node] = []
         toks, n = self.toks, self.n
+        lo = self.i
         depth = 0
         while True:
             if self.i >= n:
@@ -758,23 +771,30 @@ class _Parser:
                     depth += 1
                 elif v in ")]":
                     if depth == 0:
-                        return children
+                        break
                     depth -= 1
                 elif v == ";" and depth == 0:
-                    return children
+                    break
                 elif v == "," and depth == 0 and stop_at_comma:
-                    return children
+                    break
                 elif v == "{":
                     # brace in expression position: anonymous class body,
                     # lambda body, or array initializer
                     if self._brace_opens_anonymous_body():
                         children.append(self._parse_anonymous_body())
                         continue
-                    self.i = self._match_group_from(self.i)
+                    self.i = self._skip_group(self.i)
                     continue
                 elif v == "}":
                     raise self.fail("unexpected '}' in expression")
             self.i += 1
+        if self.i > lo:
+            first, last = toks[lo], toks[self.i - 1]
+            if first.kind == "op" and first.value in _ASSIGNMENT_HEADS:
+                raise _ParseFailure(first.start, "expected expression")
+            if last.kind == "op" and last.value in _ASSIGNMENT_TAILS:
+                raise self.fail("expected expression")
+        return children
 
     def _brace_opens_anonymous_body(self) -> bool:
         """True iff the '{' at the cursor follows `new Type(...)`."""

@@ -11,11 +11,8 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from ..java.lexer import Token
-from ..java.parser import Node, SyntaxTree
+from ..java.parser import Node, SyntaxTree, match_group
 from ..spans import SourceSpan
-
-_OPEN = {"(": ")", "[": "]", "{": "}"}
-_CLOSE = {")", "]", "}"}
 
 
 def dominant_eol(data: bytes) -> bytes:
@@ -72,29 +69,15 @@ class Creation:
     has_body: bool  # anonymous class body follows
 
 
-def match_group(tokens: list[Token], open_idx: int) -> int:
-    """Index of the token closing the group opened at ``open_idx``."""
-    close = _OPEN[tokens[open_idx].value]
-    depth = 0
-    for j in range(open_idx, len(tokens)):
-        t = tokens[j]
-        if t.kind != "op":
-            continue
-        if t.value == tokens[open_idx].value:
-            depth += 1
-        elif t.value == close:
-            depth -= 1
-            if depth == 0:
-                return j
-    raise ValueError("unbalanced group")
-
-
 def split_args(tokens: list[Token], open_idx: int) -> tuple[list[tuple[int, int]], int]:
     """Split the argument list opened at ``open_idx`` on top-level commas.
 
     Returns (arg index ranges, index of the closing paren).
     """
-    close_idx = match_group(tokens, open_idx)
+    end = match_group(tokens, open_idx)
+    if end is None:
+        raise ValueError("unbalanced group")
+    close_idx = end - 1
     args: list[tuple[int, int]] = []
     depth = 0
     arg_lo = open_idx + 1
@@ -102,9 +85,9 @@ def split_args(tokens: list[Token], open_idx: int) -> tuple[list[tuple[int, int]
         t = tokens[j]
         if t.kind != "op":
             continue
-        if t.value in _OPEN:
+        if t.value in "([{":
             depth += 1
-        elif t.value in _CLOSE:
+        elif t.value in ")]}":
             depth -= 1
         elif t.value == "," and depth == 0:
             args.append((arg_lo, j))

@@ -156,3 +156,11 @@ def test_check_prints_parse_errors(tmp_path, capsys):
     assert main(["check", str(tmp_path / "proj")]) == EXIT_CLEAN
     err = capsys.readouterr().err
     assert f"{target}:1:29: parse error: unexpected character '#'" in err.splitlines()
+
+
+def test_jobs_is_accepted_and_changes_nothing(tmp_path, capsys):
+    proj = _recycle_project(tmp_path)
+    code = main(["check", str(proj)])
+    out = capsys.readouterr().out
+    assert main(["check", str(proj), "--jobs", "3"]) == code == EXIT_FINDINGS
+    assert capsys.readouterr().out == out

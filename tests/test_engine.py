@@ -1,4 +1,5 @@
 import hashlib
+import threading
 from pathlib import Path
 
 import pytest
@@ -149,13 +150,11 @@ def test_enabled_rules_filter(tmp_path):
             assert report.rule_counts[rule].refactorings == 0
 
 
-def test_determinism_across_job_counts(tmp_path):
+def test_two_runs_give_identical_results(tmp_path):
     proj = _project_from_golden(tmp_path)
     results = []
-    for jobs in (1, 4, 16):
-        _, outcomes = run_project(
-            RunConfig(input_path=proj, mode=MODE_REPORT, jobs=jobs)
-        )
+    for _ in range(2):
+        _, outcomes = run_project(RunConfig(input_path=proj, mode=MODE_REPORT))
         results.append(
             [
                 (o.path.as_posix(), f.rule, f.span.start, f.message)
@@ -163,7 +162,7 @@ def test_determinism_across_job_counts(tmp_path):
                 for f in o.findings
             ]
         )
-    assert results[0] == results[1] == results[2]
+    assert results[0] == results[1]
 
 
 def test_unparseable_java_skipped_not_fatal(tmp_path):
@@ -230,7 +229,7 @@ def test_rule_still_fixable_after_its_fix_rolls_back(tmp_path, monkeypatch):
     path = _write(tmp_path, "A.java")
     stubborn = _marker_rule(b"/*x*/", False, True, stubborn=True)
     monkeypatch.setattr(engine, "apply_recycle", stubborn)
-    _, outcomes = run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX, jobs=1))
+    _, outcomes = run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX))
     assert "still reports fixable" in outcomes[0].internal_error
     assert path.read_bytes() == b"class A {}\n"
 
@@ -245,7 +244,7 @@ def test_deferred_rule_holds_back_the_rules_after_it(tmp_path, monkeypatch):
     ):
         monkeypatch.setattr(engine, name, rule)
     path = _write(tmp_path, "A.java")
-    _, outcomes = run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX, jobs=1))
+    _, outcomes = run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX))
     assert outcomes[0].internal_error is None
     assert path.read_bytes() == b"/*B*//*A*/class A {}\n/*B*//*C*/"
 
@@ -320,7 +319,7 @@ def _count_parses(monkeypatch) -> list[int]:
 def test_clean_java_file_is_parsed_once(tmp_path, monkeypatch):
     calls = _count_parses(monkeypatch)
     _write(tmp_path, "Fine.java", b"class Fine {\n    int x;\n}\n")
-    run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX, jobs=1))
+    run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX))
     assert calls[0] == 1
 
 
@@ -330,7 +329,7 @@ def test_clean_java_file_is_parsed_once(tmp_path, monkeypatch):
 def test_rewritten_java_file_is_parsed_twice(tmp_path, monkeypatch, name):
     calls = _count_parses(monkeypatch)
     path = _write(tmp_path, "A.java", (GOLDEN / name / "before.java").read_bytes())
-    _, outcomes = run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX, jobs=1))
+    _, outcomes = run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX))
     assert outcomes[0].rewritten
     assert path.read_bytes() == (GOLDEN / name / "after.java").read_bytes()
     assert calls[0] == 2
@@ -340,7 +339,7 @@ def test_rule_whose_edits_touch_earlier_ones_waits_a_pass(tmp_path, monkeypatch)
     calls = _count_parses(monkeypatch)
     _write(tmp_path, "P.java", SHARED_INSERT_POINT.encode())
     report, outcomes = run_project(
-        RunConfig(input_path=tmp_path, mode=MODE_FIX, jobs=1)
+        RunConfig(input_path=tmp_path, mode=MODE_FIX)
     )
     assert outcomes[0].rewritten
     assert report.rule_counts[RuleId.WAKE_LOCK].fixed == 1
@@ -387,6 +386,57 @@ def _differential_cases() -> list:
 def test_fix_matches_rule_by_rule_chain(tmp_path, ext, before):
     rel = "Case.java" if ext == "java" else "res/layout/case.xml"
     path = _write(tmp_path, rel, before)
-    _, outcomes = run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX, jobs=1))
+    _, outcomes = run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX))
     assert outcomes[0].internal_error is None
     assert path.read_bytes() == _chained_fix(before, ext)
+
+
+@pytest.mark.parametrize(
+    "sabotage,message",
+    [
+        ("stubborn", "still reports fixable"),
+        ("breaks_xml", "rewritten output does not parse"),
+    ],
+)
+def test_xml_verification_failure_rolls_back(tmp_path, monkeypatch, sabotage, message):
+    before = (GOLDEN / "obsolete_layout_param" / "before.xml").read_bytes()
+    path = _write(tmp_path, "res/layout/main.xml", before)
+    real_rule = engine.apply_obsolete_layout_param
+
+    def sabotaged(tree, shown, table):
+        result = real_rule(tree, shown, table)
+        if sabotage == "stubborn":
+            result.findings.append(
+                Finding(RuleId.OBSOLETE_LAYOUT_PARAM, shown, SourceSpan(0, 0), "")
+            )
+        elif result.edits:
+            result.edits.add(Edit.insert(0, b"<<<"))
+        return result
+
+    monkeypatch.setattr(engine, "apply_obsolete_layout_param", sabotaged)
+    report, outcomes = run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX))
+    assert message in outcomes[0].internal_error
+    assert not outcomes[0].rewritten
+    assert path.read_bytes() == before
+    assert any(": error: " in w for w in report.warnings)
+
+
+def test_every_rule_call_runs_on_the_calling_thread(tmp_path, monkeypatch):
+    proj = _project_from_golden(tmp_path)
+    calls: dict[str, set[int]] = {}
+    for name in (
+        "apply_view_holder",
+        "apply_draw_allocation",
+        "apply_wake_lock",
+        "apply_recycle",
+        "apply_obsolete_layout_param",
+    ):
+
+        def spy(*args, _name=name, _real=getattr(engine, name), **kwargs):
+            calls.setdefault(_name, set()).add(threading.get_ident())
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, name, spy)
+    run_project(RunConfig(input_path=proj, mode=MODE_FIX))
+    assert len(calls) == 5
+    assert all(threads == {threading.get_ident()} for threads in calls.values())

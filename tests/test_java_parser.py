@@ -133,3 +133,72 @@ def test_declarations_with_and_without_initializer_parse(source):
     tree, diags = parse_java_source(source)
     assert diags == []
     assert tree.serialize() == source
+
+
+@pytest.mark.parametrize(
+    "statement,column",
+    [
+        (b"x = ;", 26),
+        (b"return = ;", 29),
+        (b"x += ;", 27),
+        (b"x >>>= ;", 29),
+        (b"throw = ;", 28),
+        (b"= x;", 22),
+    ],
+)
+def test_statement_with_a_dangling_assignment_is_rejected(statement, column):
+    tree, diags = parse_java_source(b"class A { void f() { " + statement + b" } }")
+    assert tree is None
+    assert (diags[0].line, diags[0].column, diags[0].message) == (1, column, "expected expression")
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        b"a = b = c;",
+        b"i++;",
+        b"--i;",
+        b"x >>>= 2;",
+        b"x <<= 1;",
+        b"r = () -> {};",
+        b"return a instanceof List<?>;",
+        b"return;",
+        b"l = new Runnable() { public void run() { x = 1; } };",
+    ],
+)
+def test_complete_expression_statements_parse(statement):
+    source = b"class A { void f() { " + statement + b" } }"
+    tree, diags = parse_java_source(source)
+    assert diags == []
+    assert tree.serialize() == source
+
+
+@pytest.mark.parametrize(
+    "source,column,closer",
+    [
+        (b"class A { void f() { if (x { } } }", 25, "')'"),
+        (b"class A<T { }", 8, "'>'"),
+        # the package lookahead fails where the cursor stands, not at the '('
+        (b"@Deprecated(x class A { }", 1, "')'"),
+    ],
+)
+def test_unclosed_group_fails_at_the_cursor(source, column, closer):
+    tree, diags = parse_java_source(source)
+    assert tree is None
+    assert (diags[0].column, diags[0].message) == (column, f"unbalanced {closer}")
+
+
+def test_split_args_splits_on_top_level_commas_only():
+    from greenlint.rules.javautil import split_args
+
+    tree = parse_java(b"class A { void f() { g(a < b, c > d, h(e, f), new int[] { 1, 2 }); } }")
+    toks = tree.tokens
+    open_idx = next(i for i, t in enumerate(toks) if t.value == "g") + 1
+    args, close_idx = split_args(toks, open_idx)
+    assert [" ".join(t.value for t in toks[lo:hi]) for lo, hi in args] == [
+        "a < b",
+        "c > d",
+        "h ( e , f )",
+        "new int [ ] { 1 , 2 }",
+    ]
+    assert toks[close_idx].value == ")" and toks[close_idx + 1].value == ";"
