@@ -9,14 +9,13 @@ findings across many projects.
 from .engine import FileOutcome, ProjectReport, RunConfig, discover_files, run_project
 from .java.parser import SyntaxTree, parse_java_source
 from .report import CorpusSummary, aggregate, emit
-from .rules import ALL_RULE_ORDER, Finding, RuleId, RuleResult
+from .rules import Finding, RuleId, RuleResult
 from .spans import Edit, EditSet, SourceSpan, apply_edit_set
 from .xmltree import XmlTree, parse_layout_xml
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_RULE_ORDER",
     "CorpusSummary",
     "Edit",
     "EditSet",

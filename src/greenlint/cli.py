@@ -12,6 +12,7 @@ Exit codes: 0 clean, 1 findings reported or fixes applied, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -29,7 +30,7 @@ from .engine import (
     run_project,
 )
 from .report import aggregate, emit
-from .rules import ALL_RULE_ORDER, RuleId
+from .rules import LayoutParamTable, RuleId
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -53,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--only",
             metavar="RULE[,RULE...]",
             help="run only these rules (names: "
-            + ", ".join(str(r) for r in ALL_RULE_ORDER)
+            + ", ".join(str(r) for r in RuleId)
             + ")",
         )
         p.add_argument(
@@ -66,11 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
         # Accepted for compatibility and ignored: files are processed in order
         # in one thread.
         p.add_argument("--jobs", type=int, default=0, help=argparse.SUPPRESS)
-        p.add_argument(
-            "--paper-faithful-wakelock-guard",
-            action="store_true",
-            help="emit the literal !isHeld() wake lock guard",
-        )
         p.add_argument(
             "--layout-param-table",
             type=Path,
@@ -126,6 +122,15 @@ class _UsageError(Exception):
     pass
 
 
+def _load_table(path: Optional[Path]) -> LayoutParamTable:
+    if path is None:
+        return LayoutParamTable()
+    try:
+        return LayoutParamTable.from_file(path)
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or malformed
+        raise _UsageError(f"--layout-param-table: {exc}") from exc
+
+
 def _make_config(args: argparse.Namespace, path: Path, mode: str) -> RunConfig:
     excludes = DEFAULT_EXCLUDES if args.exclude is None else tuple(args.exclude)
     try:
@@ -134,8 +139,7 @@ def _make_config(args: argparse.Namespace, path: Path, mode: str) -> RunConfig:
             mode=mode,
             enabled_rules=_parse_rules(args.only),
             exclude_globs=excludes,
-            paper_faithful_wakelock_guard=args.paper_faithful_wakelock_guard,
-            layout_param_table=args.layout_param_table,
+            layout_param_table=_load_table(args.layout_param_table),
             backup=args.backup,
         )
     except FileNotFoundError as exc:
@@ -163,7 +167,7 @@ def _summary_payload(report: ProjectReport) -> dict:
                 "fixed": report.rule_counts[rule].fixed,
                 "unfixable": report.rule_counts[rule].unfixable,
             }
-            for rule in ALL_RULE_ORDER
+            for rule in RuleId
         },
     }
 
@@ -247,8 +251,8 @@ def _cmd_fix(args: argparse.Namespace) -> int:
                 target = args.patch_dir / rel.with_name(rel.name + ".patch")
                 target.parent.mkdir(parents=True, exist_ok=True)
                 target.write_text(outcome.patch, encoding="utf-8")
-    fixed = sum(sum(o.fixed_counts.values()) for o in outcomes)
-    unfixable = sum(1 for o in outcomes for f in o.findings if not f.fixable)
+    fixed = sum(c.fixed for c in report.rule_counts.values())
+    unfixable = sum(c.unfixable for c in report.rule_counts.values())
     print(
         f"{fixed} refactoring(s) applied"
         + (f", {unfixable} finding(s) not auto-fixable" if unfixable else "")
@@ -265,11 +269,13 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     )
     if not projects:
         raise _UsageError(f"corpus root has no project directories: {root}")
+    config = _make_config(args, root, MODE_REPORT)
     reports = []
     internal = False
     for project in projects:
-        config = _make_config(args, project, MODE_REPORT)
-        report, outcomes = run_project(config, project_id=project.name)
+        report, outcomes = run_project(
+            dataclasses.replace(config, input_path=project), project_id=project.name
+        )
         for warning in report.warnings:
             print(warning, file=sys.stderr)
         internal = internal or any(o.internal_error for o in outcomes)

@@ -2,13 +2,15 @@
 
 Files are processed one after another, in sorted order, in the calling
 thread. Every file, `.java` or `res/layout*/*.xml`, goes through the same
-pass loop with its language's parser and rules: each pass parses the
-current text once, runs every enabled rule on that tree and applies their
-merged edit sets in one step. The first pass is the report, so findings
-point into the file on disk; the pass after a rewrite is its verification.
-Rewritten text must re-parse cleanly and the rules must then report
-nothing fixable, otherwise the file's fixes are rolled back and surfaced
-as an internal error.
+pass loop with its language's parser and rules. A rule is a function
+`(tree, path) -> RuleResult`; the layout rule gets the run's parent/attribute
+table bound in. Each pass parses the current text once, runs every enabled
+rule on that tree and applies their merged edit sets in one step. The first
+pass is the report, so findings point into the file on disk; the pass after
+a rewrite is its verification. Rewritten text must re-parse cleanly and the
+rules must then report nothing fixable, otherwise the file's fixes are
+rolled back and surfaced as an internal error. A project's per-rule counts
+come from its files' findings.
 """
 
 from __future__ import annotations
@@ -17,13 +19,13 @@ import difflib
 import os
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Union
 
 from .diagnostics import ParseDiagnostic
 from .java.parser import SyntaxTree, parse_java_source
 from .rules import (
-    JAVA_RULE_ORDER,
     Finding,
     LayoutParamTable,
     RuleId,
@@ -43,6 +45,9 @@ MODE_REPORT = "report-only"
 MODE_FIX = "fix-in-place"
 MODE_PATCH = "emit-patch"
 
+_Tree = Union[SyntaxTree, XmlTree]
+_Rule = Callable[[_Tree, str], RuleResult]
+
 
 @dataclass
 class RunConfig:
@@ -50,8 +55,7 @@ class RunConfig:
     mode: str = MODE_REPORT
     enabled_rules: frozenset[RuleId] = frozenset(RuleId)
     exclude_globs: tuple[str, ...] = DEFAULT_EXCLUDES
-    paper_faithful_wakelock_guard: bool = False
-    layout_param_table: Optional[Path] = None
+    layout_param_table: LayoutParamTable = field(default_factory=LayoutParamTable)
     backup: bool = False
 
     def __post_init__(self) -> None:
@@ -70,8 +74,6 @@ class FileOutcome:
     parse_ok: bool = True
     diagnostics: list[ParseDiagnostic] = field(default_factory=list)
     findings: list[Finding] = field(default_factory=list)
-    fixable_counts: dict[RuleId, int] = field(default_factory=dict)
-    fixed_counts: dict[RuleId, int] = field(default_factory=dict)
     rewritten: bool = False
     patch: Optional[str] = None
     skip_reason: Optional[str] = None
@@ -183,7 +185,6 @@ def process_file(
     path: Path,
     language: str,
     config: RunConfig,
-    table: LayoutParamTable,
     display_path: Optional[str] = None,
 ) -> FileOutcome:
     """Run the enabled rules over one file; pure up to filesystem writes."""
@@ -202,15 +203,27 @@ def process_file(
         outcome.skip_reason = "not UTF-8; refusing to touch unknown encodings"
         return outcome
 
-    # The parser is looked up here, at call time, so wrapping this module's
-    # names (as the benchmark's tracer does) sees every parse.
+    # The parser and the rules are looked up here, at call time, so wrapping
+    # this module's names (as the benchmark's tracer does) sees every call.
     if language == "java":
-        parse, order = parse_java_source, JAVA_RULE_ORDER
+        parse = parse_java_source
+        functions: dict[RuleId, _Rule] = {
+            RuleId.VIEW_HOLDER: apply_view_holder,
+            RuleId.DRAW_ALLOCATION: apply_draw_allocation,
+            RuleId.WAKE_LOCK: apply_wake_lock,
+            RuleId.RECYCLE: apply_recycle,
+        }
     else:
-        parse, order = parse_layout_xml, (RuleId.OBSOLETE_LAYOUT_PARAM,)
-    rules = [r for r in order if r in config.enabled_rules]
+        parse = parse_layout_xml
+        functions = {
+            RuleId.OBSOLETE_LAYOUT_PARAM: partial(
+                apply_obsolete_layout_param, table=config.layout_param_table
+            )
+        }
+    enabled = config.enabled_rules
+    rules = [(r, functions[r]) for r in RuleId if r in functions and r in enabled]
     try:
-        text = _fix(original, parse, rules, config, table, shown, outcome)
+        text = _fix(original, parse, rules, shown, outcome)
     except (_VerificationError, EditError) as exc:
         outcome.internal_error = str(exc)
         return outcome
@@ -226,10 +239,6 @@ def process_file(
         outcome.rewritten = True
     elif text != original and config.mode == MODE_PATCH:
         outcome.patch = _unified_diff(original, text, shown)
-
-    if text != original and config.mode != MODE_REPORT:
-        for rule, count in outcome.fixable_counts.items():
-            outcome.fixed_counts[rule] = count
     return outcome
 
 
@@ -237,15 +246,10 @@ class _VerificationError(Exception):
     pass
 
 
-_Tree = Union[SyntaxTree, XmlTree]
-
-
 def _fix(
     original: bytes,
     parse: Callable[[bytes], tuple[Optional[_Tree], list[ParseDiagnostic]]],
-    rules: list[RuleId],
-    config: RunConfig,
-    table: LayoutParamTable,
+    rules: list[tuple[RuleId, _Rule]],
     shown: str,
     outcome: FileOutcome,
 ) -> bytes:
@@ -272,11 +276,10 @@ def _fix(
             raise _VerificationError(f"rewritten output does not parse: {diags[0]}")
         merged = EditSet()
         deferring = False
-        for rule in rules:
-            result = _run_rule(rule, tree, shown, config, table)
+        for rule, fn in rules:
+            result = fn(tree, shown)
             if pass_no == 0:
                 outcome.findings.extend(result.findings)
-                outcome.fixable_counts[rule] = result.fixable_count
             if rule in applied:
                 if result.fixable_count:
                     raise _VerificationError(
@@ -291,24 +294,6 @@ def _fix(
             break
         text = apply_edit_set(text, merged)
     return text
-
-
-def _run_rule(
-    rule: RuleId, tree: _Tree, shown: str, config: RunConfig, table: LayoutParamTable
-) -> RuleResult:
-    # Calls go through this module's names, so wrapping those names (as the
-    # benchmark's tracer does) sees every rule call.
-    if rule is RuleId.OBSOLETE_LAYOUT_PARAM:
-        return apply_obsolete_layout_param(tree, shown, table)
-    if rule is RuleId.VIEW_HOLDER:
-        return apply_view_holder(tree, shown)
-    if rule is RuleId.DRAW_ALLOCATION:
-        return apply_draw_allocation(tree, shown)
-    if rule is RuleId.WAKE_LOCK:
-        return apply_wake_lock(
-            tree, shown, paper_faithful_guard=config.paper_faithful_wakelock_guard
-        )
-    return apply_recycle(tree, shown)
 
 
 def _touches(accepted: EditSet, edits: EditSet) -> bool:
@@ -346,11 +331,6 @@ def run_project(
     if project_id is None:
         project_id = root.resolve().name
     files = discover_files(config, warnings)
-    table = (
-        LayoutParamTable.from_file(config.layout_param_table)
-        if config.layout_param_table
-        else LayoutParamTable()
-    )
 
     def display(path: Path) -> str:
         try:
@@ -358,7 +338,7 @@ def run_project(
         except ValueError:
             return path.as_posix()
 
-    outcomes = [process_file(p, lang, config, table, display(p)) for p, lang in files]
+    outcomes = [process_file(p, lang, config, display(p)) for p, lang in files]
 
     counts = {rule: RuleCount() for rule in RuleId}
     java_files = xml_files = parse_failures = 0
@@ -377,13 +357,15 @@ def run_project(
             warnings.append(f"{outcome.path}: skipped: {outcome.skip_reason}")
         if outcome.internal_error:
             warnings.append(f"{outcome.path}: error: {outcome.internal_error}")
-        for rule, n in outcome.fixable_counts.items():
-            counts[rule].refactorings += n
-        for rule, n in outcome.fixed_counts.items():
-            counts[rule].fixed += n
+        applied = outcome.rewritten or outcome.patch is not None
         for finding in outcome.findings:
+            count = counts[finding.rule]
             if not finding.fixable:
-                counts[finding.rule].unfixable += 1
+                count.unfixable += 1
+                continue
+            count.refactorings += 1
+            if applied:
+                count.fixed += 1
 
     report = ProjectReport(
         project_id=project_id,

@@ -31,6 +31,8 @@ PRIMITIVE_TYPES = frozenset(
 )
 
 _CLOSERS = {"(": ")", "[": "]", "{": "}", "<": ">"}
+_OPENERS = frozenset("([{")
+_BRACKET_CLOSERS = frozenset(")]}")
 
 # An expression never starts or ends with an assignment operator. `>>=` and
 # `>>>=` lex as `>` tokens then `>=`, since `>` is always a token of its own.
@@ -40,16 +42,31 @@ _ASSIGNMENT_HEADS = _ASSIGNMENT_TAILS | {">"}
 
 def match_group(tokens: list[Token], j: int) -> Optional[int]:
     """Index just past the group that opens at ``tokens[j]`` (one of
-    ``_CLOSERS``), or None if it never closes."""
-    opener = tokens[j].value
-    close = _CLOSERS[opener]
+    ``_CLOSERS``), or None if it never closes.
+
+    Inside any group `()[]{}` must nest properly, else None as well. A `<`
+    group ends at the `>` that balances its `<`s, counting only those
+    outside the brackets it holds.
+    """
+    angle = tokens[j].value == "<"
     depth = 0
+    expected: list[str] = []  # the closers of the open brackets, innermost last
     for k in range(j, len(tokens)):
         t = tokens[k]
-        if t.kind == "op":
-            if t.value == opener:
+        if t.kind != "op":
+            continue
+        v = t.value
+        if v in _OPENERS:
+            expected.append(_CLOSERS[v])
+        elif v in _BRACKET_CLOSERS:
+            if not expected or expected.pop() != v:
+                return None
+            if not expected and not angle:
+                return k + 1
+        elif angle and not expected:
+            if v == "<":
                 depth += 1
-            elif t.value == close:
+            elif v == ">":
                 depth -= 1
                 if depth == 0:
                     return k + 1
@@ -760,22 +777,23 @@ class _Parser:
         children: list[Node] = []
         toks, n = self.toks, self.n
         lo = self.i
-        depth = 0
+        expected: list[str] = []  # closers of the open `(`/`[`, innermost last
         while True:
             if self.i >= n:
                 raise self.fail("unexpected end of file in expression")
             t = toks[self.i]
             if t.kind == "op":
                 v = t.value
-                if v in "([":
-                    depth += 1
-                elif v in ")]":
-                    if depth == 0:
+                if v == "(" or v == "[":
+                    expected.append(_CLOSERS[v])
+                elif v == ")" or v == "]":
+                    if not expected:
                         break
-                    depth -= 1
-                elif v == ";" and depth == 0:
+                    if expected.pop() != v:
+                        raise self.fail(f"unexpected {v!r} in expression")
+                elif v == ";" and not expected:
                     break
-                elif v == "," and depth == 0 and stop_at_comma:
+                elif v == "," and not expected and stop_at_comma:
                     break
                 elif v == "{":
                     # brace in expression position: anonymous class body,

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 from .engine import ProjectReport
-from .rules import ALL_RULE_ORDER, RuleId
+from .rules import RuleId
 
 ANY = "Any"
-ROW_ORDER: tuple[str, ...] = tuple(str(r) for r in ALL_RULE_ORDER) + (ANY,)
+ROW_ORDER: tuple[str, ...] = tuple(str(r) for r in RuleId) + (ANY,)
 
 CSV_HEADER = (
     "rule,total_refactorings,total_projects,percentage_of_projects,"
@@ -83,7 +83,7 @@ def aggregate(reports: list[ProjectReport]) -> CorpusSummary:
     rows: dict[str, RuleSummary] = {}
     any_total = 0
     any_projects = 0
-    for rule in ALL_RULE_ORDER:
+    for rule in RuleId:
         total = sum(r.rule_counts[rule].refactorings for r in reports)
         projects = sum(1 for r in reports if r.rule_counts[rule].refactorings >= 1)
         rows[str(rule)] = RuleSummary(str(rule), total, projects)
@@ -91,7 +91,7 @@ def aggregate(reports: list[ProjectReport]) -> CorpusSummary:
     any_projects = sum(
         1
         for r in reports
-        if any(r.rule_counts[rule].refactorings >= 1 for rule in ALL_RULE_ORDER)
+        if any(r.rule_counts[rule].refactorings >= 1 for rule in RuleId)
     )
     rows[ANY] = RuleSummary(ANY, any_total, any_projects)
     return CorpusSummary(corpus_size=len(reports), rows=rows)

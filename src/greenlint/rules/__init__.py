@@ -1,21 +1,18 @@
 """The five energy rules and their shared result types."""
 
-from .base import ALL_RULE_ORDER, JAVA_RULE_ORDER, Finding, RuleId, RuleResult
+from .base import JAVA_RULE_ORDER, Finding, RuleId, RuleResult
 from .draw_allocation import apply_draw_allocation
 from .layout_params import LayoutParamTable, apply_obsolete_layout_param
-from .recycle import DEFAULT_FACTORIES, ResourceFactory, apply_recycle
+from .recycle import apply_recycle
 from .view_holder import apply_view_holder
 from .wake_lock import apply_wake_lock
 
 __all__ = [
-    "ALL_RULE_ORDER",
     "JAVA_RULE_ORDER",
     "Finding",
     "RuleId",
     "RuleResult",
     "LayoutParamTable",
-    "ResourceFactory",
-    "DEFAULT_FACTORIES",
     "apply_draw_allocation",
     "apply_obsolete_layout_param",
     "apply_recycle",

@@ -19,15 +19,9 @@ class RuleId(enum.Enum):
         return self.value
 
 
-# Fixed execution/reporting order for the Java rules; ObsoleteLayoutParam
-# runs on XML files only and comes last in reports.
-JAVA_RULE_ORDER = (
-    RuleId.VIEW_HOLDER,
-    RuleId.DRAW_ALLOCATION,
-    RuleId.WAKE_LOCK,
-    RuleId.RECYCLE,
-)
-ALL_RULE_ORDER = JAVA_RULE_ORDER + (RuleId.OBSOLETE_LAYOUT_PARAM,)
+# Rules run and are reported in declaration order. ObsoleteLayoutParam runs
+# on XML files only; the others run on Java files.
+JAVA_RULE_ORDER = tuple(r for r in RuleId if r is not RuleId.OBSOLETE_LAYOUT_PARAM)
 
 
 @dataclass

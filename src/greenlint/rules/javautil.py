@@ -141,16 +141,10 @@ def find_creations(tokens: list[Token], lo: int, hi: int) -> Iterator[Creation]:
         if not parts:
             continue
         if k < len(tokens) and tokens[k].is_op("<"):
-            depth = 0
-            while k < len(tokens):
-                if tokens[k].is_op("<"):
-                    depth += 1
-                elif tokens[k].is_op(">"):
-                    depth -= 1
-                    if depth == 0:
-                        k += 1
-                        break
-                k += 1
+            end = match_group(tokens, k)
+            if end is None:
+                continue
+            k = end
         if k >= len(tokens) or not tokens[k].is_op("("):
             continue  # array creation or malformed
         args, close_idx = split_args(tokens, k)

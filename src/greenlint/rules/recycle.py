@@ -52,12 +52,9 @@ DEFAULT_FACTORIES: tuple[ResourceFactory, ...] = (
 
 
 def _match_factory(
-    factories: tuple[ResourceFactory, ...],
-    inv_name: str,
-    receiver: Optional[str],
-    declared_type: str,
+    inv_name: str, receiver: Optional[str], declared_type: str
 ) -> Optional[ResourceFactory]:
-    for f in factories:
+    for f in DEFAULT_FACTORIES:
         if f.method != inv_name:
             continue
         if f.receivers is not None and receiver not in f.receivers:
@@ -112,11 +109,7 @@ def _blocks_with_statements(body: Node):
             yield n
 
 
-def apply_recycle(
-    tree: SyntaxTree,
-    path: str = "",
-    factories: tuple[ResourceFactory, ...] = DEFAULT_FACTORIES,
-) -> RuleResult:
+def apply_recycle(tree: SyntaxTree, path: str = "") -> RuleResult:
     result = RuleResult()
     data = tree.data
     eol = dominant_eol(data).decode()
@@ -136,9 +129,7 @@ def apply_recycle(
                 factory = None
                 anchor = None
                 for inv in find_invocations(tree.tokens, init_lo, init_hi):
-                    factory = _match_factory(
-                        factories, inv.name, inv.receiver, declared_type
-                    )
+                    factory = _match_factory(inv.name, inv.receiver, declared_type)
                     if factory is not None:
                         anchor = inv.span
                         break

@@ -2,11 +2,9 @@
 
 A lock acquired on an Activity field and never released in onPause keeps
 the device awake after the app backgrounds. The fix appends an onPause
-override (or extends an existing one) with a guarded release.
-
-The emitted guard is `wl.isHeld()` by default; `paper_faithful_guard=True`
-emits the negated form some references show, kept behind a flag because it
-releases only when the lock is not held.
+override (or extends an existing one) with a release guarded by
+`wl != null && wl.isHeld()`: releasing a reference-counted lock that is not
+held throws, so the release runs only while the lock is held.
 """
 
 from __future__ import annotations
@@ -76,9 +74,7 @@ def _calls_on(tree: SyntaxTree, method: Node, receiver: str, name: str) -> list:
     ]
 
 
-def apply_wake_lock(
-    tree: SyntaxTree, path: str = "", paper_faithful_guard: bool = False
-) -> RuleResult:
+def apply_wake_lock(tree: SyntaxTree, path: str = "") -> RuleResult:
     result = RuleResult()
     data = tree.data
     eol = dominant_eol(data).decode()
@@ -144,10 +140,6 @@ def apply_wake_lock(
         if not pending_release:
             continue
 
-        def guard(field: str) -> str:
-            held = f"!{field}.isHeld()" if paper_faithful_guard else f"{field}.isHeld()"
-            return f"{field} != null && {held}"
-
         if on_pause is None:
             mi = _member_indent(tree, data, owner, unit)
             lines = [
@@ -157,7 +149,7 @@ def apply_wake_lock(
                 f"{mi}{unit}super.onPause();",
             ]
             for field in pending_release:
-                lines.append(f"{mi}{unit}if ({guard(field)}) {{")
+                lines.append(f"{mi}{unit}if ({_guard(field)}) {{")
                 lines.append(f"{mi}{unit}{unit}{field}.release();")
                 lines.append(f"{mi}{unit}}}")
             lines.append(f"{mi}}}")
@@ -180,13 +172,17 @@ def apply_wake_lock(
                 )
             lines = []
             for field in pending_release:
-                lines.append(f"{si}if ({guard(field)}) {{")
+                lines.append(f"{si}if ({_guard(field)}) {{")
                 lines.append(f"{si}{unit}{field}.release();")
                 lines.append(f"{si}}}")
             text = eol.join(lines) + eol
             result.edits.add(Edit.insert(insert_at, text.encode()))
 
     return result
+
+
+def _guard(field: str) -> str:
+    return f"{field} != null && {field}.isHeld()"
 
 
 def _dedup_owners(tree: SyntaxTree):

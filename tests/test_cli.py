@@ -1,12 +1,15 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from greenlint.cli import (
     EXIT_CLEAN,
     EXIT_FINDINGS,
     EXIT_USAGE,
     main,
 )
+from greenlint.rules import LayoutParamTable
 
 from conftest import CLEAN_CORPUS, GOLDEN
 
@@ -164,3 +167,77 @@ def test_jobs_is_accepted_and_changes_nothing(tmp_path, capsys):
     out = capsys.readouterr().out
     assert main(["check", str(proj), "--jobs", "3"]) == code == EXIT_FINDINGS
     assert capsys.readouterr().out == out
+
+
+def test_removed_wakelock_guard_flag_is_a_usage_error(tmp_path, capsys):
+    proj = _recycle_project(tmp_path)
+    assert main(["check", str(proj), "--paper-faithful-wakelock-guard"]) == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content,detail",
+    [
+        ("# comment\nLinearLayout layout_weight\n", ":2: expected 'ParentTag<TAB>"),
+        (None, "No such file"),
+    ],
+)
+def test_bad_layout_table_is_a_usage_error(tmp_path, capsys, content, detail):
+    proj = _recycle_project(tmp_path)
+    table = tmp_path / "table.tsv"
+    if content is not None:
+        table.write_text(content)
+    args = ["check", str(proj), "--layout-param-table", str(table)]
+    assert main(args) == EXIT_USAGE
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: --layout-param-table: "), line
+    assert str(table) in line and detail in line, line
+
+
+def test_corpus_loads_the_layout_table_once(tmp_path, monkeypatch, capsys):
+    root = tmp_path / "corpus"
+    for name in ("alpha", "beta"):
+        layout = root / name / "res" / "layout" / "main.xml"
+        layout.parent.mkdir(parents=True)
+        layout.write_bytes(
+            (GOLDEN / "obsolete_layout_param" / "before.xml").read_bytes()
+        )
+    table = tmp_path / "params.tsv"
+    table.write_text("LinearLayout\tlayout_weight\n")
+    loads = []
+    real_from_file = LayoutParamTable.from_file.__func__
+
+    def counting(cls, path):
+        loads.append(path)
+        return real_from_file(cls, path)
+
+    monkeypatch.setattr(LayoutParamTable, "from_file", classmethod(counting))
+    out = tmp_path / "summary.csv"
+    args = ["corpus", str(root), "--out", str(out), "--layout-param-table", str(table)]
+    assert main(args) == EXIT_CLEAN
+    assert loads == [table]
+
+
+@pytest.mark.parametrize(
+    "source,column",
+    [
+        ("class A { void f() { Cursor c = db.query(a]; } }", 43),
+        (
+            "class M extends Activity { WakeLock wl; void onCreate() {"
+            " wl.acquire(); switch (x) { case 1: f(a]; } } }",
+            84,
+        ),
+        (
+            "class G extends Activity { WakeLock wl; void onCreate() {"
+            " List<f(a]> x; wl.acquire(); } }",
+            67,
+        ),
+    ],
+)
+def test_unbalanced_call_is_a_parse_error_not_a_crash(tmp_path, capsys, source, column):
+    target = tmp_path / "proj" / "src" / "A.java"
+    target.parent.mkdir(parents=True)
+    target.write_text(source + "\n")
+    assert main(["check", str(tmp_path / "proj")]) == EXIT_CLEAN
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"{target}:1:{column}: parse error: "), line

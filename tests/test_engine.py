@@ -129,6 +129,29 @@ def test_patch_mode_leaves_files_alone(tmp_path):
         assert "+++ b/" in o.patch
 
 
+def test_counts_come_from_findings_and_what_was_applied(tmp_path, monkeypatch):
+    proj = _project_from_golden(tmp_path)
+    report, _ = run_project(RunConfig(input_path=proj, mode=MODE_PATCH))
+    for rule in RuleId:
+        count = report.rule_counts[rule]
+        assert (count.refactorings, count.fixed, count.unfixable) == (1, 1, 0), rule
+    # a local wake lock is not fixable; a rolled-back fix is not fixed
+    path = _write(
+        tmp_path / "two",
+        "W.java",
+        b"class W extends Activity { void onCreate() {"
+        b" WakeLock w = pm.newWakeLock(1, t); w.acquire(); } }\n",
+    )
+    stubborn = _marker_rule(b"/*x*/", False, True, stubborn=True)
+    monkeypatch.setattr(engine, "apply_recycle", stubborn)
+    report, outcomes = run_project(RunConfig(input_path=path.parent, mode=MODE_FIX))
+    assert outcomes[0].internal_error is not None
+    wake = report.rule_counts[RuleId.WAKE_LOCK]
+    assert (wake.refactorings, wake.fixed, wake.unfixable) == (0, 0, 1)
+    recycle = report.rule_counts[RuleId.RECYCLE]
+    assert (recycle.refactorings, recycle.fixed, recycle.unfixable) == (1, 0, 0)
+
+
 def test_backup_keeps_original(tmp_path):
     proj = _project_from_golden(tmp_path)
     original = (proj / "src/recycle.java").read_bytes()

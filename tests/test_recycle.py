@@ -1,6 +1,7 @@
 import pytest
 
 from greenlint.rules.base import RuleId
+from greenlint.rules import recycle
 from greenlint.rules.recycle import DEFAULT_FACTORIES, ResourceFactory, apply_recycle
 
 from conftest import fix_java, parse_java
@@ -117,11 +118,14 @@ def test_cursor_type_required_for_query():
     assert result.findings == []
 
 
-def test_custom_factory_extension():
-    factories = DEFAULT_FACTORIES + (
-        ResourceFactory("openSession", "dispose", declared_type="Session"),
+def test_custom_factory_extension(monkeypatch):
+    monkeypatch.setattr(
+        recycle,
+        "DEFAULT_FACTORIES",
+        DEFAULT_FACTORIES
+        + (ResourceFactory("openSession", "dispose", declared_type="Session"),),
     )
     source = _method("Session s = pool.openSession(); s.use();")
-    result, fixed = fix_java(apply_recycle, source, factories=factories)
+    result, fixed = fix_java(apply_recycle, source)
     assert len(result.findings) == 1
     assert b"s.dispose();" in fixed

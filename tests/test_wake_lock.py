@@ -27,15 +27,6 @@ def test_default_guard_checks_held(golden):
     assert b"if (wl != null && wl.isHeld()) {" in fixed
 
 
-def test_paper_faithful_guard_negates_is_held(golden):
-    before, _ = golden("wake_lock")
-    _, fixed = fix_java(apply_wake_lock, before, paper_faithful_guard=True)
-    assert b"if (wl != null && !wl.isHeld()) {" in fixed
-    result, again = fix_java(apply_wake_lock, fixed, paper_faithful_guard=True)
-    assert result.findings == []
-    assert again == fixed
-
-
 def test_release_in_on_pause_suppresses_finding(golden):
     before, _ = golden("wake_lock")
     source = before.replace(
