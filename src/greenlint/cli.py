@@ -12,8 +12,6 @@ Exit codes: 0 clean, 1 findings reported or fixes applied, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import sys
 from pathlib import Path
 from typing import Optional
@@ -227,6 +225,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     for warning in report.warnings:
         print(warning, file=sys.stderr)
     if args.format == "json":
+        import json
+
         print(json.dumps(_report_payload("check", report, outcomes), indent=2))
     else:
         _print_text_findings(outcomes, args.path)
@@ -273,9 +273,8 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     reports = []
     internal = False
     for project in projects:
-        report, outcomes = run_project(
-            dataclasses.replace(config, input_path=project), project_id=project.name
-        )
+        config.input_path = project  # an existing directory, so still valid
+        report, outcomes = run_project(config, project_id=project.name)
         for warning in report.warnings:
             print(warning, file=sys.stderr)
         internal = internal or any(o.internal_error for o in outcomes)

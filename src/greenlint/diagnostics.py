@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
 class ParseDiagnostic:
     """A parse failure location; callers skip the file, they never abort."""
 
-    line: int  # 1-based
-    column: int  # 1-based
-    message: str
+    __slots__ = ("line", "column", "message")
+
+    def __init__(self, line: int, column: int, message: str):
+        self.line = line  # 1-based
+        self.column = column  # 1-based
+        self.message = message
+
+    def __repr__(self) -> str:
+        return f"ParseDiagnostic({self.line}, {self.column}, {self.message!r})"
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}: {self.message}"

@@ -15,10 +15,8 @@ come from its files' findings.
 
 from __future__ import annotations
 
-import difflib
 import os
 import re
-from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Union
@@ -49,52 +47,100 @@ _Tree = Union[SyntaxTree, XmlTree]
 _Rule = Callable[[_Tree, str], RuleResult]
 
 
-@dataclass
 class RunConfig:
-    input_path: Path
-    mode: str = MODE_REPORT
-    enabled_rules: frozenset[RuleId] = frozenset(RuleId)
-    exclude_globs: tuple[str, ...] = DEFAULT_EXCLUDES
-    layout_param_table: LayoutParamTable = field(default_factory=LayoutParamTable)
-    backup: bool = False
+    __slots__ = (
+        "input_path",
+        "mode",
+        "enabled_rules",
+        "exclude_globs",
+        "layout_param_table",
+        "backup",
+    )
 
-    def __post_init__(self) -> None:
-        if not self.enabled_rules:
+    def __init__(
+        self,
+        input_path: Path,
+        mode: str = MODE_REPORT,
+        enabled_rules: frozenset[RuleId] = frozenset(RuleId),
+        exclude_globs: tuple[str, ...] = DEFAULT_EXCLUDES,
+        layout_param_table: Optional[LayoutParamTable] = None,
+        backup: bool = False,
+    ):
+        if not enabled_rules:
             raise ValueError("enabled_rules must be non-empty")
-        if self.mode not in (MODE_REPORT, MODE_FIX, MODE_PATCH):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if not Path(self.input_path).exists():
-            raise FileNotFoundError(self.input_path)
+        if mode not in (MODE_REPORT, MODE_FIX, MODE_PATCH):
+            raise ValueError(f"unknown mode {mode!r}")
+        if not Path(input_path).exists():
+            raise FileNotFoundError(input_path)
+        self.input_path = input_path
+        self.mode = mode
+        self.enabled_rules = enabled_rules
+        self.exclude_globs = exclude_globs
+        if layout_param_table is None:
+            layout_param_table = LayoutParamTable()
+        self.layout_param_table = layout_param_table
+        self.backup = backup
 
 
-@dataclass
 class FileOutcome:
-    path: Path
-    language: str  # java | xml | skipped
-    parse_ok: bool = True
-    diagnostics: list[ParseDiagnostic] = field(default_factory=list)
-    findings: list[Finding] = field(default_factory=list)
-    rewritten: bool = False
-    patch: Optional[str] = None
-    skip_reason: Optional[str] = None
-    internal_error: Optional[str] = None
+    __slots__ = (
+        "path",
+        "language",
+        "parse_ok",
+        "diagnostics",
+        "findings",
+        "rewritten",
+        "patch",
+        "skip_reason",
+        "internal_error",
+    )
+
+    def __init__(self, path: Path, language: str):
+        self.path = path
+        self.language = language  # java | xml | skipped
+        self.parse_ok = True
+        self.diagnostics: list[ParseDiagnostic] = []
+        self.findings: list[Finding] = []
+        self.rewritten = False
+        self.patch: Optional[str] = None
+        self.skip_reason: Optional[str] = None
+        self.internal_error: Optional[str] = None
 
 
-@dataclass
 class RuleCount:
-    refactorings: int = 0  # fixable findings
-    fixed: int = 0
-    unfixable: int = 0
+    __slots__ = ("refactorings", "fixed", "unfixable")
+
+    def __init__(self, refactorings: int = 0):
+        self.refactorings = refactorings  # fixable findings
+        self.fixed = 0
+        self.unfixable = 0
 
 
-@dataclass
 class ProjectReport:
-    project_id: str
-    rule_counts: dict[RuleId, RuleCount]
-    java_files: int = 0
-    xml_files: int = 0
-    parse_failures: int = 0
-    warnings: list[str] = field(default_factory=list)
+    __slots__ = (
+        "project_id",
+        "rule_counts",
+        "java_files",
+        "xml_files",
+        "parse_failures",
+        "warnings",
+    )
+
+    def __init__(
+        self,
+        project_id: str,
+        rule_counts: dict[RuleId, RuleCount],
+        java_files: int = 0,
+        xml_files: int = 0,
+        parse_failures: int = 0,
+        warnings: Optional[list[str]] = None,
+    ):
+        self.project_id = project_id
+        self.rule_counts = rule_counts
+        self.java_files = java_files
+        self.xml_files = xml_files
+        self.parse_failures = parse_failures
+        self.warnings = [] if warnings is None else warnings
 
 
 def _glob_to_regex(glob: str) -> re.Pattern[str]:
@@ -188,7 +234,7 @@ def process_file(
     display_path: Optional[str] = None,
 ) -> FileOutcome:
     """Run the enabled rules over one file; pure up to filesystem writes."""
-    outcome = FileOutcome(path=path, language=language)
+    outcome = FileOutcome(path, language)
     shown = display_path if display_path is not None else str(path)
     try:
         original = path.read_bytes()
@@ -316,6 +362,8 @@ def _atomic_replace(path: Path, text: bytes, backup: bool) -> None:
 
 
 def _unified_diff(original: bytes, text: bytes, shown: str) -> str:
+    import difflib  # only patches need it; kept out of every run's start-up
+
     a = original.decode("utf-8").splitlines(keepends=True)
     b = text.decode("utf-8").splitlines(keepends=True)
     diff = difflib.unified_diff(a, b, fromfile=f"a/{shown}", tofile=f"b/{shown}")

@@ -14,7 +14,6 @@ adapters too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional, Union
 
 from ..diagnostics import ParseDiagnostic, line_col
@@ -40,13 +39,15 @@ _ASSIGNMENT_TAILS = frozenset("= += -= *= /= %= &= |= ^= <<= >=".split())
 _ASSIGNMENT_HEADS = _ASSIGNMENT_TAILS | {">"}
 
 
-def match_group(tokens: list[Token], j: int) -> Optional[int]:
-    """Index just past the group that opens at ``tokens[j]`` (one of
-    ``_CLOSERS``), or None if it never closes.
+def match_group(tokens: list[Token], j: int) -> tuple[bool, int]:
+    """Match the group that opens at ``tokens[j]`` (one of ``_CLOSERS``).
 
-    Inside any group `()[]{}` must nest properly, else None as well. A `<`
-    group ends at the `>` that balances its `<`s, counting only those
-    outside the brackets it holds.
+    Returns ``(True, end)``, ``end`` being the index just past the group, or
+    ``(False, k)`` if the group does not close properly. Inside any group
+    `()[]{}` must nest. ``k`` is the index of the closer that breaks the
+    nesting of a bracket opened inside the group, or ``j`` when the group's
+    own bracket is the one left open. A `<` group ends at the `>` that
+    balances its `<`s, counting only those outside the brackets it holds.
     """
     angle = tokens[j].value == "<"
     depth = 0
@@ -59,27 +60,40 @@ def match_group(tokens: list[Token], j: int) -> Optional[int]:
         if v in _OPENERS:
             expected.append(_CLOSERS[v])
         elif v in _BRACKET_CLOSERS:
-            if not expected or expected.pop() != v:
-                return None
+            if not expected:
+                return False, j
+            if expected.pop() != v:
+                # The stray closer is at fault if it meets a bracket opened
+                # inside the group; if it meets the group's own, the opener is.
+                return False, k if angle or expected else j
             if not expected and not angle:
-                return k + 1
+                return True, k + 1
         elif angle and not expected:
             if v == "<":
                 depth += 1
             elif v == ">":
                 depth -= 1
                 if depth == 0:
-                    return k + 1
-    return None
+                    return True, k + 1
+    return False, j
 
 
-@dataclass(eq=False)
 class Node:
-    kind: str
-    tok_lo: int
-    tok_hi: int
-    children: list["Node"] = field(default_factory=list)
-    props: dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("kind", "tok_lo", "tok_hi", "children", "props")
+
+    def __init__(
+        self,
+        kind: str,
+        tok_lo: int,
+        tok_hi: int,
+        children: Optional[list[Node]] = None,
+        props: Optional[dict[str, Any]] = None,
+    ):
+        self.kind = kind
+        self.tok_lo = tok_lo
+        self.tok_hi = tok_hi
+        self.children = [] if children is None else children
+        self.props = {} if props is None else props
 
     def walk(self) -> Iterator["Node"]:
         yield self
@@ -87,11 +101,13 @@ class Node:
             yield from child.walk()
 
 
-@dataclass
 class SyntaxTree:
-    data: bytes
-    tokens: list[Token]
-    root: Node
+    __slots__ = ("data", "tokens", "root")
+
+    def __init__(self, data: bytes, tokens: list[Token], root: Node):
+        self.data = data
+        self.tokens = tokens
+        self.root = root
 
     def span_of(self, node: Node) -> SourceSpan:
         if node.kind == "compilation_unit":
@@ -120,9 +136,6 @@ class SyntaxTree:
 
     def serialize(self) -> bytes:
         return self.data
-
-    def find_all(self, kind: str) -> list[Node]:
-        return [n for n in self.root.walk() if n.kind == kind]
 
 
 class _ParseFailure(Exception):
@@ -214,10 +227,12 @@ class _Parser:
         return j < self.n and self.toks[j].is_kw("package")
 
     def _skip_group(self, j: int) -> int:
-        end = match_group(self.toks, j)
-        if end is None:
+        closed, k = match_group(self.toks, j)
+        if closed:
+            return k
+        if k == j:
             raise self.fail(f"unbalanced {_CLOSERS[self.toks[j].value]!r}")
-        return end
+        raise _ParseFailure(self.toks[k].start, f"unexpected {self.toks[k].value!r}")
 
     def _parse_package(self) -> Node:
         lo = self.i
@@ -359,14 +374,13 @@ class _Parser:
             else self._parse_members(name)
         )
         rbrace = self.expect_op("}")
-        node = Node(kind, lo, self.i, annotations + members)
-        node.props.update(
-            name=name,
-            extends=extends,
-            lbrace=lbrace.start,
-            rbrace=rbrace.start,
-        )
-        return node
+        props = {
+            "name": name,
+            "extends": extends,
+            "lbrace": lbrace.start,
+            "rbrace": rbrace.start,
+        }
+        return Node(kind, lo, self.i, annotations + members, props)
 
     def _parse_enum_body(self, enclosing: str) -> list[Node]:
         members: list[Node] = []
@@ -471,19 +485,18 @@ class _Parser:
             self.advance()
         else:
             self.expect_op(";")
-        node = Node(kind, lo, self.i, annotations + ([body] if body else []))
-        node.props.update(
-            name=name,
-            params=params,
-            return_type=return_type,
-            modifiers=modifiers,
-            annotation_names=[a.props["name"] for a in annotations],
-            body=body,
-            name_span=(
+        props = {
+            "name": name,
+            "params": params,
+            "return_type": return_type,
+            "modifiers": modifiers,
+            "annotation_names": [a.props["name"] for a in annotations],
+            "body": body,
+            "name_span": (
                 SourceSpan(name_tok.start, name_tok.end) if name_tok else None
             ),
-        )
-        return node
+        }
+        return Node(kind, lo, self.i, annotations + ([body] if body else []), props)
 
     def _parse_params(self) -> list[tuple[str, str]]:
         self.expect_op("(")
@@ -545,11 +558,8 @@ class _Parser:
             else:
                 break
         self.expect_op(";")
-        node = Node("field_declaration", lo, self.i, annotations + children)
-        node.props.update(
-            type=type_text, modifiers=modifiers, declarators=declarators
-        )
-        return node
+        props = {"type": type_text, "modifiers": modifiers, "declarators": declarators}
+        return Node("field_declaration", lo, self.i, annotations + children, props)
 
     # --- statements ----------------------------------------------------
 
@@ -562,9 +572,8 @@ class _Parser:
                 raise self.fail("unexpected end of file in block")
             stmts.append(self._parse_statement())
         rbrace = self.advance()
-        node = Node("block", lo, self.i, stmts)
-        node.props.update(lbrace=lbrace.start, rbrace=rbrace.start)
-        return node
+        props = {"lbrace": lbrace.start, "rbrace": rbrace.start}
+        return Node("block", lo, self.i, stmts, props)
 
     def _parse_statement(self) -> Node:
         t = self.peek()
@@ -576,6 +585,11 @@ class _Parser:
             lo = self.i
             self.advance()
             return Node("empty_statement", lo, self.i)
+        if t.kind == "ident" and (p := self.peek(1)) is not None and p.is_op(":"):
+            lo = self.i  # a labeled statement (JLS 14.7): `label: statement`
+            self.i += 2
+            body = self._parse_statement()
+            return Node("labeled_statement", lo, self.i, [body])
         if t.kind == "keyword":
             handler = _STATEMENT_PARSERS.get(t.value)
             if handler is not None:
@@ -613,9 +627,8 @@ class _Parser:
         children = self._consume_expression()
         expr_hi = self.i
         self.expect_op(";")
-        node = Node("return_statement", lo, self.i, children)
-        node.props.update(expr=(expr_lo, expr_hi))
-        return node
+        props = {"expr": (expr_lo, expr_hi)}
+        return Node("return_statement", lo, self.i, children, props)
 
     def _parse_if(self) -> Node:
         lo = self.i
@@ -630,9 +643,8 @@ class _Parser:
         if self.at_kw("else"):
             self.advance()
             children.append(self._parse_statement())
-        node = Node("if_statement", lo, self.i, children)
-        node.props.update(cond=(cond_lo + 1, cond_hi - 1))
-        return node
+        props = {"cond": (cond_lo + 1, cond_hi - 1)}
+        return Node("if_statement", lo, self.i, children, props)
 
     def _parse_for(self) -> Node:
         lo = self.i
@@ -745,9 +757,8 @@ class _Parser:
             else:
                 break
         self.expect_op(";")
-        node = Node("local_variable_declaration", lo, self.i, children)
-        node.props.update(type=type_text, modifiers=modifiers, declarators=declarators)
-        return node
+        props = {"type": type_text, "modifiers": modifiers, "declarators": declarators}
+        return Node("local_variable_declaration", lo, self.i, children, props)
 
     def _parse_initializer(self, children: list[Node]) -> tuple[int, int]:
         """Consume a variable initializer after its '='; returns its token
@@ -858,9 +869,8 @@ class _Parser:
         lbrace = self.expect_op("{")
         members = self._parse_members("")
         rbrace = self.expect_op("}")
-        node = Node("anonymous_class_body", lo, self.i, members)
-        node.props.update(lbrace=lbrace.start, rbrace=rbrace.start)
-        return node
+        props = {"lbrace": lbrace.start, "rbrace": rbrace.start}
+        return Node("anonymous_class_body", lo, self.i, members, props)
 
 
 # Statement parsers by leading keyword. They are looked up here, not kept on

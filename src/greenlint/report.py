@@ -9,12 +9,6 @@ when no project is affected.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
-
 from .engine import ProjectReport
 from .rules import RuleId
 
@@ -27,44 +21,50 @@ CSV_HEADER = (
 )
 
 
-@dataclass(frozen=True)
 class RuleSummary:
-    rule: str
-    total_refactorings: int
-    total_projects: int
+    __slots__ = ("rule", "total_refactorings", "total_projects")
+
+    def __init__(self, rule: str, total_refactorings: int, total_projects: int):
+        self.rule = rule
+        self.total_refactorings = total_refactorings
+        self.total_projects = total_projects
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RuleSummary):
+            return NotImplemented
+        return (self.rule, self.total_refactorings, self.total_projects) == (
+            other.rule,
+            other.total_refactorings,
+            other.total_projects,
+        )
 
     def percentage_of_projects(self, corpus_size: int) -> int:
         if corpus_size == 0:
             return 0
-        return _round_half_up(
-            Decimal(self.total_projects) * 100 / Decimal(corpus_size), 0
-        )
+        return _round_half_up(self.total_projects * 100, corpus_size)
 
     @property
     def incidence_per_project(self) -> str:
         if self.total_projects == 0:
             return "-"
-        value = Decimal(self.total_refactorings) / Decimal(self.total_projects)
-        return f"{_round_half_up_decimal(value, 1)}"
+        tenths = _round_half_up(self.total_refactorings * 10, self.total_projects)
+        return f"{tenths // 10}.{tenths % 10}"
 
 
-@dataclass(frozen=True)
 class CorpusSummary:
-    corpus_size: int
-    rows: dict[str, RuleSummary]  # keyed by rule name, plus "Any"
+    __slots__ = ("corpus_size", "rows")
+
+    def __init__(self, corpus_size: int, rows: dict[str, RuleSummary]):
+        self.corpus_size = corpus_size
+        self.rows = rows  # keyed by rule name, plus "Any"
 
     def row(self, rule: str) -> RuleSummary:
         return self.rows[rule]
 
 
-def _round_half_up(value: Decimal, places: int) -> int:
-    q = Decimal(1).scaleb(-places)
-    return int(value.quantize(q, rounding=ROUND_HALF_UP))
-
-
-def _round_half_up_decimal(value: Decimal, places: int) -> Decimal:
-    q = Decimal(1).scaleb(-places)
-    return value.quantize(q, rounding=ROUND_HALF_UP)
+def _round_half_up(numerator: int, denominator: int) -> int:
+    """``numerator / denominator`` rounded half up, for non-negative integers."""
+    return (2 * numerator + denominator) // (2 * denominator)
 
 
 def aggregate(reports: list[ProjectReport]) -> CorpusSummary:
@@ -100,6 +100,9 @@ def aggregate(reports: list[ProjectReport]) -> CorpusSummary:
 def emit(summary: CorpusSummary, format: str) -> bytes:
     """Render the summary as CSV or JSON; byte-deterministic."""
     if format == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADER.split(","))
@@ -116,6 +119,8 @@ def emit(summary: CorpusSummary, format: str) -> bytes:
             )
         return buf.getvalue().encode()
     if format == "json":
+        import json
+
         payload = [
             {
                 "rule": rule,
@@ -131,26 +136,3 @@ def emit(summary: CorpusSummary, format: str) -> bytes:
         ]
         return (json.dumps(payload, indent=2, sort_keys=False) + "\n").encode()
     raise ValueError(f"unknown format {format!r}")
-
-
-def parse_summary(data: bytes) -> CorpusSummary:
-    """Inverse of emit(..., 'json') for round-trip checks."""
-    payload = json.loads(data.decode("utf-8"))
-    rows = {
-        entry["rule"]: RuleSummary(
-            entry["rule"], entry["total_refactorings"], entry["total_projects"]
-        )
-        for entry in payload
-    }
-    return CorpusSummary(corpus_size=payload[0]["corpus_size"], rows=rows)
-
-
-def make_report(
-    project_id: str, refactorings: dict[RuleId, int]
-) -> ProjectReport:
-    """Build a synthetic ProjectReport from raw per-rule counts (test/tooling
-    helper for aggregation without running the engine)."""
-    from .engine import RuleCount
-
-    counts = {rule: RuleCount(refactorings=refactorings.get(rule, 0)) for rule in RuleId}
-    return ProjectReport(project_id=project_id, rule_counts=counts)

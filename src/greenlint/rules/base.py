@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 from ..spans import EditSet, SourceSpan
 
@@ -24,19 +23,30 @@ class RuleId(enum.Enum):
 JAVA_RULE_ORDER = tuple(r for r in RuleId if r is not RuleId.OBSOLETE_LAYOUT_PARAM)
 
 
-@dataclass
 class Finding:
-    rule: RuleId
-    file: str
-    span: SourceSpan
-    message: str
-    fixable: bool = True
+    __slots__ = ("rule", "file", "span", "message", "fixable")
+
+    def __init__(
+        self,
+        rule: RuleId,
+        file: str,
+        span: SourceSpan,
+        message: str,
+        fixable: bool = True,
+    ):
+        self.rule = rule
+        self.file = file
+        self.span = span
+        self.message = message
+        self.fixable = fixable
 
 
-@dataclass
 class RuleResult:
-    findings: list[Finding] = field(default_factory=list)
-    edits: EditSet = field(default_factory=EditSet)
+    __slots__ = ("findings", "edits")
+
+    def __init__(self) -> None:
+        self.findings: list[Finding] = []
+        self.edits = EditSet()
 
     @property
     def fixable_count(self) -> int:

@@ -7,7 +7,6 @@ uses) for conservative detection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from ..java.lexer import Token
@@ -51,22 +50,40 @@ def indent_unit(data: bytes) -> bytes:
     return best if best else b"    "
 
 
-@dataclass(frozen=True)
 class Invocation:
-    name: str
-    name_index: int  # index into tree.tokens
-    receiver: Optional[str]  # simple identifier right before `.name(`, if any
-    args: tuple[tuple[int, int], ...]  # token index ranges
-    span: SourceSpan  # receiver-or-name start .. closing paren
+    __slots__ = ("name", "name_index", "receiver", "args", "span")
+
+    def __init__(
+        self,
+        name: str,
+        name_index: int,
+        receiver: Optional[str],
+        args: list[tuple[int, int]],
+        span: SourceSpan,
+    ):
+        self.name = name
+        self.name_index = name_index  # index into tree.tokens
+        self.receiver = receiver  # simple identifier right before `.name(`, if any
+        self.args = args  # token index ranges
+        self.span = span  # receiver-or-name start .. closing paren
 
 
-@dataclass(frozen=True)
 class Creation:
-    type_name: str
-    new_index: int
-    args: tuple[tuple[int, int], ...]
-    span: SourceSpan  # `new` .. closing paren
-    has_body: bool  # anonymous class body follows
+    __slots__ = ("type_name", "new_index", "args", "span", "has_body")
+
+    def __init__(
+        self,
+        type_name: str,
+        new_index: int,
+        args: list[tuple[int, int]],
+        span: SourceSpan,
+        has_body: bool,
+    ):
+        self.type_name = type_name
+        self.new_index = new_index
+        self.args = args
+        self.span = span  # `new` .. closing paren
+        self.has_body = has_body  # anonymous class body follows
 
 
 def split_args(tokens: list[Token], open_idx: int) -> tuple[list[tuple[int, int]], int]:
@@ -74,8 +91,8 @@ def split_args(tokens: list[Token], open_idx: int) -> tuple[list[tuple[int, int]
 
     Returns (arg index ranges, index of the closing paren).
     """
-    end = match_group(tokens, open_idx)
-    if end is None:
+    closed, end = match_group(tokens, open_idx)
+    if not closed:
         raise ValueError("unbalanced group")
     close_idx = end - 1
     args: list[tuple[int, int]] = []
@@ -116,11 +133,7 @@ def find_invocations(tokens: list[Token], lo: int, hi: int) -> Iterator[Invocati
         if close_idx >= hi:
             continue  # call extends past the slice; caller's slice was partial
         yield Invocation(
-            name=t.value,
-            name_index=j,
-            receiver=receiver,
-            args=tuple(args),
-            span=SourceSpan(start, tokens[close_idx].end),
+            t.value, j, receiver, args, SourceSpan(start, tokens[close_idx].end)
         )
 
 
@@ -141,8 +154,8 @@ def find_creations(tokens: list[Token], lo: int, hi: int) -> Iterator[Creation]:
         if not parts:
             continue
         if k < len(tokens) and tokens[k].is_op("<"):
-            end = match_group(tokens, k)
-            if end is None:
+            closed, end = match_group(tokens, k)
+            if not closed:
                 continue
             k = end
         if k >= len(tokens) or not tokens[k].is_op("("):
@@ -151,13 +164,8 @@ def find_creations(tokens: list[Token], lo: int, hi: int) -> Iterator[Creation]:
         if close_idx >= hi:
             continue
         has_body = close_idx + 1 < len(tokens) and tokens[close_idx + 1].is_op("{")
-        yield Creation(
-            type_name=".".join(parts),
-            new_index=j,
-            args=tuple(args),
-            span=SourceSpan(tokens[j].start, tokens[close_idx].end),
-            has_body=has_body,
-        )
+        span = SourceSpan(tokens[j].start, tokens[close_idx].end)
+        yield Creation(".".join(parts), j, args, span, has_body)
 
 
 def single_declarator(node: Node) -> Optional[dict]:

@@ -9,7 +9,6 @@ never touched: a custom container may consume any layout param.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..spans import Edit
@@ -69,7 +68,6 @@ DEFAULT_TABLE_ENTRIES: dict[str, frozenset[str]] = {
 }
 
 
-@dataclass
 class LayoutParamTable:
     """Which android:layout_* params are meaningful under which parent tag.
 
@@ -77,11 +75,16 @@ class LayoutParamTable:
     children. Entries under parent '*' extend the universal set.
     """
 
-    parents: dict[str, frozenset[str]] = field(
-        default_factory=lambda: dict(DEFAULT_TABLE_ENTRIES)
-    )
-    universal: frozenset[str] = UNIVERSAL_PARAMS
-    universal_prefixes: tuple[str, ...] = UNIVERSAL_PREFIXES
+    __slots__ = ("parents", "universal", "universal_prefixes")
+
+    def __init__(
+        self,
+        parents: dict[str, frozenset[str]] | None = None,
+        universal: frozenset[str] = UNIVERSAL_PARAMS,
+    ):
+        self.parents = dict(DEFAULT_TABLE_ENTRIES) if parents is None else parents
+        self.universal = universal
+        self.universal_prefixes = UNIVERSAL_PREFIXES
 
     def is_meaningful(self, parent_tag: str, param: str) -> bool:
         if param in self.universal or param.startswith(self.universal_prefixes):

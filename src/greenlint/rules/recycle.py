@@ -4,13 +4,14 @@ TypedArray, MotionEvent, VelocityTracker, Parcel and Cursor objects are
 backed by shared resources and must be handed back (recycle()/close()).
 The rule finds locals initialized from the known factory calls with no
 textual release in the enclosing method and appends a null-guarded release
-at the end of the variable's block. Escaping resources (returned, aliased,
-or passed onward) are reported but never rewritten.
+at the end of the variable's block, or before the block's last statement if
+that statement leaves the block (return, throw, break, continue). Escaping
+resources (returned, aliased, or passed onward) and resources that such a
+trailing return or throw still uses are reported but never rewritten.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from ..java.parser import Node, SyntaxTree
@@ -29,14 +30,22 @@ from .javautil import (
 )
 
 
-@dataclass(frozen=True)
 class ResourceFactory:
     """A factory call whose result must be explicitly released."""
 
-    method: str
-    release: str  # name of the release method
-    receivers: Optional[frozenset[str]] = None  # required receiver, if any
-    declared_type: Optional[str] = None  # required local type, if any
+    __slots__ = ("method", "release", "receivers", "declared_type")
+
+    def __init__(
+        self,
+        method: str,
+        release: str,
+        receivers: Optional[frozenset[str]] = None,
+        declared_type: Optional[str] = None,
+    ):
+        self.method = method
+        self.release = release  # name of the release method
+        self.receivers = receivers  # required receiver, if any
+        self.declared_type = declared_type  # required local type, if any
 
 
 DEFAULT_FACTORIES: tuple[ResourceFactory, ...] = (
@@ -103,6 +112,24 @@ def _escapes(tree: SyntaxTree, method: Node, decl: Node, name: str) -> bool:
     return False
 
 
+# A release must run before a block's last statement if that statement leaves
+# the block: code after it is unreachable, which javac rejects.
+_ABRUPT_EXITS = frozenset(
+    ("return_statement", "throw_statement", "break_statement", "continue_statement")
+)
+
+
+def _uses(tree: SyntaxTree, exit_stmt: Node, name: str) -> bool:
+    """True if ``exit_stmt`` is a `return` or `throw` whose expression uses
+    ``name``: a release inserted before it would close a resource in use."""
+    if exit_stmt.kind not in ("return_statement", "throw_statement"):
+        return False
+    return any(
+        t.kind == "ident" and t.value == name
+        for t in tree.tokens[exit_stmt.tok_lo + 1 : exit_stmt.tok_hi]
+    )
+
+
 def _blocks_with_statements(body: Node):
     for n in body.walk():
         if n.kind == "block":
@@ -118,7 +145,9 @@ def apply_recycle(tree: SyntaxTree, path: str = "") -> RuleResult:
     for _, method in methods_of(tree):
         body = method.props["body"]
         for block in _blocks_with_statements(body):
-            for stmt in statements_of(block):
+            stmts = statements_of(block)
+            exit_stmt = stmts[-1] if stmts and stmts[-1].kind in _ABRUPT_EXITS else None
+            for stmt in stmts:
                 if stmt.kind != "local_variable_declaration":
                     continue
                 decl = single_declarator(stmt)
@@ -138,28 +167,33 @@ def apply_recycle(tree: SyntaxTree, path: str = "") -> RuleResult:
                 name = decl["name"]
                 if _released_in_method(tree, method, name, factory.release):
                     continue
-                escaped = _escapes(tree, method, stmt, name)
+                if _escapes(tree, method, stmt, name):
+                    declined = "it escapes the method"
+                elif exit_stmt is not None and _uses(tree, exit_stmt, name):
+                    declined = "the block's last statement still uses it"
+                else:
+                    declined = ""
+                message = (
+                    f"'{name}' ({declared_type}) is obtained but never "
+                    f"released with {factory.release}()"
+                )
+                if declined:
+                    message += f"; {declined}, so no automatic fix is applied"
                 result.findings.append(
                     Finding(
                         rule=RuleId.RECYCLE,
                         file=path,
                         span=anchor,
-                        message=(
-                            f"'{name}' ({declared_type}) is obtained but never "
-                            f"released with {factory.release}()"
-                            + ("" if not escaped else "; it escapes the method, "
-                               "so no automatic fix is applied")
-                        ),
-                        fixable=not escaped,
+                        message=message,
+                        fixable=not declined,
                     )
                 )
-                if escaped:
+                if declined:
                     continue
 
                 si = line_indent(data, tree.span_of(stmt).start).decode()
-                stmts = statements_of(block)
-                if stmts and stmts[-1].kind == "return_statement":
-                    insert_at = line_start(data, tree.span_of(stmts[-1]).start)
+                if exit_stmt is not None:
+                    insert_at = line_start(data, tree.span_of(exit_stmt).start)
                 else:
                     insert_at = line_start(data, block.props["rbrace"])
                 lines = [

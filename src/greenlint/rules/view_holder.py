@@ -8,8 +8,6 @@ private static holder class stashed on the view via setTag/getTag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..java.parser import Node, SyntaxTree
 from ..spans import Edit, SourceSpan
 from .base import Finding, RuleId, RuleResult
@@ -29,13 +27,17 @@ HOLDER_BASE_NAME = "ViewHolderItem"
 HOLDER_VAR = "viewHolderItem"
 
 
-@dataclass
 class _CachedView:
-    decl: Node
-    name: str
-    type_text: str
-    head_text: str  # e.g. "final TextView t" (modifiers + type + name)
-    init_text: str
+    __slots__ = ("decl", "name", "type_text", "head_text", "init_text")
+
+    def __init__(
+        self, decl: Node, name: str, type_text: str, head_text: str, init_text: str
+    ):
+        self.decl = decl
+        self.name = name
+        self.type_text = type_text
+        self.head_text = head_text  # e.g. "final TextView t" (modifiers + type + name)
+        self.init_text = init_text
 
 
 def _is_get_view(method: Node) -> bool:
@@ -103,11 +105,11 @@ def _collect_cached_views(
         )
         cached.append(
             _CachedView(
-                decl=stmt,
-                name=decl["name"],
-                type_text=stmt.props["type"],
-                head_text=tree.text_of(head_span),
-                init_text=tree.text_of(init_span),
+                stmt,
+                decl["name"],
+                stmt.props["type"],
+                tree.text_of(head_span),
+                tree.text_of(init_span),
             )
         )
     return cached

@@ -9,7 +9,6 @@ held throws, so the release runs only while the lock is held.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from ..java.parser import Node, SyntaxTree
@@ -33,10 +32,12 @@ LIFECYCLE_METHODS = frozenset(
 )
 
 
-@dataclass
 class _Acquisition:
-    field: str
-    span: SourceSpan  # the acquire() call
+    __slots__ = ("field", "span")
+
+    def __init__(self, field: str, span: SourceSpan):
+        self.field = field
+        self.span = span  # the acquire() call
 
 
 def _is_activity_class(node: Node) -> bool:

@@ -7,8 +7,6 @@ intermediate states, which keeps overlap checkable and conflicts explicit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 
 class EditError(Exception):
     """An EditSet violated its invariants (overlap or out-of-bounds span).
@@ -17,30 +15,29 @@ class EditError(Exception):
     """
 
 
-@dataclass(frozen=True, order=True)
 class SourceSpan:
     """Half-open byte range [start, end) measured on the raw input bytes."""
 
-    start: int
-    end: int
+    __slots__ = ("start", "end")
 
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.end < self.start:
-            raise ValueError(f"invalid span [{self.start}, {self.end})")
+    def __init__(self, start: int, end: int):
+        if start < 0 or end < start:
+            raise ValueError(f"invalid span [{start}, {end})")
+        self.start = start
+        self.end = end
 
     def __len__(self) -> int:
         return self.end - self.start
 
-    def contains(self, other: "SourceSpan") -> bool:
-        return self.start <= other.start and other.end <= self.end
 
-
-@dataclass(frozen=True)
 class Edit:
     """Replace ``span`` of the original file with ``replacement`` bytes."""
 
-    span: SourceSpan
-    replacement: bytes
+    __slots__ = ("span", "replacement")
+
+    def __init__(self, span: SourceSpan, replacement: bytes):
+        self.span = span
+        self.replacement = replacement
 
     @staticmethod
     def delete(start: int, end: int) -> "Edit":
@@ -55,14 +52,13 @@ class Edit:
         return Edit(SourceSpan(start, end), text)
 
 
-@dataclass
 class EditSet:
     """Ordered, pairwise non-overlapping edits against one file."""
 
-    edits: list[Edit] = field(default_factory=list)
+    __slots__ = ("edits",)
 
-    def __bool__(self) -> bool:
-        return bool(self.edits)
+    def __init__(self, edits: list[Edit] | None = None):
+        self.edits = [] if edits is None else edits
 
     def __len__(self) -> int:
         return len(self.edits)

@@ -13,7 +13,6 @@ XML stack: no DTD expansion, no external entities, no encoding sniffing
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .diagnostics import ParseDiagnostic, line_col
@@ -23,12 +22,14 @@ _NAME_RE = re.compile(rb"[A-Za-z_:\x80-\xff][-A-Za-z0-9_:.\x80-\xff]*")
 _WS = b" \t\r\n"
 
 
-@dataclass
 class XmlAttribute:
-    name: str  # qualified, e.g. android:layout_width
-    value: str
-    span: SourceSpan  # covers name="value"
-    ws_start: int  # start of the whitespace run preceding the attribute
+    __slots__ = ("name", "value", "span", "ws_start")
+
+    def __init__(self, name: str, value: str, span: SourceSpan, ws_start: int):
+        self.name = name  # qualified, e.g. android:layout_width
+        self.value = value
+        self.span = span  # covers name="value"
+        self.ws_start = ws_start  # start of the whitespace run before the attribute
 
     @property
     def local_name(self) -> str:
@@ -39,25 +40,35 @@ class XmlAttribute:
         return self.name.split(":", 1)[0] if ":" in self.name else ""
 
 
-@dataclass
 class XmlElement:
-    tag: str
-    attributes: list[XmlAttribute]
-    children: list["XmlElement"] = field(default_factory=list)
-    span: SourceSpan = SourceSpan(0, 0)
-    start_tag_span: SourceSpan = SourceSpan(0, 0)
-    parent: Optional["XmlElement"] = None
+    __slots__ = ("tag", "attributes", "children", "span", "start_tag_span", "parent")
 
-    def walk(self) -> Iterator["XmlElement"]:
+    def __init__(
+        self,
+        tag: str,
+        attributes: list[XmlAttribute],
+        start_tag_span: SourceSpan,
+        parent: Optional[XmlElement],
+    ):
+        self.tag = tag
+        self.attributes = attributes
+        self.children: list[XmlElement] = []
+        self.span = start_tag_span  # widened to the end tag, if there is one
+        self.start_tag_span = start_tag_span
+        self.parent = parent
+
+    def walk(self) -> Iterator[XmlElement]:
         yield self
         for child in self.children:
             yield from child.walk()
 
 
-@dataclass
 class XmlTree:
-    data: bytes
-    root: XmlElement
+    __slots__ = ("data", "root")
+
+    def __init__(self, data: bytes, root: XmlElement):
+        self.data = data
+        self.root = root
 
     def serialize(self) -> bytes:
         return self.data
@@ -138,14 +149,7 @@ class _XmlParser:
             self.skip_ws()
             if self.data.startswith(b"/>", self.i):
                 self.i += 2
-                element = XmlElement(
-                    tag,
-                    attributes,
-                    span=SourceSpan(start, self.i),
-                    start_tag_span=SourceSpan(start, self.i),
-                    parent=parent,
-                )
-                return element
+                return XmlElement(tag, attributes, SourceSpan(start, self.i), parent)
             if self.data.startswith(b">", self.i):
                 self.i += 1
                 break
@@ -174,14 +178,7 @@ class _XmlParser:
             attributes.append(
                 XmlAttribute(name, value, SourceSpan(attr_start, self.i), ws_start)
             )
-        start_tag_end = self.i
-        element = XmlElement(
-            tag,
-            attributes,
-            span=SourceSpan(start, start_tag_end),
-            start_tag_span=SourceSpan(start, start_tag_end),
-            parent=parent,
-        )
+        element = XmlElement(tag, attributes, SourceSpan(start, self.i), parent)
         # content
         while True:
             if self.i >= len(self.data):

@@ -25,7 +25,7 @@ from pathlib import Path
 from greenlint.cli import main
 from greenlint.engine import MODE_REPORT, RunConfig, run_project
 from greenlint.java.parser import parse_java_source
-from greenlint.report import aggregate, emit, make_report
+from greenlint.report import aggregate, emit
 from greenlint.rules import (
     JAVA_RULE_ORDER,
     RuleId,
@@ -39,6 +39,7 @@ from greenlint.spans import apply_edit_set
 from greenlint.xmltree import parse_layout_xml
 
 from conftest import CLEAN_CORPUS, GOLDEN, GOLDEN_CASES
+from helpers import make_report
 from mutations import java_mutations, xml_mutations
 
 _JAVA_RULES = {

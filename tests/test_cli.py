@@ -225,7 +225,7 @@ def test_corpus_loads_the_layout_table_once(tmp_path, monkeypatch, capsys):
         (
             "class M extends Activity { WakeLock wl; void onCreate() {"
             " wl.acquire(); switch (x) { case 1: f(a]; } } }",
-            84,
+            97,
         ),
         (
             "class G extends Activity { WakeLock wl; void onCreate() {"

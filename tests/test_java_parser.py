@@ -5,12 +5,13 @@ import pytest
 from greenlint.java.parser import parse_java_source
 
 from conftest import CLEAN_CORPUS, GOLDEN, parse_java
+from helpers import contains, find_all
 
 
 def test_minimal_class():
     tree, diags = parse_java_source(b"class A {}")
     assert diags == []
-    classes = tree.find_all("class_declaration")
+    classes = find_all(tree, "class_declaration")
     assert len(classes) == 1
     assert tree.text_of(classes[0]) == "class A {}"
 
@@ -19,7 +20,7 @@ def test_get_view_fixture_shape(golden):
     before, _ = golden("view_holder")
     tree = parse_java(before)
     methods = [
-        m for m in tree.find_all("method_declaration") if m.props["name"] == "getView"
+        m for m in find_all(tree, "method_declaration") if m.props["name"] == "getView"
     ]
     assert len(methods) == 1
     assert len(methods[0].props["params"]) == 3
@@ -87,7 +88,7 @@ def test_span_nesting(path: Path):
         prev_end = None
         for child in node.children:
             span = tree.span_of(child)
-            assert parent_span.contains(span), (node.kind, child.kind)
+            assert contains(parent_span, span), (node.kind, child.kind)
             if prev_end is not None and len(span):
                 assert span.start >= prev_end, (node.kind, child.kind)
             prev_end = max(prev_end or 0, span.end)
@@ -186,6 +187,21 @@ def test_unclosed_group_fails_at_the_cursor(source, column, closer):
     tree, diags = parse_java_source(source)
     assert tree is None
     assert (diags[0].column, diags[0].message) == (column, f"unbalanced {closer}")
+
+
+@pytest.mark.parametrize(
+    "source,inner",
+    [
+        (b"class T { void f() { out: for (;;) { break out; } } }", "for_statement"),
+        (b"class T { void f() { a: b: while (x) { continue a; } } }", "labeled_statement"),
+        (b"class T { void f() { done: { if (x) break done; g(); } } }", "block"),
+    ],
+)
+def test_labeled_statement_round_trips(source, inner):
+    tree = parse_java(source)
+    assert tree.serialize() == source
+    labeled = find_all(tree, "labeled_statement")[0]
+    assert [c.kind for c in labeled.children] == [inner]
 
 
 def test_split_args_splits_on_top_level_commas_only():

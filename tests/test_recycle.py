@@ -112,6 +112,56 @@ def test_cursor_release_inserted_before_trailing_return():
     ) in fixed
 
 
+@pytest.mark.parametrize("exit_stmt", ["break;", "continue;", "throw new Error();"])
+def test_release_inserted_before_trailing_abrupt_exit(exit_stmt):
+    # After the exit the release would be unreachable, which javac rejects.
+    source = (
+        b"class C {\n"
+        b"    void m(SQLiteDatabase db) {\n"
+        b"        while (true) {\n"
+        b"            Cursor c = db.rawQuery(SQL, null);\n"
+        b"            c.moveToFirst();\n"
+        b"            " + exit_stmt.encode() + b"\n"
+        b"        }\n"
+        b"    }\n"
+        b"}\n"
+    )
+    result, fixed = fix_java(apply_recycle, source)
+    assert [f.fixable for f in result.findings] == [True]
+    assert (
+        b"            c.moveToFirst();\n"
+        b"            if (c != null) {\n"
+        b"                c.close();\n"
+        b"            }\n"
+        b"            " + exit_stmt.encode() + b"\n"
+    ) in fixed
+
+
+@pytest.mark.parametrize(
+    "exit_stmt", ["return c.getCount();", "throw new Error(c.getString(0));"]
+)
+def test_resource_used_by_trailing_exit_is_unfixable(exit_stmt):
+    # Closing before the exit would read from a closed cursor.
+    source = _method(f'Cursor c = db.query("z");\nc.moveToFirst();\n{exit_stmt}')
+    result, fixed = fix_java(apply_recycle, source)
+    assert [f.fixable for f in result.findings] == [False]
+    assert "still uses it" in result.findings[0].message
+    assert fixed == source
+
+
+def test_resource_in_labeled_loop_is_found():
+    source = _method(
+        "outer:\n"
+        "for (int i = 0; i < n; i++) {\n"
+        "TypedArray a = ctx.obtainStyledAttributes(attrs, STYLE);\n"
+        "a.getColor(0, 0);\n"
+        "}"
+    )
+    result, fixed = fix_java(apply_recycle, source)
+    assert [f.fixable for f in result.findings] == [True]
+    assert b"a.recycle();" in fixed
+
+
 def test_cursor_type_required_for_query():
     source = _method("Result r = api.query(Q);")
     result = apply_recycle(parse_java(source))

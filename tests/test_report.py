@@ -2,16 +2,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from greenlint.report import (
-    ANY,
-    CSV_HEADER,
-    ROW_ORDER,
-    aggregate,
-    emit,
-    make_report,
-    parse_summary,
-)
+from greenlint.report import ANY, CSV_HEADER, ROW_ORDER, aggregate, emit
 from greenlint.rules import RuleId
+
+from helpers import make_report, parse_summary
 
 
 def test_two_project_aggregation():

@@ -5,6 +5,7 @@ import pytest
 from greenlint.xmltree import parse_layout_xml
 
 from conftest import CLEAN_CORPUS, GOLDEN, parse_xml
+from helpers import contains
 
 
 def test_minimal_element():
@@ -80,7 +81,7 @@ def test_attribute_spans_disjoint_within_start_tag(path: Path):
     for element in tree.walk():
         prev_end = element.start_tag_span.start
         for attr in element.attributes:
-            assert element.start_tag_span.contains(attr.span)
+            assert contains(element.start_tag_span, attr.span)
             assert attr.ws_start >= prev_end
             assert attr.span.start >= attr.ws_start
             prev_end = attr.span.end
