@@ -1,15 +1,31 @@
 """Structural recursive-descent parser for Java source files.
 
 The parser recognizes the declarations and statement structure the energy
-rules need (classes, methods, fields, blocks, local variable declarations,
-if/return statements) while keeping expressions as token slices. Every node
-carries a byte span and a token index range into the tree's token list, so
-the original bytes are always reachable and re-serializing an unmodified
-tree is trivially byte-identical to the input.
+rules need while keeping expressions as token slices. Every node carries a
+token index range into the tree's token list, so the original bytes are
+always reachable and re-serializing an unmodified tree is trivially
+byte-identical to the input.
 
 Anonymous class bodies inside expressions are parsed as full class bodies
 and attached as child nodes, so rules see methods declared in anonymous
 adapters too.
+
+Node kinds, and the props that rules read (offsets count bytes, token
+ranges are half-open index pairs):
+
+- class_, interface_, enum_ and annotation_declaration: ``name``,
+  ``extends`` (the first extended type's text, or None), ``rbrace`` (the
+  offset of the closing brace);
+- method_ and constructor_declaration: ``name``, ``name_span``, ``params``
+  (a list of (type text, name)), ``body`` (the block, or None);
+- field_ and local_variable_declaration: ``type`` (text), ``declarators``
+  (dicts of ``name``, ``name_span`` and ``init``, the initializer's token
+  range or (None, None));
+- block: ``rbrace``; if_statement: ``cond``, the token range in its parens;
+- without props: compilation_unit, package_ and import_declaration,
+  annotation, anonymous_class_body, initializer, and the labeled,
+  expression, empty, return, throw, break, continue, assert, for, while,
+  do, try, switch (its body kept as tokens) and synchronized statements.
 """
 
 from __future__ import annotations
@@ -28,6 +44,12 @@ MODIFIER_KEYWORDS = frozenset(
 PRIMITIVE_TYPES = frozenset(
     "boolean byte char short int long float double void".split()
 )
+
+_TYPE_KINDS = {
+    "class": "class_declaration",
+    "interface": "interface_declaration",
+    "enum": "enum_declaration",
+}
 
 _CLOSERS = {"(": ")", "[": "]", "{": "}", "<": ">"}
 _OPENERS = frozenset("([{")
@@ -112,13 +134,7 @@ class SyntaxTree:
     def span_of(self, node: Node) -> SourceSpan:
         if node.kind == "compilation_unit":
             return SourceSpan(0, len(self.data))
-        if node.tok_lo == node.tok_hi:
-            off = (
-                self.tokens[node.tok_lo].start
-                if node.tok_lo < len(self.tokens)
-                else len(self.data)
-            )
-            return SourceSpan(off, off)
+        # every other node holds at least one token
         return SourceSpan(
             self.tokens[node.tok_lo].start, self.tokens[node.tok_hi - 1].end
         )
@@ -130,9 +146,6 @@ class SyntaxTree:
             else self.span_of(node_or_span)
         )
         return self.data[span.start : span.end].decode("utf-8")
-
-    def toks(self, node: Node) -> list[Token]:
-        return self.tokens[node.tok_lo : node.tok_hi]
 
     def serialize(self) -> bytes:
         return self.data
@@ -234,6 +247,11 @@ class _Parser:
             raise self.fail(f"unbalanced {_CLOSERS[self.toks[j].value]!r}")
         raise _ParseFailure(self.toks[k].start, f"unexpected {self.toks[k].value!r}")
 
+    def _skip_optional_group(self, opener: str) -> None:
+        """Skip the group at the cursor if it opens with ``opener``."""
+        if self.at_op(opener):
+            self.i = self._skip_group(self.i)
+
     def _parse_package(self) -> Node:
         lo = self.i
         while not self.at_kw("package"):
@@ -255,28 +273,27 @@ class _Parser:
         self.expect_op(";")
         return Node("import_declaration", lo, self.i)
 
-    def _parse_qualified_name(self) -> str:
-        parts = [self.expect_ident("name").value]
+    def _parse_qualified_name(self) -> None:
+        self.expect_ident("name")
         while self.at_op(".") and (p := self.peek(1)) is not None and p.kind == "ident":
-            self.advance()
-            parts.append(self.advance().value)
-        return ".".join(parts)
+            self.i += 2
 
     # --- annotations / modifiers --------------------------------------
 
     def _parse_annotation(self) -> Node:
         lo = self.i
         self.expect_op("@")
-        name = self._parse_qualified_name()
-        if self.at_op("("):
-            self.i = self._skip_group(self.i)
-        return Node("annotation", lo, self.i, props={"name": name})
+        self._parse_qualified_name()
+        self._skip_optional_group("(")
+        return Node("annotation", lo, self.i)
 
-    def _parse_modifiers(self) -> tuple[list[Node], list[str], int]:
-        """Returns (annotation nodes, modifier keywords, start token index)."""
-        lo = self.i
+    def _parse_modifiers(self) -> list[Node]:
+        """Skip annotations and modifier keywords; returns the annotations.
+
+        Stops before `@interface`, so an `@` left at the cursor starts an
+        annotation type declaration.
+        """
         annotations: list[Node] = []
-        modifiers: list[str] = []
         while True:
             t = self.peek()
             if t is None:
@@ -286,19 +303,17 @@ class _Parser:
             ):
                 annotations.append(self._parse_annotation())
             elif t.kind == "keyword" and t.value in MODIFIER_KEYWORDS:
-                modifiers.append(t.value)
                 self.advance()
             else:
                 break
-        return annotations, modifiers, lo
+        return annotations
 
     # --- types ---------------------------------------------------------
 
-    def _at_type_start(self) -> bool:
-        t = self.peek()
-        if t is None:
-            return False
-        return t.kind == "ident" or (t.kind == "keyword" and t.value in PRIMITIVE_TYPES)
+    def _skip_dims(self) -> None:
+        """Skip the `[]` pairs after a type, a declarator or a parameter list."""
+        while self.at_op("[") and (p := self.peek(1)) is not None and p.is_op("]"):
+            self.i += 2
 
     def _parse_type(self) -> str:
         """Parse a type reference; returns its source text."""
@@ -310,96 +325,69 @@ class _Parser:
             self.advance()
         elif t.kind == "ident":
             self._parse_qualified_name()
-            if self.at_op("<"):
-                self.i = self._skip_group(self.i)
+            self._skip_optional_group("<")
         else:
             raise self.fail("expected type")
-        while self.at_op("[") and (p := self.peek(1)) is not None and p.is_op("]"):
-            self.advance()
-            self.advance()
+        self._skip_dims()
         lo_off = self.toks[start_tok].start
         hi_off = self.toks[self.i - 1].end
         return self.data[lo_off:hi_off].decode("utf-8")
 
+    def _parse_type_list(self, keyword: str) -> Optional[str]:
+        """Parse an optional `keyword Type, Type...` clause (`extends`,
+        `implements`, `throws`); returns the first type's text, or None when
+        the clause is absent."""
+        if not self.at_kw(keyword):
+            return None
+        self.advance()
+        first = self._parse_type()
+        while self.at_op(","):
+            self.advance()
+            self._parse_type()
+        return first
+
     # --- type declarations ---------------------------------------------
 
     def _parse_type_decl(self) -> Node:
-        annotations, modifiers, lo = self._parse_modifiers()
+        lo = self.i
+        annotations = self._parse_modifiers()
         t = self.peek()
         if t is None:
             raise self.fail("expected type declaration")
-        if t.is_op("@") and (p := self.peek(1)) is not None and p.is_kw("interface"):
-            self.advance()
-            self.advance()
-            return self._finish_type_decl("annotation_declaration", annotations, lo)
-        if t.kind == "keyword" and t.value in ("class", "interface", "enum"):
-            kw = self.advance().value
-            kind = {
-                "class": "class_declaration",
-                "interface": "interface_declaration",
-                "enum": "enum_declaration",
-            }[kw]
-            return self._finish_type_decl(kind, annotations, lo)
-        raise self.fail("expected class, interface or enum declaration")
-
-    def _finish_type_decl(
-        self, kind: str, annotations: list[Node], lo: int
-    ) -> Node:
+        if t.is_op("@"):  # `@interface`, see _parse_modifiers
+            self.i += 2
+            kind = "annotation_declaration"
+        elif t.kind == "keyword" and t.value in _TYPE_KINDS:
+            kind = _TYPE_KINDS[self.advance().value]
+        else:
+            raise self.fail("expected class, interface or enum declaration")
         name = self.expect_ident("type name").value
-        if self.at_op("<"):
-            self.i = self._skip_group(self.i)
-        extends: Optional[str] = None
-        if self.at_kw("extends"):
-            self.advance()
-            extends = self._parse_type()
-            while self.at_op(","):  # interfaces may extend several
-                self.advance()
-                self._parse_type()
-        if self.at_kw("implements"):
-            self.advance()
-            self._parse_type()
-            while self.at_op(","):
-                self.advance()
-                self._parse_type()
-        if self.at_kw("permits"):  # tolerated, never used by rules
-            self.advance()
-            self._parse_type()
-            while self.at_op(","):
-                self.advance()
-                self._parse_type()
-        lbrace = self.expect_op("{")
+        self._skip_optional_group("<")
+        extends = self._parse_type_list("extends")  # interfaces may extend several
+        self._parse_type_list("implements")
+        self.expect_op("{")
         members = (
             self._parse_enum_body(name)
             if kind == "enum_declaration"
             else self._parse_members(name)
         )
         rbrace = self.expect_op("}")
-        props = {
-            "name": name,
-            "extends": extends,
-            "lbrace": lbrace.start,
-            "rbrace": rbrace.start,
-        }
+        props = {"name": name, "extends": extends, "rbrace": rbrace.start}
         return Node(kind, lo, self.i, annotations + members, props)
 
     def _parse_enum_body(self, enclosing: str) -> list[Node]:
         members: list[Node] = []
         # constants: Name, Name(args), Name { body }
-        while True:
-            t = self.peek()
-            if t is None or t.is_op("}") or t.is_op(";"):
-                break
+        while self.peek() is not None and not (self.at_op("}") or self.at_op(";")):
             self.expect_ident("enum constant")
-            if self.at_op("("):
-                self.i = self._skip_group(self.i)
+            self._skip_optional_group("(")
             if self.at_op("{"):
                 self.advance()
                 members.extend(self._parse_members(enclosing))
                 self.expect_op("}")
-            if self.at_op(","):
-                self.advance()
-            else:
+            if not self.at_op(","):
                 break
+            self.advance()
         if self.at_op(";"):
             self.advance()
             members.extend(self._parse_members(enclosing))
@@ -417,23 +405,20 @@ class _Parser:
             members.append(self._parse_member(enclosing))
 
     def _parse_member(self, enclosing: str) -> Node:
-        annotations, modifiers, lo = self._parse_modifiers()
+        lo = self.i
+        annotations = self._parse_modifiers()
         t = self.peek()
         if t is None:
             raise self.fail("unexpected end of class body")
-        # nested types
-        if (t.kind == "keyword" and t.value in ("class", "interface", "enum")) or (
-            t.is_op("@") and (p := self.peek(1)) is not None and p.is_kw("interface")
-        ):
+        # nested types, `@interface` included (see _parse_modifiers)
+        if (t.kind == "keyword" and t.value in _TYPE_KINDS) or t.is_op("@"):
             self.i = lo
             return self._parse_type_decl()
         # initializer block (static handled by modifiers)
         if t.is_op("{"):
             body = self._parse_block()
             return Node("initializer", lo, self.i, [body])
-        # generic method type parameters
-        if t.is_op("<"):
-            self.i = self._skip_group(self.i)
+        self._skip_optional_group("<")  # generic method type parameters
         # constructor: Name (
         t = self.peek()
         if (
@@ -443,58 +428,36 @@ class _Parser:
             and (p := self.peek(1)) is not None
             and p.is_op("(")
         ):
-            name = self.advance().value
-            return self._finish_method(
-                "constructor_declaration", annotations, modifiers, lo, name, None
-            )
+            name_tok = self.advance()
+            return self._finish_method("constructor_declaration", annotations, lo, name_tok)
         type_text = self._parse_type()
         name_tok = self.expect_ident("member name")
         if self.at_op("("):
-            return self._finish_method(
-                "method_declaration", annotations, modifiers, lo, name_tok.value,
-                type_text, name_tok,
-            )
-        return self._finish_field(annotations, modifiers, lo, type_text, name_tok)
+            return self._finish_method("method_declaration", annotations, lo, name_tok)
+        self.i -= 1  # the declarators start at the name just read
+        return self._parse_declarators(
+            "field_declaration", lo, type_text, annotations, "field name"
+        )
 
     def _finish_method(
-        self,
-        kind: str,
-        annotations: list[Node],
-        modifiers: list[str],
-        lo: int,
-        name: str,
-        return_type: Optional[str],
-        name_tok: Optional[Token] = None,
+        self, kind: str, annotations: list[Node], lo: int, name_tok: Token
     ) -> Node:
         params = self._parse_params()
-        while self.at_op("[") and (p := self.peek(1)) is not None and p.is_op("]"):
-            self.advance()
-            self.advance()
-        if self.at_kw("throws"):
-            self.advance()
-            self._parse_type()
-            while self.at_op(","):
-                self.advance()
-                self._parse_type()
+        self._skip_dims()
+        self._parse_type_list("throws")
         body: Optional[Node] = None
         if self.at_op("{"):
             body = self._parse_block()
-        elif self.at_kw("default"):  # annotation member default value
-            while not self.at_op(";"):
-                self.advance()
-            self.advance()
         else:
+            if self.at_kw("default"):  # annotation member default value
+                self.advance()
+                self._consume_expression()
             self.expect_op(";")
         props = {
-            "name": name,
+            "name": name_tok.value,
             "params": params,
-            "return_type": return_type,
-            "modifiers": modifiers,
-            "annotation_names": [a.props["name"] for a in annotations],
             "body": body,
-            "name_span": (
-                SourceSpan(name_tok.start, name_tok.end) if name_tok else None
-            ),
+            "name_span": SourceSpan(name_tok.start, name_tok.end),
         }
         return Node(kind, lo, self.i, annotations + ([body] if body else []), props)
 
@@ -502,6 +465,7 @@ class _Parser:
         self.expect_op("(")
         params: list[tuple[str, str]] = []
         while not self.at_op(")"):
+            # only annotations and `final` may precede a parameter's type
             while self.at_op("@"):
                 self._parse_annotation()
             if self.at_kw("final"):
@@ -517,30 +481,24 @@ class _Parser:
                 name = "this"
             else:
                 name = self.expect_ident("parameter name").value
-            while self.at_op("[") and (p := self.peek(1)) is not None and p.is_op("]"):
-                self.advance()
-                self.advance()
+            self._skip_dims()
             params.append((type_text, name))
             if self.at_op(","):
                 self.advance()
         self.advance()  # )
         return params
 
-    def _finish_field(
-        self,
-        annotations: list[Node],
-        modifiers: list[str],
-        lo: int,
-        type_text: str,
-        name_tok: Token,
+    def _parse_declarators(
+        self, kind: str, lo: int, type_text: str, children: list[Node], what: str
     ) -> Node:
+        """Parse `name[] = init, name...;` into a field or local variable
+        declaration. ``children`` holds its annotations and gains any
+        anonymous class bodies in the initializers; ``what`` names the
+        identifier expected at each name."""
         declarators: list[dict[str, Any]] = []
-        children: list[Node] = []
-        tok = name_tok
         while True:
-            while self.at_op("[") and (p := self.peek(1)) is not None and p.is_op("]"):
-                self.advance()
-                self.advance()
+            tok = self.expect_ident(what)
+            self._skip_dims()
             init_lo = init_hi = None
             if self.at_op("="):
                 self.advance()
@@ -552,28 +510,25 @@ class _Parser:
                     "init": (init_lo, init_hi),
                 }
             )
-            if self.at_op(","):
-                self.advance()
-                tok = self.expect_ident("field name")
-            else:
+            if not self.at_op(","):
                 break
+            self.advance()
         self.expect_op(";")
-        props = {"type": type_text, "modifiers": modifiers, "declarators": declarators}
-        return Node("field_declaration", lo, self.i, annotations + children, props)
+        props = {"type": type_text, "declarators": declarators}
+        return Node(kind, lo, self.i, children, props)
 
     # --- statements ----------------------------------------------------
 
     def _parse_block(self) -> Node:
         lo = self.i
-        lbrace = self.expect_op("{")
+        self.expect_op("{")
         stmts: list[Node] = []
         while not self.at_op("}"):
             if self.peek() is None:
                 raise self.fail("unexpected end of file in block")
             stmts.append(self._parse_statement())
         rbrace = self.advance()
-        props = {"lbrace": lbrace.start, "rbrace": rbrace.start}
-        return Node("block", lo, self.i, stmts, props)
+        return Node("block", lo, self.i, stmts, {"rbrace": rbrace.start})
 
     def _parse_statement(self) -> Node:
         t = self.peek()
@@ -596,73 +551,51 @@ class _Parser:
                 return handler(self)
             kind = _SIMPLE_STATEMENTS.get(t.value)
             if kind is not None:
-                return self._parse_simple_semi(kind)
-            if t.value in ("class", "interface", "enum") or t.value in (
-                "final",
-                "abstract",
-                "static",
-            ):
+                self.advance()
+                return self._finish_simple_statement(kind, self.i - 1)
+            if t.value in _TYPE_KINDS or t.value in ("final", "abstract", "static"):
                 saved = self.i
-                _, _, _ = self._parse_modifiers()
-                if self.at_kw("class") or self.at_kw("interface") or self.at_kw("enum"):
-                    self.i = saved
-                    return self._parse_type_decl()
+                self._parse_modifiers()
+                t = self.peek()
                 self.i = saved
+                if t is not None and t.kind == "keyword" and t.value in _TYPE_KINDS:
+                    return self._parse_type_decl()
         decl = self._try_local_var_decl()
         if decl is not None:
             return decl
-        return self._parse_expression_statement()
+        return self._finish_simple_statement("expression_statement", self.i)
 
-    def _parse_simple_semi(self, kind: str) -> Node:
-        lo = self.i
-        self.advance()
+    def _finish_simple_statement(self, kind: str, lo: int) -> Node:
+        """The `[expression];` that ends a statement begun at ``lo``."""
         children = self._consume_expression()
         self.expect_op(";")
         return Node(kind, lo, self.i, children)
 
-    def _parse_return(self) -> Node:
-        lo = self.i
-        self.advance()
-        expr_lo = self.i
-        children = self._consume_expression()
-        expr_hi = self.i
-        self.expect_op(";")
-        props = {"expr": (expr_lo, expr_hi)}
-        return Node("return_statement", lo, self.i, children, props)
+    def _skip_parens(self, after: str) -> None:
+        """Skip the parenthesised header that must follow keyword ``after``."""
+        if not self.at_op("("):
+            raise self.fail(f"expected '(' after {after}")
+        self.i = self._skip_group(self.i)
 
     def _parse_if(self) -> Node:
         lo = self.i
         self.advance()
-        cond_lo = self.i
-        self.i = self._skip_group(self.i) if self.at_op("(") else self.i
-        if cond_lo == self.i:
-            raise self.fail("expected '(' after if")
-        cond_hi = self.i
-        then_stmt = self._parse_statement()
-        children = [then_stmt]
+        cond_lo = self.i + 1
+        self._skip_parens("if")
+        props = {"cond": (cond_lo, self.i - 1)}
+        children = [self._parse_statement()]
         if self.at_kw("else"):
             self.advance()
             children.append(self._parse_statement())
-        props = {"cond": (cond_lo + 1, cond_hi - 1)}
         return Node("if_statement", lo, self.i, children, props)
 
-    def _parse_for(self) -> Node:
+    def _parse_loop(self) -> Node:
+        """`for (...) body` or `while (...) body`; the keyword names the kind."""
         lo = self.i
-        self.advance()
-        if not self.at_op("("):
-            raise self.fail("expected '(' after for")
-        self.i = self._skip_group(self.i)
+        keyword = self.advance().value
+        self._skip_parens(keyword)
         body = self._parse_statement()
-        return Node("for_statement", lo, self.i, [body])
-
-    def _parse_while(self) -> Node:
-        lo = self.i
-        self.advance()
-        if not self.at_op("("):
-            raise self.fail("expected '(' after while")
-        self.i = self._skip_group(self.i)
-        body = self._parse_statement()
-        return Node("while_statement", lo, self.i, [body])
+        return Node(f"{keyword}_statement", lo, self.i, [body])
 
     def _parse_do(self) -> Node:
         lo = self.i
@@ -671,24 +604,18 @@ class _Parser:
         if not self.at_kw("while"):
             raise self.fail("expected 'while' after do body")
         self.advance()
-        if not self.at_op("("):
-            raise self.fail("expected '(' after while")
-        self.i = self._skip_group(self.i)
+        self._skip_parens("while")
         self.expect_op(";")
         return Node("do_statement", lo, self.i, [body])
 
     def _parse_try(self) -> Node:
         lo = self.i
         self.advance()
-        children: list[Node] = []
-        if self.at_op("("):  # try-with-resources header, kept opaque
-            self.i = self._skip_group(self.i)
-        children.append(self._parse_block())
+        self._skip_optional_group("(")  # try-with-resources header, kept opaque
+        children = [self._parse_block()]
         while self.at_kw("catch"):
             self.advance()
-            if not self.at_op("("):
-                raise self.fail("expected '(' after catch")
-            self.i = self._skip_group(self.i)
+            self._skip_parens("catch")
             children.append(self._parse_block())
         if self.at_kw("finally"):
             self.advance()
@@ -698,9 +625,7 @@ class _Parser:
     def _parse_switch(self) -> Node:
         lo = self.i
         self.advance()
-        if not self.at_op("("):
-            raise self.fail("expected '(' after switch")
-        self.i = self._skip_group(self.i)
+        self._skip_parens("switch")
         if not self.at_op("{"):
             raise self.fail("expected '{' after switch header")
         # Case bodies stay opaque token runs; anonymous classes inside are
@@ -711,54 +636,27 @@ class _Parser:
     def _parse_synchronized(self) -> Node:
         lo = self.i
         self.advance()
-        if self.at_op("("):
-            self.i = self._skip_group(self.i)
+        self._skip_optional_group("(")
         body = self._parse_block()
         return Node("synchronized_statement", lo, self.i, [body])
 
     def _try_local_var_decl(self) -> Optional[Node]:
-        saved = self.i
+        lo = self.i
         try:
-            annotations, modifiers, lo = self._parse_modifiers()
-            if not self._at_type_start():
-                raise self.fail("not a declaration")
+            annotations = self._parse_modifiers()
             type_text = self._parse_type()
             t = self.peek()
             if t is None or t.kind != "ident":
                 raise self.fail("not a declaration")
             nxt = self.peek(1)
-            if nxt is None or not (
-                nxt.is_op("=") or nxt.is_op(";") or nxt.is_op(",") or nxt.is_op("[")
-            ):
+            if nxt is None or nxt.kind != "op" or nxt.value not in ("=", ";", ",", "["):
                 raise self.fail("not a declaration")
         except _ParseFailure:
-            self.i = saved
+            self.i = lo
             return None
-        declarators: list[dict[str, Any]] = []
-        children: list[Node] = list(annotations)
-        while True:
-            tok = self.expect_ident("variable name")
-            while self.at_op("[") and (p := self.peek(1)) is not None and p.is_op("]"):
-                self.advance()
-                self.advance()
-            init_lo = init_hi = None
-            if self.at_op("="):
-                self.advance()
-                init_lo, init_hi = self._parse_initializer(children)
-            declarators.append(
-                {
-                    "name": tok.value,
-                    "name_span": SourceSpan(tok.start, tok.end),
-                    "init": (init_lo, init_hi),
-                }
-            )
-            if self.at_op(","):
-                self.advance()
-            else:
-                break
-        self.expect_op(";")
-        props = {"type": type_text, "modifiers": modifiers, "declarators": declarators}
-        return Node("local_variable_declaration", lo, self.i, children, props)
+        return self._parse_declarators(
+            "local_variable_declaration", lo, type_text, annotations, "variable name"
+        )
 
     def _parse_initializer(self, children: list[Node]) -> tuple[int, int]:
         """Consume a variable initializer after its '='; returns its token
@@ -769,54 +667,56 @@ class _Parser:
             raise self.fail("expected expression")
         return lo, self.i
 
-    def _parse_expression_statement(self) -> Node:
-        lo = self.i
-        children = self._consume_expression()
-        self.expect_op(";")
-        if self.i == lo + 1:
-            raise self.fail("expected statement")
-        return Node("expression_statement", lo, self.i, children)
-
     def _consume_expression(self, stop_at_comma: bool = False) -> list[Node]:
         """Consume expression tokens up to ';' (or top-level ',').
 
         A run that starts or ends with an assignment operator fails with
-        "expected expression". Anonymous class bodies (`new T(...) { ... }`) are parsed into child
-        class-body nodes; everything else remains a token run. Returns the
-        child nodes discovered along the way.
+        "expected expression". Anonymous class bodies (`new T(...) { ... }`)
+        are parsed into child class-body nodes; everything else remains a
+        token run. Returns the child nodes discovered along the way.
         """
         children: list[Node] = []
         toks, n = self.toks, self.n
         lo = self.i
-        expected: list[str] = []  # closers of the open `(`/`[`, innermost last
+        open_at: list[int] = []  # indices of the open `(`/`[`, innermost last
+        new_args: set[int] = set()  # indices of each `(` after `new Type`
+        body_at = -1  # a `{` at this index follows `new Type(...)`
         while True:
-            if self.i >= n:
+            i = self.i
+            if i >= n:
                 raise self.fail("unexpected end of file in expression")
-            t = toks[self.i]
+            t = toks[i]
             if t.kind == "op":
                 v = t.value
                 if v == "(" or v == "[":
-                    expected.append(_CLOSERS[v])
+                    open_at.append(i)
                 elif v == ")" or v == "]":
-                    if not expected:
+                    if not open_at:
                         break
-                    if expected.pop() != v:
+                    j = open_at.pop()
+                    if _CLOSERS[toks[j].value] != v:
                         raise self.fail(f"unexpected {v!r} in expression")
-                elif v == ";" and not expected:
+                    if j in new_args:
+                        body_at = i + 1
+                elif v == ";" and not open_at:
                     break
-                elif v == "," and not expected and stop_at_comma:
+                elif v == "," and not open_at and stop_at_comma:
                     break
                 elif v == "{":
                     # brace in expression position: anonymous class body,
                     # lambda body, or array initializer
-                    if self._brace_opens_anonymous_body():
+                    if i == body_at:
                         children.append(self._parse_anonymous_body())
-                        continue
-                    self.i = self._skip_group(self.i)
+                    else:
+                        self.i = self._skip_group(i)
                     continue
                 elif v == "}":
                     raise self.fail("unexpected '}' in expression")
-            self.i += 1
+            elif t.kind == "keyword" and t.value == "new":
+                args = self._args_after_new(i + 1)
+                if args is not None:
+                    new_args.add(args)
+            self.i = i + 1
         if self.i > lo:
             first, last = toks[lo], toks[self.i - 1]
             if first.kind == "op" and first.value in _ASSIGNMENT_HEADS:
@@ -825,52 +725,28 @@ class _Parser:
                 raise self.fail("expected expression")
         return children
 
-    def _brace_opens_anonymous_body(self) -> bool:
-        """True iff the '{' at the cursor follows `new Type(...)`."""
-        j = self.i - 1
-        if j < 0 or not self.toks[j].is_op(")"):
-            return False
-        depth = 0
-        while j >= 0:  # find the matching '('
-            v = self.toks[j].value if self.toks[j].kind == "op" else None
-            if v == ")":
-                depth += 1
-            elif v == "(":
-                depth -= 1
-                if depth == 0:
-                    break
-            j -= 1
-        if j <= 0:
-            return False
-        j -= 1
-        if self.toks[j].is_op(">"):  # skip generic args, e.g. new ArrayList<>()
-            gdepth = 0
-            while j >= 0:
-                v = self.toks[j].value if self.toks[j].kind == "op" else None
-                if v == ">":
-                    gdepth += 1
-                elif v == "<":
-                    gdepth -= 1
-                    if gdepth == 0:
-                        break
-                j -= 1
-            j -= 1
-        # walk back over the qualified type name to a `new` keyword
-        while j >= 1 and self.toks[j].kind == "ident":
-            if self.toks[j - 1].is_op("."):
-                j -= 2
-            else:
-                j -= 1
-                break
-        return j >= 0 and self.toks[j].is_kw("new")
+    def _args_after_new(self, j: int) -> Optional[int]:
+        """Index of the `(` after `new` and the qualified type name and type
+        arguments that start at ``j``; None for an array creation or
+        anything else. Like the rest of the parser, it accepts more than
+        Java: the name may be missing."""
+        toks, n = self.toks, self.n
+        if j < n and toks[j].kind == "ident":
+            j += 1
+            while j + 1 < n and toks[j].is_op(".") and toks[j + 1].kind == "ident":
+                j += 2
+        if j < n and toks[j].is_op("<"):
+            closed, j = match_group(toks, j)
+            if not closed:
+                return None
+        return j if j < n and toks[j].is_op("(") else None
 
     def _parse_anonymous_body(self) -> Node:
         lo = self.i
-        lbrace = self.expect_op("{")
+        self.advance()  # {
         members = self._parse_members("")
-        rbrace = self.expect_op("}")
-        props = {"lbrace": lbrace.start, "rbrace": rbrace.start}
-        return Node("anonymous_class_body", lo, self.i, members, props)
+        self.expect_op("}")
+        return Node("anonymous_class_body", lo, self.i, members)
 
 
 # Statement parsers by leading keyword. They are looked up here, not kept on
@@ -878,15 +754,15 @@ class _Parser:
 # cycle that holds its token list until the cyclic collector runs.
 _STATEMENT_PARSERS = {
     "if": _Parser._parse_if,
-    "for": _Parser._parse_for,
-    "while": _Parser._parse_while,
+    "for": _Parser._parse_loop,
+    "while": _Parser._parse_loop,
     "do": _Parser._parse_do,
     "try": _Parser._parse_try,
     "switch": _Parser._parse_switch,
     "synchronized": _Parser._parse_synchronized,
-    "return": _Parser._parse_return,
 }
 _SIMPLE_STATEMENTS = {
+    "return": "return_statement",
     "throw": "throw_statement",
     "break": "break_statement",
     "continue": "continue_statement",

@@ -82,7 +82,6 @@ def aggregate(reports: list[ProjectReport]) -> CorpusSummary:
 
     rows: dict[str, RuleSummary] = {}
     any_total = 0
-    any_projects = 0
     for rule in RuleId:
         total = sum(r.rule_counts[rule].refactorings for r in reports)
         projects = sum(1 for r in reports if r.rule_counts[rule].refactorings >= 1)

@@ -14,17 +14,19 @@ from ..java.parser import Node, SyntaxTree
 from ..spans import Edit
 from .base import Finding, RuleId, RuleResult
 from .javautil import (
+    SHARED_LINE,
     base_type_name,
     class_fields,
     declared_locals,
+    declined,
     dominant_eol,
     find_creations,
     line_indent,
-    line_start,
     member_names,
     methods_of,
+    own_line_start,
+    reindent,
     single_declarator,
-    statements_of,
 )
 
 
@@ -99,7 +101,7 @@ def apply_draw_allocation(tree: SyntaxTree, path: str = "") -> RuleResult:
         locals_ = declared_locals(method)
         members = member_names(owner)
 
-        for stmt in statements_of(body):
+        for stmt in body.children:
             if stmt.kind != "local_variable_declaration":
                 continue
             decl = single_declarator(stmt)
@@ -125,44 +127,40 @@ def apply_draw_allocation(tree: SyntaxTree, path: str = "") -> RuleResult:
             if _reassigned_elsewhere(tree, method, stmt, name):
                 continue
 
+            # field declaration immediately above onDraw
+            method_start = tree.span_of(method).start
+            insert_at = own_line_start(data, method_start)
+            reason = SHARED_LINE if insert_at is None else ""
+            message = (
+                f"allocation of {creation.type_name} inside onDraw() runs "
+                "on every draw pass; hoist it to a field"
+            )
             result.findings.append(
                 Finding(
                     rule=RuleId.DRAW_ALLOCATION,
                     file=path,
                     span=creation.span,
-                    message=(
-                        f"allocation of {creation.type_name} inside onDraw() runs "
-                        "on every draw pass; hoist it to a field"
-                    ),
+                    message=declined(message, reason),
+                    fixable=not reason,
                 )
             )
+            if reason:
+                continue
 
-            # field declaration immediately above onDraw
-            method_start = tree.span_of(method).start
             mi = line_indent(data, method_start).decode()
             stmt_span = tree.span_of(stmt)
             si = line_indent(data, stmt_span.start).decode()
-            stmt_text = tree.text_of(stmt_span)
-            field_lines = stmt_text.split("\n")
-            rebuilt = [mi + field_lines[0]]
-            for line in field_lines[1:]:
-                line = line.rstrip("\r")
-                if line.startswith(si):
-                    line = mi + line[len(si) :]
-                rebuilt.append(line)
-            field_text = eol.join(rebuilt) + eol
-            result.edits.add(
-                Edit.insert(line_start(data, method_start), field_text.encode())
-            )
+            field_text = mi + reindent(tree.text_of(stmt_span), si, mi, eol) + eol
+            result.edits.add(Edit.insert(insert_at, field_text.encode()))
 
             # remove the local declaration, taking its whole line when the
             # statement is alone on it
             del_start = stmt_span.start
             del_end = stmt_span.end
-            ls = line_start(data, del_start)
+            ls = own_line_start(data, del_start)
             nl = data.find(b"\n", del_end)
             line_tail = data[del_end : nl if nl >= 0 else len(data)]
-            if data[ls:del_start].strip() == b"" and line_tail.strip() == b"":
+            if ls is not None and line_tail.strip() == b"":
                 del_start = ls
                 if nl >= 0:
                     del_end = nl + 1

@@ -24,6 +24,26 @@ def line_start(data: bytes, offset: int) -> int:
     return data.rfind(b"\n", 0, offset) + 1
 
 
+def own_line_start(data: bytes, offset: int) -> Optional[int]:
+    """Start of the line holding ``offset`` if only whitespace precedes
+    ``offset`` on that line, else None.
+
+    Rules insert whole lines at a line start, which is right only when the
+    anchor begins its line; else the text would land before other code.
+    """
+    start = line_start(data, offset)
+    return start if not data[start:offset].strip() else None
+
+
+# Why a fix is declined when own_line_start returns None.
+SHARED_LINE = "other code shares the line where the fix would go"
+
+
+def declined(message: str, reason: str) -> str:
+    """A finding's message, saying why no fix is applied if ``reason`` is set."""
+    return f"{message}; {reason}, so no automatic fix is applied" if reason else message
+
+
 def line_indent(data: bytes, offset: int) -> bytes:
     """Leading whitespace of the line containing ``offset``."""
     start = line_start(data, offset)
@@ -31,6 +51,18 @@ def line_indent(data: bytes, offset: int) -> bytes:
     while end < len(data) and data[end : end + 1] in (b" ", b"\t"):
         end += 1
     return data[start:end]
+
+
+def reindent(text: str, old_indent: str, new_indent: str, eol: str) -> str:
+    """``text`` with ``old_indent`` swapped for ``new_indent`` at the start of
+    every line after the first, and its line ends made ``eol``."""
+    lines = text.replace("\r\n", "\n").split("\n")
+    out = [lines[0]]
+    for line in lines[1:]:
+        if line.startswith(old_indent):
+            line = new_indent + line[len(old_indent) :]
+        out.append(line)
+    return eol.join(out)
 
 
 def indent_unit(data: bytes) -> bytes:
@@ -51,20 +83,11 @@ def indent_unit(data: bytes) -> bytes:
 
 
 class Invocation:
-    __slots__ = ("name", "name_index", "receiver", "args", "span")
+    __slots__ = ("name", "receiver", "span")
 
-    def __init__(
-        self,
-        name: str,
-        name_index: int,
-        receiver: Optional[str],
-        args: list[tuple[int, int]],
-        span: SourceSpan,
-    ):
+    def __init__(self, name: str, receiver: Optional[str], span: SourceSpan):
         self.name = name
-        self.name_index = name_index  # index into tree.tokens
         self.receiver = receiver  # simple identifier right before `.name(`, if any
-        self.args = args  # token index ranges
         self.span = span  # receiver-or-name start .. closing paren
 
 
@@ -129,12 +152,10 @@ def find_invocations(tokens: list[Token], lo: int, hi: int) -> Iterator[Invocati
         if j >= 2 and tokens[j - 1].is_op(".") and tokens[j - 2].kind == "ident":
             receiver = tokens[j - 2].value
             start = tokens[j - 2].start
-        args, close_idx = split_args(tokens, j + 1)
+        _, close_idx = split_args(tokens, j + 1)
         if close_idx >= hi:
             continue  # call extends past the slice; caller's slice was partial
-        yield Invocation(
-            t.value, j, receiver, args, SourceSpan(start, tokens[close_idx].end)
-        )
+        yield Invocation(t.value, receiver, SourceSpan(start, tokens[close_idx].end))
 
 
 def find_creations(tokens: list[Token], lo: int, hi: int) -> Iterator[Creation]:
@@ -176,10 +197,6 @@ def single_declarator(node: Node) -> Optional[dict]:
     return None
 
 
-def statements_of(block: Node) -> list[Node]:
-    return [c for c in block.children if c.kind != "annotation"]
-
-
 OWNER_KINDS = (
     "class_declaration",
     "interface_declaration",
@@ -219,13 +236,11 @@ def class_fields(owner: Node) -> dict[str, Node]:
 
 
 def member_names(owner: Node) -> set[str]:
-    names: set[str] = set()
+    names = set(class_fields(owner))
     for child in owner.children:
-        if child.kind == "field_declaration":
-            names.update(d["name"] for d in child.props["declarators"])
-        elif child.kind in ("method_declaration", "constructor_declaration"):
-            names.add(child.props["name"])
-        elif child.kind in (
+        if child.kind in (
+            "method_declaration",
+            "constructor_declaration",
             "class_declaration",
             "interface_declaration",
             "enum_declaration",

@@ -6,8 +6,9 @@ The rule finds locals initialized from the known factory calls with no
 textual release in the enclosing method and appends a null-guarded release
 at the end of the variable's block, or before the block's last statement if
 that statement leaves the block (return, throw, break, continue). Escaping
-resources (returned, aliased, or passed onward) and resources that such a
-trailing return or throw still uses are reported but never rewritten.
+resources (returned, aliased, or passed onward), resources that such a
+trailing return or throw still uses, and resources that an earlier exit
+could leave unreleased are reported but never rewritten.
 """
 
 from __future__ import annotations
@@ -18,15 +19,16 @@ from ..java.parser import Node, SyntaxTree
 from ..spans import Edit
 from .base import Finding, RuleId, RuleResult
 from .javautil import (
+    SHARED_LINE,
     base_type_name,
+    declined,
     dominant_eol,
     find_invocations,
     indent_unit,
     line_indent,
-    line_start,
     methods_of,
+    own_line_start,
     single_declarator,
-    statements_of,
 )
 
 
@@ -114,9 +116,8 @@ def _escapes(tree: SyntaxTree, method: Node, decl: Node, name: str) -> bool:
 
 # A release must run before a block's last statement if that statement leaves
 # the block: code after it is unreachable, which javac rejects.
-_ABRUPT_EXITS = frozenset(
-    ("return_statement", "throw_statement", "break_statement", "continue_statement")
-)
+_EXIT_KEYWORDS = frozenset(("return", "throw", "break", "continue"))
+_ABRUPT_EXITS = frozenset(f"{k}_statement" for k in _EXIT_KEYWORDS)
 
 
 def _uses(tree: SyntaxTree, exit_stmt: Node, name: str) -> bool:
@@ -130,10 +131,14 @@ def _uses(tree: SyntaxTree, exit_stmt: Node, name: str) -> bool:
     )
 
 
-def _blocks_with_statements(body: Node):
-    for n in body.walk():
-        if n.kind == "block":
-            yield n
+def _exits_before(tree: SyntaxTree, decl: Node, end: int) -> bool:
+    """True if a return, throw, break or continue token lies between ``decl``
+    and token ``end``, where the release goes: that exit could skip it.
+    Tokens, not nodes, are scanned, since switch bodies stay token runs."""
+    return any(
+        t.kind == "keyword" and t.value in _EXIT_KEYWORDS
+        for t in tree.tokens[decl.tok_hi : end]
+    )
 
 
 def apply_recycle(tree: SyntaxTree, path: str = "") -> RuleResult:
@@ -144,8 +149,10 @@ def apply_recycle(tree: SyntaxTree, path: str = "") -> RuleResult:
 
     for _, method in methods_of(tree):
         body = method.props["body"]
-        for block in _blocks_with_statements(body):
-            stmts = statements_of(block)
+        for block in body.walk():
+            if block.kind != "block":
+                continue
+            stmts = block.children
             exit_stmt = stmts[-1] if stmts and stmts[-1].kind in _ABRUPT_EXITS else None
             for stmt in stmts:
                 if stmt.kind != "local_variable_declaration":
@@ -167,35 +174,36 @@ def apply_recycle(tree: SyntaxTree, path: str = "") -> RuleResult:
                 name = decl["name"]
                 if _released_in_method(tree, method, name, factory.release):
                     continue
+                # the release goes before the trailing exit, else before `}`
+                end = exit_stmt.tok_lo if exit_stmt is not None else block.tok_hi - 1
+                insert_at = own_line_start(data, tree.tokens[end].start)
                 if _escapes(tree, method, stmt, name):
-                    declined = "it escapes the method"
+                    reason = "it escapes the method"
                 elif exit_stmt is not None and _uses(tree, exit_stmt, name):
-                    declined = "the block's last statement still uses it"
+                    reason = "the block's last statement still uses it"
+                elif _exits_before(tree, stmt, end):
+                    reason = "an earlier exit from the block would skip the release"
+                elif insert_at is None:
+                    reason = SHARED_LINE
                 else:
-                    declined = ""
+                    reason = ""
                 message = (
                     f"'{name}' ({declared_type}) is obtained but never "
                     f"released with {factory.release}()"
                 )
-                if declined:
-                    message += f"; {declined}, so no automatic fix is applied"
                 result.findings.append(
                     Finding(
                         rule=RuleId.RECYCLE,
                         file=path,
                         span=anchor,
-                        message=message,
-                        fixable=not declined,
+                        message=declined(message, reason),
+                        fixable=not reason,
                     )
                 )
-                if declined:
+                if reason:
                     continue
 
                 si = line_indent(data, tree.span_of(stmt).start).decode()
-                if exit_stmt is not None:
-                    insert_at = line_start(data, tree.span_of(exit_stmt).start)
-                else:
-                    insert_at = line_start(data, block.props["rbrace"])
                 lines = [
                     f"{si}if ({name} != null) {{",
                     f"{si}{unit}{name}.{factory.release}();",

@@ -12,15 +12,17 @@ from ..java.parser import Node, SyntaxTree
 from ..spans import Edit, SourceSpan
 from .base import Finding, RuleId, RuleResult
 from .javautil import (
+    SHARED_LINE,
     base_type_name,
+    declined,
     dominant_eol,
     find_invocations,
     line_indent,
-    line_start,
     member_names,
     methods_of,
+    own_line_start,
+    reindent,
     single_declarator,
-    statements_of,
 )
 
 HOLDER_BASE_NAME = "ViewHolderItem"
@@ -62,10 +64,10 @@ def _already_optimized(tree: SyntaxTree, body: Node, convert_view: str) -> bool:
 
 
 def _find_inflate_assignment(tree: SyntaxTree, body: Node, convert_view: str):
-    for stmt in statements_of(body):
+    for stmt in body.children:
         if stmt.kind != "expression_statement":
             continue
-        toks = tree.toks(stmt)
+        toks = tree.tokens[stmt.tok_lo : stmt.tok_hi]
         if len(toks) < 3:
             continue
         if not (toks[0].kind == "ident" and toks[0].value == convert_view):
@@ -84,7 +86,7 @@ def _collect_cached_views(
     tree: SyntaxTree, body: Node, after: Node
 ) -> list[_CachedView]:
     """Contiguous run of findViewById-initialized locals following ``after``."""
-    stmts = statements_of(body)
+    stmts = body.children
     idx = stmts.index(after)
     cached: list[_CachedView] = []
     for stmt in stmts[idx + 1 :]:
@@ -124,16 +126,6 @@ def _holder_name(taken: set[str]) -> str:
     return f"{HOLDER_BASE_NAME}{n}"
 
 
-def _reindent(text: str, old_indent: str, new_indent: str, eol: str) -> str:
-    lines = text.replace("\r\n", "\n").split("\n")
-    out = [lines[0]]
-    for line in lines[1:]:
-        if line.startswith(old_indent):
-            line = new_indent + line[len(old_indent) :]
-        out.append(line)
-    return eol.join(out)
-
-
 def apply_view_holder(tree: SyntaxTree, path: str = "") -> RuleResult:
     result = RuleResult()
     data = tree.data
@@ -154,26 +146,35 @@ def apply_view_holder(tree: SyntaxTree, path: str = "") -> RuleResult:
         if not cached:
             continue
 
-        anchor = method.props.get("name_span") or tree.span_of(method)
+        # the holder class goes above the method; the holder block replaces
+        # the lines from the inflate assignment to the last lookup
+        method_start = tree.span_of(method).start
+        stmt_start = tree.span_of(assign).start
+        holder_at = own_line_start(data, method_start)
+        region_start = own_line_start(data, stmt_start)
+        fits = holder_at is not None and region_start is not None
+        reason = "" if fits else SHARED_LINE
+        message = (
+            "getView() inflates its row layout and calls findViewById() "
+            "on every call; cache the looked-up views in a holder"
+        )
         result.findings.append(
             Finding(
                 rule=RuleId.VIEW_HOLDER,
                 file=path,
-                span=anchor,
-                message=(
-                    "getView() inflates its row layout and calls findViewById() "
-                    "on every call; cache the looked-up views in a holder"
-                ),
+                span=method.props["name_span"],
+                message=declined(message, reason),
+                fixable=not reason,
             )
         )
+        if reason:
+            continue
 
         taken = taken_per_owner.setdefault(owner, member_names(owner))
         holder = _holder_name(taken)
         taken.add(holder)
 
-        method_start = tree.span_of(method).start
         mi = line_indent(data, method_start).decode()
-        stmt_start = tree.span_of(assign).start
         si = line_indent(data, stmt_start).decode()
         unit = si[len(mi) :] if si.startswith(mi) and len(si) > len(mi) else "    "
 
@@ -183,12 +184,10 @@ def apply_view_holder(tree: SyntaxTree, path: str = "") -> RuleResult:
             holder_lines.append(f"{mi}{unit}private {view.type_text} {view.name};")
         holder_lines.append(f"{mi}}}")
         holder_text = eol.join(holder_lines) + eol + eol
-        result.edits.add(
-            Edit.insert(line_start(data, method_start), holder_text.encode())
-        )
+        result.edits.add(Edit.insert(holder_at, holder_text.encode()))
 
         # rebuild the inflate + lookup block as the null-guarded holder block
-        assign_text = _reindent(tree.text_of(assign), si, si + unit, eol)
+        assign_text = reindent(tree.text_of(assign), si, si + unit, eol)
         lines = [
             f"{si}{holder} {HOLDER_VAR};",
             f"{si}if ({convert_view} == null) {{",
@@ -196,18 +195,17 @@ def apply_view_holder(tree: SyntaxTree, path: str = "") -> RuleResult:
             f"{si}{unit}{HOLDER_VAR} = new {holder}();",
         ]
         for view in cached:
-            init = _reindent(view.init_text, si, si + unit, eol)
+            init = reindent(view.init_text, si, si + unit, eol)
             lines.append(f"{si}{unit}{HOLDER_VAR}.{view.name} = {init};")
         lines.append(f"{si}{unit}{convert_view}.setTag({HOLDER_VAR});")
         lines.append(f"{si}}} else {{")
         lines.append(f"{si}{unit}{HOLDER_VAR} = ({holder}) {convert_view}.getTag();")
         lines.append(f"{si}}}")
         for view in cached:
-            head = _reindent(view.head_text, si, si, eol)
+            head = reindent(view.head_text, si, si, eol)
             lines.append(f"{si}{head} = {HOLDER_VAR}.{view.name};")
         block_text = eol.join(lines)
 
-        region_start = line_start(data, stmt_start)
         region_end = tree.span_of(cached[-1].decl).end
         result.edits.add(Edit.replace(region_start, region_end, block_text.encode()))
 

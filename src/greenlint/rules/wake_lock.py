@@ -15,16 +15,16 @@ from ..java.parser import Node, SyntaxTree
 from ..spans import Edit, SourceSpan
 from .base import Finding, RuleId, RuleResult
 from .javautil import (
+    SHARED_LINE,
     base_type_name,
     class_fields,
     declared_locals,
+    declined,
     dominant_eol,
     find_invocations,
     indent_unit,
     line_indent,
-    line_start,
-    methods_of,
-    statements_of,
+    own_line_start,
 )
 
 LIFECYCLE_METHODS = frozenset(
@@ -81,16 +81,17 @@ def apply_wake_lock(tree: SyntaxTree, path: str = "") -> RuleResult:
     eol = dominant_eol(data).decode()
     unit = indent_unit(data).decode()
 
-    for owner, _ in _dedup_owners(tree):
+    for owner in tree.root.walk():
         if not _is_activity_class(owner):
             continue
         wl_fields = _wake_lock_fields(owner)
-        methods = [
+        lifecycle = [
             c
             for c in owner.children
-            if c.kind == "method_declaration" and c.props.get("body") is not None
+            if c.kind == "method_declaration"
+            and c.props["name"] in LIFECYCLE_METHODS
+            and c.props["body"] is not None
         ]
-        lifecycle = [m for m in methods if m.props["name"] in LIFECYCLE_METHODS]
 
         acquisitions: list[_Acquisition] = []
         local_acquires: list[SourceSpan] = []
@@ -102,23 +103,26 @@ def apply_wake_lock(tree: SyntaxTree, path: str = "") -> RuleResult:
                     continue
                 if inv.receiver in wl_fields and inv.receiver not in locals_:
                     acquisitions.append(_Acquisition(inv.receiver, inv.span))
-                elif _local_wake_lock(tree, method, inv.receiver):
+                elif _local_wake_lock(method, inv.receiver):
                     local_acquires.append(inv.span)
 
         on_pause = _method_named(owner, "onPause")
+        insert_at, reason = _release_point(tree, owner, on_pause)
         pending_release: list[str] = []
         for acq in acquisitions:
             if on_pause is not None and _calls_on(tree, on_pause, acq.field, "release"):
                 continue
+            message = (
+                f"wake lock field '{acq.field}' is acquired but never "
+                "released in onPause()"
+            )
             result.findings.append(
                 Finding(
                     rule=RuleId.WAKE_LOCK,
                     file=path,
                     span=acq.span,
-                    message=(
-                        f"wake lock field '{acq.field}' is acquired but never "
-                        "released in onPause()"
-                    ),
+                    message=declined(message, reason),
+                    fixable=not reason,
                 )
             )
             if acq.field not in pending_release:
@@ -138,7 +142,7 @@ def apply_wake_lock(tree: SyntaxTree, path: str = "") -> RuleResult:
                 )
             )
 
-        if not pending_release:
+        if not pending_release or reason:
             continue
 
         if on_pause is None:
@@ -155,22 +159,15 @@ def apply_wake_lock(tree: SyntaxTree, path: str = "") -> RuleResult:
                 lines.append(f"{mi}{unit}}}")
             lines.append(f"{mi}}}")
             text = eol.join(lines) + eol
-            insert_at = line_start(data, owner.props["rbrace"])
             result.edits.add(Edit.insert(insert_at, text.encode()))
         else:
-            body = on_pause.props["body"]
-            stmts = statements_of(body)
+            stmts = on_pause.props["body"].children
             if stmts and stmts[-1].kind == "return_statement":
-                insert_at = line_start(data, tree.span_of(stmts[-1]).start)
-                si = line_indent(data, tree.span_of(stmts[-1]).start).decode()
+                si = line_indent(data, insert_at).decode()
+            elif stmts:
+                si = line_indent(data, tree.span_of(stmts[0]).start).decode()
             else:
-                insert_at = line_start(data, body.props["rbrace"])
-                op_indent = line_indent(data, tree.span_of(on_pause).start).decode()
-                si = (
-                    line_indent(data, tree.span_of(stmts[0]).start).decode()
-                    if stmts
-                    else op_indent + unit
-                )
+                si = line_indent(data, tree.span_of(on_pause).start).decode() + unit
             lines = []
             for field in pending_release:
                 lines.append(f"{si}if ({_guard(field)}) {{")
@@ -182,23 +179,32 @@ def apply_wake_lock(tree: SyntaxTree, path: str = "") -> RuleResult:
     return result
 
 
+def _release_point(
+    tree: SyntaxTree, owner: Node, on_pause: Optional[Node]
+) -> tuple[Optional[int], str]:
+    """Where the releases go, or why they cannot: a new onPause goes before
+    the class's `}`; releases go before an existing onPause's trailing
+    return, else before its `}`."""
+    if on_pause is None:
+        anchor = owner.props["rbrace"]
+    elif on_pause.props["body"] is None:
+        return None, "onPause() has no body"
+    else:
+        body = on_pause.props["body"]
+        if body.children and body.children[-1].kind == "return_statement":
+            anchor = tree.span_of(body.children[-1]).start
+        else:
+            anchor = body.props["rbrace"]
+    insert_at = own_line_start(tree.data, anchor)
+    return insert_at, SHARED_LINE if insert_at is None else ""
+
+
 def _guard(field: str) -> str:
     return f"{field} != null && {field}.isHeld()"
 
 
-def _dedup_owners(tree: SyntaxTree):
-    seen = []
-    for owner, method in methods_of(tree):
-        if owner not in seen:
-            seen.append(owner)
-            yield owner, method
-
-
-def _local_wake_lock(tree: SyntaxTree, method: Node, name: str) -> bool:
-    body = method.props.get("body")
-    if body is None:
-        return False
-    for n in body.walk():
+def _local_wake_lock(method: Node, name: str) -> bool:
+    for n in method.props["body"].walk():
         if n.kind != "local_variable_declaration":
             continue
         if base_type_name(n.props["type"]) != "WakeLock":

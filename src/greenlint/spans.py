@@ -73,36 +73,31 @@ class EditSet:
         # Insertions at the same offset keep their relative order.
         return sorted(self.edits, key=lambda e: (e.span.start, e.span.end))
 
-    def validate(self, length: int) -> None:
-        prev_end = 0
-        prev: Edit | None = None
-        for edit in self.sorted():
-            if edit.span.end > length:
-                raise EditError(
-                    f"edit span [{edit.span.start}, {edit.span.end}) exceeds "
-                    f"text length {length}"
-                )
-            if prev is not None and edit.span.start < prev_end:
-                raise EditError(
-                    f"edit spans overlap: [{prev.span.start}, {prev.span.end}) "
-                    f"and [{edit.span.start}, {edit.span.end})"
-                )
-            # Two pure insertions at the same offset are allowed; anything
-            # touching actual bytes must not share them.
-            prev_end = max(prev_end, edit.span.end)
-            if len(edit.span) == 0:
-                prev_end = max(prev_end, edit.span.start)
-            prev = edit
-
 
 def apply_edit_set(text: bytes, edits: EditSet) -> bytes:
-    """Apply ``edits`` to ``text``; bytes outside all spans are untouched."""
-    edits.validate(len(text))
+    """Apply ``edits`` to ``text``; bytes outside all spans are untouched.
+
+    Raises EditError if an edit ends past ``text`` or two edits overlap.
+    """
     out = bytearray()
-    cursor = 0
+    cursor = 0  # end of the previous edit
+    prev: Edit | None = None
     for edit in edits.sorted():
+        if edit.span.end > len(text):
+            raise EditError(
+                f"edit span [{edit.span.start}, {edit.span.end}) exceeds "
+                f"text length {len(text)}"
+            )
+        # Two pure insertions at the same offset are allowed; anything
+        # touching actual bytes must not share them.
+        if prev is not None and edit.span.start < cursor:
+            raise EditError(
+                f"edit spans overlap: [{prev.span.start}, {prev.span.end}) "
+                f"and [{edit.span.start}, {edit.span.end})"
+            )
         out += text[cursor : edit.span.start]
         out += edit.replacement
         cursor = edit.span.end
+        prev = edit
     out += text[cursor:]
     return bytes(out)

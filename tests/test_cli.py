@@ -241,3 +241,61 @@ def test_unbalanced_call_is_a_parse_error_not_a_crash(tmp_path, capsys, source, 
     assert main(["check", str(tmp_path / "proj")]) == EXIT_CLEAN
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith(f"{target}:1:{column}: parse error: "), line
+
+
+@pytest.mark.parametrize(
+    "name,source",
+    [
+        (
+            "H.java",
+            'class H { void h(Db db) { Cursor c = db.query("z"); c.moveToFirst(); } }\n',
+        ),
+        (
+            "A.java",
+            "class A extends Activity { WakeLock wl; void onCreate() { wl.acquire(); } }\n",
+        ),
+        (
+            "A.java",
+            "class A extends Activity {\n"
+            "    WakeLock wl;\n"
+            "    void onCreate() {\n"
+            "        wl.acquire();\n"
+            "    }\n"
+            "    void onPause() { super.onPause(); }\n"
+            "}\n",
+        ),
+        (
+            "V.java",
+            "class V extends View { void onDraw(Canvas c) "
+            "{ Paint p = new Paint(); c.drawRect(r, p); } }\n",
+        ),
+        (
+            "Ad.java",
+            "class Ad extends BaseAdapter {\n"
+            "    public View getView(int pos, View cv, ViewGroup parent) "
+            "{ cv = inf.inflate(R.layout.row, parent, false);\n"
+            "        TextView t = (TextView) cv.findViewById(R.id.t);\n"
+            "        return cv;\n"
+            "    }\n"
+            "}\n",
+        ),
+    ],
+    ids=[
+        "recycle",
+        "wake-lock-new-on-pause",
+        "wake-lock-existing-on-pause",
+        "draw-allocation",
+        "view-holder",
+    ],
+)
+def test_fix_anchor_sharing_its_line_is_declined(tmp_path, capsys, name, source):
+    target = tmp_path / "proj" / "src" / name
+    target.parent.mkdir(parents=True)
+    target.write_text(source)
+    assert main(["check", str(tmp_path / "proj")]) == EXIT_FINDINGS
+    out = capsys.readouterr().out
+    assert "other code shares the line where the fix would go" in out
+    assert "(not auto-fixable)" in out
+    assert main(["fix", str(tmp_path / "proj")]) == EXIT_FINDINGS
+    assert "0 refactoring(s) applied, 1 finding(s) not auto-fixable" in capsys.readouterr().out
+    assert target.read_text() == source

@@ -92,3 +92,23 @@ def test_two_hoistable_allocations():
     assert b"Integer a = new Integer(1);\n    Integer b = new Integer(2);\n    protected void onDraw" in fixed
     _, again = fix_java(apply_draw_allocation, fixed)
     assert again == fixed
+
+
+def test_hoisted_multi_line_statement_keeps_crlf_line_ends():
+    source = (
+        b"class V extends View {\r\n"
+        b"    void onDraw(Canvas c) {\r\n"
+        b"        Paint p = new Paint(\r\n"
+        b"            1);\r\n"
+        b"        c.drawRect(r, p);\r\n"
+        b"    }\r\n"
+        b"}\r\n"
+    )
+    _, fixed = fix_java(apply_draw_allocation, source)
+    assert fixed.startswith(
+        b"class V extends View {\r\n"
+        b"    Paint p = new Paint(\r\n"
+        b"        1);\r\n"
+        b"    void onDraw(Canvas c) {\r\n"
+    )
+    assert b"\r\r" not in fixed

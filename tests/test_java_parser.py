@@ -218,3 +218,122 @@ def test_split_args_splits_on_top_level_commas_only():
         "new int [ ] { 1 , 2 }",
     ]
     assert toks[close_idx].value == ")" and toks[close_idx + 1].value == ";"
+
+
+@pytest.mark.parametrize(
+    "source,expected",
+    [
+        (b"package a.b", "1:12: expected ';'"),
+        (b"import a.;", "1:10: expected '*'"),
+        (b"import static a.*", "1:18: expected ';'"),
+        (b"@A package", "1:11: expected name"),
+        (b"public", "1:7: expected type declaration"),
+        (b"class A {} int x;", "1:12: expected class, interface or enum declaration"),
+        (b"class {}", "1:7: expected type name"),
+        (b"class A extends {}", "1:17: expected type"),
+        (b"class A implements B, {}", "1:23: expected type"),
+        (b"interface I extends A, B, {}", "1:27: expected type"),
+        (b"class A extends B", "1:18: expected '{'"),
+        (b"class A {", "1:10: expected '}'"),
+        (b"class A { public", "1:17: unexpected end of class body"),
+        (b"class A { @ int x; }", "1:13: expected name"),
+        (b"enum E { 1 }", "1:10: expected enum constant"),
+        (b"enum E { A, B C }", "1:15: expected '}'"),
+        (b"enum E { A { void f() {} ; }", "1:29: expected '}'"),
+        (b"class A { 1 }", "1:11: expected type"),
+        (b"class A { int ; }", "1:15: expected member name"),
+        (b"class A { int[ x; }", "1:14: expected member name"),
+        (b"class A { int x, ; }", "1:18: expected field name"),
+        (b"class A { int x = 1 }", "1:21: unexpected '}' in expression"),
+        (b"class A { void f(int) {} }", "1:21: expected parameter name"),
+        (b"class A { void f(public int x) {} }", "1:18: expected type"),
+        (b"class A { void f(final final int x) {} }", "1:24: expected type"),
+        (b"class A { A( {} }", "1:14: expected type"),
+        (b"class A { void f(int x) throws {} }", "1:32: expected type"),
+        (b"class A { void f(int x) throws A, {} }", "1:35: expected type"),
+        (b"class A { void f() }", "1:20: expected ';'"),
+        (b"class A { void f()[] }", "1:22: expected ';'"),
+        (b"class A { void f() {", "1:21: unexpected end of file in block"),
+        (b"class A { void f() { if x; } }", "1:25: expected '(' after if"),
+        (b"class A { void f() { if (x)", "1:28: expected statement"),
+        (b"class A { void f() { for x; } }", "1:26: expected '(' after for"),
+        (b"class A { void f() { while x; } }", "1:28: expected '(' after while"),
+        (b"class A { void f() { do x(); } }", "1:30: expected 'while' after do body"),
+        (b"class A { void f() { do x(); while x; } }", "1:36: expected '(' after while"),
+        (b"class A { void f() { do x(); while (x) } }", "1:40: expected ';'"),
+        (b"class A { void f() { switch x {} } }", "1:29: expected '(' after switch"),
+        (b"class A { void f() { switch (x) ; } }", "1:33: expected '{' after switch header"),
+        (b"class A { void f() { try x(); } }", "1:26: expected '{'"),
+        (b"class A { void f() { try {} catch x {} } }", "1:35: expected '(' after catch"),
+        (b"class A { void f() { try {} catch (E e) x(); } }", "1:41: expected '{'"),
+        (b"class A { void f() { try {} finally x(); } }", "1:37: expected '{'"),
+        (b"class A { void f() { synchronized (x) x(); } }", "1:39: expected '{'"),
+        (b"class A { void f() { int x, ; } }", "1:29: expected variable name"),
+        (b"class A { void f() { int x = 1 } }", "1:32: unexpected '}' in expression"),
+        (b"class A { void f() { int x = (1]; } }", "1:32: unexpected ']' in expression"),
+        (b"class A { void f() { x = 1", "1:27: unexpected end of file in expression"),
+        (b"class A { void f() { return 1 } }", "1:31: unexpected '}' in expression"),
+        (b"class A { void f() { throw e } }", "1:30: unexpected '}' in expression"),
+        (b"class A { void f() { a: } }", "1:25: unexpected '}' in expression"),
+        (b"class A { void f() { final class B extends {} } }", "1:44: expected type"),
+        (b"class A { void f() { x(new B() { int ; }); } }", "1:38: expected member name"),
+        (b"class A { void f() { x(new B() { void g() {} ); } }", "1:46: expected type"),
+        (b"class A { @B( int x; }", "1:13: unbalanced ')'"),
+    ],
+)
+def test_parse_error_message_and_location(source, expected):
+    tree, diags = parse_java_source(source)
+    assert tree is None
+    d = diags[0]
+    assert f"{d.line}:{d.column}: {d.message}" == expected
+
+
+def _anonymous_bodies(source: bytes) -> list[str]:
+    tree = parse_java(source)
+    return [tree.text_of(n) for n in find_all(tree, "anonymous_class_body")]
+
+
+@pytest.mark.parametrize(
+    "expression,bodies",
+    [
+        (b"new A(new B() { int b; }) { int a; }", ["{ int b; }", "{ int a; }"]),
+        (b"new a.b.C() { int c; }", ["{ int c; }"]),
+        (b"new ArrayList<String>() { int d; }", ["{ int d; }"]),
+        (b"new HashMap<>(f(x)) { int e; }", ["{ int e; }"]),
+        (b"new Map<K, List<V>>() { int m; }", ["{ int m; }"]),
+        (b"outer.new Inner() { int i; }", ["{ int i; }"]),
+        (b"g(1, new R() { public void run() {} })", ["{ public void run() {} }"]),
+        (b"new int[] { 1, 2 }", []),
+        (b"new String[][] { { \"a\" } }", []),
+        (b"() -> { return 1; }", []),
+        (b"f((a) -> { g(); })", []),
+        (b"new A().b() { }", []),
+    ],
+)
+def test_anonymous_class_body_detection(expression, bodies):
+    source = b"class T { void f() { o = " + expression + b"; } }"
+    assert _anonymous_bodies(source) == bodies
+
+
+@pytest.mark.parametrize(
+    "source,expected",
+    [
+        (b"@interface A { int v() default f(a]; }", "1:35: unexpected ']' in expression"),
+        (b"@interface A { int v() default = 3; }", "1:32: expected expression"),
+    ],
+)
+def test_bad_annotation_default_is_rejected(source, expected):
+    tree, diags = parse_java_source(source)
+    assert tree is None
+    d = diags[0]
+    assert f"{d.line}:{d.column}: {d.message}" == expected
+
+
+@pytest.mark.parametrize(
+    "source",
+    [b'@interface A { String[] v() default {"a", "b"}; }', b'@interface A { String v() default "x"; }'],
+)
+def test_annotation_default_parses(source):
+    tree, diags = parse_java_source(source)
+    assert diags == []
+    assert tree.serialize() == source

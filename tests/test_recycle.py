@@ -112,6 +112,26 @@ def test_cursor_release_inserted_before_trailing_return():
     ) in fixed
 
 
+def test_earlier_exit_in_the_block_declines_the_fix():
+    # The release would go at the end of the loop body, which the `continue`
+    # path never reaches.
+    source = (
+        b"class C {\n"
+        b"    void m(SQLiteDatabase db) {\n"
+        b"        while (more()) {\n"
+        b'            Cursor c = db.query("z");\n'
+        b"            if (c.moveToFirst()) continue;\n"
+        b"            c.getCount();\n"
+        b"        }\n"
+        b"    }\n"
+        b"}\n"
+    )
+    result, fixed = fix_java(apply_recycle, source)
+    assert [f.fixable for f in result.findings] == [False]
+    assert "an earlier exit from the block" in result.findings[0].message
+    assert fixed == source
+
+
 @pytest.mark.parametrize("exit_stmt", ["break;", "continue;", "throw new Error();"])
 def test_release_inserted_before_trailing_abrupt_exit(exit_stmt):
     # After the exit the release would be unreachable, which javac rejects.

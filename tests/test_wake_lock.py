@@ -119,3 +119,21 @@ def test_javadoc_continuation_lines_do_not_set_the_indent_unit(golden):
     assert indent_unit(javadoc + before) == b"    "
     _, fixed = fix_java(apply_wake_lock, javadoc + before)
     assert fixed == javadoc + after
+
+
+def test_abstract_on_pause_declines_the_fix():
+    source = (
+        b"abstract class A extends Activity {\n"
+        b"    WakeLock wl;\n"
+        b"    void onCreate() {\n"
+        b"        wl.acquire();\n"
+        b"    }\n"
+        b"    abstract void onPause();\n"
+        b"}\n"
+    )
+    result, fixed = fix_java(apply_wake_lock, source)
+    assert [f.fixable for f in result.findings] == [False]
+    assert "onPause() has no body" in result.findings[0].message
+    assert fixed == source
+    without_lock = source.replace(b"        wl.acquire();\n", b"")
+    assert apply_wake_lock(parse_java(without_lock)).findings == []
