@@ -465,6 +465,8 @@ class _Parser:
         self.expect_op("(")
         params: list[tuple[str, str]] = []
         while not self.at_op(")"):
+            if params:  # a comma separates parameters; none may trail
+                self.expect_op(",")
             # only annotations and `final` may precede a parameter's type
             while self.at_op("@"):
                 self._parse_annotation()
@@ -483,8 +485,6 @@ class _Parser:
                 name = self.expect_ident("parameter name").value
             self._skip_dims()
             params.append((type_text, name))
-            if self.at_op(","):
-                self.advance()
         self.advance()  # )
         return params
 
@@ -642,16 +642,22 @@ class _Parser:
 
     def _try_local_var_decl(self) -> Optional[Node]:
         lo = self.i
+        annotations = self._parse_modifiers()
+        committed = self.i > lo  # a modifier or annotation starts only a declaration
         try:
-            annotations = self._parse_modifiers()
             type_text = self._parse_type()
-            t = self.peek()
-            if t is None or t.kind != "ident":
-                raise self.fail("not a declaration")
-            nxt = self.peek(1)
-            if nxt is None or nxt.kind != "op" or nxt.value not in ("=", ";", ",", "["):
+            t, nxt = self.peek(), self.peek(1)
+            if not committed and (
+                t is None
+                or t.kind != "ident"
+                or nxt is None
+                or nxt.kind != "op"
+                or nxt.value not in ("=", ";", ",", "[")
+            ):
                 raise self.fail("not a declaration")
         except _ParseFailure:
+            if committed:
+                raise
             self.i = lo
             return None
         return self._parse_declarators(
@@ -715,7 +721,11 @@ class _Parser:
             elif t.kind == "keyword" and t.value == "new":
                 args = self._args_after_new(i + 1)
                 if args is not None:
+                    # jump to the `(`: a comma in the type arguments ends
+                    # no declarator
                     new_args.add(args)
+                    self.i = args
+                    continue
             self.i = i + 1
         if self.i > lo:
             first, last = toks[lo], toks[self.i - 1]

@@ -98,40 +98,33 @@ def aggregate(reports: list[ProjectReport]) -> CorpusSummary:
 
 def emit(summary: CorpusSummary, format: str) -> bytes:
     """Render the summary as CSV or JSON; byte-deterministic."""
+    keys = CSV_HEADER.split(",")  # the CSV columns are also the JSON keys
+    rows = []
+    for rule in ROW_ORDER:
+        row = summary.row(rule)
+        rows.append(
+            [
+                rule,
+                row.total_refactorings,
+                row.total_projects,
+                row.percentage_of_projects(summary.corpus_size),
+                row.incidence_per_project,
+            ]
+        )
     if format == "csv":
         import csv
         import io
 
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER.split(","))
-        for rule in ROW_ORDER:
-            row = summary.row(rule)
-            writer.writerow(
-                [
-                    rule,
-                    row.total_refactorings,
-                    row.total_projects,
-                    row.percentage_of_projects(summary.corpus_size),
-                    row.incidence_per_project,
-                ]
-            )
+        writer.writerow(keys)
+        writer.writerows(rows)
         return buf.getvalue().encode()
     if format == "json":
         import json
 
         payload = [
-            {
-                "rule": rule,
-                "total_refactorings": summary.row(rule).total_refactorings,
-                "total_projects": summary.row(rule).total_projects,
-                "percentage_of_projects": summary.row(rule).percentage_of_projects(
-                    summary.corpus_size
-                ),
-                "incidence_per_project": summary.row(rule).incidence_per_project,
-                "corpus_size": summary.corpus_size,
-            }
-            for rule in ROW_ORDER
+            dict(zip(keys, values), corpus_size=summary.corpus_size) for values in rows
         ]
         return (json.dumps(payload, indent=2, sort_keys=False) + "\n").encode()
     raise ValueError(f"unknown format {format!r}")

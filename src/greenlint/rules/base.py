@@ -48,6 +48,16 @@ class RuleResult:
         self.findings: list[Finding] = []
         self.edits = EditSet()
 
+    def report(
+        self, rule: RuleId, path: str, span: SourceSpan, message: str, reason: str
+    ) -> bool:
+        """Record a finding, fixable unless ``reason`` says why no fix is
+        applied; returns whether it is fixable."""
+        if reason:
+            message = f"{message}; {reason}, so no automatic fix is applied"
+        self.findings.append(Finding(rule, path, span, message, not reason))
+        return not reason
+
     @property
     def fixable_count(self) -> int:
         return sum(1 for f in self.findings if f.fixable)

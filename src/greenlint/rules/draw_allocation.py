@@ -1,8 +1,8 @@
 """DrawAllocation rule: hoist invariant allocations out of onDraw.
 
 Only allocations whose constructor arguments cannot change between draw
-passes are touched: literals, fields of the enclosing class, and
-class-qualified constants. Anything referencing an onDraw parameter or
+passes are touched: literals, fields of the enclosing class declared above
+onDraw, and class-qualified constants. Anything referencing an onDraw parameter or
 local, or involving a call, disqualifies the allocation -- missing those
 dynamic cases is accepted by design.
 """
@@ -12,29 +12,22 @@ from __future__ import annotations
 from ..java.lexer import Token
 from ..java.parser import Node, SyntaxTree
 from ..spans import Edit
-from .base import Finding, RuleId, RuleResult
+from .base import RuleId, RuleResult
 from .javautil import (
     SHARED_LINE,
-    base_type_name,
     class_fields,
     declared_locals,
-    declined,
-    dominant_eol,
     find_creations,
+    has_signature,
+    initialized_local,
+    insert_lines,
     line_indent,
     member_names,
     methods_of,
     own_line_start,
     reindent,
-    single_declarator,
+    uses,
 )
-
-
-def _is_on_draw(method: Node) -> bool:
-    if method.props["name"] != "onDraw":
-        return False
-    params = method.props["params"]
-    return len(params) == 1 and base_type_name(params[0][0]) == "Canvas"
 
 
 def _args_are_invariant(
@@ -72,40 +65,37 @@ def _reassigned_elsewhere(
     tree: SyntaxTree, method: Node, decl: Node, name: str
 ) -> bool:
     body = method.props["body"]
-    for j in range(body.tok_lo, body.tok_hi):
+    for j in uses(tree, body.tok_lo, body.tok_hi, name):
         if decl.tok_lo <= j < decl.tok_hi:
             continue
-        t = tree.tokens[j]
-        if t.kind == "ident" and t.value == name:
-            nxt = tree.tokens[j + 1] if j + 1 < body.tok_hi else None
-            if nxt is not None and nxt.kind == "op" and nxt.value in (
-                "=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "++", "--",
-            ):
-                return True
-            prev = tree.tokens[j - 1]
-            if prev.kind == "op" and prev.value in ("++", "--"):
-                return True
+        nxt = tree.tokens[j + 1] if j + 1 < body.tok_hi else None
+        if nxt is not None and nxt.kind == "op" and nxt.value in (
+            "=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "++", "--",
+        ):
+            return True
+        prev = tree.tokens[j - 1]
+        if prev.kind == "op" and prev.value in ("++", "--"):
+            return True
     return False
 
 
 def apply_draw_allocation(tree: SyntaxTree, path: str = "") -> RuleResult:
     result = RuleResult()
     data = tree.data
-    eol = dominant_eol(data).decode()
 
     for owner, method in methods_of(tree):
-        if not _is_on_draw(method):
+        if not has_signature(method, "onDraw", ("Canvas",)):
             continue
         body = method.props["body"]
-        fields = set(class_fields(owner))
+        # The field is hoisted just above onDraw, where reading a field
+        # declared below it is an illegal forward reference.
+        fields = set(class_fields(owner.children[: owner.children.index(method)]))
         locals_ = declared_locals(method)
         members = member_names(owner)
 
         for stmt in body.children:
-            if stmt.kind != "local_variable_declaration":
-                continue
-            decl = single_declarator(stmt)
-            if decl is None or decl["init"] == (None, None):
+            decl = initialized_local(stmt)
+            if decl is None:
                 continue
             init_lo, init_hi = decl["init"]
             creations = list(find_creations(tree.tokens, init_lo, init_hi))
@@ -135,23 +125,15 @@ def apply_draw_allocation(tree: SyntaxTree, path: str = "") -> RuleResult:
                 f"allocation of {creation.type_name} inside onDraw() runs "
                 "on every draw pass; hoist it to a field"
             )
-            result.findings.append(
-                Finding(
-                    rule=RuleId.DRAW_ALLOCATION,
-                    file=path,
-                    span=creation.span,
-                    message=declined(message, reason),
-                    fixable=not reason,
-                )
-            )
-            if reason:
+            span = creation.span
+            if not result.report(RuleId.DRAW_ALLOCATION, path, span, message, reason):
                 continue
 
-            mi = line_indent(data, method_start).decode()
+            mi = line_indent(data, method_start)
             stmt_span = tree.span_of(stmt)
-            si = line_indent(data, stmt_span.start).decode()
-            field_text = mi + reindent(tree.text_of(stmt_span), si, mi, eol) + eol
-            result.edits.add(Edit.insert(insert_at, field_text.encode()))
+            si = line_indent(data, stmt_span.start)
+            field_lines = reindent(mi + tree.text_of(stmt_span), si, mi)
+            result.edits.add(insert_lines(data, insert_at, field_lines))
 
             # remove the local declaration, taking its whole line when the
             # statement is alone on it

@@ -11,7 +11,7 @@ from typing import Iterator, Optional
 
 from ..java.lexer import Token
 from ..java.parser import Node, SyntaxTree, match_group
-from ..spans import SourceSpan
+from ..spans import Edit, SourceSpan
 
 
 def dominant_eol(data: bytes) -> bytes:
@@ -39,30 +39,32 @@ def own_line_start(data: bytes, offset: int) -> Optional[int]:
 SHARED_LINE = "other code shares the line where the fix would go"
 
 
-def declined(message: str, reason: str) -> str:
-    """A finding's message, saying why no fix is applied if ``reason`` is set."""
-    return f"{message}; {reason}, so no automatic fix is applied" if reason else message
+def insert_lines(data: bytes, offset: int, lines: list[str]) -> Edit:
+    """An edit inserting ``lines`` at ``offset``, each ended with the
+    dominant line end of ``data``."""
+    eol = dominant_eol(data).decode()
+    return Edit.insert(offset, (eol.join(lines) + eol).encode())
 
 
-def line_indent(data: bytes, offset: int) -> bytes:
+def line_indent(data: bytes, offset: int) -> str:
     """Leading whitespace of the line containing ``offset``."""
     start = line_start(data, offset)
     end = start
     while end < len(data) and data[end : end + 1] in (b" ", b"\t"):
         end += 1
-    return data[start:end]
+    return data[start:end].decode()
 
 
-def reindent(text: str, old_indent: str, new_indent: str, eol: str) -> str:
-    """``text`` with ``old_indent`` swapped for ``new_indent`` at the start of
-    every line after the first, and its line ends made ``eol``."""
+def reindent(text: str, old_indent: str, new_indent: str) -> list[str]:
+    """The lines of ``text``, with ``old_indent`` swapped for ``new_indent``
+    at the start of every line after the first."""
     lines = text.replace("\r\n", "\n").split("\n")
     out = [lines[0]]
     for line in lines[1:]:
         if line.startswith(old_indent):
             line = new_indent + line[len(old_indent) :]
         out.append(line)
-    return eol.join(out)
+    return out
 
 
 def indent_unit(data: bytes) -> bytes:
@@ -112,29 +114,28 @@ class Creation:
 def split_args(tokens: list[Token], open_idx: int) -> tuple[list[tuple[int, int]], int]:
     """Split the argument list opened at ``open_idx`` on top-level commas.
 
-    Returns (arg index ranges, index of the closing paren).
+    Returns (arg index ranges, index of the closing paren), the index being
+    ``len(tokens)`` if the list does not close.
     """
-    closed, end = match_group(tokens, open_idx)
-    if not closed:
-        raise ValueError("unbalanced group")
-    close_idx = end - 1
     args: list[tuple[int, int]] = []
     depth = 0
     arg_lo = open_idx + 1
-    for j in range(open_idx + 1, close_idx):
+    for j in range(open_idx + 1, len(tokens)):
         t = tokens[j]
         if t.kind != "op":
             continue
         if t.value in "([{":
             depth += 1
         elif t.value in ")]}":
+            if depth == 0:
+                if arg_lo < j:
+                    args.append((arg_lo, j))
+                return args, j
             depth -= 1
         elif t.value == "," and depth == 0:
             args.append((arg_lo, j))
             arg_lo = j + 1
-    if arg_lo < close_idx:
-        args.append((arg_lo, close_idx))
-    return args, close_idx
+    return args, len(tokens)
 
 
 def find_invocations(tokens: list[Token], lo: int, hi: int) -> Iterator[Invocation]:
@@ -152,10 +153,10 @@ def find_invocations(tokens: list[Token], lo: int, hi: int) -> Iterator[Invocati
         if j >= 2 and tokens[j - 1].is_op(".") and tokens[j - 2].kind == "ident":
             receiver = tokens[j - 2].value
             start = tokens[j - 2].start
-        _, close_idx = split_args(tokens, j + 1)
-        if close_idx >= hi:
+        closed, end = match_group(tokens, j + 1)
+        if not closed or end > hi:
             continue  # call extends past the slice; caller's slice was partial
-        yield Invocation(t.value, receiver, SourceSpan(start, tokens[close_idx].end))
+        yield Invocation(t.value, receiver, SourceSpan(start, tokens[end - 1].end))
 
 
 def find_creations(tokens: list[Token], lo: int, hi: int) -> Iterator[Creation]:
@@ -183,18 +184,38 @@ def find_creations(tokens: list[Token], lo: int, hi: int) -> Iterator[Creation]:
             continue  # array creation or malformed
         args, close_idx = split_args(tokens, k)
         if close_idx >= hi:
-            continue
+            continue  # the call runs past the slice or never closes
         has_body = close_idx + 1 < len(tokens) and tokens[close_idx + 1].is_op("{")
         span = SourceSpan(tokens[j].start, tokens[close_idx].end)
         yield Creation(".".join(parts), j, args, span, has_body)
 
 
-def single_declarator(node: Node) -> Optional[dict]:
-    """The declarator of a one-variable local declaration, else None."""
-    decls = node.props.get("declarators", [])
-    if len(decls) == 1:
+def initialized_local(stmt: Node) -> Optional[dict]:
+    """The declarator of ``stmt`` if it declares one local variable with an
+    initializer, else None."""
+    if stmt.kind != "local_variable_declaration":
+        return None
+    decls = stmt.props["declarators"]
+    if len(decls) == 1 and decls[0]["init"] != (None, None):
         return decls[0]
     return None
+
+
+def uses(tree: SyntaxTree, lo: int, hi: int, name: str) -> Iterator[int]:
+    """Indices of the identifier tokens ``name`` in tokens[lo:hi]."""
+    toks = tree.tokens
+    for j in range(lo, hi):
+        t = toks[j]
+        if t.value == name and t.kind == "ident":
+            yield j
+
+
+def has_signature(method: Node, name: str, param_types: tuple[str, ...]) -> bool:
+    """True if ``method`` is ``name`` and its parameters' base type names
+    are ``param_types``."""
+    return method.props["name"] == name and param_types == tuple(
+        base_type_name(t) for t, _ in method.props["params"]
+    )
 
 
 OWNER_KINDS = (
@@ -225,10 +246,10 @@ def methods_of(tree: SyntaxTree) -> list[tuple[Node, Node]]:
     return out
 
 
-def class_fields(owner: Node) -> dict[str, Node]:
-    """Field name -> field_declaration for the direct members of ``owner``."""
+def class_fields(members: list[Node]) -> dict[str, Node]:
+    """Field name -> field_declaration for the fields among ``members``."""
     fields: dict[str, Node] = {}
-    for child in owner.children:
+    for child in members:
         if child.kind == "field_declaration":
             for d in child.props["declarators"]:
                 fields[d["name"]] = child
@@ -236,7 +257,7 @@ def class_fields(owner: Node) -> dict[str, Node]:
 
 
 def member_names(owner: Node) -> set[str]:
-    names = set(class_fields(owner))
+    names = set(class_fields(owner.children))
     for child in owner.children:
         if child.kind in (
             "method_declaration",

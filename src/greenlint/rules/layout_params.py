@@ -13,7 +13,7 @@ from pathlib import Path
 
 from ..spans import Edit
 from ..xmltree import XmlTree
-from .base import Finding, RuleId, RuleResult
+from .base import RuleId, RuleResult
 
 # Params every ViewGroup understands (layout_margin* matched as a prefix).
 UNIVERSAL_PARAMS = frozenset({"layout_width", "layout_height"})
@@ -75,7 +75,7 @@ class LayoutParamTable:
     children. Entries under parent '*' extend the universal set.
     """
 
-    __slots__ = ("parents", "universal", "universal_prefixes")
+    __slots__ = ("parents", "universal")
 
     def __init__(
         self,
@@ -84,10 +84,9 @@ class LayoutParamTable:
     ):
         self.parents = dict(DEFAULT_TABLE_ENTRIES) if parents is None else parents
         self.universal = universal
-        self.universal_prefixes = UNIVERSAL_PREFIXES
 
     def is_meaningful(self, parent_tag: str, param: str) -> bool:
-        if param in self.universal or param.startswith(self.universal_prefixes):
+        if param in self.universal or param.startswith(UNIVERSAL_PREFIXES):
             return True
         meaningful = self.parents.get(parent_tag)
         if meaningful is None:
@@ -143,17 +142,11 @@ def apply_obsolete_layout_param(
                 continue
             if table.is_meaningful(parent.tag, attr.local_name):
                 continue
-            result.findings.append(
-                Finding(
-                    rule=RuleId.OBSOLETE_LAYOUT_PARAM,
-                    file=path,
-                    span=attr.span,
-                    message=(
-                        f"{attr.name} has no effect on a child of "
-                        f"<{parent.tag}>; it is safe to remove"
-                    ),
-                )
+            message = (
+                f"{attr.name} has no effect on a child of "
+                f"<{parent.tag}>; it is safe to remove"
             )
+            result.report(RuleId.OBSOLETE_LAYOUT_PARAM, path, attr.span, message, "")
             result.edits.add(Edit.delete(attr.ws_start, attr.span.end))
 
     return result

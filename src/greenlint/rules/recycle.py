@@ -16,19 +16,18 @@ from __future__ import annotations
 from typing import Optional
 
 from ..java.parser import Node, SyntaxTree
-from ..spans import Edit
-from .base import Finding, RuleId, RuleResult
+from .base import RuleId, RuleResult
 from .javautil import (
     SHARED_LINE,
     base_type_name,
-    declined,
-    dominant_eol,
     find_invocations,
     indent_unit,
+    initialized_local,
+    insert_lines,
     line_indent,
     methods_of,
     own_line_start,
-    single_declarator,
+    uses,
 )
 
 
@@ -79,26 +78,19 @@ def _match_factory(
 def _released_in_method(tree: SyntaxTree, method: Node, name: str, release: str) -> bool:
     body = method.props["body"]
     toks = tree.tokens
-    for j in range(body.tok_lo, body.tok_hi - 2):
-        if (
-            toks[j].kind == "ident"
-            and toks[j].value == name
-            and toks[j + 1].is_op(".")
-            and toks[j + 2].kind == "ident"
-            and toks[j + 2].value == release
-        ):
-            return True
-    return False
+    return any(
+        toks[j + 1].is_op(".")
+        and toks[j + 2].kind == "ident"
+        and toks[j + 2].value == release
+        for j in uses(tree, body.tok_lo, body.tok_hi - 2, name)
+    )
 
 
 def _escapes(tree: SyntaxTree, method: Node, decl: Node, name: str) -> bool:
     """Conservative: returned, reassigned, aliased, or passed as argument."""
     body = method.props["body"]
     toks = tree.tokens
-    for j in range(decl.tok_hi, body.tok_hi):
-        t = toks[j]
-        if t.kind != "ident" or t.value != name:
-            continue
+    for j in uses(tree, decl.tok_hi, body.tok_hi, name):
         nxt = toks[j + 1] if j + 1 < body.tok_hi else None
         prev = toks[j - 1]
         if nxt is not None and nxt.is_op("."):
@@ -120,15 +112,12 @@ _EXIT_KEYWORDS = frozenset(("return", "throw", "break", "continue"))
 _ABRUPT_EXITS = frozenset(f"{k}_statement" for k in _EXIT_KEYWORDS)
 
 
-def _uses(tree: SyntaxTree, exit_stmt: Node, name: str) -> bool:
+def _exit_uses(tree: SyntaxTree, exit_stmt: Node, name: str) -> bool:
     """True if ``exit_stmt`` is a `return` or `throw` whose expression uses
     ``name``: a release inserted before it would close a resource in use."""
     if exit_stmt.kind not in ("return_statement", "throw_statement"):
         return False
-    return any(
-        t.kind == "ident" and t.value == name
-        for t in tree.tokens[exit_stmt.tok_lo + 1 : exit_stmt.tok_hi]
-    )
+    return any(uses(tree, exit_stmt.tok_lo + 1, exit_stmt.tok_hi, name))
 
 
 def _exits_before(tree: SyntaxTree, decl: Node, end: int) -> bool:
@@ -144,8 +133,6 @@ def _exits_before(tree: SyntaxTree, decl: Node, end: int) -> bool:
 def apply_recycle(tree: SyntaxTree, path: str = "") -> RuleResult:
     result = RuleResult()
     data = tree.data
-    eol = dominant_eol(data).decode()
-    unit = indent_unit(data).decode()
 
     for _, method in methods_of(tree):
         body = method.props["body"]
@@ -155,10 +142,8 @@ def apply_recycle(tree: SyntaxTree, path: str = "") -> RuleResult:
             stmts = block.children
             exit_stmt = stmts[-1] if stmts and stmts[-1].kind in _ABRUPT_EXITS else None
             for stmt in stmts:
-                if stmt.kind != "local_variable_declaration":
-                    continue
-                decl = single_declarator(stmt)
-                if decl is None or decl["init"] == (None, None):
+                decl = initialized_local(stmt)
+                if decl is None:
                     continue
                 init_lo, init_hi = decl["init"]
                 declared_type = base_type_name(stmt.props["type"])
@@ -179,7 +164,7 @@ def apply_recycle(tree: SyntaxTree, path: str = "") -> RuleResult:
                 insert_at = own_line_start(data, tree.tokens[end].start)
                 if _escapes(tree, method, stmt, name):
                     reason = "it escapes the method"
-                elif exit_stmt is not None and _uses(tree, exit_stmt, name):
+                elif exit_stmt is not None and _exit_uses(tree, exit_stmt, name):
                     reason = "the block's last statement still uses it"
                 elif _exits_before(tree, stmt, end):
                     reason = "an earlier exit from the block would skip the release"
@@ -191,25 +176,16 @@ def apply_recycle(tree: SyntaxTree, path: str = "") -> RuleResult:
                     f"'{name}' ({declared_type}) is obtained but never "
                     f"released with {factory.release}()"
                 )
-                result.findings.append(
-                    Finding(
-                        rule=RuleId.RECYCLE,
-                        file=path,
-                        span=anchor,
-                        message=declined(message, reason),
-                        fixable=not reason,
-                    )
-                )
-                if reason:
+                if not result.report(RuleId.RECYCLE, path, anchor, message, reason):
                     continue
 
-                si = line_indent(data, tree.span_of(stmt).start).decode()
+                si = line_indent(data, tree.span_of(stmt).start)
+                unit = indent_unit(data).decode()
                 lines = [
                     f"{si}if ({name} != null) {{",
                     f"{si}{unit}{name}.{factory.release}();",
                     f"{si}}}",
                 ]
-                text = eol.join(lines) + eol
-                result.edits.add(Edit.insert(insert_at, text.encode()))
+                result.edits.add(insert_lines(data, insert_at, lines))
 
     return result

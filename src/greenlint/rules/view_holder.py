@@ -9,47 +9,24 @@ private static holder class stashed on the view via setTag/getTag.
 from __future__ import annotations
 
 from ..java.parser import Node, SyntaxTree
-from ..spans import Edit, SourceSpan
-from .base import Finding, RuleId, RuleResult
+from ..spans import Edit
+from .base import RuleId, RuleResult
 from .javautil import (
     SHARED_LINE,
-    base_type_name,
-    declined,
     dominant_eol,
     find_invocations,
+    has_signature,
+    initialized_local,
+    insert_lines,
     line_indent,
     member_names,
     methods_of,
     own_line_start,
     reindent,
-    single_declarator,
 )
 
 HOLDER_BASE_NAME = "ViewHolderItem"
 HOLDER_VAR = "viewHolderItem"
-
-
-class _CachedView:
-    __slots__ = ("decl", "name", "type_text", "head_text", "init_text")
-
-    def __init__(
-        self, decl: Node, name: str, type_text: str, head_text: str, init_text: str
-    ):
-        self.decl = decl
-        self.name = name
-        self.type_text = type_text
-        self.head_text = head_text  # e.g. "final TextView t" (modifiers + type + name)
-        self.init_text = init_text
-
-
-def _is_get_view(method: Node) -> bool:
-    if method.props["name"] != "getView":
-        return False
-    params = method.props["params"]
-    if len(params) != 3:
-        return False
-    types = [base_type_name(t) for t, _ in params]
-    return types == ["int", "View", "ViewGroup"]
 
 
 def _already_optimized(tree: SyntaxTree, body: Node, convert_view: str) -> bool:
@@ -84,36 +61,20 @@ def _find_inflate_assignment(tree: SyntaxTree, body: Node, convert_view: str):
 
 def _collect_cached_views(
     tree: SyntaxTree, body: Node, after: Node
-) -> list[_CachedView]:
-    """Contiguous run of findViewById-initialized locals following ``after``."""
+) -> list[tuple[Node, dict]]:
+    """Contiguous run of findViewById-initialized locals following ``after``,
+    as (statement, declarator) pairs."""
     stmts = body.children
     idx = stmts.index(after)
-    cached: list[_CachedView] = []
+    cached: list[tuple[Node, dict]] = []
     for stmt in stmts[idx + 1 :]:
-        if stmt.kind != "local_variable_declaration":
-            break
-        decl = single_declarator(stmt)
-        if decl is None or decl["init"] == (None, None):
-            break
-        init_lo, init_hi = decl["init"]
-        if not any(
+        decl = initialized_local(stmt)
+        if decl is None or not any(
             inv.name == "findViewById"
-            for inv in find_invocations(tree.tokens, init_lo, init_hi)
+            for inv in find_invocations(tree.tokens, *decl["init"])
         ):
             break
-        head_span = SourceSpan(tree.span_of(stmt).start, decl["name_span"].end)
-        init_span = SourceSpan(
-            tree.tokens[init_lo].start, tree.tokens[init_hi - 1].end
-        )
-        cached.append(
-            _CachedView(
-                stmt,
-                decl["name"],
-                stmt.props["type"],
-                tree.text_of(head_span),
-                tree.text_of(init_span),
-            )
-        )
+        cached.append((stmt, decl))
     return cached
 
 
@@ -129,11 +90,11 @@ def _holder_name(taken: set[str]) -> str:
 def apply_view_holder(tree: SyntaxTree, path: str = "") -> RuleResult:
     result = RuleResult()
     data = tree.data
-    eol = dominant_eol(data).decode()
+    toks = tree.tokens
     taken_per_owner: dict[Node, set[str]] = {}
 
     for owner, method in methods_of(tree):
-        if not _is_get_view(method):
+        if not has_signature(method, "getView", ("int", "View", "ViewGroup")):
             continue
         body = method.props["body"]
         convert_view = method.props["params"][1][1]
@@ -158,55 +119,51 @@ def apply_view_holder(tree: SyntaxTree, path: str = "") -> RuleResult:
             "getView() inflates its row layout and calls findViewById() "
             "on every call; cache the looked-up views in a holder"
         )
-        result.findings.append(
-            Finding(
-                rule=RuleId.VIEW_HOLDER,
-                file=path,
-                span=method.props["name_span"],
-                message=declined(message, reason),
-                fixable=not reason,
-            )
-        )
-        if reason:
+        span = method.props["name_span"]
+        if not result.report(RuleId.VIEW_HOLDER, path, span, message, reason):
             continue
 
         taken = taken_per_owner.setdefault(owner, member_names(owner))
         holder = _holder_name(taken)
         taken.add(holder)
 
-        mi = line_indent(data, method_start).decode()
-        si = line_indent(data, stmt_start).decode()
+        mi = line_indent(data, method_start)
+        si = line_indent(data, stmt_start)
         unit = si[len(mi) :] if si.startswith(mi) and len(si) > len(mi) else "    "
+        inner = si + unit
 
-        # nested holder class inserted right above the method
+        # nested holder class inserted right above the method, then a blank line
         holder_lines = [f"{mi}private static class {holder} {{"]
-        for view in cached:
-            holder_lines.append(f"{mi}{unit}private {view.type_text} {view.name};")
-        holder_lines.append(f"{mi}}}")
-        holder_text = eol.join(holder_lines) + eol + eol
-        result.edits.add(Edit.insert(holder_at, holder_text.encode()))
+        for stmt, decl in cached:
+            field = f"private {stmt.props['type']} {decl['name']};"
+            holder_lines.append(f"{mi}{unit}{field}")
+        holder_lines += [f"{mi}}}", ""]
+        result.edits.add(insert_lines(data, holder_at, holder_lines))
 
-        # rebuild the inflate + lookup block as the null-guarded holder block
-        assign_text = reindent(tree.text_of(assign), si, si + unit, eol)
+        # rebuild the inflate + lookup block as the null-guarded holder block;
+        # reindent leaves a text's first line alone, so it takes the prefix
         lines = [
             f"{si}{holder} {HOLDER_VAR};",
             f"{si}if ({convert_view} == null) {{",
-            f"{si}{unit}{assign_text}",
-            f"{si}{unit}{HOLDER_VAR} = new {holder}();",
+            *reindent(inner + tree.text_of(assign), si, inner),
+            f"{inner}{HOLDER_VAR} = new {holder}();",
         ]
-        for view in cached:
-            init = reindent(view.init_text, si, si + unit, eol)
-            lines.append(f"{si}{unit}{HOLDER_VAR}.{view.name} = {init};")
-        lines.append(f"{si}{unit}{convert_view}.setTag({HOLDER_VAR});")
+        for _, decl in cached:
+            lo, hi = decl["init"]
+            init = data[toks[lo].start : toks[hi - 1].end].decode()
+            assignment = f"{inner}{HOLDER_VAR}.{decl['name']} = {init};"
+            lines += reindent(assignment, si, inner)
+        lines.append(f"{inner}{convert_view}.setTag({HOLDER_VAR});")
         lines.append(f"{si}}} else {{")
-        lines.append(f"{si}{unit}{HOLDER_VAR} = ({holder}) {convert_view}.getTag();")
+        lines.append(f"{inner}{HOLDER_VAR} = ({holder}) {convert_view}.getTag();")
         lines.append(f"{si}}}")
-        for view in cached:
-            head = reindent(view.head_text, si, si, eol)
-            lines.append(f"{si}{head} = {HOLDER_VAR}.{view.name};")
-        block_text = eol.join(lines)
+        for stmt, decl in cached:
+            # modifiers, type and name, e.g. "final TextView t"
+            head = data[tree.span_of(stmt).start : decl["name_span"].end].decode()
+            lines += reindent(f"{si}{head} = {HOLDER_VAR}.{decl['name']};", si, si)
+        block_text = dominant_eol(data).decode().join(lines)
 
-        region_end = tree.span_of(cached[-1].decl).end
+        region_end = tree.span_of(cached[-1][0]).end
         result.edits.add(Edit.replace(region_start, region_end, block_text.encode()))
 
     return result

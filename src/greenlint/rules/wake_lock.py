@@ -12,17 +12,16 @@ from __future__ import annotations
 from typing import Optional
 
 from ..java.parser import Node, SyntaxTree
-from ..spans import Edit, SourceSpan
+from ..spans import SourceSpan
 from .base import Finding, RuleId, RuleResult
 from .javautil import (
     SHARED_LINE,
     base_type_name,
     class_fields,
     declared_locals,
-    declined,
-    dominant_eol,
     find_invocations,
     indent_unit,
+    insert_lines,
     line_indent,
     own_line_start,
 )
@@ -30,14 +29,6 @@ from .javautil import (
 LIFECYCLE_METHODS = frozenset(
     ["onCreate", "onStart", "onResume", "onRestart", "onNewIntent"]
 )
-
-
-class _Acquisition:
-    __slots__ = ("field", "span")
-
-    def __init__(self, field: str, span: SourceSpan):
-        self.field = field
-        self.span = span  # the acquire() call
 
 
 def _is_activity_class(node: Node) -> bool:
@@ -52,7 +43,7 @@ def _is_activity_class(node: Node) -> bool:
 def _wake_lock_fields(owner: Node) -> set[str]:
     return {
         name
-        for name, decl in class_fields(owner).items()
+        for name, decl in class_fields(owner.children).items()
         if base_type_name(decl.props["type"]) == "WakeLock"
     }
 
@@ -64,22 +55,9 @@ def _method_named(owner: Node, name: str) -> Optional[Node]:
     return None
 
 
-def _calls_on(tree: SyntaxTree, method: Node, receiver: str, name: str) -> list:
-    body = method.props.get("body")
-    if body is None:
-        return []
-    return [
-        inv
-        for inv in find_invocations(tree.tokens, body.tok_lo, body.tok_hi)
-        if inv.name == name and inv.receiver == receiver
-    ]
-
-
 def apply_wake_lock(tree: SyntaxTree, path: str = "") -> RuleResult:
     result = RuleResult()
     data = tree.data
-    eol = dominant_eol(data).decode()
-    unit = indent_unit(data).decode()
 
     for owner in tree.root.walk():
         if not _is_activity_class(owner):
@@ -93,7 +71,7 @@ def apply_wake_lock(tree: SyntaxTree, path: str = "") -> RuleResult:
             and c.props["body"] is not None
         ]
 
-        acquisitions: list[_Acquisition] = []
+        acquisitions: list[tuple[str, SourceSpan]] = []  # (field, acquire() call)
         local_acquires: list[SourceSpan] = []
         for method in lifecycle:
             locals_ = declared_locals(method)
@@ -102,31 +80,28 @@ def apply_wake_lock(tree: SyntaxTree, path: str = "") -> RuleResult:
                 if inv.name != "acquire" or inv.receiver is None:
                     continue
                 if inv.receiver in wl_fields and inv.receiver not in locals_:
-                    acquisitions.append(_Acquisition(inv.receiver, inv.span))
+                    acquisitions.append((inv.receiver, inv.span))
                 elif _local_wake_lock(method, inv.receiver):
                     local_acquires.append(inv.span)
 
         on_pause = _method_named(owner, "onPause")
         insert_at, reason = _release_point(tree, owner, on_pause)
+        pause_body = on_pause.props["body"] if on_pause is not None else None
+        released = set()  # receivers of the release() calls in onPause
+        if pause_body is not None:
+            calls = find_invocations(tree.tokens, pause_body.tok_lo, pause_body.tok_hi)
+            released = {inv.receiver for inv in calls if inv.name == "release"}
         pending_release: list[str] = []
-        for acq in acquisitions:
-            if on_pause is not None and _calls_on(tree, on_pause, acq.field, "release"):
+        for field, span in acquisitions:
+            if field in released:
                 continue
             message = (
-                f"wake lock field '{acq.field}' is acquired but never "
+                f"wake lock field '{field}' is acquired but never "
                 "released in onPause()"
             )
-            result.findings.append(
-                Finding(
-                    rule=RuleId.WAKE_LOCK,
-                    file=path,
-                    span=acq.span,
-                    message=declined(message, reason),
-                    fixable=not reason,
-                )
-            )
-            if acq.field not in pending_release:
-                pending_release.append(acq.field)
+            result.report(RuleId.WAKE_LOCK, path, span, message, reason)
+            if field not in pending_release:
+                pending_release.append(field)
         for span in local_acquires:
             result.findings.append(
                 Finding(
@@ -145,36 +120,35 @@ def apply_wake_lock(tree: SyntaxTree, path: str = "") -> RuleResult:
         if not pending_release or reason:
             continue
 
+        unit = indent_unit(data).decode()
+        head: list[str] = []
+        tail: list[str] = []
         if on_pause is None:
-            mi = _member_indent(tree, data, owner, unit)
-            lines = [
+            mi = _member_indent(tree, owner, unit)
+            si = mi + unit
+            head = [
                 "",
                 f"{mi}@Override",
                 f"{mi}protected void onPause() {{",
-                f"{mi}{unit}super.onPause();",
+                f"{si}super.onPause();",
             ]
-            for field in pending_release:
-                lines.append(f"{mi}{unit}if ({_guard(field)}) {{")
-                lines.append(f"{mi}{unit}{unit}{field}.release();")
-                lines.append(f"{mi}{unit}}}")
-            lines.append(f"{mi}}}")
-            text = eol.join(lines) + eol
-            result.edits.add(Edit.insert(insert_at, text.encode()))
+            tail = [f"{mi}}}"]
+        elif pause_body.children and pause_body.children[-1].kind == "return_statement":
+            si = line_indent(data, insert_at)
+        elif pause_body.children:
+            si = line_indent(data, tree.span_of(pause_body.children[0]).start)
         else:
-            stmts = on_pause.props["body"].children
-            if stmts and stmts[-1].kind == "return_statement":
-                si = line_indent(data, insert_at).decode()
-            elif stmts:
-                si = line_indent(data, tree.span_of(stmts[0]).start).decode()
-            else:
-                si = line_indent(data, tree.span_of(on_pause).start).decode() + unit
-            lines = []
-            for field in pending_release:
-                lines.append(f"{si}if ({_guard(field)}) {{")
-                lines.append(f"{si}{unit}{field}.release();")
-                lines.append(f"{si}}}")
-            text = eol.join(lines) + eol
-            result.edits.add(Edit.insert(insert_at, text.encode()))
+            si = line_indent(data, tree.span_of(on_pause).start) + unit
+        releases = [
+            line
+            for field in pending_release
+            for line in (
+                f"{si}if ({_guard(field)}) {{",
+                f"{si}{unit}{field}.release();",
+                f"{si}}}",
+            )
+        ]
+        result.edits.add(insert_lines(data, insert_at, head + releases + tail))
 
     return result
 
@@ -214,8 +188,8 @@ def _local_wake_lock(method: Node, name: str) -> bool:
     return False
 
 
-def _member_indent(tree: SyntaxTree, data: bytes, owner: Node, unit: str) -> str:
+def _member_indent(tree: SyntaxTree, owner: Node, unit: str) -> str:
     for child in owner.children:
         if child.kind in ("method_declaration", "field_declaration"):
-            return line_indent(data, tree.span_of(child).start).decode()
-    return line_indent(data, tree.span_of(owner).start).decode() + unit
+            return line_indent(tree.data, tree.span_of(child).start)
+    return line_indent(tree.data, tree.span_of(owner).start) + unit

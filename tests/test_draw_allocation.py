@@ -1,5 +1,6 @@
 import pytest
 
+from greenlint.cli import EXIT_CLEAN, main
 from greenlint.rules.base import RuleId
 from greenlint.rules.draw_allocation import apply_draw_allocation
 
@@ -56,6 +57,22 @@ def test_field_argument_is_invariant():
     result, fixed = fix_java(apply_draw_allocation, source)
     assert len(result.findings) == 1
     assert b"private int size;\n    Rect r = new Rect(0, 0, size, size);\n    protected void onDraw" in fixed
+
+
+def test_field_declared_below_on_draw_is_not_invariant(tmp_path, capsys):
+    # Hoisted above onDraw, the field's initializer would read `size` before
+    # its declaration: javac rejects that as an illegal forward reference.
+    source = (
+        _on_draw("Rect r = new Rect(0, 0, size, size);")[: -len(b"}\n")]
+        + b"    private int size;\n}\n"
+    )
+    target = tmp_path / "src" / "V.java"
+    target.parent.mkdir()
+    target.write_bytes(source)
+    assert main(["check", str(tmp_path)]) == EXIT_CLEAN
+    assert main(["fix", str(tmp_path)]) == EXIT_CLEAN
+    assert target.read_bytes() == source
+    assert "DrawAllocation" not in capsys.readouterr().out
 
 
 def test_class_constant_argument_is_invariant():

@@ -137,6 +137,20 @@ def test_declarations_with_and_without_initializer_parse(source):
 
 
 @pytest.mark.parametrize(
+    "source,names",
+    [
+        (b"class A { void f() { Map<K,V> m = new HashMap<K, V>(); } }", ["m"]),
+        (b"class A { Map<K,V> m = new HashMap<K, V>(), n; }", ["m", "n"]),
+        (b"class A { void f() { boolean b = a < c, d = e > f; } }", ["b", "d"]),
+    ],
+)
+def test_declarator_names(source, names):
+    tree = parse_java(source)
+    decl = next(n for n in tree.root.walk() if "declarators" in n.props)
+    assert [d["name"] for d in decl.props["declarators"]] == names
+
+
+@pytest.mark.parametrize(
     "statement,column",
     [
         (b"x = ;", 26),
@@ -246,6 +260,8 @@ def test_split_args_splits_on_top_level_commas_only():
         (b"class A { int x, ; }", "1:18: expected field name"),
         (b"class A { int x = 1 }", "1:21: unexpected '}' in expression"),
         (b"class A { void f(int) {} }", "1:21: expected parameter name"),
+        (b"class A { void f(int x, ) {} }", "1:25: expected type"),
+        (b"class A { void f(int x int y) {} }", "1:24: expected ','"),
         (b"class A { void f(public int x) {} }", "1:18: expected type"),
         (b"class A { void f(final final int x) {} }", "1:24: expected type"),
         (b"class A { A( {} }", "1:14: expected type"),
@@ -269,6 +285,7 @@ def test_split_args_splits_on_top_level_commas_only():
         (b"class A { void f() { try {} finally x(); } }", "1:37: expected '{'"),
         (b"class A { void f() { synchronized (x) x(); } }", "1:39: expected '{'"),
         (b"class A { void f() { int x, ; } }", "1:29: expected variable name"),
+        (b"class A { void f() { final int ; } }", "1:32: expected variable name"),
         (b"class A { void f() { int x = 1 } }", "1:32: unexpected '}' in expression"),
         (b"class A { void f() { int x = (1]; } }", "1:32: unexpected ']' in expression"),
         (b"class A { void f() { x = 1", "1:27: unexpected end of file in expression"),

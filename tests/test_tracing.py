@@ -24,7 +24,20 @@ def _load_bench_module(name: str, monkeypatch):
     return module
 
 
-def test_tracer_sees_every_layer_of_a_check(tmp_path, monkeypatch):
+RULE_LAYERS = {
+    "engine.process_file",
+    "java.parser.parse_java_source",
+    "xmltree.parse_layout_xml",
+    "rules.ViewHolder",
+    "rules.DrawAllocation",
+    "rules.WakeLock",
+    "rules.Recycle",
+    "rules.ObsoleteLayoutParam",
+}
+
+
+def _traced_layers(command: str, tmp_path, monkeypatch) -> set[str]:
+    """The layers that record calls while ``command`` runs on the goldens."""
     for name, ext in GOLDEN_CASES.items():
         rel = f"src/{name}.java" if ext == "java" else f"res/layout/{name}.xml"
         target = tmp_path / rel
@@ -33,16 +46,18 @@ def test_tracer_sees_every_layer_of_a_check(tmp_path, monkeypatch):
     _load_bench_module("corpus", monkeypatch)  # tracing imports it by this name
     tracing = _load_bench_module("tracing", monkeypatch)
     with tracing.traced_calls() as spans:
-        assert cli.main(["check", str(tmp_path), "--jobs", "1"]) == cli.EXIT_FINDINGS
-    seen = {span.name for span in spans}
-    expected = {
-        "engine.process_file",
-        "java.parser.parse_java_source",
-        "xmltree.parse_layout_xml",
-        "rules.ViewHolder",
-        "rules.DrawAllocation",
-        "rules.WakeLock",
-        "rules.Recycle",
-        "rules.ObsoleteLayoutParam",
-    }
+        assert cli.main([command, str(tmp_path), "--jobs", "1"]) == cli.EXIT_FINDINGS
+    return {span.name for span in spans}
+
+
+def test_tracer_sees_every_layer_of_a_check(tmp_path, monkeypatch):
+    seen = _traced_layers("check", tmp_path, monkeypatch)
+    assert RULE_LAYERS <= seen, RULE_LAYERS - seen
+
+
+def test_tracer_sees_every_layer_of_a_fix(tmp_path, monkeypatch):
+    # Edits built by a helper rather than by the rule itself must still be
+    # counted under the rule's layer and applied through apply_edit_set.
+    seen = _traced_layers("fix", tmp_path, monkeypatch)
+    expected = RULE_LAYERS | {"spans.apply_edit_set"}
     assert expected <= seen, expected - seen
