@@ -16,7 +16,6 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .diagnostics import line_col
 from .engine import (
     MODE_FIX,
     MODE_PATCH,
@@ -28,7 +27,7 @@ from .engine import (
     run_project,
 )
 from .report import aggregate, emit
-from .rules import LayoutParamTable, RuleId
+from .rules import Finding, LayoutParamTable, RuleId
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -111,8 +110,6 @@ def _parse_rules(only: Optional[str]) -> frozenset[RuleId]:
                 f"unknown rule {name!r}; known rules: {', '.join(by_name)}"
             )
         rules.add(by_name[name])
-    if not rules:
-        raise _UsageError("--only selected no rules")
     return frozenset(rules)
 
 
@@ -146,13 +143,21 @@ def _make_config(args: argparse.Namespace, path: Path, mode: str) -> RunConfig:
         raise _UsageError(str(exc)) from exc
 
 
-def _sorted_findings(outcomes: list[FileOutcome]):
-    entries = []
-    for outcome in outcomes:
-        for finding in outcome.findings:
-            entries.append(finding)
-    entries.sort(key=lambda f: (f.file, f.span.start, str(f.rule)))
-    return entries
+def _run(
+    config: RunConfig, project_id: Optional[str]
+) -> tuple[ProjectReport, list[FileOutcome]]:
+    """``run_project``, with its warnings printed on stderr."""
+    report, outcomes = run_project(config, project_id)
+    for warning in report.warnings:
+        print(warning, file=sys.stderr)
+    return report, outcomes
+
+
+def _sorted_findings(outcomes: list[FileOutcome]) -> list[Finding]:
+    return sorted(
+        (f for o in outcomes for f in o.findings),
+        key=lambda f: (f.file, f.span.start, str(f.rule)),
+    )
 
 
 def _summary_payload(report: ProjectReport) -> dict:
@@ -191,27 +196,13 @@ def _report_payload(
     }
 
 
-def _print_text_findings(outcomes: list[FileOutcome], root: Path) -> None:
-    cache: dict[str, bytes] = {}
-    for finding in _sorted_findings(outcomes):
-        data = cache.get(finding.file)
-        if data is None:
-            candidate = root / finding.file if not root.is_file() else root
-            try:
-                data = candidate.read_bytes()
-            except OSError:
-                data = b""
-            cache[finding.file] = data
-        if data and finding.span.start <= len(data):
-            line, col = line_col(data, finding.span.start)
-            location = f"{finding.file}:{line}:{col}"
-        else:
-            location = finding.file
-        tag = "" if finding.fixable else " (not auto-fixable)"
-        print(f"{location}: [{finding.rule}] {finding.message}{tag}")
+def _print_text_findings(outcomes: list[FileOutcome]) -> None:
+    for f in _sorted_findings(outcomes):
+        tag = "" if f.fixable else " (not auto-fixable)"
+        print(f"{f.file}:{f.line}:{f.column}: [{f.rule}] {f.message}{tag}")
 
 
-def _exit_status(report: ProjectReport, outcomes: list[FileOutcome]) -> int:
+def _exit_status(outcomes: list[FileOutcome]) -> int:
     if any(o.internal_error for o in outcomes):
         return EXIT_INTERNAL
     if any(o.findings for o in outcomes):
@@ -220,35 +211,24 @@ def _exit_status(report: ProjectReport, outcomes: list[FileOutcome]) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    config = _make_config(args, args.path, MODE_REPORT)
-    report, outcomes = run_project(config)
-    for warning in report.warnings:
-        print(warning, file=sys.stderr)
+    report, outcomes = _run(_make_config(args, args.path, MODE_REPORT), None)
     if args.format == "json":
         import json
 
         print(json.dumps(_report_payload("check", report, outcomes), indent=2))
     else:
-        _print_text_findings(outcomes, args.path)
-    return _exit_status(report, outcomes)
+        _print_text_findings(outcomes)
+    return _exit_status(outcomes)
 
 
 def _cmd_fix(args: argparse.Namespace) -> int:
     mode = MODE_PATCH if args.patch_dir is not None else MODE_FIX
-    config = _make_config(args, args.path, mode)
-    report, outcomes = run_project(config)
-    for warning in report.warnings:
-        print(warning, file=sys.stderr)
+    report, outcomes = _run(_make_config(args, args.path, mode), None)
     if args.patch_dir is not None:
         args.patch_dir.mkdir(parents=True, exist_ok=True)
         for outcome in outcomes:
             if outcome.patch:
-                rel = Path(
-                    outcome.path.relative_to(args.path)
-                    if args.path.is_dir()
-                    else outcome.path.name
-                )
-                target = args.patch_dir / rel.with_name(rel.name + ".patch")
+                target = args.patch_dir / f"{outcome.shown}.patch"
                 target.parent.mkdir(parents=True, exist_ok=True)
                 target.write_text(outcome.patch, encoding="utf-8")
     fixed = sum(c.fixed for c in report.rule_counts.values())
@@ -257,7 +237,7 @@ def _cmd_fix(args: argparse.Namespace) -> int:
         f"{fixed} refactoring(s) applied"
         + (f", {unfixable} finding(s) not auto-fixable" if unfixable else "")
     )
-    return _exit_status(report, outcomes)
+    return _exit_status(outcomes)
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
@@ -274,9 +254,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     internal = False
     for project in projects:
         config.input_path = project  # an existing directory, so still valid
-        report, outcomes = run_project(config, project_id=project.name)
-        for warning in report.warnings:
-            print(warning, file=sys.stderr)
+        report, outcomes = _run(config, project.name)
         internal = internal or any(o.internal_error for o in outcomes)
         reports.append(report)
     summary = aggregate(reports)

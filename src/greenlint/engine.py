@@ -5,7 +5,7 @@ thread. Every file, `.java` or `res/layout*/*.xml`, goes through the same
 pass loop with its language's parser and rules. A rule is a function
 `(tree, path) -> RuleResult`; the layout rule gets the run's parent/attribute
 table bound in. Each pass parses the current text once, runs every enabled
-rule on that tree and applies their merged edit sets in one step. The first
+rule on that tree and applies their merged edit lists in one step. The first
 pass is the report, so findings point into the file on disk; the pass after
 a rewrite is its verification. Rewritten text must re-parse cleanly and the
 rules must then report nothing fixable, otherwise the file's fixes are
@@ -21,7 +21,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Union
 
-from .diagnostics import ParseDiagnostic
+from .diagnostics import ParseDiagnostic, line_col
 from .java.parser import SyntaxTree, parse_java_source
 from .rules import (
     Finding,
@@ -34,7 +34,7 @@ from .rules import (
     apply_view_holder,
     apply_wake_lock,
 )
-from .spans import EditError, EditSet, apply_edit_set
+from .spans import Edit, EditError, apply_edit_set
 from .xmltree import XmlTree, parse_layout_xml
 
 DEFAULT_EXCLUDES = ("**/build/**", "**/.git/**", "**/generated/**")
@@ -86,7 +86,7 @@ class FileOutcome:
     __slots__ = (
         "path",
         "language",
-        "parse_ok",
+        "shown",
         "diagnostics",
         "findings",
         "rewritten",
@@ -95,11 +95,11 @@ class FileOutcome:
         "internal_error",
     )
 
-    def __init__(self, path: Path, language: str):
+    def __init__(self, path: Path, language: str, shown: str):
         self.path = path
-        self.language = language  # java | xml | skipped
-        self.parse_ok = True
-        self.diagnostics: list[ParseDiagnostic] = []
+        self.language = language  # java | xml
+        self.shown = shown  # the name findings and patches give the file
+        self.diagnostics: list[ParseDiagnostic] = []  # one, if it does not parse
         self.findings: list[Finding] = []
         self.rewritten = False
         self.patch: Optional[str] = None
@@ -228,24 +228,18 @@ def discover_files(
 
 
 def process_file(
-    path: Path,
-    language: str,
-    config: RunConfig,
-    display_path: Optional[str] = None,
+    path: Path, language: str, config: RunConfig, shown: str
 ) -> FileOutcome:
     """Run the enabled rules over one file; pure up to filesystem writes."""
-    outcome = FileOutcome(path, language)
-    shown = display_path if display_path is not None else str(path)
+    outcome = FileOutcome(path, language, shown)
     try:
         original = path.read_bytes()
     except OSError as exc:
-        outcome.language = "skipped"
         outcome.skip_reason = f"unreadable: {exc}"
         return outcome
     try:
         original.decode("utf-8")
     except UnicodeDecodeError:
-        outcome.language = "skipped"
         outcome.skip_reason = "not UTF-8; refusing to touch unknown encodings"
         return outcome
 
@@ -273,8 +267,6 @@ def process_file(
     except (_VerificationError, EditError) as exc:
         outcome.internal_error = str(exc)
         return outcome
-    if not outcome.parse_ok:
-        return outcome
 
     if text != original and config.mode == MODE_FIX:
         try:
@@ -301,7 +293,8 @@ def _fix(
 ) -> bytes:
     """Run ``rules`` in passes of one ``parse`` each; return the fixed text.
 
-    Pass 0 is the report, so findings are in original-file coordinates. A
+    Pass 0 is the report, so findings are in original-file coordinates;
+    their line and column are set from ``original`` there. A
     rule whose edits touch those accepted before it in a pass waits, with
     the rules after it, for the next pass over the rewritten text; so the
     bytes are those a rule-by-rule chain writes. A pass after a rewrite is
@@ -316,15 +309,16 @@ def _fix(
         tree, diags = parse(text)
         if tree is None:
             if pass_no == 0:
-                outcome.parse_ok = False
                 outcome.diagnostics = diags
                 return text
             raise _VerificationError(f"rewritten output does not parse: {diags[0]}")
-        merged = EditSet()
+        merged: list[Edit] = []
         deferring = False
         for rule, fn in rules:
             result = fn(tree, shown)
             if pass_no == 0:
+                for finding in result.findings:
+                    finding.line, finding.column = line_col(text, finding.span.start)
                 outcome.findings.extend(result.findings)
             if rule in applied:
                 if result.fixable_count:
@@ -342,12 +336,12 @@ def _fix(
     return text
 
 
-def _touches(accepted: EditSet, edits: EditSet) -> bool:
+def _touches(accepted: list[Edit], edits: list[Edit]) -> bool:
     """True if an edit shares a byte or an end point with an accepted one."""
     return any(
         a.span.start <= b.span.end and b.span.start <= a.span.end
-        for a in accepted.edits
-        for b in edits.edits
+        for a in accepted
+        for b in edits
     )
 
 
@@ -379,30 +373,30 @@ def run_project(
     if project_id is None:
         project_id = root.resolve().name
     files = discover_files(config, warnings)
-
-    def display(path: Path) -> str:
-        try:
-            return path.relative_to(root).as_posix()
-        except ValueError:
-            return path.as_posix()
-
-    outcomes = [process_file(p, lang, config, display(p)) for p, lang in files]
+    # A file input is shown by its name; a file under a directory input, by
+    # its path relative to that directory.
+    outcomes = [
+        process_file(
+            p, lang, config, p.name if p == root else p.relative_to(root).as_posix()
+        )
+        for p, lang in files
+    ]
 
     counts = {rule: RuleCount() for rule in RuleId}
     java_files = xml_files = parse_failures = 0
     for outcome in outcomes:
-        if outcome.language == "java":
-            java_files += 1
-        elif outcome.language == "xml":
-            xml_files += 1
-        if not outcome.parse_ok:
-            parse_failures += 1
-            for d in outcome.diagnostics:
-                warnings.append(
-                    f"{outcome.path}:{d.line}:{d.column}: parse error: {d.message}"
-                )
         if outcome.skip_reason:
             warnings.append(f"{outcome.path}: skipped: {outcome.skip_reason}")
+        elif outcome.language == "java":
+            java_files += 1
+        else:
+            xml_files += 1
+        if outcome.diagnostics:
+            parse_failures += 1
+        for d in outcome.diagnostics:
+            warnings.append(
+                f"{outcome.path}:{d.line}:{d.column}: parse error: {d.message}"
+            )
         if outcome.internal_error:
             warnings.append(f"{outcome.path}: error: {outcome.internal_error}")
         applied = outcome.rewritten or outcome.patch is not None

@@ -51,6 +51,9 @@ _TYPE_KINDS = {
     "enum": "enum_declaration",
 }
 
+# A local class declaration starts with one of these or an annotation.
+_LOCAL_TYPE_STARTS = frozenset(_TYPE_KINDS) | {"final", "abstract", "static"}
+
 _CLOSERS = {"(": ")", "[": "]", "{": "}", "<": ">"}
 _OPENERS = frozenset("([{")
 _BRACKET_CLOSERS = frozenset(")]}")
@@ -553,13 +556,13 @@ class _Parser:
             if kind is not None:
                 self.advance()
                 return self._finish_simple_statement(kind, self.i - 1)
-            if t.value in _TYPE_KINDS or t.value in ("final", "abstract", "static"):
-                saved = self.i
-                self._parse_modifiers()
-                t = self.peek()
-                self.i = saved
-                if t is not None and t.kind == "keyword" and t.value in _TYPE_KINDS:
-                    return self._parse_type_decl()
+        if t.is_op("@") or t.kind == "keyword" and t.value in _LOCAL_TYPE_STARTS:
+            saved = self.i
+            self._parse_modifiers()
+            t = self.peek()
+            self.i = saved
+            if t is not None and t.kind == "keyword" and t.value in _TYPE_KINDS:
+                return self._parse_type_decl()
         decl = self._try_local_var_decl()
         if decl is not None:
             return decl
@@ -718,6 +721,13 @@ class _Parser:
                     continue
                 elif v == "}":
                     raise self.fail("unexpected '}' in expression")
+                elif v == "." and i + 1 < n and toks[i + 1].is_op("<"):
+                    # explicit type arguments, `Collections.<K, V>emptyMap()`:
+                    # a comma in them ends no declarator; an unclosed `<` is
+                    # reported at the cursor, so it moves there first
+                    self.i = i + 1
+                    self.i = self._skip_group(self.i)
+                    continue
             elif t.kind == "keyword" and t.value == "new":
                 args = self._args_after_new(i + 1)
                 if args is not None:

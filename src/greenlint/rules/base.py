@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 
-from ..spans import EditSet, SourceSpan
+from ..spans import Edit, SourceSpan
 
 
 class RuleId(enum.Enum):
@@ -24,7 +24,7 @@ JAVA_RULE_ORDER = tuple(r for r in RuleId if r is not RuleId.OBSOLETE_LAYOUT_PAR
 
 
 class Finding:
-    __slots__ = ("rule", "file", "span", "message", "fixable")
+    __slots__ = ("rule", "file", "span", "message", "fixable", "line", "column")
 
     def __init__(
         self,
@@ -39,6 +39,7 @@ class Finding:
         self.span = span
         self.message = message
         self.fixable = fixable
+        self.line = self.column = 0  # 1-based; the engine sets them from the file
 
 
 class RuleResult:
@@ -46,7 +47,7 @@ class RuleResult:
 
     def __init__(self) -> None:
         self.findings: list[Finding] = []
-        self.edits = EditSet()
+        self.edits: list[Edit] = []
 
     def report(
         self, rule: RuleId, path: str, span: SourceSpan, message: str, reason: str

@@ -133,7 +133,7 @@ def apply_draw_allocation(tree: SyntaxTree, path: str = "") -> RuleResult:
             stmt_span = tree.span_of(stmt)
             si = line_indent(data, stmt_span.start)
             field_lines = reindent(mi + tree.text_of(stmt_span), si, mi)
-            result.edits.add(insert_lines(data, insert_at, field_lines))
+            result.edits.append(insert_lines(data, insert_at, field_lines))
 
             # remove the local declaration, taking its whole line when the
             # statement is alone on it
@@ -146,6 +146,6 @@ def apply_draw_allocation(tree: SyntaxTree, path: str = "") -> RuleResult:
                 del_start = ls
                 if nl >= 0:
                     del_end = nl + 1
-            result.edits.add(Edit.delete(del_start, del_end))
+            result.edits.append(Edit.delete(del_start, del_end))
 
     return result

@@ -147,6 +147,6 @@ def apply_obsolete_layout_param(
                 f"<{parent.tag}>; it is safe to remove"
             )
             result.report(RuleId.OBSOLETE_LAYOUT_PARAM, path, attr.span, message, "")
-            result.edits.add(Edit.delete(attr.ws_start, attr.span.end))
+            result.edits.append(Edit.delete(attr.ws_start, attr.span.end))
 
     return result

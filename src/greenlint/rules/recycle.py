@@ -186,6 +186,6 @@ def apply_recycle(tree: SyntaxTree, path: str = "") -> RuleResult:
                     f"{si}{unit}{name}.{factory.release}();",
                     f"{si}}}",
                 ]
-                result.edits.add(insert_lines(data, insert_at, lines))
+                result.edits.append(insert_lines(data, insert_at, lines))
 
     return result

@@ -138,7 +138,7 @@ def apply_view_holder(tree: SyntaxTree, path: str = "") -> RuleResult:
             field = f"private {stmt.props['type']} {decl['name']};"
             holder_lines.append(f"{mi}{unit}{field}")
         holder_lines += [f"{mi}}}", ""]
-        result.edits.add(insert_lines(data, holder_at, holder_lines))
+        result.edits.append(insert_lines(data, holder_at, holder_lines))
 
         # rebuild the inflate + lookup block as the null-guarded holder block;
         # reindent leaves a text's first line alone, so it takes the prefix
@@ -164,6 +164,6 @@ def apply_view_holder(tree: SyntaxTree, path: str = "") -> RuleResult:
         block_text = dominant_eol(data).decode().join(lines)
 
         region_end = tree.span_of(cached[-1][0]).end
-        result.edits.add(Edit.replace(region_start, region_end, block_text.encode()))
+        result.edits.append(Edit.replace(region_start, region_end, block_text.encode()))
 
     return result

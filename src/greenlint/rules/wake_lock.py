@@ -148,7 +148,7 @@ def apply_wake_lock(tree: SyntaxTree, path: str = "") -> RuleResult:
                 f"{si}}}",
             )
         ]
-        result.edits.add(insert_lines(data, insert_at, head + releases + tail))
+        result.edits.append(insert_lines(data, insert_at, head + releases + tail))
 
     return result
 

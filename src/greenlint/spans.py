@@ -1,7 +1,7 @@
 """Byte spans over source files and the edit machinery built on them.
 
-All rewriting in this project happens through :class:`EditSet`: rules emit
-byte-range replacements against the *original* file and never see
+All rewriting in this project happens through a list of :class:`Edit`: rules
+emit byte-range replacements against the *original* file and never see
 intermediate states, which keeps overlap checkable and conflicts explicit.
 """
 
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 
 class EditError(Exception):
-    """An EditSet violated its invariants (overlap or out-of-bounds span).
+    """An edit list violated its invariants (overlap or out-of-bounds span).
 
     This is a programming bug in a rule, never a user-input problem.
     """
@@ -52,37 +52,16 @@ class Edit:
         return Edit(SourceSpan(start, end), text)
 
 
-class EditSet:
-    """Ordered, pairwise non-overlapping edits against one file."""
-
-    __slots__ = ("edits",)
-
-    def __init__(self, edits: list[Edit] | None = None):
-        self.edits = [] if edits is None else edits
-
-    def __len__(self) -> int:
-        return len(self.edits)
-
-    def add(self, edit: Edit) -> None:
-        self.edits.append(edit)
-
-    def extend(self, other: "EditSet") -> None:
-        self.edits.extend(other.edits)
-
-    def sorted(self) -> list[Edit]:
-        # Insertions at the same offset keep their relative order.
-        return sorted(self.edits, key=lambda e: (e.span.start, e.span.end))
-
-
-def apply_edit_set(text: bytes, edits: EditSet) -> bytes:
-    """Apply ``edits`` to ``text``; bytes outside all spans are untouched.
+def apply_edit_set(text: bytes, edits: list[Edit]) -> bytes:
+    """Apply ``edits``, in any order, to ``text``; bytes outside all spans
+    are untouched. Insertions at the same offset keep their list order.
 
     Raises EditError if an edit ends past ``text`` or two edits overlap.
     """
     out = bytearray()
     cursor = 0  # end of the previous edit
     prev: Edit | None = None
-    for edit in edits.sorted():
+    for edit in sorted(edits, key=lambda e: (e.span.start, e.span.end)):
         if edit.span.end > len(text):
             raise EditError(
                 f"edit span [{edit.span.start}, {edit.span.end}) exceeds "

@@ -162,7 +162,9 @@ def test_criterion_3_losslessness_and_conservatism():
             for result in results:
                 rebuilt = bytearray()
                 cursor = 0
-                for edit in result.edits.sorted():
+                for edit in sorted(
+                    result.edits, key=lambda e: (e.span.start, e.span.end)
+                ):
                     rebuilt += data[cursor : edit.span.start]
                     rebuilt += edit.replacement
                     cursor = edit.span.end

@@ -9,6 +9,7 @@ from greenlint.cli import (
     EXIT_USAGE,
     main,
 )
+from greenlint.diagnostics import line_col
 from greenlint.rules import LayoutParamTable
 
 from conftest import CLEAN_CORPUS, GOLDEN
@@ -147,9 +148,40 @@ def test_text_locations_count_bytes_as_lines_and_characters_as_columns(
         b"        wl.acquire();", "        /* é */ wl.acquire();".encode()
     )
     (tmp_path / "W.java").write_bytes(source)
+    recycle = (GOLDEN / "recycle" / "before.java").read_bytes()
+    (tmp_path / "Crlf.java").write_bytes(recycle.replace(b"\n", b"\r\n"))
+    (tmp_path / "Wide.java").write_bytes(
+        recycle.replace(b"TypedArray a", "/* ü€𝄞 */ TypedArray a".encode())
+    )
     assert main(["check", str(tmp_path)]) == EXIT_FINDINGS
-    out = capsys.readouterr().out
-    assert out.startswith("W.java:16:17: [WakeLock]"), out
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" [")[0] for line in lines] == [
+        "Crlf.java:3:43:",
+        "W.java:16:17:",
+        "Wide.java:3:53:",
+    ]
+    # each text location is the JSON span's start, counted in the file's bytes
+    assert main(["check", str(tmp_path), "--format", "json"]) == EXIT_FINDINGS
+    findings = json.loads(capsys.readouterr().out)["findings"]
+    assert len(findings) == len(lines)
+    for line, finding in zip(lines, findings):
+        data = (tmp_path / finding["file"]).read_bytes()
+        at = line_col(data, finding["span"]["start"])
+        assert line.startswith(f"{finding['file']}:{at[0]}:{at[1]}: "), line
+
+
+def test_file_input_is_named_by_its_file_name(tmp_path, capsys):
+    target = tmp_path / "Recycle.java"
+    target.write_bytes((GOLDEN / "recycle" / "before.java").read_bytes())
+    assert main(["check", str(target)]) == EXIT_FINDINGS
+    assert capsys.readouterr().out.startswith("Recycle.java:3:43: [Recycle]")
+    assert main(["check", str(target), "--format", "json"]) == EXIT_FINDINGS
+    findings = json.loads(capsys.readouterr().out)["findings"]
+    assert [f["file"] for f in findings] == ["Recycle.java"]
+    patches = tmp_path / "patches"
+    assert main(["fix", str(target), "--patch-dir", str(patches)]) == EXIT_FINDINGS
+    patch = (patches / "Recycle.java.patch").read_text()
+    assert patch.startswith("--- a/Recycle.java\n+++ b/Recycle.java\n")
 
 
 def test_check_prints_parse_errors(tmp_path, capsys):

@@ -2,31 +2,31 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from greenlint.spans import Edit, EditError, EditSet, SourceSpan, apply_edit_set
+from greenlint.spans import Edit, EditError, SourceSpan, apply_edit_set
 
 
 def test_empty_edit_set_is_identity():
     text = b"anything at all"
-    assert apply_edit_set(text, EditSet()) == text
+    assert apply_edit_set(text, []) == text
 
 
 def test_simple_deletion():
-    edits = EditSet([Edit.delete(2, 4)])
+    edits = [Edit.delete(2, 4)]
     assert apply_edit_set(b"abcdef", edits) == b"abef"
 
 
 def test_replacement_and_insertion():
-    edits = EditSet([Edit.replace(0, 3, b"XY"), Edit.insert(6, b"!")])
+    edits = [Edit.replace(0, 3, b"XY"), Edit.insert(6, b"!")]
     assert apply_edit_set(b"abcdef", edits) == b"XYdef!"
 
 
 def test_out_of_bounds_is_hard_error():
     with pytest.raises(EditError):
-        apply_edit_set(b"abc", EditSet([Edit.delete(2, 5)]))
+        apply_edit_set(b"abc", [Edit.delete(2, 5)])
 
 
 def test_overlap_is_hard_error():
-    edits = EditSet([Edit.delete(0, 3), Edit.replace(2, 4, b"x")])
+    edits = [Edit.delete(0, 3), Edit.replace(2, 4, b"x")]
     with pytest.raises(EditError):
         apply_edit_set(b"abcdef", edits)
 
@@ -59,7 +59,7 @@ def text_and_disjoint_edits(draw):
 @given(text_and_disjoint_edits())
 def test_bytes_outside_spans_untouched(case):
     text, edits = case
-    result = apply_edit_set(text, EditSet(list(edits)))
+    result = apply_edit_set(text, edits)
     # independently rebuild: untouched slices interleaved with replacements
     expected = bytearray()
     cursor = 0
@@ -74,12 +74,12 @@ def test_bytes_outside_spans_untouched(case):
 @given(text_and_disjoint_edits())
 def test_disjoint_edit_sets_commute(case):
     text, edits = case
-    evens = EditSet(edits[0::2])
-    odds = EditSet(edits[1::2])
-    combined = apply_edit_set(text, EditSet(list(edits)))
+    evens = edits[0::2]
+    odds = edits[1::2]
+    combined = apply_edit_set(text, edits)
     # applying the two halves in one set equals applying all at once,
     # regardless of which half the edit landed in
-    merged_a = EditSet(evens.edits + odds.edits)
-    merged_b = EditSet(odds.edits + evens.edits)
+    merged_a = evens + odds
+    merged_b = odds + evens
     assert apply_edit_set(text, merged_a) == combined
     assert apply_edit_set(text, merged_b) == combined

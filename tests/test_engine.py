@@ -195,8 +195,7 @@ def test_unparseable_java_skipped_not_fatal(tmp_path):
     report, outcomes = run_project(RunConfig(input_path=proj, mode=MODE_FIX))
     assert report.parse_failures == 1
     broken = next(o for o in outcomes if o.path.name == "Broken.java")
-    assert not broken.parse_ok
-    assert broken.diagnostics
+    assert len(broken.diagnostics) == 1
     assert (proj / "src/Broken.java").read_bytes() == b"class {"
 
 
@@ -204,7 +203,8 @@ def test_non_utf8_file_skipped_with_warning(tmp_path):
     proj = tmp_path / "proj"
     _write(proj, "src/Latin.java", b"class A { // caf\xe9 }\n")
     report, outcomes = run_project(RunConfig(input_path=proj, mode=MODE_FIX))
-    assert outcomes[0].language == "skipped"
+    assert outcomes[0].language == "java"
+    assert outcomes[0].skip_reason is not None
     assert any("not UTF-8" in w for w in report.warnings)
 
 
@@ -217,7 +217,7 @@ def test_verification_failure_rolls_back(tmp_path, monkeypatch):
 
     def sabotaged(tree, path):
         result = real_recycle(tree, path)
-        result.edits.add(Edit.insert(0, b"%%% not java\n"))
+        result.edits.append(Edit.insert(0, b"%%% not java\n"))
         return result
 
     monkeypatch.setattr(engine, "apply_recycle", sabotaged)
@@ -240,9 +240,9 @@ def _marker_rule(marker: bytes, at_start: bool, at_end: bool, stubborn=False):
                 Finding(RuleId.RECYCLE, path, SourceSpan(0, 0), "")
             )
             if at_start:
-                result.edits.add(Edit.insert(0, marker))
+                result.edits.append(Edit.insert(0, marker))
             if at_end:
-                result.edits.add(Edit.insert(len(tree.data), marker))
+                result.edits.append(Edit.insert(len(tree.data), marker))
         return result
 
     return rule
@@ -433,7 +433,7 @@ def test_xml_verification_failure_rolls_back(tmp_path, monkeypatch, sabotage, me
                 Finding(RuleId.OBSOLETE_LAYOUT_PARAM, shown, SourceSpan(0, 0), "")
             )
         elif result.edits:
-            result.edits.add(Edit.insert(0, b"<<<"))
+            result.edits.append(Edit.insert(0, b"<<<"))
         return result
 
     monkeypatch.setattr(engine, "apply_obsolete_layout_param", sabotaged)

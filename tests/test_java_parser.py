@@ -142,10 +142,14 @@ def test_declarations_with_and_without_initializer_parse(source):
         (b"class A { void f() { Map<K,V> m = new HashMap<K, V>(); } }", ["m"]),
         (b"class A { Map<K,V> m = new HashMap<K, V>(), n; }", ["m", "n"]),
         (b"class A { void f() { boolean b = a < c, d = e > f; } }", ["b", "d"]),
+        # explicit type arguments on a call hold no declarator comma either
+        (b"class A { void f() { Map<K,V> m = Collections.<K, V>emptyMap(); } }", ["m"]),
+        (b"class A { Map<K,V> m = Collections.<K, V>emptyMap(), n; }", ["m", "n"]),
     ],
 )
 def test_declarator_names(source, names):
     tree = parse_java(source)
+    assert tree.serialize() == source
     decl = next(n for n in tree.root.walk() if "declarators" in n.props)
     assert [d["name"] for d in decl.props["declarators"]] == names
 
@@ -193,6 +197,7 @@ def test_complete_expression_statements_parse(statement):
     [
         (b"class A { void f() { if (x { } } }", 25, "')'"),
         (b"class A<T { }", 8, "'>'"),
+        (b"class A { Map<K,V> m = Collections.<K; }", 36, "'>'"),
         # the package lookahead fails where the cursor stands, not at the '('
         (b"@Deprecated(x class A { }", 1, "')'"),
     ],
@@ -216,6 +221,21 @@ def test_labeled_statement_round_trips(source, inner):
     assert tree.serialize() == source
     labeled = find_all(tree, "labeled_statement")[0]
     assert [c.kind for c in labeled.children] == [inner]
+
+
+@pytest.mark.parametrize(
+    "statement,kind",
+    [
+        (b"@Deprecated class L {}", "class_declaration"),
+        (b'@SuppressWarnings("x") int y = 1;', "local_variable_declaration"),
+    ],
+)
+def test_annotated_local_declaration(statement, kind):
+    source = b"class A { void f() { " + statement + b" } }"
+    tree = parse_java(source)
+    assert tree.serialize() == source
+    body = find_all(tree, "block")[0]
+    assert [c.kind for c in body.children] == [kind]
 
 
 def test_split_args_splits_on_top_level_commas_only():

@@ -44,6 +44,17 @@ def test_importing_the_cli_loads_no_deferred_module():
     assert sorted(added.intersection(DEFERRED)) == []
 
 
+def test_importing_the_package_loads_no_submodule():
+    script = (
+        "import sys\n"
+        "import greenlint\n"
+        "print('\\n'.join(m for m in sys.modules if m.startswith('greenlint.')))\n"
+    )
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 @pytest.fixture
 def project(tmp_path: Path) -> Path:
     """One app with a Recycle smell and an obsolete layout param."""
