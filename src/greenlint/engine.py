@@ -7,10 +7,11 @@ pass loop with its language's parser and rules. A rule is a function
 table bound in. Each pass parses the current text once, runs every enabled
 rule on that tree and applies their merged edit lists in one step. The first
 pass is the report, so findings point into the file on disk; the pass after
-a rewrite is its verification. Rewritten text must re-parse cleanly and the
-rules must then report nothing fixable, otherwise the file's fixes are
-rolled back and surfaced as an internal error. A project's per-rule counts
-come from its files' findings.
+a rewrite is its verification; for Java it re-lexes only around the edits
+and splices in the old tokens elsewhere. Rewritten text must re-parse
+cleanly and the rules must then report nothing fixable, otherwise the
+file's fixes are rolled back and surfaced as an internal error. A
+project's per-rule counts come from its files' findings.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from pathlib import Path
 from typing import Callable, Optional, Union
 
 from .diagnostics import ParseDiagnostic, line_col
+from .java.lexer import Token
 from .java.parser import SyntaxTree, parse_java_source
 from .rules import (
     Finding,
@@ -189,7 +191,11 @@ def discover_files(
 
     if root.is_file():
         lang = _classify(root.resolve())
-        return [(root, lang)] if lang else []
+        if lang:
+            return [(root, lang)]
+        if warnings is not None:
+            warnings.append(f"{root}: skipped: not a .java file or a res/layout*/ XML file")
+        return []
 
     found: list[tuple[Path, str]] = []
     visited: set[tuple[int, int]] = set()
@@ -286,7 +292,7 @@ class _VerificationError(Exception):
 
 def _fix(
     original: bytes,
-    parse: Callable[[bytes], tuple[Optional[_Tree], list[ParseDiagnostic]]],
+    parse: Callable[..., tuple[Optional[_Tree], list[ParseDiagnostic]]],
     rules: list[tuple[RuleId, _Rule]],
     shown: str,
     outcome: FileOutcome,
@@ -300,13 +306,16 @@ def _fix(
     bytes are those a rule-by-rule chain writes. A pass after a rewrite is
     its verification: a rule already applied must find nothing fixable.
     Each pass applies at least the first pending rule, hence the bound.
+    A Java pass after a rewrite is given the previous tokens and the edits,
+    so it re-lexes only around them.
     """
     if not rules:
         return original
     applied: set[RuleId] = set()
     text = original
+    previous: Optional[tuple[list[Token], list[Edit]]] = None
     for pass_no in range(len(rules) + 1):
-        tree, diags = parse(text)
+        tree, diags = parse(text) if previous is None else parse(text, previous)
         if tree is None:
             if pass_no == 0:
                 outcome.diagnostics = diags
@@ -333,6 +342,8 @@ def _fix(
         if not merged:
             break
         text = apply_edit_set(text, merged)
+        if isinstance(tree, SyntaxTree):
+            previous = (tree.tokens, merged)
     return text
 
 

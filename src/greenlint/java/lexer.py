@@ -13,13 +13,25 @@ an identifier, which is sound for the syntactic analysis done here:
 non-ASCII only ever appears inside identifiers, literals and comments.
 Trivia is dropped from the token stream but always recoverable from the
 bytes between adjacent token spans.
+
+Given the tokens of an earlier text and the edits that made `data` from
+it, `tokenize` re-lexes only around the edits, as the resynchronisation
+step of incremental lexers does (Wagner & Graham, "Efficient and Flexible
+Incremental Parsing", TOPLAS 1998). A match depends only on the bytes from
+where it starts, so once a token end after an edit falls on an old token
+end, the old tokens that follow are the new ones, shifted. The result and
+any `LexError` are those of a full scan.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
+from operator import attrgetter
+from typing import Optional
 
 from ..diagnostics import ParseDiagnostic, line_col
+from ..spans import Edit
 
 KEYWORDS = frozenset(
     """abstract assert boolean break byte case catch char class const continue
@@ -57,6 +69,9 @@ _TOKEN = re.compile(
     rb"|(?P<bad>.))?",
     re.DOTALL,
 )
+# A match reads at most two bytes past its token (`.` looks for `...`), so
+# an old token is kept only if it ends that far before the next edit.
+_LOOKAHEAD = 2
 
 
 class LexError(Exception):
@@ -84,18 +99,71 @@ class Token:
         return self.kind == "keyword" and self.value == value
 
 
-def tokenize(data: bytes) -> list[Token]:
-    """Tokenize Java source bytes; raises LexError on malformed input."""
+def tokenize(
+    data: bytes, previous: Optional[tuple[list[Token], list[Edit]]] = None
+) -> list[Token]:
+    """Tokenize Java source bytes; raises LexError on malformed input.
+
+    ``previous`` may hold the tokens of an earlier text and the edits that
+    turned it into ``data``; then only the bytes around the edits are lexed.
+    """
     tokens: list[Token] = []
+    if previous is None:
+        _scan(data, 0, tokens, len(data) + 1)
+        return tokens
+    old, edits = previous
+    edits = sorted(edits, key=lambda e: (e.span.start, e.span.end))
+    end_of = attrgetter("end")
+    pos = j = delta = i = 0  # resume offset, next old token, new minus old offset
+    while True:
+        # Copy the old tokens whose match reads no byte of the next edit.
+        if i < len(edits):
+            k = bisect_right(old, edits[i].span.start - _LOOKAHEAD, j, key=end_of)
+        else:
+            k = len(old)
+        if k > j:
+            if delta:
+                tokens += [
+                    Token(t.kind, t.value, t.start + delta, t.end + delta) for t in old[j:k]
+                ]
+            else:
+                tokens += old[j:k]
+            pos = old[k - 1].end + delta
+            j = k
+        if i == len(edits):
+            return tokens
+        # Re-lex across edit i, and every later edit the window runs into,
+        # up to the first token end that is an old token end after them.
+        delta += len(edits[i].replacement) - len(edits[i].span)
+        new_end = edits[i].span.end + delta
+        while True:
+            pos = _scan(data, pos, tokens, max(new_end, pos + 1))
+            if pos < 0:
+                return tokens
+            while i + 1 < len(edits) and pos > edits[i + 1].span.start + delta:
+                i += 1
+                delta += len(edits[i].replacement) - len(edits[i].span)
+                new_end = edits[i].span.end + delta
+            if pos >= new_end:
+                j = bisect_left(old, pos - delta, j, key=end_of)
+                if j < len(old) and old[j].end == pos - delta:
+                    j += 1
+                    break
+        i += 1
+
+
+def _scan(data: bytes, pos: int, tokens: list[Token], until: int) -> int:
+    """Append the tokens of ``data`` from ``pos`` on to ``tokens``; stop
+    after the first one ending at or past ``until`` and return its end, or
+    return -1 at the end of the input."""
     append = tokens.append
     match = _TOKEN.match
     keywords = KEYWORDS
-    pos = 0
     while True:
         m = match(data, pos)
         kind = m.lastgroup
         if kind is None:  # only trivia was left
-            return tokens
+            return -1
         start, pos = m.span(kind)
         text = data[start:pos]
         if kind == "word":
@@ -113,3 +181,5 @@ def tokenize(data: bytes) -> list[Token]:
             else:
                 message = kind.replace("_", " ")
             raise LexError(ParseDiagnostic(*line_col(data, start), message))
+        if pos >= until:
+            return pos

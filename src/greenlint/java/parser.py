@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Any, Iterator, Optional, Union
 
 from ..diagnostics import ParseDiagnostic, line_col
-from ..spans import SourceSpan
+from ..spans import Edit, SourceSpan
 from .lexer import LexError, Token, tokenize
 
 MODIFIER_KEYWORDS = frozenset(
@@ -421,6 +421,17 @@ class _Parser:
         if t.is_op("{"):
             body = self._parse_block()
             return Node("initializer", lo, self.i, [body])
+        # `record R(` and `record R<` would otherwise read as a method R
+        # returning `record`, or fail further on
+        if (
+            t.kind == "ident"
+            and t.value == "record"
+            and (n := self.peek(1)) is not None
+            and n.kind == "ident"
+            and (p := self.peek(2)) is not None
+            and (p.is_op("(") or p.is_op("<"))
+        ):
+            raise self.fail("records are not supported")
         self._skip_optional_group("<")  # generic method type parameters
         # constructor: Name (
         t = self.peek()
@@ -791,12 +802,16 @@ _SIMPLE_STATEMENTS = {
 
 
 def parse_java_source(
-    data: bytes, max_size: int = 16 * 1024 * 1024
+    data: bytes,
+    previous: Optional[tuple[list[Token], list[Edit]]] = None,
+    max_size: int = 16 * 1024 * 1024,
 ) -> tuple[Optional[SyntaxTree], list[ParseDiagnostic]]:
     """Parse Java source bytes into a lossless SyntaxTree.
 
     Returns (tree, []) on success or (None, diagnostics) on failure; the
     caller is expected to skip undecodable or unparseable files.
+    ``previous`` is passed on to `tokenize`: the tokens of an earlier text
+    and the edits that made ``data`` from it.
     """
     if len(data) > max_size:
         return None, [ParseDiagnostic(1, 1, f"file exceeds size cap of {max_size} bytes")]
@@ -805,7 +820,7 @@ def parse_java_source(
     except UnicodeDecodeError as exc:
         return None, [ParseDiagnostic(1, 1, f"not valid UTF-8: {exc.reason}")]
     try:
-        tokens = tokenize(data)
+        tokens = tokenize(data, previous)
     except LexError as exc:
         return None, [exc.diagnostic]
     parser = _Parser(data, tokens)

@@ -56,3 +56,20 @@ def fix_xml(rule_fn, data: bytes, **kwargs) -> tuple[object, bytes]:
 
     result = rule_fn(parse_xml(data), **kwargs)
     return result, apply_edit_set(data, result.edits)
+
+
+@pytest.fixture
+def lexer_matches(monkeypatch) -> list[int]:
+    """Counts the matches of the Java lexer's token regex from here on."""
+    from greenlint.java import lexer
+
+    count = [0]
+    pattern = lexer._TOKEN
+
+    class Counting:
+        def match(self, data: bytes, pos: int):
+            count[0] += 1
+            return pattern.match(data, pos)
+
+    monkeypatch.setattr(lexer, "_TOKEN", Counting())
+    return count

@@ -184,6 +184,18 @@ def test_file_input_is_named_by_its_file_name(tmp_path, capsys):
     assert patch.startswith("--- a/Recycle.java\n+++ b/Recycle.java\n")
 
 
+@pytest.mark.parametrize("command", ["check", "fix"])
+def test_file_input_that_is_not_analysed_is_reported(tmp_path, capsys, command):
+    target = tmp_path / "README.md"
+    target.write_text("# notes\n")
+    assert main([command, str(target)]) == EXIT_CLEAN
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"{target}: skipped: not a .java file or a res/layout*/ XML file"
+    ]
+    assert target.read_text() == "# notes\n"
+
+
 def test_check_prints_parse_errors(tmp_path, capsys):
     target = tmp_path / "proj" / "src" / "A.java"
     target.parent.mkdir(parents=True)

@@ -14,6 +14,7 @@ from greenlint.engine import (
     discover_files,
     run_project,
 )
+from greenlint.java.lexer import tokenize
 from greenlint.rules import (
     Finding,
     LayoutParamTable,
@@ -331,9 +332,9 @@ def _count_parses(monkeypatch) -> list[int]:
     calls = [0]
     real_parse = engine.parse_java_source
 
-    def counting(data):
+    def counting(*args):
         calls[0] += 1
-        return real_parse(data)
+        return real_parse(*args)
 
     monkeypatch.setattr(engine, "parse_java_source", counting)
     return calls
@@ -412,6 +413,57 @@ def test_fix_matches_rule_by_rule_chain(tmp_path, ext, before):
     _, outcomes = run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX))
     assert outcomes[0].internal_error is None
     assert path.read_bytes() == _chained_fix(before, ext)
+
+
+@pytest.mark.parametrize(
+    "ext,before", [c for c in _differential_cases() if c.values[0] == "java"]
+)
+def test_verification_tokens_equal_a_fresh_scan(tmp_path, monkeypatch, ext, before):
+    real_parse = engine.parse_java_source
+    verified = []
+
+    def checking(data, *previous):
+        tree, diags = real_parse(data, *previous)
+        if previous:
+            fresh = [(t.kind, t.value, t.start, t.end) for t in tokenize(data)]
+            assert [(t.kind, t.value, t.start, t.end) for t in tree.tokens] == fresh
+            verified.append(data)
+        return tree, diags
+
+    monkeypatch.setattr(engine, "parse_java_source", checking)
+    path = _write(tmp_path, "Case.java", before)
+    run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX))
+    assert verified and verified[-1] == path.read_bytes()
+
+
+def test_verification_lexes_only_around_the_edits(tmp_path, monkeypatch, lexer_matches):
+    filler = "".join(
+        f"    int get{i}(int x) {{\n        return x * {i} + field{i};\n    }}\n"
+        for i in range(98)
+    )
+    source = (
+        "public class Big {\n"
+        "    void read(Db db) {\n"
+        '        Cursor c = db.query("t");\n'
+        "        c.moveToFirst();\n"
+        "    }\n" + filler + "}\n"
+    )
+    assert source.count("\n") >= 300
+    real_parse = engine.parse_java_source
+    matches = []
+
+    def counting(*args):
+        before = lexer_matches[0]
+        result = real_parse(*args)
+        matches.append(lexer_matches[0] - before)
+        return result
+
+    monkeypatch.setattr(engine, "parse_java_source", counting)
+    _write(tmp_path, "Big.java", source.encode())
+    report, _ = run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX))
+    assert report.rule_counts[RuleId.RECYCLE].fixed == 1
+    assert len(matches) == 2
+    assert matches[1] < 0.1 * matches[0]
 
 
 @pytest.mark.parametrize(

@@ -316,6 +316,10 @@ def test_split_args_splits_on_top_level_commas_only():
         (b"class A { void f() { x(new B() { int ; }); } }", "1:38: expected member name"),
         (b"class A { void f() { x(new B() { void g() {} ); } }", "1:46: expected type"),
         (b"class A { @B( int x; }", "1:13: unbalanced ')'"),
+        (b"record R(int x) {}", "1:1: expected class, interface or enum declaration"),
+        (b"class T { record R(int x) {} }", "1:11: records are not supported"),
+        (b"class T { private static record R(int x) {} }", "1:26: records are not supported"),
+        (b"class T { record R<X>(X x) {} }", "1:11: records are not supported"),
     ],
 )
 def test_parse_error_message_and_location(source, expected):
@@ -323,6 +327,12 @@ def test_parse_error_message_and_location(source, expected):
     assert tree is None
     d = diags[0]
     assert f"{d.line}:{d.column}: {d.message}" == expected
+
+
+def test_record_as_an_identifier_still_parses():
+    tree = parse_java(b"class T { int record; void record() {} void f() { record.save(); } }")
+    assert [n.props["name"] for n in find_all(tree, "method_declaration")] == ["record", "f"]
+    assert len(find_all(tree, "field_declaration")) == 1
 
 
 def _anonymous_bodies(source: bytes) -> list[str]:

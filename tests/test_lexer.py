@@ -1,14 +1,16 @@
 """The regex tokenizer against the byte-walking reference in
-`reference_lexer.py`: same tokens field for field, or the same LexError."""
+`reference_lexer.py`: same tokens field for field, or the same LexError.
+Tokens spliced from an earlier text's are checked against a full scan."""
 
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from greenlint.java.lexer import LexError, tokenize
 from greenlint.java.parser import parse_java_source
+from greenlint.spans import Edit, apply_edit_set
 
 from conftest import FIXTURES, GOLDEN, GOLDEN_CASES
 from mutations import java_mutations
@@ -23,8 +25,8 @@ def _outcome(lex, data: bytes):
         return ("LexError", d.line, d.column, d.message)
 
 
-def _fields(data: bytes) -> list[tuple[str, str, int, int]]:
-    return [(t.kind, t.value, t.start, t.end) for t in tokenize(data)]
+def _fields(data: bytes, previous=None) -> list[tuple[str, str, int, int]]:
+    return [(t.kind, t.value, t.start, t.end) for t in tokenize(data, previous)]
 
 
 def assert_same_as_reference(data: bytes) -> None:
@@ -135,3 +137,75 @@ def test_generated_java_matches_reference_and_round_trips(text: str):
     for gap_start, gap_end in zip(ends, starts):
         assert gap_start <= gap_end
         assert tokenize(data[gap_start:gap_end]) == []
+
+
+SPLICE_CASES = [
+    (b"x..z", [(3, 4, b".")]),  # the kept `.` must not precede a new `...`
+    (b"a = b;", [(2, 3, b"<<"), (4, 4, b"=")]),
+    (b"int a; int b;", [(0, 0, b"/*")]),  # swallows the rest: unterminated
+    (b"a /* b */ c", [(7, 9, b"")]),
+    (b'x = "" + y;', [(5, 5, b'"')]),
+    (b's = """\n a """; t', [(12, 14, b""), (16, 17, b'u"""')]),
+    (b"ab", [(2, 2, b"c"), (2, 2, b"d"), (0, 0, b"z")]),
+    (b"class A { int x; }", [(0, 18, b"")]),
+    (b"f(1e5);", [(4, 4, b"+"), (3, 3, b"e")]),
+]
+
+
+@pytest.mark.parametrize("old, spans", SPLICE_CASES, ids=repr)
+def test_splice_edge_case_equals_a_full_scan(old: bytes, spans):
+    edits = [Edit.replace(*span) for span in spans]
+    new = apply_edit_set(old, edits)
+    spliced = _outcome(lambda data: _fields(data, (tokenize(old), edits)), new)
+    assert spliced == _outcome(_fields, new)
+
+
+def test_window_running_into_the_next_edit_resyncs_after_it(lexer_matches):
+    # `aqq` covers both edits; the old tokens after it are reused.
+    old = b"a b " + b"c " * 300
+    edits = [Edit.delete(1, 2), Edit.replace(2, 3, b"qq")]
+    previous = (tokenize(old), edits)
+    new = apply_edit_set(old, edits)
+    full = _fields(new)
+    lexer_matches[0] = 0
+    assert _fields(new, previous) == full
+    assert lexer_matches[0] < 10
+
+
+# Bytes that open, close or extend a token, so that an edit can change how
+# the text around it lexes.
+_REPLACEMENTS = [
+    "/*", "*/", '"', '"""', "'", "//", "\n", "\r\n", ">", "=", ".", "e+", "x",
+    "Q", "0", "9", " ",
+]
+
+
+@st.composite
+def _edited(draw):
+    """A text that lexes, 1-4 disjoint edits in any order, and the result."""
+    old = draw(_JAVA_ISH).encode("utf-8")
+    try:
+        tokens = tokenize(old)
+    except LexError:
+        tokens = None
+    assume(tokens is not None)
+    count = draw(st.integers(1, 4))
+    cuts = sorted(draw(st.lists(st.integers(0, len(old)), min_size=2 * count, max_size=2 * count)))
+    edits = [
+        Edit.replace(
+            cuts[k],
+            cuts[k + 1],
+            "".join(draw(st.lists(st.sampled_from(_REPLACEMENTS), max_size=3))).encode(),
+        )
+        for k in range(0, len(cuts), 2)
+    ]
+    edits = draw(st.permutations(edits))
+    return tokens, edits, apply_edit_set(old, edits)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_edited())
+def test_spliced_tokens_equal_a_full_scan(case):
+    tokens, edits, new = case
+    spliced = _outcome(lambda data: _fields(data, (tokens, edits)), new)
+    assert spliced == _outcome(_fields, new), (new, edits)
