@@ -5,8 +5,8 @@ Tokenizer" from the Python `re` docs: each `match` skips trivia
 (whitespace, `//` and `/* */` comments), then captures one token in a named
 group whose name is the token kind. Operators are tried longest first. A
 literal or comment that does not close, or a byte no token can start with,
-matches an error group instead, so malformed input raises `LexError` rather
-than lexing as something shorter.
+matches an error group instead, so malformed input raises `ParseError`
+rather than lexing as something shorter.
 
 Offsets are byte offsets into the UTF-8 input. Any byte >= 0x80 continues
 an identifier, which is sound for the syntactic analysis done here:
@@ -20,7 +20,7 @@ step of incremental lexers does (Wagner & Graham, "Efficient and Flexible
 Incremental Parsing", TOPLAS 1998). A match depends only on the bytes from
 where it starts, so once a token end after an edit falls on an old token
 end, the old tokens that follow are the new ones, shifted. The result and
-any `LexError` are those of a full scan.
+any `ParseError` are those of a full scan.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from bisect import bisect_left, bisect_right
 from operator import attrgetter
 from typing import Optional
 
-from ..diagnostics import ParseDiagnostic, line_col
+from ..diagnostics import ParseError
 from ..spans import Edit
 
 KEYWORDS = frozenset(
@@ -74,12 +74,6 @@ _TOKEN = re.compile(
 _LOOKAHEAD = 2
 
 
-class LexError(Exception):
-    def __init__(self, diagnostic: ParseDiagnostic):
-        super().__init__(str(diagnostic))
-        self.diagnostic = diagnostic
-
-
 class Token:
     __slots__ = ("kind", "value", "start", "end")
 
@@ -102,7 +96,7 @@ class Token:
 def tokenize(
     data: bytes, previous: Optional[tuple[list[Token], list[Edit]]] = None
 ) -> list[Token]:
-    """Tokenize Java source bytes; raises LexError on malformed input.
+    """Tokenize Java source bytes; raises ParseError on malformed input.
 
     ``previous`` may hold the tokens of an earlier text and the edits that
     turned it into ``data``; then only the bytes around the edits are lexed.
@@ -180,6 +174,6 @@ def _scan(data: bytes, pos: int, tokens: list[Token], until: int) -> int:
                 message = f"unexpected character {chr(text[0])!r}"
             else:
                 message = kind.replace("_", " ")
-            raise LexError(ParseDiagnostic(*line_col(data, start), message))
+            raise ParseError(start, message)
         if pos >= until:
             return pos

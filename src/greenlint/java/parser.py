@@ -2,39 +2,41 @@
 
 The parser recognizes the declarations and statement structure the energy
 rules need while keeping expressions as token slices. Every node carries a
-token index range into the tree's token list, so the original bytes are
-always reachable and re-serializing an unmodified tree is trivially
-byte-identical to the input.
+token index range into the tree's token list, so the original bytes of
+any node are always reachable.
 
 Anonymous class bodies inside expressions are parsed as full class bodies
 and attached as child nodes, so rules see methods declared in anonymous
 adapters too.
 
-Node kinds, and the props that rules read (offsets count bytes, token
-ranges are half-open index pairs):
+Node kinds, and the props that rules read (token ranges are half-open
+index pairs):
 
 - class_, interface_, enum_ and annotation_declaration: ``name``,
-  ``extends`` (the first extended type's text, or None), ``rbrace`` (the
-  offset of the closing brace);
+  ``extends`` (the first extended type's text, or None);
 - method_ and constructor_declaration: ``name``, ``name_span``, ``params``
   (a list of (type text, name)), ``body`` (the block, or None);
 - field_ and local_variable_declaration: ``type`` (text), ``declarators``
   (dicts of ``name``, ``name_span`` and ``init``, the initializer's token
   range or (None, None));
-- block: ``rbrace``; if_statement: ``cond``, the token range in its parens;
-- without props: compilation_unit, package_ and import_declaration,
-  annotation, anonymous_class_body, initializer, and the labeled,
-  expression, empty, return, throw, break, continue, assert, for, while,
-  do, try, switch (its body kept as tokens) and synchronized statements.
+- if_statement: ``cond``, the token range in its parens;
+- without props: compilation_unit, block, anonymous_class_body,
+  initializer, and the labeled, expression, empty, return, throw, break,
+  continue, assert, for, while, do, try, switch (its body kept as tokens)
+  and synchronized statements.
+
+Package and import declarations, annotations and modifiers are checked
+and skipped; no node holds them. A block's or a type's closing brace is
+its last token.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterator, Optional, Union
 
-from ..diagnostics import ParseDiagnostic, line_col
+from ..diagnostics import ParseDiagnostic, ParseError, guarded_parse
 from ..spans import Edit, SourceSpan
-from .lexer import LexError, Token, tokenize
+from .lexer import Token, tokenize
 
 MODIFIER_KEYWORDS = frozenset(
     """public protected private static final abstract native synchronized
@@ -103,6 +105,23 @@ def match_group(tokens: list[Token], j: int) -> tuple[bool, int]:
     return False, j
 
 
+def args_after_new(tokens: list[Token], j: int) -> Optional[int]:
+    """Index of the `(` after `new` and the qualified type name and type
+    arguments that start at ``tokens[j]``; None for an array creation or
+    anything else. Like the rest of the parser, it accepts more than Java:
+    the name may be missing."""
+    n = len(tokens)
+    if j < n and tokens[j].kind == "ident":
+        j += 1
+        while j + 1 < n and tokens[j].is_op(".") and tokens[j + 1].kind == "ident":
+            j += 2
+    if j < n and tokens[j].is_op("<"):
+        closed, j = match_group(tokens, j)
+        if not closed:
+            return None
+    return j if j < n and tokens[j].is_op("(") else None
+
+
 class Node:
     __slots__ = ("kind", "tok_lo", "tok_hi", "children", "props")
 
@@ -150,19 +169,6 @@ class SyntaxTree:
         )
         return self.data[span.start : span.end].decode("utf-8")
 
-    def serialize(self) -> bytes:
-        return self.data
-
-
-class _ParseFailure(Exception):
-    """A failure at a byte offset; the line and column are computed only
-    when it leaves `parse_java_source`, so a backtracking miss stays cheap."""
-
-    def __init__(self, offset: int, message: str):
-        super().__init__(message)
-        self.offset = offset
-        self.message = message
-
 
 class _Parser:
     def __init__(self, data: bytes, tokens: list[Token]):
@@ -173,9 +179,9 @@ class _Parser:
 
     # --- token helpers -------------------------------------------------
 
-    def fail(self, message: str) -> "_ParseFailure":
+    def fail(self, message: str) -> ParseError:
         offset = self.toks[self.i].start if self.i < self.n else len(self.data)
-        return _ParseFailure(offset, message)
+        return ParseError(offset, message)
 
     def peek(self, ahead: int = 0) -> Optional[Token]:
         j = self.i + ahead
@@ -217,9 +223,9 @@ class _Parser:
         lo = self.i
         children: list[Node] = []
         if self._at_package_decl():
-            children.append(self._parse_package())
+            self._parse_package()
         while self.at_kw("import"):
-            children.append(self._parse_import())
+            self._parse_import()
         while self.i < self.n:
             if self.at_op(";"):
                 self.advance()
@@ -248,24 +254,21 @@ class _Parser:
             return k
         if k == j:
             raise self.fail(f"unbalanced {_CLOSERS[self.toks[j].value]!r}")
-        raise _ParseFailure(self.toks[k].start, f"unexpected {self.toks[k].value!r}")
+        raise ParseError(self.toks[k].start, f"unexpected {self.toks[k].value!r}")
 
     def _skip_optional_group(self, opener: str) -> None:
         """Skip the group at the cursor if it opens with ``opener``."""
         if self.at_op(opener):
             self.i = self._skip_group(self.i)
 
-    def _parse_package(self) -> Node:
-        lo = self.i
+    def _parse_package(self) -> None:
         while not self.at_kw("package"):
             self.advance()
         self.advance()
         self._parse_qualified_name()
         self.expect_op(";")
-        return Node("package_declaration", lo, self.i)
 
-    def _parse_import(self) -> Node:
-        lo = self.i
+    def _parse_import(self) -> None:
         self.advance()  # import
         if self.at_kw("static"):
             self.advance()
@@ -274,7 +277,6 @@ class _Parser:
             self.advance()
             self.expect_op("*")
         self.expect_op(";")
-        return Node("import_declaration", lo, self.i)
 
     def _parse_qualified_name(self) -> None:
         self.expect_ident("name")
@@ -283,33 +285,44 @@ class _Parser:
 
     # --- annotations / modifiers --------------------------------------
 
-    def _parse_annotation(self) -> Node:
-        lo = self.i
+    def _parse_annotation(self) -> None:
         self.expect_op("@")
         self._parse_qualified_name()
         self._skip_optional_group("(")
-        return Node("annotation", lo, self.i)
 
-    def _parse_modifiers(self) -> list[Node]:
-        """Skip annotations and modifier keywords; returns the annotations.
+    def _parse_modifiers(self) -> None:
+        """Skip annotations and modifier keywords.
 
         Stops before `@interface`, so an `@` left at the cursor starts an
         annotation type declaration.
         """
-        annotations: list[Node] = []
         while True:
             t = self.peek()
             if t is None:
-                break
+                return
             if t.is_op("@") and not (
                 (p := self.peek(1)) is not None and p.is_kw("interface")
             ):
-                annotations.append(self._parse_annotation())
+                self._parse_annotation()
             elif t.kind == "keyword" and t.value in MODIFIER_KEYWORDS:
                 self.advance()
             else:
-                break
-        return annotations
+                return
+
+    def _reject_record(self) -> None:
+        """Fail at `record R(` and `record R<`, which would otherwise read
+        as a method or variable R of type `record`, or fail further on."""
+        t, n, p = self.peek(), self.peek(1), self.peek(2)
+        if (
+            t is not None
+            and t.kind == "ident"
+            and t.value == "record"
+            and n is not None
+            and n.kind == "ident"
+            and p is not None
+            and (p.is_op("(") or p.is_op("<"))
+        ):
+            raise self.fail("records are not supported")
 
     # --- types ---------------------------------------------------------
 
@@ -353,7 +366,7 @@ class _Parser:
 
     def _parse_type_decl(self) -> Node:
         lo = self.i
-        annotations = self._parse_modifiers()
+        self._parse_modifiers()
         t = self.peek()
         if t is None:
             raise self.fail("expected type declaration")
@@ -374,9 +387,9 @@ class _Parser:
             if kind == "enum_declaration"
             else self._parse_members(name)
         )
-        rbrace = self.expect_op("}")
-        props = {"name": name, "extends": extends, "rbrace": rbrace.start}
-        return Node(kind, lo, self.i, annotations + members, props)
+        self.expect_op("}")
+        props = {"name": name, "extends": extends}
+        return Node(kind, lo, self.i, members, props)
 
     def _parse_enum_body(self, enclosing: str) -> list[Node]:
         members: list[Node] = []
@@ -409,7 +422,7 @@ class _Parser:
 
     def _parse_member(self, enclosing: str) -> Node:
         lo = self.i
-        annotations = self._parse_modifiers()
+        self._parse_modifiers()
         t = self.peek()
         if t is None:
             raise self.fail("unexpected end of class body")
@@ -421,17 +434,7 @@ class _Parser:
         if t.is_op("{"):
             body = self._parse_block()
             return Node("initializer", lo, self.i, [body])
-        # `record R(` and `record R<` would otherwise read as a method R
-        # returning `record`, or fail further on
-        if (
-            t.kind == "ident"
-            and t.value == "record"
-            and (n := self.peek(1)) is not None
-            and n.kind == "ident"
-            and (p := self.peek(2)) is not None
-            and (p.is_op("(") or p.is_op("<"))
-        ):
-            raise self.fail("records are not supported")
+        self._reject_record()
         self._skip_optional_group("<")  # generic method type parameters
         # constructor: Name (
         t = self.peek()
@@ -443,19 +446,15 @@ class _Parser:
             and p.is_op("(")
         ):
             name_tok = self.advance()
-            return self._finish_method("constructor_declaration", annotations, lo, name_tok)
+            return self._finish_method("constructor_declaration", lo, name_tok)
         type_text = self._parse_type()
         name_tok = self.expect_ident("member name")
         if self.at_op("("):
-            return self._finish_method("method_declaration", annotations, lo, name_tok)
+            return self._finish_method("method_declaration", lo, name_tok)
         self.i -= 1  # the declarators start at the name just read
-        return self._parse_declarators(
-            "field_declaration", lo, type_text, annotations, "field name"
-        )
+        return self._parse_declarators("field_declaration", lo, type_text, "field name")
 
-    def _finish_method(
-        self, kind: str, annotations: list[Node], lo: int, name_tok: Token
-    ) -> Node:
+    def _finish_method(self, kind: str, lo: int, name_tok: Token) -> Node:
         params = self._parse_params()
         self._skip_dims()
         self._parse_type_list("throws")
@@ -473,7 +472,7 @@ class _Parser:
             "body": body,
             "name_span": SourceSpan(name_tok.start, name_tok.end),
         }
-        return Node(kind, lo, self.i, annotations + ([body] if body else []), props)
+        return Node(kind, lo, self.i, [body] if body else [], props)
 
     def _parse_params(self) -> list[tuple[str, str]]:
         self.expect_op("(")
@@ -502,13 +501,11 @@ class _Parser:
         self.advance()  # )
         return params
 
-    def _parse_declarators(
-        self, kind: str, lo: int, type_text: str, children: list[Node], what: str
-    ) -> Node:
+    def _parse_declarators(self, kind: str, lo: int, type_text: str, what: str) -> Node:
         """Parse `name[] = init, name...;` into a field or local variable
-        declaration. ``children`` holds its annotations and gains any
-        anonymous class bodies in the initializers; ``what`` names the
-        identifier expected at each name."""
+        declaration, whose children are the anonymous class bodies in the
+        initializers; ``what`` names the identifier expected at each name."""
+        children: list[Node] = []
         declarators: list[dict[str, Any]] = []
         while True:
             tok = self.expect_ident(what)
@@ -541,8 +538,8 @@ class _Parser:
             if self.peek() is None:
                 raise self.fail("unexpected end of file in block")
             stmts.append(self._parse_statement())
-        rbrace = self.advance()
-        return Node("block", lo, self.i, stmts, {"rbrace": rbrace.start})
+        self.advance()
+        return Node("block", lo, self.i, stmts)
 
     def _parse_statement(self) -> Node:
         t = self.peek()
@@ -554,11 +551,13 @@ class _Parser:
             lo = self.i
             self.advance()
             return Node("empty_statement", lo, self.i)
-        if t.kind == "ident" and (p := self.peek(1)) is not None and p.is_op(":"):
-            lo = self.i  # a labeled statement (JLS 14.7): `label: statement`
-            self.i += 2
-            body = self._parse_statement()
-            return Node("labeled_statement", lo, self.i, [body])
+        if t.kind == "ident":
+            if (p := self.peek(1)) is not None and p.is_op(":"):
+                lo = self.i  # a labeled statement (JLS 14.7): `label: statement`
+                self.i += 2
+                body = self._parse_statement()
+                return Node("labeled_statement", lo, self.i, [body])
+            self._reject_record()
         if t.kind == "keyword":
             handler = _STATEMENT_PARSERS.get(t.value)
             if handler is not None:
@@ -570,6 +569,7 @@ class _Parser:
         if t.is_op("@") or t.kind == "keyword" and t.value in _LOCAL_TYPE_STARTS:
             saved = self.i
             self._parse_modifiers()
+            self._reject_record()
             t = self.peek()
             self.i = saved
             if t is not None and t.kind == "keyword" and t.value in _TYPE_KINDS:
@@ -656,7 +656,7 @@ class _Parser:
 
     def _try_local_var_decl(self) -> Optional[Node]:
         lo = self.i
-        annotations = self._parse_modifiers()
+        self._parse_modifiers()
         committed = self.i > lo  # a modifier or annotation starts only a declaration
         try:
             type_text = self._parse_type()
@@ -669,13 +669,13 @@ class _Parser:
                 or nxt.value not in ("=", ";", ",", "[")
             ):
                 raise self.fail("not a declaration")
-        except _ParseFailure:
+        except ParseError:
             if committed:
                 raise
             self.i = lo
             return None
         return self._parse_declarators(
-            "local_variable_declaration", lo, type_text, annotations, "variable name"
+            "local_variable_declaration", lo, type_text, "variable name"
         )
 
     def _parse_initializer(self, children: list[Node]) -> tuple[int, int]:
@@ -740,7 +740,7 @@ class _Parser:
                     self.i = self._skip_group(self.i)
                     continue
             elif t.kind == "keyword" and t.value == "new":
-                args = self._args_after_new(i + 1)
+                args = args_after_new(toks, i + 1)
                 if args is not None:
                     # jump to the `(`: a comma in the type arguments ends
                     # no declarator
@@ -751,26 +751,10 @@ class _Parser:
         if self.i > lo:
             first, last = toks[lo], toks[self.i - 1]
             if first.kind == "op" and first.value in _ASSIGNMENT_HEADS:
-                raise _ParseFailure(first.start, "expected expression")
+                raise ParseError(first.start, "expected expression")
             if last.kind == "op" and last.value in _ASSIGNMENT_TAILS:
                 raise self.fail("expected expression")
         return children
-
-    def _args_after_new(self, j: int) -> Optional[int]:
-        """Index of the `(` after `new` and the qualified type name and type
-        arguments that start at ``j``; None for an array creation or
-        anything else. Like the rest of the parser, it accepts more than
-        Java: the name may be missing."""
-        toks, n = self.toks, self.n
-        if j < n and toks[j].kind == "ident":
-            j += 1
-            while j + 1 < n and toks[j].is_op(".") and toks[j + 1].kind == "ident":
-                j += 2
-        if j < n and toks[j].is_op("<"):
-            closed, j = match_group(toks, j)
-            if not closed:
-                return None
-        return j if j < n and toks[j].is_op("(") else None
 
     def _parse_anonymous_body(self) -> Node:
         lo = self.i
@@ -802,9 +786,7 @@ _SIMPLE_STATEMENTS = {
 
 
 def parse_java_source(
-    data: bytes,
-    previous: Optional[tuple[list[Token], list[Edit]]] = None,
-    max_size: int = 16 * 1024 * 1024,
+    data: bytes, previous: Optional[tuple[list[Token], list[Edit]]] = None
 ) -> tuple[Optional[SyntaxTree], list[ParseDiagnostic]]:
     """Parse Java source bytes into a lossless SyntaxTree.
 
@@ -813,21 +795,9 @@ def parse_java_source(
     ``previous`` is passed on to `tokenize`: the tokens of an earlier text
     and the edits that made ``data`` from it.
     """
-    if len(data) > max_size:
-        return None, [ParseDiagnostic(1, 1, f"file exceeds size cap of {max_size} bytes")]
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        return None, [ParseDiagnostic(1, 1, f"not valid UTF-8: {exc.reason}")]
-    try:
+
+    def parse() -> SyntaxTree:
         tokens = tokenize(data, previous)
-    except LexError as exc:
-        return None, [exc.diagnostic]
-    parser = _Parser(data, tokens)
-    try:
-        root = parser.parse_compilation_unit()
-    except _ParseFailure as exc:
-        return None, [ParseDiagnostic(*line_col(data, exc.offset), exc.message)]
-    except RecursionError:
-        return None, [ParseDiagnostic(1, 1, "nesting too deep")]
-    return SyntaxTree(data, tokens, root), []
+        return SyntaxTree(data, tokens, _Parser(data, tokens).parse_compilation_unit())
+
+    return guarded_parse(data, parse)

@@ -1,6 +1,6 @@
 """The five energy rules and their shared result types."""
 
-from .base import JAVA_RULE_ORDER, Finding, RuleId, RuleResult
+from .base import Finding, RuleId, RuleResult
 from .draw_allocation import apply_draw_allocation
 from .layout_params import LayoutParamTable, apply_obsolete_layout_param
 from .recycle import apply_recycle
@@ -8,7 +8,6 @@ from .view_holder import apply_view_holder
 from .wake_lock import apply_wake_lock
 
 __all__ = [
-    "JAVA_RULE_ORDER",
     "Finding",
     "RuleId",
     "RuleResult",

@@ -1,4 +1,4 @@
-"""Rule identifiers, rule order and result types shared by all five rules."""
+"""Rule identifiers and result types shared by all five rules."""
 
 from __future__ import annotations
 
@@ -16,11 +16,6 @@ class RuleId(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-# Rules run and are reported in declaration order. ObsoleteLayoutParam runs
-# on XML files only; the others run on Java files.
-JAVA_RULE_ORDER = tuple(r for r in RuleId if r is not RuleId.OBSOLETE_LAYOUT_PARAM)
 
 
 class Finding:

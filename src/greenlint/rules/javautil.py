@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from ..java.lexer import Token
-from ..java.parser import Node, SyntaxTree, match_group
+from ..java.parser import Node, SyntaxTree, args_after_new, match_group
 from ..spans import Edit, SourceSpan
 
 
@@ -118,23 +118,23 @@ def split_args(tokens: list[Token], open_idx: int) -> tuple[list[tuple[int, int]
     ``len(tokens)`` if the list does not close.
     """
     args: list[tuple[int, int]] = []
-    depth = 0
-    arg_lo = open_idx + 1
-    for j in range(open_idx + 1, len(tokens)):
+    arg_lo = j = open_idx + 1
+    while j < len(tokens):
         t = tokens[j]
-        if t.kind != "op":
-            continue
-        if t.value in "([{":
-            depth += 1
-        elif t.value in ")]}":
-            if depth == 0:
+        if t.kind == "op":
+            if t.value in "([{":
+                closed, j = match_group(tokens, j)
+                if not closed:
+                    break
+                continue
+            if t.value in ")]}":
                 if arg_lo < j:
                     args.append((arg_lo, j))
                 return args, j
-            depth -= 1
-        elif t.value == "," and depth == 0:
-            args.append((arg_lo, j))
-            arg_lo = j + 1
+            if t.value == ",":
+                args.append((arg_lo, j))
+                arg_lo = j + 1
+        j += 1
     return args, len(tokens)
 
 
@@ -164,30 +164,19 @@ def find_creations(tokens: list[Token], lo: int, hi: int) -> Iterator[Creation]:
     for j in range(lo, min(hi, len(tokens))):
         if not tokens[j].is_kw("new"):
             continue
-        k = j + 1
-        parts = []
-        while k < len(tokens) and tokens[k].kind in ("ident", "keyword"):
-            parts.append(tokens[k].value)
-            if k + 1 < len(tokens) and tokens[k + 1].is_op("."):
-                k += 2
-            else:
-                k += 1
-                break
-        if not parts:
-            continue
-        if k < len(tokens) and tokens[k].is_op("<"):
-            closed, end = match_group(tokens, k)
-            if not closed:
-                continue
-            k = end
-        if k >= len(tokens) or not tokens[k].is_op("("):
+        k = args_after_new(tokens, j + 1)
+        if k is None:
             continue  # array creation or malformed
+        # the qualified name, up to its type arguments
+        type_name = "".join(t.value for t in tokens[j + 1 : k]).split("<", 1)[0]
+        if not type_name:
+            continue
         args, close_idx = split_args(tokens, k)
         if close_idx >= hi:
             continue  # the call runs past the slice or never closes
         has_body = close_idx + 1 < len(tokens) and tokens[close_idx + 1].is_op("{")
         span = SourceSpan(tokens[j].start, tokens[close_idx].end)
-        yield Creation(".".join(parts), j, args, span, has_body)
+        yield Creation(type_name, j, args, span, has_body)
 
 
 def initialized_local(stmt: Node) -> Optional[dict]:

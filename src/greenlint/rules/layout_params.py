@@ -129,18 +129,17 @@ def apply_obsolete_layout_param(
     result = RuleResult()
     table = table if table is not None else LayoutParamTable()
 
-    for element in tree.walk():
+    for element in tree.root.walk():
         parent = element.parent
         if parent is None:
             continue
         if not table.knows_parent(parent.tag):
             continue
         for attr in element.attributes:
-            if attr.prefix != "android":
+            prefix, _, local_name = attr.name.partition(":")
+            if prefix != "android" or not local_name.startswith("layout_"):
                 continue
-            if not attr.local_name.startswith("layout_"):
-                continue
-            if table.is_meaningful(parent.tag, attr.local_name):
+            if table.is_meaningful(parent.tag, local_name):
                 continue
             message = (
                 f"{attr.name} has no effect on a child of "

@@ -30,6 +30,10 @@ LIFECYCLE_METHODS = frozenset(
     ["onCreate", "onStart", "onResume", "onRestart", "onNewIntent"]
 )
 
+# Code after a trailing return or throw is unreachable, which javac
+# rejects, so the releases go before it.
+_EXITS = ("return_statement", "throw_statement")
+
 
 def _is_activity_class(node: Node) -> bool:
     if node.kind != "class_declaration":
@@ -133,7 +137,7 @@ def apply_wake_lock(tree: SyntaxTree, path: str = "") -> RuleResult:
                 f"{si}super.onPause();",
             ]
             tail = [f"{mi}}}"]
-        elif pause_body.children and pause_body.children[-1].kind == "return_statement":
+        elif pause_body.children and pause_body.children[-1].kind in _EXITS:
             si = line_indent(data, insert_at)
         elif pause_body.children:
             si = line_indent(data, tree.span_of(pause_body.children[0]).start)
@@ -158,17 +162,23 @@ def _release_point(
 ) -> tuple[Optional[int], str]:
     """Where the releases go, or why they cannot: a new onPause goes before
     the class's `}`; releases go before an existing onPause's trailing
-    return, else before its `}`."""
+    return or throw, else before its `}`, unless an earlier return or
+    throw token could skip them."""
     if on_pause is None:
-        anchor = owner.props["rbrace"]
+        anchor = tree.tokens[owner.tok_hi - 1].start  # the class's `}`
     elif on_pause.props["body"] is None:
         return None, "onPause() has no body"
     else:
         body = on_pause.props["body"]
-        if body.children and body.children[-1].kind == "return_statement":
-            anchor = tree.span_of(body.children[-1]).start
-        else:
-            anchor = body.props["rbrace"]
+        end = body.tok_hi - 1  # the `}`
+        if body.children and body.children[-1].kind in _EXITS:
+            end = body.children[-1].tok_lo
+        if any(
+            t.kind == "keyword" and t.value in ("return", "throw")
+            for t in tree.tokens[body.tok_lo : end]
+        ):
+            return None, "an earlier exit from onPause() would skip the release"
+        anchor = tree.tokens[end].start
     insert_at = own_line_start(tree.data, anchor)
     return insert_at, SHARED_LINE if insert_at is None else ""
 

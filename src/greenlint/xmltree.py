@@ -1,13 +1,15 @@
 """Lossless XML parser for Android layout resources.
 
-Keeps the original bytes alongside a span-annotated element tree: attribute
-order, inter-attribute whitespace, comments and text are all recoverable
-because nothing is ever normalized. Serializing an unmodified tree returns
-the input bytes verbatim; rewrites go through byte-range edits only.
+Keeps the original bytes alongside an element tree whose spans point into
+them: an element's span is its start tag, an attribute's its name="value".
+Attribute order, inter-attribute whitespace, comments and text stay in the
+bytes because nothing is ever normalized; rewrites go through byte-range
+edits only.
 
 This is a deliberately small well-formedness-checking parser, not a general
 XML stack: no DTD expansion, no external entities, no encoding sniffing
-(files are UTF-8 per project policy).
+(files are UTF-8 per project policy and at most `diagnostics.MAX_SIZE`
+bytes).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import re
 from typing import Iterator, Optional
 
-from .diagnostics import ParseDiagnostic, line_col
+from .diagnostics import ParseDiagnostic, ParseError, guarded_parse
 from .spans import SourceSpan
 
 _NAME_RE = re.compile(rb"[A-Za-z_:\x80-\xff][-A-Za-z0-9_:.\x80-\xff]*")
@@ -23,38 +25,28 @@ _WS = b" \t\r\n"
 
 
 class XmlAttribute:
-    __slots__ = ("name", "value", "span", "ws_start")
+    __slots__ = ("name", "span", "ws_start")
 
-    def __init__(self, name: str, value: str, span: SourceSpan, ws_start: int):
+    def __init__(self, name: str, span: SourceSpan, ws_start: int):
         self.name = name  # qualified, e.g. android:layout_width
-        self.value = value
         self.span = span  # covers name="value"
         self.ws_start = ws_start  # start of the whitespace run before the attribute
 
-    @property
-    def local_name(self) -> str:
-        return self.name.split(":", 1)[-1]
-
-    @property
-    def prefix(self) -> str:
-        return self.name.split(":", 1)[0] if ":" in self.name else ""
-
 
 class XmlElement:
-    __slots__ = ("tag", "attributes", "children", "span", "start_tag_span", "parent")
+    __slots__ = ("tag", "attributes", "children", "span", "parent")
 
     def __init__(
         self,
         tag: str,
         attributes: list[XmlAttribute],
-        start_tag_span: SourceSpan,
+        span: SourceSpan,
         parent: Optional[XmlElement],
     ):
         self.tag = tag
         self.attributes = attributes
         self.children: list[XmlElement] = []
-        self.span = start_tag_span  # widened to the end tag, if there is one
-        self.start_tag_span = start_tag_span
+        self.span = span  # the start tag
         self.parent = parent
 
     def walk(self) -> Iterator[XmlElement]:
@@ -70,52 +62,39 @@ class XmlTree:
         self.data = data
         self.root = root
 
-    def serialize(self) -> bytes:
-        return self.data
-
-    def walk(self) -> Iterator[XmlElement]:
-        return self.root.walk()
-
-
-class _XmlFailure(Exception):
-    def __init__(self, diagnostic: ParseDiagnostic):
-        super().__init__(str(diagnostic))
-        self.diagnostic = diagnostic
-
 
 class _XmlParser:
     def __init__(self, data: bytes):
         self.data = data
         self.i = 0
 
-    def fail(self, message: str, offset: Optional[int] = None) -> _XmlFailure:
-        off = self.i if offset is None else offset
-        return _XmlFailure(ParseDiagnostic(*line_col(self.data, off), message))
+    def fail(self, message: str, offset: Optional[int] = None) -> ParseError:
+        return ParseError(self.i if offset is None else offset, message)
 
     def skip_ws(self) -> None:
         while self.i < len(self.data) and self.data[self.i] in _WS:
             self.i += 1
 
+    def skip(self, opener: bytes, closer: bytes, what: str) -> bool:
+        """Skip the `opener ... closer` run at the cursor, if one starts
+        there; fail with "unterminated ``what``" if it does not close."""
+        if not self.data.startswith(opener, self.i):
+            return False
+        end = self.data.find(closer, self.i + len(opener))
+        if end < 0:
+            raise self.fail(f"unterminated {what}")
+        self.i = end + len(closer)
+        return True
+
     def skip_misc(self) -> None:
         """Whitespace, comments, PIs and doctype between markup."""
         while True:
             self.skip_ws()
-            if self.data.startswith(b"<!--", self.i):
-                end = self.data.find(b"-->", self.i + 4)
-                if end < 0:
-                    raise self.fail("unterminated comment")
-                self.i = end + 3
-            elif self.data.startswith(b"<?", self.i):
-                end = self.data.find(b"?>", self.i + 2)
-                if end < 0:
-                    raise self.fail("unterminated processing instruction")
-                self.i = end + 2
-            elif self.data.startswith(b"<!DOCTYPE", self.i):
-                end = self.data.find(b">", self.i)
-                if end < 0:
-                    raise self.fail("unterminated DOCTYPE")
-                self.i = end + 1
-            else:
+            if not (
+                self.skip(b"<!--", b"-->", "comment")
+                or self.skip(b"<?", b"?>", "processing instruction")
+                or self.skip(b"<!DOCTYPE", b">", "DOCTYPE")
+            ):
                 return
 
     def parse_document(self) -> XmlElement:
@@ -173,16 +152,11 @@ class _XmlParser:
             end = self.data.find(quote, self.i + 1)
             if end < 0:
                 raise self.fail("unterminated attribute value")
-            value = self.data[self.i + 1 : end].decode("utf-8")
             self.i = end + 1
-            attributes.append(
-                XmlAttribute(name, value, SourceSpan(attr_start, self.i), ws_start)
-            )
+            attributes.append(XmlAttribute(name, SourceSpan(attr_start, self.i), ws_start))
         element = XmlElement(tag, attributes, SourceSpan(start, self.i), parent)
         # content
         while True:
-            if self.i >= len(self.data):
-                raise self.fail(f"unclosed element <{tag}>", start)
             lt = self.data.find(b"<", self.i)
             if lt < 0:
                 raise self.fail(f"unclosed element <{tag}>", start)
@@ -200,38 +174,15 @@ class _XmlParser:
                 if not self.data.startswith(b">", self.i):
                     raise self.fail("expected '>' in closing tag")
                 self.i += 1
-                element.span = SourceSpan(start, self.i)
                 return element
-            if self.data.startswith(b"<!--", self.i):
-                end_c = self.data.find(b"-->", self.i + 4)
-                if end_c < 0:
-                    raise self.fail("unterminated comment")
-                self.i = end_c + 3
-            elif self.data.startswith(b"<![CDATA[", self.i):
-                end_c = self.data.find(b"]]>", self.i + 9)
-                if end_c < 0:
-                    raise self.fail("unterminated CDATA section")
-                self.i = end_c + 3
-            elif self.data.startswith(b"<?", self.i):
-                end_c = self.data.find(b"?>", self.i + 2)
-                if end_c < 0:
-                    raise self.fail("unterminated processing instruction")
-                self.i = end_c + 2
-            else:
+            if not (
+                self.skip(b"<!--", b"-->", "comment")
+                or self.skip(b"<![CDATA[", b"]]>", "CDATA section")
+                or self.skip(b"<?", b"?>", "processing instruction")
+            ):
                 element.children.append(self.parse_element(parent=element))
 
 
 def parse_layout_xml(data: bytes) -> tuple[Optional[XmlTree], list[ParseDiagnostic]]:
     """Parse XML bytes into a lossless XmlTree, or return diagnostics."""
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        return None, [ParseDiagnostic(1, 1, f"not valid UTF-8: {exc.reason}")]
-    parser = _XmlParser(data)
-    try:
-        root = parser.parse_document()
-    except _XmlFailure as exc:
-        return None, [exc.diagnostic]
-    except RecursionError:
-        return None, [ParseDiagnostic(1, 1, "nesting too deep")]
-    return XmlTree(data, root), []
+    return guarded_parse(data, lambda: XmlTree(data, _XmlParser(data).parse_document()))

@@ -2,14 +2,14 @@
 
 It walks the input one byte at a time with explicit branches, so its rules
 are easy to read off. `greenlint.java.lexer.tokenize` must produce the same
-`(kind, value, start, end)` list as `tokenize_reference`, or raise `LexError`
-with the same line, column and message.
+`(kind, value, start, end)` list as `tokenize_reference`, or raise
+`ParseError` with the same offset and message.
 """
 
 from __future__ import annotations
 
-from greenlint.diagnostics import ParseDiagnostic, line_col
-from greenlint.java.lexer import KEYWORDS, LexError
+from greenlint.diagnostics import ParseError
+from greenlint.java.lexer import KEYWORDS
 
 # Multi-byte operators, longest first.
 _OPERATORS = [
@@ -18,10 +18,6 @@ _OPERATORS = [
     b"^=",
 ]
 _SINGLE = set(b"(){}[];,.=<>+-*/%&|^!~?:@")
-
-
-def _fail(data: bytes, offset: int, message: str) -> LexError:
-    return LexError(ParseDiagnostic(*line_col(data, offset), message))
 
 
 def _is_ident_start(b: int) -> bool:
@@ -33,7 +29,7 @@ def _is_ident_part(b: int) -> bool:
 
 
 def tokenize_reference(data: bytes) -> list[tuple[str, str, int, int]]:
-    """Tokenize Java source bytes; raises LexError on malformed input."""
+    """Tokenize Java source bytes; raises ParseError on malformed input."""
     tokens: list[tuple[str, str, int, int]] = []
     i = 0
     n = len(data)
@@ -51,7 +47,7 @@ def tokenize_reference(data: bytes) -> list[tuple[str, str, int, int]]:
         if data.startswith(b"/*", i):
             j = data.find(b"*/", i + 2)
             if j < 0:
-                raise _fail(data, i, "unterminated block comment")
+                raise ParseError(i, "unterminated block comment")
             i = j + 2
             continue
         # identifiers / keywords
@@ -84,7 +80,7 @@ def tokenize_reference(data: bytes) -> list[tuple[str, str, int, int]]:
         if data.startswith(b'"""', i):
             j = data.find(b'"""', i + 3)
             if j < 0:
-                raise _fail(data, i, "unterminated text block")
+                raise ParseError(i, "unterminated text block")
             j += 3
             tokens.append(("string", data[i:j].decode("utf-8", "replace"), i, j))
             i = j
@@ -105,7 +101,7 @@ def tokenize_reference(data: bytes) -> list[tuple[str, str, int, int]]:
                 j += 1
             if j >= n:
                 what = "string" if quote == 0x22 else "character"
-                raise _fail(data, i, f"unterminated {what} literal")
+                raise ParseError(i, f"unterminated {what} literal")
             j += 1
             kind = "string" if quote == 0x22 else "char"
             tokens.append((kind, data[i:j].decode("utf-8", "replace"), i, j))
@@ -119,7 +115,7 @@ def tokenize_reference(data: bytes) -> list[tuple[str, str, int, int]]:
                 break
         else:
             if b not in _SINGLE:
-                raise _fail(data, i, f"unexpected character {chr(b)!r}")
+                raise ParseError(i, f"unexpected character {chr(b)!r}")
             tokens.append(("op", chr(b), i, i + 1))
             i += 1
     return tokens

@@ -108,6 +108,20 @@ CASES = {
         "abstract " + _activity("    abstract void onPause();\n"),
         [(WAKE_LOCK + "; onPause() has no body" + NO_FIX, False, (83, 95))],
     ),
+    "wake-lock-earlier-exit-from-on-pause": (
+        apply_wake_lock,
+        _activity(
+            "    void onPause() {\n        if (done) {\n"
+            "            throw new E();\n        }\n    }\n"
+        ),
+        [
+            (
+                WAKE_LOCK + "; an earlier exit from onPause() would skip the release" + NO_FIX,
+                False,
+                (74, 86),
+            )
+        ],
+    ),
     "wake-lock-shared-line-new-on-pause": (
         apply_wake_lock,
         "class A extends Activity { WakeLock wl; void onCreate() { wl.acquire(); } }\n",

@@ -2,10 +2,11 @@ from pathlib import Path
 
 import pytest
 
+from greenlint import diagnostics
 from greenlint.java.parser import parse_java_source
 
 from conftest import CLEAN_CORPUS, GOLDEN, parse_java
-from helpers import contains, find_all
+from helpers import assert_spans_sound, contains, find_all
 
 
 def test_minimal_class():
@@ -33,8 +34,9 @@ def test_malformed_class_yields_diagnostics():
     assert diags[0].line == 1
 
 
-def test_size_cap():
-    tree, diags = parse_java_source(b"class A {}", max_size=4)
+def test_size_cap(monkeypatch):
+    monkeypatch.setattr(diagnostics, "MAX_SIZE", 4)
+    tree, diags = parse_java_source(b"class A {}")
     assert tree is None
     assert "size cap" in diags[0].message
 
@@ -62,7 +64,7 @@ def test_non_utf8_rejected():
 def test_parses_common_constructs(source):
     tree, diags = parse_java_source(source)
     assert diags == [], diags
-    assert tree.serialize() == source
+    assert_spans_sound(tree)
 
 
 def _java_fixtures():
@@ -73,9 +75,7 @@ def _java_fixtures():
 
 @pytest.mark.parametrize("path", _java_fixtures(), ids=lambda p: p.stem + "-" + p.parent.name)
 def test_lossless_round_trip(path: Path):
-    data = path.read_bytes()
-    tree = parse_java(data)
-    assert tree.serialize() == data
+    assert_spans_sound(parse_java(path.read_bytes()))
 
 
 @pytest.mark.parametrize("path", _java_fixtures(), ids=lambda p: p.stem + "-" + p.parent.name)
@@ -133,7 +133,7 @@ def test_empty_initializer_is_rejected(source):
 def test_declarations_with_and_without_initializer_parse(source):
     tree, diags = parse_java_source(source)
     assert diags == []
-    assert tree.serialize() == source
+    assert_spans_sound(tree)
 
 
 @pytest.mark.parametrize(
@@ -149,7 +149,7 @@ def test_declarations_with_and_without_initializer_parse(source):
 )
 def test_declarator_names(source, names):
     tree = parse_java(source)
-    assert tree.serialize() == source
+    assert_spans_sound(tree)
     decl = next(n for n in tree.root.walk() if "declarators" in n.props)
     assert [d["name"] for d in decl.props["declarators"]] == names
 
@@ -189,7 +189,7 @@ def test_complete_expression_statements_parse(statement):
     source = b"class A { void f() { " + statement + b" } }"
     tree, diags = parse_java_source(source)
     assert diags == []
-    assert tree.serialize() == source
+    assert_spans_sound(tree)
 
 
 @pytest.mark.parametrize(
@@ -218,7 +218,7 @@ def test_unclosed_group_fails_at_the_cursor(source, column, closer):
 )
 def test_labeled_statement_round_trips(source, inner):
     tree = parse_java(source)
-    assert tree.serialize() == source
+    assert_spans_sound(tree)
     labeled = find_all(tree, "labeled_statement")[0]
     assert [c.kind for c in labeled.children] == [inner]
 
@@ -233,7 +233,7 @@ def test_labeled_statement_round_trips(source, inner):
 def test_annotated_local_declaration(statement, kind):
     source = b"class A { void f() { " + statement + b" } }"
     tree = parse_java(source)
-    assert tree.serialize() == source
+    assert_spans_sound(tree)
     body = find_all(tree, "block")[0]
     assert [c.kind for c in body.children] == [kind]
 
@@ -320,6 +320,10 @@ def test_split_args_splits_on_top_level_commas_only():
         (b"class T { record R(int x) {} }", "1:11: records are not supported"),
         (b"class T { private static record R(int x) {} }", "1:26: records are not supported"),
         (b"class T { record R<X>(X x) {} }", "1:11: records are not supported"),
+        (b"class T { void f() { record R(int x) {} } }", "1:22: records are not supported"),
+        (b"class T { void f() { final record R(int x) {} } }", "1:28: records are not supported"),
+        (b"class A { // \xff }", "1:1: not valid UTF-8: invalid start byte"),
+        (b"class A { void f() " + b"{" * 3000 + b"}" * 3000 + b" }", "1:1: nesting too deep"),
     ],
 )
 def test_parse_error_message_and_location(source, expected):
@@ -383,4 +387,4 @@ def test_bad_annotation_default_is_rejected(source, expected):
 def test_annotation_default_parses(source):
     tree, diags = parse_java_source(source)
     assert diags == []
-    assert tree.serialize() == source
+    assert_spans_sound(tree)

@@ -1,5 +1,5 @@
 """The regex tokenizer against the byte-walking reference in
-`reference_lexer.py`: same tokens field for field, or the same LexError.
+`reference_lexer.py`: same tokens field for field, or the same ParseError.
 Tokens spliced from an earlier text's are checked against a full scan."""
 
 from pathlib import Path
@@ -8,11 +8,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from greenlint.java.lexer import LexError, tokenize
+from greenlint.diagnostics import ParseError
+from greenlint.java.lexer import tokenize
 from greenlint.java.parser import parse_java_source
 from greenlint.spans import Edit, apply_edit_set
 
 from conftest import FIXTURES, GOLDEN, GOLDEN_CASES
+from helpers import assert_spans_sound
 from mutations import java_mutations
 from reference_lexer import tokenize_reference
 
@@ -20,9 +22,8 @@ from reference_lexer import tokenize_reference
 def _outcome(lex, data: bytes):
     try:
         return lex(data)
-    except LexError as exc:
-        d = exc.diagnostic
-        return ("LexError", d.line, d.column, d.message)
+    except ParseError as exc:
+        return ("ParseError", exc.offset, exc.message)
 
 
 def _fields(data: bytes, previous=None) -> list[tuple[str, str, int, int]]:
@@ -86,17 +87,14 @@ def test_edge_case_matches_reference(data: bytes):
     ],
 )
 def test_malformed_input_fails_where_the_token_starts(data: bytes, column: int, message: str):
-    with pytest.raises(LexError) as info:
+    with pytest.raises(ParseError) as info:
         tokenize(data)
-    d = info.value.diagnostic
-    assert (d.line, d.column, d.message) == (1, column, message)
+    assert (info.value.offset + 1, info.value.message) == (column, message)
 
 
 def test_error_column_counts_characters():
-    with pytest.raises(LexError) as info:
-        tokenize('"ééé"; #'.encode())
-    d = info.value.diagnostic
-    assert (d.line, d.column) == (1, 8)
+    tree, diags = parse_java_source('"ééé"; #'.encode())
+    assert (diags[0].line, diags[0].column) == (1, 8)
 
 
 # Single characters and fragments of a Java-ish alphabet: most strings built
@@ -130,13 +128,7 @@ def test_generated_java_matches_reference_and_round_trips(text: str):
     if tree is None:
         assert diags
         return
-    assert tree.serialize() == data
-    # every byte outside a token is trivia
-    ends = [0] + [t.end for t in tree.tokens]
-    starts = [t.start for t in tree.tokens] + [len(data)]
-    for gap_start, gap_end in zip(ends, starts):
-        assert gap_start <= gap_end
-        assert tokenize(data[gap_start:gap_end]) == []
+    assert_spans_sound(tree)
 
 
 SPLICE_CASES = [
@@ -186,7 +178,7 @@ def _edited(draw):
     old = draw(_JAVA_ISH).encode("utf-8")
     try:
         tokens = tokenize(old)
-    except LexError:
+    except ParseError:
         tokens = None
     assume(tokens is not None)
     count = draw(st.integers(1, 4))

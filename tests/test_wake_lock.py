@@ -137,3 +137,50 @@ def test_abstract_on_pause_declines_the_fix():
     assert fixed == source
     without_lock = source.replace(b"        wl.acquire();\n", b"")
     assert apply_wake_lock(parse_java(without_lock)).findings == []
+
+
+def _with_on_pause(golden, body: bytes) -> bytes:
+    before, _ = golden("wake_lock")
+    return before.replace(
+        b"        wl.acquire();\n    }\n",
+        b"        wl.acquire();\n    }\n\n"
+        b"    @Override\n"
+        b"    protected void onPause() {\n" + body + b"    }\n",
+    )
+
+
+def test_release_goes_before_a_trailing_throw(golden):
+    source = _with_on_pause(
+        golden,
+        b"        super.onPause();\n"
+        b"        throw new IllegalStateException();\n",
+    )
+    result, fixed = fix_java(apply_wake_lock, source)
+    assert [f.fixable for f in result.findings] == [True]
+    assert (
+        b"        super.onPause();\n"
+        b"        if (wl != null && wl.isHeld()) {\n"
+        b"            wl.release();\n"
+        b"        }\n"
+        b"        throw new IllegalStateException();\n"
+        b"    }\n"
+    ) in fixed
+    check, again = fix_java(apply_wake_lock, fixed)
+    assert check.findings == []
+    assert again == fixed
+
+
+def test_an_earlier_return_in_on_pause_declines_the_fix(golden):
+    source = _with_on_pause(
+        golden,
+        b"        super.onPause();\n"
+        b"        if (done) {\n"
+        b"            return;\n"
+        b"        }\n"
+        b"        log();\n"
+        b"        return;\n",
+    )
+    result, fixed = fix_java(apply_wake_lock, source)
+    assert [f.fixable for f in result.findings] == [False]
+    assert "an earlier exit from onPause() would skip the release" in result.findings[0].message
+    assert fixed == source

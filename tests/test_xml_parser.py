@@ -5,7 +5,7 @@ import pytest
 from greenlint.xmltree import parse_layout_xml
 
 from conftest import CLEAN_CORPUS, GOLDEN, parse_xml
-from helpers import contains
+from helpers import assert_spans_sound, contains
 
 
 def test_minimal_element():
@@ -19,7 +19,7 @@ def test_minimal_element():
 def test_layout_fixture_attributes(golden):
     before, _ = golden("obsolete_layout_param")
     tree = parse_xml(before)
-    text_views = [e for e in tree.walk() if e.tag == "TextView"]
+    text_views = [e for e in tree.root.walk() if e.tag == "TextView"]
     assert len(text_views) == 1
     names = [a.name for a in text_views[0].attributes]
     assert len(names) == 4
@@ -58,7 +58,7 @@ def test_prolog_comments_and_cdata():
     tree, diags = parse_layout_xml(source)
     assert diags == []
     assert [c.tag for c in tree.root.children] == ["child"]
-    assert tree.serialize() == source
+    assert_spans_sound(tree)
 
 
 def _xml_fixtures():
@@ -69,24 +69,57 @@ def _xml_fixtures():
 
 @pytest.mark.parametrize("path", _xml_fixtures(), ids=lambda p: p.stem)
 def test_lossless_round_trip(path: Path):
-    data = path.read_bytes()
-    tree = parse_xml(data)
-    assert tree.serialize() == data
+    assert_spans_sound(parse_xml(path.read_bytes()))
 
 
 @pytest.mark.parametrize("path", _xml_fixtures(), ids=lambda p: p.stem)
 def test_attribute_spans_disjoint_within_start_tag(path: Path):
     data = path.read_bytes()
     tree = parse_xml(data)
-    for element in tree.walk():
-        prev_end = element.start_tag_span.start
+    for element in tree.root.walk():
+        prev_end = element.span.start
         for attr in element.attributes:
-            assert contains(element.start_tag_span, attr.span)
+            assert contains(element.span, attr.span)
             assert attr.ws_start >= prev_end
             assert attr.span.start >= attr.ws_start
             prev_end = attr.span.end
             # span really covers name="value"
             assert data[attr.span.start : attr.span.end].decode().startswith(attr.name)
+
+
+@pytest.mark.parametrize(
+    "source,expected",
+    [
+        (b"", "1:1: expected root element"),
+        (b"  text", "1:3: expected root element"),
+        (b"<a/>x", "1:5: content after root element"),
+        (b"<!-- open", "1:1: unterminated comment"),
+        (b"<?xml version='1.0'", "1:1: unterminated processing instruction"),
+        (b"<!DOCTYPE a", "1:1: unterminated DOCTYPE"),
+        (b"<1/>", "1:2: expected element name"),
+        (b"<a =''/>", "1:4: expected attribute name"),
+        (b"<a></1>", "1:6: expected closing tag name"),
+        (b"<a x='1'", "1:1: unterminated start tag"),
+        (b"<a x='1'y='2'/>", "1:9: expected whitespace before attribute"),
+        (b"<a x='1' x='2'/>", "1:10: duplicate attribute 'x'"),
+        (b"<a x/>", "1:5: expected '=' after attribute name"),
+        (b"<a x=1/>", "1:6: expected quoted attribute value"),
+        (b"<a x='1/>", "1:6: unterminated attribute value"),
+        (b"<a>", "1:1: unclosed element <a>"),
+        (b"<a>\n  text", "1:1: unclosed element <a>"),
+        (b"<a><b></a>", "1:7: mismatched closing tag: expected </b>, got </a>"),
+        (b"<a></a x>", "1:8: expected '>' in closing tag"),
+        (b"<a><!-- open</a>", "1:4: unterminated comment"),
+        (b"<a><![CDATA[ open</a>", "1:4: unterminated CDATA section"),
+        (b"<a><? open</a>", "1:4: unterminated processing instruction"),
+        (b"<a t='\xff'/>", "1:1: not valid UTF-8: invalid start byte"),
+        (b"<a>" * 5000, "1:1: nesting too deep"),
+    ],
+)
+def test_parse_error_message_and_location(source, expected):
+    tree, diags = parse_layout_xml(source)
+    assert tree is None
+    assert [str(d) for d in diags] == [expected]
 
 
 def test_diagnostic_column_counts_characters():
