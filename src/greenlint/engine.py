@@ -8,7 +8,8 @@ table bound in. Each pass parses the current text once, runs every enabled
 rule on that tree and applies their merged edit lists in one step. The first
 pass is the report, so findings point into the file on disk; the pass after
 a rewrite is its verification; for Java it re-lexes only around the edits
-and splices in the old tokens elsewhere. Rewritten text must re-parse
+and re-parses only the members they touch, reusing the old tokens and
+subtrees elsewhere. Rewritten text must re-parse
 cleanly and the rules must then report nothing fixable, otherwise the
 file's fixes are rolled back and surfaced as an internal error. A
 project's per-rule counts come from its files' findings.
@@ -23,7 +24,6 @@ from pathlib import Path
 from typing import Callable, Optional, Union
 
 from .diagnostics import ParseDiagnostic, line_col
-from .java.lexer import Token
 from .java.parser import SyntaxTree, parse_java_source
 from .rules import (
     Finding,
@@ -306,14 +306,15 @@ def _fix(
     bytes are those a rule-by-rule chain writes. A pass after a rewrite is
     its verification: a rule already applied must find nothing fixable.
     Each pass applies at least the first pending rule, hence the bound.
-    A Java pass after a rewrite is given the previous tokens and the edits,
-    so it re-lexes only around them.
+    A Java pass after a rewrite is given the previous tree and the edits,
+    so it re-lexes only around them and re-parses only the members they
+    touch; moving the old tree's nodes leaves pass 0's findings in place.
     """
     if not rules:
         return original
     applied: set[RuleId] = set()
     text = original
-    previous: Optional[tuple[list[Token], list[Edit]]] = None
+    previous: Optional[tuple[SyntaxTree, list[Edit]]] = None
     for pass_no in range(len(rules) + 1):
         tree, diags = parse(text) if previous is None else parse(text, previous)
         if tree is None:
@@ -343,7 +344,7 @@ def _fix(
             break
         text = apply_edit_set(text, merged)
         if isinstance(tree, SyntaxTree):
-            previous = (tree.tokens, merged)
+            previous = (tree, merged)
     return text
 
 

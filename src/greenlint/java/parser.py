@@ -28,15 +28,24 @@ index pairs):
 Package and import declarations, annotations and modifiers are checked
 and skipped; no node holds them. A block's or a type's closing brace is
 its last token.
+
+Given an earlier tree and the edits since, only the members they touch
+are parsed (the subtree reuse of Wagner & Graham, TOPLAS 1998). A
+top-level type or type-body member parses from its own tokens and its
+enclosing type's name alone, so one that no edit comes near is moved over
+from the old tree and shifted in place. Its spans are replaced, not
+changed, since findings may hold them; nothing reads the old tree after.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from operator import attrgetter
 from typing import Any, Iterator, Optional, Union
 
 from ..diagnostics import ParseDiagnostic, ParseError, guarded_parse
 from ..spans import Edit, SourceSpan
-from .lexer import Token, tokenize
+from .lexer import _LOOKAHEAD, Token, tokenize
 
 MODIFIER_KEYWORDS = frozenset(
     """public protected private static final abstract native synchronized
@@ -52,6 +61,7 @@ _TYPE_KINDS = {
     "interface": "interface_declaration",
     "enum": "enum_declaration",
 }
+_TYPE_DECLS = frozenset(_TYPE_KINDS.values()) | {"annotation_declaration"}
 
 # A local class declaration starts with one of these or an annotation.
 _LOCAL_TYPE_STARTS = frozenset(_TYPE_KINDS) | {"final", "abstract", "static"}
@@ -170,12 +180,17 @@ class SyntaxTree:
         return self.data[span.start : span.end].decode("utf-8")
 
 
+# (token index, enclosing type name) -> (old node there, token, byte shift)
+_Reusable = dict[tuple[int, Optional[str]], tuple[Node, int, int]]
+
+
 class _Parser:
-    def __init__(self, data: bytes, tokens: list[Token]):
+    def __init__(self, data: bytes, tokens: list[Token], reusable: _Reusable):
         self.data = data
         self.toks = tokens
         self.n = len(tokens)
         self.i = 0
+        self.reusable = reusable
 
     # --- token helpers -------------------------------------------------
 
@@ -230,8 +245,17 @@ class _Parser:
             if self.at_op(";"):
                 self.advance()
                 continue
-            children.append(self._parse_type_decl())
+            children.append(self._reuse(None) or self._parse_type_decl())
         return Node("compilation_unit", lo, self.i, children)
+
+    def _reuse(self, enclosing: Optional[str]) -> Optional[Node]:
+        """The old node a parse at the cursor would rebuild, moved there."""
+        node, dt, db = self.reusable.pop((self.i, enclosing), (None, 0, 0))
+        if dt or db:
+            _shift(node, dt, db)
+        if node is not None:
+            self.i = node.tok_hi
+        return node
 
     def _at_package_decl(self) -> bool:
         # annotations may precede `package`
@@ -418,7 +442,7 @@ class _Parser:
             if t.is_op(";"):
                 self.advance()
                 continue
-            members.append(self._parse_member(enclosing))
+            members.append(self._reuse(enclosing) or self._parse_member(enclosing))
 
     def _parse_member(self, enclosing: str) -> Node:
         lo = self.i
@@ -785,19 +809,72 @@ _SIMPLE_STATEMENTS = {
 }
 
 
+def _shift(node: Node, dt: int, db: int) -> None:
+    """Move ``node``'s subtree ``dt`` tokens and ``db`` bytes on, in place."""
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        n.tok_lo += dt
+        n.tok_hi += dt
+        stack += n.children
+        props = n.props
+        if not props:
+            continue
+        if "cond" in props:
+            lo, hi = props["cond"]
+            props["cond"] = (lo + dt, hi + dt)
+        # a method's props hold a name_span, each declarator also an init
+        for d in props.get("declarators", [props]):
+            if "name_span" in d:
+                span = d["name_span"]
+                d["name_span"] = SourceSpan(span.start + db, span.end + db)
+            lo, hi = d.get("init", (None, None))
+            if lo is not None:
+                d["init"] = (lo + dt, hi + dt)
+
+
+def _reusable(old: SyntaxTree, edits: list[Edit], tokens: list[Token]) -> _Reusable:
+    """The top-level types and type-body members of ``old`` that no edit
+    comes near, keyed by where their first token is in ``tokens``."""
+    shifts = [(e.span.start, e.span.end, len(e.replacement) - len(e.span)) for e in edits]
+    out: _Reusable = {}
+
+    def visit(enclosing: Optional[str], members: list[Node]) -> None:
+        for node in members:
+            lo, hi = old.tokens[node.tok_lo].start, old.tokens[node.tok_hi - 1].end
+            if any(s <= hi + _LOOKAHEAD and e + _LOOKAHEAD >= lo for s, e, _ in shifts):
+                if node.kind in _TYPE_DECLS:
+                    visit(node.props["name"], node.children)
+                continue
+            db = sum(d for _, e, d in shifts if e < lo)
+            k = bisect_left(tokens, lo + db, key=attrgetter("start"))
+            last = k + node.tok_hi - node.tok_lo - 1
+            if last < len(tokens) and tokens[k].start - lo == tokens[last].end - hi == db:
+                out[(k, enclosing)] = (node, k - node.tok_lo, db)
+
+    visit(None, old.root.children)
+    return out
+
+
 def parse_java_source(
-    data: bytes, previous: Optional[tuple[list[Token], list[Edit]]] = None
+    data: bytes, previous: Optional[tuple[SyntaxTree, list[Edit]]] = None
 ) -> tuple[Optional[SyntaxTree], list[ParseDiagnostic]]:
     """Parse Java source bytes into a lossless SyntaxTree.
 
     Returns (tree, []) on success or (None, diagnostics) on failure; the
     caller is expected to skip undecodable or unparseable files.
-    ``previous`` is passed on to `tokenize`: the tokens of an earlier text
-    and the edits that made ``data`` from it.
+    ``previous`` may hold the tree of an earlier text, not to be read
+    afterwards, and the edits that made ``data`` from it: then only the
+    bytes around the edits are lexed and the members they touch parsed.
     """
 
     def parse() -> SyntaxTree:
-        tokens = tokenize(data, previous)
-        return SyntaxTree(data, tokens, _Parser(data, tokens).parse_compilation_unit())
+        if previous is None:
+            tokens, reusable = tokenize(data), {}
+        else:
+            tokens = tokenize(data, (previous[0].tokens, previous[1]))
+            reusable = _reusable(*previous, tokens)
+        root = _Parser(data, tokens, reusable).parse_compilation_unit()
+        return SyntaxTree(data, tokens, root)
 
     return guarded_parse(data, parse)

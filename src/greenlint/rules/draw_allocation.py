@@ -1,13 +1,18 @@
 """DrawAllocation rule: hoist invariant allocations out of onDraw.
 
 Only allocations whose constructor arguments cannot change between draw
-passes are touched: literals, fields of the enclosing class declared above
-onDraw, and class-qualified constants. Anything referencing an onDraw parameter or
-local, or involving a call, disqualifies the allocation -- missing those
-dynamic cases is accepted by design.
+passes are touched: literals, `final` fields of the enclosing class declared
+with an initializer above onDraw, and class-qualified constants. Anything
+referencing an onDraw parameter or local, a field's members or elements, or
+involving a call, disqualifies the allocation, and so does a later `.`
+after the local, unless it calls a `set*` method with such arguments: once
+hoisted, the object keeps any change from one draw to the next. Missing
+those dynamic cases is accepted by design.
 """
 
 from __future__ import annotations
+
+from itertools import takewhile
 
 from ..java.lexer import Token
 from ..java.parser import Node, SyntaxTree
@@ -15,7 +20,6 @@ from ..spans import Edit
 from .base import RuleId, RuleResult
 from .javautil import (
     SHARED_LINE,
-    class_fields,
     declared_locals,
     find_creations,
     has_signature,
@@ -26,6 +30,7 @@ from .javautil import (
     methods_of,
     own_line_start,
     reindent,
+    split_args,
     uses,
 )
 
@@ -53,29 +58,56 @@ def _args_are_invariant(
                 continue  # later segment of a qualified name
             if t.value in locals_:
                 return False
-            qualified_head = j + 1 < hi and tokens[j + 1].is_op(".")
-            if qualified_head and t.value[:1].isupper():
+            nxt = tokens[j + 1].value if j + 1 < hi else ""
+            if nxt == "." and t.value[:1].isupper():
                 continue  # class-qualified constant, e.g. Color.RED
-            if t.value not in fields:
-                return False
+            if t.value not in fields or nxt in (".", "["):
+                return False  # a final field's object or array may still change
     return True
 
 
-def _reassigned_elsewhere(
-    tree: SyntaxTree, method: Node, decl: Node, name: str
+def _final_fields(tokens: list[Token], members: list[Node]) -> set[str]:
+    """The fields among ``members`` declared `final` with an initializer (a
+    blank final may be read before a constructor sets it), found by the
+    tokens before each declaration's first name: nodes keep no modifiers."""
+    names: set[str] = set()
+    for member in members:
+        if member.kind != "field_declaration":
+            continue
+        decls = member.props["declarators"]
+        first = decls[0]["name_span"].start
+        head = takewhile(lambda t: t.start < first, tokens[member.tok_lo : member.tok_hi])
+        if any(t.is_kw("final") for t in head):
+            names.update(d["name"] for d in decls if d["init"] != (None, None))
+    return names
+
+
+def _changed_elsewhere(
+    tree: SyntaxTree, method: Node, decl: Node, name: str, fields: set[str], locals_: set[str]
 ) -> bool:
+    """True if the method assigns the local ``name`` outside ``decl``, or
+    follows it with a `.` that does not call a `set*` method with invariant
+    arguments."""
     body = method.props["body"]
+    toks = tree.tokens
     for j in uses(tree, body.tok_lo, body.tok_hi, name):
         if decl.tok_lo <= j < decl.tok_hi:
             continue
-        nxt = tree.tokens[j + 1] if j + 1 < body.tok_hi else None
-        if nxt is not None and nxt.kind == "op" and nxt.value in (
+        nxt = toks[j + 1]
+        if nxt.kind == "op" and nxt.value in (
             "=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "++", "--",
         ):
             return True
-        prev = tree.tokens[j - 1]
+        prev = toks[j - 1]
         if prev.kind == "op" and prev.value in ("++", "--"):
             return True
+        if nxt.is_op("."):
+            member, call = toks[j + 2], toks[j + 3]
+            if not (member.value.startswith("set") and call.is_op("(")):
+                return True
+            args, _ = split_args(toks, j + 3)
+            if not _args_are_invariant(toks, args, fields, locals_):
+                return True
     return False
 
 
@@ -89,7 +121,8 @@ def apply_draw_allocation(tree: SyntaxTree, path: str = "") -> RuleResult:
         body = method.props["body"]
         # The field is hoisted just above onDraw, where reading a field
         # declared below it is an illegal forward reference.
-        fields = set(class_fields(owner.children[: owner.children.index(method)]))
+        above = owner.children[: owner.children.index(method)]
+        fields = _final_fields(tree.tokens, above)
         locals_ = declared_locals(method)
         members = member_names(owner)
 
@@ -114,7 +147,7 @@ def apply_draw_allocation(tree: SyntaxTree, path: str = "") -> RuleResult:
             name = decl["name"]
             if name in members:
                 continue  # hoisting would collide with an existing member
-            if _reassigned_elsewhere(tree, method, stmt, name):
+            if _changed_elsewhere(tree, method, stmt, name, fields, locals_):
                 continue
 
             # field declaration immediately above onDraw

@@ -39,6 +39,36 @@ def own_line_start(data: bytes, offset: int) -> Optional[int]:
 SHARED_LINE = "other code shares the line where the fix would go"
 
 
+# Why a fix is declined when the block it would end may never complete.
+ENDLESS_LOOP = "the block ends in a loop that may never exit"
+
+
+def ends_in_endless_loop(tokens: list[Token], block: Node) -> bool:
+    """True if the last statement of ``block``, under any labels, is
+    `for (...;;...)`, `while (true)` or `do ... while (true);`. A statement
+    after one is unreachable unless a `break` leaves it, and javac rejects
+    unreachable statements, so rules add nothing after one."""
+    if not block.children:
+        return False
+    stmt = block.children[-1]
+    while stmt.kind == "labeled_statement":
+        stmt = stmt.children[0]
+    lo, hi = stmt.tok_lo, stmt.tok_hi
+    if stmt.kind == "while_statement":
+        return [t.value for t in tokens[lo + 1 : lo + 4]] == ["(", "true", ")"]
+    if stmt.kind == "do_statement":
+        return [t.value for t in tokens[hi - 4 : hi - 1]] == ["(", "true", ")"]
+    if stmt.kind == "for_statement":
+        j = lo + 2  # after `for (`; the first `;` outside groups ends the init
+        while not tokens[j].is_op(";"):
+            if tokens[j].is_op(")"):
+                return False  # an enhanced for
+            opens = tokens[j].kind == "op" and tokens[j].value in "([{"
+            j = match_group(tokens, j)[1] if opens else j + 1
+        return tokens[j + 1].is_op(";")
+    return False
+
+
 def insert_lines(data: bytes, offset: int, lines: list[str]) -> Edit:
     """An edit inserting ``lines`` at ``offset``, each ended with the
     dominant line end of ``data``."""

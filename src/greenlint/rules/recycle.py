@@ -7,8 +7,9 @@ textual release in the enclosing method and appends a null-guarded release
 at the end of the variable's block, or before the block's last statement if
 that statement leaves the block (return, throw, break, continue). Escaping
 resources (returned, aliased, or passed onward), resources that such a
-trailing return or throw still uses, and resources that an earlier exit
-could leave unreleased are reported but never rewritten.
+trailing return or throw still uses, resources that an earlier exit
+could leave unreleased, and blocks that end in an endless loop are
+reported but never rewritten.
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ from typing import Optional
 from ..java.parser import Node, SyntaxTree
 from .base import RuleId, RuleResult
 from .javautil import (
+    ENDLESS_LOOP,
     SHARED_LINE,
     base_type_name,
+    ends_in_endless_loop,
     find_invocations,
     indent_unit,
     initialized_local,
@@ -166,6 +169,8 @@ def apply_recycle(tree: SyntaxTree, path: str = "") -> RuleResult:
                     reason = "it escapes the method"
                 elif exit_stmt is not None and _exit_uses(tree, exit_stmt, name):
                     reason = "the block's last statement still uses it"
+                elif exit_stmt is None and ends_in_endless_loop(tree.tokens, block):
+                    reason = ENDLESS_LOOP
                 elif _exits_before(tree, stmt, end):
                     reason = "an earlier exit from the block would skip the release"
                 elif insert_at is None:

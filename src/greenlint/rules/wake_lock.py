@@ -15,10 +15,12 @@ from ..java.parser import Node, SyntaxTree
 from ..spans import SourceSpan
 from .base import Finding, RuleId, RuleResult
 from .javautil import (
+    ENDLESS_LOOP,
     SHARED_LINE,
     base_type_name,
     class_fields,
     declared_locals,
+    ends_in_endless_loop,
     find_invocations,
     indent_unit,
     insert_lines,
@@ -163,7 +165,7 @@ def _release_point(
     """Where the releases go, or why they cannot: a new onPause goes before
     the class's `}`; releases go before an existing onPause's trailing
     return or throw, else before its `}`, unless an earlier return or
-    throw token could skip them."""
+    throw token could skip them or the body ends in an endless loop."""
     if on_pause is None:
         anchor = tree.tokens[owner.tok_hi - 1].start  # the class's `}`
     elif on_pause.props["body"] is None:
@@ -173,6 +175,8 @@ def _release_point(
         end = body.tok_hi - 1  # the `}`
         if body.children and body.children[-1].kind in _EXITS:
             end = body.children[-1].tok_lo
+        elif ends_in_endless_loop(tree.tokens, body):
+            return None, ENDLESS_LOOP
         if any(
             t.kind == "keyword" and t.value in ("return", "throw")
             for t in tree.tokens[body.tok_lo : end]

@@ -63,3 +63,24 @@ def parse_summary(data: bytes) -> CorpusSummary:
         for entry in payload
     }
     return CorpusSummary(payload[0]["corpus_size"], rows)
+
+
+def tree_shape(tree: SyntaxTree) -> list[tuple]:
+    """Every node of ``tree`` in walk order as (kind, token range, child
+    count, props), spans and nodes held in props compared by value."""
+
+    def value(v):
+        if isinstance(v, SourceSpan):
+            return ("span", v.start, v.end)
+        if isinstance(v, Node):
+            return ("node", v.kind, v.tok_lo, v.tok_hi)
+        if isinstance(v, dict):
+            return tuple(sorted((k, value(x)) for k, x in v.items()))
+        if isinstance(v, (list, tuple)):
+            return tuple(value(x) for x in v)
+        return v
+
+    return [
+        (n.kind, n.tok_lo, n.tok_hi, len(n.children), value(n.props))
+        for n in tree.root.walk()
+    ]

@@ -52,11 +52,49 @@ def test_variant_allocations_left_alone(body):
 def test_field_argument_is_invariant():
     source = _on_draw(
         "Rect r = new Rect(0, 0, size, size);",
-        extra_members="    private int size;\n",
+        extra_members="    private final int size = 10;\n",
     )
     result, fixed = fix_java(apply_draw_allocation, source)
     assert len(result.findings) == 1
-    assert b"private int size;\n    Rect r = new Rect(0, 0, size, size);\n    protected void onDraw" in fixed
+    assert (
+        b"private final int size = 10;\n    Rect r = new Rect(0, 0, size, size);\n"
+        b"    protected void onDraw"
+    ) in fixed
+
+
+# Hoisting any of these would change what is drawn: the object or the
+# field it reads would carry a change from one draw pass to the next.
+@pytest.mark.parametrize(
+    "body,members",
+    [
+        # (i) the hoisted Rect's offset builds up on every frame
+        ("Rect q = new Rect(0, 0, 10, 10);\nq.offset(5, 0);", ""),
+        ("Rect q = new Rect(0, 0, 10, 10);\nq.left += 5;", ""),
+        ("Paint p = new Paint();\np.setColor(color());", ""),
+        # (ii) `mW` would be read once, at construction, not on every draw
+        ("Rect r = new Rect(0, 0, mW, 10);", "    int mW;\n    void setW(int w) { mW = w; }\n"),
+        # a blank final is read before the constructor sets it
+        ("Rect r = new Rect(0, 0, mW, 10);", "    final int mW;\n    V() { mW = 4; }\n"),
+        # a final field's object or array may still change
+        ("Rect r = new Rect(0, 0, mP.x, 10);", "    final Point mP = new Point();\n"),
+        ("Rect r = new Rect(0, 0, mA[0], 10);", "    final int[] mA = {1};\n"),
+    ],
+)
+def test_allocation_whose_state_may_change_is_left_alone(body, members):
+    source = _on_draw(body, extra_members=members)
+    result, fixed = fix_java(apply_draw_allocation, source)
+    assert result.findings == []
+    assert fixed == source
+
+
+def test_set_call_with_invariant_arguments_is_hoisted():
+    source = _on_draw(
+        "Paint p = new Paint();\np.setColor(Color.RED);\np.setAlpha(ALPHA);\nc.drawRect(r, p);",
+        extra_members="    static final int ALPHA = 7;\n",
+    )
+    result, fixed = fix_java(apply_draw_allocation, source)
+    assert [f.fixable for f in result.findings] == [True]
+    assert b"    Paint p = new Paint();\n    protected void onDraw" in fixed
 
 
 def test_field_declared_below_on_draw_is_not_invariant(tmp_path, capsys):

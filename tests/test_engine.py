@@ -3,9 +3,12 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import greenlint.engine as engine
 from greenlint.cli import EXIT_FINDINGS, main
+from greenlint.diagnostics import line_col
 from greenlint.engine import (
     MODE_FIX,
     MODE_PATCH,
@@ -14,7 +17,9 @@ from greenlint.engine import (
     discover_files,
     run_project,
 )
+from greenlint.java import parser
 from greenlint.java.lexer import tokenize
+from greenlint.java.parser import parse_java_source
 from greenlint.rules import (
     Finding,
     LayoutParamTable,
@@ -29,6 +34,7 @@ from greenlint.rules import (
 from greenlint.spans import Edit, SourceSpan, apply_edit_set
 
 from conftest import CLEAN_CORPUS, GOLDEN, GOLDEN_CASES, parse_java, parse_xml
+from helpers import tree_shape
 from mutations import java_mutations, xml_mutations
 
 
@@ -415,18 +421,15 @@ def test_fix_matches_rule_by_rule_chain(tmp_path, ext, before):
     assert path.read_bytes() == _chained_fix(before, ext)
 
 
-@pytest.mark.parametrize(
-    "ext,before", [c for c in _differential_cases() if c.values[0] == "java"]
-)
-def test_verification_tokens_equal_a_fresh_scan(tmp_path, monkeypatch, ext, before):
+def _check_verify_passes(tmp_path, monkeypatch, before: bytes, check) -> None:
+    """Fix ``before``, calling ``check(data, tree)`` on each verify pass."""
     real_parse = engine.parse_java_source
     verified = []
 
     def checking(data, *previous):
         tree, diags = real_parse(data, *previous)
         if previous:
-            fresh = [(t.kind, t.value, t.start, t.end) for t in tokenize(data)]
-            assert [(t.kind, t.value, t.start, t.end) for t in tree.tokens] == fresh
+            check(data, tree)
             verified.append(data)
         return tree, diags
 
@@ -436,7 +439,148 @@ def test_verification_tokens_equal_a_fresh_scan(tmp_path, monkeypatch, ext, befo
     assert verified and verified[-1] == path.read_bytes()
 
 
-def test_verification_lexes_only_around_the_edits(tmp_path, monkeypatch, lexer_matches):
+@pytest.mark.parametrize(
+    "ext,before", [c for c in _differential_cases() if c.values[0] == "java"]
+)
+def test_verification_tokens_equal_a_fresh_scan(tmp_path, monkeypatch, ext, before):
+    def same_tokens(data, tree):
+        fresh = [(t.kind, t.value, t.start, t.end) for t in tokenize(data)]
+        assert [(t.kind, t.value, t.start, t.end) for t in tree.tokens] == fresh
+
+    _check_verify_passes(tmp_path, monkeypatch, before, same_tokens)
+
+
+@pytest.mark.parametrize(
+    "ext,before", [c for c in _differential_cases() if c.values[0] == "java"]
+)
+def test_verification_tree_equals_a_fresh_parse(tmp_path, monkeypatch, ext, before):
+    def same_tree(data, tree):
+        assert tree_shape(tree) == tree_shape(parse_java(data))
+
+    _check_verify_passes(tmp_path, monkeypatch, before, same_tree)
+
+
+# A Recycle fix above a ViewHolder finding that is declined (the method's
+# first statement shares its line), so the verify pass moves the adapter's
+# getView, whose name span the finding holds.
+SHIFTED_FINDING = """\
+class Both extends BaseAdapter {
+    void read(Db db) {
+        Cursor c = db.query("t");
+        c.moveToFirst();
+    }
+
+    public View getView(int pos, View cv, ViewGroup parent) { cv = inf.inflate(R.layout.row, parent, false);
+        TextView t = (TextView) cv.findViewById(R.id.t);
+        return cv;
+    }
+}
+"""
+
+
+def _located(outcomes) -> list[tuple]:
+    return [
+        (f.rule, f.span.start, f.span.end, f.line, f.column, f.message, f.fixable)
+        for o in outcomes
+        for f in o.findings
+    ]
+
+
+@pytest.mark.parametrize(
+    "before",
+    [
+        pytest.param((GOLDEN / n / "before.java").read_bytes(), id=n)
+        for n, ext in GOLDEN_CASES.items()
+        if ext == "java"
+    ]
+    + [
+        pytest.param(SHARED_INSERT_POINT.encode(), id="shared-insert-point"),
+        pytest.param(SHIFTED_FINDING.encode(), id="shifted-finding"),
+    ],
+)
+def test_verification_moves_no_finding(tmp_path, before):
+    # Findings are recorded in pass 0; the verify pass, which both modes
+    # run, reuses and shifts the nodes their spans came from, which must
+    # leave them where the file on disk has them.
+    found = {}
+    for mode in (MODE_REPORT, MODE_FIX):
+        _write(tmp_path / mode, "Case.java", before)
+        report, outcomes = run_project(RunConfig(input_path=tmp_path / mode, mode=mode))
+        found[mode] = _located(outcomes)
+        for _, start, _, line, column, _, _ in found[mode]:
+            assert line_col(before, start) == (line, column)
+    assert found[MODE_FIX] == found[MODE_REPORT]
+    assert sum(c.fixed for c in report.rule_counts.values()) >= 1
+
+
+def test_shifted_finding_case_moves_the_declined_method():
+    tree = parse_java(SHIFTED_FINDING.encode())
+    result = apply_recycle(tree, "")
+    assert len(result.edits) == 1
+    getview = tree.root.children[0].children[1]
+    assert getview.props["name"] == "getView"
+    assert result.edits[0].span.start < tree.span_of(getview).start
+    assert not apply_view_holder(tree, "").findings[0].fixable
+
+
+# Members of a generated class; the last two depend on the class's name.
+_MEMBERS = [
+    "int f;",
+    'String s = "a", t;',
+    "int[] a = {1, 2}, b;",
+    "void m() { if (x) { f(); } else g(); }",
+    "static { x = 1; }",
+    "class B { B() {} void n() { int q = 0; } }",
+    "enum E { X, Y { void z() {} }; int q; }",
+    "Runnable r = new Runnable() { public void run() {} };",
+    "<T> T id(T t) { return t; }",
+    '@Override public String toString() { return "A"; }',
+    "interface I { void i(); }",
+    "A() { super(); }",
+    "A(int x) { this(); }",
+]
+# Replacement texts: whole members and the bytes that change how the text
+# around an edit lexes or parses.
+_INSERTS = _MEMBERS + ["A", "B", "{", "}", ";", "(", "/*", "*/", '"', " ", "\n", "x", ""]
+
+
+@st.composite
+def _edited_classes(draw):
+    """A class of generated members (and maybe a second class), 1-4 disjoint
+    edits, some on member boundaries, and the edited text."""
+    members = draw(st.lists(st.sampled_from(_MEMBERS), min_size=1, max_size=8))
+    text = "class A {\n" + "".join(f"    {m}\n" for m in members) + "}\n"
+    if draw(st.booleans()):
+        text += "class A2 extends A {\n    void k() {}\n}\n"
+    old = text.encode()
+    boundaries = [i + 1 for i, b in enumerate(old) if b == ord("\n")]
+    offset = st.one_of(st.sampled_from(boundaries), st.integers(0, len(old)))
+    count = draw(st.integers(1, 4))
+    cuts = sorted(draw(st.lists(offset, min_size=2 * count, max_size=2 * count)))
+    edits = [
+        Edit.replace(cuts[k], cuts[k + 1], draw(st.sampled_from(_INSERTS)).encode())
+        for k in range(0, len(cuts), 2)
+    ]
+    return old, draw(st.permutations(edits))
+
+
+def _outcome(tree, diags):
+    return tree_shape(tree) if tree is not None else [str(d) for d in diags]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_edited_classes())
+def test_reused_tree_equals_a_fresh_parse(case):
+    old, edits = case
+    tree, diags = parse_java_source(old)
+    assert tree is not None, diags
+    new = apply_edit_set(old, edits)
+    fresh = _outcome(*parse_java_source(new))
+    assert _outcome(*parse_java_source(new, (tree, edits))) == fresh, (new, edits)
+
+
+def _big_source() -> str:
+    """A one-class file of over 300 lines whose first method Recycle fixes."""
     filler = "".join(
         f"    int get{i}(int x) {{\n        return x * {i} + field{i};\n    }}\n"
         for i in range(98)
@@ -449,21 +593,48 @@ def test_verification_lexes_only_around_the_edits(tmp_path, monkeypatch, lexer_m
         "    }\n" + filler + "}\n"
     )
     assert source.count("\n") >= 300
+    return source
+
+
+def _per_pass(monkeypatch, counter: list[int]) -> list[int]:
+    """How far ``counter`` moves during each Java parse from here on."""
     real_parse = engine.parse_java_source
-    matches = []
+    moved = []
 
     def counting(*args):
-        before = lexer_matches[0]
+        before = counter[0]
         result = real_parse(*args)
-        matches.append(lexer_matches[0] - before)
+        moved.append(counter[0] - before)
         return result
 
     monkeypatch.setattr(engine, "parse_java_source", counting)
-    _write(tmp_path, "Big.java", source.encode())
+    return moved
+
+
+def test_verification_lexes_only_around_the_edits(tmp_path, monkeypatch, lexer_matches):
+    matches = _per_pass(monkeypatch, lexer_matches)
+    _write(tmp_path, "Big.java", _big_source().encode())
     report, _ = run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX))
     assert report.rule_counts[RuleId.RECYCLE].fixed == 1
     assert len(matches) == 2
     assert matches[1] < 0.1 * matches[0]
+
+
+def test_verification_parses_only_the_edited_members(tmp_path, monkeypatch):
+    calls = [0]
+    real_member = parser._Parser._parse_member
+
+    def counting(self, enclosing):
+        calls[0] += 1
+        return real_member(self, enclosing)
+
+    monkeypatch.setattr(parser._Parser, "_parse_member", counting)
+    members = _per_pass(monkeypatch, calls)
+    _write(tmp_path, "Big.java", _big_source().encode())
+    report, _ = run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX))
+    assert report.rule_counts[RuleId.RECYCLE].fixed == 1
+    assert len(members) == 2
+    assert members[1] < 0.1 * members[0]
 
 
 @pytest.mark.parametrize(

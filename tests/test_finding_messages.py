@@ -93,6 +93,18 @@ CASES = {
         'class H { void h(Db db) { Cursor c = db.query("z"); c.moveToFirst(); } }\n',
         [(CURSOR + SHARED, False, (37, 50))],
     ),
+    "recycle-endless-loop": (
+        apply_recycle,
+        _method('Cursor c = db.query("z");\nc.moveToFirst();\nfor (;;) {}'),
+        [(CURSOR + "; the block ends in a loop that may never exit" + NO_FIX,
+          False, (69, 82))],
+    ),
+    "wake-lock-endless-loop-in-on-pause": (
+        apply_wake_lock,
+        _activity("    void onPause() {\n        while (true) {}\n    }\n"),
+        [(WAKE_LOCK + "; the block ends in a loop that may never exit" + NO_FIX,
+          False, (74, 86))],
+    ),
     "wake-lock-new-on-pause": (
         apply_wake_lock,
         _activity(""),

@@ -199,3 +199,44 @@ def test_custom_factory_extension(monkeypatch):
     result, fixed = fix_java(apply_recycle, source)
     assert len(result.findings) == 1
     assert b"s.dispose();" in fixed
+
+
+ENDLESS_LOOPS = [
+    "for (;;) {}",
+    "for (int i = 0; ; i++) { step(i); }",
+    "for (Runnable r = () -> { go(); }; ; ) {}",
+    "while (true) { step(); }",
+    "do { step(); } while (true);",
+    "outer: for (;;) {}",
+    "a: b: while (true) {}",
+]
+
+
+@pytest.mark.parametrize("loop", ENDLESS_LOOPS)
+def test_block_ending_in_an_endless_loop_declines_the_fix(loop):
+    # A release after the loop would be unreachable, which javac rejects.
+    source = _method(f'Cursor c = db.query("z");\nc.moveToFirst();\n{loop}')
+    result, fixed = fix_java(apply_recycle, source)
+    assert [f.fixable for f in result.findings] == [False]
+    assert "the block ends in a loop that may never exit" in result.findings[0].message
+    assert fixed == source
+
+
+@pytest.mark.parametrize(
+    "loop",
+    [
+        "for (int i = 0; i < n; i++) {}",
+        "for (String s : names) {}",
+        "while (more()) {}",
+        "do { step(); } while (more());",
+        "outer: while (more()) {}",
+    ],
+)
+def test_block_ending_in_a_loop_that_ends_is_fixed(loop):
+    source = _method(f'Cursor c = db.query("z");\nc.moveToFirst();\n{loop}')
+    result, fixed = fix_java(apply_recycle, source)
+    assert [f.fixable for f in result.findings] == [True]
+    assert fixed.endswith(
+        f"        {loop}\n        if (c != null) {{\n            c.close();\n        }}\n"
+        "    }\n}\n".encode()
+    )

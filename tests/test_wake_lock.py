@@ -1,3 +1,5 @@
+import pytest
+
 from greenlint.rules.base import RuleId
 from greenlint.rules.javautil import indent_unit
 from greenlint.rules.wake_lock import apply_wake_lock
@@ -183,4 +185,17 @@ def test_an_earlier_return_in_on_pause_declines_the_fix(golden):
     result, fixed = fix_java(apply_wake_lock, source)
     assert [f.fixable for f in result.findings] == [False]
     assert "an earlier exit from onPause() would skip the release" in result.findings[0].message
+    assert fixed == source
+
+
+@pytest.mark.parametrize(
+    "loop",
+    ["for (;;) {\n            poll();\n        }", "spin: while (true) {}", "do {} while (true);"],
+)
+def test_on_pause_ending_in_an_endless_loop_declines_the_fix(golden, loop):
+    # A release after the loop would be unreachable, which javac rejects.
+    source = _with_on_pause(golden, f"        super.onPause();\n        {loop}\n".encode())
+    result, fixed = fix_java(apply_wake_lock, source)
+    assert [f.fixable for f in result.findings] == [False]
+    assert "the block ends in a loop that may never exit" in result.findings[0].message
     assert fixed == source
