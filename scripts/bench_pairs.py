@@ -3,16 +3,18 @@
 
 Usage:
     python scripts/bench_pairs.py --parent DIR --change DIR \\
-        --workload check-java --seeds 501 502 ... --seconds 10
+        --workload corpus-many check-java --seeds 501 502 ... --seconds 10
 
-Each seed is one pair: ``bench/run.py --trace 0`` runs once in each
-checkout, and which side runs first alternates from pair to pair. The
-script prints, for every end-to-end metric of ``BENCHMARK.json``, each
-side's median and quartiles, how many pairs the change won (ties count for
-neither side) and whether the bar for claiming a gain is met: at least ten
-pairs, the change winning at least nine in ten, and a median difference
-larger than the parent's interquartile range. It changes nothing under
-either checkout's ``bench/``.
+For each workload in turn, each seed is one pair: ``bench/run.py --trace 0``
+runs once in each checkout, and which side runs first alternates from pair
+to pair. At the end the script prints one block per workload. It holds,
+for every end-to-end metric of ``BENCHMARK.json``, each side's median and
+quartiles, how many pairs the change won (ties count for neither side) and
+whether the bar for claiming a gain is met: at least ten pairs, the change
+winning at least nine in ten, and a median difference larger than the
+parent's interquartile range. So one call shows a claimed gain next to the
+workloads that must not regress. It changes nothing under either
+checkout's ``bench/``.
 """
 
 from __future__ import annotations
@@ -91,22 +93,16 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return parse_result(proc.stdout)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", type=Path, required=True)
-    parser.add_argument("--change", type=Path, required=True)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--seconds", type=float, required=True)
-    args = parser.parse_args(argv)
-    metrics = json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]
-
+def run_pairs(
+    args: argparse.Namespace, workload: str, metrics: list[dict]
+) -> list[tuple[dict, dict]]:
+    """The (parent, change) results of one workload, a pair per seed."""
     pairs: list[tuple[dict, dict]] = []
     for i, seed in enumerate(args.seeds):
         sides = {}
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            sides[side] = run_bench(getattr(args, side), args.workload, seed, args.seconds)
+            sides[side] = run_bench(getattr(args, side), workload, seed, args.seconds)
         pairs.append((sides["parent"], sides["change"]))
         values = "  ".join(
             f"{m['name']} {sides['parent']['metrics'][m['name']]['value']:.4f}"
@@ -118,11 +114,28 @@ def main(argv: list[str] | None = None) -> int:
             f" correct {sides[side]['correct']}"
             for side in ("parent", "change")
         )
-        print(f"pair {i + 1} seed {seed} ({order[0]} first)  {values}  {health}", flush=True)
+        print(
+            f"{workload} pair {i + 1} seed {seed} ({order[0]} first)  {values}  {health}",
+            flush=True,
+        )
+    return pairs
 
-    print(f"workload {args.workload}, {len(pairs)} pair(s), --seconds {args.seconds}")
-    for metric in metrics:
-        print(format_summary(summarize(pairs, metric)))
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--workload", nargs="+", required=True)
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    args = parser.parse_args(argv)
+    metrics = json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]
+
+    results = {workload: run_pairs(args, workload, metrics) for workload in args.workload}
+    for workload, pairs in results.items():
+        print(f"workload {workload}, {len(pairs)} pair(s), --seconds {args.seconds}")
+        for metric in metrics:
+            print(format_summary(summarize(pairs, metric)))
     return 0
 
 

@@ -51,12 +51,7 @@ _Rule = Callable[[_Tree, str], RuleResult]
 
 class RunConfig:
     __slots__ = (
-        "input_path",
-        "mode",
-        "enabled_rules",
-        "exclude_globs",
-        "layout_param_table",
-        "backup",
+        "input_path", "mode", "enabled_rules", "exclude_globs", "layout_param_table", "backup"
     )
 
     def __init__(
@@ -86,15 +81,8 @@ class RunConfig:
 
 class FileOutcome:
     __slots__ = (
-        "path",
-        "language",
-        "shown",
-        "diagnostics",
-        "findings",
-        "rewritten",
-        "patch",
-        "skip_reason",
-        "internal_error",
+        "path", "language", "shown", "diagnostics", "findings", "rewritten", "patch",
+        "skip_reason", "internal_error",
     )
 
     def __init__(self, path: Path, language: str, shown: str):
@@ -120,115 +108,96 @@ class RuleCount:
 
 class ProjectReport:
     __slots__ = (
-        "project_id",
-        "rule_counts",
-        "java_files",
-        "xml_files",
-        "parse_failures",
-        "warnings",
+        "project_id", "rule_counts", "java_files", "xml_files", "parse_failures", "warnings"
     )
 
-    def __init__(
-        self,
-        project_id: str,
-        rule_counts: dict[RuleId, RuleCount],
-        java_files: int = 0,
-        xml_files: int = 0,
-        parse_failures: int = 0,
-        warnings: Optional[list[str]] = None,
-    ):
+    def __init__(self, project_id: str, rule_counts: dict[RuleId, RuleCount]):
         self.project_id = project_id
         self.rule_counts = rule_counts
-        self.java_files = java_files
-        self.xml_files = xml_files
-        self.parse_failures = parse_failures
-        self.warnings = [] if warnings is None else warnings
+        self.java_files = self.xml_files = self.parse_failures = 0
+        self.warnings: list[str] = []
 
 
-def _glob_to_regex(glob: str) -> re.Pattern[str]:
-    out = []
-    i = 0
-    while i < len(glob):
-        c = glob[i]
-        if glob.startswith("**/", i):
-            out.append("(?:.*/)?")
-            i += 3
-        elif glob.startswith("**", i):
-            out.append(".*")
-            i += 2
-        elif c == "*":
-            out.append("[^/]*")
-            i += 1
-        elif c == "?":
-            out.append("[^/]")
-            i += 1
-        else:
-            out.append(re.escape(c))
-            i += 1
-    return re.compile("^" + "".join(out) + "$")
+_GLOB_PARTS = {"**/": "(?:.*/)?", "**": ".*", "*": "[^/]*", "?": "[^/]"}
 
 
-def _classify(path: Path) -> Optional[str]:
-    if path.suffix == ".java":
+def _glob_to_regex(glob: str) -> str:
+    return re.sub(
+        r"\*\*/|\*\*|\*|\?|[^*?]+", lambda m: _GLOB_PARTS.get(m[0]) or re.escape(m[0]), glob
+    )
+
+
+def _language(name: str, in_layout: bool) -> Optional[str]:
+    """The language of a file called ``name``, ``in_layout`` telling whether
+    its path has a part `res` followed by one starting with `layout` (its
+    own name counts). A bare ".java" has no suffix, as pathlib reads it."""
+    if len(name) > 5 and name.endswith(".java"):
         return "java"
-    if path.suffix == ".xml":
-        parts = path.parts
-        for i in range(len(parts) - 1):
-            if parts[i] == "res" and parts[i + 1].startswith("layout"):
-                return "xml"
+    if in_layout and len(name) > 4 and name.endswith(".xml"):
+        return "xml"
     return None
+
+
+def _in_layout(parts: tuple[str, ...]) -> bool:
+    return any(a == "res" and b.startswith("layout") for a, b in zip(parts, parts[1:]))
 
 
 def discover_files(
     config: RunConfig, warnings: Optional[list[str]] = None
 ) -> list[tuple[Path, str]]:
     """Deterministic sorted list of (path, language) under the input path."""
+    warnings = [] if warnings is None else warnings
     root = Path(config.input_path)
-    patterns = [_glob_to_regex(g) for g in config.exclude_globs]
-
-    def excluded(rel: str) -> bool:
-        return any(p.match(rel) for p in patterns)
-
     if root.is_file():
-        lang = _classify(root.resolve())
+        resolved = root.resolve()
+        lang = _language(resolved.name, _in_layout(resolved.parts))
         if lang:
             return [(root, lang)]
-        if warnings is not None:
-            warnings.append(f"{root}: skipped: not a .java file or a res/layout*/ XML file")
+        warnings.append(f"{root}: skipped: not a .java file or a res/layout*/ XML file")
         return []
 
+    # One regex for every glob, tried on each path relative to the root,
+    # then on that path with a "/" after it.
+    globs = "|".join(_glob_to_regex(g) for g in config.exclude_globs)
+    excluded = re.compile(f"^(?:{globs})$").match
     found: list[tuple[Path, str]] = []
     visited: set[tuple[int, int]] = set()
 
-    def walk(directory: Path) -> None:
+    def walk(directory: Path, prefix: str, in_res: bool, in_layout: bool) -> None:
         try:
             st = os.stat(directory)
         except OSError as exc:
-            if warnings is not None:
-                warnings.append(f"cannot stat {directory}: {exc}")
+            warnings.append(f"cannot stat {directory}: {exc}")
             return
         key = (st.st_dev, st.st_ino)
         if key in visited:
             return
         visited.add(key)
         try:
-            entries = sorted(directory.iterdir(), key=lambda p: p.name)
+            with os.scandir(directory) as it:
+                entries = sorted(it, key=lambda e: e.name)
         except OSError as exc:
-            if warnings is not None:
-                warnings.append(f"cannot read {directory}: {exc}")
+            warnings.append(f"cannot read {directory}: {exc}")
             return
         for entry in entries:
-            rel = entry.relative_to(root).as_posix()
+            name = entry.name
+            rel = prefix + name
             if excluded(rel) or excluded(rel + "/"):
                 continue
-            if entry.is_dir():
-                walk(entry)
-            elif entry.is_file():
-                lang = _classify(entry)
-                if lang:
-                    found.append((entry, lang))
+            layout = in_layout or (in_res and name.startswith("layout"))
+            try:
+                is_dir = entry.is_dir()
+                lang = None if is_dir else _language(name, layout)
+                if lang and not entry.is_file():
+                    continue
+            except OSError:  # a symlink loop, say, which pathlib reads as missing
+                continue
+            if is_dir:
+                walk(directory / name, rel + "/", name == "res", layout)
+            elif lang:
+                found.append((directory / name, lang))
 
-    walk(root)
+    walk(root, "", root.parts[-1:] == ("res",), _in_layout(root.parts))
     found.sort(key=lambda pair: pair[0].as_posix())
     return found
 
@@ -380,10 +349,11 @@ def run_project(
     config: RunConfig, project_id: Optional[str] = None
 ) -> tuple[ProjectReport, list[FileOutcome]]:
     """Analyze (and, per mode, rewrite) every eligible file under the input."""
-    warnings: list[str] = []
     root = Path(config.input_path)
     if project_id is None:
         project_id = root.resolve().name
+    report = ProjectReport(project_id, {rule: RuleCount() for rule in RuleId})
+    warnings = report.warnings
     files = discover_files(config, warnings)
     # A file input is shown by its name; a file under a directory input, by
     # its path relative to that directory.
@@ -394,17 +364,15 @@ def run_project(
         for p, lang in files
     ]
 
-    counts = {rule: RuleCount() for rule in RuleId}
-    java_files = xml_files = parse_failures = 0
     for outcome in outcomes:
         if outcome.skip_reason:
             warnings.append(f"{outcome.path}: skipped: {outcome.skip_reason}")
         elif outcome.language == "java":
-            java_files += 1
+            report.java_files += 1
         else:
-            xml_files += 1
+            report.xml_files += 1
         if outcome.diagnostics:
-            parse_failures += 1
+            report.parse_failures += 1
         for d in outcome.diagnostics:
             warnings.append(
                 f"{outcome.path}:{d.line}:{d.column}: parse error: {d.message}"
@@ -413,20 +381,11 @@ def run_project(
             warnings.append(f"{outcome.path}: error: {outcome.internal_error}")
         applied = outcome.rewritten or outcome.patch is not None
         for finding in outcome.findings:
-            count = counts[finding.rule]
+            count = report.rule_counts[finding.rule]
             if not finding.fixable:
                 count.unfixable += 1
                 continue
             count.refactorings += 1
             if applied:
                 count.fixed += 1
-
-    report = ProjectReport(
-        project_id=project_id,
-        rule_counts=counts,
-        java_files=java_files,
-        xml_files=xml_files,
-        parse_failures=parse_failures,
-        warnings=warnings,
-    )
     return report, outcomes

@@ -61,7 +61,7 @@ _TYPE_KINDS = {
     "interface": "interface_declaration",
     "enum": "enum_declaration",
 }
-_TYPE_DECLS = frozenset(_TYPE_KINDS.values()) | {"annotation_declaration"}
+TYPE_DECLS = frozenset(_TYPE_KINDS.values()) | {"annotation_declaration"}
 
 # A local class declaration starts with one of these or an annotation.
 _LOCAL_TYPE_STARTS = frozenset(_TYPE_KINDS) | {"final", "abstract", "static"}
@@ -150,18 +150,23 @@ class Node:
         self.props = {} if props is None else props
 
     def walk(self) -> Iterator["Node"]:
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        """This node and its descendants, in preorder."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack += reversed(node.children)
 
 
 class SyntaxTree:
-    __slots__ = ("data", "tokens", "root")
+    __slots__ = ("data", "tokens", "root", "methods")
 
     def __init__(self, data: bytes, tokens: list[Token], root: Node):
         self.data = data
         self.tokens = tokens
         self.root = root
+        # (owner, method) pairs, filled once by `rules.javautil.methods_of`
+        self.methods: Optional[tuple[tuple[Node, Node], ...]] = None
 
     def span_of(self, node: Node) -> SourceSpan:
         if node.kind == "compilation_unit":
@@ -843,7 +848,7 @@ def _reusable(old: SyntaxTree, edits: list[Edit], tokens: list[Token]) -> _Reusa
         for node in members:
             lo, hi = old.tokens[node.tok_lo].start, old.tokens[node.tok_hi - 1].end
             if any(s <= hi + _LOOKAHEAD and e + _LOOKAHEAD >= lo for s, e, _ in shifts):
-                if node.kind in _TYPE_DECLS:
+                if node.kind in TYPE_DECLS:
                     visit(node.props["name"], node.children)
                 continue
             db = sum(d for _, e, d in shifts if e < lo)

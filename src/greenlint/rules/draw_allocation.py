@@ -4,10 +4,11 @@ Only allocations whose constructor arguments cannot change between draw
 passes are touched: literals, `final` fields of the enclosing class declared
 with an initializer above onDraw, and class-qualified constants. Anything
 referencing an onDraw parameter or local, a field's members or elements, or
-involving a call, disqualifies the allocation, and so does a later `.`
-after the local, unless it calls a `set*` method with such arguments: once
-hoisted, the object keeps any change from one draw to the next. Missing
-those dynamic cases is accepted by design.
+involving a call, disqualifies the allocation, and so does any later use
+of the local but as a whole argument of a `draw*` call or as the receiver
+of a `set*` call with such arguments: once hoisted, the object keeps any
+change from one draw to the next, and a call it is passed to, or an alias,
+may change it. Missing those dynamic cases is accepted by design.
 """
 
 from __future__ import annotations
@@ -82,32 +83,42 @@ def _final_fields(tokens: list[Token], members: list[Node]) -> set[str]:
     return names
 
 
+def _drawn(tokens: list[Token], lo: int, hi: int) -> set[int]:
+    """Indices of the tokens in tokens[lo:hi] that are a whole argument of
+    a `name.draw*(...)` call: Canvas's draw methods only read them."""
+    out: set[int] = set()
+    for j in range(lo, hi - 3):
+        if (
+            tokens[j].kind == "ident"
+            and tokens[j + 1].is_op(".")
+            and tokens[j + 2].value.startswith("draw")
+            and tokens[j + 3].is_op("(")
+        ):
+            args, _ = split_args(tokens, j + 3)
+            out.update(a for a, b in args if b - a == 1)
+    return out
+
+
 def _changed_elsewhere(
     tree: SyntaxTree, method: Node, decl: Node, name: str, fields: set[str], locals_: set[str]
 ) -> bool:
-    """True if the method assigns the local ``name`` outside ``decl``, or
-    follows it with a `.` that does not call a `set*` method with invariant
-    arguments."""
+    """True if the method uses the local ``name`` outside ``decl`` other
+    than as a whole argument of a `draw*` call or as the receiver of a
+    `set*` call with invariant arguments: any other use may change it, or
+    hand it to code that does, as `m.mapRect(r)` or `Rect a = r;` do."""
     body = method.props["body"]
     toks = tree.tokens
+    drawn = _drawn(toks, body.tok_lo, body.tok_hi)
     for j in uses(tree, body.tok_lo, body.tok_hi, name):
-        if decl.tok_lo <= j < decl.tok_hi:
+        if decl.tok_lo <= j < decl.tok_hi or j in drawn:
             continue
-        nxt = toks[j + 1]
-        if nxt.kind == "op" and nxt.value in (
-            "=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "++", "--",
+        if not (
+            toks[j + 1].is_op(".")
+            and toks[j + 2].value.startswith("set")
+            and toks[j + 3].is_op("(")
+            and _args_are_invariant(toks, split_args(toks, j + 3)[0], fields, locals_)
         ):
             return True
-        prev = toks[j - 1]
-        if prev.kind == "op" and prev.value in ("++", "--"):
-            return True
-        if nxt.is_op("."):
-            member, call = toks[j + 2], toks[j + 3]
-            if not (member.value.startswith("set") and call.is_op("(")):
-                return True
-            args, _ = split_args(toks, j + 3)
-            if not _args_are_invariant(toks, args, fields, locals_):
-                return True
     return False
 
 

@@ -7,10 +7,14 @@ uses) for conservative detection.
 
 from __future__ import annotations
 
+import re
+from functools import lru_cache
 from typing import Iterator, Optional
 
 from ..java.lexer import Token
-from ..java.parser import Node, SyntaxTree, args_after_new, match_group
+from ..java.parser import (
+    PRIMITIVE_TYPES, TYPE_DECLS, Node, SyntaxTree, args_after_new, match_group
+)
 from ..spans import Edit, SourceSpan
 
 
@@ -44,29 +48,62 @@ ENDLESS_LOOP = "the block ends in a loop that may never exit"
 
 
 def ends_in_endless_loop(tokens: list[Token], block: Node) -> bool:
-    """True if the last statement of ``block``, under any labels, is
-    `for (...;;...)`, `while (true)` or `do ... while (true);`. A statement
-    after one is unreachable unless a `break` leaves it, and javac rejects
-    unreachable statements, so rules add nothing after one."""
+    """True if the last statement of ``block``, under any labels, is a
+    `for`, `while` or `do` loop whose condition is missing or could be a
+    constant expression, such as `true` or a `static final` flag. When that
+    constant is true, a statement after the loop is unreachable unless a
+    `break` leaves it; javac rejects unreachable statements, so rules add
+    nothing after such a loop."""
     if not block.children:
         return False
     stmt = block.children[-1]
     while stmt.kind == "labeled_statement":
         stmt = stmt.children[0]
-    lo, hi = stmt.tok_lo, stmt.tok_hi
-    if stmt.kind == "while_statement":
-        return [t.value for t in tokens[lo + 1 : lo + 4]] == ["(", "true", ")"]
-    if stmt.kind == "do_statement":
-        return [t.value for t in tokens[hi - 4 : hi - 1]] == ["(", "true", ")"]
     if stmt.kind == "for_statement":
-        j = lo + 2  # after `for (`; the first `;` outside groups ends the init
-        while not tokens[j].is_op(";"):
-            if tokens[j].is_op(")"):
-                return False  # an enhanced for
-            opens = tokens[j].kind == "op" and tokens[j].value in "([{"
-            j = match_group(tokens, j)[1] if opens else j + 1
-        return tokens[j + 1].is_op(";")
-    return False
+        parts = split_args(tokens, stmt.tok_lo + 1, ";")[0]  # init, condition, update
+        if len(parts) < 2:
+            return False  # an enhanced for
+        # A name the update assigns is a variable, so the condition, which
+        # shares its scope, is no constant.
+        update = range(*parts[2]) if len(parts) == 3 else ()
+        assigned = {
+            tokens[k].value
+            for k in update
+            if tokens[k].kind == "ident"
+            and not tokens[k - 1].is_op(".")
+            and (tokens[k - 1].value in _STEPS or tokens[k + 1].value in _CHANGES)
+        }
+        return _could_be_constant(tokens, *parts[1], assigned)
+    if stmt.kind not in ("while_statement", "do_statement"):
+        return False
+    body = stmt.children[0]
+    if stmt.kind == "while_statement":
+        return _could_be_constant(tokens, stmt.tok_lo + 2, body.tok_lo - 1, set())
+    return _could_be_constant(tokens, body.tok_hi + 2, stmt.tok_hi - 2, set())
+
+
+_STEPS = frozenset(("++", "--"))
+_CHANGES = _STEPS | frozenset("= += -= *= /= %= &= |= ^= <<=".split())
+# Operators no constant expression holds (JLS 15.29); `>>=` lexes as `>`
+# then `>=`, which is read as a comparison, so such a loop is declined.
+_NOT_CONSTANT = _CHANGES | frozenset(("[", "->", "::"))
+
+
+def _could_be_constant(tokens: list[Token], lo: int, hi: int, assigned: set[str]) -> bool:
+    """True if tokens[lo:hi] hold only names, literals, `.`, parentheses,
+    casts to primitive types and operators that change nothing, with no
+    call and no simple name in ``assigned``; an empty range counts."""
+    for j in range(lo, hi):
+        t = tokens[j]
+        if t.kind == "ident":
+            if tokens[j + 1].is_op("(") or (t.value in assigned and not tokens[j - 1].is_op(".")):
+                return False
+        elif t.kind == "keyword":
+            if t.value not in PRIMITIVE_TYPES:
+                return False  # new, this, instanceof, class, switch, ...
+        elif t.kind == "op" and t.value in _NOT_CONSTANT:
+            return False
+    return True
 
 
 def insert_lines(data: bytes, offset: int, lines: list[str]) -> Edit:
@@ -97,21 +134,21 @@ def reindent(text: str, old_indent: str, new_indent: str) -> list[str]:
     return out
 
 
+# A line's indent when something other than `*` follows it. `re` compiles it
+# on first use, so a run with no Recycle or WakeLock fix never does.
+_INDENT = rb"^[ \t]+(?=[^ \t\n*])"
+
+
+@lru_cache(maxsize=4)
 def indent_unit(data: bytes) -> bytes:
     """Best-effort indentation step: the smallest nonzero line indent.
 
     Lines starting with ``*`` are skipped: they continue a block comment and
-    sit one space in, whatever the code's step.
+    sit one space in, whatever the code's step. Blank lines are skipped too.
+    The rules of one pass share the answer for their text.
     """
-    best: Optional[bytes] = None
-    for line in data.split(b"\n"):
-        stripped = line.lstrip(b" \t")
-        if not stripped or stripped.startswith(b"*"):
-            continue
-        ws = line[: len(line) - len(stripped)]
-        if ws and (best is None or len(ws) < len(best)):
-            best = ws
-    return best if best else b"    "
+    found = re.findall(_INDENT, data, re.MULTILINE)
+    return min(found, key=len) if found else b"    "
 
 
 class Invocation:
@@ -141,11 +178,14 @@ class Creation:
         self.has_body = has_body  # anonymous class body follows
 
 
-def split_args(tokens: list[Token], open_idx: int) -> tuple[list[tuple[int, int]], int]:
-    """Split the argument list opened at ``open_idx`` on top-level commas.
+def split_args(
+    tokens: list[Token], open_idx: int, sep: str = ","
+) -> tuple[list[tuple[int, int]], int]:
+    """Split the argument list opened at ``open_idx`` on top-level ``sep``s.
 
     Returns (arg index ranges, index of the closing paren), the index being
-    ``len(tokens)`` if the list does not close.
+    ``len(tokens)`` if the list does not close. A range is empty where two
+    separators meet; an empty last argument is left out.
     """
     args: list[tuple[int, int]] = []
     arg_lo = j = open_idx + 1
@@ -161,7 +201,7 @@ def split_args(tokens: list[Token], open_idx: int) -> tuple[list[tuple[int, int]
                 if arg_lo < j:
                     args.append((arg_lo, j))
                 return args, j
-            if t.value == ",":
+            if t.value == sep:
                 args.append((arg_lo, j))
                 arg_lo = j + 1
         j += 1
@@ -237,32 +277,26 @@ def has_signature(method: Node, name: str, param_types: tuple[str, ...]) -> bool
     )
 
 
-OWNER_KINDS = (
-    "class_declaration",
-    "interface_declaration",
-    "enum_declaration",
-    "annotation_declaration",
-    "anonymous_class_body",
-)
+OWNER_KINDS = TYPE_DECLS | {"anonymous_class_body"}
 
 
-def methods_of(tree: SyntaxTree) -> list[tuple[Node, Node]]:
+def methods_of(tree: SyntaxTree) -> tuple[tuple[Node, Node], ...]:
     """(enclosing class-body-owner, method) pairs for every method with a body.
 
     The owner is the class/interface/enum/anonymous-body node whose member
-    list directly contains the method.
+    list directly contains the method. The pairs are found once per tree,
+    and every rule reads the same tuple.
     """
-    out: list[tuple[Node, Node]] = []
-    for owner in tree.root.walk():
-        if owner.kind not in OWNER_KINDS:
-            continue
-        for child in owner.children:
-            if (
-                child.kind in ("method_declaration", "constructor_declaration")
-                and child.props.get("body") is not None
-            ):
-                out.append((owner, child))
-    return out
+    if tree.methods is None:
+        tree.methods = tuple(
+            (owner, child)
+            for owner in tree.root.walk()
+            if owner.kind in OWNER_KINDS
+            for child in owner.children
+            if child.kind in ("method_declaration", "constructor_declaration")
+            and child.props.get("body") is not None
+        )
+    return tree.methods
 
 
 def class_fields(members: list[Node]) -> dict[str, Node]:
@@ -275,16 +309,16 @@ def class_fields(members: list[Node]) -> dict[str, Node]:
     return fields
 
 
+_NAMED_MEMBERS = frozenset(
+    "method_declaration constructor_declaration class_declaration interface_declaration "
+    "enum_declaration".split()
+)
+
+
 def member_names(owner: Node) -> set[str]:
     names = set(class_fields(owner.children))
     for child in owner.children:
-        if child.kind in (
-            "method_declaration",
-            "constructor_declaration",
-            "class_declaration",
-            "interface_declaration",
-            "enum_declaration",
-        ):
+        if child.kind in _NAMED_MEMBERS:
             names.add(child.props["name"])
     return names
 

@@ -25,11 +25,17 @@ from .javautil import (
     indent_unit,
     insert_lines,
     line_indent,
+    methods_of,
     own_line_start,
 )
 
 LIFECYCLE_METHODS = frozenset(
     ["onCreate", "onStart", "onResume", "onRestart", "onNewIntent"]
+)
+
+_LOCAL_LOCK = (
+    "wake lock held only in a local variable is acquired but never released; "
+    "store it in a field and release it in onPause()"
 )
 
 # Code after a trailing return or throw is unreachable, which javac
@@ -65,7 +71,8 @@ def apply_wake_lock(tree: SyntaxTree, path: str = "") -> RuleResult:
     result = RuleResult()
     data = tree.data
 
-    for owner in tree.root.walk():
+    # Only a class with a lifecycle method can need a release.
+    for owner in dict.fromkeys(owner for owner, _ in methods_of(tree)):
         if not _is_activity_class(owner):
             continue
         wl_fields = _wake_lock_fields(owner)
@@ -109,19 +116,8 @@ def apply_wake_lock(tree: SyntaxTree, path: str = "") -> RuleResult:
             if field not in pending_release:
                 pending_release.append(field)
         for span in local_acquires:
-            result.findings.append(
-                Finding(
-                    rule=RuleId.WAKE_LOCK,
-                    file=path,
-                    span=span,
-                    message=(
-                        "wake lock held only in a local variable is acquired but "
-                        "never released; store it in a field and release it in "
-                        "onPause()"
-                    ),
-                    fixable=False,
-                )
-            )
+            finding = Finding(RuleId.WAKE_LOCK, path, span, _LOCAL_LOCK, fixable=False)
+            result.findings.append(finding)
 
         if not pending_release or reason:
             continue

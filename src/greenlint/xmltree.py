@@ -6,6 +6,10 @@ Attribute order, inter-attribute whitespace, comments and text stay in the
 bytes because nothing is ever normalized; rewrites go through byte-range
 edits only.
 
+A start tag is read one attribute at a time, each (its leading whitespace,
+name, `=` and quoted value) by one regex match; the tag's end, and any
+error, are read step by step from where that regex stops.
+
 This is a deliberately small well-formedness-checking parser, not a general
 XML stack: no DTD expansion, no external entities, no encoding sniffing
 (files are UTF-8 per project policy and at most `diagnostics.MAX_SIZE`
@@ -20,8 +24,14 @@ from typing import Iterator, Optional
 from .diagnostics import ParseDiagnostic, ParseError, guarded_parse
 from .spans import SourceSpan
 
-_NAME_RE = re.compile(rb"[A-Za-z_:\x80-\xff][-A-Za-z0-9_:.\x80-\xff]*")
-_WS = b" \t\r\n"
+_NAME = rb"[A-Za-z_:\x80-\xff][-A-Za-z0-9_:.\x80-\xff]*"
+_NAME_RE = re.compile(_NAME)
+_WS_RE = re.compile(rb"[ \t\r\n]*")
+# One attribute with the whitespace before it: the name is group 1, and the
+# match ends after the closing quote.
+_ATTRIBUTE_RE = re.compile(
+    rb"[ \t\r\n]+(" + _NAME + rb""")[ \t\r\n]*=[ \t\r\n]*(?:"[^"]*"|'[^']*')"""
+)
 
 
 class XmlAttribute:
@@ -50,9 +60,12 @@ class XmlElement:
         self.parent = parent
 
     def walk(self) -> Iterator[XmlElement]:
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        """This element and its descendants, in document order."""
+        stack = [self]
+        while stack:
+            element = stack.pop()
+            yield element
+            stack += reversed(element.children)
 
 
 class XmlTree:
@@ -72,8 +85,7 @@ class _XmlParser:
         return ParseError(self.i if offset is None else offset, message)
 
     def skip_ws(self) -> None:
-        while self.i < len(self.data) and self.data[self.i] in _WS:
-            self.i += 1
+        self.i = _WS_RE.match(self.data, self.i).end()
 
     def skip(self, opener: bytes, closer: bytes, what: str) -> bool:
         """Skip the `opener ... closer` run at the cursor, if one starts
@@ -116,6 +128,26 @@ class _XmlParser:
         self.i = m.end()
         return m.group(0).decode("utf-8")
 
+    def _attribute_error(self, start: int, ws_start: int, seen: set[str]) -> ParseError:
+        """Why `_ATTRIBUTE_RE` stops at ``ws_start`` in the start tag opened
+        at ``start``, read step by step from the cursor, past the whitespace."""
+        if self.i >= len(self.data):
+            return self.fail("unterminated start tag", start)
+        if self.i == ws_start:
+            return self.fail("expected whitespace before attribute")
+        attr_start = self.i
+        name = self._parse_name("attribute name")
+        if name in seen:
+            return self.fail(f"duplicate attribute {name!r}", attr_start)
+        self.skip_ws()
+        if not self.data.startswith(b"=", self.i):
+            return self.fail("expected '=' after attribute name")
+        self.i += 1
+        self.skip_ws()
+        if self.data[self.i : self.i + 1] not in (b'"', b"'"):
+            return self.fail("expected quoted attribute value")
+        return self.fail("unterminated attribute value")
+
     def parse_element(self, parent: Optional[XmlElement]) -> XmlElement:
         start = self.i
         assert self.data[self.i : self.i + 1] == b"<"
@@ -123,37 +155,21 @@ class _XmlParser:
         tag = self._parse_name("element name")
         attributes: list[XmlAttribute] = []
         seen: set[str] = set()
-        while True:
-            ws_start = self.i
-            self.skip_ws()
-            if self.data.startswith(b"/>", self.i):
-                self.i += 2
-                return XmlElement(tag, attributes, SourceSpan(start, self.i), parent)
-            if self.data.startswith(b">", self.i):
-                self.i += 1
-                break
-            if self.i >= len(self.data):
-                raise self.fail("unterminated start tag", start)
-            if self.i == ws_start:
-                raise self.fail("expected whitespace before attribute")
-            attr_start = self.i
-            name = self._parse_name("attribute name")
+        while m := _ATTRIBUTE_RE.match(self.data, self.i):
+            name = m.group(1).decode("utf-8")
             if name in seen:
-                raise self.fail(f"duplicate attribute {name!r}", attr_start)
+                raise self.fail(f"duplicate attribute {name!r}", m.start(1))
             seen.add(name)
-            self.skip_ws()
-            if not self.data.startswith(b"=", self.i):
-                raise self.fail("expected '=' after attribute name")
-            self.i += 1
-            self.skip_ws()
-            quote = self.data[self.i : self.i + 1]
-            if quote not in (b'"', b"'"):
-                raise self.fail("expected quoted attribute value")
-            end = self.data.find(quote, self.i + 1)
-            if end < 0:
-                raise self.fail("unterminated attribute value")
-            self.i = end + 1
-            attributes.append(XmlAttribute(name, SourceSpan(attr_start, self.i), ws_start))
+            attributes.append(XmlAttribute(name, SourceSpan(m.start(1), m.end()), self.i))
+            self.i = m.end()
+        ws_start = self.i
+        self.skip_ws()
+        if self.data.startswith(b"/>", self.i):
+            self.i += 2
+            return XmlElement(tag, attributes, SourceSpan(start, self.i), parent)
+        if not self.data.startswith(b">", self.i):
+            raise self._attribute_error(start, ws_start, seen)
+        self.i += 1
         element = XmlElement(tag, attributes, SourceSpan(start, self.i), parent)
         # content
         while True:

@@ -78,6 +78,10 @@ def test_field_argument_is_invariant():
         # a final field's object or array may still change
         ("Rect r = new Rect(0, 0, mP.x, 10);", "    final Point mP = new Point();\n"),
         ("Rect r = new Rect(0, 0, mA[0], 10);", "    final int[] mA = {1};\n"),
+        # a call may change what it is passed: mapRect maps it in place
+        ("RectF r = new RectF(0, 0, 10, 10);\nm.mapRect(r);\ncanvas.drawRect(r, null);", ""),
+        # the alias's offset is the hoisted object's
+        ("Rect r = new Rect(0, 0, 10, 10);\nRect a = r;\na.offset(5, 0);", ""),
     ],
 )
 def test_allocation_whose_state_may_change_is_left_alone(body, members):

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import threading
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from greenlint.rules import (
     apply_view_holder,
     apply_wake_lock,
 )
+from greenlint.rules.javautil import methods_of
 from greenlint.spans import Edit, SourceSpan, apply_edit_set
 
 from conftest import CLEAN_CORPUS, GOLDEN, GOLDEN_CASES, parse_java, parse_xml
@@ -81,12 +83,68 @@ def test_discovery_custom_exclude(tmp_path):
     assert rels == ["keep/A.java"]
 
 
+def test_exclude_ending_in_a_slash_matches_a_directory(tmp_path):
+    # Each path is tried with a "/" after it too, so "**/tmp/" names the
+    # directory itself and nothing under it is read.
+    _write(tmp_path, "a/tmp/T.java")
+    _write(tmp_path, "a/tmpx/U.java")
+    config = RunConfig(input_path=tmp_path, exclude_globs=("**/tmp/",))
+    rels = [p.relative_to(tmp_path).as_posix() for p, _ in discover_files(config)]
+    assert rels == ["a/tmpx/U.java"]
+
+
 def test_layout_xml_outside_res_layout_ignored(tmp_path):
     _write(tmp_path, "res/layout-land/main.xml", b"<a/>")
     _write(tmp_path, "docs/diagram.xml", b"<a/>")
     files = discover_files(RunConfig(input_path=tmp_path))
     rels = [p.relative_to(tmp_path).as_posix() for p, _ in files]
     assert rels == ["res/layout-land/main.xml"]
+
+
+def test_discovery_walks_past_loops_excludes_and_unreadable_directories(
+    tmp_path, monkeypatch
+):
+    _write(tmp_path, "app/build/gen/B.java")  # excluded at any depth
+    _write(tmp_path, "app/src/build/res/layout/x.xml", b"<a/>")
+    _write(tmp_path, "app/src/generated/G.java")
+    _write(tmp_path, "app/src/.git/H.java")
+    _write(tmp_path, "app/src/Main.java")
+    _write(tmp_path, "app/res/build")  # a file named like an excluded directory
+    _write(tmp_path, "app/src/build.java")
+    _write(tmp_path, "app/res/layout/build.xml", b"<a/>")
+    _write(tmp_path, "app/res/layout_main.xml", b"<a/>")  # "layout*" right after "res"
+    _write(tmp_path, "app/res/.xml", b"<a/>")  # no suffix, as pathlib reads it
+    _write(tmp_path, "locked/L.java")
+    _write(tmp_path, "zeta/Z.java")
+    (tmp_path / "app/src/loop").symlink_to(tmp_path / "app")  # back to an ancestor
+    (tmp_path / "app/src/self").symlink_to(tmp_path / "app/src/self")  # ELOOP
+    (tmp_path / "app/src/dangling.java").symlink_to(tmp_path / "missing")
+    (tmp_path / "alias").symlink_to(tmp_path / "zeta")  # sorts first, so it wins
+    locked = str(tmp_path / "locked")
+
+    def refusing(real):
+        def listing(path="."):
+            if os.fspath(path) == locked:
+                raise PermissionError(13, "Permission denied", path)
+            return real(path)
+
+        return listing
+
+    # Whichever call lists a directory, it fails on this one.
+    monkeypatch.setattr(os, "scandir", refusing(os.scandir))
+    monkeypatch.setattr(os, "listdir", refusing(os.listdir))
+    warnings: list[str] = []
+    files = discover_files(RunConfig(input_path=tmp_path), warnings)
+    rels = [(p.relative_to(tmp_path).as_posix(), lang) for p, lang in files]
+    assert rels == [
+        ("alias/Z.java", "java"),
+        ("app/res/layout/build.xml", "xml"),
+        ("app/res/layout_main.xml", "xml"),
+        ("app/src/Main.java", "java"),
+        ("app/src/build.java", "java"),
+    ]
+    assert [w.split(": ")[0] for w in warnings] == [f"cannot read {locked}"]
+    assert "Permission denied" in warnings[0]
 
 
 def _hashes(root: Path) -> dict:
@@ -458,6 +516,23 @@ def test_verification_tree_equals_a_fresh_parse(tmp_path, monkeypatch, ext, befo
         assert tree_shape(tree) == tree_shape(parse_java(data))
 
     _check_verify_passes(tmp_path, monkeypatch, before, same_tree)
+
+
+@pytest.mark.parametrize(
+    "ext,before", [c for c in _differential_cases() if c.values[0] == "java"]
+)
+def test_verification_methods_equal_a_fresh_parse(tmp_path, monkeypatch, ext, before):
+    def shape(tree):
+        return [
+            (owner.kind, owner.tok_lo, owner.tok_hi, method.props["name"], method.tok_lo)
+            for owner, method in methods_of(tree)
+        ]
+
+    def same_methods(data, tree):
+        assert shape(tree) == shape(parse_java(data))
+        assert methods_of(tree) is methods_of(tree)  # found once, shared by the rules
+
+    _check_verify_passes(tmp_path, monkeypatch, before, same_methods)
 
 
 # A Recycle fix above a ViewHolder finding that is declined (the method's

@@ -209,6 +209,12 @@ ENDLESS_LOOPS = [
     "do { step(); } while (true);",
     "outer: for (;;) {}",
     "a: b: while (true) {}",
+    # With `static final boolean SPIN = true;` these never end either: a
+    # condition with no call, `new`, `[` or assignment may be constant.
+    "while (SPIN) {}",
+    "do { step(); } while (C.SPIN && (int) 1.5 == ONE);",
+    "for (int i = 0; SPIN; log(i)) {}",
+    "for (int i = 0; i < N; ) { i = step(); }",
 ]
 
 
@@ -225,6 +231,11 @@ def test_block_ending_in_an_endless_loop_declines_the_fix(loop):
 @pytest.mark.parametrize(
     "loop",
     [
+        "while (SPIN[0]) {}",
+        "while (this.spin) {}",
+        "while (spin = next()) {}",
+        "for (Node n = head; n != null; n = n.next) {}",
+        "for (; SPIN; SPIN ^= true) {}",
         "for (int i = 0; i < n; i++) {}",
         "for (String s : names) {}",
         "while (more()) {}",

@@ -89,3 +89,42 @@ def test_bench_pairs_bar_not_met():
     # nine pairs are too few, however clear the gain
     s = bp.summarize(_pairs(bp, parent[:9], [800.0] * 9), THROUGHPUT)
     assert s["wins"] == 9 and not s["bar_met"]
+
+
+def test_bench_pairs_prints_one_block_per_workload(monkeypatch, capsys):
+    bp = _bench_pairs()
+    calls = []
+
+    metrics = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())["end_to_end"]
+
+    def fake_run(checkout, workload, seed, seconds):
+        calls.append((checkout.name, workload, seed))
+        kb_s = (700.0 if checkout.name == "parent" else 760.0) + seed
+        result = json.loads(_line(kb_s, 1 / kb_s))
+        result["metrics"].update(
+            (m["name"], {"value": 1.0, "unit": m["unit"]})
+            for m in metrics
+            if m["name"] not in result["metrics"]
+        )
+        return result
+
+    monkeypatch.setattr(bp, "run_bench", fake_run)
+    seeds = [str(s) for s in range(1, 11)]
+    argv = ["--parent", "/x/parent", "--change", "/x/change", "--seconds", "1"]
+    assert bp.main(argv + ["--workload", "corpus-many", "check-java", "--seeds", *seeds]) == 0
+    # each workload's pairs in turn, the first side alternating
+    assert calls[:4] == [
+        ("parent", "corpus-many", 1), ("change", "corpus-many", 1),
+        ("change", "corpus-many", 2), ("parent", "corpus-many", 2),
+    ]
+    assert [w for _, w, _ in calls] == ["corpus-many"] * 20 + ["check-java"] * 20
+    out = capsys.readouterr().out.splitlines()
+    blocks = [i for i, line in enumerate(out) if line.startswith("workload ")]
+    assert [out[i] for i in blocks] == [
+        "workload corpus-many, 10 pair(s), --seconds 1.0",
+        "workload check-java, 10 pair(s), --seconds 1.0",
+    ]
+    for i in blocks:
+        rows = out[i + 1 : i + 1 + len(metrics)]
+        assert [row.split()[0] for row in rows] == [m["name"] for m in metrics]
+    assert "won 10/10" in out[blocks[0] + 1] and "bar met" in out[blocks[0] + 1]

@@ -190,7 +190,12 @@ def test_an_earlier_return_in_on_pause_declines_the_fix(golden):
 
 @pytest.mark.parametrize(
     "loop",
-    ["for (;;) {\n            poll();\n        }", "spin: while (true) {}", "do {} while (true);"],
+    [
+        "for (;;) {\n            poll();\n        }",
+        "spin: while (true) {}",
+        "do {} while (true);",
+        "while (SPIN) {}",
+    ],
 )
 def test_on_pause_ending_in_an_endless_loop_declines_the_fix(golden, loop):
     # A release after the loop would be unreachable, which javac rejects.

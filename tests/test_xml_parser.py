@@ -1,11 +1,15 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from greenlint.diagnostics import ParseError, line_col
 from greenlint.xmltree import parse_layout_xml
 
 from conftest import CLEAN_CORPUS, GOLDEN, parse_xml
 from helpers import assert_spans_sound, contains
+from reference_xml import parse_reference
 
 
 def test_minimal_element():
@@ -126,3 +130,103 @@ def test_diagnostic_column_counts_characters():
     tree, diags = parse_layout_xml('<a>\n<b t="ééé" <'.encode())
     assert tree is None
     assert (diags[0].line, diags[0].column) == (2, 12)
+
+
+def _outcome(data: bytes):
+    """The elements in document order, as ``reference_xml`` lists them, or
+    the failure's ``line:col: message``."""
+    tree, diags = parse_layout_xml(data)
+    if tree is None:
+        return [str(d) for d in diags]
+    return [
+        (
+            e.tag,
+            (e.span.start, e.span.end),
+            [(a.name, (a.span.start, a.span.end), a.ws_start) for a in e.attributes],
+        )
+        for e in tree.root.walk()
+    ]
+
+
+def _reference_outcome(data: bytes):
+    try:
+        return parse_reference(data)
+    except ParseError as exc:
+        line, column = line_col(data, exc.offset)
+        return [f"{line}:{column}: {exc.message}"]
+
+
+# Pieces of start tags. Most attributes are well formed; in the others one
+# piece is left out or swapped for a bad one, which gives each attribute
+# error.
+_WS = st.sampled_from(["", " ", "  ", "\n    ", "\t", "\r\n  "])
+_NAMES = st.sampled_from(["android:layout_width", "a", "x:y", "_n", "tools:ignore", "é", "a-b.c"])
+_VALUES = st.sampled_from(["", "wrap_content", "@+id/x", "<&>", "é", "\n"])
+_BAD_PIECES = {0: ["", "\t"], 1: ["", "1a", "-x", "="], 3: ["", "=="], 5: ["", "'", "`"], 7: [""]}
+
+
+@st.composite
+def _attribute(draw, name: str) -> str:
+    quote = draw(st.sampled_from(['"', "'"]))
+    pieces = [
+        draw(_WS.filter(bool)), name, draw(_WS), "=", draw(_WS),
+        quote, draw(_VALUES), quote,
+    ]
+    if draw(st.integers(0, 11)) == 0:
+        at = draw(st.sampled_from(sorted(_BAD_PIECES)))
+        pieces[at] = draw(st.sampled_from(_BAD_PIECES[at]))
+    return "".join(pieces)
+
+
+@st.composite
+def _element(draw, depth: int = 0) -> str:
+    tag = draw(st.sampled_from(["LinearLayout", "TextView", "a", "x:Y"] * 6 + ["1"]))
+    names = draw(st.lists(_NAMES, max_size=4, unique=True))
+    if names and draw(st.integers(0, 9)) == 0:
+        names.append(names[0])
+    attrs = "".join(draw(_attribute(name)) for name in names)
+    end = draw(_WS) + draw(st.sampled_from(["/>", ">"] * 8 + ["", " >"]))
+    if not end.endswith(">") or end.endswith("/>"):
+        return f"<{tag}{attrs}{end}"
+    children = []
+    if depth < 2:
+        children = draw(
+            st.lists(
+                st.one_of(
+                    _element(depth + 1),
+                    st.sampled_from(["text", "<!-- c -->", "<![CDATA[<x>]]>", "\n  "]),
+                ),
+                max_size=3,
+            )
+        )
+    close = draw(st.sampled_from([tag] * 8 + ["b"]))
+    return f"<{tag}{attrs}{end}{''.join(children)}</{close}{draw(_WS)}>"
+
+
+_LAYOUTS = st.tuples(
+    st.sampled_from(["", '<?xml version="1.0" encoding="utf-8"?>\n', "<!-- head -->"]),
+    _element(),
+    st.sampled_from(["", "\n", "<!-- tail -->"] * 3 + ["x"]),
+).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_LAYOUTS, st.data())
+def test_generated_layouts_match_the_reference(text: str, data):
+    # A cut anywhere also gives each "unterminated ..." error.
+    if data.draw(st.integers(0, 3)) == 0:
+        text = text[: data.draw(st.integers(0, len(text)))]
+    source = text.encode("utf-8")
+    assert _outcome(source) == _reference_outcome(source), source
+
+
+@pytest.mark.parametrize("path", _xml_fixtures(), ids=lambda p: p.stem)
+def test_fixture_layouts_match_the_reference(path: Path):
+    data = path.read_bytes()
+    assert _outcome(data) == _reference_outcome(data)
+
+
+def test_walk_is_document_order():
+    tree = parse_xml(b"<a><b><c/><d/></b><e/><f><g/></f></a>")
+    assert [e.tag for e in tree.root.walk()] == list("abcdefg")
+    assert [e.tag for e in tree.root.children[2].walk()] == ["f", "g"]
