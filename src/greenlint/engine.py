@@ -17,6 +17,7 @@ project's per-rule counts come from its files' findings.
 
 from __future__ import annotations
 
+import errno
 import os
 import re
 from functools import partial
@@ -51,7 +52,12 @@ _Rule = Callable[[_Tree, str], RuleResult]
 
 class RunConfig:
     __slots__ = (
-        "input_path", "mode", "enabled_rules", "exclude_globs", "layout_param_table", "backup"
+        "input_path",
+        "mode",
+        "enabled_rules",
+        "exclude_globs",
+        "layout_param_table",
+        "backup",
     )
 
     def __init__(
@@ -81,8 +87,15 @@ class RunConfig:
 
 class FileOutcome:
     __slots__ = (
-        "path", "language", "shown", "diagnostics", "findings", "rewritten", "patch",
-        "skip_reason", "internal_error",
+        "path",
+        "language",
+        "shown",
+        "diagnostics",
+        "findings",
+        "rewritten",
+        "patch",
+        "skip_reason",
+        "internal_error",
     )
 
     def __init__(self, path: Path, language: str, shown: str):
@@ -108,14 +121,29 @@ class RuleCount:
 
 class ProjectReport:
     __slots__ = (
-        "project_id", "rule_counts", "java_files", "xml_files", "parse_failures", "warnings"
+        "project_id",
+        "rule_counts",
+        "java_files",
+        "xml_files",
+        "parse_failures",
+        "warnings",
     )
 
-    def __init__(self, project_id: str, rule_counts: dict[RuleId, RuleCount]):
+    def __init__(
+        self,
+        project_id: str,
+        rule_counts: dict[RuleId, RuleCount],
+        java_files: int = 0,
+        xml_files: int = 0,
+        parse_failures: int = 0,
+        warnings: Optional[list[str]] = None,
+    ):
         self.project_id = project_id
         self.rule_counts = rule_counts
-        self.java_files = self.xml_files = self.parse_failures = 0
-        self.warnings: list[str] = []
+        self.java_files = java_files
+        self.xml_files = xml_files
+        self.parse_failures = parse_failures
+        self.warnings = [] if warnings is None else warnings
 
 
 _GLOB_PARTS = {"**/": "(?:.*/)?", "**": ".*", "*": "[^/]*", "?": "[^/]"}
@@ -136,6 +164,9 @@ def _language(name: str, in_layout: bool) -> Optional[str]:
     if in_layout and len(name) > 4 and name.endswith(".xml"):
         return "xml"
     return None
+
+
+_MISSING = (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP)
 
 
 def _in_layout(parts: tuple[str, ...]) -> bool:
@@ -190,7 +221,10 @@ def discover_files(
                 lang = None if is_dir else _language(name, layout)
                 if lang and not entry.is_file():
                     continue
-            except OSError:  # a symlink loop, say, which pathlib reads as missing
+            except OSError as exc:
+                # A loop or a vanished target reads as missing, as in pathlib.
+                if exc.errno not in _MISSING:
+                    warnings.append(f"cannot stat {directory / name}: {exc}")
                 continue
             if is_dir:
                 walk(directory / name, rel + "/", name == "res", layout)
@@ -349,11 +383,10 @@ def run_project(
     config: RunConfig, project_id: Optional[str] = None
 ) -> tuple[ProjectReport, list[FileOutcome]]:
     """Analyze (and, per mode, rewrite) every eligible file under the input."""
+    warnings: list[str] = []
     root = Path(config.input_path)
     if project_id is None:
         project_id = root.resolve().name
-    report = ProjectReport(project_id, {rule: RuleCount() for rule in RuleId})
-    warnings = report.warnings
     files = discover_files(config, warnings)
     # A file input is shown by its name; a file under a directory input, by
     # its path relative to that directory.
@@ -364,15 +397,17 @@ def run_project(
         for p, lang in files
     ]
 
+    counts = {rule: RuleCount() for rule in RuleId}
+    java_files = xml_files = parse_failures = 0
     for outcome in outcomes:
         if outcome.skip_reason:
             warnings.append(f"{outcome.path}: skipped: {outcome.skip_reason}")
         elif outcome.language == "java":
-            report.java_files += 1
+            java_files += 1
         else:
-            report.xml_files += 1
+            xml_files += 1
         if outcome.diagnostics:
-            report.parse_failures += 1
+            parse_failures += 1
         for d in outcome.diagnostics:
             warnings.append(
                 f"{outcome.path}:{d.line}:{d.column}: parse error: {d.message}"
@@ -381,11 +416,20 @@ def run_project(
             warnings.append(f"{outcome.path}: error: {outcome.internal_error}")
         applied = outcome.rewritten or outcome.patch is not None
         for finding in outcome.findings:
-            count = report.rule_counts[finding.rule]
+            count = counts[finding.rule]
             if not finding.fixable:
                 count.unfixable += 1
                 continue
             count.refactorings += 1
             if applied:
                 count.fixed += 1
+
+    report = ProjectReport(
+        project_id=project_id,
+        rule_counts=counts,
+        java_files=java_files,
+        xml_files=xml_files,
+        parse_failures=parse_failures,
+        warnings=warnings,
+    )
     return report, outcomes

@@ -69,16 +69,6 @@ _TOKEN = re.compile(
     rb"|(?P<bad>.))?",
     re.DOTALL,
 )
-# Spelling -> (kind, value) of words and operators, seeded with the keywords
-# and operators. An identifier is added when first seen, up to a bound that
-# keeps the table small, so most tokens need no decoding or keyword lookup.
-_SPELLINGS: dict[bytes, tuple[str, str]] = {
-    **{op: ("op", op.decode()) for op in _OPERATORS},
-    **{bytes([c]): ("op", chr(c)) for c in _SINGLE},
-    **{k.encode(): ("keyword", k) for k in KEYWORDS},
-}
-_MAX_SPELLINGS = 16384
-
 # A match reads at most two bytes past its token (`.` looks for `...`), so
 # an old token is kept only if it ends that far before the next edit.
 _LOOKAHEAD = 2
@@ -162,7 +152,7 @@ def _scan(data: bytes, pos: int, tokens: list[Token], until: int) -> int:
     return -1 at the end of the input."""
     append = tokens.append
     match = _TOKEN.match
-    spellings = _SPELLINGS
+    keywords = KEYWORDS
     while True:
         m = match(data, pos)
         kind = m.lastgroup
@@ -170,13 +160,11 @@ def _scan(data: bytes, pos: int, tokens: list[Token], until: int) -> int:
             return -1
         start, pos = m.span(kind)
         text = data[start:pos]
-        if kind == "word" or kind == "op":
-            spelled = spellings.get(text)
-            if spelled is None:  # an identifier not in the table
-                spelled = ("ident", text.decode("utf-8", "replace"))
-                if len(spellings) < _MAX_SPELLINGS:
-                    spellings[text] = spelled
-            append(Token(spelled[0], spelled[1], start, pos))
+        if kind == "word":
+            value = text.decode("utf-8", "replace")
+            append(Token("keyword" if value in keywords else "ident", value, start, pos))
+        elif kind == "op":
+            append(Token("op", text.decode("ascii"), start, pos))
         elif kind == "number":
             append(Token("number", text.decode("ascii", "replace"), start, pos))
         elif kind == "string" or kind == "char":

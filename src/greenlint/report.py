@@ -99,17 +99,25 @@ def aggregate(reports: list[ProjectReport]) -> CorpusSummary:
 def emit(summary: CorpusSummary, format: str) -> bytes:
     """Render the summary as CSV or JSON; byte-deterministic."""
     keys = CSV_HEADER.split(",")  # the CSV columns are also the JSON keys
-    size = summary.corpus_size
-    rows = [
-        [rule, r.total_refactorings, r.total_projects, r.percentage_of_projects(size),
-         r.incidence_per_project]
-        for rule, r in zip(ROW_ORDER, map(summary.row, ROW_ORDER))
-    ]
+    rows = []
+    for rule in ROW_ORDER:
+        row = summary.row(rule)
+        rows.append(
+            [
+                rule,
+                row.total_refactorings,
+                row.total_projects,
+                row.percentage_of_projects(summary.corpus_size),
+                row.incidence_per_project,
+            ]
+        )
     if format == "csv":  # no cell holds a comma, a quote or a line break
         return "".join(",".join(map(str, r)) + "\n" for r in [keys, *rows]).encode()
     if format == "json":
         import json
 
-        payload = [dict(zip(keys, values), corpus_size=size) for values in rows]
+        payload = [
+            dict(zip(keys, values), corpus_size=summary.corpus_size) for values in rows
+        ]
         return (json.dumps(payload, indent=2, sort_keys=False) + "\n").encode()
     raise ValueError(f"unknown format {format!r}")

@@ -5,10 +5,10 @@ passes are touched: literals, `final` fields of the enclosing class declared
 with an initializer above onDraw, and class-qualified constants. Anything
 referencing an onDraw parameter or local, a field's members or elements, or
 involving a call, disqualifies the allocation, and so does any later use
-of the local but as a whole argument of a `draw*` call or as the receiver
-of a `set*` call with such arguments: once hoisted, the object keeps any
-change from one draw to the next, and a call it is passed to, or an alias,
-may change it. Missing those dynamic cases is accepted by design.
+of the local but as a whole argument of a `draw*` call on the Canvas or as
+the receiver of a `set*` call with such arguments: once hoisted, the object
+keeps any change from one draw to the next, and a call it is passed to, or
+an alias, may change it. Missing those dynamic cases is accepted by design.
 """
 
 from __future__ import annotations
@@ -83,13 +83,14 @@ def _final_fields(tokens: list[Token], members: list[Node]) -> set[str]:
     return names
 
 
-def _drawn(tokens: list[Token], lo: int, hi: int) -> set[int]:
+def _drawn(tokens: list[Token], lo: int, hi: int, canvas: str) -> set[int]:
     """Indices of the tokens in tokens[lo:hi] that are a whole argument of
-    a `name.draw*(...)` call: Canvas's draw methods only read them."""
+    a `canvas.draw*(...)` call: Canvas's draw methods only read them."""
     out: set[int] = set()
     for j in range(lo, hi - 3):
         if (
             tokens[j].kind == "ident"
+            and tokens[j].value == canvas
             and tokens[j + 1].is_op(".")
             and tokens[j + 2].value.startswith("draw")
             and tokens[j + 3].is_op("(")
@@ -103,12 +104,13 @@ def _changed_elsewhere(
     tree: SyntaxTree, method: Node, decl: Node, name: str, fields: set[str], locals_: set[str]
 ) -> bool:
     """True if the method uses the local ``name`` outside ``decl`` other
-    than as a whole argument of a `draw*` call or as the receiver of a
-    `set*` call with invariant arguments: any other use may change it, or
-    hand it to code that does, as `m.mapRect(r)` or `Rect a = r;` do."""
+    than as a whole argument of a `draw*` call on onDraw's Canvas or as the
+    receiver of a `set*` call with invariant arguments: any other use may
+    change it, or hand it to code that does, as `m.mapRect(r)` or
+    `Rect a = r;` do."""
     body = method.props["body"]
     toks = tree.tokens
-    drawn = _drawn(toks, body.tok_lo, body.tok_hi)
+    drawn = _drawn(toks, body.tok_lo, body.tok_hi, method.props["params"][0][1])
     for j in uses(tree, body.tok_lo, body.tok_hi, name):
         if decl.tok_lo <= j < decl.tok_hi or j in drawn:
             continue

@@ -8,7 +8,6 @@ uses) for conservative detection.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from typing import Iterator, Optional
 
 from ..java.lexer import Token
@@ -139,13 +138,11 @@ def reindent(text: str, old_indent: str, new_indent: str) -> list[str]:
 _INDENT = rb"^[ \t]+(?=[^ \t\n*])"
 
 
-@lru_cache(maxsize=4)
 def indent_unit(data: bytes) -> bytes:
     """Best-effort indentation step: the smallest nonzero line indent.
 
     Lines starting with ``*`` are skipped: they continue a block comment and
     sit one space in, whatever the code's step. Blank lines are skipped too.
-    The rules of one pass share the answer for their text.
     """
     found = re.findall(_INDENT, data, re.MULTILINE)
     return min(found, key=len) if found else b"    "
@@ -309,16 +306,16 @@ def class_fields(members: list[Node]) -> dict[str, Node]:
     return fields
 
 
-_NAMED_MEMBERS = frozenset(
-    "method_declaration constructor_declaration class_declaration interface_declaration "
-    "enum_declaration".split()
-)
-
-
 def member_names(owner: Node) -> set[str]:
     names = set(class_fields(owner.children))
     for child in owner.children:
-        if child.kind in _NAMED_MEMBERS:
+        if child.kind in (
+            "method_declaration",
+            "constructor_declaration",
+            "class_declaration",
+            "interface_declaration",
+            "enum_declaration",
+        ):
             names.add(child.props["name"])
     return names
 

@@ -20,13 +20,31 @@ UNIVERSAL_PARAMS = frozenset({"layout_width", "layout_height"})
 UNIVERSAL_PREFIXES = ("layout_margin",)
 
 _RELATIVE_PARAMS = frozenset(
-    """layout_above layout_below layout_toLeftOf layout_toRightOf layout_toStartOf
-    layout_toEndOf layout_alignParentTop layout_alignParentBottom
-    layout_alignParentLeft layout_alignParentRight layout_alignParentStart
-    layout_alignParentEnd layout_alignTop layout_alignBottom layout_alignLeft
-    layout_alignRight layout_alignStart layout_alignEnd layout_alignBaseline
-    layout_alignWithParentIfMissing layout_centerHorizontal layout_centerVertical
-    layout_centerInParent""".split()
+    {
+        "layout_above",
+        "layout_below",
+        "layout_toLeftOf",
+        "layout_toRightOf",
+        "layout_toStartOf",
+        "layout_toEndOf",
+        "layout_alignParentTop",
+        "layout_alignParentBottom",
+        "layout_alignParentLeft",
+        "layout_alignParentRight",
+        "layout_alignParentStart",
+        "layout_alignParentEnd",
+        "layout_alignTop",
+        "layout_alignBottom",
+        "layout_alignLeft",
+        "layout_alignRight",
+        "layout_alignStart",
+        "layout_alignEnd",
+        "layout_alignBaseline",
+        "layout_alignWithParentIfMissing",
+        "layout_centerHorizontal",
+        "layout_centerVertical",
+        "layout_centerInParent",
+    }
 )
 
 DEFAULT_TABLE_ENTRIES: dict[str, frozenset[str]] = {
@@ -37,8 +55,15 @@ DEFAULT_TABLE_ENTRIES: dict[str, frozenset[str]] = {
     "TableLayout": frozenset({"layout_weight", "layout_gravity"}),
     "TableRow": frozenset({"layout_column", "layout_span", "layout_weight", "layout_gravity"}),
     "GridLayout": frozenset(
-        """layout_row layout_rowSpan layout_rowWeight layout_column layout_columnSpan
-        layout_columnWeight layout_gravity""".split()
+        {
+            "layout_row",
+            "layout_rowSpan",
+            "layout_rowWeight",
+            "layout_column",
+            "layout_columnSpan",
+            "layout_columnWeight",
+            "layout_gravity",
+        }
     ),
 }
 

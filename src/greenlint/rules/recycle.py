@@ -68,12 +68,13 @@ def _match_factory(
     inv_name: str, receiver: Optional[str], declared_type: str
 ) -> Optional[ResourceFactory]:
     for f in DEFAULT_FACTORIES:
-        if (
-            f.method == inv_name
-            and (f.receivers is None or receiver in f.receivers)
-            and (f.declared_type is None or declared_type == f.declared_type)
-        ):
-            return f
+        if f.method != inv_name:
+            continue
+        if f.receivers is not None and receiver not in f.receivers:
+            continue
+        if f.declared_type is not None and declared_type != f.declared_type:
+            continue
+        return f
     return None
 
 

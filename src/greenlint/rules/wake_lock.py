@@ -33,11 +33,6 @@ LIFECYCLE_METHODS = frozenset(
     ["onCreate", "onStart", "onResume", "onRestart", "onNewIntent"]
 )
 
-_LOCAL_LOCK = (
-    "wake lock held only in a local variable is acquired but never released; "
-    "store it in a field and release it in onPause()"
-)
-
 # Code after a trailing return or throw is unreachable, which javac
 # rejects, so the releases go before it.
 _EXITS = ("return_statement", "throw_statement")
@@ -116,8 +111,19 @@ def apply_wake_lock(tree: SyntaxTree, path: str = "") -> RuleResult:
             if field not in pending_release:
                 pending_release.append(field)
         for span in local_acquires:
-            finding = Finding(RuleId.WAKE_LOCK, path, span, _LOCAL_LOCK, fixable=False)
-            result.findings.append(finding)
+            result.findings.append(
+                Finding(
+                    rule=RuleId.WAKE_LOCK,
+                    file=path,
+                    span=span,
+                    message=(
+                        "wake lock held only in a local variable is acquired but "
+                        "never released; store it in a field and release it in "
+                        "onPause()"
+                    ),
+                    fixable=False,
+                )
+            )
 
         if not pending_release or reason:
             continue

@@ -82,6 +82,8 @@ def test_field_argument_is_invariant():
         ("RectF r = new RectF(0, 0, 10, 10);\nm.mapRect(r);\ncanvas.drawRect(r, null);", ""),
         # the alias's offset is the hoisted object's
         ("Rect r = new Rect(0, 0, 10, 10);\nRect a = r;\na.offset(5, 0);", ""),
+        # only the Canvas's draw methods are known to read their arguments
+        ("Rect r = new Rect(0, 0, 10, 10);\nmapper.drawInto(r);\ncanvas.drawRect(r, null);", ""),
     ],
 )
 def test_allocation_whose_state_may_change_is_left_alone(body, members):
@@ -93,7 +95,8 @@ def test_allocation_whose_state_may_change_is_left_alone(body, members):
 
 def test_set_call_with_invariant_arguments_is_hoisted():
     source = _on_draw(
-        "Paint p = new Paint();\np.setColor(Color.RED);\np.setAlpha(ALPHA);\nc.drawRect(r, p);",
+        "Paint p = new Paint();\np.setColor(Color.RED);\np.setAlpha(ALPHA);\n"
+        "canvas.drawRect(r, p);",
         extra_members="    static final int ALPHA = 7;\n",
     )
     result, fixed = fix_java(apply_draw_allocation, source)

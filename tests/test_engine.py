@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import os
 import threading
@@ -130,8 +131,22 @@ def test_discovery_walks_past_loops_excludes_and_unreadable_directories(
 
         return listing
 
+    class Unstatable:  # a symlink whose target may not be looked at
+        name = "guarded.java"
+
+        def is_dir(self):
+            raise PermissionError(13, "Permission denied", self.name)
+
+        is_file = is_dir
+
+    @contextlib.contextmanager
+    def scandir(path="."):
+        with refusing(real_scandir)(path) as it:
+            yield [*it, Unstatable()] if os.fspath(path).endswith("/app/src") else it
+
     # Whichever call lists a directory, it fails on this one.
-    monkeypatch.setattr(os, "scandir", refusing(os.scandir))
+    real_scandir = os.scandir
+    monkeypatch.setattr(os, "scandir", scandir)
     monkeypatch.setattr(os, "listdir", refusing(os.listdir))
     warnings: list[str] = []
     files = discover_files(RunConfig(input_path=tmp_path), warnings)
@@ -143,8 +158,13 @@ def test_discovery_walks_past_loops_excludes_and_unreadable_directories(
         ("app/src/Main.java", "java"),
         ("app/src/build.java", "java"),
     ]
-    assert [w.split(": ")[0] for w in warnings] == [f"cannot read {locked}"]
-    assert "Permission denied" in warnings[0]
+    # A loop or a missing target is passed over in silence, as pathlib does;
+    # any other error is named.
+    assert [w.split(": ")[0] for w in warnings] == [
+        f"cannot stat {tmp_path / 'app/src/guarded.java'}",
+        f"cannot read {locked}",
+    ]
+    assert all("Permission denied" in w for w in warnings)
 
 
 def _hashes(root: Path) -> dict:
