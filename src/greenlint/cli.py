@@ -27,7 +27,7 @@ from .engine import (
     run_project,
 )
 from .report import aggregate, emit
-from .rules import Finding, LayoutParamTable, RuleId
+from .rules import Finding, RuleId
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -64,15 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
         # Accepted for compatibility and ignored: files are processed in order
         # in one thread.
         p.add_argument("--jobs", type=int, default=0, help=argparse.SUPPRESS)
-        p.add_argument(
-            "--layout-param-table",
-            type=Path,
-            default=None,
-            help="override the layout-param compatibility table",
-        )
-        p.add_argument(
-            "--backup", action="store_true", help="keep .orig copies when fixing"
-        )
 
     check = sub.add_parser("check", help="report findings without writing")
     check.add_argument("path", type=Path)
@@ -117,15 +108,6 @@ class _UsageError(Exception):
     pass
 
 
-def _load_table(path: Optional[Path]) -> LayoutParamTable:
-    if path is None:
-        return LayoutParamTable()
-    try:
-        return LayoutParamTable.from_file(path)
-    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or malformed
-        raise _UsageError(f"--layout-param-table: {exc}") from exc
-
-
 def _make_config(args: argparse.Namespace, path: Path, mode: str) -> RunConfig:
     excludes = DEFAULT_EXCLUDES if args.exclude is None else tuple(args.exclude)
     try:
@@ -134,13 +116,9 @@ def _make_config(args: argparse.Namespace, path: Path, mode: str) -> RunConfig:
             mode=mode,
             enabled_rules=_parse_rules(args.only),
             exclude_globs=excludes,
-            layout_param_table=_load_table(args.layout_param_table),
-            backup=args.backup,
         )
     except FileNotFoundError as exc:
         raise _UsageError(f"path does not exist: {exc}") from exc
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
 
 
 def _run(

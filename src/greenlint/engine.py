@@ -3,13 +3,12 @@
 Files are processed one after another, in sorted order, in the calling
 thread. Every file, `.java` or `res/layout*/*.xml`, goes through the same
 pass loop with its language's parser and rules. A rule is a function
-`(tree, path) -> RuleResult`; the layout rule gets the run's parent/attribute
-table bound in. Each pass parses the current text once, runs every enabled
-rule on that tree and applies their merged edit lists in one step. The first
-pass is the report, so findings point into the file on disk; the pass after
-a rewrite is its verification; for Java it re-lexes only around the edits
-and re-parses only the members they touch, reusing the old tokens and
-subtrees elsewhere. Rewritten text must re-parse
+`(tree, path) -> RuleResult`. Each pass parses the current text once, runs
+every enabled rule on that tree and applies their merged edit lists in one
+step. The first pass is the report, so findings point into the file on
+disk; the pass after a rewrite is its verification; for Java it re-lexes
+only around the edits and re-parses only the members they touch, reusing
+the old tokens and subtrees elsewhere. Rewritten text must re-parse
 cleanly and the rules must then report nothing fixable, otherwise the
 file's fixes are rolled back and surfaced as an internal error. A
 project's per-rule counts come from its files' findings.
@@ -20,7 +19,6 @@ from __future__ import annotations
 import errno
 import os
 import re
-from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Union
 
@@ -28,7 +26,6 @@ from .diagnostics import ParseDiagnostic, line_col
 from .java.parser import SyntaxTree, parse_java_source
 from .rules import (
     Finding,
-    LayoutParamTable,
     RuleId,
     RuleResult,
     apply_draw_allocation,
@@ -51,14 +48,7 @@ _Rule = Callable[[_Tree, str], RuleResult]
 
 
 class RunConfig:
-    __slots__ = (
-        "input_path",
-        "mode",
-        "enabled_rules",
-        "exclude_globs",
-        "layout_param_table",
-        "backup",
-    )
+    __slots__ = ("input_path", "mode", "enabled_rules", "exclude_globs")
 
     def __init__(
         self,
@@ -66,11 +56,7 @@ class RunConfig:
         mode: str = MODE_REPORT,
         enabled_rules: frozenset[RuleId] = frozenset(RuleId),
         exclude_globs: tuple[str, ...] = DEFAULT_EXCLUDES,
-        layout_param_table: Optional[LayoutParamTable] = None,
-        backup: bool = False,
     ):
-        if not enabled_rules:
-            raise ValueError("enabled_rules must be non-empty")
         if mode not in (MODE_REPORT, MODE_FIX, MODE_PATCH):
             raise ValueError(f"unknown mode {mode!r}")
         if not Path(input_path).exists():
@@ -79,10 +65,6 @@ class RunConfig:
         self.mode = mode
         self.enabled_rules = enabled_rules
         self.exclude_globs = exclude_globs
-        if layout_param_table is None:
-            layout_param_table = LayoutParamTable()
-        self.layout_param_table = layout_param_table
-        self.backup = backup
 
 
 class FileOutcome:
@@ -264,11 +246,7 @@ def process_file(
         }
     else:
         parse = parse_layout_xml
-        functions = {
-            RuleId.OBSOLETE_LAYOUT_PARAM: partial(
-                apply_obsolete_layout_param, table=config.layout_param_table
-            )
-        }
+        functions = {RuleId.OBSOLETE_LAYOUT_PARAM: apply_obsolete_layout_param}
     enabled = config.enabled_rules
     rules = [(r, functions[r]) for r in RuleId if r in functions and r in enabled]
     try:
@@ -279,7 +257,7 @@ def process_file(
 
     if text != original and config.mode == MODE_FIX:
         try:
-            _atomic_replace(path, text, backup=config.backup)
+            _atomic_replace(path, text)
         except OSError as exc:
             outcome.internal_error = f"write failed: {exc}"
             return outcome
@@ -360,9 +338,7 @@ def _touches(accepted: list[Edit], edits: list[Edit]) -> bool:
     )
 
 
-def _atomic_replace(path: Path, text: bytes, backup: bool) -> None:
-    if backup:
-        path.with_suffix(path.suffix + ".orig").write_bytes(path.read_bytes())
+def _atomic_replace(path: Path, text: bytes) -> None:
     mode = path.stat().st_mode
     tmp = path.with_name(path.name + ".greenlint.tmp")
     tmp.write_bytes(text)

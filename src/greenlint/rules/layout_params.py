@@ -3,13 +3,12 @@
 Each android:layout_* attribute is interpreted by the view's parent
 container; attributes alien to the actual parent (e.g. a RelativeLayout
 anchor under a LinearLayout) are dead weight processed at inflate time and
-safe to delete. Unknown parents (custom views, <merge>, <include>) are
-never touched: a custom container may consume any layout param.
+safe to delete. Parents absent from the table below are unknown (custom
+views, <merge>, <include>), and their children are never touched: a custom
+container may consume any layout param.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 from ..spans import Edit
 from ..xmltree import XmlTree
@@ -47,7 +46,8 @@ _RELATIVE_PARAMS = frozenset(
     }
 )
 
-DEFAULT_TABLE_ENTRIES: dict[str, frozenset[str]] = {
+# The params each known parent understands beyond the universal ones.
+PARENT_PARAMS: dict[str, frozenset[str]] = {
     "LinearLayout": frozenset({"layout_weight", "layout_gravity"}),
     "RadioGroup": frozenset({"layout_weight", "layout_gravity"}),
     "RelativeLayout": _RELATIVE_PARAMS,
@@ -68,78 +68,25 @@ DEFAULT_TABLE_ENTRIES: dict[str, frozenset[str]] = {
 }
 
 
-class LayoutParamTable:
-    """Which android:layout_* params are meaningful under which parent tag.
-
-    Parents absent from the table are unknown: the rule never flags their
-    children. Entries under parent '*' extend the universal set.
-    """
-
-    __slots__ = ("parents", "universal")
-
-    def __init__(
-        self,
-        parents: dict[str, frozenset[str]] | None = None,
-        universal: frozenset[str] = UNIVERSAL_PARAMS,
-    ):
-        self.parents = dict(DEFAULT_TABLE_ENTRIES) if parents is None else parents
-        self.universal = universal
-
-    def is_meaningful(self, parent_tag: str, param: str) -> bool:
-        if param in self.universal or param.startswith(UNIVERSAL_PREFIXES):
-            return True
-        meaningful = self.parents.get(parent_tag)
-        if meaningful is None:
-            return True  # unknown parent: assume it consumes anything
-        return param in meaningful
-
-    def knows_parent(self, parent_tag: str) -> bool:
-        return parent_tag in self.parents
-
-    @classmethod
-    def from_file(cls, path: Path) -> "LayoutParamTable":
-        """Load a table file: one `ParentTag<TAB>attribute_name` per line,
-        '#' comments. Replaces the built-in per-parent table; '*' lines
-        extend the universal set."""
-        parents: dict[str, set[str]] = {}
-        universal: set[str] = set(UNIVERSAL_PARAMS)
-        for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 'ParentTag<TAB>attribute_name'"
-                )
-            parent, attr = parts
-            if parent == "*":
-                universal.add(attr)
-            else:
-                parents.setdefault(parent, set()).add(attr)
-        return cls(
-            parents={k: frozenset(v) for k, v in parents.items()},
-            universal=frozenset(universal),
-        )
-
-
-def apply_obsolete_layout_param(
-    tree: XmlTree, path: str = "", table: LayoutParamTable | None = None
-) -> RuleResult:
+def apply_obsolete_layout_param(tree: XmlTree, path: str = "") -> RuleResult:
     result = RuleResult()
-    table = table if table is not None else LayoutParamTable()
 
     for element in tree.root.walk():
         parent = element.parent
         if parent is None:
             continue
-        if not table.knows_parent(parent.tag):
+        meaningful = PARENT_PARAMS.get(parent.tag)
+        if meaningful is None:
             continue
         for attr in element.attributes:
             prefix, _, local_name = attr.name.partition(":")
             if prefix != "android" or not local_name.startswith("layout_"):
                 continue
-            if table.is_meaningful(parent.tag, local_name):
+            if (
+                local_name in meaningful
+                or local_name in UNIVERSAL_PARAMS
+                or local_name.startswith(UNIVERSAL_PREFIXES)
+            ):
                 continue
             message = (
                 f"{attr.name} has no effect on a child of "

@@ -14,12 +14,13 @@ reported but never rewritten.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
 from ..java.parser import Node, SyntaxTree
 from .base import RuleId, RuleResult
 from .javautil import (
     ENDLESS_LOOP,
+    OWNER_KINDS,
     SHARED_LINE,
     base_type_name,
     ends_in_endless_loop,
@@ -133,15 +134,23 @@ def _exits_before(tree: SyntaxTree, decl: Node, end: int) -> bool:
     )
 
 
+def _blocks(body: Node) -> Iterator[Node]:
+    """The blocks under a method body, in preorder, leaving out the bodies of
+    the classes declared in it, whose methods ``methods_of`` lists too."""
+    stack = [body]
+    while stack:
+        node = stack.pop()
+        if node.kind == "block":
+            yield node
+        stack += (c for c in reversed(node.children) if c.kind not in OWNER_KINDS)
+
+
 def apply_recycle(tree: SyntaxTree, path: str = "") -> RuleResult:
     result = RuleResult()
     data = tree.data
 
     for _, method in methods_of(tree):
-        body = method.props["body"]
-        for block in body.walk():
-            if block.kind != "block":
-                continue
+        for block in _blocks(method.props["body"]):
             stmts = block.children
             exit_stmt = stmts[-1] if stmts and stmts[-1].kind in _ABRUPT_EXITS else None
             for stmt in stmts:

@@ -10,7 +10,6 @@ from greenlint.cli import (
     main,
 )
 from greenlint.diagnostics import line_col
-from greenlint.rules import LayoutParamTable
 
 from conftest import CLEAN_CORPUS, GOLDEN
 
@@ -213,53 +212,14 @@ def test_jobs_is_accepted_and_changes_nothing(tmp_path, capsys):
     assert capsys.readouterr().out == out
 
 
-def test_removed_wakelock_guard_flag_is_a_usage_error(tmp_path, capsys):
-    proj = _recycle_project(tmp_path)
-    assert main(["check", str(proj), "--paper-faithful-wakelock-guard"]) == EXIT_USAGE
-    assert "unrecognized arguments" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
-    "content,detail",
-    [
-        ("# comment\nLinearLayout layout_weight\n", ":2: expected 'ParentTag<TAB>"),
-        (None, "No such file"),
-    ],
+    "flag",
+    ["--paper-faithful-wakelock-guard", "--backup", "--layout-param-table t.tsv"],
 )
-def test_bad_layout_table_is_a_usage_error(tmp_path, capsys, content, detail):
+def test_removed_flag_is_a_usage_error(tmp_path, capsys, flag):
     proj = _recycle_project(tmp_path)
-    table = tmp_path / "table.tsv"
-    if content is not None:
-        table.write_text(content)
-    args = ["check", str(proj), "--layout-param-table", str(table)]
-    assert main(args) == EXIT_USAGE
-    [line] = capsys.readouterr().err.splitlines()
-    assert line.startswith("error: --layout-param-table: "), line
-    assert str(table) in line and detail in line, line
-
-
-def test_corpus_loads_the_layout_table_once(tmp_path, monkeypatch, capsys):
-    root = tmp_path / "corpus"
-    for name in ("alpha", "beta"):
-        layout = root / name / "res" / "layout" / "main.xml"
-        layout.parent.mkdir(parents=True)
-        layout.write_bytes(
-            (GOLDEN / "obsolete_layout_param" / "before.xml").read_bytes()
-        )
-    table = tmp_path / "params.tsv"
-    table.write_text("LinearLayout\tlayout_weight\n")
-    loads = []
-    real_from_file = LayoutParamTable.from_file.__func__
-
-    def counting(cls, path):
-        loads.append(path)
-        return real_from_file(cls, path)
-
-    monkeypatch.setattr(LayoutParamTable, "from_file", classmethod(counting))
-    out = tmp_path / "summary.csv"
-    args = ["corpus", str(root), "--out", str(out), "--layout-param-table", str(table)]
-    assert main(args) == EXIT_CLEAN
-    assert loads == [table]
+    assert main(["check", str(proj), *flag.split()]) == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import inspect
 import os
 import threading
 from pathlib import Path
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import greenlint.engine as engine
+import greenlint.rules
 from greenlint.cli import EXIT_FINDINGS, main
 from greenlint.diagnostics import line_col
 from greenlint.engine import (
@@ -24,7 +26,6 @@ from greenlint.java.lexer import tokenize
 from greenlint.java.parser import parse_java_source
 from greenlint.rules import (
     Finding,
-    LayoutParamTable,
     RuleId,
     RuleResult,
     apply_draw_allocation,
@@ -237,11 +238,12 @@ def test_counts_come_from_findings_and_what_was_applied(tmp_path, monkeypatch):
     assert (recycle.refactorings, recycle.fixed, recycle.unfixable) == (1, 0, 0)
 
 
-def test_backup_keeps_original(tmp_path):
-    proj = _project_from_golden(tmp_path)
-    original = (proj / "src/recycle.java").read_bytes()
-    run_project(RunConfig(input_path=proj, mode=MODE_FIX, backup=True))
-    assert (proj / "src/recycle.java.orig").read_bytes() == original
+def test_every_rule_takes_only_the_tree_and_the_path():
+    rules = [n for n in greenlint.rules.__all__ if n.startswith("apply_")]
+    assert len(rules) == len(RuleId)
+    for name in rules:
+        params = inspect.signature(getattr(greenlint.rules, name)).parameters
+        assert list(params) == ["tree", "path"], name
 
 
 def test_enabled_rules_filter(tmp_path):
@@ -318,7 +320,7 @@ def _marker_rule(marker: bytes, at_start: bool, at_end: bool, stubborn=False):
     start and/or end of the file, until the file holds it (``stubborn``:
     always)."""
 
-    def rule(tree, path, **_):
+    def rule(tree, path):
         result = RuleResult()
         if stubborn or marker not in tree.data:
             result.findings.append(
@@ -368,8 +370,6 @@ def test_clean_corpus_yields_zero_findings():
 def test_config_validation(tmp_path):
     with pytest.raises(ValueError):
         RunConfig(input_path=tmp_path, mode="dry-run")
-    with pytest.raises(ValueError):
-        RunConfig(input_path=tmp_path, enabled_rules=frozenset())
     with pytest.raises(FileNotFoundError):
         RunConfig(input_path=tmp_path / "missing")
 
@@ -458,7 +458,7 @@ def test_rule_whose_edits_touch_earlier_ones_waits_a_pass(tmp_path, monkeypatch)
 def _chained_fix(data: bytes, ext: str) -> bytes:
     """Reference: parse, run one rule, apply its edits, then the next rule."""
     if ext == "xml":
-        result = apply_obsolete_layout_param(parse_xml(data), "", LayoutParamTable())
+        result = apply_obsolete_layout_param(parse_xml(data), "")
         return apply_edit_set(data, result.edits)
     for rule in (
         apply_view_holder,
@@ -744,8 +744,8 @@ def test_xml_verification_failure_rolls_back(tmp_path, monkeypatch, sabotage, me
     path = _write(tmp_path, "res/layout/main.xml", before)
     real_rule = engine.apply_obsolete_layout_param
 
-    def sabotaged(tree, shown, table):
-        result = real_rule(tree, shown, table)
+    def sabotaged(tree, shown):
+        result = real_rule(tree, shown)
         if sabotage == "stubborn":
             result.findings.append(
                 Finding(RuleId.OBSOLETE_LAYOUT_PARAM, shown, SourceSpan(0, 0), "")

@@ -1,10 +1,7 @@
 import pytest
 
 from greenlint.rules.base import RuleId
-from greenlint.rules.layout_params import (
-    LayoutParamTable,
-    apply_obsolete_layout_param,
-)
+from greenlint.rules.layout_params import apply_obsolete_layout_param
 
 from conftest import fix_xml, parse_xml
 
@@ -85,32 +82,3 @@ def test_root_element_never_flagged():
     )
     result = apply_obsolete_layout_param(parse_xml(source))
     assert result.findings == []
-
-
-def test_table_from_file(tmp_path):
-    table_file = tmp_path / "params.tsv"
-    table_file.write_text(
-        "# custom table\n"
-        "CustomContainer\tlayout_slot\n"
-        "*\tlayout_anywhere\n"
-    )
-    table = LayoutParamTable.from_file(table_file)
-    assert table.knows_parent("CustomContainer")
-    assert not table.knows_parent("LinearLayout")
-    assert table.is_meaningful("CustomContainer", "layout_slot")
-    assert not table.is_meaningful("CustomContainer", "layout_weight")
-    assert table.is_meaningful("CustomContainer", "layout_anywhere")
-    assert table.is_meaningful("CustomContainer", "layout_marginLeft")
-
-    # with the custom table the previously unknown parent is now checked
-    source = _layout("CustomContainer", '        android:layout_weight="1"')
-    result, fixed = fix_xml(apply_obsolete_layout_param, source, table=table)
-    assert len(result.findings) == 1
-    assert b"layout_weight" not in fixed
-
-
-def test_table_file_rejects_malformed_lines(tmp_path):
-    table_file = tmp_path / "bad.tsv"
-    table_file.write_text("LinearLayout layout_weight\n")
-    with pytest.raises(ValueError, match="bad.tsv:1"):
-        LayoutParamTable.from_file(table_file)

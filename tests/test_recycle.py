@@ -251,3 +251,35 @@ def test_block_ending_in_a_loop_that_ends_is_fixed(loop):
         f"        {loop}\n        if (c != null) {{\n            c.close();\n        }}\n"
         "    }\n}\n".encode()
     )
+
+
+@pytest.mark.parametrize(
+    "head,tail",
+    [
+        (
+            "        Runnable r = new Runnable() {\n            public void run() {\n",
+            "            }\n        };\n",
+        ),
+        ("        class L {\n            void run() {\n", "            }\n        }\n"),
+    ],
+    ids=["anonymous", "local"],
+)
+def test_resource_in_a_nested_class_method_is_released_once(head, tail):
+    # The nested method is a method of its own; the enclosing method's
+    # blocks must not visit its body a second time.
+    source = (
+        "class C {\n    void m(Db db) {\n"
+        + head
+        + '                Cursor c = db.query("z");\n'
+        "                c.moveToFirst();\n" + tail + "    }\n}\n"
+    )
+    release = (
+        "                if (c != null) {\n"
+        "                    c.close();\n"
+        "                }\n"
+    )
+    result, fixed = fix_java(apply_recycle, source.encode())
+    assert [(f.span.start, f.fixable) for f in result.findings] == [
+        (source.index("db.query"), True)
+    ]
+    assert fixed == source.replace("c.moveToFirst();\n", "c.moveToFirst();\n" + release).encode()
