@@ -13,8 +13,9 @@ quartiles, how many pairs the change won (ties count for neither side) and
 whether the bar for claiming a gain is met: at least ten pairs, the change
 winning at least nine in ten, and a median difference larger than the
 parent's interquartile range. So one call shows a claimed gain next to the
-workloads that must not regress. It changes nothing under either
-checkout's ``bench/``.
+workloads that must not regress. Last comes each checkout's ``src/`` size,
+the line count of every ``.py`` file under it, and the difference. It
+changes nothing under either checkout's ``bench/``.
 """
 
 from __future__ import annotations
@@ -82,6 +83,11 @@ def format_summary(s: dict) -> str:
     )
 
 
+def src_lines(checkout: Path) -> int:
+    """Lines in the ``.py`` files under ``checkout/src``, as ``wc -l`` counts."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src").rglob("*.py"))
+
+
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [
         sys.executable, "bench/run.py", "--workload", workload,
@@ -136,6 +142,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"workload {workload}, {len(pairs)} pair(s), --seconds {args.seconds}")
         for metric in metrics:
             print(format_summary(summarize(pairs, metric)))
+    parent, change = src_lines(args.parent), src_lines(args.change)
+    print(f"src/ lines: parent {parent}, change {change} ({change - parent:+d})")
     return 0
 
 

@@ -121,11 +121,9 @@ def _make_config(args: argparse.Namespace, path: Path, mode: str) -> RunConfig:
         raise _UsageError(f"path does not exist: {exc}") from exc
 
 
-def _run(
-    config: RunConfig, project_id: Optional[str]
-) -> tuple[ProjectReport, list[FileOutcome]]:
+def _run(config: RunConfig) -> tuple[ProjectReport, list[FileOutcome]]:
     """``run_project``, with its warnings printed on stderr."""
-    report, outcomes = run_project(config, project_id)
+    report, outcomes = run_project(config)
     for warning in report.warnings:
         print(warning, file=sys.stderr)
     return report, outcomes
@@ -189,7 +187,7 @@ def _exit_status(outcomes: list[FileOutcome]) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    report, outcomes = _run(_make_config(args, args.path, MODE_REPORT), None)
+    report, outcomes = _run(_make_config(args, args.path, MODE_REPORT))
     if args.format == "json":
         import json
 
@@ -201,7 +199,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_fix(args: argparse.Namespace) -> int:
     mode = MODE_PATCH if args.patch_dir is not None else MODE_FIX
-    report, outcomes = _run(_make_config(args, args.path, mode), None)
+    report, outcomes = _run(_make_config(args, args.path, mode))
     if args.patch_dir is not None:
         args.patch_dir.mkdir(parents=True, exist_ok=True)
         for outcome in outcomes:
@@ -232,7 +230,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     internal = False
     for project in projects:
         config.input_path = project  # an existing directory, so still valid
-        report, outcomes = _run(config, project.name)
+        report, outcomes = _run(config)
         internal = internal or any(o.internal_error for o in outcomes)
         reports.append(report)
     summary = aggregate(reports)

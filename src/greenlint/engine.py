@@ -57,8 +57,6 @@ class RunConfig:
         enabled_rules: frozenset[RuleId] = frozenset(RuleId),
         exclude_globs: tuple[str, ...] = DEFAULT_EXCLUDES,
     ):
-        if mode not in (MODE_REPORT, MODE_FIX, MODE_PATCH):
-            raise ValueError(f"unknown mode {mode!r}")
         if not Path(input_path).exists():
             raise FileNotFoundError(input_path)
         self.input_path = input_path
@@ -103,7 +101,6 @@ class RuleCount:
 
 class ProjectReport:
     __slots__ = (
-        "project_id",
         "rule_counts",
         "java_files",
         "xml_files",
@@ -113,14 +110,12 @@ class ProjectReport:
 
     def __init__(
         self,
-        project_id: str,
         rule_counts: dict[RuleId, RuleCount],
         java_files: int = 0,
         xml_files: int = 0,
         parse_failures: int = 0,
         warnings: Optional[list[str]] = None,
     ):
-        self.project_id = project_id
         self.rule_counts = rule_counts
         self.java_files = java_files
         self.xml_files = xml_files
@@ -289,7 +284,7 @@ def _fix(
     Each pass applies at least the first pending rule, hence the bound.
     A Java pass after a rewrite is given the previous tree and the edits,
     so it re-lexes only around them and re-parses only the members they
-    touch; moving the old tree's nodes leaves pass 0's findings in place.
+    touch.
     """
     if not rules:
         return original
@@ -355,14 +350,10 @@ def _unified_diff(original: bytes, text: bytes, shown: str) -> str:
     return "".join(diff)
 
 
-def run_project(
-    config: RunConfig, project_id: Optional[str] = None
-) -> tuple[ProjectReport, list[FileOutcome]]:
+def run_project(config: RunConfig) -> tuple[ProjectReport, list[FileOutcome]]:
     """Analyze (and, per mode, rewrite) every eligible file under the input."""
     warnings: list[str] = []
     root = Path(config.input_path)
-    if project_id is None:
-        project_id = root.resolve().name
     files = discover_files(config, warnings)
     # A file input is shown by its name; a file under a directory input, by
     # its path relative to that directory.
@@ -401,7 +392,6 @@ def run_project(
                 count.fixed += 1
 
     report = ProjectReport(
-        project_id=project_id,
         rule_counts=counts,
         java_files=java_files,
         xml_files=xml_files,

@@ -14,10 +14,11 @@ index pairs):
 
 - class_, interface_, enum_ and annotation_declaration: ``name``,
   ``extends`` (the first extended type's text, or None);
-- method_ and constructor_declaration: ``name``, ``name_span``, ``params``
-  (a list of (type text, name)), ``body`` (the block, or None);
+- method_ and constructor_declaration: ``name``, ``name_tok`` (its token
+  index), ``params`` (a list of (type text, name)), ``body`` (the block,
+  or None);
 - field_ and local_variable_declaration: ``type`` (text), ``declarators``
-  (dicts of ``name``, ``name_span`` and ``init``, the initializer's token
+  (dicts of ``name``, ``name_tok`` and ``init``, the initializer's token
   range or (None, None));
 - if_statement: ``cond``, the token range in its parens;
 - without props: compilation_unit, block, anonymous_class_body,
@@ -33,8 +34,7 @@ Given an earlier tree and the edits since, only the members they touch
 are parsed (the subtree reuse of Wagner & Graham, TOPLAS 1998). A
 top-level type or type-body member parses from its own tokens and its
 enclosing type's name alone, so one that no edit comes near is moved over
-from the old tree and shifted in place. Its spans are replaced, not
-changed, since findings may hold them; nothing reads the old tree after.
+from the old tree and shifted in place; nothing reads the old tree after.
 """
 
 from __future__ import annotations
@@ -185,8 +185,8 @@ class SyntaxTree:
         return self.data[span.start : span.end].decode("utf-8")
 
 
-# (token index, enclosing type name) -> (old node there, token, byte shift)
-_Reusable = dict[tuple[int, Optional[str]], tuple[Node, int, int]]
+# (token index, enclosing type name) -> (old node there, token shift)
+_Reusable = dict[tuple[int, Optional[str]], tuple[Node, int]]
 
 
 class _Parser:
@@ -255,9 +255,9 @@ class _Parser:
 
     def _reuse(self, enclosing: Optional[str]) -> Optional[Node]:
         """The old node a parse at the cursor would rebuild, moved there."""
-        node, dt, db = self.reusable.pop((self.i, enclosing), (None, 0, 0))
-        if dt or db:
-            _shift(node, dt, db)
+        node, dt = self.reusable.pop((self.i, enclosing), (None, 0))
+        if dt:
+            _shift(node, dt)
         if node is not None:
             self.i = node.tok_hi
         return node
@@ -474,16 +474,17 @@ class _Parser:
             and (p := self.peek(1)) is not None
             and p.is_op("(")
         ):
-            name_tok = self.advance()
-            return self._finish_method("constructor_declaration", lo, name_tok)
+            self.advance()
+            return self._finish_method("constructor_declaration", lo)
         type_text = self._parse_type()
-        name_tok = self.expect_ident("member name")
+        self.expect_ident("member name")
         if self.at_op("("):
-            return self._finish_method("method_declaration", lo, name_tok)
+            return self._finish_method("method_declaration", lo)
         self.i -= 1  # the declarators start at the name just read
         return self._parse_declarators("field_declaration", lo, type_text, "field name")
 
-    def _finish_method(self, kind: str, lo: int, name_tok: Token) -> Node:
+    def _finish_method(self, kind: str, lo: int) -> Node:
+        name_tok = self.i - 1  # the cursor is just past the name
         params = self._parse_params()
         self._skip_dims()
         self._parse_type_list("throws")
@@ -495,12 +496,8 @@ class _Parser:
                 self.advance()
                 self._consume_expression()
             self.expect_op(";")
-        props = {
-            "name": name_tok.value,
-            "params": params,
-            "body": body,
-            "name_span": SourceSpan(name_tok.start, name_tok.end),
-        }
+        name = self.toks[name_tok].value
+        props = {"name": name, "params": params, "body": body, "name_tok": name_tok}
         return Node(kind, lo, self.i, [body] if body else [], props)
 
     def _parse_params(self) -> list[tuple[str, str]]:
@@ -538,6 +535,7 @@ class _Parser:
         declarators: list[dict[str, Any]] = []
         while True:
             tok = self.expect_ident(what)
+            name_tok = self.i - 1
             self._skip_dims()
             init_lo = init_hi = None
             if self.at_op("="):
@@ -546,7 +544,7 @@ class _Parser:
             declarators.append(
                 {
                     "name": tok.value,
-                    "name_span": SourceSpan(tok.start, tok.end),
+                    "name_tok": name_tok,
                     "init": (init_lo, init_hi),
                 }
             )
@@ -814,8 +812,8 @@ _SIMPLE_STATEMENTS = {
 }
 
 
-def _shift(node: Node, dt: int, db: int) -> None:
-    """Move ``node``'s subtree ``dt`` tokens and ``db`` bytes on, in place."""
+def _shift(node: Node, dt: int) -> None:
+    """Move ``node``'s subtree ``dt`` tokens on, in place."""
     stack = [node]
     while stack:
         n = stack.pop()
@@ -828,11 +826,10 @@ def _shift(node: Node, dt: int, db: int) -> None:
         if "cond" in props:
             lo, hi = props["cond"]
             props["cond"] = (lo + dt, hi + dt)
-        # a method's props hold a name_span, each declarator also an init
+        # a method's props hold a name_tok, each declarator also an init
         for d in props.get("declarators", [props]):
-            if "name_span" in d:
-                span = d["name_span"]
-                d["name_span"] = SourceSpan(span.start + db, span.end + db)
+            if "name_tok" in d:
+                d["name_tok"] += dt
             lo, hi = d.get("init", (None, None))
             if lo is not None:
                 d["init"] = (lo + dt, hi + dt)
@@ -855,7 +852,7 @@ def _reusable(old: SyntaxTree, edits: list[Edit], tokens: list[Token]) -> _Reusa
             k = bisect_left(tokens, lo + db, key=attrgetter("start"))
             last = k + node.tok_hi - node.tok_lo - 1
             if last < len(tokens) and tokens[k].start - lo == tokens[last].end - hi == db:
-                out[(k, enclosing)] = (node, k - node.tok_lo, db)
+                out[(k, enclosing)] = (node, k - node.tok_lo)
 
     visit(None, old.root.children)
     return out

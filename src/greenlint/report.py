@@ -39,8 +39,6 @@ class RuleSummary:
         )
 
     def percentage_of_projects(self, corpus_size: int) -> int:
-        if corpus_size == 0:
-            return 0
         return _round_half_up(self.total_projects * 100, corpus_size)
 
     @property
@@ -71,15 +69,8 @@ def aggregate(reports: list[ProjectReport]) -> CorpusSummary:
     """Reduce per-project reports to the per-rule summary table.
 
     A project counts toward a rule iff it has at least one refactoring
-    (fixable finding) of that rule. Duplicate project ids are a hard error.
+    (fixable finding) of that rule.
     """
-    if not reports:
-        raise ValueError("reports list must be non-empty")
-    ids = [r.project_id for r in reports]
-    if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        raise ValueError(f"duplicate project ids: {dupes}")
-
     rows: dict[str, RuleSummary] = {}
     any_total = 0
     for rule in RuleId:

@@ -13,8 +13,6 @@ an alias, may change it. Missing those dynamic cases is accepted by design.
 
 from __future__ import annotations
 
-from itertools import takewhile
-
 from ..java.lexer import Token
 from ..java.parser import Node, SyntaxTree
 from ..spans import Edit
@@ -76,9 +74,7 @@ def _final_fields(tokens: list[Token], members: list[Node]) -> set[str]:
         if member.kind != "field_declaration":
             continue
         decls = member.props["declarators"]
-        first = decls[0]["name_span"].start
-        head = takewhile(lambda t: t.start < first, tokens[member.tok_lo : member.tok_hi])
-        if any(t.is_kw("final") for t in head):
+        if any(t.is_kw("final") for t in tokens[member.tok_lo : decls[0]["name_tok"]]):
             names.update(d["name"] for d in decls if d["init"] != (None, None))
     return names
 

@@ -42,11 +42,42 @@ def own_line_start(data: bytes, offset: int) -> Optional[int]:
 SHARED_LINE = "other code shares the line where the fix would go"
 
 
-# Why a fix is declined when the block it would end may never complete.
-ENDLESS_LOOP = "the block ends in a loop that may never exit"
+def release_point(
+    tree: SyntaxTree, block: Node, since: int, exits: tuple[str, ...], where: str
+) -> tuple[Optional[Node], Optional[int], str]:
+    """Where a release at the end of ``block`` goes, and why it may not.
+
+    Returns the block's trailing exit (a statement of one of the ``exits``
+    keywords) or None; the start of the line the release goes on, or None;
+    and the reason the release is declined, or "". Code after a trailing
+    exit is unreachable, which javac rejects, so the release goes before
+    it, else before the block's `}`. It is declined after a loop that may
+    never exit, where an exit token between token ``since`` and the release
+    could skip it (tokens are scanned, since switch bodies stay token runs),
+    and where other code shares the line.
+    """
+    toks = tree.tokens
+    last = block.children[-1] if block.children else None
+    exit_stmt = last if last and last.kind.removesuffix("_statement") in exits else None
+    end = exit_stmt.tok_lo if exit_stmt is not None else block.tok_hi - 1
+    insert_at = own_line_start(tree.data, toks[end].start)
+    if exit_stmt is None and _ends_in_endless_loop(toks, block):
+        reason = "the block ends in a loop that may never exit"
+    elif any(t.kind == "keyword" and t.value in exits for t in toks[since:end]):
+        reason = f"an earlier exit from {where} would skip the release"
+    elif insert_at is None:
+        reason = SHARED_LINE
+    else:
+        reason = ""
+    return exit_stmt, insert_at, reason
 
 
-def ends_in_endless_loop(tokens: list[Token], block: Node) -> bool:
+def guarded_release(indent: str, unit: str, guard: str, call: str) -> list[str]:
+    """The lines of `if (guard) { call; }` at ``indent``."""
+    return [f"{indent}if ({guard}) {{", f"{indent}{unit}{call};", f"{indent}}}"]
+
+
+def _ends_in_endless_loop(tokens: list[Token], block: Node) -> bool:
     """True if the last statement of ``block``, under any labels, is a
     `for`, `while` or `do` loop whose condition is missing or could be a
     constant expression, such as `true` or a `static final` flag. When that
@@ -306,17 +337,12 @@ def class_fields(members: list[Node]) -> dict[str, Node]:
     return fields
 
 
+_NAMED_KINDS = TYPE_DECLS | {"method_declaration", "constructor_declaration"}
+
+
 def member_names(owner: Node) -> set[str]:
     names = set(class_fields(owner.children))
-    for child in owner.children:
-        if child.kind in (
-            "method_declaration",
-            "constructor_declaration",
-            "class_declaration",
-            "interface_declaration",
-            "enum_declaration",
-        ):
-            names.add(child.props["name"])
+    names.update(c.props["name"] for c in owner.children if c.kind in _NAMED_KINDS)
     return names
 
 

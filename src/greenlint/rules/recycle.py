@@ -16,21 +16,21 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from ..java.parser import Node, SyntaxTree
+from ..java.lexer import Token
+from ..java.parser import Node, SyntaxTree, match_group
+from ..spans import SourceSpan
 from .base import RuleId, RuleResult
 from .javautil import (
-    ENDLESS_LOOP,
     OWNER_KINDS,
-    SHARED_LINE,
     base_type_name,
-    ends_in_endless_loop,
     find_invocations,
+    guarded_release,
     indent_unit,
     initialized_local,
     insert_lines,
     line_indent,
     methods_of,
-    own_line_start,
+    release_point,
     uses,
 )
 
@@ -79,6 +79,24 @@ def _match_factory(
     return None
 
 
+def _source(
+    tokens: list[Token], lo: int, hi: int, declared_type: str
+) -> Optional[tuple[ResourceFactory, SourceSpan]]:
+    """The first factory call in the initializer tokens[lo:hi] that starts
+    outside every `{}` group, and its span: a call in an anonymous class, a
+    lambda body or an array initializer does not give the local its value."""
+    braces = [
+        range(tokens[j].start, tokens[match_group(tokens, j)[1] - 1].end)
+        for j in range(lo, hi)
+        if tokens[j].is_op("{")
+    ]
+    for inv in find_invocations(tokens, lo, hi):
+        factory = _match_factory(inv.name, inv.receiver, declared_type)
+        if factory is not None and not any(inv.span.start in b for b in braces):
+            return factory, inv.span
+    return None
+
+
 def _released_in_method(tree: SyntaxTree, method: Node, name: str, release: str) -> bool:
     body = method.props["body"]
     toks = tree.tokens
@@ -110,28 +128,12 @@ def _escapes(tree: SyntaxTree, method: Node, decl: Node, name: str) -> bool:
     return False
 
 
-# A release must run before a block's last statement if that statement leaves
-# the block: code after it is unreachable, which javac rejects.
-_EXIT_KEYWORDS = frozenset(("return", "throw", "break", "continue"))
-_ABRUPT_EXITS = frozenset(f"{k}_statement" for k in _EXIT_KEYWORDS)
-
-
 def _exit_uses(tree: SyntaxTree, exit_stmt: Node, name: str) -> bool:
     """True if ``exit_stmt`` is a `return` or `throw` whose expression uses
     ``name``: a release inserted before it would close a resource in use."""
     if exit_stmt.kind not in ("return_statement", "throw_statement"):
         return False
     return any(uses(tree, exit_stmt.tok_lo + 1, exit_stmt.tok_hi, name))
-
-
-def _exits_before(tree: SyntaxTree, decl: Node, end: int) -> bool:
-    """True if a return, throw, break or continue token lies between ``decl``
-    and token ``end``, where the release goes: that exit could skip it.
-    Tokens, not nodes, are scanned, since switch bodies stay token runs."""
-    return any(
-        t.kind == "keyword" and t.value in _EXIT_KEYWORDS
-        for t in tree.tokens[decl.tok_hi : end]
-    )
 
 
 def _blocks(body: Node) -> Iterator[Node]:
@@ -151,41 +153,27 @@ def apply_recycle(tree: SyntaxTree, path: str = "") -> RuleResult:
 
     for _, method in methods_of(tree):
         for block in _blocks(method.props["body"]):
-            stmts = block.children
-            exit_stmt = stmts[-1] if stmts and stmts[-1].kind in _ABRUPT_EXITS else None
-            for stmt in stmts:
+            for stmt in block.children:
                 decl = initialized_local(stmt)
                 if decl is None:
                     continue
-                init_lo, init_hi = decl["init"]
                 declared_type = base_type_name(stmt.props["type"])
-                factory = None
-                anchor = None
-                for inv in find_invocations(tree.tokens, init_lo, init_hi):
-                    factory = _match_factory(inv.name, inv.receiver, declared_type)
-                    if factory is not None:
-                        anchor = inv.span
-                        break
-                if factory is None:
+                source = _source(tree.tokens, *decl["init"], declared_type)
+                if source is None:
                     continue
+                factory, anchor = source
                 name = decl["name"]
                 if _released_in_method(tree, method, name, factory.release):
                     continue
-                # the release goes before the trailing exit, else before `}`
-                end = exit_stmt.tok_lo if exit_stmt is not None else block.tok_hi - 1
-                insert_at = own_line_start(data, tree.tokens[end].start)
+                # the block may be a loop body, which break and continue leave
+                exits = ("return", "throw", "break", "continue")
+                exit_stmt, insert_at, reason = release_point(
+                    tree, block, stmt.tok_hi, exits, "the block"
+                )
                 if _escapes(tree, method, stmt, name):
                     reason = "it escapes the method"
                 elif exit_stmt is not None and _exit_uses(tree, exit_stmt, name):
                     reason = "the block's last statement still uses it"
-                elif exit_stmt is None and ends_in_endless_loop(tree.tokens, block):
-                    reason = ENDLESS_LOOP
-                elif _exits_before(tree, stmt, end):
-                    reason = "an earlier exit from the block would skip the release"
-                elif insert_at is None:
-                    reason = SHARED_LINE
-                else:
-                    reason = ""
                 message = (
                     f"'{name}' ({declared_type}) is obtained but never "
                     f"released with {factory.release}()"
@@ -195,11 +183,8 @@ def apply_recycle(tree: SyntaxTree, path: str = "") -> RuleResult:
 
                 si = line_indent(data, tree.span_of(stmt).start)
                 unit = indent_unit(data).decode()
-                lines = [
-                    f"{si}if ({name} != null) {{",
-                    f"{si}{unit}{name}.{factory.release}();",
-                    f"{si}}}",
-                ]
+                release = f"{name}.{factory.release}()"
+                lines = guarded_release(si, unit, f"{name} != null", release)
                 result.edits.append(insert_lines(data, insert_at, lines))
 
     return result

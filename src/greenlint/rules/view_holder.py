@@ -9,7 +9,7 @@ private static holder class stashed on the view via setTag/getTag.
 from __future__ import annotations
 
 from ..java.parser import Node, SyntaxTree
-from ..spans import Edit
+from ..spans import Edit, SourceSpan
 from .base import RuleId, RuleResult
 from .javautil import (
     SHARED_LINE,
@@ -119,7 +119,8 @@ def apply_view_holder(tree: SyntaxTree, path: str = "") -> RuleResult:
             "getView() inflates its row layout and calls findViewById() "
             "on every call; cache the looked-up views in a holder"
         )
-        span = method.props["name_span"]
+        name = toks[method.props["name_tok"]]
+        span = SourceSpan(name.start, name.end)
         if not result.report(RuleId.VIEW_HOLDER, path, span, message, reason):
             continue
 
@@ -159,7 +160,7 @@ def apply_view_holder(tree: SyntaxTree, path: str = "") -> RuleResult:
         lines.append(f"{si}}}")
         for stmt, decl in cached:
             # modifiers, type and name, e.g. "final TextView t"
-            head = data[tree.span_of(stmt).start : decl["name_span"].end].decode()
+            head = data[tree.span_of(stmt).start : toks[decl["name_tok"]].end].decode()
             lines += reindent(f"{si}{head} = {HOLDER_VAR}.{decl['name']};", si, si)
         block_text = dominant_eol(data).decode().join(lines)
 

@@ -15,27 +15,23 @@ from ..java.parser import Node, SyntaxTree
 from ..spans import SourceSpan
 from .base import Finding, RuleId, RuleResult
 from .javautil import (
-    ENDLESS_LOOP,
     SHARED_LINE,
     base_type_name,
     class_fields,
     declared_locals,
-    ends_in_endless_loop,
     find_invocations,
+    guarded_release,
     indent_unit,
     insert_lines,
     line_indent,
     methods_of,
     own_line_start,
+    release_point,
 )
 
 LIFECYCLE_METHODS = frozenset(
     ["onCreate", "onStart", "onResume", "onRestart", "onNewIntent"]
 )
-
-# Code after a trailing return or throw is unreachable, which javac
-# rejects, so the releases go before it.
-_EXITS = ("return_statement", "throw_statement")
 
 
 def _is_activity_class(node: Node) -> bool:
@@ -93,10 +89,18 @@ def apply_wake_lock(tree: SyntaxTree, path: str = "") -> RuleResult:
                     local_acquires.append(inv.span)
 
         on_pause = _method_named(owner, "onPause")
-        insert_at, reason = _release_point(tree, owner, on_pause)
         pause_body = on_pause.props["body"] if on_pause is not None else None
+        exit_stmt = None
         released = set()  # receivers of the release() calls in onPause
-        if pause_body is not None:
+        if on_pause is None:  # a new onPause goes before the class's `}`
+            insert_at = own_line_start(data, tree.tokens[owner.tok_hi - 1].start)
+            reason = SHARED_LINE if insert_at is None else ""
+        elif pause_body is None:
+            insert_at, reason = None, "onPause() has no body"
+        else:
+            exit_stmt, insert_at, reason = release_point(
+                tree, pause_body, pause_body.tok_lo, ("return", "throw"), "onPause()"
+            )
             calls = find_invocations(tree.tokens, pause_body.tok_lo, pause_body.tok_hi)
             released = {inv.receiver for inv in calls if inv.name == "release"}
         pending_release: list[str] = []
@@ -141,56 +145,19 @@ def apply_wake_lock(tree: SyntaxTree, path: str = "") -> RuleResult:
                 f"{si}super.onPause();",
             ]
             tail = [f"{mi}}}"]
-        elif pause_body.children and pause_body.children[-1].kind in _EXITS:
+        elif exit_stmt is not None:
             si = line_indent(data, insert_at)
         elif pause_body.children:
             si = line_indent(data, tree.span_of(pause_body.children[0]).start)
         else:
             si = line_indent(data, tree.span_of(on_pause).start) + unit
-        releases = [
-            line
-            for field in pending_release
-            for line in (
-                f"{si}if ({_guard(field)}) {{",
-                f"{si}{unit}{field}.release();",
-                f"{si}}}",
-            )
-        ]
+        releases: list[str] = []
+        for f in pending_release:
+            guard = f"{f} != null && {f}.isHeld()"
+            releases += guarded_release(si, unit, guard, f"{f}.release()")
         result.edits.append(insert_lines(data, insert_at, head + releases + tail))
 
     return result
-
-
-def _release_point(
-    tree: SyntaxTree, owner: Node, on_pause: Optional[Node]
-) -> tuple[Optional[int], str]:
-    """Where the releases go, or why they cannot: a new onPause goes before
-    the class's `}`; releases go before an existing onPause's trailing
-    return or throw, else before its `}`, unless an earlier return or
-    throw token could skip them or the body ends in an endless loop."""
-    if on_pause is None:
-        anchor = tree.tokens[owner.tok_hi - 1].start  # the class's `}`
-    elif on_pause.props["body"] is None:
-        return None, "onPause() has no body"
-    else:
-        body = on_pause.props["body"]
-        end = body.tok_hi - 1  # the `}`
-        if body.children and body.children[-1].kind in _EXITS:
-            end = body.children[-1].tok_lo
-        elif ends_in_endless_loop(tree.tokens, body):
-            return None, ENDLESS_LOOP
-        if any(
-            t.kind == "keyword" and t.value in ("return", "throw")
-            for t in tree.tokens[body.tok_lo : end]
-        ):
-            return None, "an earlier exit from onPause() would skip the release"
-        anchor = tree.tokens[end].start
-    insert_at = own_line_start(tree.data, anchor)
-    return insert_at, SHARED_LINE if insert_at is None else ""
-
-
-def _guard(field: str) -> str:
-    return f"{field} != null && {field}.isHeld()"
 
 
 def _local_wake_lock(method: Node, name: str) -> bool:

@@ -46,11 +46,11 @@ def assert_spans_sound(tree) -> None:
             assert contains(element.span, attr.span)
 
 
-def make_report(project_id: str, refactorings: dict[RuleId, int]) -> ProjectReport:
+def make_report(refactorings: dict[RuleId, int]) -> ProjectReport:
     """A ProjectReport with the given per-rule refactoring counts, for
     aggregating without running the engine."""
     counts = {rule: RuleCount(refactorings.get(rule, 0)) for rule in RuleId}
-    return ProjectReport(project_id, counts)
+    return ProjectReport(counts)
 
 
 def parse_summary(data: bytes) -> CorpusSummary:

@@ -196,7 +196,7 @@ def _published_table_reports():
     for i in range(40, 45):  # 5 projects, 7 holder rewrites
         counts[i][RuleId.VIEW_HOLDER] = 3 if i == 40 else 1
     counts[45][RuleId.WAKE_LOCK] = 1
-    return [make_report(f"project-{i:03d}", c) for i, c in counts.items()]
+    return [make_report(c) for c in counts.values()]
 
 
 def test_criterion_5_aggregation_matches_published_table():

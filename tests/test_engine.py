@@ -368,8 +368,6 @@ def test_clean_corpus_yields_zero_findings():
 
 
 def test_config_validation(tmp_path):
-    with pytest.raises(ValueError):
-        RunConfig(input_path=tmp_path, mode="dry-run")
     with pytest.raises(FileNotFoundError):
         RunConfig(input_path=tmp_path / "missing")
 

@@ -283,3 +283,32 @@ def test_resource_in_a_nested_class_method_is_released_once(head, tail):
         (source.index("db.query"), True)
     ]
     assert fixed == source.replace("c.moveToFirst();\n", "c.moveToFirst();\n" + release).encode()
+
+
+@pytest.mark.parametrize(
+    "stmt,fixed_name",
+    [
+        (
+            "Runnable r = new Runnable() { public void run() { "
+            "TypedArray a = ctx.obtainStyledAttributes(1); a.recycle(); } };",
+            None,
+        ),
+        (
+            "Runnable r = () -> { TypedArray a = ctx.obtainStyledAttributes(1); a.recycle(); };",
+            None,
+        ),
+        ("TypedArray[] arr = { ctx.obtainStyledAttributes(1) };", None),
+        ("TypedArray a = ctx.obtainStyledAttributes(attrs, new int[] {1, 2});", "a"),
+    ],
+    ids=["anonymous", "lambda", "array-initializer", "array-argument"],
+)
+def test_only_a_call_outside_the_initializer_braces_is_the_source(stmt, fixed_name):
+    # A factory call inside a `{}` group is not the local's value: releasing
+    # `r` or `arr` would not compile.
+    source = _method(stmt)
+    result, fixed = fix_java(apply_recycle, source)
+    if fixed_name is None:
+        assert result.findings == [] and fixed == source
+    else:
+        assert [f.fixable for f in result.findings] == [True]
+        assert f"{fixed_name}.recycle();".encode() in fixed

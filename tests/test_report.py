@@ -1,4 +1,3 @@
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -10,8 +9,8 @@ from helpers import make_report, parse_summary
 
 def test_two_project_aggregation():
     reports = [
-        make_report("p1", {RuleId.RECYCLE: 3}),
-        make_report("p2", {RuleId.RECYCLE: 1, RuleId.OBSOLETE_LAYOUT_PARAM: 2}),
+        make_report({RuleId.RECYCLE: 3}),
+        make_report({RuleId.RECYCLE: 1, RuleId.OBSOLETE_LAYOUT_PARAM: 2}),
     ]
     summary = aggregate(reports)
     assert summary.corpus_size == 2
@@ -38,42 +37,31 @@ def test_two_project_aggregation():
 
 def test_rounding_is_half_up():
     # 1 of 8 projects affected: 12.5% must round to 13, not banker's 12
-    reports = [make_report("p1", {RuleId.WAKE_LOCK: 1})] + [
-        make_report(f"p{i}", {}) for i in range(2, 9)
+    reports = [make_report({RuleId.WAKE_LOCK: 1})] + [
+        make_report({}) for _ in range(2, 9)
     ]
     summary = aggregate(reports)
     assert summary.row("WakeLock").percentage_of_projects(8) == 13
 
     # 5 refactorings over 2 projects: incidence 2.5 stays 2.5
     reports = [
-        make_report("a", {RuleId.RECYCLE: 4}),
-        make_report("b", {RuleId.RECYCLE: 1}),
+        make_report({RuleId.RECYCLE: 4}),
+        make_report({RuleId.RECYCLE: 1}),
     ]
     assert aggregate(reports).row("Recycle").incidence_per_project == "2.5"
 
     # 9 over 4 projects: 2.25 rounds half up to 2.3
     reports = [
-        make_report("a", {RuleId.RECYCLE: 6}),
-        make_report("b", {RuleId.RECYCLE: 1}),
-        make_report("c", {RuleId.RECYCLE: 1}),
-        make_report("d", {RuleId.RECYCLE: 1}),
+        make_report({RuleId.RECYCLE: 6}),
+        make_report({RuleId.RECYCLE: 1}),
+        make_report({RuleId.RECYCLE: 1}),
+        make_report({RuleId.RECYCLE: 1}),
     ]
     assert aggregate(reports).row("Recycle").incidence_per_project == "2.3"
 
 
-def test_duplicate_project_ids_rejected():
-    reports = [make_report("p", {}), make_report("p", {})]
-    with pytest.raises(ValueError, match="duplicate"):
-        aggregate(reports)
-
-
-def test_empty_corpus_rejected():
-    with pytest.raises(ValueError):
-        aggregate([])
-
-
 def test_csv_shape():
-    summary = aggregate([make_report("p1", {RuleId.VIEW_HOLDER: 2})])
+    summary = aggregate([make_report({RuleId.VIEW_HOLDER: 2})])
     lines = emit(summary, "csv").decode().splitlines()
     assert lines[0] == CSV_HEADER
     assert [line.split(",")[0] for line in lines[1:]] == list(ROW_ORDER)
@@ -83,7 +71,7 @@ def test_csv_shape():
 
 def test_emit_is_byte_deterministic():
     summary = aggregate(
-        [make_report("p1", {RuleId.RECYCLE: 2}), make_report("p2", {})]
+        [make_report({RuleId.RECYCLE: 2}), make_report({})]
     )
     for fmt in ("csv", "json"):
         assert emit(summary, fmt) == emit(summary, fmt)
@@ -92,9 +80,9 @@ def test_emit_is_byte_deterministic():
 def test_json_round_trip():
     summary = aggregate(
         [
-            make_report("p1", {RuleId.RECYCLE: 2, RuleId.WAKE_LOCK: 1}),
-            make_report("p2", {RuleId.OBSOLETE_LAYOUT_PARAM: 5}),
-            make_report("p3", {}),
+            make_report({RuleId.RECYCLE: 2, RuleId.WAKE_LOCK: 1}),
+            make_report({RuleId.OBSOLETE_LAYOUT_PARAM: 5}),
+            make_report({}),
         ]
     )
     restored = parse_summary(emit(summary, "json"))
@@ -111,7 +99,7 @@ _counts = st.fixed_dictionaries(
 @given(st.lists(_counts, min_size=1, max_size=8), st.randoms())
 def test_aggregation_is_permutation_invariant(count_dicts, rng):
     reports = [
-        make_report(f"p{i}", counts) for i, counts in enumerate(count_dicts)
+        make_report(counts) for counts in count_dicts
     ]
     shuffled = list(reports)
     rng.shuffle(shuffled)
@@ -121,7 +109,7 @@ def test_aggregation_is_permutation_invariant(count_dicts, rng):
 @given(st.lists(_counts, min_size=1, max_size=8))
 def test_summary_recomputable_from_raw_counts(count_dicts):
     reports = [
-        make_report(f"p{i}", counts) for i, counts in enumerate(count_dicts)
+        make_report(counts) for counts in count_dicts
     ]
     summary = aggregate(reports)
     for rule in RuleId:

@@ -128,3 +128,23 @@ def test_bench_pairs_prints_one_block_per_workload(monkeypatch, capsys):
         rows = out[i + 1 : i + 1 + len(metrics)]
         assert [row.split()[0] for row in rows] == [m["name"] for m in metrics]
     assert "won 10/10" in out[blocks[0] + 1] and "bar met" in out[blocks[0] + 1]
+
+
+def test_bench_pairs_reports_the_src_size_of_each_checkout(tmp_path, monkeypatch, capsys):
+    bp = _bench_pairs()
+    for side, files in (("parent", {"a.py": 3, "pkg/b.py": 2}), ("change", {"a.py": 4})):
+        for name, lines in files.items():
+            path = tmp_path / side / "src" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("x = 1\n" * lines)
+    (tmp_path / "parent" / "src" / "notes.txt").write_text("not counted\n")
+    metrics = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())["end_to_end"]
+
+    def fake_run(checkout, workload, seed, seconds):
+        values = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in metrics}
+        return {"correct": True, "attempted": 1, "failed": 0, "metrics": values}
+
+    monkeypatch.setattr(bp, "run_bench", fake_run)
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change")]
+    assert bp.main(argv + ["--workload", "check-java", "--seeds", "1", "--seconds", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "src/ lines: parent 5, change 4 (-1)"

@@ -88,6 +88,20 @@ def test_holder_name_collision_gets_suffix(golden):
     assert again == fixed
 
 
+def test_holder_name_skips_a_nested_annotation_type(golden):
+    # javac rejects a second member type of the same name
+    before, _ = golden("view_holder")
+    source = before.replace(
+        b"public class SubListAdapter extends ArrayAdapter<String> {\n",
+        b"public class SubListAdapter extends ArrayAdapter<String> {\n"
+        b"\n    @interface ViewHolderItem {}\n",
+    )
+    result, fixed = fix_java(apply_view_holder, source)
+    assert len(result.findings) == 1
+    assert b"private static class ViewHolderItem2 {" in fixed
+    assert b"class ViewHolderItem {" not in fixed
+
+
 def test_multiple_cached_views(golden):
     before, _ = golden("view_holder")
     source = before.replace(
