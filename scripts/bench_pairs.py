@@ -13,9 +13,12 @@ quartiles, how many pairs the change won (ties count for neither side) and
 whether the bar for claiming a gain is met: at least ten pairs, the change
 winning at least nine in ten, and a median difference larger than the
 parent's interquartile range. So one call shows a claimed gain next to the
-workloads that must not regress. Last comes each checkout's ``src/`` size,
-the line count of every ``.py`` file under it, and the difference. It
-changes nothing under either checkout's ``bench/``.
+workloads that must not regress. After each block, ``--trace 1`` runs once
+in each checkout on the workload's first seed, and every per-layer metric
+of ``BENCHMARK.json`` is printed with both sides' values, to show where a
+difference comes from. Last comes each checkout's ``src/`` size, the line
+count of every ``.py`` file under it, and the difference. It changes
+nothing under either checkout's ``bench/``.
 """
 
 from __future__ import annotations
@@ -83,15 +86,29 @@ def format_summary(s: dict) -> str:
     )
 
 
+def format_layers(parent: dict, change: dict, per_layer: list[dict]) -> list[str]:
+    """One line per ``per_layer`` metric (``BENCHMARK.json`` entries): its
+    value in the parent's and the change's traced result, and the change."""
+    lines = []
+    for metric in per_layer:
+        name = metric["name"]
+        p, c = parent["metrics"][name]["value"], change["metrics"][name]["value"]
+        share = f"{(c - p) / abs(p):+.1%}" if p else "-"
+        lines.append(
+            f"  {name:40s} {metric['unit']:5s} parent {p:14.6f}  change {c:14.6f}  {share}"
+        )
+    return lines
+
+
 def src_lines(checkout: Path) -> int:
     """Lines in the ``.py`` files under ``checkout/src``, as ``wc -l`` counts."""
     return sum(p.read_bytes().count(b"\n") for p in (checkout / "src").rglob("*.py"))
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     cmd = [
         sys.executable, "bench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
     ]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -135,13 +152,22 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--seconds", type=float, required=True)
     args = parser.parse_args(argv)
-    metrics = json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]
+    declared = json.loads((REPO / "BENCHMARK.json").read_text())
+    metrics = declared["end_to_end"]
 
     results = {workload: run_pairs(args, workload, metrics) for workload in args.workload}
     for workload, pairs in results.items():
         print(f"workload {workload}, {len(pairs)} pair(s), --seconds {args.seconds}")
         for metric in metrics:
             print(format_summary(summarize(pairs, metric)))
+        seed = args.seeds[0]
+        traced = [
+            run_bench(getattr(args, side), workload, seed, args.seconds, trace=1)
+            for side in ("parent", "change")
+        ]
+        print(f"per-layer metrics of {workload}, one --trace 1 run per side, seed {seed}")
+        for line in format_layers(*traced, declared["per_layer"]):
+            print(line)
     parent, change = src_lines(args.parent), src_lines(args.change)
     print(f"src/ lines: parent {parent}, change {change} ({change - parent:+d})")
     return 0

@@ -12,6 +12,7 @@ Exit codes: 0 clean, 1 findings reported or fixes applied, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 from typing import Optional
@@ -261,5 +262,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     raise AssertionError("unreachable")
 
 
+def run() -> None:
+    """The console entry point: `main`, then exit without the collector's
+    pass over every object still alive; `atexit` handlers and the stream
+    flushes still run. `main` itself leaves the collector alone, for
+    callers that go on running."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

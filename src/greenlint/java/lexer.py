@@ -1,18 +1,23 @@
 """Byte-offset tokenizer for Java source.
 
-One compiled bytes regex does the work, in the style of "Writing a
-Tokenizer" from the Python `re` docs: each `match` skips trivia
-(whitespace, `//` and `/* */` comments), then captures one token in a named
-group whose name is the token kind. Operators are tried longest first. A
-literal or comment that does not close, or a byte no token can start with,
-matches an error group instead, so malformed input raises `ParseError`
-rather than lexing as something shorter.
+One compiled regex does the work, in the style of "Writing a Tokenizer"
+from the Python `re` docs: each match skips trivia (whitespace, `//` and
+`/* */` comments) in its first group, then captures one token in its
+second. Operators are tried longest first. A literal or comment that does
+not close, or a character no token can start with, is captured as an
+error token, so malformed input raises `ParseError` rather than lexing as
+something shorter.
 
-Offsets are byte offsets into the UTF-8 input. Any byte >= 0x80 continues
-an identifier, which is sound for the syntactic analysis done here:
-non-ASCII only ever appears inside identifiers, literals and comments.
-Trivia is dropped from the token stream but always recoverable from the
-bytes between adjacent token spans.
+`tokenize` returns the tokens as four parallel lists, filled by one
+`findall` with no Python code per token. The source is decoded as latin-1,
+so offsets into the text are byte offsets into the UTF-8 input. The
+offsets are running sums of the trivia and token lengths; a token's kind is
+looked up by its spelling (keywords, operators and the error tokens), else
+by its first character. Any byte >= 0x80 continues an identifier, which is
+sound for the syntactic analysis done here: non-ASCII only ever appears
+inside identifiers, literals and comments, and only tokens holding such
+bytes are decoded again as UTF-8. Trivia is dropped from the token lists
+but always recoverable from the bytes between adjacent token spans.
 
 Given the tokens of an earlier text and the edits that made `data` from
 it, `tokenize` re-lexes only around the edits, as the resynchronisation
@@ -27,7 +32,8 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from operator import attrgetter
+from itertools import accumulate, chain
+from operator import itemgetter
 from typing import Optional
 
 from ..diagnostics import ParseError
@@ -41,139 +47,155 @@ KEYWORDS = frozenset(
     this throw throws transient try void volatile while""".split()
 )
 
-# Multi-byte operators, longest first. '>' is deliberately always a single
-# token so nested generics (>>) need no special lexer state; rules never
-# depend on shift operators being one token.
+# Multi-character operators, longest first. '>' is deliberately always a
+# single token so nested generics (>>) need no special lexer state; rules
+# never depend on shift operators being one token.
 _OPERATORS = [
-    b"...", b"->", b"::", b"<<=", b"<<", b"<=", b">=", b"==", b"!=", b"&&",
-    b"||", b"++", b"--", b"+=", b"-=", b"*=", b"/=", b"%=", b"&=", b"|=",
-    b"^=",
+    "...", "->", "::", "<<=", "<<", "<=", ">=", "==", "!=", "&&", "||", "++",
+    "--", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
 ]
-_SINGLE = b"(){}[];,.=<>+-*/%&|^!~?:@"
+_SINGLE = "(){}[];,.=<>+-*/%&|^!~?:@"
 
-# Trivia, then one token in a group named after its kind. A group named
-# "unterminated_..." matches only where the real token failed to close, and
-# "bad" takes any other byte; so no malformed input lexes as a shorter token.
+# The spelling of each token a literal or comment that does not close
+# leaves, and why it is an error.
+_UNTERMINATED = {
+    "/*": "unterminated block comment",
+    '"""': "unterminated text block",
+    '"': "unterminated string literal",
+    "'": "unterminated character literal",
+}
+
+# Trivia, then one token: a word, a bracket or separator (first, as the
+# commonest after words), a number, string, char, an unterminated comment
+# or literal's opening, an operator, or any other character. The token is
+# optional only so that trailing trivia matches. Possessive repeats save
+# the engine its backtracking state.
 _TOKEN = re.compile(
-    rb"(?:[ \t\n\r\f]+|//[^\n]*\n?|/\*.*?\*/)*"
-    rb"(?:(?P<word>[A-Za-z_$\x80-\xff][A-Za-z0-9_$\x80-\xff]*)"
-    rb"|(?P<number>(?:[0-9]|\.[0-9])(?:[A-Za-z0-9_$\x80-\xff.]|(?<=[eEpP])[+-])*)"
-    rb'|(?P<string>""".*?"""|(?!""")"(?:[^"\\\n]|\\.)*")'
-    rb"|(?P<char>'(?:[^'\\\n]|\\.)*')"
-    rb"|(?P<unterminated_block_comment>/\*)"
-    rb"|(?P<op>" + b"|".join(re.escape(op) for op in _OPERATORS)
-    + rb"|[" + re.escape(_SINGLE) + rb"])"
-    rb'|(?P<unterminated_text_block>""")'
-    rb'|(?P<unterminated_string_literal>")'
-    rb"|(?P<unterminated_character_literal>')"
-    rb"|(?P<bad>.))?",
+    r"((?:[ \t\n\r\f]++|//[^\n]*+\n?|/\*.*?\*/)*+)"
+    r"([A-Za-z_$\x80-\xff][A-Za-z0-9_$\x80-\xff]*+"
+    r"|[(){}\[\];,]"
+    r"|(?:[0-9]|\.[0-9])(?:[A-Za-z0-9_$\x80-\xff.]|(?<=[eEpP])[+-])*+"
+    r'|""".*?"""|(?!""")"(?:[^"\\\n]|\\.)*+"'
+    r"|'(?:[^'\\\n]|\\.)*+'"
+    r'|/\*|"""|' + "|".join(map(re.escape, _OPERATORS)) + "|[" + re.escape(_SINGLE) + "]"
+    r"|.)?",
     re.DOTALL,
 )
+_SPELLINGS = {
+    **dict.fromkeys(KEYWORDS, "keyword"),
+    **dict.fromkeys([*_OPERATORS, *_SINGLE], "op"),
+    **dict.fromkeys(_UNTERMINATED, "error"),
+}
+# The kind of a token not spelled in _SPELLINGS, by its first character.
+_FIRST = {chr(c): "error" for c in range(256)}
+_FIRST.update(dict.fromkeys("_$" + "".join(map(chr, range(0x80, 0x100))), "ident"))
+_FIRST.update({c: "ident" for c in map(chr, range(128)) if c.isalpha()})
+_FIRST.update({**dict.fromkeys("0123456789.", "number"), '"': "string", "'": "char"})
+_NON_ASCII = re.compile(r"[\x80-\xff]+")
 # A match reads at most two bytes past its token (`.` looks for `...`), so
 # an old token is kept only if it ends that far before the next edit.
 _LOOKAHEAD = 2
+# How far past an edit the first window of a re-lex reaches.
+_WINDOW = 64
 
 
-class Token:
-    __slots__ = ("kind", "value", "start", "end")
+class Tokens:
+    """The tokens of one text as parallel lists: token ``j`` is
+    ``values[j]``, of kind ``kinds[j]`` (ident, keyword, number, string,
+    char or op), at the bytes ``starts[j]:ends[j]``. An operator or keyword
+    is known by its value alone, since no other token spells one."""
 
-    def __init__(self, kind: str, value: str, start: int, end: int):
-        self.kind = kind  # ident | keyword | number | string | char | op
-        self.value = value
-        self.start = start  # byte offset, inclusive
-        self.end = end  # byte offset, exclusive
+    __slots__ = ("kinds", "values", "starts", "ends")
 
-    def __repr__(self) -> str:
-        return f"Token({self.kind!r}, {self.value!r}, {self.start}, {self.end})"
+    def __init__(self, kinds: list[str], values: list[str], starts: list[int], ends: list[int]):
+        self.kinds = kinds
+        self.values = values
+        self.starts = starts
+        self.ends = ends
 
-    def is_op(self, value: str) -> bool:
-        return self.kind == "op" and self.value == value
+    def __len__(self) -> int:
+        return len(self.values)
 
-    def is_kw(self, value: str) -> bool:
-        return self.kind == "keyword" and self.value == value
+    def extend(self, other: Tokens, lo: int, hi: int, shift: int = 0) -> None:
+        """Append ``other``'s tokens ``lo`` to ``hi``, moved ``shift`` bytes on."""
+        self.kinds += other.kinds[lo:hi]
+        self.values += other.values[lo:hi]
+        starts, ends = other.starts[lo:hi], other.ends[lo:hi]
+        self.starts += map(shift.__add__, starts) if shift else starts
+        self.ends += map(shift.__add__, ends) if shift else ends
 
 
-def tokenize(
-    data: bytes, previous: Optional[tuple[list[Token], list[Edit]]] = None
-) -> list[Token]:
+def tokenize(data: bytes, previous: Optional[tuple[Tokens, list[Edit]]] = None) -> Tokens:
     """Tokenize Java source bytes; raises ParseError on malformed input.
 
     ``previous`` may hold the tokens of an earlier text and the edits that
     turned it into ``data``; then only the bytes around the edits are lexed.
     """
-    tokens: list[Token] = []
+    text = data.decode("latin-1")
     if previous is None:
-        _scan(data, 0, tokens, len(data) + 1)
-        return tokens
+        return _scan(text, 0, len(text))
     old, edits = previous
     edits = sorted(edits, key=lambda e: (e.span.start, e.span.end))
-    end_of = attrgetter("end")
-    pos = j = delta = i = 0  # resume offset, next old token, new minus old offset
+    tokens = Tokens([], [], [], [])
+    j = delta = i = 0  # next old token, new minus old offset, next edit
     while True:
         # Copy the old tokens whose match reads no byte of the next edit.
         if i < len(edits):
-            k = bisect_right(old, edits[i].span.start - _LOOKAHEAD, j, key=end_of)
+            k = bisect_right(old.ends, edits[i].span.start - _LOOKAHEAD, j)
         else:
             k = len(old)
-        if k > j:
-            if delta:
-                tokens += [
-                    Token(t.kind, t.value, t.start + delta, t.end + delta) for t in old[j:k]
-                ]
-            else:
-                tokens += old[j:k]
-            pos = old[k - 1].end + delta
-            j = k
+        tokens.extend(old, j, k, delta)
+        j = max(j, k)
         if i == len(edits):
             return tokens
         # Re-lex across edit i, and every later edit the window runs into,
         # up to the first token end that is an old token end after them.
         delta += len(edits[i].replacement) - len(edits[i].span)
         new_end = edits[i].span.end + delta
-        while True:
-            pos = _scan(data, pos, tokens, max(new_end, pos + 1))
-            if pos < 0:
+        width, resync = _WINDOW, 0
+        while not resync:
+            bound = min(new_end + width, len(text))
+            window = _scan(text, tokens.ends[-1] if tokens else 0, bound)
+            for t, end in enumerate(window.ends):
+                while i + 1 < len(edits) and end > edits[i + 1].span.start + delta:
+                    i += 1
+                    delta += len(edits[i].replacement) - len(edits[i].span)
+                    new_end = edits[i].span.end + delta
+                if end >= new_end:
+                    k = bisect_left(old.ends, end - delta, j)
+                    if k < len(old) and old.ends[k] == end - delta:
+                        resync, j = t + 1, k + 1
+                        break
+            tokens.extend(window, 0, resync or len(window))
+            if not resync and bound == len(text):
                 return tokens
-            while i + 1 < len(edits) and pos > edits[i + 1].span.start + delta:
-                i += 1
-                delta += len(edits[i].replacement) - len(edits[i].span)
-                new_end = edits[i].span.end + delta
-            if pos >= new_end:
-                j = bisect_left(old, pos - delta, j, key=end_of)
-                if j < len(old) and old[j].end == pos - delta:
-                    j += 1
-                    break
+            width *= 2
         i += 1
 
 
-def _scan(data: bytes, pos: int, tokens: list[Token], until: int) -> int:
-    """Append the tokens of ``data`` from ``pos`` on to ``tokens``; stop
-    after the first one ending at or past ``until`` and return its end, or
-    return -1 at the end of the input."""
-    append = tokens.append
-    match = _TOKEN.match
-    keywords = KEYWORDS
-    while True:
-        m = match(data, pos)
-        kind = m.lastgroup
-        if kind is None:  # only trivia was left
-            return -1
-        start, pos = m.span(kind)
-        text = data[start:pos]
-        if kind == "word":
-            value = text.decode("utf-8", "replace")
-            append(Token("keyword" if value in keywords else "ident", value, start, pos))
-        elif kind == "op":
-            append(Token("op", text.decode("ascii"), start, pos))
-        elif kind == "number":
-            append(Token("number", text.decode("ascii", "replace"), start, pos))
-        elif kind == "string" or kind == "char":
-            append(Token(kind, text.decode("utf-8", "replace"), start, pos))
-        else:
-            if kind == "bad":
-                message = f"unexpected character {chr(text[0])!r}"
-            else:
-                message = kind.replace("_", " ")
-            raise ParseError(start, message)
-        if pos >= until:
-            return pos
+def _scan(text: str, pos: int, endpos: int) -> Tokens:
+    """The tokens of a full scan that start at ``pos`` and that the text
+    before ``endpos`` settles. Short of the end of the text, the tokens are
+    cut at the first error token or the first token whose match may read
+    past ``endpos``; at the end, an error token raises ParseError."""
+    pairs = _TOKEN.findall(text, pos, endpos)
+    while pairs and not pairs[-1][1]:  # trailing trivia, then the end
+        pairs.pop()
+    values = list(map(itemgetter(1), pairs))
+    offsets = list(accumulate(map(len, chain.from_iterable(pairs)), initial=pos))
+    starts, ends = offsets[1::2], offsets[2::2]
+    kinds = list(map(_SPELLINGS.get, values, map(_FIRST.__getitem__, map(itemgetter(0), values))))
+    cut = kinds.index("error") if "error" in kinds else len(kinds)
+    if endpos < len(text):
+        cut = min(cut, bisect_right(ends, endpos - _LOOKAHEAD))
+        del kinds[cut:], values[cut:], starts[cut:], ends[cut:]
+    elif cut < len(kinds):
+        value = values[cut]
+        raise ParseError(starts[cut], _UNTERMINATED.get(value, f"unexpected character {value!r}"))
+    if not text.isascii():
+        for m in _NON_ASCII.finditer(text, pos, ends[-1] if ends else pos):
+            k = bisect_right(starts, m.start()) - 1
+            if k >= 0 and m.start() < ends[k]:
+                codec = "ascii" if kinds[k] == "number" else "utf-8"
+                values[k] = text[starts[k] : ends[k]].encode("latin-1").decode(codec, "replace")
+    return Tokens(kinds, values, starts, ends)

@@ -1,9 +1,10 @@
 """Structural recursive-descent parser for Java source files.
 
 The parser recognizes the declarations and statement structure the energy
-rules need while keeping expressions as token slices. Every node carries a
-token index range into the tree's token list, so the original bytes of
-any node are always reachable.
+rules need while keeping expressions as token slices. It reads the lexer's
+parallel token lists by index, and tests an operator or keyword by its
+value alone. Every node carries a token index range into those lists, so
+the original bytes of any node are always reachable.
 
 Anonymous class bodies inside expressions are parsed as full class bodies
 and attached as child nodes, so rules see methods declared in anonymous
@@ -40,12 +41,11 @@ from the old tree and shifted in place; nothing reads the old tree after.
 from __future__ import annotations
 
 from bisect import bisect_left
-from operator import attrgetter
-from typing import Any, Iterator, Optional, Union
+from typing import Any, Container, Iterator, Optional, Union
 
 from ..diagnostics import ParseDiagnostic, ParseError, guarded_parse
 from ..spans import Edit, SourceSpan
-from .lexer import _LOOKAHEAD, Token, tokenize
+from .lexer import _LOOKAHEAD, Tokens, tokenize
 
 MODIFIER_KEYWORDS = frozenset(
     """public protected private static final abstract native synchronized
@@ -76,8 +76,9 @@ _ASSIGNMENT_TAILS = frozenset("= += -= *= /= %= &= |= ^= <<= >=".split())
 _ASSIGNMENT_HEADS = _ASSIGNMENT_TAILS | {">"}
 
 
-def match_group(tokens: list[Token], j: int) -> tuple[bool, int]:
-    """Match the group that opens at ``tokens[j]`` (one of ``_CLOSERS``).
+def match_group(values: list[str], j: int) -> tuple[bool, int]:
+    """Match the group that opens at token ``j`` (one of ``_CLOSERS``), given
+    the token values.
 
     Returns ``(True, end)``, ``end`` being the index just past the group, or
     ``(False, k)`` if the group does not close properly. Inside any group
@@ -86,14 +87,11 @@ def match_group(tokens: list[Token], j: int) -> tuple[bool, int]:
     own bracket is the one left open. A `<` group ends at the `>` that
     balances its `<`s, counting only those outside the brackets it holds.
     """
-    angle = tokens[j].value == "<"
+    angle = values[j] == "<"
     depth = 0
     expected: list[str] = []  # the closers of the open brackets, innermost last
-    for k in range(j, len(tokens)):
-        t = tokens[k]
-        if t.kind != "op":
-            continue
-        v = t.value
+    for k in range(j, len(values)):
+        v = values[k]
         if v in _OPENERS:
             expected.append(_CLOSERS[v])
         elif v in _BRACKET_CLOSERS:
@@ -115,21 +113,22 @@ def match_group(tokens: list[Token], j: int) -> tuple[bool, int]:
     return False, j
 
 
-def args_after_new(tokens: list[Token], j: int) -> Optional[int]:
+def args_after_new(tokens: Tokens, j: int) -> Optional[int]:
     """Index of the `(` after `new` and the qualified type name and type
-    arguments that start at ``tokens[j]``; None for an array creation or
+    arguments that start at token ``j``; None for an array creation or
     anything else. Like the rest of the parser, it accepts more than Java:
     the name may be missing."""
-    n = len(tokens)
-    if j < n and tokens[j].kind == "ident":
+    kinds, values = tokens.kinds, tokens.values
+    n = len(values)
+    if j < n and kinds[j] == "ident":
         j += 1
-        while j + 1 < n and tokens[j].is_op(".") and tokens[j + 1].kind == "ident":
+        while j + 1 < n and values[j] == "." and kinds[j + 1] == "ident":
             j += 2
-    if j < n and tokens[j].is_op("<"):
-        closed, j = match_group(tokens, j)
+    if j < n and values[j] == "<":
+        closed, j = match_group(values, j)
         if not closed:
             return None
-    return j if j < n and tokens[j].is_op("(") else None
+    return j if j < n and values[j] == "(" else None
 
 
 class Node:
@@ -161,7 +160,7 @@ class Node:
 class SyntaxTree:
     __slots__ = ("data", "tokens", "root", "methods")
 
-    def __init__(self, data: bytes, tokens: list[Token], root: Node):
+    def __init__(self, data: bytes, tokens: Tokens, root: Node):
         self.data = data
         self.tokens = tokens
         self.root = root
@@ -172,9 +171,7 @@ class SyntaxTree:
         if node.kind == "compilation_unit":
             return SourceSpan(0, len(self.data))
         # every other node holds at least one token
-        return SourceSpan(
-            self.tokens[node.tok_lo].start, self.tokens[node.tok_hi - 1].end
-        )
+        return SourceSpan(self.tokens.starts[node.tok_lo], self.tokens.ends[node.tok_hi - 1])
 
     def text_of(self, node_or_span: Union[Node, SourceSpan]) -> str:
         span = (
@@ -190,9 +187,11 @@ _Reusable = dict[tuple[int, Optional[str]], tuple[Node, int]]
 
 
 class _Parser:
-    def __init__(self, data: bytes, tokens: list[Token], reusable: _Reusable):
+    def __init__(self, data: bytes, tokens: Tokens, reusable: _Reusable):
         self.data = data
-        self.toks = tokens
+        self.tokens = tokens
+        self.kinds = tokens.kinds
+        self.values = tokens.values
         self.n = len(tokens)
         self.i = 0
         self.reusable = reusable
@@ -200,40 +199,37 @@ class _Parser:
     # --- token helpers -------------------------------------------------
 
     def fail(self, message: str) -> ParseError:
-        offset = self.toks[self.i].start if self.i < self.n else len(self.data)
+        offset = self.tokens.starts[self.i] if self.i < self.n else len(self.data)
         return ParseError(offset, message)
 
-    def peek(self, ahead: int = 0) -> Optional[Token]:
+    def at(self, value: str, ahead: int = 0) -> bool:
+        """True if the token ``ahead`` of the cursor is ``value``."""
         j = self.i + ahead
-        return self.toks[j] if j < self.n else None
+        return j < self.n and self.values[j] == value
 
-    def at_op(self, value: str) -> bool:
-        if self.i >= self.n:
-            return False
-        t = self.toks[self.i]
-        return t.value == value and t.kind == "op"
+    def at_ident(self, ahead: int = 0) -> bool:
+        j = self.i + ahead
+        return j < self.n and self.kinds[j] == "ident"
 
-    def at_kw(self, value: str) -> bool:
-        if self.i >= self.n:
-            return False
-        t = self.toks[self.i]
-        return t.value == value and t.kind == "keyword"
+    def at_any(self, values: Container[str], ahead: int = 0) -> bool:
+        j = self.i + ahead
+        return j < self.n and self.values[j] in values
 
-    def advance(self) -> Token:
+    def advance(self) -> str:
+        """Step past the token at the cursor; returns its value."""
         i = self.i
         if i >= self.n:
             raise self.fail("unexpected end of file")
         self.i = i + 1
-        return self.toks[i]
+        return self.values[i]
 
-    def expect_op(self, value: str) -> Token:
-        if not self.at_op(value):
+    def expect(self, value: str) -> None:
+        if not self.at(value):
             raise self.fail(f"expected {value!r}")
-        return self.advance()
+        self.i += 1
 
-    def expect_ident(self, what: str) -> Token:
-        t = self.peek()
-        if t is None or t.kind != "ident":
+    def expect_ident(self, what: str) -> str:
+        if not self.at_ident():
             raise self.fail(f"expected {what}")
         return self.advance()
 
@@ -244,11 +240,11 @@ class _Parser:
         children: list[Node] = []
         if self._at_package_decl():
             self._parse_package()
-        while self.at_kw("import"):
+        while self.at("import"):
             self._parse_import()
         while self.i < self.n:
-            if self.at_op(";"):
-                self.advance()
+            if self.at(";"):
+                self.i += 1
                 continue
             children.append(self._reuse(None) or self._parse_type_decl())
         return Node("compilation_unit", lo, self.i, children)
@@ -264,58 +260,59 @@ class _Parser:
 
     def _at_package_decl(self) -> bool:
         # annotations may precede `package`
+        kinds, values, n = self.kinds, self.values, self.n
         j = self.i
-        while j < self.n and self.toks[j].is_op("@"):
+        while j < n and values[j] == "@":
             j += 1
-            while j < self.n and self.toks[j].kind in ("ident", "keyword"):
+            while j < n and kinds[j] in ("ident", "keyword"):
                 j += 1
-                if j < self.n and self.toks[j].is_op("."):
+                if j < n and values[j] == ".":
                     j += 1
                 else:
                     break
-            if j < self.n and self.toks[j].is_op("("):
+            if j < n and values[j] == "(":
                 j = self._skip_group(j)
-        return j < self.n and self.toks[j].is_kw("package")
+        return j < n and values[j] == "package"
 
     def _skip_group(self, j: int) -> int:
-        closed, k = match_group(self.toks, j)
+        closed, k = match_group(self.values, j)
         if closed:
             return k
         if k == j:
-            raise self.fail(f"unbalanced {_CLOSERS[self.toks[j].value]!r}")
-        raise ParseError(self.toks[k].start, f"unexpected {self.toks[k].value!r}")
+            raise self.fail(f"unbalanced {_CLOSERS[self.values[j]]!r}")
+        raise ParseError(self.tokens.starts[k], f"unexpected {self.values[k]!r}")
 
     def _skip_optional_group(self, opener: str) -> None:
         """Skip the group at the cursor if it opens with ``opener``."""
-        if self.at_op(opener):
+        if self.at(opener):
             self.i = self._skip_group(self.i)
 
     def _parse_package(self) -> None:
-        while not self.at_kw("package"):
+        while not self.at("package"):
             self.advance()
         self.advance()
         self._parse_qualified_name()
-        self.expect_op(";")
+        self.expect(";")
 
     def _parse_import(self) -> None:
         self.advance()  # import
-        if self.at_kw("static"):
+        if self.at("static"):
             self.advance()
         self._parse_qualified_name()
-        if self.at_op("."):
+        if self.at("."):
             self.advance()
-            self.expect_op("*")
-        self.expect_op(";")
+            self.expect("*")
+        self.expect(";")
 
     def _parse_qualified_name(self) -> None:
         self.expect_ident("name")
-        while self.at_op(".") and (p := self.peek(1)) is not None and p.kind == "ident":
+        while self.at(".") and self.at_ident(1):
             self.i += 2
 
     # --- annotations / modifiers --------------------------------------
 
     def _parse_annotation(self) -> None:
-        self.expect_op("@")
+        self.expect("@")
         self._parse_qualified_name()
         self._skip_optional_group("(")
 
@@ -326,67 +323,50 @@ class _Parser:
         annotation type declaration.
         """
         while True:
-            t = self.peek()
-            if t is None:
-                return
-            if t.is_op("@") and not (
-                (p := self.peek(1)) is not None and p.is_kw("interface")
-            ):
+            if self.at("@") and not self.at("interface", 1):
                 self._parse_annotation()
-            elif t.kind == "keyword" and t.value in MODIFIER_KEYWORDS:
-                self.advance()
+            elif self.at_any(MODIFIER_KEYWORDS):
+                self.i += 1
             else:
                 return
 
     def _reject_record(self) -> None:
         """Fail at `record R(` and `record R<`, which would otherwise read
         as a method or variable R of type `record`, or fail further on."""
-        t, n, p = self.peek(), self.peek(1), self.peek(2)
-        if (
-            t is not None
-            and t.kind == "ident"
-            and t.value == "record"
-            and n is not None
-            and n.kind == "ident"
-            and p is not None
-            and (p.is_op("(") or p.is_op("<"))
-        ):
+        if self.at("record") and self.at_ident(1) and (self.at("(", 2) or self.at("<", 2)):
             raise self.fail("records are not supported")
 
     # --- types ---------------------------------------------------------
 
     def _skip_dims(self) -> None:
         """Skip the `[]` pairs after a type, a declarator or a parameter list."""
-        while self.at_op("[") and (p := self.peek(1)) is not None and p.is_op("]"):
+        while self.at("[") and self.at("]", 1):
             self.i += 2
 
     def _parse_type(self) -> str:
         """Parse a type reference; returns its source text."""
         start_tok = self.i
-        t = self.peek()
-        if t is None:
-            raise self.fail("expected type")
-        if t.kind == "keyword" and t.value in PRIMITIVE_TYPES:
-            self.advance()
-        elif t.kind == "ident":
+        if self.at_any(PRIMITIVE_TYPES):
+            self.i += 1
+        elif self.at_ident():
             self._parse_qualified_name()
             self._skip_optional_group("<")
         else:
             raise self.fail("expected type")
         self._skip_dims()
-        lo_off = self.toks[start_tok].start
-        hi_off = self.toks[self.i - 1].end
+        lo_off = self.tokens.starts[start_tok]
+        hi_off = self.tokens.ends[self.i - 1]
         return self.data[lo_off:hi_off].decode("utf-8")
 
     def _parse_type_list(self, keyword: str) -> Optional[str]:
         """Parse an optional `keyword Type, Type...` clause (`extends`,
         `implements`, `throws`); returns the first type's text, or None when
         the clause is absent."""
-        if not self.at_kw(keyword):
+        if not self.at(keyword):
             return None
         self.advance()
         first = self._parse_type()
-        while self.at_op(","):
+        while self.at(","):
             self.advance()
             self._parse_type()
         return first
@@ -396,89 +376,78 @@ class _Parser:
     def _parse_type_decl(self) -> Node:
         lo = self.i
         self._parse_modifiers()
-        t = self.peek()
-        if t is None:
+        if self.i >= self.n:
             raise self.fail("expected type declaration")
-        if t.is_op("@"):  # `@interface`, see _parse_modifiers
+        if self.at("@"):  # `@interface`, see _parse_modifiers
             self.i += 2
             kind = "annotation_declaration"
-        elif t.kind == "keyword" and t.value in _TYPE_KINDS:
-            kind = _TYPE_KINDS[self.advance().value]
+        elif self.at_any(_TYPE_KINDS.keys()):
+            kind = _TYPE_KINDS[self.advance()]
         else:
             raise self.fail("expected class, interface or enum declaration")
-        name = self.expect_ident("type name").value
+        name = self.expect_ident("type name")
         self._skip_optional_group("<")
         extends = self._parse_type_list("extends")  # interfaces may extend several
         self._parse_type_list("implements")
-        self.expect_op("{")
+        self.expect("{")
         members = (
             self._parse_enum_body(name)
             if kind == "enum_declaration"
             else self._parse_members(name)
         )
-        self.expect_op("}")
+        self.expect("}")
         props = {"name": name, "extends": extends}
         return Node(kind, lo, self.i, members, props)
 
     def _parse_enum_body(self, enclosing: str) -> list[Node]:
         members: list[Node] = []
         # constants: Name, Name(args), Name { body }
-        while self.peek() is not None and not (self.at_op("}") or self.at_op(";")):
+        while self.i < self.n and not (self.at("}") or self.at(";")):
             self.expect_ident("enum constant")
             self._skip_optional_group("(")
-            if self.at_op("{"):
+            if self.at("{"):
                 self.advance()
                 members.extend(self._parse_members(enclosing))
-                self.expect_op("}")
-            if not self.at_op(","):
+                self.expect("}")
+            if not self.at(","):
                 break
             self.advance()
-        if self.at_op(";"):
+        if self.at(";"):
             self.advance()
             members.extend(self._parse_members(enclosing))
         return members
 
     def _parse_members(self, enclosing: str) -> list[Node]:
         members: list[Node] = []
-        while True:
-            t = self.peek()
-            if t is None or t.is_op("}"):
-                return members
-            if t.is_op(";"):
+        while self.i < self.n and not self.at("}"):
+            if self.at(";"):
                 self.advance()
                 continue
             members.append(self._reuse(enclosing) or self._parse_member(enclosing))
+        return members
 
     def _parse_member(self, enclosing: str) -> Node:
         lo = self.i
         self._parse_modifiers()
-        t = self.peek()
-        if t is None:
+        if self.i >= self.n:
             raise self.fail("unexpected end of class body")
         # nested types, `@interface` included (see _parse_modifiers)
-        if (t.kind == "keyword" and t.value in _TYPE_KINDS) or t.is_op("@"):
+        if self.at_any(_TYPE_KINDS.keys()) or self.at("@"):
             self.i = lo
             return self._parse_type_decl()
         # initializer block (static handled by modifiers)
-        if t.is_op("{"):
+        if self.at("{"):
             body = self._parse_block()
             return Node("initializer", lo, self.i, [body])
         self._reject_record()
         self._skip_optional_group("<")  # generic method type parameters
         # constructor: Name (
-        t = self.peek()
-        if (
-            t is not None
-            and t.kind == "ident"
-            and t.value == enclosing
-            and (p := self.peek(1)) is not None
-            and p.is_op("(")
-        ):
+        if self.at(enclosing) and self.at_ident() and self.at("(", 1):
             self.advance()
             return self._finish_method("constructor_declaration", lo)
         type_text = self._parse_type()
         self.expect_ident("member name")
-        if self.at_op("("):
+        if self.at("("):
             return self._finish_method("method_declaration", lo)
         self.i -= 1  # the declarators start at the name just read
         return self._parse_declarators("field_declaration", lo, type_text, "field name")
@@ -489,39 +458,38 @@ class _Parser:
         self._skip_dims()
         self._parse_type_list("throws")
         body: Optional[Node] = None
-        if self.at_op("{"):
+        if self.at("{"):
             body = self._parse_block()
         else:
-            if self.at_kw("default"):  # annotation member default value
+            if self.at("default"):  # annotation member default value
                 self.advance()
                 self._consume_expression()
-            self.expect_op(";")
-        name = self.toks[name_tok].value
+            self.expect(";")
+        name = self.values[name_tok]
         props = {"name": name, "params": params, "body": body, "name_tok": name_tok}
         return Node(kind, lo, self.i, [body] if body else [], props)
 
     def _parse_params(self) -> list[tuple[str, str]]:
-        self.expect_op("(")
+        self.expect("(")
         params: list[tuple[str, str]] = []
-        while not self.at_op(")"):
+        while not self.at(")"):
             if params:  # a comma separates parameters; none may trail
-                self.expect_op(",")
+                self.expect(",")
             # only annotations and `final` may precede a parameter's type
-            while self.at_op("@"):
+            while self.at("@"):
                 self._parse_annotation()
-            if self.at_kw("final"):
+            if self.at("final"):
                 self.advance()
-            while self.at_op("@"):
+            while self.at("@"):
                 self._parse_annotation()
             type_text = self._parse_type()
-            if self.at_op("..."):
+            if self.at("..."):
                 self.advance()
                 type_text += "..."
-            if self.at_kw("this"):  # receiver parameter
-                self.advance()
-                name = "this"
+            if self.at("this"):  # receiver parameter
+                name = self.advance()
             else:
-                name = self.expect_ident("parameter name").value
+                name = self.expect_ident("parameter name")
             self._skip_dims()
             params.append((type_text, name))
         self.advance()  # )
@@ -534,24 +502,20 @@ class _Parser:
         children: list[Node] = []
         declarators: list[dict[str, Any]] = []
         while True:
-            tok = self.expect_ident(what)
+            name = self.expect_ident(what)
             name_tok = self.i - 1
             self._skip_dims()
             init_lo = init_hi = None
-            if self.at_op("="):
+            if self.at("="):
                 self.advance()
                 init_lo, init_hi = self._parse_initializer(children)
             declarators.append(
-                {
-                    "name": tok.value,
-                    "name_tok": name_tok,
-                    "init": (init_lo, init_hi),
-                }
+                {"name": name, "name_tok": name_tok, "init": (init_lo, init_hi)}
             )
-            if not self.at_op(","):
+            if not self.at(","):
                 break
             self.advance()
-        self.expect_op(";")
+        self.expect(";")
         props = {"type": type_text, "declarators": declarators}
         return Node(kind, lo, self.i, children, props)
 
@@ -559,47 +523,47 @@ class _Parser:
 
     def _parse_block(self) -> Node:
         lo = self.i
-        self.expect_op("{")
+        self.expect("{")
         stmts: list[Node] = []
-        while not self.at_op("}"):
-            if self.peek() is None:
+        while not self.at("}"):
+            if self.i >= self.n:
                 raise self.fail("unexpected end of file in block")
             stmts.append(self._parse_statement())
         self.advance()
         return Node("block", lo, self.i, stmts)
 
     def _parse_statement(self) -> Node:
-        t = self.peek()
-        if t is None:
+        if self.i >= self.n:
             raise self.fail("expected statement")
-        if t.is_op("{"):
+        v = self.values[self.i]
+        if v == "{":
             return self._parse_block()
-        if t.is_op(";"):
+        if v == ";":
             lo = self.i
             self.advance()
             return Node("empty_statement", lo, self.i)
-        if t.kind == "ident":
-            if (p := self.peek(1)) is not None and p.is_op(":"):
+        if self.at_ident():
+            if self.at(":", 1):
                 lo = self.i  # a labeled statement (JLS 14.7): `label: statement`
                 self.i += 2
                 body = self._parse_statement()
                 return Node("labeled_statement", lo, self.i, [body])
             self._reject_record()
-        if t.kind == "keyword":
-            handler = _STATEMENT_PARSERS.get(t.value)
+        else:
+            handler = _STATEMENT_PARSERS.get(v)
             if handler is not None:
                 return handler(self)
-            kind = _SIMPLE_STATEMENTS.get(t.value)
+            kind = _SIMPLE_STATEMENTS.get(v)
             if kind is not None:
                 self.advance()
                 return self._finish_simple_statement(kind, self.i - 1)
-        if t.is_op("@") or t.kind == "keyword" and t.value in _LOCAL_TYPE_STARTS:
+        if v == "@" or v in _LOCAL_TYPE_STARTS:
             saved = self.i
             self._parse_modifiers()
             self._reject_record()
-            t = self.peek()
+            is_type = self.at_any(_TYPE_KINDS.keys())
             self.i = saved
-            if t is not None and t.kind == "keyword" and t.value in _TYPE_KINDS:
+            if is_type:
                 return self._parse_type_decl()
         decl = self._try_local_var_decl()
         if decl is not None:
@@ -609,12 +573,12 @@ class _Parser:
     def _finish_simple_statement(self, kind: str, lo: int) -> Node:
         """The `[expression];` that ends a statement begun at ``lo``."""
         children = self._consume_expression()
-        self.expect_op(";")
+        self.expect(";")
         return Node(kind, lo, self.i, children)
 
     def _skip_parens(self, after: str) -> None:
         """Skip the parenthesised header that must follow keyword ``after``."""
-        if not self.at_op("("):
+        if not self.at("("):
             raise self.fail(f"expected '(' after {after}")
         self.i = self._skip_group(self.i)
 
@@ -625,7 +589,7 @@ class _Parser:
         self._skip_parens("if")
         props = {"cond": (cond_lo, self.i - 1)}
         children = [self._parse_statement()]
-        if self.at_kw("else"):
+        if self.at("else"):
             self.advance()
             children.append(self._parse_statement())
         return Node("if_statement", lo, self.i, children, props)
@@ -633,7 +597,7 @@ class _Parser:
     def _parse_loop(self) -> Node:
         """`for (...) body` or `while (...) body`; the keyword names the kind."""
         lo = self.i
-        keyword = self.advance().value
+        keyword = self.advance()
         self._skip_parens(keyword)
         body = self._parse_statement()
         return Node(f"{keyword}_statement", lo, self.i, [body])
@@ -642,11 +606,11 @@ class _Parser:
         lo = self.i
         self.advance()
         body = self._parse_statement()
-        if not self.at_kw("while"):
+        if not self.at("while"):
             raise self.fail("expected 'while' after do body")
         self.advance()
         self._skip_parens("while")
-        self.expect_op(";")
+        self.expect(";")
         return Node("do_statement", lo, self.i, [body])
 
     def _parse_try(self) -> Node:
@@ -654,11 +618,11 @@ class _Parser:
         self.advance()
         self._skip_optional_group("(")  # try-with-resources header, kept opaque
         children = [self._parse_block()]
-        while self.at_kw("catch"):
+        while self.at("catch"):
             self.advance()
             self._skip_parens("catch")
             children.append(self._parse_block())
-        if self.at_kw("finally"):
+        if self.at("finally"):
             self.advance()
             children.append(self._parse_block())
         return Node("try_statement", lo, self.i, children)
@@ -667,7 +631,7 @@ class _Parser:
         lo = self.i
         self.advance()
         self._skip_parens("switch")
-        if not self.at_op("{"):
+        if not self.at("{"):
             raise self.fail("expected '{' after switch header")
         # Case bodies stay opaque token runs; anonymous classes inside are
         # still brace-balanced by the group matcher.
@@ -687,14 +651,7 @@ class _Parser:
         committed = self.i > lo  # a modifier or annotation starts only a declaration
         try:
             type_text = self._parse_type()
-            t, nxt = self.peek(), self.peek(1)
-            if not committed and (
-                t is None
-                or t.kind != "ident"
-                or nxt is None
-                or nxt.kind != "op"
-                or nxt.value not in ("=", ";", ",", "[")
-            ):
+            if not committed and not (self.at_ident() and self.at_any(("=", ";", ",", "["), 1)):
                 raise self.fail("not a declaration")
         except ParseError:
             if committed:
@@ -723,7 +680,7 @@ class _Parser:
         token run. Returns the child nodes discovered along the way.
         """
         children: list[Node] = []
-        toks, n = self.toks, self.n
+        values, n = self.values, self.n
         lo = self.i
         open_at: list[int] = []  # indices of the open `(`/`[`, innermost last
         new_args: set[int] = set()  # indices of each `(` after `new Type`
@@ -732,42 +689,40 @@ class _Parser:
             i = self.i
             if i >= n:
                 raise self.fail("unexpected end of file in expression")
-            t = toks[i]
-            if t.kind == "op":
-                v = t.value
-                if v == "(" or v == "[":
-                    open_at.append(i)
-                elif v == ")" or v == "]":
-                    if not open_at:
-                        break
-                    j = open_at.pop()
-                    if _CLOSERS[toks[j].value] != v:
-                        raise self.fail(f"unexpected {v!r} in expression")
-                    if j in new_args:
-                        body_at = i + 1
-                elif v == ";" and not open_at:
+            v = values[i]
+            if v == "(" or v == "[":
+                open_at.append(i)
+            elif v == ")" or v == "]":
+                if not open_at:
                     break
-                elif v == "," and not open_at and stop_at_comma:
-                    break
-                elif v == "{":
-                    # brace in expression position: anonymous class body,
-                    # lambda body, or array initializer
-                    if i == body_at:
-                        children.append(self._parse_anonymous_body())
-                    else:
-                        self.i = self._skip_group(i)
-                    continue
-                elif v == "}":
-                    raise self.fail("unexpected '}' in expression")
-                elif v == "." and i + 1 < n and toks[i + 1].is_op("<"):
-                    # explicit type arguments, `Collections.<K, V>emptyMap()`:
-                    # a comma in them ends no declarator; an unclosed `<` is
-                    # reported at the cursor, so it moves there first
-                    self.i = i + 1
-                    self.i = self._skip_group(self.i)
-                    continue
-            elif t.kind == "keyword" and t.value == "new":
-                args = args_after_new(toks, i + 1)
+                j = open_at.pop()
+                if _CLOSERS[values[j]] != v:
+                    raise self.fail(f"unexpected {v!r} in expression")
+                if j in new_args:
+                    body_at = i + 1
+            elif v == ";" and not open_at:
+                break
+            elif v == "," and not open_at and stop_at_comma:
+                break
+            elif v == "{":
+                # brace in expression position: anonymous class body,
+                # lambda body, or array initializer
+                if i == body_at:
+                    children.append(self._parse_anonymous_body())
+                else:
+                    self.i = self._skip_group(i)
+                continue
+            elif v == "}":
+                raise self.fail("unexpected '}' in expression")
+            elif v == "." and i + 1 < n and values[i + 1] == "<":
+                # explicit type arguments, `Collections.<K, V>emptyMap()`:
+                # a comma in them ends no declarator; an unclosed `<` is
+                # reported at the cursor, so it moves there first
+                self.i = i + 1
+                self.i = self._skip_group(self.i)
+                continue
+            elif v == "new":
+                args = args_after_new(self.tokens, i + 1)
                 if args is not None:
                     # jump to the `(`: a comma in the type arguments ends
                     # no declarator
@@ -776,10 +731,9 @@ class _Parser:
                     continue
             self.i = i + 1
         if self.i > lo:
-            first, last = toks[lo], toks[self.i - 1]
-            if first.kind == "op" and first.value in _ASSIGNMENT_HEADS:
-                raise ParseError(first.start, "expected expression")
-            if last.kind == "op" and last.value in _ASSIGNMENT_TAILS:
+            if values[lo] in _ASSIGNMENT_HEADS:
+                raise ParseError(self.tokens.starts[lo], "expected expression")
+            if values[self.i - 1] in _ASSIGNMENT_TAILS:
                 raise self.fail("expected expression")
         return children
 
@@ -787,7 +741,7 @@ class _Parser:
         lo = self.i
         self.advance()  # {
         members = self._parse_members("")
-        self.expect_op("}")
+        self.expect("}")
         return Node("anonymous_class_body", lo, self.i, members)
 
 
@@ -835,23 +789,24 @@ def _shift(node: Node, dt: int) -> None:
                 d["init"] = (lo + dt, hi + dt)
 
 
-def _reusable(old: SyntaxTree, edits: list[Edit], tokens: list[Token]) -> _Reusable:
+def _reusable(old: SyntaxTree, edits: list[Edit], tokens: Tokens) -> _Reusable:
     """The top-level types and type-body members of ``old`` that no edit
     comes near, keyed by where their first token is in ``tokens``."""
     shifts = [(e.span.start, e.span.end, len(e.replacement) - len(e.span)) for e in edits]
     out: _Reusable = {}
+    starts, ends = tokens.starts, tokens.ends
 
     def visit(enclosing: Optional[str], members: list[Node]) -> None:
         for node in members:
-            lo, hi = old.tokens[node.tok_lo].start, old.tokens[node.tok_hi - 1].end
+            lo, hi = old.tokens.starts[node.tok_lo], old.tokens.ends[node.tok_hi - 1]
             if any(s <= hi + _LOOKAHEAD and e + _LOOKAHEAD >= lo for s, e, _ in shifts):
                 if node.kind in TYPE_DECLS:
                     visit(node.props["name"], node.children)
                 continue
             db = sum(d for _, e, d in shifts if e < lo)
-            k = bisect_left(tokens, lo + db, key=attrgetter("start"))
+            k = bisect_left(starts, lo + db)
             last = k + node.tok_hi - node.tok_lo - 1
-            if last < len(tokens) and tokens[k].start - lo == tokens[last].end - hi == db:
+            if last < len(starts) and starts[k] - lo == ends[last] - hi == db:
                 out[(k, enclosing)] = (node, k - node.tok_lo)
 
     visit(None, old.root.children)

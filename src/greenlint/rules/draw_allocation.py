@@ -13,12 +13,13 @@ an alias, may change it. Missing those dynamic cases is accepted by design.
 
 from __future__ import annotations
 
-from ..java.lexer import Token
+from ..java.lexer import Tokens
 from ..java.parser import Node, SyntaxTree
 from ..spans import Edit
 from .base import RuleId, RuleResult
 from .javautil import (
     SHARED_LINE,
+    VAR_LOCAL,
     declared_locals,
     find_creations,
     has_signature,
@@ -35,63 +36,62 @@ from .javautil import (
 
 
 def _args_are_invariant(
-    tokens: list[Token],
+    tokens: Tokens,
     args: tuple[tuple[int, int], ...],
     fields: set[str],
     locals_: set[str],
 ) -> bool:
+    kinds, values = tokens.kinds, tokens.values
     for lo, hi in args:
         for j in range(lo, hi):
-            t = tokens[j]
-            if t.is_kw("new"):
+            v = values[j]
+            if v in ("new", "this", "super"):
                 return False
-            if t.kind == "keyword" and t.value in ("this", "super"):
-                return False
-            if t.kind != "ident":
+            if kinds[j] != "ident":
                 continue
-            if t.value in ("null", "true", "false"):
+            if v in ("null", "true", "false"):
                 continue
-            if j + 1 < hi and tokens[j + 1].is_op("("):
+            if j + 1 < hi and values[j + 1] == "(":
                 return False  # call: value may vary between iterations
-            if j > lo and tokens[j - 1].is_op("."):
+            if j > lo and values[j - 1] == ".":
                 continue  # later segment of a qualified name
-            if t.value in locals_:
+            if v in locals_:
                 return False
-            nxt = tokens[j + 1].value if j + 1 < hi else ""
-            if nxt == "." and t.value[:1].isupper():
+            nxt = values[j + 1] if j + 1 < hi else ""
+            if nxt == "." and v[:1].isupper():
                 continue  # class-qualified constant, e.g. Color.RED
-            if t.value not in fields or nxt in (".", "["):
+            if v not in fields or nxt in (".", "["):
                 return False  # a final field's object or array may still change
     return True
 
 
-def _final_fields(tokens: list[Token], members: list[Node]) -> set[str]:
+def _final_fields(values: list[str], members: list[Node]) -> set[str]:
     """The fields among ``members`` declared `final` with an initializer (a
     blank final may be read before a constructor sets it), found by the
-    tokens before each declaration's first name: nodes keep no modifiers."""
+    token values before each declaration's first name: nodes keep no
+    modifiers."""
     names: set[str] = set()
     for member in members:
         if member.kind != "field_declaration":
             continue
         decls = member.props["declarators"]
-        if any(t.is_kw("final") for t in tokens[member.tok_lo : decls[0]["name_tok"]]):
+        if "final" in values[member.tok_lo : decls[0]["name_tok"]]:
             names.update(d["name"] for d in decls if d["init"] != (None, None))
     return names
 
 
-def _drawn(tokens: list[Token], lo: int, hi: int, canvas: str) -> set[int]:
-    """Indices of the tokens in tokens[lo:hi] that are a whole argument of
+def _drawn(values: list[str], lo: int, hi: int, canvas: str) -> set[int]:
+    """Indices of the tokens ``lo`` to ``hi`` that are a whole argument of
     a `canvas.draw*(...)` call: Canvas's draw methods only read them."""
     out: set[int] = set()
     for j in range(lo, hi - 3):
         if (
-            tokens[j].kind == "ident"
-            and tokens[j].value == canvas
-            and tokens[j + 1].is_op(".")
-            and tokens[j + 2].value.startswith("draw")
-            and tokens[j + 3].is_op("(")
+            values[j] == canvas
+            and values[j + 1] == "."
+            and values[j + 2].startswith("draw")
+            and values[j + 3] == "("
         ):
-            args, _ = split_args(tokens, j + 3)
+            args, _ = split_args(values, j + 3)
             out.update(a for a, b in args if b - a == 1)
     return out
 
@@ -106,15 +106,16 @@ def _changed_elsewhere(
     `Rect a = r;` do."""
     body = method.props["body"]
     toks = tree.tokens
-    drawn = _drawn(toks, body.tok_lo, body.tok_hi, method.props["params"][0][1])
+    values = toks.values
+    drawn = _drawn(values, body.tok_lo, body.tok_hi, method.props["params"][0][1])
     for j in uses(tree, body.tok_lo, body.tok_hi, name):
         if decl.tok_lo <= j < decl.tok_hi or j in drawn:
             continue
         if not (
-            toks[j + 1].is_op(".")
-            and toks[j + 2].value.startswith("set")
-            and toks[j + 3].is_op("(")
-            and _args_are_invariant(toks, split_args(toks, j + 3)[0], fields, locals_)
+            values[j + 1] == "."
+            and values[j + 2].startswith("set")
+            and values[j + 3] == "("
+            and _args_are_invariant(toks, split_args(values, j + 3)[0], fields, locals_)
         ):
             return True
     return False
@@ -131,7 +132,7 @@ def apply_draw_allocation(tree: SyntaxTree, path: str = "") -> RuleResult:
         # The field is hoisted just above onDraw, where reading a field
         # declared below it is an illegal forward reference.
         above = owner.children[: owner.children.index(method)]
-        fields = _final_fields(tree.tokens, above)
+        fields = _final_fields(tree.tokens.values, above)
         locals_ = declared_locals(method)
         members = member_names(owner)
 
@@ -147,7 +148,7 @@ def apply_draw_allocation(tree: SyntaxTree, path: str = "") -> RuleResult:
             # initializer must be exactly the allocation, nothing around it
             if (
                 creation.new_index != init_lo
-                or creation.span.end != tree.tokens[init_hi - 1].end
+                or creation.span.end != tree.tokens.ends[init_hi - 1]
                 or creation.has_body
             ):
                 continue
@@ -163,6 +164,8 @@ def apply_draw_allocation(tree: SyntaxTree, path: str = "") -> RuleResult:
             method_start = tree.span_of(method).start
             insert_at = own_line_start(data, method_start)
             reason = SHARED_LINE if insert_at is None else ""
+            if stmt.props["type"] == "var":
+                reason = VAR_LOCAL
             message = (
                 f"allocation of {creation.type_name} inside onDraw() runs "
                 "on every draw pass; hoist it to a field"

@@ -10,9 +10,10 @@ from __future__ import annotations
 import re
 from typing import Iterator, Optional
 
-from ..java.lexer import Token
+from ..java.lexer import Tokens
 from ..java.parser import (
-    PRIMITIVE_TYPES, TYPE_DECLS, Node, SyntaxTree, args_after_new, match_group
+    _BRACKET_CLOSERS, _OPENERS, PRIMITIVE_TYPES, TYPE_DECLS, Node, SyntaxTree,
+    args_after_new, match_group,
 )
 from ..spans import Edit, SourceSpan
 
@@ -40,6 +41,8 @@ def own_line_start(data: bytes, offset: int) -> Optional[int]:
 
 # Why a fix is declined when own_line_start returns None.
 SHARED_LINE = "other code shares the line where the fix would go"
+# Why a fix that declares a field of a local's type is declined for `var`.
+VAR_LOCAL = "the local is declared 'var', which a field cannot be"
 
 
 def release_point(
@@ -60,10 +63,10 @@ def release_point(
     last = block.children[-1] if block.children else None
     exit_stmt = last if last and last.kind.removesuffix("_statement") in exits else None
     end = exit_stmt.tok_lo if exit_stmt is not None else block.tok_hi - 1
-    insert_at = own_line_start(tree.data, toks[end].start)
+    insert_at = own_line_start(tree.data, toks.starts[end])
     if exit_stmt is None and _ends_in_endless_loop(toks, block):
         reason = "the block ends in a loop that may never exit"
-    elif any(t.kind == "keyword" and t.value in exits for t in toks[since:end]):
+    elif not set(exits).isdisjoint(toks.values[since:end]):
         reason = f"an earlier exit from {where} would skip the release"
     elif insert_at is None:
         reason = SHARED_LINE
@@ -77,7 +80,7 @@ def guarded_release(indent: str, unit: str, guard: str, call: str) -> list[str]:
     return [f"{indent}if ({guard}) {{", f"{indent}{unit}{call};", f"{indent}}}"]
 
 
-def _ends_in_endless_loop(tokens: list[Token], block: Node) -> bool:
+def _ends_in_endless_loop(tokens: Tokens, block: Node) -> bool:
     """True if the last statement of ``block``, under any labels, is a
     `for`, `while` or `do` loop whose condition is missing or could be a
     constant expression, such as `true` or a `static final` flag. When that
@@ -89,19 +92,20 @@ def _ends_in_endless_loop(tokens: list[Token], block: Node) -> bool:
     stmt = block.children[-1]
     while stmt.kind == "labeled_statement":
         stmt = stmt.children[0]
+    kinds, values = tokens.kinds, tokens.values
     if stmt.kind == "for_statement":
-        parts = split_args(tokens, stmt.tok_lo + 1, ";")[0]  # init, condition, update
+        parts = split_args(values, stmt.tok_lo + 1, ";")[0]  # init, condition, update
         if len(parts) < 2:
             return False  # an enhanced for
         # A name the update assigns is a variable, so the condition, which
         # shares its scope, is no constant.
         update = range(*parts[2]) if len(parts) == 3 else ()
         assigned = {
-            tokens[k].value
+            values[k]
             for k in update
-            if tokens[k].kind == "ident"
-            and not tokens[k - 1].is_op(".")
-            and (tokens[k - 1].value in _STEPS or tokens[k + 1].value in _CHANGES)
+            if kinds[k] == "ident"
+            and values[k - 1] != "."
+            and (values[k - 1] in _STEPS or values[k + 1] in _CHANGES)
         }
         return _could_be_constant(tokens, *parts[1], assigned)
     if stmt.kind not in ("while_statement", "do_statement"):
@@ -119,19 +123,21 @@ _CHANGES = _STEPS | frozenset("= += -= *= /= %= &= |= ^= <<=".split())
 _NOT_CONSTANT = _CHANGES | frozenset(("[", "->", "::"))
 
 
-def _could_be_constant(tokens: list[Token], lo: int, hi: int, assigned: set[str]) -> bool:
-    """True if tokens[lo:hi] hold only names, literals, `.`, parentheses,
-    casts to primitive types and operators that change nothing, with no
-    call and no simple name in ``assigned``; an empty range counts."""
+def _could_be_constant(tokens: Tokens, lo: int, hi: int, assigned: set[str]) -> bool:
+    """True if tokens ``lo`` to ``hi`` hold only names, literals, `.`,
+    parentheses, casts to primitive types and operators that change
+    nothing, with no call and no simple name in ``assigned``; an empty range
+    counts."""
+    kinds, values = tokens.kinds, tokens.values
     for j in range(lo, hi):
-        t = tokens[j]
-        if t.kind == "ident":
-            if tokens[j + 1].is_op("(") or (t.value in assigned and not tokens[j - 1].is_op(".")):
+        kind, v = kinds[j], values[j]
+        if kind == "ident":
+            if values[j + 1] == "(" or (v in assigned and values[j - 1] != "."):
                 return False
-        elif t.kind == "keyword":
-            if t.value not in PRIMITIVE_TYPES:
+        elif kind == "keyword":
+            if v not in PRIMITIVE_TYPES:
                 return False  # new, this, instanceof, class, switch, ...
-        elif t.kind == "op" and t.value in _NOT_CONSTANT:
+        elif v in _NOT_CONSTANT:
             return False
     return True
 
@@ -207,73 +213,71 @@ class Creation:
 
 
 def split_args(
-    tokens: list[Token], open_idx: int, sep: str = ","
+    values: list[str], open_idx: int, sep: str = ","
 ) -> tuple[list[tuple[int, int]], int]:
-    """Split the argument list opened at ``open_idx`` on top-level ``sep``s.
+    """Split the argument list opened at token ``open_idx`` on top-level
+    ``sep``s, given the token values.
 
     Returns (arg index ranges, index of the closing paren), the index being
-    ``len(tokens)`` if the list does not close. A range is empty where two
+    ``len(values)`` if the list does not close. A range is empty where two
     separators meet; an empty last argument is left out.
     """
     args: list[tuple[int, int]] = []
     arg_lo = j = open_idx + 1
-    while j < len(tokens):
-        t = tokens[j]
-        if t.kind == "op":
-            if t.value in "([{":
-                closed, j = match_group(tokens, j)
-                if not closed:
-                    break
-                continue
-            if t.value in ")]}":
-                if arg_lo < j:
-                    args.append((arg_lo, j))
-                return args, j
-            if t.value == sep:
+    while j < len(values):
+        v = values[j]
+        if v in _OPENERS:
+            closed, j = match_group(values, j)
+            if not closed:
+                break
+            continue
+        if v in _BRACKET_CLOSERS:
+            if arg_lo < j:
                 args.append((arg_lo, j))
-                arg_lo = j + 1
+            return args, j
+        if v == sep:
+            args.append((arg_lo, j))
+            arg_lo = j + 1
         j += 1
-    return args, len(tokens)
+    return args, len(values)
 
 
-def find_invocations(tokens: list[Token], lo: int, hi: int) -> Iterator[Invocation]:
-    """Yield every `name(...)` call in tokens[lo:hi], outermost first."""
-    for j in range(lo, min(hi, len(tokens))):
-        t = tokens[j]
-        if t.kind != "ident":
-            continue
-        if j + 1 >= len(tokens) or not tokens[j + 1].is_op("("):
-            continue
-        if j > 0 and tokens[j - 1].is_kw("new"):
+def find_invocations(tokens: Tokens, lo: int, hi: int) -> Iterator[Invocation]:
+    """Yield every `name(...)` call in tokens ``lo`` to ``hi``, outermost first."""
+    kinds, values, starts = tokens.kinds, tokens.values, tokens.starts
+    for j in range(lo, min(hi, len(values) - 1)):
+        if values[j + 1] != "(" or kinds[j] != "ident" or (j > 0 and values[j - 1] == "new"):
             continue
         receiver = None
-        start = t.start
-        if j >= 2 and tokens[j - 1].is_op(".") and tokens[j - 2].kind == "ident":
-            receiver = tokens[j - 2].value
-            start = tokens[j - 2].start
-        closed, end = match_group(tokens, j + 1)
+        start = starts[j]
+        if j >= 2 and values[j - 1] == "." and kinds[j - 2] == "ident":
+            receiver = values[j - 2]
+            start = starts[j - 2]
+        closed, end = match_group(values, j + 1)
         if not closed or end > hi:
             continue  # call extends past the slice; caller's slice was partial
-        yield Invocation(t.value, receiver, SourceSpan(start, tokens[end - 1].end))
+        yield Invocation(values[j], receiver, SourceSpan(start, tokens.ends[end - 1]))
 
 
-def find_creations(tokens: list[Token], lo: int, hi: int) -> Iterator[Creation]:
-    """Yield every `new Type(...)` in tokens[lo:hi] (array news excluded)."""
-    for j in range(lo, min(hi, len(tokens))):
-        if not tokens[j].is_kw("new"):
+def find_creations(tokens: Tokens, lo: int, hi: int) -> Iterator[Creation]:
+    """Yield every `new Type(...)` in tokens ``lo`` to ``hi`` (array news
+    excluded)."""
+    values = tokens.values
+    for j in range(lo, min(hi, len(values))):
+        if values[j] != "new":
             continue
         k = args_after_new(tokens, j + 1)
         if k is None:
             continue  # array creation or malformed
         # the qualified name, up to its type arguments
-        type_name = "".join(t.value for t in tokens[j + 1 : k]).split("<", 1)[0]
+        type_name = "".join(values[j + 1 : k]).split("<", 1)[0]
         if not type_name:
             continue
-        args, close_idx = split_args(tokens, k)
+        args, close_idx = split_args(values, k)
         if close_idx >= hi:
             continue  # the call runs past the slice or never closes
-        has_body = close_idx + 1 < len(tokens) and tokens[close_idx + 1].is_op("{")
-        span = SourceSpan(tokens[j].start, tokens[close_idx].end)
+        has_body = close_idx + 1 < len(values) and values[close_idx + 1] == "{"
+        span = SourceSpan(tokens.starts[j], tokens.ends[close_idx])
         yield Creation(type_name, j, args, span, has_body)
 
 
@@ -289,11 +293,10 @@ def initialized_local(stmt: Node) -> Optional[dict]:
 
 
 def uses(tree: SyntaxTree, lo: int, hi: int, name: str) -> Iterator[int]:
-    """Indices of the identifier tokens ``name`` in tokens[lo:hi]."""
-    toks = tree.tokens
+    """Indices of the identifier tokens ``name`` among tokens ``lo`` to ``hi``."""
+    values = tree.tokens.values
     for j in range(lo, hi):
-        t = toks[j]
-        if t.value == name and t.kind == "ident":
+        if values[j] == name:
             yield j
 
 

@@ -2,10 +2,13 @@
 
 TypedArray, MotionEvent, VelocityTracker, Parcel and Cursor objects are
 backed by shared resources and must be handed back (recycle()/close()).
-The rule finds locals initialized from the known factory calls with no
-textual release in the enclosing method and appends a null-guarded release
-at the end of the variable's block, or before the block's last statement if
-that statement leaves the block (return, throw, break, continue). Escaping
+The rule finds locals whose initializer's value is a known factory call
+(the call itself, inside parentheses and casts, or either arm of a
+top-level `?:`), with no textual release in the enclosing method, and
+appends a null-guarded release at the end of the variable's block, or
+before the block's last statement if that statement leaves the block
+(return, throw, break, continue). Locals whose type may not be the
+resource's (declared otherwise, or `var` with a cast or a `?:`), escaping
 resources (returned, aliased, or passed onward), resources that such a
 trailing return or throw still uses, resources that an earlier exit
 could leave unreleased, and blocks that end in an endless loop are
@@ -16,12 +19,12 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from ..java.lexer import Token
+from ..java.lexer import Tokens
 from ..java.parser import Node, SyntaxTree, match_group
-from ..spans import SourceSpan
 from .base import RuleId, RuleResult
 from .javautil import (
     OWNER_KINDS,
+    Invocation,
     base_type_name,
     find_invocations,
     guarded_release,
@@ -38,23 +41,26 @@ from .javautil import (
 class ResourceFactory:
     """A factory call whose result must be explicitly released."""
 
-    __slots__ = ("method", "release", "receivers", "declared_type")
+    __slots__ = ("method", "release", "returns", "receivers", "declared_type")
 
     def __init__(
         self,
         method: str,
         release: str,
+        returns: Optional[str] = None,
         receivers: Optional[frozenset[str]] = None,
         declared_type: Optional[str] = None,
     ):
         self.method = method
         self.release = release  # name of the release method
+        # the result's type; None where it is the receiver's
+        self.returns = returns or declared_type
         self.receivers = receivers  # required receiver, if any
         self.declared_type = declared_type  # required local type, if any
 
 
 DEFAULT_FACTORIES: tuple[ResourceFactory, ...] = (
-    ResourceFactory("obtainStyledAttributes", "recycle"),
+    ResourceFactory("obtainStyledAttributes", "recycle", "TypedArray"),
     ResourceFactory(
         "obtain",
         "recycle",
@@ -80,30 +86,80 @@ def _match_factory(
 
 
 def _source(
-    tokens: list[Token], lo: int, hi: int, declared_type: str
-) -> Optional[tuple[ResourceFactory, SourceSpan]]:
-    """The first factory call in the initializer tokens[lo:hi] that starts
-    outside every `{}` group, and its span: a call in an anonymous class, a
-    lambda body or an array initializer does not give the local its value."""
-    braces = [
-        range(tokens[j].start, tokens[match_group(tokens, j)[1] - 1].end)
-        for j in range(lo, hi)
-        if tokens[j].is_op("{")
-    ]
-    for inv in find_invocations(tokens, lo, hi):
-        factory = _match_factory(inv.name, inv.receiver, declared_type)
-        if factory is not None and not any(inv.span.start in b for b in braces):
-            return factory, inv.span
+    tokens: Tokens, lo: int, hi: int, declared_type: str
+) -> Optional[tuple[ResourceFactory, Invocation, bool]]:
+    """The factory call that is the value of the initializer tokens ``lo``
+    to ``hi``, or of either arm of its top-level `?:`, with parentheses and
+    casts stripped; and whether it is the initializer itself with only
+    parentheses stripped. A call in a lambda, a `{}` group, an argument or a
+    receiver is not the local's value."""
+    values = tokens.values
+    for a, b in _arms(values, lo, hi):
+        bare = (a, b) == (lo, hi)
+        while values[a] == "(":
+            end = match_group(values, a)[1]
+            if end == b:
+                a, b = a + 1, b - 1
+            elif values[end] in (".", "["):
+                break  # a parenthesized receiver
+            else:
+                a, bare = end, False  # a cast
+        name = _last_call(tokens, a, b)
+        if name is not None:
+            call = next(find_invocations(tokens, name, b))
+            factory = _match_factory(call.name, call.receiver, declared_type)
+            if factory is not None:
+                return factory, call, bare
+    return None
+
+
+def _arms(values: list[str], lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """The token ranges the expression ``lo`` to ``hi`` takes its value
+    from: the arms of its top-level `?:`, each in turn, or else itself."""
+    j, depth, question = lo, 0, -1
+    while j < hi:
+        v = values[j]
+        if v == "(" or v == "[" or v == "{":
+            j = match_group(values, j)[1]
+            continue
+        if v == "?":
+            if depth == 0:
+                question = j
+            depth += 1
+        elif v == ":" and depth:
+            depth -= 1
+            if depth == 0:
+                yield from _arms(values, question + 1, j)
+                yield from _arms(values, j + 1, hi)
+                return
+        j += 1
+    yield lo, hi
+
+
+def _last_call(tokens: Tokens, lo: int, hi: int) -> Optional[int]:
+    """The index of the method name of the call that ends tokens ``lo`` to
+    ``hi``, if they are one chain of names, `this`, `super`, `.` and
+    bracket groups and the name begins it or follows a `.`; else None."""
+    kinds, values = tokens.kinds, tokens.values
+    j = opened = lo
+    while j < hi:
+        if values[j] == "(" or values[j] == "[":
+            opened, j = j, match_group(values, j)[1]
+        elif kinds[j] == "ident" or values[j] in (".", "this", "super"):
+            j += 1
+        else:
+            return None
+    name = opened - 1
+    if values[hi - 1] == ")" and name >= lo and kinds[name] == "ident":
+        return name if name == lo or values[name - 1] == "." else None
     return None
 
 
 def _released_in_method(tree: SyntaxTree, method: Node, name: str, release: str) -> bool:
     body = method.props["body"]
-    toks = tree.tokens
+    values = tree.tokens.values
     return any(
-        toks[j + 1].is_op(".")
-        and toks[j + 2].kind == "ident"
-        and toks[j + 2].value == release
+        values[j + 1] == "." and values[j + 2] == release
         for j in uses(tree, body.tok_lo, body.tok_hi - 2, name)
     )
 
@@ -111,19 +167,19 @@ def _released_in_method(tree: SyntaxTree, method: Node, name: str, release: str)
 def _escapes(tree: SyntaxTree, method: Node, decl: Node, name: str) -> bool:
     """Conservative: returned, reassigned, aliased, or passed as argument."""
     body = method.props["body"]
-    toks = tree.tokens
+    values = tree.tokens.values
     for j in uses(tree, decl.tok_hi, body.tok_hi, name):
-        nxt = toks[j + 1] if j + 1 < body.tok_hi else None
-        prev = toks[j - 1]
-        if nxt is not None and nxt.is_op("."):
+        nxt = values[j + 1] if j + 1 < body.tok_hi else None
+        prev = values[j - 1]
+        if nxt == ".":
             continue  # member access on the resource is fine
-        if prev.is_kw("return"):
+        if prev == "return":
             return True
-        if prev.kind == "op" and prev.value in ("(", ","):
+        if prev in ("(", ","):
             return True  # passed to another method
-        if nxt is not None and nxt.kind == "op" and nxt.value == "=":
+        if nxt == "=":
             return True  # reassigned before release
-        if prev.kind == "op" and prev.value == "=":
+        if prev == "=":
             return True  # aliased or stored
     return False
 
@@ -161,7 +217,8 @@ def apply_recycle(tree: SyntaxTree, path: str = "") -> RuleResult:
                 source = _source(tree.tokens, *decl["init"], declared_type)
                 if source is None:
                     continue
-                factory, anchor = source
+                factory, call, bare = source
+                resource = factory.returns or call.receiver
                 name = decl["name"]
                 if _released_in_method(tree, method, name, factory.release):
                     continue
@@ -170,7 +227,9 @@ def apply_recycle(tree: SyntaxTree, path: str = "") -> RuleResult:
                 exit_stmt, insert_at, reason = release_point(
                     tree, block, stmt.tok_hi, exits, "the block"
                 )
-                if _escapes(tree, method, stmt, name):
+                if declared_type != resource and not (declared_type == "var" and bare):
+                    reason = f"its type is not known to be {resource}"
+                elif _escapes(tree, method, stmt, name):
                     reason = "it escapes the method"
                 elif exit_stmt is not None and _exit_uses(tree, exit_stmt, name):
                     reason = "the block's last statement still uses it"
@@ -178,7 +237,7 @@ def apply_recycle(tree: SyntaxTree, path: str = "") -> RuleResult:
                     f"'{name}' ({declared_type}) is obtained but never "
                     f"released with {factory.release}()"
                 )
-                if not result.report(RuleId.RECYCLE, path, anchor, message, reason):
+                if not result.report(RuleId.RECYCLE, path, call.span, message, reason):
                     continue
 
                 si = line_indent(data, tree.span_of(stmt).start)

@@ -13,6 +13,7 @@ from ..spans import Edit, SourceSpan
 from .base import RuleId, RuleResult
 from .javautil import (
     SHARED_LINE,
+    VAR_LOCAL,
     dominant_eol,
     find_invocations,
     has_signature,
@@ -34,22 +35,18 @@ def _already_optimized(tree: SyntaxTree, body: Node, convert_view: str) -> bool:
         if n.kind != "if_statement":
             continue
         lo, hi = n.props["cond"]
-        values = [t.value for t in tree.tokens[lo:hi]]
+        values = tree.tokens.values[lo:hi]
         if convert_view in values and "==" in values and "null" in values:
             return True
     return False
 
 
 def _find_inflate_assignment(tree: SyntaxTree, body: Node, convert_view: str):
+    values = tree.tokens.values
     for stmt in body.children:
-        if stmt.kind != "expression_statement":
+        if stmt.kind != "expression_statement" or stmt.tok_hi - stmt.tok_lo < 3:
             continue
-        toks = tree.tokens[stmt.tok_lo : stmt.tok_hi]
-        if len(toks) < 3:
-            continue
-        if not (toks[0].kind == "ident" and toks[0].value == convert_view):
-            continue
-        if not toks[1].is_op("="):
+        if values[stmt.tok_lo] != convert_view or values[stmt.tok_lo + 1] != "=":
             continue
         if any(
             inv.name == "inflate"
@@ -115,12 +112,14 @@ def apply_view_holder(tree: SyntaxTree, path: str = "") -> RuleResult:
         region_start = own_line_start(data, stmt_start)
         fits = holder_at is not None and region_start is not None
         reason = "" if fits else SHARED_LINE
+        if any(stmt.props["type"] == "var" for stmt, _ in cached):
+            reason = VAR_LOCAL
         message = (
             "getView() inflates its row layout and calls findViewById() "
             "on every call; cache the looked-up views in a holder"
         )
-        name = toks[method.props["name_tok"]]
-        span = SourceSpan(name.start, name.end)
+        name = method.props["name_tok"]
+        span = SourceSpan(toks.starts[name], toks.ends[name])
         if not result.report(RuleId.VIEW_HOLDER, path, span, message, reason):
             continue
 
@@ -151,7 +150,7 @@ def apply_view_holder(tree: SyntaxTree, path: str = "") -> RuleResult:
         ]
         for _, decl in cached:
             lo, hi = decl["init"]
-            init = data[toks[lo].start : toks[hi - 1].end].decode()
+            init = data[toks.starts[lo] : toks.ends[hi - 1]].decode()
             assignment = f"{inner}{HOLDER_VAR}.{decl['name']} = {init};"
             lines += reindent(assignment, si, inner)
         lines.append(f"{inner}{convert_view}.setTag({HOLDER_VAR});")
@@ -160,7 +159,7 @@ def apply_view_holder(tree: SyntaxTree, path: str = "") -> RuleResult:
         lines.append(f"{si}}}")
         for stmt, decl in cached:
             # modifiers, type and name, e.g. "final TextView t"
-            head = data[tree.span_of(stmt).start : toks[decl["name_tok"]].end].decode()
+            head = data[tree.span_of(stmt).start : toks.ends[decl["name_tok"]]].decode()
             lines += reindent(f"{si}{head} = {HOLDER_VAR}.{decl['name']};", si, si)
         block_text = dominant_eol(data).decode().join(lines)
 

@@ -93,7 +93,7 @@ def apply_wake_lock(tree: SyntaxTree, path: str = "") -> RuleResult:
         exit_stmt = None
         released = set()  # receivers of the release() calls in onPause
         if on_pause is None:  # a new onPause goes before the class's `}`
-            insert_at = own_line_start(data, tree.tokens[owner.tok_hi - 1].start)
+            insert_at = own_line_start(data, tree.tokens.starts[owner.tok_hi - 1])
             reason = SHARED_LINE if insert_at is None else ""
         elif pause_body is None:
             insert_at, reason = None, "onPause() has no body"
@@ -103,6 +103,8 @@ def apply_wake_lock(tree: SyntaxTree, path: str = "") -> RuleResult:
             )
             calls = find_invocations(tree.tokens, pause_body.tok_lo, pause_body.tok_hi)
             released = {inv.receiver for inv in calls if inv.name == "release"}
+        # a release of a name onPause() declares would release that local
+        shadows = declared_locals(on_pause) if on_pause is not None else set()
         pending_release: list[str] = []
         for field, span in acquisitions:
             if field in released:
@@ -111,8 +113,9 @@ def apply_wake_lock(tree: SyntaxTree, path: str = "") -> RuleResult:
                 f"wake lock field '{field}' is acquired but never "
                 "released in onPause()"
             )
-            result.report(RuleId.WAKE_LOCK, path, span, message, reason)
-            if field not in pending_release:
+            why = reason or (f"onPause() declares its own '{field}'" if field in shadows else "")
+            fixable = result.report(RuleId.WAKE_LOCK, path, span, message, why)
+            if fixable and field not in pending_release:
                 pending_release.append(field)
         for span in local_acquires:
             result.findings.append(
@@ -129,7 +132,7 @@ def apply_wake_lock(tree: SyntaxTree, path: str = "") -> RuleResult:
                 )
             )
 
-        if not pending_release or reason:
+        if not pending_release:
             continue
 
         unit = indent_unit(data).decode()

@@ -67,9 +67,10 @@ def lexer_matches(monkeypatch) -> list[int]:
     pattern = lexer._TOKEN
 
     class Counting:
-        def match(self, data: bytes, pos: int):
-            count[0] += 1
-            return pattern.match(data, pos)
+        def findall(self, text: str, pos: int, endpos: int):
+            found = pattern.findall(text, pos, endpos)
+            count[0] += len(found)
+            return found
 
     monkeypatch.setattr(lexer, "_TOKEN", Counting())
     return count

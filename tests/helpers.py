@@ -32,12 +32,13 @@ def assert_spans_sound(tree) -> None:
     """
     data = tree.data
     if isinstance(tree, SyntaxTree):
-        assert all(t.start < t.end for t in tree.tokens)
-        ends = [0] + [t.end for t in tree.tokens]
-        starts = [t.start for t in tree.tokens] + [len(data)]
+        tokens = tree.tokens
+        assert all(s < e for s, e in zip(tokens.starts, tokens.ends))
+        ends = [0] + tokens.ends
+        starts = tokens.starts + [len(data)]
         for gap_start, gap_end in zip(ends, starts):
             assert gap_start <= gap_end
-            assert tokenize(data[gap_start:gap_end]) == [], data[gap_start:gap_end]
+            assert len(tokenize(data[gap_start:gap_end])) == 0, data[gap_start:gap_end]
         return
     for element in tree.root.walk():
         start_tag = data[element.span.start : element.span.end]

@@ -520,8 +520,9 @@ def _check_verify_passes(tmp_path, monkeypatch, before: bytes, check) -> None:
 )
 def test_verification_tokens_equal_a_fresh_scan(tmp_path, monkeypatch, ext, before):
     def same_tokens(data, tree):
-        fresh = [(t.kind, t.value, t.start, t.end) for t in tokenize(data)]
-        assert [(t.kind, t.value, t.start, t.end) for t in tree.tokens] == fresh
+        fresh = tokenize(data)
+        for field in ("kinds", "values", "starts", "ends"):
+            assert getattr(tree.tokens, field) == getattr(fresh, field)
 
     _check_verify_passes(tmp_path, monkeypatch, before, same_tokens)
 

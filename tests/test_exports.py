@@ -5,8 +5,8 @@ A top-level name counts as read where it is loaded as `name` or `x.name`,
 a method or field only where it is loaded as `x.name`; an import, an
 `__all__` entry or an assignment is not a read. Names are matched by
 spelling, not by binding, so a read of any `x.span` keeps every `span`
-field alive. Dunder methods are called by Python itself, and `main` is the
-console entry point.
+field alive. Dunder methods are called by Python itself; the console entry
+point `run` is read by the CLI's `__main__` block.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from pathlib import Path
 import greenlint
 
 PACKAGE = Path(greenlint.__file__).parent
-EXEMPT = {"main"}
 
 
 def _modules() -> list[tuple[str, ast.Module]]:
@@ -79,7 +78,6 @@ def _dead_names(modules: list[tuple[str, ast.Module]]) -> list[str]:
         for shown, name, member in _definitions(modules)
         if name not in attributes
         and (member or name not in bare)
-        and name not in EXEMPT
         and not (name.startswith("__") and name.endswith("__"))
     ]
 

@@ -19,6 +19,7 @@ from conftest import parse_java, parse_xml
 
 NO_FIX = ", so no automatic fix is applied"
 SHARED = "; other code shares the line where the fix would go" + NO_FIX
+VAR_LOCAL = "; the local is declared 'var', which a field cannot be" + NO_FIX
 
 RECYCLE = "'{name}' ({type}) is obtained but never released with {release}()"
 TYPED_ARRAY = RECYCLE.format(name="a", type="TypedArray", release="recycle")
@@ -68,6 +69,13 @@ CASES = {
         _method("TypedArray a = getContext().obtainStyledAttributes(attrs, S);\n"
                 "a.getInt(0, 0);"),
         [(TYPED_ARRAY, True, (86, 118))],
+    ),
+    "recycle-declared-type": (
+        apply_recycle,
+        _method("Object o = getContext().obtainStyledAttributes(attrs, S);\n"
+                "o.hashCode();"),
+        [(RECYCLE.format(name="o", type="Object", release="recycle")
+          + "; its type is not known to be TypedArray" + NO_FIX, False, (82, 114))],
     ),
     "recycle-escapes": (
         apply_recycle,
@@ -144,6 +152,19 @@ CASES = {
         _activity("    void onPause() { super.onPause(); }\n"),
         [(WAKE_LOCK + SHARED, False, (74, 86))],
     ),
+    "wake-lock-on-pause-local-hides-the-field": (
+        apply_wake_lock,
+        _activity(
+            "    void onPause() {\n        WakeLock wl = null;\n"
+            "        super.onPause();\n    }\n"
+        ),
+        [(WAKE_LOCK + "; onPause() declares its own 'wl'" + NO_FIX, False, (74, 86))],
+    ),
+    "wake-lock-on-pause-parameter-hides-the-field": (
+        apply_wake_lock,
+        _activity("    void onPause(WakeLock wl) {\n        super.onPause();\n    }\n"),
+        [(WAKE_LOCK + "; onPause() declares its own 'wl'" + NO_FIX, False, (74, 86))],
+    ),
     "wake-lock-local-variable": (
         apply_wake_lock,
         "class A extends Activity {\n    void onCreate() {\n"
@@ -163,6 +184,12 @@ CASES = {
         "{ Paint p = new Paint(); c.drawRect(r, p); } }\n",
         [(DRAW_ALLOCATION.format("Paint") + SHARED, False, (57, 68))],
     ),
+    "draw-allocation-var-local": (
+        apply_draw_allocation,
+        "class V extends View {\n    void onDraw(Canvas c) {\n"
+        "        var p = new Paint();\n        c.drawRect(r, p);\n    }\n}\n",
+        [(DRAW_ALLOCATION.format("Paint") + VAR_LOCAL, False, (67, 78))],
+    ),
     "view-holder-fixable": (
         apply_view_holder,
         _adapter(" {\n        "),
@@ -172,6 +199,11 @@ CASES = {
         apply_view_holder,
         _adapter(" { "),
         [(VIEW_HOLDER + SHARED, False, (47, 54))],
+    ),
+    "view-holder-var-local": (
+        apply_view_holder,
+        _adapter(" {\n        ").replace("TextView t =", "var t ="),
+        [(VIEW_HOLDER + VAR_LOCAL, False, (47, 54))],
     ),
 }
 

@@ -242,16 +242,16 @@ def test_split_args_splits_on_top_level_commas_only():
     from greenlint.rules.javautil import split_args
 
     tree = parse_java(b"class A { void f() { g(a < b, c > d, h(e, f), new int[] { 1, 2 }); } }")
-    toks = tree.tokens
-    open_idx = next(i for i, t in enumerate(toks) if t.value == "g") + 1
-    args, close_idx = split_args(toks, open_idx)
-    assert [" ".join(t.value for t in toks[lo:hi]) for lo, hi in args] == [
+    values = tree.tokens.values
+    open_idx = values.index("g") + 1
+    args, close_idx = split_args(values, open_idx)
+    assert [" ".join(values[lo:hi]) for lo, hi in args] == [
         "a < b",
         "c > d",
         "h ( e , f )",
         "new int [ ] { 1 , 2 }",
     ]
-    assert toks[close_idx].value == ")" and toks[close_idx + 1].value == ";"
+    assert values[close_idx] == ")" and values[close_idx + 1] == ";"
 
 
 @pytest.mark.parametrize(

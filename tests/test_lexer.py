@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from greenlint.diagnostics import ParseError
+from greenlint.java import lexer
 from greenlint.java.lexer import tokenize
 from greenlint.java.parser import parse_java_source
 from greenlint.spans import Edit, apply_edit_set
@@ -27,7 +28,8 @@ def _outcome(lex, data: bytes):
 
 
 def _fields(data: bytes, previous=None) -> list[tuple[str, str, int, int]]:
-    return [(t.kind, t.value, t.start, t.end) for t in tokenize(data, previous)]
+    t = tokenize(data, previous)
+    return list(zip(t.kinds, t.values, t.starts, t.ends))
 
 
 def assert_same_as_reference(data: bytes) -> None:
@@ -158,10 +160,35 @@ def test_window_running_into_the_next_edit_resyncs_after_it(lexer_matches):
     edits = [Edit.delete(1, 2), Edit.replace(2, 3, b"qq")]
     previous = (tokenize(old), edits)
     new = apply_edit_set(old, edits)
+    lexer_matches[0] = 0
     full = _fields(new)
+    scanned = lexer_matches[0]
     lexer_matches[0] = 0
     assert _fields(new, previous) == full
-    assert lexer_matches[0] < 10
+    assert lexer_matches[0] < scanned // 5  # one short window, not a full scan
+
+
+@pytest.mark.parametrize(
+    "construct, cut",
+    [
+        (b"/* comment */", 5),
+        (b'"""\n text block """', 6),
+        (b'"a string"', 4),
+        (b"x...y", 3),  # between `..` and `.`
+        ("\u00e9_name".encode(), 1),  # between the two bytes of the é
+    ],
+    ids=["block-comment", "text-block", "string", "dot-dot-dot", "utf8-identifier"],
+)
+def test_window_ending_inside_a_token_equals_a_full_scan(construct: bytes, cut: int):
+    # The old text hides `construct` in a comment, so deleting the `/*`
+    # leaves no old token end to resync on before it, and the first window,
+    # which reaches _WINDOW bytes past the edit, ends `cut` bytes into it.
+    old = b"a /*" + b" " * (lexer._WINDOW - cut) + construct + b" */ b c d;"
+    edits = [Edit.delete(2, 4)]
+    new = apply_edit_set(old, edits)
+    assert new.index(construct) + cut == 2 + lexer._WINDOW
+    spliced = _outcome(lambda data: _fields(data, (tokenize(old), edits)), new)
+    assert spliced == _outcome(_fields, new) == _outcome(tokenize_reference, new)
 
 
 # Bytes that open, close or extend a token, so that an edit can change how

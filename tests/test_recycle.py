@@ -299,12 +299,19 @@ def test_resource_in_a_nested_class_method_is_released_once(head, tail):
         ),
         ("TypedArray[] arr = { ctx.obtainStyledAttributes(1) };", None),
         ("TypedArray a = ctx.obtainStyledAttributes(attrs, new int[] {1, 2});", "a"),
+        ("Supplier<TypedArray> s = () -> ctx.obtainStyledAttributes(1);", None),
+        ("String d = describe(ctx.obtainStyledAttributes(1));", None),
+        ("int n = ctx.obtainStyledAttributes(1).getInt(0, 0);", None),
     ],
-    ids=["anonymous", "lambda", "array-initializer", "array-argument"],
+    ids=[
+        "anonymous", "lambda", "array-initializer", "array-argument",
+        "expression-lambda", "argument", "chained-receiver",
+    ],
 )
 def test_only_a_call_outside_the_initializer_braces_is_the_source(stmt, fixed_name):
-    # A factory call inside a `{}` group is not the local's value: releasing
-    # `r` or `arr` would not compile.
+    # Only the initializer's value is the resource: a factory call inside a
+    # `{}` group, a lambda, an argument or a receiver is not, and releasing
+    # `r`, `arr`, `s`, `d` or `n` would not compile.
     source = _method(stmt)
     result, fixed = fix_java(apply_recycle, source)
     if fixed_name is None:
@@ -312,3 +319,29 @@ def test_only_a_call_outside_the_initializer_braces_is_the_source(stmt, fixed_na
     else:
         assert [f.fixable for f in result.findings] == [True]
         assert f"{fixed_name}.recycle();".encode() in fixed
+
+
+@pytest.mark.parametrize(
+    "stmt,fixable",
+    [
+        ("TypedArray a = (ctx.obtainStyledAttributes(1));", True),
+        ("TypedArray a = (TypedArray) ctx.obtainStyledAttributes(1);", True),
+        ("TypedArray a = flag ? ctx.obtainStyledAttributes(1) : null;", True),
+        ("TypedArray a = flag ? null : (ctx.obtainStyledAttributes(2));", True),
+        ("var a = ctx.obtainStyledAttributes(1);", True),
+        ("Object a = ctx.obtainStyledAttributes(1);", False),
+        ("Object a = (Object) ctx.obtainStyledAttributes(1);", False),
+        ("var a = (Object) ctx.obtainStyledAttributes(1);", False),
+        ("var a = flag ? ctx.obtainStyledAttributes(1) : null;", False),
+        ("Object a = MotionEvent.obtain(src);", False),
+    ],
+)
+def test_only_a_local_of_the_resource_type_is_released(stmt, fixable):
+    # `a.recycle()` compiles only where `a`'s type is the resource's: its
+    # declared type, or with `var` the bare factory call's.
+    source = _method(stmt + "\na.hashCode();")
+    result, fixed = fix_java(apply_recycle, source)
+    assert [f.fixable for f in result.findings] == [fixable]
+    assert (b"a.recycle();" in fixed) is fixable
+    if not fixable:
+        assert "its type is not known to be" in result.findings[0].message

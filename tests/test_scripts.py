@@ -46,6 +46,12 @@ def _line(kb_s: float, cpu_s: float) -> str:
     return json.dumps({"correct": True, "attempted": 10, "failed": 0, "metrics": metrics})
 
 
+def _traced(declared: list[dict], value: float) -> dict:
+    """A result with ``value`` for each of the ``declared`` metrics."""
+    values = {m["name"]: {"value": value, "unit": m["unit"]} for m in declared}
+    return {"correct": True, "attempted": 1, "failed": 0, "metrics": values}
+
+
 THROUGHPUT = {"name": "throughput_kb_s", "unit": "KB/s", "better": "higher"}
 CPU = {"name": "cpu_s", "unit": "s", "better": "lower"}
 
@@ -95,10 +101,13 @@ def test_bench_pairs_prints_one_block_per_workload(monkeypatch, capsys):
     bp = _bench_pairs()
     calls = []
 
-    metrics = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())["end_to_end"]
+    declared = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
+    metrics = declared["end_to_end"]
 
-    def fake_run(checkout, workload, seed, seconds):
-        calls.append((checkout.name, workload, seed))
+    def fake_run(checkout, workload, seed, seconds, trace=0):
+        calls.append((checkout.name, workload, seed, trace))
+        if trace:
+            return _traced(declared["per_layer"], 1.0)
         kb_s = (700.0 if checkout.name == "parent" else 760.0) + seed
         result = json.loads(_line(kb_s, 1 / kb_s))
         result["metrics"].update(
@@ -114,10 +123,15 @@ def test_bench_pairs_prints_one_block_per_workload(monkeypatch, capsys):
     assert bp.main(argv + ["--workload", "corpus-many", "check-java", "--seeds", *seeds]) == 0
     # each workload's pairs in turn, the first side alternating
     assert calls[:4] == [
-        ("parent", "corpus-many", 1), ("change", "corpus-many", 1),
-        ("change", "corpus-many", 2), ("parent", "corpus-many", 2),
+        ("parent", "corpus-many", 1, 0), ("change", "corpus-many", 1, 0),
+        ("change", "corpus-many", 2, 0), ("parent", "corpus-many", 2, 0),
     ]
-    assert [w for _, w, _ in calls] == ["corpus-many"] * 20 + ["check-java"] * 20
+    assert [w for _, w, _, t in calls if not t] == ["corpus-many"] * 20 + ["check-java"] * 20
+    # then one traced run per side on each workload's first seed
+    assert [c for c in calls if c[3]] == [
+        ("parent", "corpus-many", 1, 1), ("change", "corpus-many", 1, 1),
+        ("parent", "check-java", 1, 1), ("change", "check-java", 1, 1),
+    ]
     out = capsys.readouterr().out.splitlines()
     blocks = [i for i, line in enumerate(out) if line.startswith("workload ")]
     assert [out[i] for i in blocks] == [
@@ -138,13 +152,34 @@ def test_bench_pairs_reports_the_src_size_of_each_checkout(tmp_path, monkeypatch
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text("x = 1\n" * lines)
     (tmp_path / "parent" / "src" / "notes.txt").write_text("not counted\n")
-    metrics = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())["end_to_end"]
+    declared = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
 
-    def fake_run(checkout, workload, seed, seconds):
-        values = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in metrics}
-        return {"correct": True, "attempted": 1, "failed": 0, "metrics": values}
+    def fake_run(checkout, workload, seed, seconds, trace=0):
+        return _traced(declared["per_layer" if trace else "end_to_end"], 1.0)
 
     monkeypatch.setattr(bp, "run_bench", fake_run)
     argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change")]
     assert bp.main(argv + ["--workload", "check-java", "--seeds", "1", "--seconds", "1"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "src/ lines: parent 5, change 4 (-1)"
+
+
+def test_bench_pairs_prints_per_layer_metrics_side_by_side():
+    bp = _bench_pairs()
+    per_layer = [
+        {"name": "java.lexer.tokenize.s", "unit": "s", "better": "lower"},
+        {"name": "java.lexer.tokens", "unit": "count", "better": "lower"},
+        {"name": "report.emit.s", "unit": "s", "better": "lower"},
+    ]
+
+    def line(tokenize_s: float) -> str:
+        values = {"java.lexer.tokenize.s": tokenize_s, "java.lexer.tokens": 26440, "report.emit.s": 0}
+        metrics = {name: {"value": v, "unit": "-"} for name, v in values.items()}
+        return json.dumps({"correct": True, "attempted": 8, "failed": 0, "metrics": metrics})
+
+    parent = bp.parse_result(f"workload check-java  seed 1  trace 1\n{line(0.05)}\n")
+    change = bp.parse_result(line(0.035))
+    assert [row.split() for row in bp.format_layers(parent, change, per_layer)] == [
+        ["java.lexer.tokenize.s", "s", "parent", "0.050000", "change", "0.035000", "-30.0%"],
+        ["java.lexer.tokens", "count", "parent", "26440.000000", "change", "26440.000000", "+0.0%"],
+        ["report.emit.s", "s", "parent", "0.000000", "change", "0.000000", "-"],
+    ]

@@ -106,3 +106,20 @@ def test_check_json_in_a_fresh_process(project):
         "ObsoleteLayoutParam",
         "Recycle",
     ]
+
+
+def test_check_json_larger_than_a_pipe_buffer_arrives_whole(tmp_path):
+    # `run` freezes the collector's objects before exiting; the payload must
+    # still be flushed whole, past the 64 KiB a pipe holds.
+    methods = "".join(
+        f"  void m{k}(Ctx ctx) {{\n"
+        f"    TypedArray a = ctx.obtainStyledAttributes({k});\n"
+        "    a.getInt(0, 0);\n"
+        "  }\n"
+        for k in range(300)
+    )
+    (tmp_path / "Big.java").write_text(f"class Big {{\n{methods}}}\n")
+    proc = _python("-m", "greenlint.cli", "check", str(tmp_path), "--format", "json")
+    assert proc.returncode == 1, proc.stderr  # findings reported
+    assert len(proc.stdout) > 65536
+    assert len(json.loads(proc.stdout)["findings"]) == 300
