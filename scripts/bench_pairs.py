@@ -13,10 +13,12 @@ quartiles, how many pairs the change won (ties count for neither side) and
 whether the bar for claiming a gain is met: at least ten pairs, the change
 winning at least nine in ten, and a median difference larger than the
 parent's interquartile range. So one call shows a claimed gain next to the
-workloads that must not regress. After each block, ``--trace 1`` runs once
-in each checkout on the workload's first seed, and every per-layer metric
-of ``BENCHMARK.json`` is printed with both sides' values, to show where a
-difference comes from. Last comes each checkout's ``src/`` size, the line
+workloads that must not regress. After each block, ``--trace 1`` runs
+three times in each checkout on the workload's first seed, alternated as
+above, and every per-layer metric of ``BENCHMARK.json`` is printed with
+both sides' medians and how many traced pairs the change won, to show where
+a difference comes from; one traced run per side is too few, as host noise
+can move every layer at once. Last comes each checkout's ``src/`` size, the line
 count of every ``.py`` file under it, and the difference. It changes
 nothing under either checkout's ``bench/``.
 """
@@ -33,6 +35,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 MIN_PAIRS = 10
 WIN_SHARE = 0.9
+TRACE_PAIRS = 3  # alternated traced runs per side behind the per-layer block
 
 
 def parse_result(stdout: str) -> dict:
@@ -86,16 +89,18 @@ def format_summary(s: dict) -> str:
     )
 
 
-def format_layers(parent: dict, change: dict, per_layer: list[dict]) -> list[str]:
+def format_layers(pairs: list[tuple[dict, dict]], per_layer: list[dict]) -> list[str]:
     """One line per ``per_layer`` metric (``BENCHMARK.json`` entries): its
-    value in the parent's and the change's traced result, and the change."""
+    median over the parent's and the change's traced results, the change,
+    and how many of the traced pairs the change won."""
     lines = []
     for metric in per_layer:
-        name = metric["name"]
-        p, c = parent["metrics"][name]["value"], change["metrics"][name]["value"]
+        s = summarize(pairs, metric)
+        p, c = s["parent"][1], s["change"][1]
         share = f"{(c - p) / abs(p):+.1%}" if p else "-"
         lines.append(
-            f"  {name:40s} {metric['unit']:5s} parent {p:14.6f}  change {c:14.6f}  {share}"
+            f"  {s['name']:40s} {s['unit']:5s} parent {p:14.6f}  change {c:14.6f}  {share}"
+            f"  won {s['wins']}/{s['pairs']}"
         )
     return lines
 
@@ -116,17 +121,28 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
     return parse_result(proc.stdout)
 
 
+def run_pair(
+    args: argparse.Namespace, workload: str, seed: int, parent_first: bool, trace: int = 0
+) -> tuple[dict, dict]:
+    """The (parent, change) results of one run in each checkout."""
+    order = ("parent", "change") if parent_first else ("change", "parent")
+    sides = {
+        side: run_bench(getattr(args, side), workload, seed, args.seconds, trace)
+        for side in order
+    }
+    return sides["parent"], sides["change"]
+
+
 def run_pairs(
     args: argparse.Namespace, workload: str, metrics: list[dict]
 ) -> list[tuple[dict, dict]]:
     """The (parent, change) results of one workload, a pair per seed."""
     pairs: list[tuple[dict, dict]] = []
     for i, seed in enumerate(args.seeds):
-        sides = {}
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            sides[side] = run_bench(getattr(args, side), workload, seed, args.seconds)
-        pairs.append((sides["parent"], sides["change"]))
+        first = "parent" if i % 2 == 0 else "change"
+        pair = run_pair(args, workload, seed, parent_first=first == "parent")
+        pairs.append(pair)
+        sides = dict(zip(("parent", "change"), pair))
         values = "  ".join(
             f"{m['name']} {sides['parent']['metrics'][m['name']]['value']:.4f}"
             f"->{sides['change']['metrics'][m['name']]['value']:.4f}"
@@ -138,7 +154,7 @@ def run_pairs(
             for side in ("parent", "change")
         )
         print(
-            f"{workload} pair {i + 1} seed {seed} ({order[0]} first)  {values}  {health}",
+            f"{workload} pair {i + 1} seed {seed} ({first} first)  {values}  {health}",
             flush=True,
         )
     return pairs
@@ -161,12 +177,12 @@ def main(argv: list[str] | None = None) -> int:
         for metric in metrics:
             print(format_summary(summarize(pairs, metric)))
         seed = args.seeds[0]
-        traced = [
-            run_bench(getattr(args, side), workload, seed, args.seconds, trace=1)
-            for side in ("parent", "change")
-        ]
-        print(f"per-layer metrics of {workload}, one --trace 1 run per side, seed {seed}")
-        for line in format_layers(*traced, declared["per_layer"]):
+        traced = [run_pair(args, workload, seed, i % 2 == 0, trace=1) for i in range(TRACE_PAIRS)]
+        print(
+            f"per-layer metrics of {workload}, medians of {TRACE_PAIRS} alternated"
+            f" --trace 1 runs per side, seed {seed}"
+        )
+        for line in format_layers(traced, declared["per_layer"]):
             print(line)
     parent, change = src_lines(args.parent), src_lines(args.change)
     print(f"src/ lines: parent {parent}, change {change} ({change - parent:+d})")

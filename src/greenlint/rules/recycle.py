@@ -115,13 +115,16 @@ def _source(
 
 def _arms(values: list[str], lo: int, hi: int) -> Iterator[tuple[int, int]]:
     """The token ranges the expression ``lo`` to ``hi`` takes its value
-    from: the arms of its top-level `?:`, each in turn, or else itself."""
+    from: the arms of its top-level `?:`, each in turn, or else itself.
+    A lambda has none: the calls in its body are not its value."""
     j, depth, question = lo, 0, -1
     while j < hi:
         v = values[j]
         if v == "(" or v == "[" or v == "{":
             j = match_group(values, j)[1]
             continue
+        if v == "->" and depth == 0:
+            return
         if v == "?":
             if depth == 0:
                 question = j

@@ -300,12 +300,13 @@ def test_resource_in_a_nested_class_method_is_released_once(head, tail):
         ("TypedArray[] arr = { ctx.obtainStyledAttributes(1) };", None),
         ("TypedArray a = ctx.obtainStyledAttributes(attrs, new int[] {1, 2});", "a"),
         ("Supplier<TypedArray> s = () -> ctx.obtainStyledAttributes(1);", None),
+        ("Supplier<TypedArray> s = () -> flag ? ctx.obtainStyledAttributes(1) : null;", None),
         ("String d = describe(ctx.obtainStyledAttributes(1));", None),
         ("int n = ctx.obtainStyledAttributes(1).getInt(0, 0);", None),
     ],
     ids=[
         "anonymous", "lambda", "array-initializer", "array-argument",
-        "expression-lambda", "argument", "chained-receiver",
+        "expression-lambda", "lambda-conditional", "argument", "chained-receiver",
     ],
 )
 def test_only_a_call_outside_the_initializer_braces_is_the_source(stmt, fixed_name):

@@ -127,10 +127,15 @@ def test_bench_pairs_prints_one_block_per_workload(monkeypatch, capsys):
         ("change", "corpus-many", 2, 0), ("parent", "corpus-many", 2, 0),
     ]
     assert [w for _, w, _, t in calls if not t] == ["corpus-many"] * 20 + ["check-java"] * 20
-    # then one traced run per side on each workload's first seed
+    # then three alternated traced pairs on each workload's first seed
+    traced = [
+        ("parent", 1, 1), ("change", 1, 1), ("change", 1, 1), ("parent", 1, 1),
+        ("parent", 1, 1), ("change", 1, 1),
+    ]
     assert [c for c in calls if c[3]] == [
-        ("parent", "corpus-many", 1, 1), ("change", "corpus-many", 1, 1),
-        ("parent", "check-java", 1, 1), ("change", "check-java", 1, 1),
+        (side, workload, seed, trace)
+        for workload in ("corpus-many", "check-java")
+        for side, seed, trace in traced
     ]
     out = capsys.readouterr().out.splitlines()
     blocks = [i for i, line in enumerate(out) if line.startswith("workload ")]
@@ -176,10 +181,16 @@ def test_bench_pairs_prints_per_layer_metrics_side_by_side():
         metrics = {name: {"value": v, "unit": "-"} for name, v in values.items()}
         return json.dumps({"correct": True, "attempted": 8, "failed": 0, "metrics": metrics})
 
-    parent = bp.parse_result(f"workload check-java  seed 1  trace 1\n{line(0.05)}\n")
-    change = bp.parse_result(line(0.035))
-    assert [row.split() for row in bp.format_layers(parent, change, per_layer)] == [
-        ["java.lexer.tokenize.s", "s", "parent", "0.050000", "change", "0.035000", "-30.0%"],
-        ["java.lexer.tokens", "count", "parent", "26440.000000", "change", "26440.000000", "+0.0%"],
-        ["report.emit.s", "s", "parent", "0.000000", "change", "0.000000", "-"],
+    # medians over the traced pairs: one noisy pair moves neither side
+    header = "workload check-java  seed 1  trace 1\n"
+    pairs = [
+        (bp.parse_result(f"{header}{line(p)}\n"), bp.parse_result(line(c)))
+        for p, c in ((0.05, 0.035), (0.09, 0.07), (0.049, 0.036))
+    ]
+    assert [row.split() for row in bp.format_layers(pairs, per_layer)] == [
+        ["java.lexer.tokenize.s", "s", "parent", "0.050000", "change", "0.036000", "-28.0%",
+         "won", "3/3"],
+        ["java.lexer.tokens", "count", "parent", "26440.000000", "change", "26440.000000", "+0.0%",
+         "won", "0/3"],
+        ["report.emit.s", "s", "parent", "0.000000", "change", "0.000000", "-", "won", "0/3"],
     ]
