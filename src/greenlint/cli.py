@@ -234,8 +234,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
         report, outcomes = _run(config)
         internal = internal or any(o.internal_error for o in outcomes)
         reports.append(report)
-    summary = aggregate(reports)
-    args.out.write_bytes(emit(summary, args.format))
+    args.out.write_bytes(emit(aggregate(reports), args.format, len(reports)))
     print(f"wrote {args.format} summary for {len(reports)} project(s) to {args.out}")
     return EXIT_INTERNAL if internal else EXIT_CLEAN
 

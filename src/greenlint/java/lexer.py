@@ -22,10 +22,13 @@ but always recoverable from the bytes between adjacent token spans.
 Given the tokens of an earlier text and the edits that made `data` from
 it, `tokenize` re-lexes only around the edits, as the resynchronisation
 step of incremental lexers does (Wagner & Graham, "Efficient and Flexible
-Incremental Parsing", TOPLAS 1998). A match depends only on the bytes from
-where it starts, so once a token end after an edit falls on an old token
-end, the old tokens that follow are the new ones, shifted. The result and
-any `ParseError` are those of a full scan.
+Incremental Parsing", TOPLAS 1998). It copies the old tokens whose match
+reads no byte of an edit, then walks the full scan's matches from the last
+of them until a token past the edit starts where an old token started. A
+token depends only on the bytes from its start, so that old token and the
+ones after it, up to the next edit, are the new ones, shifted. The runs of
+old tokens copied are kept in `Tokens.kept` for the parser's subtree reuse.
+The result and any `ParseError` are those of a full scan.
 """
 
 from __future__ import annotations
@@ -95,26 +98,26 @@ _NON_ASCII = re.compile(r"[\x80-\xff]+")
 # A match reads at most two bytes past its token (`.` looks for `...`), so
 # an old token is kept only if it ends that far before the next edit.
 _LOOKAHEAD = 2
-# How far past an edit the first window of a re-lex reaches. A fix's
-# verification re-lex on the fix-smelly bench corpora (seeds 1-3, 162 edits)
-# resyncs at most 14 bytes past an edit, median 5, so one window covers each
-# of them; a longer resync doubles the window, which keeps the cost linear.
-_WINDOW = 16
 
 
 class Tokens:
     """The tokens of one text as parallel lists: token ``j`` is
     ``values[j]``, of kind ``kinds[j]`` (ident, keyword, number, string,
     char or op), at the bytes ``starts[j]:ends[j]``. An operator or keyword
-    is known by its value alone, since no other token spells one."""
+    is known by its value alone, since no other token spells one.
 
-    __slots__ = ("kinds", "values", "starts", "ends")
+    After a re-lex, ``kept`` lists the runs of old tokens copied unchanged,
+    as ``(old lo, old hi, new lo)`` index triples; it is empty after a full
+    scan."""
+
+    __slots__ = ("kinds", "values", "starts", "ends", "kept")
 
     def __init__(self, kinds: list[str], values: list[str], starts: list[int], ends: list[int]):
         self.kinds = kinds
         self.values = values
         self.starts = starts
         self.ends = ends
+        self.kept: list[tuple[int, int, int]] = []
 
     def __len__(self) -> int:
         return len(self.values)
@@ -136,7 +139,7 @@ def tokenize(data: bytes, previous: Optional[tuple[Tokens, list[Edit]]] = None) 
     """
     text = data.decode("latin-1")
     if previous is None:
-        return _scan(text, 0, len(text))
+        return _build(text, 0, _TOKEN.findall(text))
     old, edits = previous
     edits = sorted(edits, key=lambda e: (e.span.start, e.span.end))
     tokens = Tokens([], [], [], [])
@@ -147,52 +150,47 @@ def tokenize(data: bytes, previous: Optional[tuple[Tokens, list[Edit]]] = None) 
             k = bisect_right(old.ends, edits[i].span.start - _LOOKAHEAD, j)
         else:
             k = len(old)
-        tokens.extend(old, j, k, delta)
-        j = max(j, k)
+        if j < k:
+            tokens.kept.append((j, k, len(tokens)))
+            tokens.extend(old, j, k, delta)
+            j = k
         if i == len(edits):
             return tokens
-        # Re-lex across edit i, and every later edit the window runs into,
-        # up to the first token end that is an old token end after them.
+        # Re-lex across edit i, and every later edit a token reaches, up to
+        # the first token past them that starts where an old token started.
         delta += len(edits[i].replacement) - len(edits[i].span)
         new_end = edits[i].span.end + delta
-        width, resync = _WINDOW, 0
-        while not resync:
-            bound = min(new_end + width, len(text))
-            window = _scan(text, tokens.ends[-1] if tokens else 0, bound)
-            for t, end in enumerate(window.ends):
-                while i + 1 < len(edits) and end > edits[i + 1].span.start + delta:
-                    i += 1
-                    delta += len(edits[i].replacement) - len(edits[i].span)
-                    new_end = edits[i].span.end + delta
-                if end >= new_end:
-                    k = bisect_left(old.ends, end - delta, j)
-                    if k < len(old) and old.ends[k] == end - delta:
-                        resync, j = t + 1, k + 1
-                        break
-            tokens.extend(window, 0, resync or len(window))
-            if not resync and bound == len(text):
-                return tokens
-            width *= 2
+        pos = tokens.ends[-1] if tokens else 0
+        pairs = []
+        for m in _TOKEN.finditer(text, pos):
+            start = m.start(2)
+            while i + 1 < len(edits) and start >= edits[i + 1].span.start + delta:
+                i += 1
+                delta += len(edits[i].replacement) - len(edits[i].span)
+                new_end = edits[i].span.end + delta
+            if start >= new_end:
+                j = bisect_left(old.starts, start - delta, j)
+                if j < len(old) and old.starts[j] == start - delta:
+                    break
+            pairs.append(m.groups(""))
+        stretch = _build(text, pos, pairs)
+        tokens.extend(stretch, 0, len(stretch))
+        if not m[2]:  # the last match holds no token: the text ended first
+            return tokens
         i += 1
 
 
-def _scan(text: str, pos: int, endpos: int) -> Tokens:
-    """The tokens of a full scan that start at ``pos`` and that the text
-    before ``endpos`` settles. Short of the end of the text, the tokens are
-    cut at the first error token or the first token whose match may read
-    past ``endpos``; at the end, an error token raises ParseError."""
-    pairs = _TOKEN.findall(text, pos, endpos)
+def _build(text: str, pos: int, pairs: list[tuple[str, str]]) -> Tokens:
+    """The tokens of the (trivia, token) match pairs that run from ``pos``
+    in ``text``; raises ParseError at the first error token."""
     while pairs and not pairs[-1][1]:  # trailing trivia, then the end
         pairs.pop()
     values = list(map(itemgetter(1), pairs))
     offsets = list(accumulate(map(len, chain.from_iterable(pairs)), initial=pos))
     starts, ends = offsets[1::2], offsets[2::2]
     kinds = list(map(_SPELLINGS.get, values, map(_FIRST.__getitem__, map(itemgetter(0), values))))
-    cut = kinds.index("error") if "error" in kinds else len(kinds)
-    if endpos < len(text):
-        cut = min(cut, bisect_right(ends, endpos - _LOOKAHEAD))
-        del kinds[cut:], values[cut:], starts[cut:], ends[cut:]
-    elif cut < len(kinds):
+    if "error" in kinds:
+        cut = kinds.index("error")
         value = values[cut]
         raise ParseError(starts[cut], _UNTERMINATED.get(value, f"unexpected character {value!r}"))
     if not text.isascii():

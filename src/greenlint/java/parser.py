@@ -14,10 +14,11 @@ Node kinds, and the props that rules read (token ranges are half-open
 index pairs):
 
 - class_, interface_, enum_ and annotation_declaration: ``name``,
-  ``extends`` (the first extended type's text, or None);
+  ``extends`` (the first extended type's text, or None), ``type_params``
+  (the names of its type parameters);
 - method_ and constructor_declaration: ``name``, ``name_tok`` (its token
   index), ``params`` (a list of (type text, name)), ``body`` (the block,
-  or None);
+  or None), ``type_params``;
 - field_ and local_variable_declaration: ``type`` (text), ``declarators``
   (dicts of ``name``, ``name_tok`` and ``init``, the initializer's token
   range or (None, None));
@@ -34,18 +35,18 @@ its last token.
 Given an earlier tree and the edits since, only the members they touch
 are parsed (the subtree reuse of Wagner & Graham, TOPLAS 1998). A
 top-level type or type-body member parses from its own tokens and its
-enclosing type's name alone, so one that no edit comes near is moved over
-from the old tree and shifted in place; nothing reads the old tree after.
+enclosing type's name alone, so one whose tokens the lexer copied in one
+run (`Tokens.kept`) is moved over from the old tree and shifted in place;
+nothing reads the old tree after.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Any, Container, Iterator, Optional, Union
 
 from ..diagnostics import ParseDiagnostic, ParseError, guarded_parse
 from ..spans import Edit, SourceSpan
-from .lexer import _LOOKAHEAD, Tokens, tokenize
+from .lexer import Tokens, tokenize
 
 MODIFIER_KEYWORDS = frozenset(
     """public protected private static final abstract native synchronized
@@ -371,6 +372,27 @@ class _Parser:
             self._parse_type()
         return first
 
+    def _parse_type_params(self) -> list[str]:
+        """Skip the type parameters at the cursor, if any; returns their
+        names. A name is an identifier at the group's top level that an
+        `extends`, `,` or `>` follows, and that is not part of a bound."""
+        if not self.at("<"):
+            return []
+        lo = self.i
+        self.i = self._skip_group(lo)
+        values = self.values
+        names, depth = [], 0
+        for k in range(lo, self.i):
+            depth += (values[k] == "<") - (values[k] == ">")
+            if (
+                depth == 1
+                and self.kinds[k] == "ident"
+                and values[k + 1] in ("extends", ",", ">")
+                and values[k - 1] not in ("extends", "&", ".")
+            ):
+                names.append(values[k])
+        return names
+
     # --- type declarations ---------------------------------------------
 
     def _parse_type_decl(self) -> Node:
@@ -386,7 +408,7 @@ class _Parser:
         else:
             raise self.fail("expected class, interface or enum declaration")
         name = self.expect_ident("type name")
-        self._skip_optional_group("<")
+        type_params = self._parse_type_params()
         extends = self._parse_type_list("extends")  # interfaces may extend several
         self._parse_type_list("implements")
         self.expect("{")
@@ -396,7 +418,7 @@ class _Parser:
             else self._parse_members(name)
         )
         self.expect("}")
-        props = {"name": name, "extends": extends}
+        props = {"name": name, "extends": extends, "type_params": type_params}
         return Node(kind, lo, self.i, members, props)
 
     def _parse_enum_body(self, enclosing: str) -> list[Node]:
@@ -440,19 +462,19 @@ class _Parser:
             body = self._parse_block()
             return Node("initializer", lo, self.i, [body])
         self._reject_record()
-        self._skip_optional_group("<")  # generic method type parameters
+        type_params = self._parse_type_params()  # of a generic method
         # constructor: Name (
         if self.at(enclosing) and self.at_ident() and self.at("(", 1):
             self.advance()
-            return self._finish_method("constructor_declaration", lo)
+            return self._finish_method("constructor_declaration", lo, type_params)
         type_text = self._parse_type()
         self.expect_ident("member name")
         if self.at("("):
-            return self._finish_method("method_declaration", lo)
+            return self._finish_method("method_declaration", lo, type_params)
         self.i -= 1  # the declarators start at the name just read
         return self._parse_declarators("field_declaration", lo, type_text, "field name")
 
-    def _finish_method(self, kind: str, lo: int) -> Node:
+    def _finish_method(self, kind: str, lo: int, type_params: list[str]) -> Node:
         name_tok = self.i - 1  # the cursor is just past the name
         params = self._parse_params()
         self._skip_dims()
@@ -466,7 +488,13 @@ class _Parser:
                 self._consume_expression()
             self.expect(";")
         name = self.values[name_tok]
-        props = {"name": name, "params": params, "body": body, "name_tok": name_tok}
+        props = {
+            "name": name,
+            "params": params,
+            "body": body,
+            "name_tok": name_tok,
+            "type_params": type_params,
+        }
         return Node(kind, lo, self.i, [body] if body else [], props)
 
     def _parse_params(self) -> list[tuple[str, str]]:
@@ -789,25 +817,20 @@ def _shift(node: Node, dt: int) -> None:
                 d["init"] = (lo + dt, hi + dt)
 
 
-def _reusable(old: SyntaxTree, edits: list[Edit], tokens: Tokens) -> _Reusable:
-    """The top-level types and type-body members of ``old`` that no edit
-    comes near, keyed by where their first token is in ``tokens``."""
-    shifts = [(e.span.start, e.span.end, len(e.replacement) - len(e.span)) for e in edits]
+def _reusable(old: SyntaxTree, tokens: Tokens) -> _Reusable:
+    """The top-level types and type-body members of ``old`` whose tokens
+    the lexer kept in one run, keyed by where their first token is now."""
     out: _Reusable = {}
-    starts, ends = tokens.starts, tokens.ends
 
     def visit(enclosing: Optional[str], members: list[Node]) -> None:
         for node in members:
-            lo, hi = old.tokens.starts[node.tok_lo], old.tokens.ends[node.tok_hi - 1]
-            if any(s <= hi + _LOOKAHEAD and e + _LOOKAHEAD >= lo for s, e, _ in shifts):
+            for lo, hi, at in tokens.kept:
+                if lo <= node.tok_lo and node.tok_hi <= hi:
+                    out[(node.tok_lo + at - lo, enclosing)] = (node, at - lo)
+                    break
+            else:
                 if node.kind in TYPE_DECLS:
                     visit(node.props["name"], node.children)
-                continue
-            db = sum(d for _, e, d in shifts if e < lo)
-            k = bisect_left(starts, lo + db)
-            last = k + node.tok_hi - node.tok_lo - 1
-            if last < len(starts) and starts[k] - lo == ends[last] - hi == db:
-                out[(k, enclosing)] = (node, k - node.tok_lo)
 
     visit(None, old.root.children)
     return out
@@ -830,7 +853,7 @@ def parse_java_source(
             tokens, reusable = tokenize(data), {}
         else:
             tokens = tokenize(data, (previous[0].tokens, previous[1]))
-            reusable = _reusable(*previous, tokens)
+            reusable = _reusable(previous[0], tokens)
         root = _Parser(data, tokens, reusable).parse_compilation_unit()
         return SyntaxTree(data, tokens, root)
 

@@ -8,6 +8,8 @@ private static holder class stashed on the view via setTag/getTag.
 
 from __future__ import annotations
 
+import re
+
 from ..java.parser import Node, SyntaxTree
 from ..spans import Edit, SourceSpan
 from .base import RuleId, RuleResult
@@ -28,6 +30,9 @@ from .javautil import (
 
 HOLDER_BASE_NAME = "ViewHolderItem"
 HOLDER_VAR = "viewHolderItem"
+# Why a fix is declined when a cached local's type names a type parameter.
+TYPE_PARAMETER = "the local's type names a type parameter, which a static holder cannot refer to"
+_NAME = re.compile(r"[\w$]+")
 
 
 def _already_optimized(tree: SyntaxTree, body: Node, convert_view: str) -> bool:
@@ -75,6 +80,17 @@ def _collect_cached_views(
     return cached
 
 
+def _type_parameters_in_scope(tree: SyntaxTree, method: Node) -> set[str]:
+    """The type parameters of ``method`` and of every declaration around it:
+    none is in scope in the static holder class."""
+    names: set[str] = set()
+    node = tree.root
+    while node is not method:
+        node = next(c for c in node.children if c.tok_lo <= method.tok_lo < c.tok_hi)
+        names.update(node.props.get("type_params", ()))
+    return names
+
+
 def _holder_name(taken: set[str]) -> str:
     if HOLDER_BASE_NAME not in taken:
         return HOLDER_BASE_NAME
@@ -114,6 +130,10 @@ def apply_view_holder(tree: SyntaxTree, path: str = "") -> RuleResult:
         reason = "" if fits else SHARED_LINE
         if any(stmt.props["type"] == "var" for stmt, _ in cached):
             reason = VAR_LOCAL
+        elif _type_parameters_in_scope(tree, method).intersection(
+            _NAME.findall(" ".join(stmt.props["type"] for stmt, _ in cached))
+        ):
+            reason = TYPE_PARAMETER
         message = (
             "getView() inflates its row layout and calls findViewById() "
             "on every call; cache the looked-up views in a holder"

@@ -67,10 +67,15 @@ def lexer_matches(monkeypatch) -> list[int]:
     pattern = lexer._TOKEN
 
     class Counting:
-        def findall(self, text: str, pos: int, endpos: int):
-            found = pattern.findall(text, pos, endpos)
+        def findall(self, text: str):
+            found = pattern.findall(text)
             count[0] += len(found)
             return found
+
+        def finditer(self, text: str, pos: int):
+            for m in pattern.finditer(text, pos):
+                count[0] += 1
+                yield m
 
     monkeypatch.setattr(lexer, "_TOKEN", Counting())
     return count

@@ -8,7 +8,7 @@ import json
 from greenlint.engine import ProjectReport, RuleCount
 from greenlint.java.lexer import tokenize
 from greenlint.java.parser import Node, SyntaxTree
-from greenlint.report import CorpusSummary, RuleSummary
+from greenlint.report import CSV_HEADER, Row
 from greenlint.rules import RuleId
 from greenlint.spans import SourceSpan
 
@@ -54,16 +54,11 @@ def make_report(refactorings: dict[RuleId, int]) -> ProjectReport:
     return ProjectReport(counts)
 
 
-def parse_summary(data: bytes) -> CorpusSummary:
-    """Inverse of emit(..., 'json') for round-trip checks."""
+def parse_summary(data: bytes) -> tuple[list[Row], int]:
+    """Inverse of emit(rows, 'json', corpus_size) for round-trip checks."""
     payload = json.loads(data.decode("utf-8"))
-    rows = {
-        entry["rule"]: RuleSummary(
-            entry["rule"], entry["total_refactorings"], entry["total_projects"]
-        )
-        for entry in payload
-    }
-    return CorpusSummary(payload[0]["corpus_size"], rows)
+    keys = CSV_HEADER.split(",")
+    return [tuple(entry[k] for k in keys) for entry in payload], payload[0]["corpus_size"]
 
 
 def tree_shape(tree: SyntaxTree) -> list[tuple]:

@@ -714,7 +714,8 @@ def test_verification_lexes_only_around_the_edits(tmp_path, monkeypatch, lexer_m
     assert matches[1] < 0.1 * matches[0]
 
 
-def test_verification_parses_only_the_edited_members(tmp_path, monkeypatch):
+def _members_per_pass(monkeypatch) -> list[int]:
+    """How many type-body members each Java parse from here on parses."""
     calls = [0]
     real_member = parser._Parser._parse_member
 
@@ -723,12 +724,34 @@ def test_verification_parses_only_the_edited_members(tmp_path, monkeypatch):
         return real_member(self, enclosing)
 
     monkeypatch.setattr(parser._Parser, "_parse_member", counting)
-    members = _per_pass(monkeypatch, calls)
+    return _per_pass(monkeypatch, calls)
+
+
+def test_verification_parses_only_the_edited_members(tmp_path, monkeypatch):
+    members = _members_per_pass(monkeypatch)
     _write(tmp_path, "Big.java", _big_source().encode())
     report, _ = run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX))
     assert report.rule_counts[RuleId.RECYCLE].fixed == 1
     assert len(members) == 2
     assert members[1] < 0.1 * members[0]
+
+
+def test_verification_reuses_the_member_before_a_field_inserted_after_it(tmp_path, monkeypatch):
+    # The field goes on the line after `a`'s `}`, two bytes (CRLF) past it:
+    # `a` is reused, and only the new field and the edited onDraw are parsed.
+    members = _members_per_pass(monkeypatch)
+    source = (
+        "class V extends View {\r\n"
+        "    void a() {\r\n    }\r\n"
+        "    @Override\r\n    protected void onDraw(Canvas canvas) {\r\n"
+        "        Rect r = new Rect(0, 0, 1, 1);\r\n"
+        "        canvas.drawRect(r, paint);\r\n    }\r\n"
+        "}\r\n"
+    )
+    _write(tmp_path, "V.java", source.encode())
+    report, _ = run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX))
+    assert report.rule_counts[RuleId.DRAW_ALLOCATION].fixed == 1
+    assert members == [2, 2]
 
 
 @pytest.mark.parametrize(

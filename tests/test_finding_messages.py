@@ -20,6 +20,9 @@ from conftest import parse_java, parse_xml
 NO_FIX = ", so no automatic fix is applied"
 SHARED = "; other code shares the line where the fix would go" + NO_FIX
 VAR_LOCAL = "; the local is declared 'var', which a field cannot be" + NO_FIX
+TYPE_PARAMETER = (
+    "; the local's type names a type parameter, which a static holder cannot refer to" + NO_FIX
+)
 
 RECYCLE = "'{name}' ({type}) is obtained but never released with {release}()"
 TYPED_ARRAY = RECYCLE.format(name="a", type="TypedArray", release="recycle")
@@ -204,6 +207,13 @@ CASES = {
         apply_view_holder,
         _adapter(" {\n        ").replace("TextView t =", "var t ="),
         [(VIEW_HOLDER + VAR_LOCAL, False, (47, 54))],
+    ),
+    "view-holder-type-parameter": (
+        apply_view_holder,
+        _adapter(" {\n        ")
+        .replace("class Ad ", "class Ad<V extends TextView> ")
+        .replace("TextView t = (TextView)", "V t = (V)"),
+        [(VIEW_HOLDER + TYPE_PARAMETER, False, (67, 74))],
     ),
 }
 

@@ -155,6 +155,20 @@ def test_declarator_names(source, names):
 
 
 @pytest.mark.parametrize(
+    "source,names",
+    [
+        (b"class A<K, T extends Comparable<K> & a.b.C, @X U> {}", ["K", "T", "U"]),
+        (b"class A { <E extends Map<K, V>> E f() { return null; } }", ["E"]),
+        (b"class A { <E> A(E e) {} }", ["E"]),
+        (b"class A extends B<T> implements C<U> { List<V> f() { return null; } }", []),
+    ],
+)
+def test_type_parameter_names(source, names):
+    tree = parse_java(source)
+    assert [p for n in tree.root.walk() for p in n.props.get("type_params", ())] == names
+
+
+@pytest.mark.parametrize(
     "statement,column",
     [
         (b"x = ;", 26),

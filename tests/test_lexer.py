@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from greenlint.diagnostics import ParseError
-from greenlint.java import lexer
 from greenlint.java.lexer import tokenize
 from greenlint.java.parser import parse_java_source
 from greenlint.spans import Edit, apply_edit_set
@@ -143,6 +142,12 @@ SPLICE_CASES = [
     (b"ab", [(2, 2, b"c"), (2, 2, b"d"), (0, 0, b"z")]),
     (b"class A { int x; }", [(0, 18, b"")]),
     (b"f(1e5);", [(4, 4, b"+"), (3, 3, b"e")]),
+    # Deleting the `/*` uncovers a token that the re-lex must read whole.
+    (b"a /* /* c */ */ b;", [(2, 4, b"")]),
+    (b'a /* """\n t """ */ b;', [(2, 4, b"")]),
+    (b'a /* "s" */ b;', [(2, 4, b"")]),
+    (b"a /* x...y */ b;", [(2, 4, b"")]),
+    ("a /* \u00e9_n */ b;".encode(), [(2, 4, b"")]),
 ]
 
 
@@ -164,29 +169,6 @@ def test_window_running_into_the_next_edit_resyncs_after_it(lexer_matches):
     lexer_matches[0] = 0
     assert _fields(new, previous) == full
     assert lexer_matches[0] < 10
-
-
-@pytest.mark.parametrize(
-    "construct, cut",
-    [
-        (b"/* comment */", 5),
-        (b'"""\n text block """', 6),
-        (b'"a string"', 4),
-        (b"x...y", 3),  # between `..` and `.`
-        ("\u00e9_name".encode(), 1),  # between the two bytes of the é
-    ],
-    ids=["block-comment", "text-block", "string", "dot-dot-dot", "utf8-identifier"],
-)
-def test_window_ending_inside_a_token_equals_a_full_scan(construct: bytes, cut: int):
-    # The old text hides `construct` in a comment, so deleting the `/*`
-    # leaves no old token end to resync on before it, and the first window,
-    # which reaches _WINDOW bytes past the edit, ends `cut` bytes into it.
-    old = b"a /*" + b" " * (lexer._WINDOW - cut) + construct + b" */ b c d;"
-    edits = [Edit.delete(2, 4)]
-    new = apply_edit_set(old, edits)
-    assert new.index(construct) + cut == 2 + lexer._WINDOW
-    spliced = _outcome(lambda data: _fields(data, (tokenize(old), edits)), new)
-    assert spliced == _outcome(_fields, new) == _outcome(tokenize_reference, new)
 
 
 # Bytes that open, close or extend a token, so that an edit can change how

@@ -96,6 +96,7 @@ def test_corpus_in_a_fresh_process(project, tmp_path, fmt):
         rows = {row["rule"]: row for row in json.loads(text)}
         assert rows["Recycle"]["incidence_per_project"] == "1.0"
         assert rows["Any"]["percentage_of_projects"] == 100
+        assert rows["Any"]["corpus_size"] == 1
 
 
 def test_check_json_in_a_fresh_process(project):

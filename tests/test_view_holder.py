@@ -124,3 +124,39 @@ def test_crlf_input_keeps_crlf_line_endings(golden):
     _, fixed = fix_java(apply_view_holder, before.replace(b"\n", b"\r\n"))
     assert b"\r\r" not in fixed
     assert fixed == after.replace(b"\n", b"\r\n")
+
+
+@pytest.mark.parametrize(
+    "header, local_types, fixable",
+    [
+        ("class A<T extends TextView> extends BaseAdapter {", ["T"], False),
+        ("class A<T extends TextView> extends BaseAdapter {", ["TextView", "T"], False),
+        ("class A<K, T extends Comparable<K> & View> extends BaseAdapter {", ["T"], False),
+        ("class A<T> extends ArrayAdapter<T> {", ["List<T>"], False),
+        ("class O<T> {\n    class A extends BaseAdapter {", ["T[]"], False),
+        # bounds, type arguments and out-of-scope type parameters name classes
+        ("class A<T extends TextView> extends BaseAdapter {", ["TextView"], True),
+        ("class A<T extends android.widget.TextView> extends BaseAdapter {", ["TextView"], True),
+        ("class A extends ArrayAdapter<T> {", ["T"], True),
+        ("class A extends BaseAdapter {\n    <T> T id(T t) { return t; }", ["T"], True),
+    ],
+)
+def test_holder_field_never_names_a_type_parameter(header, local_types, fixable):
+    # The holder class is static, so javac rejects a field whose type names
+    # a type parameter of the enclosing class or method.
+    lookups = "".join(
+        f"        {t} v{i} = ({t}) convertView.findViewById(R.id.name);\n"
+        for i, t in enumerate(local_types)
+    )
+    source = (
+        f"{header}\n"
+        "    public View getView(int pos, View convertView, ViewGroup parent) {\n"
+        "        convertView = inf.inflate(R.layout.row, parent, false);\n"
+        f"{lookups}"
+        "        return convertView;\n"
+        "    }\n"
+        + "}\n" * (header.count("{") - header.count("}"))
+    ).encode()
+    result = apply_view_holder(parse_java(source))
+    assert [f.fixable for f in result.findings] == [fixable]
+    assert bool(result.edits) == fixable
