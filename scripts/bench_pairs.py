@@ -18,9 +18,10 @@ three times in each checkout on the workload's first seed, alternated as
 above, and every per-layer metric of ``BENCHMARK.json`` is printed with
 both sides' medians and how many traced pairs the change won, to show where
 a difference comes from; one traced run per side is too few, as host noise
-can move every layer at once. Last comes each checkout's ``src/`` size, the line
-count of every ``.py`` file under it, and the difference. It changes
-nothing under either checkout's ``bench/``.
+can move every layer at once; a last row sums the ``rules.*.s`` medians of
+each side. Last comes each checkout's ``src/`` size, the line count of
+every ``.py`` file under it, and the difference. It changes nothing under
+either checkout's ``bench/``.
 """
 
 from __future__ import annotations
@@ -92,16 +93,27 @@ def format_summary(s: dict) -> str:
 def format_layers(pairs: list[tuple[dict, dict]], per_layer: list[dict]) -> list[str]:
     """One line per ``per_layer`` metric (``BENCHMARK.json`` entries): its
     median over the parent's and the change's traced results, the change,
-    and how many of the traced pairs the change won."""
+    and how many of the traced pairs the change won. If there are
+    ``rules.<rule>.s`` metrics, a last line sums their medians per side:
+    work shared by the rules, such as listing a tree's methods, is paid by
+    whichever rule asks first, so it can move from one rule's row to
+    another's."""
+
+    def row(name: str, unit: str, p: float, c: float) -> str:
+        share = f"{(c - p) / abs(p):+.1%}" if p else "-"
+        return f"  {name:40s} {unit:5s} parent {p:14.6f}  change {c:14.6f}  {share}"
+
     lines = []
+    rules = []  # (parent, change) medians of the rules.<rule>.s metrics
     for metric in per_layer:
         s = summarize(pairs, metric)
         p, c = s["parent"][1], s["change"][1]
-        share = f"{(c - p) / abs(p):+.1%}" if p else "-"
-        lines.append(
-            f"  {s['name']:40s} {s['unit']:5s} parent {p:14.6f}  change {c:14.6f}  {share}"
-            f"  won {s['wins']}/{s['pairs']}"
-        )
+        lines.append(row(s["name"], s["unit"], p, c) + f"  won {s['wins']}/{s['pairs']}")
+        name = s["name"].split(".")
+        if len(name) == 3 and name[0] == "rules" and name[2] == "s":
+            rules.append((p, c))
+    if rules:
+        lines.append(row("rules.*.s, sum of medians", "s", *map(sum, zip(*rules))))
     return lines
 
 

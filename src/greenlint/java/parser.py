@@ -159,7 +159,7 @@ class Node:
 
 
 class SyntaxTree:
-    __slots__ = ("data", "tokens", "root", "methods")
+    __slots__ = ("data", "tokens", "root", "methods", "indent", "eol")
 
     def __init__(self, data: bytes, tokens: Tokens, root: Node):
         self.data = data
@@ -167,6 +167,9 @@ class SyntaxTree:
         self.root = root
         # (owner, method) pairs, filled once by `rules.javautil.methods_of`
         self.methods: Optional[tuple[tuple[Node, Node], ...]] = None
+        # indent step and line end, each found once by `rules.javautil`
+        self.indent: Optional[str] = None
+        self.eol: Optional[str] = None
 
     def span_of(self, node: Node) -> SourceSpan:
         if node.kind == "compilation_unit":

@@ -178,7 +178,7 @@ def apply_draw_allocation(tree: SyntaxTree, path: str = "") -> RuleResult:
             stmt_span = tree.span_of(stmt)
             si = line_indent(data, stmt_span.start)
             field_lines = reindent(mi + tree.text_of(stmt_span), si, mi)
-            result.edits.append(insert_lines(data, insert_at, field_lines))
+            result.edits.append(insert_lines(tree, insert_at, field_lines))
 
             # remove the local declaration, taking its whole line when the
             # statement is alone on it

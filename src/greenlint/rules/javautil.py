@@ -24,6 +24,13 @@ def dominant_eol(data: bytes) -> bytes:
     return b"\r\n" if crlf > lf else b"\n"
 
 
+def file_eol(tree: SyntaxTree) -> str:
+    """The dominant line end of the tree's file, found once per tree."""
+    if tree.eol is None:
+        tree.eol = dominant_eol(tree.data).decode()
+    return tree.eol
+
+
 def line_start(data: bytes, offset: int) -> int:
     return data.rfind(b"\n", 0, offset) + 1
 
@@ -142,10 +149,10 @@ def _could_be_constant(tokens: Tokens, lo: int, hi: int, assigned: set[str]) -> 
     return True
 
 
-def insert_lines(data: bytes, offset: int, lines: list[str]) -> Edit:
+def insert_lines(tree: SyntaxTree, offset: int, lines: list[str]) -> Edit:
     """An edit inserting ``lines`` at ``offset``, each ended with the
-    dominant line end of ``data``."""
-    eol = dominant_eol(data).decode()
+    dominant line end of the tree's file."""
+    eol = file_eol(tree)
     return Edit.insert(offset, (eol.join(lines) + eol).encode())
 
 
@@ -170,19 +177,27 @@ def reindent(text: str, old_indent: str, new_indent: str) -> list[str]:
     return out
 
 
-# A line's indent when something other than `*` follows it. `re` compiles it
-# on first use, so a run with no Recycle or WakeLock fix never does.
-_INDENT = rb"^[ \t]+(?=[^ \t\n*])"
+# The indent after a `\n` when neither `*` nor a line end follows it; the
+# literal `\n` lets `re` skip from line to line. `re` compiles it on first
+# use, so a run with no Recycle or WakeLock fix never does.
+_INDENT = rb"\n([ \t]+)(?=[^ \t\r\n*])"
 
 
 def indent_unit(data: bytes) -> bytes:
     """Best-effort indentation step: the smallest nonzero line indent.
 
     Lines starting with ``*`` are skipped: they continue a block comment and
-    sit one space in, whatever the code's step. Blank lines are skipped too.
+    sit one space in, whatever the code's step. So are whitespace-only lines.
     """
-    found = re.findall(_INDENT, data, re.MULTILINE)
+    found = re.findall(_INDENT, b"\n" + data)
     return min(found, key=len) if found else b"    "
+
+
+def file_indent(tree: SyntaxTree) -> str:
+    """The indentation step of the tree's file, found once per tree."""
+    if tree.indent is None:
+        tree.indent = indent_unit(tree.data).decode()
+    return tree.indent
 
 
 class Invocation:
@@ -309,24 +324,27 @@ def has_signature(method: Node, name: str, param_types: tuple[str, ...]) -> bool
 
 
 OWNER_KINDS = TYPE_DECLS | {"anonymous_class_body"}
+_METHOD_KINDS = frozenset(("method_declaration", "constructor_declaration"))
 
 
 def methods_of(tree: SyntaxTree) -> tuple[tuple[Node, Node], ...]:
     """(enclosing class-body-owner, method) pairs for every method with a body.
 
     The owner is the class/interface/enum/anonymous-body node whose member
-    list directly contains the method. The pairs are found once per tree,
-    and every rule reads the same tuple.
+    list directly contains the method. One stack loop finds the pairs once
+    per tree, in preorder of the owners; every rule reads the same tuple.
     """
     if tree.methods is None:
-        tree.methods = tuple(
-            (owner, child)
-            for owner in tree.root.walk()
-            if owner.kind in OWNER_KINDS
-            for child in owner.children
-            if child.kind in ("method_declaration", "constructor_declaration")
-            and child.props.get("body") is not None
-        )
+        pairs = []
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            if node.kind in OWNER_KINDS:
+                for child in node.children:
+                    if child.kind in _METHOD_KINDS and child.props.get("body") is not None:
+                        pairs.append((node, child))
+            stack += [c for c in reversed(node.children) if c.children]  # leaves hold none
+        tree.methods = tuple(pairs)
     return tree.methods
 
 
@@ -340,7 +358,7 @@ def class_fields(members: list[Node]) -> dict[str, Node]:
     return fields
 
 
-_NAMED_KINDS = TYPE_DECLS | {"method_declaration", "constructor_declaration"}
+_NAMED_KINDS = TYPE_DECLS | _METHOD_KINDS
 
 
 def member_names(owner: Node) -> set[str]:

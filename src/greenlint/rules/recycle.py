@@ -12,7 +12,9 @@ resource's (declared otherwise, or `var` with a cast or a `?:`), escaping
 resources (returned, aliased, or passed onward), resources that such a
 trailing return or throw still uses, resources that an earlier exit
 could leave unreleased, and blocks that end in an endless loop are
-reported but never rewritten.
+reported but never rewritten. A method whose body tokens hold no factory
+name is skipped before its blocks are walked: a factory call's name token
+lies in the body of the method that declares its local.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from .javautil import (
     OWNER_KINDS,
     Invocation,
     base_type_name,
+    file_indent,
     find_invocations,
     guarded_release,
-    indent_unit,
     initialized_local,
     insert_lines,
     line_indent,
@@ -209,9 +211,13 @@ def _blocks(body: Node) -> Iterator[Node]:
 def apply_recycle(tree: SyntaxTree, path: str = "") -> RuleResult:
     result = RuleResult()
     data = tree.data
+    names = {f.method for f in DEFAULT_FACTORIES}
 
     for _, method in methods_of(tree):
-        for block in _blocks(method.props["body"]):
+        body = method.props["body"]
+        if names.isdisjoint(tree.tokens.values[body.tok_lo : body.tok_hi]):
+            continue
+        for block in _blocks(body):
             for stmt in block.children:
                 decl = initialized_local(stmt)
                 if decl is None:
@@ -244,9 +250,8 @@ def apply_recycle(tree: SyntaxTree, path: str = "") -> RuleResult:
                     continue
 
                 si = line_indent(data, tree.span_of(stmt).start)
-                unit = indent_unit(data).decode()
                 release = f"{name}.{factory.release}()"
-                lines = guarded_release(si, unit, f"{name} != null", release)
-                result.edits.append(insert_lines(data, insert_at, lines))
+                lines = guarded_release(si, file_indent(tree), f"{name} != null", release)
+                result.edits.append(insert_lines(tree, insert_at, lines))
 
     return result

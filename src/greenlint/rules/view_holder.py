@@ -16,7 +16,7 @@ from .base import RuleId, RuleResult
 from .javautil import (
     SHARED_LINE,
     VAR_LOCAL,
-    dominant_eol,
+    file_eol,
     find_invocations,
     has_signature,
     initialized_local,
@@ -158,7 +158,7 @@ def apply_view_holder(tree: SyntaxTree, path: str = "") -> RuleResult:
             field = f"private {stmt.props['type']} {decl['name']};"
             holder_lines.append(f"{mi}{unit}{field}")
         holder_lines += [f"{mi}}}", ""]
-        result.edits.append(insert_lines(data, holder_at, holder_lines))
+        result.edits.append(insert_lines(tree, holder_at, holder_lines))
 
         # rebuild the inflate + lookup block as the null-guarded holder block;
         # reindent leaves a text's first line alone, so it takes the prefix
@@ -181,7 +181,7 @@ def apply_view_holder(tree: SyntaxTree, path: str = "") -> RuleResult:
             # modifiers, type and name, e.g. "final TextView t"
             head = data[tree.span_of(stmt).start : toks.ends[decl["name_tok"]]].decode()
             lines += reindent(f"{si}{head} = {HOLDER_VAR}.{decl['name']};", si, si)
-        block_text = dominant_eol(data).decode().join(lines)
+        block_text = file_eol(tree).join(lines)
 
         region_end = tree.span_of(cached[-1][0]).end
         result.edits.append(Edit.replace(region_start, region_end, block_text.encode()))

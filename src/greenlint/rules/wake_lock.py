@@ -4,7 +4,9 @@ A lock acquired on an Activity field and never released in onPause keeps
 the device awake after the app backgrounds. The fix appends an onPause
 override (or extends an existing one) with a release guarded by
 `wl != null && wl.isHeld()`: releasing a reference-counted lock that is not
-held throws, so the release runs only while the lock is held.
+held throws, so the release runs only while the lock is held. Findings
+come only from `acquire` calls in an activity's lifecycle methods, so an
+activity class whose tokens hold no `acquire` is skipped.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from .javautil import (
     base_type_name,
     class_fields,
     declared_locals,
+    file_indent,
     find_invocations,
     guarded_release,
-    indent_unit,
     insert_lines,
     line_indent,
     methods_of,
@@ -61,10 +63,11 @@ def _method_named(owner: Node, name: str) -> Optional[Node]:
 def apply_wake_lock(tree: SyntaxTree, path: str = "") -> RuleResult:
     result = RuleResult()
     data = tree.data
+    values = tree.tokens.values
 
     # Only a class with a lifecycle method can need a release.
     for owner in dict.fromkeys(owner for owner, _ in methods_of(tree)):
-        if not _is_activity_class(owner):
+        if not _is_activity_class(owner) or "acquire" not in values[owner.tok_lo : owner.tok_hi]:
             continue
         wl_fields = _wake_lock_fields(owner)
         lifecycle = [
@@ -135,7 +138,7 @@ def apply_wake_lock(tree: SyntaxTree, path: str = "") -> RuleResult:
         if not pending_release:
             continue
 
-        unit = indent_unit(data).decode()
+        unit = file_indent(tree)
         head: list[str] = []
         tail: list[str] = []
         if on_pause is None:
@@ -158,7 +161,7 @@ def apply_wake_lock(tree: SyntaxTree, path: str = "") -> RuleResult:
         for f in pending_release:
             guard = f"{f} != null && {f}.isHeld()"
             releases += guarded_release(si, unit, guard, f"{f}.release()")
-        result.edits.append(insert_lines(data, insert_at, head + releases + tail))
+        result.edits.append(insert_lines(tree, insert_at, head + releases + tail))
 
     return result
 

@@ -79,3 +79,31 @@ def lexer_matches(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(lexer, "_TOKEN", Counting())
     return count
+
+
+@pytest.fixture
+def file_facts(monkeypatch) -> dict[str, int]:
+    """Counts, from here on, the runs of the Java rules' indent regex
+    ("indent") and of their line-end count ("eol") over a file's bytes."""
+    import re
+
+    from greenlint.rules import javautil
+
+    count = {"indent": 0, "eol": 0}
+    dominant_eol = javautil.dominant_eol
+
+    class CountingRe:
+        def __getattr__(self, name: str):
+            return getattr(re, name)
+
+        def findall(self, pattern, data, flags=0):
+            count["indent"] += pattern == javautil._INDENT
+            return re.findall(pattern, data, flags)
+
+    def counting_eol(data: bytes) -> bytes:
+        count["eol"] += 1
+        return dominant_eol(data)
+
+    monkeypatch.setattr(javautil, "re", CountingRe())
+    monkeypatch.setattr(javautil, "dominant_eol", counting_eol)
+    return count

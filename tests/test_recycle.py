@@ -346,3 +346,89 @@ def test_only_a_local_of_the_resource_type_is_released(stmt, fixable):
     assert (b"a.recycle();" in fixed) is fixable
     if not fixable:
         assert "its type is not known to be" in result.findings[0].message
+
+
+# Recycle reads only the methods whose body tokens hold a factory name; a
+# method without one cannot declare a local whose value is a factory call.
+
+
+def _blocks_reached(monkeypatch) -> list:
+    """The method bodies that ``recycle._blocks`` walks from here on."""
+    reached: list = []
+    walk = recycle._blocks
+
+    def counting(body):
+        reached.append(body)
+        return walk(body)
+
+    monkeypatch.setattr(recycle, "_blocks", counting)
+    return reached
+
+
+def test_only_the_method_holding_a_factory_name_is_walked(monkeypatch):
+    clean = "".join(
+        f"    int clean{i}(int x) {{\n        int y = x + {i};\n"
+        f"        if (y > 0) {{\n            y--;\n        }}\n        return y;\n    }}\n"
+        for i in range(6)
+    )
+    smelly = (
+        "    void smelly(Db db) {\n"
+        '        Cursor c = db.query("t");\n'
+        "        c.moveToFirst();\n"
+        "    }\n"
+    )
+    source = f"class C {{\n{clean[: len(clean) // 2]}{smelly}{clean[len(clean) // 2 :]}}}\n"
+    tree = parse_java(source.encode())
+    reached = _blocks_reached(monkeypatch)
+    result = apply_recycle(tree)
+    assert [tree.text_of(body) for body in reached] == [
+        '{\n        Cursor c = db.query("t");\n        c.moveToFirst();\n    }'
+    ]
+    assert [(f.span.start, f.fixable) for f in result.findings] == [
+        (source.index("db.query"), True)
+    ]
+
+
+def test_a_factory_call_in_an_anonymous_class_method_is_still_fixed(monkeypatch):
+    # The outer method's tokens hold the call too, but only the anonymous
+    # class's own method declares the local.
+    source = (
+        "class C {\n"
+        "    void clean() {\n        step();\n    }\n"
+        "    void m(Db db) {\n"
+        "        Runnable r = new Runnable() {\n"
+        "            public void run() {\n"
+        '                Cursor c = db.query("z");\n'
+        "                c.moveToFirst();\n"
+        "            }\n"
+        "        };\n"
+        "        r.run();\n"
+        "    }\n"
+        "}\n"
+    )
+    reached = _blocks_reached(monkeypatch)
+    result, fixed = fix_java(apply_recycle, source.encode())
+    assert len(reached) == 2  # m and run, not clean
+    assert [(f.span.start, f.fixable) for f in result.findings] == [
+        (source.index("db.query"), True)
+    ]
+    release = (
+        "                if (c != null) {\n"
+        "                    c.close();\n"
+        "                }\n"
+    )
+    assert fixed == source.replace("c.moveToFirst();\n", "c.moveToFirst();\n" + release).encode()
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "int query = 0; query++; use(query);",
+        "String obtain = name(); Object rawQuery = obtain;",
+        "Cursor c = query; c.moveToFirst();",
+    ],
+)
+def test_a_factory_name_used_as_a_plain_identifier_is_not_reported(body):
+    result, fixed = fix_java(apply_recycle, _method(body))
+    assert result.findings == [] and result.edits == []
+    assert fixed == _method(body)

@@ -194,3 +194,35 @@ def test_bench_pairs_prints_per_layer_metrics_side_by_side():
          "won", "0/3"],
         ["report.emit.s", "s", "parent", "0.000000", "change", "0.000000", "-", "won", "0/3"],
     ]
+
+
+def test_bench_pairs_sums_the_rule_time_medians_per_side():
+    bp = _bench_pairs()
+    per_layer = [
+        {"name": "rules.ViewHolder.s", "unit": "s", "better": "lower"},
+        {"name": "rules.ViewHolder.calls", "unit": "count", "better": "lower"},
+        {"name": "rules.Recycle.s", "unit": "s", "better": "lower"},
+    ]
+
+    def result(view_holder_s: float, recycle_s: float) -> dict:
+        values = {
+            "rules.ViewHolder.s": view_holder_s,
+            "rules.ViewHolder.calls": 15,
+            "rules.Recycle.s": recycle_s,
+        }
+        metrics = {name: {"value": v, "unit": "-"} for name, v in values.items()}
+        return {"correct": True, "attempted": 8, "failed": 0, "metrics": metrics}
+
+    # work shared by the rules moved from Recycle's row to ViewHolder's
+    pairs = [
+        (result(0.010, 0.030), result(0.012, 0.008)),
+        (result(0.011, 0.032), result(0.013, 0.009)),
+        (result(0.009, 0.031), result(0.011, 0.010)),
+    ]
+    rows = [row.split() for row in bp.format_layers(pairs, per_layer)]
+    assert [row[0] for row in rows[:3]] == [m["name"] for m in per_layer]
+    # medians 0.010 + 0.031 against 0.012 + 0.009; calls are no time
+    assert rows[3] == [
+        "rules.*.s,", "sum", "of", "medians", "s", "parent", "0.041000", "change", "0.021000",
+        "-48.8%",
+    ]

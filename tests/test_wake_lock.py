@@ -1,7 +1,10 @@
 import pytest
 
 from greenlint.rules.base import RuleId
+from greenlint.rules.draw_allocation import apply_draw_allocation
 from greenlint.rules.javautil import indent_unit
+from greenlint.rules.recycle import apply_recycle
+from greenlint.rules.view_holder import apply_view_holder
 from greenlint.rules.wake_lock import apply_wake_lock
 
 from conftest import fix_java, parse_java
@@ -121,6 +124,79 @@ def test_javadoc_continuation_lines_do_not_set_the_indent_unit(golden):
     assert indent_unit(javadoc + before) == b"    "
     _, fixed = fix_java(apply_wake_lock, javadoc + before)
     assert fixed == javadoc + after
+
+
+@pytest.mark.parametrize("eol", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+def test_whitespace_only_lines_do_not_set_the_indent_unit(golden, eol):
+    before, after = golden("wake_lock")
+    field = b"    private WakeLock wl;\n"
+    before, after = (
+        text.replace(field, field + b"  \n").replace(b"\n", eol) for text in (before, after)
+    )
+    assert indent_unit(before) == b"    "
+    assert indent_unit(b"  first();" + eol + b"    second();" + eol) == b"  "
+    _, fixed = fix_java(apply_wake_lock, before)
+    assert fixed == after
+
+
+def test_acquire_only_in_an_anonymous_runnable_in_on_create():
+    # The Runnable's `run` is a method of its own, outside the lifecycle,
+    # but the acquire() lies in onCreate's body, which the rule scans.
+    source = (
+        b"public class A extends Activity {\n"
+        b"    private WakeLock wl;\n"
+        b"\n"
+        b"    @Override\n"
+        b"    protected void onCreate(Bundle b) {\n"
+        b"        handler.post(new Runnable() {\n"
+        b"            public void run() {\n"
+        b"                wl.acquire();\n"
+        b"            }\n"
+        b"        });\n"
+        b"    }\n"
+        b"}\n"
+    )
+    result, fixed = fix_java(apply_wake_lock, source)
+    assert [(f.span.start, f.fixable) for f in result.findings] == [
+        (source.index(b"wl.acquire"), True)
+    ]
+    assert fixed == source[: -len(b"}\n")] + (
+        b"\n"
+        b"    @Override\n"
+        b"    protected void onPause() {\n"
+        b"        super.onPause();\n"
+        b"        if (wl != null && wl.isHeld()) {\n"
+        b"            wl.release();\n"
+        b"        }\n"
+        b"    }\n"
+        b"}\n"
+    )
+
+
+def test_indent_and_line_end_are_found_once_per_tree(file_facts):
+    recycles = "".join(
+        f"    void r{i}(Db db) {{\n"
+        f'        Cursor c = db.query("t{i}");\n'
+        "        c.moveToFirst();\n"
+        "    }\n"
+        for i in range(3)
+    )
+    source = (
+        "public class A extends Activity {\n"
+        "    private WakeLock wl;\n"
+        "    protected void onCreate(Bundle b) {\n"
+        "        wl.acquire();\n"
+        "    }\n" + recycles + "}\n"
+    ).encode()
+    tree = parse_java(source)
+    edits = apply_recycle(tree).edits + apply_wake_lock(tree).edits
+    assert len(edits) == 4
+    assert file_facts == {"indent": 1, "eol": 1}
+    # a tree with no fix finds neither
+    clean = parse_java(source.replace(b"acquire", b"toString").replace(b"query", b"q"))
+    for rule in (apply_view_holder, apply_draw_allocation, apply_wake_lock, apply_recycle):
+        assert rule(clean).edits == []
+    assert file_facts == {"indent": 1, "eol": 1}
 
 
 def test_abstract_on_pause_declines_the_fix():
