@@ -1,10 +1,12 @@
 """Structural recursive-descent parser for Java source files.
 
 The parser recognizes the declarations and statement structure the energy
-rules need while keeping expressions as token slices. It reads the lexer's
-parallel token lists by index, and tests an operator or keyword by its
-value alone. Every node carries a token index range into those lists, so
-the original bytes of any node are always reachable.
+rules need while keeping expressions as token slices. It reads its own
+copies of the lexer's parallel token lists, with end markers, by index, and
+tests an operator or keyword by its value alone. Every node carries a token
+index range into the lexer's lists, so the original bytes of any node are
+always reachable. A probe for a local variable declaration does not raise
+when the statement is an expression.
 
 Anonymous class bodies inside expressions are parsed as full class bodies
 and attached as child nodes, so rules see methods declared in anonymous
@@ -42,7 +44,7 @@ nothing reads the old tree after.
 
 from __future__ import annotations
 
-from typing import Any, Container, Iterator, Optional, Union
+from typing import Any, Iterator, Optional, Union
 
 from ..diagnostics import ParseDiagnostic, ParseError, guarded_parse
 from ..spans import Edit, SourceSpan
@@ -70,6 +72,15 @@ _LOCAL_TYPE_STARTS = frozenset(_TYPE_KINDS) | {"final", "abstract", "static"}
 _CLOSERS = {"(": ")", "[": "]", "{": "}", "<": ">"}
 _OPENERS = frozenset("([{")
 _BRACKET_CLOSERS = frozenset(")]}")
+_BRACKETS = _OPENERS | _BRACKET_CLOSERS
+_ANGLE_MARKS = _BRACKETS | {"<", ">"}
+
+# The parser's copies of the token lists end in these markers (the tree keeps
+# the lexer's). No token spells "", so a test of the token up to two past the
+# cursor needs no bound check.
+_END = ["", "", ""]
+# The tokens `_consume_expression` acts on, the end marker among them.
+_EXPRESSION_MARKS = frozenset("( ) [ ] ; , { } . new".split()) | {""}
 
 # An expression never starts or ends with an assignment operator. `>>=` and
 # `>>>=` lex as `>` tokens then `>=`, since `>` is always a token of its own.
@@ -89,10 +100,13 @@ def match_group(values: list[str], j: int) -> tuple[bool, int]:
     balances its `<`s, counting only those outside the brackets it holds.
     """
     angle = values[j] == "<"
+    marks = _ANGLE_MARKS if angle else _BRACKETS
     depth = 0
     expected: list[str] = []  # the closers of the open brackets, innermost last
     for k in range(j, len(values)):
         v = values[k]
+        if v not in marks:
+            continue
         if v in _OPENERS:
             expected.append(_CLOSERS[v])
         elif v in _BRACKET_CLOSERS:
@@ -194,8 +208,8 @@ class _Parser:
     def __init__(self, data: bytes, tokens: Tokens, reusable: _Reusable):
         self.data = data
         self.tokens = tokens
-        self.kinds = tokens.kinds
-        self.values = tokens.values
+        self.kinds = tokens.kinds + _END
+        self.values = tokens.values + _END
         self.n = len(tokens)
         self.i = 0
         self.reusable = reusable
@@ -206,36 +220,27 @@ class _Parser:
         offset = self.tokens.starts[self.i] if self.i < self.n else len(self.data)
         return ParseError(offset, message)
 
-    def at(self, value: str, ahead: int = 0) -> bool:
-        """True if the token ``ahead`` of the cursor is ``value``."""
-        j = self.i + ahead
-        return j < self.n and self.values[j] == value
-
-    def at_ident(self, ahead: int = 0) -> bool:
-        j = self.i + ahead
-        return j < self.n and self.kinds[j] == "ident"
-
-    def at_any(self, values: Container[str], ahead: int = 0) -> bool:
-        j = self.i + ahead
-        return j < self.n and self.values[j] in values
+    def at(self, value: str) -> bool:
+        """True if the token at the cursor is ``value``."""
+        return self.values[self.i] == value
 
     def advance(self) -> str:
-        """Step past the token at the cursor; returns its value."""
-        i = self.i
-        if i >= self.n:
-            raise self.fail("unexpected end of file")
-        self.i = i + 1
-        return self.values[i]
+        """Step past the token at the cursor, which the caller has tested;
+        returns its value."""
+        self.i += 1
+        return self.values[self.i - 1]
 
     def expect(self, value: str) -> None:
-        if not self.at(value):
+        if self.values[self.i] != value:
             raise self.fail(f"expected {value!r}")
         self.i += 1
 
     def expect_ident(self, what: str) -> str:
-        if not self.at_ident():
+        i = self.i
+        if self.kinds[i] != "ident":
             raise self.fail(f"expected {what}")
-        return self.advance()
+        self.i = i + 1
+        return self.values[i]
 
     # --- entry ---------------------------------------------------------
 
@@ -288,7 +293,7 @@ class _Parser:
 
     def _skip_optional_group(self, opener: str) -> None:
         """Skip the group at the cursor if it opens with ``opener``."""
-        if self.at(opener):
+        if self.values[self.i] == opener:
             self.i = self._skip_group(self.i)
 
     def _parse_package(self) -> None:
@@ -310,7 +315,7 @@ class _Parser:
 
     def _parse_qualified_name(self) -> None:
         self.expect_ident("name")
-        while self.at(".") and self.at_ident(1):
+        while self.values[self.i] == "." and self.kinds[self.i + 1] == "ident":
             self.i += 2
 
     # --- annotations / modifiers --------------------------------------
@@ -326,10 +331,12 @@ class _Parser:
         Stops before `@interface`, so an `@` left at the cursor starts an
         annotation type declaration.
         """
+        values = self.values
         while True:
-            if self.at("@") and not self.at("interface", 1):
+            v = values[self.i]
+            if v == "@" and values[self.i + 1] != "interface":
                 self._parse_annotation()
-            elif self.at_any(MODIFIER_KEYWORDS):
+            elif v in MODIFIER_KEYWORDS:
                 self.i += 1
             else:
                 return
@@ -337,30 +344,37 @@ class _Parser:
     def _reject_record(self) -> None:
         """Fail at `record R(` and `record R<`, which would otherwise read
         as a method or variable R of type `record`, or fail further on."""
-        if self.at("record") and self.at_ident(1) and (self.at("(", 2) or self.at("<", 2)):
+        i, values = self.i, self.values
+        if values[i] == "record" and self.kinds[i + 1] == "ident" and values[i + 2] in ("(", "<"):
             raise self.fail("records are not supported")
 
     # --- types ---------------------------------------------------------
 
     def _skip_dims(self) -> None:
         """Skip the `[]` pairs after a type, a declarator or a parameter list."""
-        while self.at("[") and self.at("]", 1):
+        while self.values[self.i] == "[" and self.values[self.i + 1] == "]":
             self.i += 2
 
-    def _parse_type(self) -> str:
-        """Parse a type reference; returns its source text."""
-        start_tok = self.i
-        if self.at_any(PRIMITIVE_TYPES):
+    def _skip_type(self) -> None:
+        """Move the cursor past a type reference."""
+        if self.values[self.i] in PRIMITIVE_TYPES:
             self.i += 1
-        elif self.at_ident():
+        elif self.kinds[self.i] == "ident":
             self._parse_qualified_name()
             self._skip_optional_group("<")
         else:
             raise self.fail("expected type")
         self._skip_dims()
-        lo_off = self.tokens.starts[start_tok]
-        hi_off = self.tokens.ends[self.i - 1]
-        return self.data[lo_off:hi_off].decode("utf-8")
+
+    def _parse_type(self) -> str:
+        """Parse a type reference; returns its source text."""
+        lo = self.i
+        self._skip_type()
+        return self._text(lo, self.i)
+
+    def _text(self, lo: int, hi: int) -> str:
+        """The source text from token ``lo`` to the end of token ``hi - 1``."""
+        return self.data[self.tokens.starts[lo] : self.tokens.ends[hi - 1]].decode("utf-8")
 
     def _parse_type_list(self, keyword: str) -> Optional[str]:
         """Parse an optional `keyword Type, Type...` clause (`extends`,
@@ -372,7 +386,7 @@ class _Parser:
         first = self._parse_type()
         while self.at(","):
             self.advance()
-            self._parse_type()
+            self._skip_type()
         return first
 
     def _parse_type_params(self) -> list[str]:
@@ -406,7 +420,7 @@ class _Parser:
         if self.at("@"):  # `@interface`, see _parse_modifiers
             self.i += 2
             kind = "annotation_declaration"
-        elif self.at_any(_TYPE_KINDS.keys()):
+        elif self.values[self.i] in _TYPE_KINDS:
             kind = _TYPE_KINDS[self.advance()]
         else:
             raise self.fail("expected class, interface or enum declaration")
@@ -444,37 +458,41 @@ class _Parser:
 
     def _parse_members(self, enclosing: str) -> list[Node]:
         members: list[Node] = []
-        while self.i < self.n and not self.at("}"):
-            if self.at(";"):
-                self.advance()
-                continue
-            members.append(self._reuse(enclosing) or self._parse_member(enclosing))
+        while (v := self.values[self.i]) != "}" and v:  # "" is the end marker
+            if v == ";":
+                self.i += 1
+            else:
+                members.append(self._reuse(enclosing) or self._parse_member(enclosing))
         return members
 
     def _parse_member(self, enclosing: str) -> Node:
         lo = self.i
         self._parse_modifiers()
-        if self.i >= self.n:
+        v = self.values[self.i]
+        if not v:
             raise self.fail("unexpected end of class body")
         # nested types, `@interface` included (see _parse_modifiers)
-        if self.at_any(_TYPE_KINDS.keys()) or self.at("@"):
+        if v in _TYPE_KINDS or v == "@":
             self.i = lo
             return self._parse_type_decl()
         # initializer block (static handled by modifiers)
-        if self.at("{"):
+        if v == "{":
             body = self._parse_block()
             return Node("initializer", lo, self.i, [body])
         self._reject_record()
         type_params = self._parse_type_params()  # of a generic method
         # constructor: Name (
-        if self.at(enclosing) and self.at_ident() and self.at("(", 1):
-            self.advance()
+        i, values = self.i, self.values
+        if values[i] == enclosing and self.kinds[i] == "ident" and values[i + 1] == "(":
+            self.i = i + 1
             return self._finish_method("constructor_declaration", lo, type_params)
-        type_text = self._parse_type()
+        type_lo = i
+        self._skip_type()
         self.expect_ident("member name")
-        if self.at("("):
+        if values[self.i] == "(":
             return self._finish_method("method_declaration", lo, type_params)
         self.i -= 1  # the declarators start at the name just read
+        type_text = self._text(type_lo, self.i)
         return self._parse_declarators("field_declaration", lo, type_text, "field name")
 
     def _finish_method(self, kind: str, lo: int, type_params: list[str]) -> Node:
@@ -503,27 +521,28 @@ class _Parser:
     def _parse_params(self) -> list[tuple[str, str]]:
         self.expect("(")
         params: list[tuple[str, str]] = []
-        while not self.at(")"):
+        values = self.values
+        while values[self.i] != ")":
             if params:  # a comma separates parameters; none may trail
                 self.expect(",")
             # only annotations and `final` may precede a parameter's type
-            while self.at("@"):
+            while values[self.i] == "@":
                 self._parse_annotation()
-            if self.at("final"):
-                self.advance()
-            while self.at("@"):
+            if values[self.i] == "final":
+                self.i += 1
+            while values[self.i] == "@":
                 self._parse_annotation()
             type_text = self._parse_type()
-            if self.at("..."):
-                self.advance()
+            if values[self.i] == "...":
+                self.i += 1
                 type_text += "..."
-            if self.at("this"):  # receiver parameter
+            if values[self.i] == "this":  # receiver parameter
                 name = self.advance()
             else:
                 name = self.expect_ident("parameter name")
             self._skip_dims()
             params.append((type_text, name))
-        self.advance()  # )
+        self.i += 1  # )
         return params
 
     def _parse_declarators(self, kind: str, lo: int, type_text: str, what: str) -> Node:
@@ -532,20 +551,21 @@ class _Parser:
         initializers; ``what`` names the identifier expected at each name."""
         children: list[Node] = []
         declarators: list[dict[str, Any]] = []
+        values = self.values
         while True:
             name = self.expect_ident(what)
             name_tok = self.i - 1
             self._skip_dims()
             init_lo = init_hi = None
-            if self.at("="):
-                self.advance()
+            if values[self.i] == "=":
+                self.i += 1
                 init_lo, init_hi = self._parse_initializer(children)
             declarators.append(
                 {"name": name, "name_tok": name_tok, "init": (init_lo, init_hi)}
             )
-            if not self.at(","):
+            if values[self.i] != ",":
                 break
-            self.advance()
+            self.i += 1
         self.expect(";")
         props = {"type": type_text, "declarators": declarators}
         return Node(kind, lo, self.i, children, props)
@@ -556,29 +576,29 @@ class _Parser:
         lo = self.i
         self.expect("{")
         stmts: list[Node] = []
-        while not self.at("}"):
-            if self.i >= self.n:
+        values = self.values
+        while (v := values[self.i]) != "}":
+            if not v:  # the end marker
                 raise self.fail("unexpected end of file in block")
             stmts.append(self._parse_statement())
-        self.advance()
+        self.i += 1
         return Node("block", lo, self.i, stmts)
 
     def _parse_statement(self) -> Node:
-        if self.i >= self.n:
+        i = self.i
+        v = self.values[i]
+        if not v:  # the end marker
             raise self.fail("expected statement")
-        v = self.values[self.i]
         if v == "{":
             return self._parse_block()
         if v == ";":
-            lo = self.i
-            self.advance()
-            return Node("empty_statement", lo, self.i)
-        if self.at_ident():
-            if self.at(":", 1):
-                lo = self.i  # a labeled statement (JLS 14.7): `label: statement`
-                self.i += 2
+            self.i = i + 1
+            return Node("empty_statement", i, i + 1)
+        if self.kinds[i] == "ident":
+            if self.values[i + 1] == ":":
+                self.i = i + 2  # a labeled statement (JLS 14.7): `label: statement`
                 body = self._parse_statement()
-                return Node("labeled_statement", lo, self.i, [body])
+                return Node("labeled_statement", i, self.i, [body])
             self._reject_record()
         else:
             handler = _STATEMENT_PARSERS.get(v)
@@ -592,7 +612,7 @@ class _Parser:
             saved = self.i
             self._parse_modifiers()
             self._reject_record()
-            is_type = self.at_any(_TYPE_KINDS.keys())
+            is_type = self.values[self.i] in _TYPE_KINDS
             self.i = saved
             if is_type:
                 return self._parse_type_decl()
@@ -677,21 +697,28 @@ class _Parser:
         return Node("synchronized_statement", lo, self.i, [body])
 
     def _try_local_var_decl(self) -> Optional[Node]:
+        """The local variable declaration at the cursor, or None, the cursor
+        unmoved, if the statement there is not one."""
         lo = self.i
         self._parse_modifiers()
-        committed = self.i > lo  # a modifier or annotation starts only a declaration
-        try:
-            type_text = self._parse_type()
-            if not committed and not (self.at_ident() and self.at_any(("=", ";", ",", "["), 1)):
-                raise self.fail("not a declaration")
-        except ParseError:
-            if committed:
-                raise
-            self.i = lo
+        type_lo = self.i
+        kinds, values = self.kinds, self.values
+        if type_lo > lo:  # a modifier or annotation starts only a declaration
+            self._skip_type()
+        elif kinds[lo] != "ident" and values[lo] not in PRIMITIVE_TYPES:
             return None
-        return self._parse_declarators(
-            "local_variable_declaration", lo, type_text, "variable name"
-        )
+        else:
+            try:
+                self._skip_type()
+            except ParseError:  # an unclosed `<`, as in `a < b;`
+                self.i = lo
+                return None
+            i = self.i
+            if kinds[i] != "ident" or values[i + 1] not in ("=", ";", ",", "["):
+                self.i = lo
+                return None
+        text = self._text(type_lo, self.i)
+        return self._parse_declarators("local_variable_declaration", lo, text, "variable name")
 
     def _parse_initializer(self, children: list[Node]) -> tuple[int, int]:
         """Consume a variable initializer after its '='; returns its token
@@ -711,17 +738,26 @@ class _Parser:
         token run. Returns the child nodes discovered along the way.
         """
         children: list[Node] = []
-        values, n = self.values, self.n
-        lo = self.i
+        values = self.values
+        lo = i = self.i  # the cursor; stored at each mark, where calls and failures read it
         open_at: list[int] = []  # indices of the open `(`/`[`, innermost last
         new_args: set[int] = set()  # indices of each `(` after `new Type`
         body_at = -1  # a `{` at this index follows `new Type(...)`
         while True:
-            i = self.i
-            if i >= n:
-                raise self.fail("unexpected end of file in expression")
             v = values[i]
-            if v == "(" or v == "[":
+            if v not in _EXPRESSION_MARKS:
+                i += 1
+                continue
+            self.i = i
+            if v == ".":
+                if values[i + 1] == "<":
+                    # explicit type arguments, `Collections.<K, V>emptyMap()`:
+                    # a comma in them ends no declarator; an unclosed `<` is
+                    # reported at the cursor, so it moves there first
+                    self.i = i + 1
+                    i = self._skip_group(i + 1)
+                    continue
+            elif v == "(" or v == "[":
                 open_at.append(i)
             elif v == ")" or v == "]":
                 if not open_at:
@@ -740,31 +776,28 @@ class _Parser:
                 # lambda body, or array initializer
                 if i == body_at:
                     children.append(self._parse_anonymous_body())
+                    i = self.i
                 else:
-                    self.i = self._skip_group(i)
+                    i = self._skip_group(i)
                 continue
             elif v == "}":
                 raise self.fail("unexpected '}' in expression")
-            elif v == "." and i + 1 < n and values[i + 1] == "<":
-                # explicit type arguments, `Collections.<K, V>emptyMap()`:
-                # a comma in them ends no declarator; an unclosed `<` is
-                # reported at the cursor, so it moves there first
-                self.i = i + 1
-                self.i = self._skip_group(self.i)
-                continue
             elif v == "new":
                 args = args_after_new(self.tokens, i + 1)
                 if args is not None:
                     # jump to the `(`: a comma in the type arguments ends
                     # no declarator
                     new_args.add(args)
-                    self.i = args
+                    i = args
                     continue
-            self.i = i + 1
-        if self.i > lo:
+            elif not v:  # the end marker
+                raise self.fail("unexpected end of file in expression")
+            i += 1
+        self.i = i
+        if i > lo:
             if values[lo] in _ASSIGNMENT_HEADS:
                 raise ParseError(self.tokens.starts[lo], "expected expression")
-            if values[self.i - 1] in _ASSIGNMENT_TAILS:
+            if values[i - 1] in _ASSIGNMENT_TAILS:
                 raise self.fail("expected expression")
         return children
 

@@ -8,6 +8,7 @@ uses) for conservative detection.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from typing import Iterator, Optional
 
 from ..java.lexer import Tokens
@@ -183,20 +184,25 @@ def reindent(text: str, old_indent: str, new_indent: str) -> list[str]:
 _INDENT = rb"\n([ \t]+)(?=[^ \t\r\n*])"
 
 
-def indent_unit(data: bytes) -> bytes:
-    """Best-effort indentation step: the smallest nonzero line indent.
-
-    Lines starting with ``*`` are skipped: they continue a block comment and
-    sit one space in, whatever the code's step. So are whitespace-only lines.
-    """
-    found = re.findall(_INDENT, b"\n" + data)
-    return min(found, key=len) if found else b"    "
+def indent_unit(data: bytes, starts: list[int]) -> bytes:
+    """Best-effort indentation step: the narrowest nonzero indent of a line
+    whose first non-blank byte starts a token (``starts``), so not of a
+    comment or text block line, nor of a line starting with ``*``, which
+    continues a block comment one space in, whatever the step."""
+    text = b"\n" + data
+    # each width in turn, from the narrowest, until a line of it starts a token
+    for width in sorted(set(map(len, re.findall(_INDENT, text)))):
+        for m in re.finditer(rb"\n([ \t]{%d})(?=[^ \t\r\n*])" % width, text):
+            k = bisect_left(starts, m.end() - 1)
+            if k < len(starts) and starts[k] == m.end() - 1:
+                return m[1]
+    return b"    "
 
 
 def file_indent(tree: SyntaxTree) -> str:
     """The indentation step of the tree's file, found once per tree."""
     if tree.indent is None:
-        tree.indent = indent_unit(tree.data).decode()
+        tree.indent = indent_unit(tree.data, tree.tokens.starts).decode()
     return tree.indent
 
 

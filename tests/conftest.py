@@ -82,6 +82,23 @@ def lexer_matches(monkeypatch) -> list[int]:
 
 
 @pytest.fixture
+def parse_errors(monkeypatch) -> list[int]:
+    """Counts the `ParseError`s the Java parser constructs from here on,
+    whether raised to the caller or caught inside the parser."""
+    from greenlint.java import parser
+
+    count = [0]
+
+    class Counting(parser.ParseError):
+        def __init__(self, offset: int, message: str):
+            count[0] += 1
+            super().__init__(offset, message)
+
+    monkeypatch.setattr(parser, "ParseError", Counting)
+    return count
+
+
+@pytest.fixture
 def file_facts(monkeypatch) -> dict[str, int]:
     """Counts, from here on, the runs of the Java rules' indent regex
     ("indent") and of their line-end count ("eol") over a file's bytes."""

@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from greenlint import diagnostics
+from greenlint.java.lexer import tokenize
 from greenlint.java.parser import parse_java_source
 
 from conftest import CLEAN_CORPUS, GOLDEN, parse_java
@@ -402,3 +403,63 @@ def test_annotation_default_parses(source):
     tree, diags = parse_java_source(source)
     assert diags == []
     assert_spans_sound(tree)
+
+
+def _tree_or_one_diagnostic(data: bytes) -> None:
+    """Any other outcome, an exception escaping included, fails the test."""
+    tree, diags = parse_java_source(data)
+    assert (tree is not None and diags == []) or (tree is None and len(diags) == 1), data
+
+
+@pytest.mark.parametrize("path", _java_fixtures(), ids=lambda p: p.stem + "-" + p.parent.name)
+def test_every_token_end_prefix_parses_or_fails_with_one_diagnostic(path: Path):
+    data = path.read_bytes()
+    for end in tokenize(data).ends:
+        _tree_or_one_diagnostic(data[:end])
+
+
+# A generic method, an anonymous class, a lambda and a switch.
+_SMALL_FILE = b"""class P<T> {
+    <E extends T> E pick(java.util.List<E> xs) { return xs.get(0); }
+    void f(int k) {
+        Runnable r = new Runnable() { public void run() { g(k); } };
+        h(x -> { return x + 1; });
+        switch (k) { case 1: r.run(); break; default: }
+    }
+}
+"""
+
+
+def test_every_byte_prefix_of_a_small_file_parses_or_fails_with_one_diagnostic():
+    for end in range(len(_SMALL_FILE) + 1):
+        _tree_or_one_diagnostic(_SMALL_FILE[:end])
+
+
+@pytest.mark.parametrize(
+    "source,expected",
+    [
+        (b"class T { record R", "1:19: expected ';'"),
+        (b"class T { void f() { record R", "1:30: unexpected end of file in expression"),
+    ],
+)
+def test_a_lookahead_past_the_last_token_matches_no_token(source, expected):
+    tree, diags = parse_java_source(source)
+    assert tree is None
+    assert [str(d) for d in diags] == [expected]
+
+
+def test_expression_statements_construct_no_parse_error(parse_errors):
+    statements = [
+        b"run();",
+        b"a.b(c).d().e(f, g);",
+        b"x = y + 1;",
+        b"total += n;",
+        b"this.x = f(1);",
+        b"i++;",
+        b"a[i] = 2;",
+        b"new T() { void g() {} };",
+    ]
+    body = b" ".join(statements * 3)
+    tree = parse_java(b"class A { void f() { " + body + b" } }")
+    assert len(find_all(tree, "expression_statement")) == 3 * len(statements)
+    assert parse_errors[0] == 0

@@ -112,6 +112,32 @@ def test_cursor_release_inserted_before_trailing_return():
     ) in fixed
 
 
+@pytest.mark.parametrize(
+    "aside",
+    [
+        b'    String s = """\n  two\n    """;\n',
+        b"    /*\n  two\n    */\n",
+        b"  // two\n",
+    ],
+    ids=["text_block", "block_comment", "line_comment"],
+)
+def test_lines_inside_text_blocks_and_comments_do_not_set_the_indent_step(aside):
+    source = (
+        b"class C {\n" + aside + b"    void m(SQLiteDatabase db) {\n"
+        b"        Cursor c = db.query(T);\n"
+        b"        c.moveToFirst();\n"
+        b"    }\n"
+        b"}\n"
+    )
+    _, fixed = fix_java(apply_recycle, source)
+    assert (
+        b"        c.moveToFirst();\n"
+        b"        if (c != null) {\n"
+        b"            c.close();\n"
+        b"        }\n"
+    ) in fixed
+
+
 def test_earlier_exit_in_the_block_declines_the_fix():
     # The release would go at the end of the loop body, which the `continue`
     # path never reaches.

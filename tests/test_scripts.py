@@ -226,3 +226,32 @@ def test_bench_pairs_sums_the_rule_time_medians_per_side():
         "rules.*.s,", "sum", "of", "medians", "s", "parent", "0.041000", "change", "0.021000",
         "-48.8%",
     ]
+
+
+def _compare_parses():
+    spec = importlib.util.spec_from_file_location(
+        "compare_parses", SCRIPTS / "compare_parses.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_compare_parses_finds_no_difference_between_a_checkout_and_itself(capsys):
+    cp = _compare_parses()
+    repo = str(SCRIPTS.parent)
+    assert cp.main(["--parent", repo, "--change", repo, "--seeds", "1"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.endswith(" Java file(s), 0 differ") and not last.startswith("0 ")
+
+
+def test_compare_parses_lists_the_files_that_differ(monkeypatch, capsys):
+    cp = _compare_parses()
+    canned = {
+        "parent": {"a.java": "[('compilation_unit', 0, 0, 0, ())]", "b.java": "['1:1: x']"},
+        "change": {"a.java": "[('compilation_unit', 0, 0, 0, ())]", "b.java": "['1:2: x']"},
+    }
+    monkeypatch.setattr(cp, "write_inputs", lambda root, seeds: None)
+    monkeypatch.setattr(cp, "parse_checkout", lambda checkout, root: canned[checkout.name])
+    assert cp.main(["--parent", "/x/parent", "--change", "/x/change", "--seeds", "1"]) == 1
+    assert capsys.readouterr().out.splitlines() == ["differs: b.java", "2 Java file(s), 1 differ"]

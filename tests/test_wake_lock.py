@@ -1,5 +1,6 @@
 import pytest
 
+from greenlint.java.lexer import tokenize
 from greenlint.rules.base import RuleId
 from greenlint.rules.draw_allocation import apply_draw_allocation
 from greenlint.rules.javautil import indent_unit
@@ -121,7 +122,7 @@ def test_two_unreleased_fields_one_on_pause():
 def test_javadoc_continuation_lines_do_not_set_the_indent_unit(golden):
     before, after = golden("wake_lock")
     javadoc = b"/**\n * Holds the screen on while playing.\n */\n"
-    assert indent_unit(javadoc + before) == b"    "
+    assert indent_unit(javadoc + before, tokenize(javadoc + before).starts) == b"    "
     _, fixed = fix_java(apply_wake_lock, javadoc + before)
     assert fixed == javadoc + after
 
@@ -133,8 +134,9 @@ def test_whitespace_only_lines_do_not_set_the_indent_unit(golden, eol):
     before, after = (
         text.replace(field, field + b"  \n").replace(b"\n", eol) for text in (before, after)
     )
-    assert indent_unit(before) == b"    "
-    assert indent_unit(b"  first();" + eol + b"    second();" + eol) == b"  "
+    assert indent_unit(before, tokenize(before).starts) == b"    "
+    lines = b"  first();" + eol + b"    second();" + eol
+    assert indent_unit(lines, tokenize(lines).starts) == b"  "
     _, fixed = fix_java(apply_wake_lock, before)
     assert fixed == after
 
