@@ -14,14 +14,15 @@ whether the bar for claiming a gain is met: at least ten pairs, the change
 winning at least nine in ten, and a median difference larger than the
 parent's interquartile range. So one call shows a claimed gain next to the
 workloads that must not regress. After each block, ``--trace 1`` runs
-three times in each checkout on the workload's first seed, alternated as
+eight times in each checkout on the workload's first seed, alternated as
 above, and every per-layer metric of ``BENCHMARK.json`` is printed with
 both sides' medians and how many traced pairs the change won, to show where
 a difference comes from; one traced run per side is too few, as host noise
-can move every layer at once; a last row sums the ``rules.*.s`` medians of
-each side. Last comes each checkout's ``src/`` size, the line count of
-every ``.py`` file under it, and the difference. It changes nothing under
-either checkout's ``bench/``.
+can move every layer at once, and three cannot resolve a 25% change in one
+layer; a last row sums the ``rules.*.s`` medians of each side. Last comes
+each checkout's ``src/`` size, the line count of every ``.py`` file under
+it, and the difference. It changes nothing under either checkout's
+``bench/``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 MIN_PAIRS = 10
 WIN_SHARE = 0.9
-TRACE_PAIRS = 3  # alternated traced runs per side behind the per-layer block
+TRACE_PAIRS = 8  # alternated traced runs per side behind the per-layer block
 
 
 def parse_result(stdout: str) -> dict:

@@ -12,6 +12,9 @@ the old tokens and subtrees elsewhere. Rewritten text must re-parse
 cleanly and the rules must then report nothing fixable, otherwise the
 file's fixes are rolled back and surfaced as an internal error. A
 project's per-rule counts come from its files' findings.
+
+Discovery walks the input on strings, with no `Path` per entry: a file's
+shown name is the path relative to the input that the walk builds.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ class FileOutcome:
         "internal_error",
     )
 
-    def __init__(self, path: Path, language: str, shown: str):
+    def __init__(self, path: str, language: str, shown: str):
         self.path = path
         self.language = language  # java | xml
         self.shown = shown  # the name findings and patches give the file
@@ -152,26 +155,30 @@ def _in_layout(parts: tuple[str, ...]) -> bool:
 
 def discover_files(
     config: RunConfig, warnings: Optional[list[str]] = None
-) -> list[tuple[Path, str]]:
-    """Deterministic sorted list of (path, language) under the input path."""
+) -> list[tuple[str, str, str]]:
+    """The (shown name, path, language) of each file to analyse, sorted by name."""
     warnings = [] if warnings is None else warnings
     root = Path(config.input_path)
+    top = str(root)
     if root.is_file():
         resolved = root.resolve()
         lang = _language(resolved.name, _in_layout(resolved.parts))
         if lang:
-            return [(root, lang)]
-        warnings.append(f"{root}: skipped: not a .java file or a res/layout*/ XML file")
+            return [(root.name, top, lang)]
+        warnings.append(f"{top}: skipped: not a .java file or a res/layout*/ XML file")
         return []
 
+    # "." or "../layout" names no res/ or layout* part: resolve a relative input.
+    parts = (root if root.is_absolute() else root.resolve()).parts
     # One regex for every glob, tried on each path relative to the root,
     # then on that path with a "/" after it.
     globs = "|".join(_glob_to_regex(g) for g in config.exclude_globs)
     excluded = re.compile(f"^(?:{globs})$").match
-    found: list[tuple[Path, str]] = []
+    base = "" if top == "." else os.path.join(top, "")
+    found: list[tuple[str, str, str]] = []
     visited: set[tuple[int, int]] = set()
 
-    def walk(directory: Path, prefix: str, in_res: bool, in_layout: bool) -> None:
+    def walk(directory: str, prefix: str, in_res: bool, in_layout: bool) -> None:
         try:
             st = os.stat(directory)
         except OSError as exc:
@@ -201,25 +208,27 @@ def discover_files(
             except OSError as exc:
                 # A loop or a vanished target reads as missing, as in pathlib.
                 if exc.errno not in _MISSING:
-                    warnings.append(f"cannot stat {directory / name}: {exc}")
+                    warnings.append(f"cannot stat {base + rel}: {exc}")
                 continue
             if is_dir:
-                walk(directory / name, rel + "/", name == "res", layout)
+                walk(base + rel, rel + "/", name == "res", layout)
             elif lang:
-                found.append((directory / name, lang))
+                found.append((rel, base + rel, lang))
 
-    walk(root, "", root.parts[-1:] == ("res",), _in_layout(root.parts))
-    found.sort(key=lambda pair: pair[0].as_posix())
+    walk(top, "", parts[-1:] == ("res",), _in_layout(parts))
+    del walk  # its closure holds it: break that cycle so reference counting frees it
+    found.sort()
     return found
 
 
 def process_file(
-    path: Path, language: str, config: RunConfig, shown: str
+    path: str, language: str, config: RunConfig, shown: str
 ) -> FileOutcome:
     """Run the enabled rules over one file; pure up to filesystem writes."""
     outcome = FileOutcome(path, language, shown)
     try:
-        original = path.read_bytes()
+        with open(path, "rb") as f:
+            original = f.read()
     except OSError as exc:
         outcome.skip_reason = f"unreadable: {exc}"
         return outcome
@@ -333,10 +342,11 @@ def _touches(accepted: list[Edit], edits: list[Edit]) -> bool:
     )
 
 
-def _atomic_replace(path: Path, text: bytes) -> None:
-    mode = path.stat().st_mode
-    tmp = path.with_name(path.name + ".greenlint.tmp")
-    tmp.write_bytes(text)
+def _atomic_replace(path: str, text: bytes) -> None:
+    mode = os.stat(path).st_mode
+    tmp = path + ".greenlint.tmp"
+    with open(tmp, "wb") as f:
+        f.write(text)
     os.chmod(tmp, mode & 0o7777)
     os.replace(tmp, path)
 
@@ -353,15 +363,9 @@ def _unified_diff(original: bytes, text: bytes, shown: str) -> str:
 def run_project(config: RunConfig) -> tuple[ProjectReport, list[FileOutcome]]:
     """Analyze (and, per mode, rewrite) every eligible file under the input."""
     warnings: list[str] = []
-    root = Path(config.input_path)
-    files = discover_files(config, warnings)
-    # A file input is shown by its name; a file under a directory input, by
-    # its path relative to that directory.
     outcomes = [
-        process_file(
-            p, lang, config, p.name if p == root else p.relative_to(root).as_posix()
-        )
-        for p, lang in files
+        process_file(path, lang, config, shown)
+        for shown, path, lang in discover_files(config, warnings)
     ]
 
     counts = {rule: RuleCount() for rule in RuleId}

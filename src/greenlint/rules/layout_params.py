@@ -10,8 +10,8 @@ container may consume any layout param.
 
 from __future__ import annotations
 
-from ..spans import Edit
-from ..xmltree import XmlTree
+from ..spans import Edit, SourceSpan
+from ..xmltree import XmlTree, attributes
 from .base import RuleId, RuleResult
 
 # Params every ViewGroup understands (layout_margin* matched as a prefix).
@@ -71,28 +71,22 @@ PARENT_PARAMS: dict[str, frozenset[str]] = {
 def apply_obsolete_layout_param(tree: XmlTree, path: str = "") -> RuleResult:
     result = RuleResult()
 
-    for element in tree.root.walk():
-        parent = element.parent
-        if parent is None:
-            continue
+    for parent in tree.root.walk():
         meaningful = PARENT_PARAMS.get(parent.tag)
         if meaningful is None:
             continue
-        for attr in element.attributes:
-            prefix, _, local_name = attr.name.partition(":")
-            if prefix != "android" or not local_name.startswith("layout_"):
-                continue
-            if (
-                local_name in meaningful
-                or local_name in UNIVERSAL_PARAMS
-                or local_name.startswith(UNIVERSAL_PREFIXES)
-            ):
-                continue
-            message = (
-                f"{attr.name} has no effect on a child of "
-                f"<{parent.tag}>; it is safe to remove"
-            )
-            result.report(RuleId.OBSOLETE_LAYOUT_PARAM, path, attr.span, message, "")
-            result.edits.append(Edit.delete(attr.ws_start, attr.span.end))
+        for element in parent.children:
+            for name, start, end, ws_start in attributes(tree, element):
+                prefix, _, local_name = name.partition(":")
+                if prefix != "android" or not local_name.startswith("layout_"):
+                    continue
+                if local_name in meaningful or local_name in UNIVERSAL_PARAMS:
+                    continue
+                if local_name.startswith(UNIVERSAL_PREFIXES):
+                    continue
+                message = f"{name} has no effect on a child of <{parent.tag}>; it is safe to remove"
+                span = SourceSpan(start, end)
+                result.report(RuleId.OBSOLETE_LAYOUT_PARAM, path, span, message, "")
+                result.edits.append(Edit.delete(ws_start, end))
 
     return result

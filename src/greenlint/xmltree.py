@@ -1,14 +1,17 @@
 """Lossless XML parser for Android layout resources.
 
 Keeps the original bytes alongside an element tree whose spans point into
-them: an element's span is its start tag, an attribute's its name="value".
-Attribute order, inter-attribute whitespace, comments and text stay in the
-bytes because nothing is ever normalized; rewrites go through byte-range
-edits only.
+them: an element's span is its start tag. Attribute order, inter-attribute
+whitespace, comments and text stay in the bytes because nothing is ever
+normalized; rewrites go through byte-range edits only.
 
-A start tag is read one attribute at a time, each (its leading whitespace,
-name, `=` and quoted value) by one regex match; the tag's end, and any
-error, are read step by step from where that regex stops.
+A start tag is read by one regex match: its name, its attribute run and
+its `>` or `/>`; one `findall` over the run looks for a duplicate name.
+The element keeps the run as a byte range, and `attributes` reads the
+attributes from it on demand. Only when that match fails, or finds a
+duplicate, is the tag read again step by step to say why. An element
+holds its children but no pointer back to its parent, so a tree has no
+reference cycle and is freed as soon as it is dropped.
 
 This is a deliberately small well-formedness-checking parser, not a general
 XML stack: no DTD expansion, no external entities, no encoding sniffing
@@ -27,37 +30,26 @@ from .spans import SourceSpan
 _NAME = rb"[A-Za-z_:\x80-\xff][-A-Za-z0-9_:.\x80-\xff]*"
 _NAME_RE = re.compile(_NAME)
 _WS_RE = re.compile(rb"[ \t\r\n]*")
+# An attribute's `=` and quoted value, with any whitespace before the quote.
+_VALUE = rb"""[ \t\r\n]*=[ \t\r\n]*(?:"[^"]*"|'[^']*')"""
 # One attribute with the whitespace before it: the name is group 1, and the
 # match ends after the closing quote.
-_ATTRIBUTE_RE = re.compile(
-    rb"[ \t\r\n]+(" + _NAME + rb""")[ \t\r\n]*=[ \t\r\n]*(?:"[^"]*"|'[^']*')"""
+_ATTRIBUTE_RE = re.compile(rb"[ \t\r\n]+(" + _NAME + rb")" + _VALUE)
+# A whole start tag: the tag name is group 1, the attribute run group 2 and
+# the closing "/>" or ">" group 3.
+_START_TAG_RE = re.compile(
+    rb"<(" + _NAME + rb")((?:[ \t\r\n]+" + _NAME + _VALUE + rb")*)[ \t\r\n]*(/?>)"
 )
 
 
-class XmlAttribute:
-    __slots__ = ("name", "span", "ws_start")
-
-    def __init__(self, name: str, span: SourceSpan, ws_start: int):
-        self.name = name  # qualified, e.g. android:layout_width
-        self.span = span  # covers name="value"
-        self.ws_start = ws_start  # start of the whitespace run before the attribute
-
-
 class XmlElement:
-    __slots__ = ("tag", "attributes", "children", "span", "parent")
+    __slots__ = ("tag", "children", "span", "attribute_run")
 
-    def __init__(
-        self,
-        tag: str,
-        attributes: list[XmlAttribute],
-        span: SourceSpan,
-        parent: Optional[XmlElement],
-    ):
+    def __init__(self, tag: str, span: SourceSpan, attribute_run: tuple[int, int]):
         self.tag = tag
-        self.attributes = attributes
         self.children: list[XmlElement] = []
         self.span = span  # the start tag
-        self.parent = parent
+        self.attribute_run = attribute_run  # (start, end) of the attributes in the start tag
 
     def walk(self) -> Iterator[XmlElement]:
         """This element and its descendants, in document order."""
@@ -66,6 +58,16 @@ class XmlElement:
             element = stack.pop()
             yield element
             stack += reversed(element.children)
+
+
+def attributes(tree: XmlTree, element: XmlElement) -> list[tuple[str, int, int, int]]:
+    """The attributes of ``element`` in order, each as its qualified name
+    (e.g. android:layout_width), the start and end of its name="value" and
+    the start of the whitespace run before it."""
+    return [
+        (m.group(1).decode("utf-8"), m.start(1), m.end(), m.start())
+        for m in _ATTRIBUTE_RE.finditer(tree.data, *element.attribute_run)
+    ]
 
 
 class XmlTree:
@@ -115,7 +117,7 @@ class _XmlParser:
         self.skip_misc()
         if self.i >= len(self.data) or self.data[self.i : self.i + 1] != b"<":
             raise self.fail("expected root element")
-        root = self.parse_element(parent=None)
+        root = self.parse_element()
         self.skip_misc()
         if self.i < len(self.data):
             raise self.fail("content after root element")
@@ -128,75 +130,75 @@ class _XmlParser:
         self.i = m.end()
         return m.group(0).decode("utf-8")
 
-    def _attribute_error(self, start: int, ws_start: int, seen: set[str]) -> ParseError:
-        """Why `_ATTRIBUTE_RE` stops at ``ws_start`` in the start tag opened
-        at ``start``, read step by step from the cursor, past the whitespace."""
-        if self.i >= len(self.data):
-            return self.fail("unterminated start tag", start)
-        if self.i == ws_start:
-            return self.fail("expected whitespace before attribute")
-        attr_start = self.i
-        name = self._parse_name("attribute name")
-        if name in seen:
-            return self.fail(f"duplicate attribute {name!r}", attr_start)
-        self.skip_ws()
-        if not self.data.startswith(b"=", self.i):
-            return self.fail("expected '=' after attribute name")
-        self.i += 1
-        self.skip_ws()
-        if self.data[self.i : self.i + 1] not in (b'"', b"'"):
-            return self.fail("expected quoted attribute value")
-        return self.fail("unterminated attribute value")
-
-    def parse_element(self, parent: Optional[XmlElement]) -> XmlElement:
-        start = self.i
-        assert self.data[self.i : self.i + 1] == b"<"
-        self.i += 1
-        tag = self._parse_name("element name")
-        attributes: list[XmlAttribute] = []
+    def _start_tag_error(self, start: int) -> ParseError:
+        """Why `_START_TAG_RE` does not read the start tag at ``start``, or why
+        the one it reads repeats a name, found one attribute at a time."""
+        self.i = start + 1
+        self._parse_name("element name")
         seen: set[str] = set()
-        while m := _ATTRIBUTE_RE.match(self.data, self.i):
-            name = m.group(1).decode("utf-8")
-            if name in seen:
-                raise self.fail(f"duplicate attribute {name!r}", m.start(1))
-            seen.add(name)
-            attributes.append(XmlAttribute(name, SourceSpan(m.start(1), m.end()), self.i))
-            self.i = m.end()
-        ws_start = self.i
-        self.skip_ws()
-        if self.data.startswith(b"/>", self.i):
-            self.i += 2
-            return XmlElement(tag, attributes, SourceSpan(start, self.i), parent)
-        if not self.data.startswith(b">", self.i):
-            raise self._attribute_error(start, ws_start, seen)
-        self.i += 1
-        element = XmlElement(tag, attributes, SourceSpan(start, self.i), parent)
-        # content
         while True:
-            lt = self.data.find(b"<", self.i)
+            ws_start = self.i
+            self.skip_ws()
+            if self.i >= len(self.data):
+                return self.fail("unterminated start tag", start)
+            if self.i == ws_start:
+                return self.fail("expected whitespace before attribute")
+            attr_start = self.i
+            name = self._parse_name("attribute name")
+            if name in seen:
+                return self.fail(f"duplicate attribute {name!r}", attr_start)
+            seen.add(name)
+            self.skip_ws()
+            if not self.data.startswith(b"=", self.i):
+                return self.fail("expected '=' after attribute name")
+            self.i += 1
+            self.skip_ws()
+            quote = self.data[self.i : self.i + 1]
+            if quote not in (b'"', b"'"):
+                return self.fail("expected quoted attribute value")
+            end = self.data.find(quote, self.i + 1)
+            if end < 0:
+                return self.fail("unterminated attribute value")
+            self.i = end + 1
+
+    def parse_element(self) -> XmlElement:
+        data = self.data
+        start = self.i
+        m = _START_TAG_RE.match(data, start)
+        if m is None:
+            raise self._start_tag_error(start)
+        run = m.span(2)
+        names = _ATTRIBUTE_RE.findall(data, *run)
+        if len(set(names)) != len(names):
+            raise self._start_tag_error(start)
+        self.i = m.end()
+        tag = m[1].decode("utf-8")
+        element = XmlElement(tag, SourceSpan(start, self.i), run)
+        if m[3] == b"/>":
+            return element
+        while True:
+            lt = data.find(b"<", self.i)
             if lt < 0:
                 raise self.fail(f"unclosed element <{tag}>", start)
             self.i = lt
-            if self.data.startswith(b"</", self.i):
-                close_start = self.i
+            if data.startswith(b"</", lt):
                 self.i += 2
                 close_tag = self._parse_name("closing tag name")
                 if close_tag != tag:
                     raise self.fail(
-                        f"mismatched closing tag: expected </{tag}>, got </{close_tag}>",
-                        close_start,
+                        f"mismatched closing tag: expected </{tag}>, got </{close_tag}>", lt
                     )
                 self.skip_ws()
-                if not self.data.startswith(b">", self.i):
+                if not data.startswith(b">", self.i):
                     raise self.fail("expected '>' in closing tag")
                 self.i += 1
                 return element
-            if not (
+            if not data.startswith((b"<!", b"<?"), lt) or not (
                 self.skip(b"<!--", b"-->", "comment")
                 or self.skip(b"<![CDATA[", b"]]>", "CDATA section")
                 or self.skip(b"<?", b"?>", "processing instruction")
             ):
-                element.children.append(self.parse_element(parent=element))
+                element.children.append(self.parse_element())
 
 
 def parse_layout_xml(data: bytes) -> tuple[Optional[XmlTree], list[ParseDiagnostic]]:

@@ -11,6 +11,7 @@ from greenlint.java.parser import Node, SyntaxTree
 from greenlint.report import CSV_HEADER, Row
 from greenlint.rules import RuleId
 from greenlint.spans import SourceSpan
+from greenlint.xmltree import attributes
 
 
 def find_all(tree: SyntaxTree, kind: str) -> list[Node]:
@@ -43,8 +44,8 @@ def assert_spans_sound(tree) -> None:
     for element in tree.root.walk():
         start_tag = data[element.span.start : element.span.end]
         assert start_tag.startswith(b"<" + element.tag.encode()) and start_tag.endswith(b">")
-        for attr in element.attributes:
-            assert contains(element.span, attr.span)
+        for _, start, end, _ in attributes(tree, element):
+            assert contains(element.span, SourceSpan(start, end))
 
 
 def make_report(refactorings: dict[RuleId, int]) -> ProjectReport:

@@ -66,23 +66,23 @@ def test_discovery_filters_and_sorts(tmp_path):
     _write(tmp_path, "res/values/strings.xml", b"<a/>")
     _write(tmp_path, "build/gen/B.java")
     files = discover_files(RunConfig(input_path=tmp_path))
-    rels = [p.relative_to(tmp_path).as_posix() for p, _ in files]
-    assert rels == ["A.java", "res/layout/main.xml"]
-    assert [lang for _, lang in files] == ["java", "xml"]
+    assert files == [
+        ("A.java", str(tmp_path / "A.java"), "java"),
+        ("res/layout/main.xml", str(tmp_path / "res/layout/main.xml"), "xml"),
+    ]
 
 
 def test_discovery_single_file(tmp_path):
     path = _write(tmp_path, "One.java")
     files = discover_files(RunConfig(input_path=path))
-    assert files == [(path, "java")]
+    assert files == [("One.java", str(path), "java")]
 
 
 def test_discovery_custom_exclude(tmp_path):
     _write(tmp_path, "keep/A.java")
     _write(tmp_path, "vendor/B.java")
     config = RunConfig(input_path=tmp_path, exclude_globs=("vendor/**",))
-    rels = [p.relative_to(tmp_path).as_posix() for p, _ in discover_files(config)]
-    assert rels == ["keep/A.java"]
+    assert [shown for shown, _, _ in discover_files(config)] == ["keep/A.java"]
 
 
 def test_exclude_ending_in_a_slash_matches_a_directory(tmp_path):
@@ -91,16 +91,33 @@ def test_exclude_ending_in_a_slash_matches_a_directory(tmp_path):
     _write(tmp_path, "a/tmp/T.java")
     _write(tmp_path, "a/tmpx/U.java")
     config = RunConfig(input_path=tmp_path, exclude_globs=("**/tmp/",))
-    rels = [p.relative_to(tmp_path).as_posix() for p, _ in discover_files(config)]
-    assert rels == ["a/tmpx/U.java"]
+    assert [shown for shown, _, _ in discover_files(config)] == ["a/tmpx/U.java"]
 
 
 def test_layout_xml_outside_res_layout_ignored(tmp_path):
     _write(tmp_path, "res/layout-land/main.xml", b"<a/>")
     _write(tmp_path, "docs/diagram.xml", b"<a/>")
     files = discover_files(RunConfig(input_path=tmp_path))
-    rels = [p.relative_to(tmp_path).as_posix() for p, _ in files]
-    assert rels == ["res/layout-land/main.xml"]
+    assert [shown for shown, _, _ in files] == ["res/layout-land/main.xml"]
+
+
+@pytest.mark.parametrize(
+    ("cwd", "root"),
+    [
+        ("app/src/main/res/layout", "."),
+        ("app/src/main/res/layout", "../layout"),
+        ("app/src/main/res/layout", "frame.xml"),
+        ("app/src/main/res", "."),
+    ],
+)
+def test_layout_context_comes_from_the_resolved_root(tmp_path, monkeypatch, capsys, cwd, root):
+    # "." and "../layout" name no res/layout* parts themselves.
+    before = (GOLDEN / "obsolete_layout_param" / "before.xml").read_bytes()
+    _write(tmp_path, "app/src/main/res/layout/frame.xml", before)
+    monkeypatch.chdir(tmp_path / cwd)
+    assert main(["check", root]) == EXIT_FINDINGS
+    shown = "layout/frame.xml" if cwd.endswith("res") else "frame.xml"
+    assert capsys.readouterr().out.startswith(f"{shown}:")
 
 
 def test_discovery_walks_past_loops_excludes_and_unreadable_directories(
@@ -151,8 +168,7 @@ def test_discovery_walks_past_loops_excludes_and_unreadable_directories(
     monkeypatch.setattr(os, "listdir", refusing(os.listdir))
     warnings: list[str] = []
     files = discover_files(RunConfig(input_path=tmp_path), warnings)
-    rels = [(p.relative_to(tmp_path).as_posix(), lang) for p, lang in files]
-    assert rels == [
+    assert [(shown, lang) for shown, _, lang in files] == [
         ("alias/Z.java", "java"),
         ("app/res/layout/build.xml", "xml"),
         ("app/res/layout_main.xml", "xml"),
@@ -267,7 +283,7 @@ def test_two_runs_give_identical_results(tmp_path):
         _, outcomes = run_project(RunConfig(input_path=proj, mode=MODE_REPORT))
         results.append(
             [
-                (o.path.as_posix(), f.rule, f.span.start, f.message)
+                (o.path, f.rule, f.span.start, f.message)
                 for o in outcomes
                 for f in o.findings
             ]
@@ -281,7 +297,7 @@ def test_unparseable_java_skipped_not_fatal(tmp_path):
     _write(proj, "src/Fine.java", b"class Fine {}\n")
     report, outcomes = run_project(RunConfig(input_path=proj, mode=MODE_FIX))
     assert report.parse_failures == 1
-    broken = next(o for o in outcomes if o.path.name == "Broken.java")
+    broken = next(o for o in outcomes if o.path == str(proj / "src/Broken.java"))
     assert len(broken.diagnostics) == 1
     assert (proj / "src/Broken.java").read_bytes() == b"class {"
 
@@ -293,6 +309,48 @@ def test_non_utf8_file_skipped_with_warning(tmp_path):
     assert outcomes[0].language == "java"
     assert outcomes[0].skip_reason is not None
     assert any("not UTF-8" in w for w in report.warnings)
+
+
+# The path and the stderr line each file gets, for each way of writing the
+# root, as `str(Path)` spells them. Root "." is where os.path.join ("./x")
+# and Path ("x") differ; {tmp} is the absolute path of the test directory.
+_STDERR_FOR = {
+    "bad.xml": ":1:10: parse error: duplicate attribute 'x'",
+    "Broken.java": ":1:7: parse error: expected type name",
+    "Latin.java": ": skipped: not UTF-8; refusing to touch unknown encodings",
+}
+
+
+@pytest.mark.parametrize(
+    ("cwd", "root", "paths"),
+    [
+        ("proj", ".", ["res/layout/bad.xml", "src/Broken.java", "src/Latin.java"]),
+        (".", "proj", ["proj/res/layout/bad.xml", "proj/src/Broken.java", "proj/src/Latin.java"]),
+        (".", "proj/", ["proj/res/layout/bad.xml", "proj/src/Broken.java", "proj/src/Latin.java"]),
+        (".", "./proj", ["proj/res/layout/bad.xml", "proj/src/Broken.java", "proj/src/Latin.java"]),
+        (
+            ".",
+            "{tmp}/proj",
+            ["{tmp}/proj/res/layout/bad.xml", "{tmp}/proj/src/Broken.java", "{tmp}/proj/src/Latin.java"],
+        ),
+        ("proj", "./src/Broken.java", ["src/Broken.java"]),
+        (".", "proj/src/Latin.java", ["proj/src/Latin.java"]),
+    ],
+)
+def test_file_names_do_not_depend_on_how_the_root_is_written(
+    tmp_path, monkeypatch, capsys, cwd, root, paths
+):
+    _write(tmp_path, "proj/res/layout/bad.xml", b'<a x="1" x="2"/>')
+    _write(tmp_path, "proj/src/Broken.java", b"class {")
+    _write(tmp_path, "proj/src/Latin.java", b"class A { // caf\xe9 }\n")
+    monkeypatch.chdir(tmp_path / cwd)
+    root = root.format(tmp=tmp_path)
+    paths = [p.format(tmp=tmp_path) for p in paths]
+    _, outcomes = run_project(RunConfig(input_path=Path(root)))
+    assert [o.path for o in outcomes] == paths
+    main(["check", root])
+    stderr = [p + _STDERR_FOR[p.rsplit("/", 1)[-1]] for p in paths]
+    assert capsys.readouterr().err.splitlines() == stderr
 
 
 def test_verification_failure_rolls_back(tmp_path, monkeypatch):

@@ -127,11 +127,10 @@ def test_bench_pairs_prints_one_block_per_workload(monkeypatch, capsys):
         ("change", "corpus-many", 2, 0), ("parent", "corpus-many", 2, 0),
     ]
     assert [w for _, w, _, t in calls if not t] == ["corpus-many"] * 20 + ["check-java"] * 20
-    # then three alternated traced pairs on each workload's first seed
+    # then eight alternated traced pairs on each workload's first seed
     traced = [
         ("parent", 1, 1), ("change", 1, 1), ("change", 1, 1), ("parent", 1, 1),
-        ("parent", 1, 1), ("change", 1, 1),
-    ]
+    ] * 4
     assert [c for c in calls if c[3]] == [
         (side, workload, seed, trace)
         for workload in ("corpus-many", "check-java")
@@ -242,16 +241,24 @@ def test_compare_parses_finds_no_difference_between_a_checkout_and_itself(capsys
     repo = str(SCRIPTS.parent)
     assert cp.main(["--parent", repo, "--change", repo, "--seeds", "1"]) == 0
     last = capsys.readouterr().out.splitlines()[-1]
-    assert last.endswith(" Java file(s), 0 differ") and not last.startswith("0 ")
+    assert last.endswith(" file(s), 0 differ") and not last.startswith("0 ")
 
 
 def test_compare_parses_lists_the_files_that_differ(monkeypatch, capsys):
     cp = _compare_parses()
     canned = {
-        "parent": {"a.java": "[('compilation_unit', 0, 0, 0, ())]", "b.java": "['1:1: x']"},
-        "change": {"a.java": "[('compilation_unit', 0, 0, 0, ())]", "b.java": "['1:2: x']"},
+        "parent": {
+            "a.java": "[('compilation_unit', 0, 0, 0, ())]", "b.java": "['1:1: x']",
+            "c.xml": "[[('a', 0, 4)], [], []]", "d.xml": "[[('a', 0, 4)], [], []]",
+        },
+        "change": {
+            "a.java": "[('compilation_unit', 0, 0, 0, ())]", "b.java": "['1:2: x']",
+            "c.xml": "[[('a', 0, 4)], [], []]", "d.xml": "[[('b', 0, 4)], [], []]",
+        },
     }
     monkeypatch.setattr(cp, "write_inputs", lambda root, seeds: None)
     monkeypatch.setattr(cp, "parse_checkout", lambda checkout, root: canned[checkout.name])
     assert cp.main(["--parent", "/x/parent", "--change", "/x/change", "--seeds", "1"]) == 1
-    assert capsys.readouterr().out.splitlines() == ["differs: b.java", "2 Java file(s), 1 differ"]
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: b.java", "differs: d.xml", "4 file(s), 2 differ"
+    ]

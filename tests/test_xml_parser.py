@@ -1,3 +1,4 @@
+import gc
 from pathlib import Path
 
 import pytest
@@ -5,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenlint.diagnostics import ParseError, line_col
-from greenlint.xmltree import parse_layout_xml
+from greenlint.spans import SourceSpan
+from greenlint.xmltree import XmlElement, attributes, parse_layout_xml
 
 from conftest import CLEAN_CORPUS, GOLDEN, parse_xml
 from helpers import assert_spans_sound, contains
@@ -16,7 +18,7 @@ def test_minimal_element():
     tree, diags = parse_layout_xml(b"<LinearLayout/>")
     assert diags == []
     assert tree.root.tag == "LinearLayout"
-    assert tree.root.attributes == []
+    assert attributes(tree, tree.root) == []
     assert tree.root.children == []
 
 
@@ -25,7 +27,7 @@ def test_layout_fixture_attributes(golden):
     tree = parse_xml(before)
     text_views = [e for e in tree.root.walk() if e.tag == "TextView"]
     assert len(text_views) == 1
-    names = [a.name for a in text_views[0].attributes]
+    names = [name for name, *_ in attributes(tree, text_views[0])]
     assert len(names) == 4
     assert "android:layout_alignParentBottom" in names
 
@@ -82,13 +84,13 @@ def test_attribute_spans_disjoint_within_start_tag(path: Path):
     tree = parse_xml(data)
     for element in tree.root.walk():
         prev_end = element.span.start
-        for attr in element.attributes:
-            assert contains(element.span, attr.span)
-            assert attr.ws_start >= prev_end
-            assert attr.span.start >= attr.ws_start
-            prev_end = attr.span.end
+        for name, start, end, ws_start in attributes(tree, element):
+            assert contains(element.span, SourceSpan(start, end))
+            assert ws_start >= prev_end
+            assert start >= ws_start
+            prev_end = end
             # span really covers name="value"
-            assert data[attr.span.start : attr.span.end].decode().startswith(attr.name)
+            assert data[start:end].decode().startswith(name)
 
 
 @pytest.mark.parametrize(
@@ -142,7 +144,7 @@ def _outcome(data: bytes):
         (
             e.tag,
             (e.span.start, e.span.end),
-            [(a.name, (a.span.start, a.span.end), a.ws_start) for a in e.attributes],
+            [(name, (start, end), ws) for name, start, end, ws in attributes(tree, e)],
         )
         for e in tree.root.walk()
     ]
@@ -230,3 +232,15 @@ def test_walk_is_document_order():
     tree = parse_xml(b"<a><b><c/><d/></b><e/><f><g/></f></a>")
     assert [e.tag for e in tree.root.walk()] == list("abcdefg")
     assert [e.tag for e in tree.root.children[2].walk()] == ["f", "g"]
+
+
+def test_a_dropped_layout_tree_is_freed_without_the_collector():
+    # No element points back at its parent, so reference counting alone
+    # frees a tree; the tag tells this test's elements from any other's.
+    gc.disable()
+    try:
+        parse_xml(b"<cycleCheck><cycleCheck><cycleCheck/></cycleCheck><cycleCheck/></cycleCheck>")
+        left = [o for o in gc.get_objects() if isinstance(o, XmlElement) and o.tag == "cycleCheck"]
+    finally:
+        gc.enable()
+    assert left == []
