@@ -19,7 +19,7 @@ from ..spans import Edit
 from .base import RuleId, RuleResult
 from .javautil import (
     SHARED_LINE,
-    VAR_LOCAL,
+    cannot_declare,
     declared_locals,
     find_creations,
     has_signature,
@@ -163,9 +163,9 @@ def apply_draw_allocation(tree: SyntaxTree, path: str = "") -> RuleResult:
             # field declaration immediately above onDraw
             method_start = tree.span_of(method).start
             insert_at = own_line_start(data, method_start)
-            reason = SHARED_LINE if insert_at is None else ""
-            if stmt.props["type"] == "var":
-                reason = VAR_LOCAL
+            reason = cannot_declare(tree, method, [stmt.props["type"]], static=False) or (
+                SHARED_LINE if insert_at is None else ""
+            )
             message = (
                 f"allocation of {creation.type_name} inside onDraw() runs "
                 "on every draw pass; hoist it to a field"

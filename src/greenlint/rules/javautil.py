@@ -49,8 +49,32 @@ def own_line_start(data: bytes, offset: int) -> Optional[int]:
 
 # Why a fix is declined when own_line_start returns None.
 SHARED_LINE = "other code shares the line where the fix would go"
-# Why a fix that declares a field of a local's type is declined for `var`.
-VAR_LOCAL = "the local is declared 'var', which a field cannot be"
+
+_NAME = re.compile(r"[\w$]+")
+
+
+def cannot_declare(tree: SyntaxTree, method: Node, types: list[str], static: bool) -> str:
+    """Why a member that a fix declares in ``method``'s class, `static` if
+    ``static``, cannot use the type texts ``types`` of locals moved out of
+    ``method``, or "" if it can. A static member sees no type parameter."""
+    if "var" in types:
+        return "the local is declared 'var', which a field cannot be"
+    names = set(_NAME.findall(" ".join(types)))
+    node = tree.root
+    while static and node is not method:
+        node = next(c for c in node.children if c.tok_lo <= method.tok_lo < c.tok_hi)
+        if names.intersection(node.props.get("type_params", ())):
+            return "the local's type names a type parameter, which a static holder cannot refer to"
+    return ""
+
+
+def fresh_name(base: str, taken: set[str]) -> str:
+    """``base``, or else the first of ``base2``, ``base3``, ... not in ``taken``."""
+    name, n = base, 1
+    while name in taken:
+        n += 1
+        name = f"{base}{n}"
+    return name
 
 
 def release_point(

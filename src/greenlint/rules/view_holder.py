@@ -8,16 +8,15 @@ private static holder class stashed on the view via setTag/getTag.
 
 from __future__ import annotations
 
-import re
-
 from ..java.parser import Node, SyntaxTree
 from ..spans import Edit, SourceSpan
 from .base import RuleId, RuleResult
 from .javautil import (
     SHARED_LINE,
-    VAR_LOCAL,
+    cannot_declare,
     file_eol,
     find_invocations,
+    fresh_name,
     has_signature,
     initialized_local,
     insert_lines,
@@ -30,9 +29,6 @@ from .javautil import (
 
 HOLDER_BASE_NAME = "ViewHolderItem"
 HOLDER_VAR = "viewHolderItem"
-# Why a fix is declined when a cached local's type names a type parameter.
-TYPE_PARAMETER = "the local's type names a type parameter, which a static holder cannot refer to"
-_NAME = re.compile(r"[\w$]+")
 
 
 def _already_optimized(tree: SyntaxTree, body: Node, convert_view: str) -> bool:
@@ -80,26 +76,6 @@ def _collect_cached_views(
     return cached
 
 
-def _type_parameters_in_scope(tree: SyntaxTree, method: Node) -> set[str]:
-    """The type parameters of ``method`` and of every declaration around it:
-    none is in scope in the static holder class."""
-    names: set[str] = set()
-    node = tree.root
-    while node is not method:
-        node = next(c for c in node.children if c.tok_lo <= method.tok_lo < c.tok_hi)
-        names.update(node.props.get("type_params", ()))
-    return names
-
-
-def _holder_name(taken: set[str]) -> str:
-    if HOLDER_BASE_NAME not in taken:
-        return HOLDER_BASE_NAME
-    n = 2
-    while f"{HOLDER_BASE_NAME}{n}" in taken:
-        n += 1
-    return f"{HOLDER_BASE_NAME}{n}"
-
-
 def apply_view_holder(tree: SyntaxTree, path: str = "") -> RuleResult:
     result = RuleResult()
     data = tree.data
@@ -127,13 +103,8 @@ def apply_view_holder(tree: SyntaxTree, path: str = "") -> RuleResult:
         holder_at = own_line_start(data, method_start)
         region_start = own_line_start(data, stmt_start)
         fits = holder_at is not None and region_start is not None
-        reason = "" if fits else SHARED_LINE
-        if any(stmt.props["type"] == "var" for stmt, _ in cached):
-            reason = VAR_LOCAL
-        elif _type_parameters_in_scope(tree, method).intersection(
-            _NAME.findall(" ".join(stmt.props["type"] for stmt, _ in cached))
-        ):
-            reason = TYPE_PARAMETER
+        types = [stmt.props["type"] for stmt, _ in cached]
+        reason = cannot_declare(tree, method, types, static=True) or ("" if fits else SHARED_LINE)
         message = (
             "getView() inflates its row layout and calls findViewById() "
             "on every call; cache the looked-up views in a holder"
@@ -144,7 +115,7 @@ def apply_view_holder(tree: SyntaxTree, path: str = "") -> RuleResult:
             continue
 
         taken = taken_per_owner.setdefault(owner, member_names(owner))
-        holder = _holder_name(taken)
+        holder = fresh_name(HOLDER_BASE_NAME, taken)
         taken.add(holder)
 
         mi = line_indent(data, method_start)
