@@ -56,7 +56,9 @@ _NAME = re.compile(r"[\w$]+")
 def cannot_declare(tree: SyntaxTree, method: Node, types: list[str], static: bool) -> str:
     """Why a member that a fix declares in ``method``'s class, `static` if
     ``static``, cannot use the type texts ``types`` of locals moved out of
-    ``method``, or "" if it can. A static member sees no type parameter."""
+    ``method``, or "" if it can. A static member sees no type parameter,
+    no member sees a type the method declares, and a static method sees no
+    instance member."""
     if "var" in types:
         return "the local is declared 'var', which a field cannot be"
     names = set(_NAME.findall(" ".join(types)))
@@ -65,7 +67,20 @@ def cannot_declare(tree: SyntaxTree, method: Node, types: list[str], static: boo
         node = next(c for c in node.children if c.tok_lo <= method.tok_lo < c.tok_hi)
         if names.intersection(node.props.get("type_params", ())):
             return "the local's type names a type parameter, which a static holder cannot refer to"
+    local_types = {n.props["name"] for n in method.props["body"].walk() if n.kind in TYPE_DECLS}
+    if names.intersection(local_types.union(method.props["type_params"])):
+        return "the local's type is declared in the method, so it is not in scope outside it"
+    if not static and declared_static(tree, method):
+        return "the method is 'static', so it cannot use an instance member the fix declares"
     return ""
+
+
+def declared_static(tree: SyntaxTree, node: Node) -> bool:
+    """True if the modifiers of the method, type or anonymous body ``node``
+    hold `static`: nodes keep no modifiers, so its tokens are read."""
+    values = tree.tokens.values
+    end = node.props.get("name_tok") or values.index("{", node.tok_lo)
+    return "static" in values[node.tok_lo : end]
 
 
 def fresh_name(base: str, taken: set[str]) -> str:

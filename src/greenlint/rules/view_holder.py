@@ -3,7 +3,9 @@
 Detects getView(int, View, ViewGroup) implementations that re-inflate the
 row layout and re-run findViewById on every call, and rewrites them to the
 tag-cached holder form: lookups run once per row layout, cached in a
-private static holder class stashed on the view via setTag/getTag.
+private holder class stashed on the view via setTag/getTag. The holder is
+`static` when its host class is top-level or `static`, since Java before 16
+allows no static member in an inner, anonymous or local class.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from .base import RuleId, RuleResult
 from .javautil import (
     SHARED_LINE,
     cannot_declare,
+    declared_static,
     file_eol,
     find_invocations,
     fresh_name,
@@ -29,6 +32,9 @@ from .javautil import (
 
 HOLDER_BASE_NAME = "ViewHolderItem"
 HOLDER_VAR = "viewHolderItem"
+READS_CACHED = (
+    "a lookup reads an earlier cached view, which the holder block would read before declaring it"
+)
 
 
 def _already_optimized(tree: SyntaxTree, body: Node, convert_view: str) -> bool:
@@ -76,6 +82,17 @@ def _collect_cached_views(
     return cached
 
 
+def _reads_cached(values: list[str], cached: list[tuple[Node, dict]]) -> bool:
+    """True if a lookup's initializer names a local cached before it."""
+    seen: set[str] = set()
+    for _, decl in cached:
+        lo, hi = decl["init"]
+        if any(values[j] in seen and values[j - 1] != "." for j in range(lo, hi)):
+            return True
+        seen.add(decl["name"])
+    return False
+
+
 def apply_view_holder(tree: SyntaxTree, path: str = "") -> RuleResult:
     result = RuleResult()
     data = tree.data
@@ -103,8 +120,13 @@ def apply_view_holder(tree: SyntaxTree, path: str = "") -> RuleResult:
         holder_at = own_line_start(data, method_start)
         region_start = own_line_start(data, stmt_start)
         fits = holder_at is not None and region_start is not None
+        static = owner in tree.root.children or declared_static(tree, owner)
         types = [stmt.props["type"] for stmt, _ in cached]
-        reason = cannot_declare(tree, method, types, static=True) or ("" if fits else SHARED_LINE)
+        reason = (
+            cannot_declare(tree, method, types, static=static)
+            or (READS_CACHED if _reads_cached(toks.values, cached) else "")
+            or ("" if fits else SHARED_LINE)
+        )
         message = (
             "getView() inflates its row layout and calls findViewById() "
             "on every call; cache the looked-up views in a holder"
@@ -117,6 +139,8 @@ def apply_view_holder(tree: SyntaxTree, path: str = "") -> RuleResult:
         taken = taken_per_owner.setdefault(owner, member_names(owner))
         holder = fresh_name(HOLDER_BASE_NAME, taken)
         taken.add(holder)
+        # a name the method never mentions can neither clash nor shadow
+        var = fresh_name(HOLDER_VAR, set(toks.values[method.tok_lo : method.tok_hi]))
 
         mi = line_indent(data, method_start)
         si = line_indent(data, stmt_start)
@@ -124,7 +148,7 @@ def apply_view_holder(tree: SyntaxTree, path: str = "") -> RuleResult:
         inner = si + unit
 
         # nested holder class inserted right above the method, then a blank line
-        holder_lines = [f"{mi}private static class {holder} {{"]
+        holder_lines = [f"{mi}private {'static ' if static else ''}class {holder} {{"]
         for stmt, decl in cached:
             field = f"private {stmt.props['type']} {decl['name']};"
             holder_lines.append(f"{mi}{unit}{field}")
@@ -134,24 +158,24 @@ def apply_view_holder(tree: SyntaxTree, path: str = "") -> RuleResult:
         # rebuild the inflate + lookup block as the null-guarded holder block;
         # reindent leaves a text's first line alone, so it takes the prefix
         lines = [
-            f"{si}{holder} {HOLDER_VAR};",
+            f"{si}{holder} {var};",
             f"{si}if ({convert_view} == null) {{",
             *reindent(inner + tree.text_of(assign), si, inner),
-            f"{inner}{HOLDER_VAR} = new {holder}();",
+            f"{inner}{var} = new {holder}();",
         ]
         for _, decl in cached:
             lo, hi = decl["init"]
             init = data[toks.starts[lo] : toks.ends[hi - 1]].decode()
-            assignment = f"{inner}{HOLDER_VAR}.{decl['name']} = {init};"
+            assignment = f"{inner}{var}.{decl['name']} = {init};"
             lines += reindent(assignment, si, inner)
-        lines.append(f"{inner}{convert_view}.setTag({HOLDER_VAR});")
+        lines.append(f"{inner}{convert_view}.setTag({var});")
         lines.append(f"{si}}} else {{")
-        lines.append(f"{inner}{HOLDER_VAR} = ({holder}) {convert_view}.getTag();")
+        lines.append(f"{inner}{var} = ({holder}) {convert_view}.getTag();")
         lines.append(f"{si}}}")
         for stmt, decl in cached:
             # modifiers, type and name, e.g. "final TextView t"
             head = data[tree.span_of(stmt).start : toks.ends[decl["name_tok"]]].decode()
-            lines += reindent(f"{si}{head} = {HOLDER_VAR}.{decl['name']};", si, si)
+            lines += reindent(f"{si}{head} = {var}.{decl['name']};", si, si)
         block_text = file_eol(tree).join(lines)
 
         region_end = tree.span_of(cached[-1][0]).end

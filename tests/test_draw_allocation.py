@@ -174,3 +174,44 @@ def test_hoisted_multi_line_statement_keeps_crlf_line_ends():
         b"    void onDraw(Canvas c) {\r\n"
     )
     assert b"\r\r" not in fixed
+
+
+@pytest.mark.parametrize(
+    "source, reason",
+    [
+        # a static onDraw cannot read the instance field the hoist declares
+        (
+            "class V {\n    static class H {\n        static void onDraw(Canvas canvas) {\n"
+            "            Rect r = new Rect(0, 0, 1, 1);\n            canvas.drawRect(r, null);\n"
+            "        }\n    }\n}\n",
+            "the method is 'static'",
+        ),
+        # a class declared in onDraw is out of scope for a field
+        (
+            "class V {\n    void onDraw(Canvas canvas) {\n        class Box extends Rect {}\n"
+            "        Box r = new Box();\n        canvas.drawRect(r, null);\n    }\n}\n",
+            "the local's type is declared in the method",
+        ),
+        # so is a type parameter of onDraw
+        (
+            "class V {\n    <P extends Paint> void onDraw(Canvas canvas) {\n"
+            "        Box<P> b = new Box<P>();\n        canvas.drawRect(r, b);\n    }\n}\n",
+            "the local's type is declared in the method",
+        ),
+    ],
+    ids=["static-on-draw", "local-class", "method-type-parameter"],
+)
+def test_hoist_out_of_scope_is_declined(source, reason):
+    result = apply_draw_allocation(parse_java(source.encode()))
+    assert [f.fixable for f in result.findings] == [False]
+    assert reason in result.findings[0].message
+    assert result.edits == []
+
+
+def test_class_type_parameter_is_in_scope_for_the_field():
+    source = (
+        "class V<P extends Paint> {\n    void onDraw(Canvas canvas) {\n"
+        "        Box<P> b = new Box<P>();\n        canvas.drawRect(r, b);\n    }\n}\n"
+    )
+    result = apply_draw_allocation(parse_java(source.encode()))
+    assert [f.fixable for f in result.findings] == [True]

@@ -23,6 +23,14 @@ VAR_LOCAL = "; the local is declared 'var', which a field cannot be" + NO_FIX
 TYPE_PARAMETER = (
     "; the local's type names a type parameter, which a static holder cannot refer to" + NO_FIX
 )
+LOCAL_TYPE = "; the local's type is declared in the method, so it is not in scope outside it" + NO_FIX
+STATIC_METHOD = (
+    "; the method is 'static', so it cannot use an instance member the fix declares" + NO_FIX
+)
+READS_CACHED = (
+    "; a lookup reads an earlier cached view, which the holder block would read before "
+    "declaring it" + NO_FIX
+)
 
 RECYCLE = "'{name}' ({type}) is obtained but never released with {release}()"
 TYPED_ARRAY = RECYCLE.format(name="a", type="TypedArray", release="recycle")
@@ -193,6 +201,19 @@ CASES = {
         "        var p = new Paint();\n        c.drawRect(r, p);\n    }\n}\n",
         [(DRAW_ALLOCATION.format("Paint") + VAR_LOCAL, False, (67, 78))],
     ),
+    "draw-allocation-local-class": (
+        apply_draw_allocation,
+        "class V extends View {\n    void onDraw(Canvas c) {\n"
+        "        class P extends Paint {}\n"
+        "        P p = new P();\n        c.drawRect(r, p);\n    }\n}\n",
+        [(DRAW_ALLOCATION.format("P") + LOCAL_TYPE, False, (98, 105))],
+    ),
+    "draw-allocation-static-method": (
+        apply_draw_allocation,
+        "class V extends View {\n    static void onDraw(Canvas c) {\n"
+        "        Paint p = new Paint();\n        c.drawRect(r, p);\n    }\n}\n",
+        [(DRAW_ALLOCATION.format("Paint") + STATIC_METHOD, False, (76, 87))],
+    ),
     "view-holder-fixable": (
         apply_view_holder,
         _adapter(" {\n        "),
@@ -214,6 +235,20 @@ CASES = {
         .replace("class Ad ", "class Ad<V extends TextView> ")
         .replace("TextView t = (TextView)", "V t = (V)"),
         [(VIEW_HOLDER + TYPE_PARAMETER, False, (67, 74))],
+    ),
+    "view-holder-local-class": (
+        apply_view_holder,
+        _adapter(" {\n        class T extends TextView {}\n        ")
+        .replace("TextView t = (TextView)", "T t = (T)"),
+        [(VIEW_HOLDER + LOCAL_TYPE, False, (47, 54))],
+    ),
+    "view-holder-reads-cached": (
+        apply_view_holder,
+        _adapter(" {\n        ").replace(
+            "        return cv;",
+            "        TextView u = (TextView) t.findViewById(R.id.u);\n        return cv;",
+        ),
+        [(VIEW_HOLDER + READS_CACHED, False, (47, 54))],
     ),
 }
 

@@ -133,17 +133,18 @@ def test_crlf_input_keeps_crlf_line_endings(golden):
         ("class A<T extends TextView> extends BaseAdapter {", ["TextView", "T"], False),
         ("class A<K, T extends Comparable<K> & View> extends BaseAdapter {", ["T"], False),
         ("class A<T> extends ArrayAdapter<T> {", ["List<T>"], False),
-        ("class O<T> {\n    class A extends BaseAdapter {", ["T[]"], False),
         # bounds, type arguments and out-of-scope type parameters name classes
         ("class A<T extends TextView> extends BaseAdapter {", ["TextView"], True),
         ("class A<T extends android.widget.TextView> extends BaseAdapter {", ["TextView"], True),
         ("class A extends ArrayAdapter<T> {", ["T"], True),
         ("class A extends BaseAdapter {\n    <T> T id(T t) { return t; }", ["T"], True),
+        # an inner host's holder is an inner class, which sees the outer T
+        ("class O<T> {\n    class A extends BaseAdapter {", ["T[]"], True),
     ],
 )
 def test_holder_field_never_names_a_type_parameter(header, local_types, fixable):
-    # The holder class is static, so javac rejects a field whose type names
-    # a type parameter of the enclosing class or method.
+    # A static holder class sees no type parameter of the enclosing class
+    # or method, so javac rejects a field whose type names one.
     lookups = "".join(
         f"        {t} v{i} = ({t}) convertView.findViewById(R.id.name);\n"
         for i, t in enumerate(local_types)
@@ -160,3 +161,120 @@ def test_holder_field_never_names_a_type_parameter(header, local_types, fixable)
     result = apply_view_holder(parse_java(source))
     assert [f.fixable for f in result.findings] == [fixable]
     assert bool(result.edits) == fixable
+
+
+def _adapter(lookups: str, params: str = "int pos, View convertView, ViewGroup parent") -> bytes:
+    return (
+        "class A extends BaseAdapter {\n"
+        f"    public View getView({params}) {{\n"
+        "        convertView = inf.inflate(R.layout.row, parent, false);\n"
+        + "".join(f"        {line}\n" for line in lookups.splitlines())
+        + "        return convertView;\n    }\n}\n"
+    ).encode()
+
+
+def test_lookup_reading_an_earlier_cached_view_is_declined():
+    # The holder block assigns every lookup before it declares the locals,
+    # so `box` would be read before it exists.
+    source = _adapter(
+        "View box = convertView.findViewById(R.id.box);\n"
+        "TextView t = (TextView) box.findViewById(R.id.name);"
+    )
+    result = apply_view_holder(parse_java(source))
+    assert [f.fixable for f in result.findings] == [False]
+    assert "a lookup reads an earlier cached view" in result.findings[0].message
+    assert result.edits == []
+
+
+def test_member_named_like_an_earlier_cached_view_is_no_read_of_it():
+    source = _adapter(
+        "View box = convertView.findViewById(R.id.box);\n"
+        "TextView t = (TextView) convertView.findViewById(R.id.box);"
+    )
+    result = apply_view_holder(parse_java(source))
+    assert [f.fixable for f in result.findings] == [True]
+
+
+@pytest.mark.parametrize(
+    "lookups, params",
+    [
+        ("TextView viewHolderItem = (TextView) convertView.findViewById(R.id.name);", None),
+        (
+            "TextView t = (TextView) convertView.findViewById(R.id.name);",
+            "int viewHolderItem, View convertView, ViewGroup parent",
+        ),
+    ],
+)
+def test_holder_variable_skips_a_name_the_method_uses(lookups, params):
+    source = _adapter(lookups, *([params] if params else []))
+    result, fixed = fix_java(apply_view_holder, source)
+    assert [f.fixable for f in result.findings] == [True]
+    assert b"        ViewHolderItem viewHolderItem2;\n" in fixed
+    assert b"convertView.setTag(viewHolderItem2);" in fixed
+    _, again = fix_java(apply_view_holder, fixed)
+    assert again == fixed
+
+
+_GET_VIEW = (
+    "public View getView(int pos, View convertView, ViewGroup parent) {\n"
+    "    convertView = inf.inflate(R.layout.row, parent, false);\n"
+    "    TextView t = (TextView) convertView.findViewById(R.id.name);\n"
+    "    return convertView;\n"
+    "}\n"
+)
+
+
+def _host(head: str, tail: str, depth: int) -> bytes:
+    indent = "    " * depth
+    body = "".join(f"{indent}{line}\n" for line in _GET_VIEW.splitlines())
+    return (head + body + tail).encode()
+
+
+@pytest.mark.parametrize(
+    "source, holder",
+    [
+        (_host("class A extends BaseAdapter {\n", "}\n", 1), "private static class"),
+        (
+            _host("class O {\n    static class A extends BaseAdapter {\n", "    }\n}\n", 2),
+            "private static class",
+        ),
+        # before Java 16 an inner, anonymous or local class holds no static member
+        (
+            _host("class O {\n    class A extends BaseAdapter {\n", "    }\n}\n", 2),
+            "private class",
+        ),
+        (
+            _host(
+                "class O {\n    Adapter a = new BaseAdapter() {\n", "    };\n}\n", 2
+            ),
+            "private class",
+        ),
+        (
+            _host(
+                "class O {\n    void m() {\n        class A extends BaseAdapter {\n",
+                "        }\n    }\n}\n",
+                3,
+            ),
+            "private class",
+        ),
+    ],
+    ids=["top-level", "static-nested", "inner-member", "anonymous", "local-class"],
+)
+def test_holder_is_static_only_where_its_host_allows(source, holder):
+    result, fixed = fix_java(apply_view_holder, source)
+    assert [f.fixable for f in result.findings] == [True]
+    assert f"{holder} ViewHolderItem {{".encode() in fixed
+    _, again = fix_java(apply_view_holder, fixed)
+    assert again == fixed
+
+
+def test_local_class_type_is_declined():
+    source = _adapter(
+        "TextView t = (TextView) convertView.findViewById(R.id.name);"
+    ).replace(
+        b"        convertView = inf",
+        b"        class Row extends TextView {}\n        convertView = inf",
+    ).replace(b"TextView t = (TextView)", b"Row t = (Row)")
+    result = apply_view_holder(parse_java(source))
+    assert [f.fixable for f in result.findings] == [False]
+    assert "the local's type is declared in the method" in result.findings[0].message
