@@ -869,6 +869,7 @@ def _reusable(old: SyntaxTree, tokens: Tokens) -> _Reusable:
                     visit(node.props["name"], node.children)
 
     visit(None, old.root.children)
+    del visit  # its closure holds it: break that cycle so reference counting frees it
     return out
 
 

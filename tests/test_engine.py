@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import inspect
 import os
@@ -729,6 +730,26 @@ def test_reused_tree_equals_a_fresh_parse(case):
     new = apply_edit_set(old, edits)
     fresh = _outcome(*parse_java_source(new))
     assert _outcome(*parse_java_source(new, (tree, edits))) == fresh, (new, edits)
+
+
+def test_a_reusing_parse_leaves_nothing_for_the_collector():
+    # With the collector off, reference counting alone must free every
+    # object a verify parse that reuses members made.
+    old = _big_source().encode()
+    at = old.index(b"c.moveToFirst()")
+    edits = [Edit.replace(at, at + 1, b"d")]
+    new = apply_edit_set(old, edits)
+    gc.collect()
+    gc.disable()
+    try:
+        tree, diags = parse_java_source(old)
+        reused, diags = parse_java_source(new, (tree, edits))
+        assert reused is not None, diags
+        del tree, reused
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
 
 
 def _big_source() -> str:
