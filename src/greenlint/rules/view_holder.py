@@ -140,7 +140,7 @@ def apply_view_holder(tree: SyntaxTree, path: str = "") -> RuleResult:
         holder = fresh_name(HOLDER_BASE_NAME, taken)
         taken.add(holder)
         # a name the method never mentions can neither clash nor shadow
-        var = fresh_name(HOLDER_VAR, set(toks.values[method.tok_lo : method.tok_hi]))
+        holder_var = fresh_name(HOLDER_VAR, set(toks.values[method.tok_lo : method.tok_hi]))
 
         mi = line_indent(data, method_start)
         si = line_indent(data, stmt_start)
@@ -158,24 +158,24 @@ def apply_view_holder(tree: SyntaxTree, path: str = "") -> RuleResult:
         # rebuild the inflate + lookup block as the null-guarded holder block;
         # reindent leaves a text's first line alone, so it takes the prefix
         lines = [
-            f"{si}{holder} {var};",
+            f"{si}{holder} {holder_var};",
             f"{si}if ({convert_view} == null) {{",
             *reindent(inner + tree.text_of(assign), si, inner),
-            f"{inner}{var} = new {holder}();",
+            f"{inner}{holder_var} = new {holder}();",
         ]
         for _, decl in cached:
             lo, hi = decl["init"]
             init = data[toks.starts[lo] : toks.ends[hi - 1]].decode()
-            assignment = f"{inner}{var}.{decl['name']} = {init};"
+            assignment = f"{inner}{holder_var}.{decl['name']} = {init};"
             lines += reindent(assignment, si, inner)
-        lines.append(f"{inner}{convert_view}.setTag({var});")
+        lines.append(f"{inner}{convert_view}.setTag({holder_var});")
         lines.append(f"{si}}} else {{")
-        lines.append(f"{inner}{var} = ({holder}) {convert_view}.getTag();")
+        lines.append(f"{inner}{holder_var} = ({holder}) {convert_view}.getTag();")
         lines.append(f"{si}}}")
         for stmt, decl in cached:
             # modifiers, type and name, e.g. "final TextView t"
             head = data[tree.span_of(stmt).start : toks.ends[decl["name_tok"]]].decode()
-            lines += reindent(f"{si}{head} = {var}.{decl['name']};", si, si)
+            lines += reindent(f"{si}{head} = {holder_var}.{decl['name']};", si, si)
         block_text = file_eol(tree).join(lines)
 
         region_end = tree.span_of(cached[-1][0]).end

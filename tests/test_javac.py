@@ -113,6 +113,7 @@ def _javac(tmp_path, side: str) -> subprocess.CompletedProcess:
         [JAVAC, "--release", "8", "-nowarn", "-d", str(out), *sources],
         capture_output=True,
         text=True,
+        timeout=300,
     )
 
 
