@@ -262,10 +262,15 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def run() -> None:
-    """The console entry point: `main`, then exit without the collector's
-    pass over every object still alive; `atexit` handlers and the stream
-    flushes still run. `main` itself leaves the collector alone, for
-    callers that go on running."""
+    """The console entry point: `main` with the cyclic collector off, then
+    exit without the collector's pass over every object still alive;
+    `atexit` handlers and the stream flushes still run. Past the argument
+    parser and the standard JSON encoder, a fixed few objects, a run makes
+    no reference cycle (tests/test_no_cycles.py pins this), so reference
+    counting frees what it drops and collector passes would find nothing.
+    `main` itself leaves the collector alone, for callers that go on
+    running."""
+    gc.disable()
     code = main()
     gc.freeze()
     sys.exit(code)

@@ -70,11 +70,13 @@ _UNTERMINATED = {
 
 # Trivia, then one token: a word, a bracket or separator (first, as the
 # commonest after words), a number, string, char, an unterminated comment
-# or literal's opening, an operator, or any other character. The token is
-# optional only so that trailing trivia matches. Possessive repeats save
-# the engine its backtracking state.
+# or literal's opening, an operator, or any other character. Trivia is
+# whitespace, then a loop over comments each followed by whitespace, so the
+# commonest trivia, whitespace alone, takes no loop. The token is optional
+# only so that trailing trivia matches. Possessive repeats save the engine
+# its backtracking state.
 _TOKEN = re.compile(
-    r"((?:[ \t\n\r\f]++|//[^\n]*+\n?|/\*.*?\*/)*+)"
+    r"([ \t\n\r\f]*+(?:(?://[^\n]*+\n?|/\*.*?\*/)[ \t\n\r\f]*+)*+)"
     r"([A-Za-z_$\x80-\xff][A-Za-z0-9_$\x80-\xff]*+"
     r"|[(){}\[\];,]"
     r"|(?:[0-9]|\.[0-9])(?:[A-Za-z0-9_$\x80-\xff.]|(?<=[eEpP])[+-])*+"
@@ -188,7 +190,11 @@ def _build(text: str, pos: int, pairs: list[tuple[str, str]]) -> Tokens:
     values = list(map(itemgetter(1), pairs))
     offsets = list(accumulate(map(len, chain.from_iterable(pairs)), initial=pos))
     starts, ends = offsets[1::2], offsets[2::2]
-    kinds = list(map(_SPELLINGS.get, values, map(_FIRST.__getitem__, map(itemgetter(0), values))))
+    # each distinct spelling is looked up once, then every token by spelling
+    kind_of = _SPELLINGS.copy()
+    new = set(values).difference(kind_of)
+    kind_of.update(zip(new, map(_FIRST.__getitem__, map(itemgetter(0), new))))
+    kinds = list(map(kind_of.__getitem__, values))
     if "error" in kinds:
         cut = kinds.index("error")
         value = values[cut]

@@ -10,7 +10,8 @@ when the statement is an expression.
 
 Anonymous class bodies inside expressions are parsed as full class bodies
 and attached as child nodes, so rules see methods declared in anonymous
-adapters too.
+adapters too. An enum constant's body is an anonymous class body as well,
+a child of the enum among its members.
 
 Node kinds, and the props that rules read (token ranges are half-open
 index pairs):
@@ -445,9 +446,7 @@ class _Parser:
             self.expect_ident("enum constant")
             self._skip_optional_group("(")
             if self.at("{"):
-                self.advance()
-                members.extend(self._parse_members(enclosing))
-                self.expect("}")
+                members.append(self._parse_anonymous_body())
             if not self.at(","):
                 break
             self.advance()
@@ -860,6 +859,9 @@ def _reusable(old: SyntaxTree, tokens: Tokens) -> _Reusable:
 
     def visit(enclosing: Optional[str], members: list[Node]) -> None:
         for node in members:
+            if node.kind == "anonymous_class_body":  # an enum constant's, not a member
+                visit("", node.children)
+                continue
             for lo, hi, at in tokens.kept:
                 if lo <= node.tok_lo and node.tok_hi <= hi:
                     out[(node.tok_lo + at - lo, enclosing)] = (node, at - lo)

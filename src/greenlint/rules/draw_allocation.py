@@ -26,8 +26,8 @@ from .javautil import (
     initialized_local,
     insert_lines,
     line_indent,
-    member_names,
     methods_of,
+    names_in_scope,
     own_line_start,
     reindent,
     split_args,
@@ -134,7 +134,6 @@ def apply_draw_allocation(tree: SyntaxTree, path: str = "") -> RuleResult:
         above = owner.children[: owner.children.index(method)]
         fields = _final_fields(tree.tokens.values, above)
         locals_ = declared_locals(method)
-        members = member_names(owner)
 
         for stmt in body.children:
             decl = initialized_local(stmt)
@@ -155,8 +154,8 @@ def apply_draw_allocation(tree: SyntaxTree, path: str = "") -> RuleResult:
             if not _args_are_invariant(tree.tokens, creation.args, fields, locals_):
                 continue
             name = decl["name"]
-            if name in members:
-                continue  # hoisting would collide with an existing member
+            if name in names_in_scope(tree, owner):
+                continue  # the field would clash with or hide a name in scope
             if _changed_elsewhere(tree, method, stmt, name, fields, locals_):
                 continue
 

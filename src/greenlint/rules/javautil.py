@@ -62,9 +62,7 @@ def cannot_declare(tree: SyntaxTree, method: Node, types: list[str], static: boo
     if "var" in types:
         return "the local is declared 'var', which a field cannot be"
     names = set(_NAME.findall(" ".join(types)))
-    node = tree.root
-    while static and node is not method:
-        node = next(c for c in node.children if c.tok_lo <= method.tok_lo < c.tok_hi)
+    for node in path_to(tree, method) if static else ():
         if names.intersection(node.props.get("type_params", ())):
             return "the local's type names a type parameter, which a static holder cannot refer to"
     local_types = {n.props["name"] for n in method.props["body"].walk() if n.kind in TYPE_DECLS}
@@ -73,6 +71,14 @@ def cannot_declare(tree: SyntaxTree, method: Node, types: list[str], static: boo
     if not static and declared_static(tree, method):
         return "the method is 'static', so it cannot use an instance member the fix declares"
     return ""
+
+
+def path_to(tree: SyntaxTree, node: Node) -> list[Node]:
+    """The nodes from a child of the root down to ``node``, each holding the next."""
+    path = [tree.root]
+    while path[-1] is not node:
+        path.append(next(c for c in path[-1].children if c.tok_lo <= node.tok_lo < c.tok_hi))
+    return path[1:]
 
 
 def declared_static(tree: SyntaxTree, node: Node) -> bool:
@@ -382,13 +388,16 @@ def methods_of(tree: SyntaxTree) -> tuple[tuple[Node, Node], ...]:
     if tree.methods is None:
         pairs = []
         stack = [tree.root]
+        push = stack.append
         while stack:
             node = stack.pop()
             if node.kind in OWNER_KINDS:
                 for child in node.children:
                     if child.kind in _METHOD_KINDS and child.props.get("body") is not None:
                         pairs.append((node, child))
-            stack += [c for c in reversed(node.children) if c.children]  # leaves hold none
+            for child in reversed(node.children):
+                if child.children:  # leaves hold none
+                    push(child)
         tree.methods = tuple(pairs)
     return tree.methods
 
@@ -406,9 +415,18 @@ def class_fields(members: list[Node]) -> dict[str, Node]:
 _NAMED_KINDS = TYPE_DECLS | _METHOD_KINDS
 
 
-def member_names(owner: Node) -> set[str]:
-    names = set(class_fields(owner.children))
-    names.update(c.props["name"] for c in owner.children if c.kind in _NAMED_KINDS)
+def names_in_scope(tree: SyntaxTree, owner: Node) -> set[str]:
+    """The names of the members of ``owner`` and of each type or body that
+    encloses it, and of those types. A member a fix declares in ``owner``
+    must take none of them: it would clash with or hide one, and javac
+    rejects a class named like an enclosing one."""
+    names: set[str] = set()
+    for node in path_to(tree, owner):
+        if node.kind in OWNER_KINDS:
+            names.update(class_fields(node.children))
+            names.update(c.props["name"] for c in node.children if c.kind in _NAMED_KINDS)
+        if node.kind in TYPE_DECLS:
+            names.add(node.props["name"])
     return names
 
 

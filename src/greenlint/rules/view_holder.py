@@ -5,7 +5,10 @@ row layout and re-run findViewById on every call, and rewrites them to the
 tag-cached holder form: lookups run once per row layout, cached in a
 private holder class stashed on the view via setTag/getTag. The holder is
 `static` when its host class is top-level or `static`, since Java before 16
-allows no static member in an inner, anonymous or local class.
+allows no static member in an inner, anonymous or local class. In an
+interface it is a plain member class, which is implicitly public and
+static, as no interface member may be private. Its name is no name in
+the host's scope (`javautil.names_in_scope`).
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from .javautil import (
     initialized_local,
     insert_lines,
     line_indent,
-    member_names,
     methods_of,
+    names_in_scope,
     own_line_start,
     reindent,
 )
@@ -120,7 +123,8 @@ def apply_view_holder(tree: SyntaxTree, path: str = "") -> RuleResult:
         holder_at = own_line_start(data, method_start)
         region_start = own_line_start(data, stmt_start)
         fits = holder_at is not None and region_start is not None
-        static = owner in tree.root.children or declared_static(tree, owner)
+        interface = owner.kind == "interface_declaration"
+        static = interface or owner in tree.root.children or declared_static(tree, owner)
         types = [stmt.props["type"] for stmt, _ in cached]
         reason = (
             cannot_declare(tree, method, types, static=static)
@@ -136,7 +140,7 @@ def apply_view_holder(tree: SyntaxTree, path: str = "") -> RuleResult:
         if not result.report(RuleId.VIEW_HOLDER, path, span, message, reason):
             continue
 
-        taken = taken_per_owner.setdefault(owner, member_names(owner))
+        taken = taken_per_owner.setdefault(owner, names_in_scope(tree, owner))
         holder = fresh_name(HOLDER_BASE_NAME, taken)
         taken.add(holder)
         # a name the method never mentions can neither clash nor shadow
@@ -148,7 +152,8 @@ def apply_view_holder(tree: SyntaxTree, path: str = "") -> RuleResult:
         inner = si + unit
 
         # nested holder class inserted right above the method, then a blank line
-        holder_lines = [f"{mi}private {'static ' if static else ''}class {holder} {{"]
+        modifiers = "" if interface else "private static " if static else "private "
+        holder_lines = [f"{mi}{modifiers}class {holder} {{"]
         for stmt, decl in cached:
             field = f"private {stmt.props['type']} {decl['name']};"
             holder_lines.append(f"{mi}{unit}{field}")

@@ -135,6 +135,22 @@ def test_member_name_collision_blocks_hoist():
     assert result.findings == []
 
 
+def test_enclosing_member_name_collision_blocks_hoist():
+    # a field `i` in V would hide O's `i` from half()
+    source = (
+        b"class O {\n"
+        b"    private float i;\n"
+        b"    class V extends Button {\n"
+        b"        protected void onDraw(Canvas canvas) {\n"
+        b"            Integer i = new Integer(5);\n"
+        b"        }\n"
+        b"        float half() { return i / 2; }\n"
+        b"    }\n"
+        b"}\n"
+    )
+    assert apply_draw_allocation(parse_java(source)).findings == []
+
+
 def test_only_on_draw_with_canvas_param():
     source = (
         b"class V {\n"

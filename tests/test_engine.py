@@ -732,6 +732,18 @@ def test_reused_tree_equals_a_fresh_parse(case):
     assert _outcome(*parse_java_source(new, (tree, edits))) == fresh, (new, edits)
 
 
+def test_an_enum_constant_body_is_never_reused_as_an_initializer():
+    # `;` after the constant makes the kept `{ int w; }` a member block
+    old = b"enum F {\n    Y { int w; }\n}\n"
+    edits = [Edit.insert(old.index(b"{ int"), b"; ")]
+    new = apply_edit_set(old, edits)
+    tree, diags = parse_java_source(old)
+    assert tree is not None, diags
+    fresh = _outcome(*parse_java_source(new))
+    assert fresh[2][0] == "initializer"
+    assert _outcome(*parse_java_source(new, (tree, edits))) == fresh
+
+
 def test_a_reusing_parse_leaves_nothing_for_the_collector():
     # With the collector off, reference counting alone must free every
     # object a verify parse that reuses members made.

@@ -68,6 +68,15 @@ def test_parses_common_constructs(source):
     assert_spans_sound(tree)
 
 
+def test_an_enum_constant_body_is_an_anonymous_class_body():
+    tree = parse_java(b"enum E { A { void f() {} }, B(1) { int g; }; int h() { return 0; } }")
+    enum = tree.root.children[0]
+    kinds = [c.kind for c in enum.children]
+    assert kinds == ["anonymous_class_body", "anonymous_class_body", "method_declaration"]
+    assert tree.text_of(enum.children[0]) == "{ void f() {} }"
+    assert [c.kind for c in enum.children[1].children] == ["field_declaration"]
+
+
 def _java_fixtures():
     files = sorted(GOLDEN.rglob("*.java")) + sorted(CLEAN_CORPUS.rglob("*.java"))
     assert files

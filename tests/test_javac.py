@@ -4,10 +4,14 @@ Each program below compiles, and each once drew a rewrite javac rejected:
 ViewHolder caching a lookup that reads an earlier cached view, ViewHolder
 with a cached local named like its holder variable, a ViewHolder host
 that is an inner class (no `static` member class there before Java 16),
-DrawAllocation in a `static` onDraw, and DrawAllocation on a local whose
-type is a class declared inside onDraw. The Android types are plain-class
-stubs. Every `before`, then every `after`, is compiled in one
-`javac --release 8` call per side. Skipped when no `javac` is on the path.
+DrawAllocation in a `static` onDraw, DrawAllocation on a local whose
+type is a class declared inside onDraw, and ViewHolder hosts that are an
+enum constant's body (no `static` member class there before Java 16), an
+interface's `default` method (no `private` member there) and a class inside
+one named like the holder. The Android types are plain-class stubs. Every
+`before` is compiled in one `javac --release 8` call, and every `after` in
+one call at `--release 8` and one at `--release 17`. Skipped when no
+`javac` is on the path.
 """
 
 import shutil
@@ -62,6 +66,12 @@ def _adapter(name: str, lookups: str) -> str:
     )
 
 
+def _nested(name: str, member: str) -> str:
+    """Class ``name`` holding ``member``, indented one step."""
+    lines = member.splitlines(keepends=True)
+    return f"class {name} {{\n" + "".join(f"    {l}" if l.strip() else l for l in lines) + "}\n"
+
+
 PROGRAMS = {
     "LookupReadsLookup": _adapter(
         "LookupReadsLookup",
@@ -72,16 +82,9 @@ PROGRAMS = {
         "HolderVariableTaken",
         "        TextView viewHolderItem = (TextView) convertView.findViewById(R.id.name);\n",
     ),
-    "InnerAdapterHost": (
-        "class InnerAdapterHost {\n"
-        + "".join(
-            f"    {line}" if line.strip() else line
-            for line in _adapter(
-                "Adapter",
-                "        TextView t = (TextView) convertView.findViewById(R.id.name);\n",
-            ).splitlines(keepends=True)
-        )
-        + "}\n"
+    "InnerAdapterHost": _nested(
+        "InnerAdapterHost",
+        _adapter("Adapter", "        TextView t = (TextView) convertView.findViewById(R.id.name);\n"),
     ),
     "StaticOnDraw": (
         "class StaticOnDraw {\n"
@@ -102,15 +105,45 @@ PROGRAMS = {
         "    }\n"
         "}\n"
     ),
+    "EnumConstantBody": (
+        "enum EnumConstantBody {\n"
+        "    ONE {\n"
+        "        LayoutInflater inf;\n\n"
+        "        @Override\n"
+        "        public View getView(int position, View convertView, ViewGroup parent) {\n"
+        "            convertView = inf.inflate(R.layout.row, parent, false);\n"
+        "            TextView t = (TextView) convertView.findViewById(R.id.name);\n"
+        "            return convertView;\n"
+        "        }\n"
+        "    };\n\n"
+        "    public View getView(int position, View convertView, ViewGroup parent) {\n"
+        "        return convertView;\n"
+        "    }\n"
+        "}\n"
+    ),
+    "InterfaceDefault": (
+        "interface InterfaceDefault {\n"
+        "    LayoutInflater inflater();\n\n"
+        "    default View getView(int position, View convertView, ViewGroup parent) {\n"
+        "        convertView = inflater().inflate(R.layout.row, parent, false);\n"
+        "        TextView t = (TextView) convertView.findViewById(R.id.name);\n"
+        "        return convertView;\n"
+        "    }\n"
+        "}\n"
+    ),
+    "ViewHolderItem": _nested(
+        "ViewHolderItem",
+        _adapter("Row", "        TextView t = (TextView) convertView.findViewById(R.id.name);\n"),
+    ),
 }
 
 
-def _javac(tmp_path, side: str) -> subprocess.CompletedProcess:
+def _javac(tmp_path, side: str, release: str = "8") -> subprocess.CompletedProcess:
     sources = [str(tmp_path / "Stubs.java")]
     sources += sorted(str(p) for p in (tmp_path / side).glob("*.java"))
-    out = tmp_path / "classes" / side
+    out = tmp_path / "classes" / side / release
     return subprocess.run(
-        [JAVAC, "--release", "8", "-nowarn", "-d", str(out), *sources],
+        [JAVAC, "--release", release, "-nowarn", "-d", str(out), *sources],
         capture_output=True,
         text=True,
         timeout=300,
@@ -125,11 +158,15 @@ def test_fixed_programs_still_compile(tmp_path):
             (tmp_path / side / f"{name}.java").write_text(text)
     main(["fix", str(tmp_path / "after")])
     after = {name: (tmp_path / "after" / f"{name}.java").read_text() for name in PROGRAMS}
-    # the two families a fix still applies to were rewritten
-    assert after["HolderVariableTaken"] != PROGRAMS["HolderVariableTaken"]
-    assert after["InnerAdapterHost"] != PROGRAMS["InnerAdapterHost"]
+    # the families a fix still applies to were rewritten
+    for name in (
+        "HolderVariableTaken", "InnerAdapterHost", "EnumConstantBody", "InterfaceDefault",
+        "ViewHolderItem",
+    ):
+        assert after[name] != PROGRAMS[name], name
 
     before = _javac(tmp_path, "before")
     assert before.returncode == 0, before.stderr
-    compiled = _javac(tmp_path, "after")
-    assert compiled.returncode == 0, compiled.stderr + "".join(after.values())
+    for release in ("8", "17"):
+        compiled = _javac(tmp_path, "after", release)
+        assert compiled.returncode == 0, compiled.stderr + "".join(after.values())

@@ -233,21 +233,24 @@ def _host(head: str, tail: str, depth: int) -> bytes:
 @pytest.mark.parametrize(
     "source, holder",
     [
-        (_host("class A extends BaseAdapter {\n", "}\n", 1), "private static class"),
+        (
+            _host("class A extends BaseAdapter {\n", "}\n", 1),
+            "private static class ViewHolderItem",
+        ),
         (
             _host("class O {\n    static class A extends BaseAdapter {\n", "    }\n}\n", 2),
-            "private static class",
+            "private static class ViewHolderItem",
         ),
         # before Java 16 an inner, anonymous or local class holds no static member
         (
             _host("class O {\n    class A extends BaseAdapter {\n", "    }\n}\n", 2),
-            "private class",
+            "private class ViewHolderItem",
         ),
         (
             _host(
                 "class O {\n    Adapter a = new BaseAdapter() {\n", "    };\n}\n", 2
             ),
-            "private class",
+            "private class ViewHolderItem",
         ),
         (
             _host(
@@ -255,15 +258,30 @@ def _host(head: str, tail: str, depth: int) -> bytes:
                 "        }\n    }\n}\n",
                 3,
             ),
-            "private class",
+            "private class ViewHolderItem",
+        ),
+        # an enum constant's body is an anonymous class
+        (_host("enum E {\n    ONE {\n", "    };\n}\n", 2), "private class ViewHolderItem"),
+        # no interface member is private, and a member class there is static
+        (
+            _host("interface I {\n", "}\n", 1).replace(b"public View", b"default View"),
+            "\n    class ViewHolderItem",
+        ),
+        # javac rejects a class named like an enclosing one
+        (
+            _host("class ViewHolderItem {\n    class A extends BaseAdapter {\n", "    }\n}\n", 2),
+            "private class ViewHolderItem2",
         ),
     ],
-    ids=["top-level", "static-nested", "inner-member", "anonymous", "local-class"],
+    ids=[
+        "top-level", "static-nested", "inner-member", "anonymous", "local-class",
+        "enum-constant-body", "interface-default", "enclosing-type-name",
+    ],
 )
 def test_holder_is_static_only_where_its_host_allows(source, holder):
     result, fixed = fix_java(apply_view_holder, source)
     assert [f.fixable for f in result.findings] == [True]
-    assert f"{holder} ViewHolderItem {{".encode() in fixed
+    assert f"{holder} {{".encode() in fixed
     _, again = fix_java(apply_view_holder, fixed)
     assert again == fixed
 
