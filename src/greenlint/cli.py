@@ -6,7 +6,7 @@ Subcommands:
   corpus <root>   treat each child directory as a project, aggregate results
 
 Exit codes: 0 clean, 1 findings reported or fixes applied, 2 usage error,
-3 internal error (verification rollback or I/O failure).
+3 internal error (a verification rollback of `fix`, or an I/O failure).
 """
 
 from __future__ import annotations

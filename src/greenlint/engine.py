@@ -6,12 +6,14 @@ pass loop with its language's parser and rules. A rule is a function
 `(tree, path) -> RuleResult`. Each pass parses the current text once, runs
 every enabled rule on that tree and applies their merged edit lists in one
 step. The first pass is the report, so findings point into the file on
-disk; the pass after a rewrite is its verification; for Java it re-lexes
-only around the edits and re-parses only the members they touch, reusing
-the old tokens and subtrees elsewhere. Rewritten text must re-parse
-cleanly and the rules must then report nothing fixable, otherwise the
-file's fixes are rolled back and surfaced as an internal error. A
-project's per-rule counts come from its files' findings.
+disk; in report mode (`check`, `corpus`), where nothing is written, it is
+the only pass. When fixing or emitting patches, the pass after a rewrite
+is its verification; for Java it re-lexes only around the edits and
+re-parses only the members they touch, reusing the old tokens and
+subtrees elsewhere. Rewritten text must re-parse cleanly and the rules
+must then report nothing fixable, otherwise the file's fixes are rolled
+back and surfaced as an internal error. A project's per-rule counts come
+from its files' findings.
 
 Discovery walks the input on strings, with no `Path` per entry: a file's
 shown name is the path relative to the input that the walk builds.
@@ -254,7 +256,7 @@ def process_file(
     enabled = config.enabled_rules
     rules = [(r, functions[r]) for r in RuleId if r in functions and r in enabled]
     try:
-        text = _fix(original, parse, rules, shown, outcome)
+        text = _fix(original, parse, rules, shown, outcome, config.mode != MODE_REPORT)
     except (_VerificationError, EditError) as exc:
         outcome.internal_error = str(exc)
         return outcome
@@ -281,19 +283,21 @@ def _fix(
     rules: list[tuple[RuleId, _Rule]],
     shown: str,
     outcome: FileOutcome,
+    writes: bool,
 ) -> bytes:
     """Run ``rules`` in passes of one ``parse`` each; return the fixed text.
 
     Pass 0 is the report, so findings are in original-file coordinates;
-    their line and column are set from ``original`` there. A
-    rule whose edits touch those accepted before it in a pass waits, with
-    the rules after it, for the next pass over the rewritten text; so the
-    bytes are those a rule-by-rule chain writes. A pass after a rewrite is
-    its verification: a rule already applied must find nothing fixable.
-    Each pass applies at least the first pending rule, hence the bound.
-    A Java pass after a rewrite is given the previous tree and the edits,
-    so it re-lexes only around them and re-parses only the members they
-    touch.
+    their line and column are set from ``original`` there. Unless the
+    caller ``writes`` the result, it is the only pass and ``original`` is
+    returned: no edit is applied or verified. A rule whose edits touch
+    those accepted before it in a pass waits, with the rules after it, for
+    the next pass over the rewritten text; so the bytes are those a
+    rule-by-rule chain writes. A pass after a rewrite is its
+    verification: a rule already applied must find nothing fixable. Each
+    pass applies at least the first pending rule, hence the bound. A Java
+    pass after a rewrite is given the previous tree and the edits, so it
+    re-lexes only around them and re-parses only the members they touch.
     """
     if not rules:
         return original
@@ -325,7 +329,7 @@ def _fix(
             else:
                 merged.extend(result.edits)
                 applied.add(rule)
-        if not merged:
+        if not merged or not writes:
             break
         text = apply_edit_set(text, merged)
         if isinstance(tree, SyntaxTree):

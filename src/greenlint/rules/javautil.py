@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from itertools import chain
 from typing import Iterator, Optional
 
 from ..java.lexer import Tokens
@@ -417,14 +418,25 @@ _NAMED_KINDS = TYPE_DECLS | _METHOD_KINDS
 
 def names_in_scope(tree: SyntaxTree, owner: Node) -> set[str]:
     """The names of the members of ``owner`` and of each type or body that
-    encloses it, and of those types. A member a fix declares in ``owner``
-    must take none of them: it would clash with or hide one, and javac
-    rejects a class named like an enclosing one."""
+    encloses it, and of those types; and, where a method, initializer or
+    field holds one of those bodies, every identifier it spells outside that
+    body, such as the locals and parameters the class there may capture. A
+    member a fix declares in ``owner`` must take none of them: it would
+    clash with or hide one, and javac rejects a class named like an
+    enclosing one."""
+    kinds, values = tree.tokens.kinds, tree.tokens.values
     names: set[str] = set()
+    member: Optional[Node] = None  # the last type's or body's member on the path, if no type
     for node in path_to(tree, owner):
-        if node.kind in OWNER_KINDS:
-            names.update(class_fields(node.children))
-            names.update(c.props["name"] for c in node.children if c.kind in _NAMED_KINDS)
+        if node.kind not in OWNER_KINDS:
+            member = member or node
+            continue
+        if member is not None:
+            outside = chain(range(member.tok_lo, node.tok_lo), range(node.tok_hi, member.tok_hi))
+            names.update(values[j] for j in outside if kinds[j] == "ident")
+            member = None
+        names.update(class_fields(node.children))
+        names.update(c.props["name"] for c in node.children if c.kind in _NAMED_KINDS)
         if node.kind in TYPE_DECLS:
             names.add(node.props["name"])
     return names

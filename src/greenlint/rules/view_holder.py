@@ -3,12 +3,15 @@
 Detects getView(int, View, ViewGroup) implementations that re-inflate the
 row layout and re-run findViewById on every call, and rewrites them to the
 tag-cached holder form: lookups run once per row layout, cached in a
-private holder class stashed on the view via setTag/getTag. The holder is
-`static` when its host class is top-level or `static`, since Java before 16
-allows no static member in an inner, anonymous or local class. In an
-interface it is a plain member class, which is implicitly public and
-static, as no interface member may be private. Its name is no name in
-the host's scope (`javautil.names_in_scope`).
+private holder class stashed on the view via setTag/getTag. Only a lookup
+that gives the same view for every row made from the layout is cached:
+one on convertView whose initializer names no other parameter and no
+local. The holder is `static` when its host class is top-level or
+`static`, since Java before 16 allows no static member in an inner,
+anonymous or local class. In an interface it is a plain member class,
+which is implicitly public and static, as no interface member may be
+private. Its name is no name in the host's scope
+(`javautil.names_in_scope`).
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .base import RuleId, RuleResult
 from .javautil import (
     SHARED_LINE,
     cannot_declare,
+    declared_locals,
     declared_static,
     file_eol,
     find_invocations,
@@ -37,6 +41,10 @@ HOLDER_BASE_NAME = "ViewHolderItem"
 HOLDER_VAR = "viewHolderItem"
 READS_CACHED = (
     "a lookup reads an earlier cached view, which the holder block would read before declaring it"
+)
+PER_ROW = (
+    "a lookup that is not on the row view, or that names a parameter or local,"
+    " may find another view for another row"
 )
 
 
@@ -96,6 +104,24 @@ def _reads_cached(values: list[str], cached: list[tuple[Node, dict]]) -> bool:
     return False
 
 
+def _differs_per_row(
+    tree: SyntaxTree, method: Node, cached: list[tuple[Node, dict]], convert_view: str
+) -> bool:
+    """True if a lookup may find another view when the row is reused: its
+    `findViewById` is not called on ``convert_view``, or its initializer
+    names another parameter or a local of ``method``."""
+    values = tree.tokens.values
+    names = declared_locals(method) - {convert_view}
+    for _, decl in cached:
+        lo, hi = decl["init"]
+        if any(
+            inv.name == "findViewById" and inv.receiver != convert_view
+            for inv in find_invocations(tree.tokens, lo, hi)
+        ) or any(values[j] in names and values[j - 1] != "." for j in range(lo, hi)):
+            return True
+    return False
+
+
 def apply_view_holder(tree: SyntaxTree, path: str = "") -> RuleResult:
     result = RuleResult()
     data = tree.data
@@ -129,6 +155,7 @@ def apply_view_holder(tree: SyntaxTree, path: str = "") -> RuleResult:
         reason = (
             cannot_declare(tree, method, types, static=static)
             or (READS_CACHED if _reads_cached(toks.values, cached) else "")
+            or (PER_ROW if _differs_per_row(tree, method, cached, convert_view) else "")
             or ("" if fits else SHARED_LINE)
         )
         message = (

@@ -151,6 +151,52 @@ def test_enclosing_member_name_collision_blocks_hoist():
     assert apply_draw_allocation(parse_java(source)).findings == []
 
 
+@pytest.mark.parametrize(
+    "outer",
+    [
+        "final Rect r = new Rect(1, 2, 3, 4);",
+        "for (final Rect r : rects)",
+    ],
+    ids=["local", "loop-variable"],
+)
+def test_captured_local_name_collision_blocks_hoist(outer):
+    # a field `r` in the anonymous View would hide make()'s `r` from outer()
+    source = (
+        "class O {\n"
+        "    View make(Rect[] rects) {\n"
+        f"        {outer}\n"
+        "        return new View() {\n"
+        "            protected void onDraw(Canvas canvas) {\n"
+        "                Rect r = new Rect(0, 0, 10, 10);\n"
+        "                canvas.drawRect(r, null);\n"
+        "            }\n"
+        "            Rect outer() { return r; }\n"
+        "        };\n"
+        "    }\n"
+        "}\n"
+    ).encode()
+    assert apply_draw_allocation(parse_java(source)).findings == []
+
+
+def test_hoist_in_an_anonymous_class_is_not_blocked_by_its_own_local():
+    # the names outside the anonymous body count; its own local does not
+    source = (
+        "class O {\n"
+        "    View make() {\n"
+        "        return new View() {\n"
+        "            protected void onDraw(Canvas canvas) {\n"
+        "                Rect r = new Rect(0, 0, 10, 10);\n"
+        "                canvas.drawRect(r, null);\n"
+        "            }\n"
+        "        };\n"
+        "    }\n"
+        "}\n"
+    ).encode()
+    result, fixed = fix_java(apply_draw_allocation, source)
+    assert [f.fixable for f in result.findings] == [True]
+    assert b"        Rect r = new Rect(0, 0, 10, 10);\n            protected void onDraw" in fixed
+
+
 def test_only_on_draw_with_canvas_param():
     source = (
         b"class V {\n"

@@ -3,7 +3,9 @@ import gc
 import hashlib
 import inspect
 import os
+import shutil
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 import greenlint.engine as engine
 import greenlint.rules
-from greenlint.cli import EXIT_FINDINGS, main
+from greenlint.cli import EXIT_CLEAN, EXIT_FINDINGS, EXIT_INTERNAL, main
 from greenlint.diagnostics import line_col
 from greenlint.engine import (
     MODE_FIX,
@@ -469,39 +471,40 @@ public class PlayerActivity extends Activity {
 """
 
 
-def _count_parses(monkeypatch) -> list[int]:
-    calls = [0]
-    real_parse = engine.parse_java_source
+def _count_calls(monkeypatch) -> Counter:
+    """Calls to the two parsers and to `apply_edit_set`, through engine's names."""
+    counts: Counter = Counter()
+    for name in ("parse_java_source", "parse_layout_xml", "apply_edit_set"):
 
-    def counting(*args):
-        calls[0] += 1
-        return real_parse(*args)
+        def counting(*args, _name=name, _real=getattr(engine, name)):
+            counts[_name] += 1
+            return _real(*args)
 
-    monkeypatch.setattr(engine, "parse_java_source", counting)
-    return calls
+        monkeypatch.setattr(engine, name, counting)
+    return counts
 
 
 def test_clean_java_file_is_parsed_once(tmp_path, monkeypatch):
-    calls = _count_parses(monkeypatch)
+    calls = _count_calls(monkeypatch)
     _write(tmp_path, "Fine.java", b"class Fine {\n    int x;\n}\n")
     run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX))
-    assert calls[0] == 1
+    assert calls["parse_java_source"] == 1
 
 
 @pytest.mark.parametrize(
     "name", [n for n, ext in GOLDEN_CASES.items() if ext == "java"]
 )
 def test_rewritten_java_file_is_parsed_twice(tmp_path, monkeypatch, name):
-    calls = _count_parses(monkeypatch)
+    calls = _count_calls(monkeypatch)
     path = _write(tmp_path, "A.java", (GOLDEN / name / "before.java").read_bytes())
     _, outcomes = run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX))
     assert outcomes[0].rewritten
     assert path.read_bytes() == (GOLDEN / name / "after.java").read_bytes()
-    assert calls[0] == 2
+    assert calls["parse_java_source"] == 2
 
 
 def test_rule_whose_edits_touch_earlier_ones_waits_a_pass(tmp_path, monkeypatch):
-    calls = _count_parses(monkeypatch)
+    calls = _count_calls(monkeypatch)
     _write(tmp_path, "P.java", SHARED_INSERT_POINT.encode())
     report, outcomes = run_project(
         RunConfig(input_path=tmp_path, mode=MODE_FIX)
@@ -509,7 +512,73 @@ def test_rule_whose_edits_touch_earlier_ones_waits_a_pass(tmp_path, monkeypatch)
     assert outcomes[0].rewritten
     assert report.rule_counts[RuleId.WAKE_LOCK].fixed == 1
     assert report.rule_counts[RuleId.RECYCLE].fixed == 1
-    assert calls[0] == 3
+    assert calls["parse_java_source"] == 3
+
+
+def _projects(root: Path) -> None:
+    """Three projects: the golden `before`s; files whose fixes take two and
+    three passes, decline or fail to parse, next to a golden layout; and the
+    clean corpus."""
+    _project_from_golden(root / "golden")
+    for name, text in (
+        ("Shared", SHARED_INSERT_POINT),
+        ("Shifted", SHIFTED_FINDING),
+        ("Broken", "class Broken {\n"),
+    ):
+        _write(root / "mixed", f"src/{name}.java", text.encode())
+    layout = (GOLDEN / "obsolete_layout_param" / "before.xml").read_bytes()
+    _write(root / "mixed", "res/layout-land/main.xml", layout)
+    shutil.copytree(CLEAN_CORPUS, root / "clean")
+
+
+# (parse_java_source, parse_layout_xml, apply_edit_set) calls of `fix` and
+# `fix --patch-dir`: a pass per rewrite, and one to verify it.
+FIX_CALLS = {"golden": (8, 2, 5), "projects": (32, 16, 9)}
+
+
+@pytest.mark.parametrize("tree", ["golden", "projects"])
+@pytest.mark.parametrize(
+    "command", ["check", "check-json", "corpus-csv", "corpus-json", "patch", "fix"]
+)
+def test_parses_and_edits_per_command(
+    tmp_path, monkeypatch, capsys, tree, command
+):
+    root = tmp_path / "in"
+    if tree == "projects":
+        _projects(root)
+    else:
+        _project_from_golden(root)
+    java, xml = (len(list(root.rglob(f"*.{ext}"))) for ext in ("java", "xml"))
+    out = tmp_path / "out"
+    argv = {
+        "check": ["check", str(root)],
+        "check-json": ["check", str(root), "--format", "json"],
+        "corpus-csv": ["corpus", str(root), "--out", str(out)],
+        "corpus-json": ["corpus", str(root), "--out", str(out), "--format", "json"],
+        "patch": ["fix", str(root), "--patch-dir", str(out)],
+        "fix": ["fix", str(root)],
+    }[command]
+    counts = _count_calls(monkeypatch)
+    main(argv)
+    calls = (counts["parse_java_source"], counts["parse_layout_xml"], counts["apply_edit_set"])
+    assert calls == (FIX_CALLS[tree] if command in ("patch", "fix") else (java, xml, 0))
+
+
+def test_check_and_corpus_verify_no_rewrite(tmp_path, monkeypatch, capsys):
+    # A rule whose fix would not verify is still reported, as fixable, by
+    # the commands that write nothing; `fix` rolls the file back.
+    path = _write(tmp_path / "app", "A.java")
+    stubborn = _marker_rule(b"/*x*/", False, True, stubborn=True)
+    monkeypatch.setattr(engine, "apply_recycle", stubborn)
+    assert main(["check", str(tmp_path)]) == EXIT_FINDINGS
+    out, err = capsys.readouterr()
+    assert out == "app/A.java:1:1: [Recycle] \n" and err == ""
+    assert main(["corpus", str(tmp_path), "--out", str(tmp_path / "t.csv")]) == EXIT_CLEAN
+    assert "error" not in capsys.readouterr().err
+    assert main(["fix", str(tmp_path)]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "error: rule Recycle still reports fixable findings after its own fix" in err
+    assert path.read_bytes() == b"class A {}\n"
 
 
 def _chained_fix(data: bytes, ext: str) -> bytes:
@@ -652,9 +721,9 @@ def _located(outcomes) -> list[tuple]:
     ],
 )
 def test_verification_moves_no_finding(tmp_path, before):
-    # Findings are recorded in pass 0; the verify pass, which both modes
-    # run, reuses and shifts the nodes their spans came from, which must
-    # leave them where the file on disk has them.
+    # Findings are recorded in pass 0; the verify pass, which fix runs and
+    # report mode does not, reuses and shifts the nodes their spans came
+    # from, which must leave them where the file on disk has them.
     found = {}
     for mode in (MODE_REPORT, MODE_FIX):
         _write(tmp_path / mode, "Case.java", before)

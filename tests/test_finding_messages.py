@@ -31,6 +31,10 @@ READS_CACHED = (
     "; a lookup reads an earlier cached view, which the holder block would read before "
     "declaring it" + NO_FIX
 )
+PER_ROW = (
+    "; a lookup that is not on the row view, or that names a parameter or local, may find "
+    "another view for another row" + NO_FIX
+)
 
 RECYCLE = "'{name}' ({type}) is obtained but never released with {release}()"
 TYPED_ARRAY = RECYCLE.format(name="a", type="TypedArray", release="recycle")
@@ -249,6 +253,16 @@ CASES = {
             "        TextView u = (TextView) t.findViewById(R.id.u);\n        return cv;",
         ),
         [(VIEW_HOLDER + READS_CACHED, False, (47, 54))],
+    ),
+    "view-holder-lookup-names-a-parameter": (
+        apply_view_holder,
+        _adapter(" {\n        ").replace("R.id.t)", "pos == 0 ? R.id.t : R.id.u)"),
+        [(VIEW_HOLDER + PER_ROW, False, (47, 54))],
+    ),
+    "view-holder-lookup-not-on-the-row-view": (
+        apply_view_holder,
+        _adapter(" {\n        ").replace("cv.findViewById", "parent.findViewById"),
+        [(VIEW_HOLDER + PER_ROW, False, (47, 54))],
     ),
 }
 

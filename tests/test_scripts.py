@@ -287,3 +287,56 @@ def test_collector_passes_finds_none_after_start_up():
     lines = proc.stdout.splitlines()
     assert lines[0].startswith("run 1: passes by generation [0, 0, 0], ")
     assert lines[-1].startswith("check-java seed 1, 1 run(s): median passes gen0 0 gen1 0 gen2 0")
+
+
+def _compare_outputs():
+    spec = importlib.util.spec_from_file_location(
+        "compare_outputs", SCRIPTS / "compare_outputs.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_compare_outputs_finds_no_difference_between_a_checkout_and_itself(
+    monkeypatch, capsys
+):
+    co = _compare_outputs()
+    # one workload keeps the test short; the script runs every one
+    monkeypatch.setattr(co.gen, "WORKLOADS", {"fix-smelly": co.gen.fix_smelly})
+    repo = str(SCRIPTS.parent)
+    assert co.main(["--parent", repo, "--change", repo, "--seeds", "1"]) == 0
+    # the workload and the fixtures, six commands each
+    assert capsys.readouterr().out.splitlines() == ["12 run(s), 0 difference(s)"]
+
+
+def test_compare_outputs_lists_what_differs(monkeypatch, capsys):
+    co = _compare_outputs()
+
+    def outputs(code=1, stdout="A.java:1:1: x\n", files=None):
+        return {"exit": code, "stdout": stdout, "stderr": "", "files": files or {"in/A.java": "1"}}
+
+    canned = {
+        "parent": {
+            ("s", "check"): outputs(),
+            ("s", "fix"): outputs(files={"in/A.java": "1", "in/B.java": "2"}),
+            ("s", "corpus-csv"): outputs(code=0),
+        },
+        "change": {
+            ("s", "check"): outputs(code=3, stdout="A.java:1:2: x\n"),
+            ("s", "fix"): outputs(files={"in/A.java": "9"}),
+            ("t", "check"): outputs(),
+        },
+    }
+    monkeypatch.setattr(co, "write_inputs", lambda root, seeds: None)
+    monkeypatch.setattr(co, "run_checkout", lambda checkout, inputs, work: canned[checkout.name])
+    assert co.main(["--parent", "/x/parent", "--change", "/x/change", "--seeds", "1"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: s check: exit",
+        "differs: s check: stdout",
+        "differs: s corpus-csv: run only in the parent",
+        "differs: s fix: file in/A.java",
+        "differs: s fix: file in/B.java",
+        "differs: t check: run only in the change",
+        "4 run(s), 6 difference(s)",
+    ]

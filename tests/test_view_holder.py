@@ -186,6 +186,30 @@ def test_lookup_reading_an_earlier_cached_view_is_declined():
     assert result.edits == []
 
 
+@pytest.mark.parametrize(
+    "source",
+    [
+        _adapter("TextView t = (TextView) convertView.findViewById(pos == 0 ? R.id.a : R.id.b);"),
+        _adapter("TextView t = (TextView) parent.findViewById(R.id.title);"),
+        _adapter("TextView t = (TextView) findViewById(R.id.title);"),
+        _adapter("TextView t = (TextView) convertView.findViewById(id);").replace(
+            b"        convertView = inf", b"        int id = ids[pos];\n        convertView = inf"
+        ),
+    ],
+    ids=[
+        "argument-names-a-parameter", "receiver-is-the-list", "no-receiver",
+        "argument-names-a-local",
+    ],
+)
+def test_lookup_that_may_differ_per_row_is_declined(source):
+    # A recycled row keeps its holder, so a cached lookup must give the
+    # same view for every row the layout makes.
+    result = apply_view_holder(parse_java(source))
+    assert [f.fixable for f in result.findings] == [False]
+    assert "may find another view for another row" in result.findings[0].message
+    assert result.edits == []
+
+
 def test_member_named_like_an_earlier_cached_view_is_no_read_of_it():
     source = _adapter(
         "View box = convertView.findViewById(R.id.box);\n"
@@ -272,10 +296,21 @@ def _host(head: str, tail: str, depth: int) -> bytes:
             _host("class ViewHolderItem {\n    class A extends BaseAdapter {\n", "    }\n}\n", 2),
             "private class ViewHolderItem2",
         ),
+        # a member class would hide the enclosing method's local class
+        (
+            _host(
+                "class O {\n    void m() {\n        class ViewHolderItem {}\n"
+                "        class A extends BaseAdapter {\n",
+                "        }\n    }\n}\n",
+                3,
+            ),
+            "private class ViewHolderItem2",
+        ),
     ],
     ids=[
         "top-level", "static-nested", "inner-member", "anonymous", "local-class",
         "enum-constant-body", "interface-default", "enclosing-type-name",
+        "enclosing-method-local-class",
     ],
 )
 def test_holder_is_static_only_where_its_host_allows(source, holder):
