@@ -11,7 +11,7 @@ from greenlint.cli import (
 )
 from greenlint.diagnostics import line_col
 
-from conftest import CLEAN_CORPUS, GOLDEN
+from conftest import CLEAN_CORPUS, GOLDEN, GOLDEN_CASES
 
 
 def _recycle_project(tmp_path: Path) -> Path:
@@ -303,3 +303,58 @@ def test_fix_anchor_sharing_its_line_is_declined(tmp_path, capsys, name, source)
     assert main(["fix", str(tmp_path / "proj")]) == EXIT_FINDINGS
     assert "0 refactoring(s) applied, 1 finding(s) not auto-fixable" in capsys.readouterr().out
     assert target.read_text() == source
+
+
+def _summary_project(root: Path) -> Path:
+    """The golden `before`s, a declined local wake lock, a file that does
+    not parse and one that is not UTF-8."""
+    for name, ext in GOLDEN_CASES.items():
+        rel = f"src/{name}.java" if ext == "java" else f"res/layout/{name}.xml"
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_bytes((GOLDEN / name / f"before.{ext}").read_bytes())
+    (root / "src" / "Local.java").write_bytes(
+        b"class W extends Activity {\n    void onCreate() {\n"
+        b"        WakeLock w = pm.newWakeLock(1, t);\n        w.acquire();\n    }\n}\n"
+    )
+    (root / "src" / "Broken.java").write_bytes(b"class Broken {\n")
+    (root / "src" / "Latin.java").write_bytes(b"class L { // caf\xe9 }\n")
+    return root
+
+
+def test_summary_counts_match_the_printed_findings(tmp_path, capsys):
+    proj = _summary_project(tmp_path / "proj")
+    assert main(["check", str(proj), "--format", "json"]) == EXIT_FINDINGS
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    findings = payload["findings"]
+    expected = {
+        rule: {
+            "refactorings": sum(f["rule"] == rule and f["fixable"] for f in findings),
+            "fixed": 0,
+            "unfixable": sum(f["rule"] == rule and not f["fixable"] for f in findings),
+        }
+        for rule in ("ViewHolder", "DrawAllocation", "WakeLock", "Recycle", "ObsoleteLayoutParam")
+    }
+    failed = {line.split(":")[0] for line in captured.err.splitlines() if "parse error" in line}
+    assert payload["summary"] == {
+        # Latin.java is skipped, not read
+        "files": {"java": 6, "xml": 1},
+        "parse_failures": len(failed),
+        "rules": expected,
+    }
+    assert failed == {str(proj / "src" / "Broken.java")}
+    assert [c["unfixable"] for c in expected.values()] == [0, 0, 1, 0, 0]
+
+    fixable = sum(f["fixable"] for f in findings)
+    unfixable = len(findings) - fixable
+    line = f"{fixable} refactoring(s) applied, {unfixable} finding(s) not auto-fixable"
+    patches = tmp_path / "patches"
+    assert main(["fix", str(proj), "--patch-dir", str(patches)]) == EXIT_FINDINGS
+    assert capsys.readouterr().out == line + "\n"
+    written = {f["file"] for f in findings if f["fixable"]}
+    made = sorted(p.relative_to(patches).as_posix() for p in patches.rglob("*.patch"))
+    assert made == sorted(f"{name}.patch" for name in written)
+    assert main(["fix", str(proj)]) == EXIT_FINDINGS
+    assert capsys.readouterr().out == line + "\n"
+    assert main(["fix", str(proj)]) == EXIT_FINDINGS
+    assert capsys.readouterr().out == "0 refactoring(s) applied, 1 finding(s) not auto-fixable\n"
