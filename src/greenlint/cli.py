@@ -23,11 +23,10 @@ from .engine import (
     MODE_REPORT,
     DEFAULT_EXCLUDES,
     FileOutcome,
-    ProjectReport,
     RunConfig,
     run_project,
 )
-from .report import aggregate, emit
+from .report import aggregate, emit, rule_counts
 from .rules import Finding, RuleId
 
 EXIT_CLEAN = 0
@@ -122,12 +121,12 @@ def _make_config(args: argparse.Namespace, path: Path, mode: str) -> RunConfig:
         raise _UsageError(f"path does not exist: {exc}") from exc
 
 
-def _run(config: RunConfig) -> tuple[ProjectReport, list[FileOutcome]]:
-    """``run_project``, with its warnings printed on stderr."""
-    report, outcomes = run_project(config)
-    for warning in report.warnings:
+def _run(config: RunConfig) -> list[FileOutcome]:
+    """``run_project``'s outcomes, with its warnings printed on stderr."""
+    outcomes, warnings = run_project(config)
+    for warning in warnings:
         print(warning, file=sys.stderr)
-    return report, outcomes
+    return outcomes
 
 
 def _sorted_findings(outcomes: list[FileOutcome]) -> list[Finding]:
@@ -137,24 +136,16 @@ def _sorted_findings(outcomes: list[FileOutcome]) -> list[Finding]:
     )
 
 
-def _summary_payload(report: ProjectReport) -> dict:
+def _summary_payload(outcomes: list[FileOutcome]) -> dict:
+    read = [o.language for o in outcomes if not o.skip_reason]
     return {
-        "files": {"java": report.java_files, "xml": report.xml_files},
-        "parse_failures": report.parse_failures,
-        "rules": {
-            str(rule): {
-                "refactorings": report.rule_counts[rule].refactorings,
-                "fixed": report.rule_counts[rule].fixed,
-                "unfixable": report.rule_counts[rule].unfixable,
-            }
-            for rule in RuleId
-        },
+        "files": {"java": read.count("java"), "xml": read.count("xml")},
+        "parse_failures": sum(1 for o in outcomes if o.diagnostics),
+        "rules": {str(rule): c for rule, c in rule_counts(outcomes).items()},
     }
 
 
-def _report_payload(
-    mode: str, report: ProjectReport, outcomes: list[FileOutcome]
-) -> dict:
+def _report_payload(mode: str, outcomes: list[FileOutcome]) -> dict:
     findings = [
         {
             "rule": str(f.rule),
@@ -169,7 +160,7 @@ def _report_payload(
         "version": JSON_SCHEMA_VERSION,
         "mode": mode,
         "findings": findings,
-        "summary": _summary_payload(report),
+        "summary": _summary_payload(outcomes),
     }
 
 
@@ -188,11 +179,11 @@ def _exit_status(outcomes: list[FileOutcome]) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    report, outcomes = _run(_make_config(args, args.path, MODE_REPORT))
+    outcomes = _run(_make_config(args, args.path, MODE_REPORT))
     if args.format == "json":
         import json
 
-        print(json.dumps(_report_payload("check", report, outcomes), indent=2))
+        print(json.dumps(_report_payload("check", outcomes), indent=2))
     else:
         _print_text_findings(outcomes)
     return _exit_status(outcomes)
@@ -200,7 +191,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_fix(args: argparse.Namespace) -> int:
     mode = MODE_PATCH if args.patch_dir is not None else MODE_FIX
-    report, outcomes = _run(_make_config(args, args.path, mode))
+    outcomes = _run(_make_config(args, args.path, mode))
     if args.patch_dir is not None:
         args.patch_dir.mkdir(parents=True, exist_ok=True)
         for outcome in outcomes:
@@ -208,8 +199,9 @@ def _cmd_fix(args: argparse.Namespace) -> int:
                 target = args.patch_dir / f"{outcome.shown}.patch"
                 target.parent.mkdir(parents=True, exist_ok=True)
                 target.write_text(outcome.patch, encoding="utf-8")
-    fixed = sum(c.fixed for c in report.rule_counts.values())
-    unfixable = sum(c.unfixable for c in report.rule_counts.values())
+    counts = rule_counts(outcomes).values()
+    fixed = sum(c["fixed"] for c in counts)
+    unfixable = sum(c["unfixable"] for c in counts)
     print(
         f"{fixed} refactoring(s) applied"
         + (f", {unfixable} finding(s) not auto-fixable" if unfixable else "")
@@ -226,16 +218,14 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     )
     if not projects:
         raise _UsageError(f"corpus root has no project directories: {root}")
-    config = _make_config(args, root, MODE_REPORT)
-    reports = []
+    per_project = []
     internal = False
     for project in projects:
-        config.input_path = project  # an existing directory, so still valid
-        report, outcomes = _run(config)
+        outcomes = _run(_make_config(args, project, MODE_REPORT))
         internal = internal or any(o.internal_error for o in outcomes)
-        reports.append(report)
-    args.out.write_bytes(emit(aggregate(reports), args.format, len(reports)))
-    print(f"wrote {args.format} summary for {len(reports)} project(s) to {args.out}")
+        per_project.append(rule_counts(outcomes))
+    args.out.write_bytes(emit(aggregate(per_project), args.format, len(projects)))
+    print(f"wrote {args.format} summary for {len(projects)} project(s) to {args.out}")
     return EXIT_INTERNAL if internal else EXIT_CLEAN
 
 

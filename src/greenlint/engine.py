@@ -12,8 +12,8 @@ is its verification; for Java it re-lexes only around the edits and
 re-parses only the members they touch, reusing the old tokens and
 subtrees elsewhere. Rewritten text must re-parse cleanly and the rules
 must then report nothing fixable, otherwise the file's fixes are rolled
-back and surfaced as an internal error. A project's per-rule counts come
-from its files' findings.
+back and surfaced as an internal error. `run_project` returns the
+outcomes; `report.rule_counts` counts their findings.
 
 Discovery walks the input on strings, with no `Path` per entry: a file's
 shown name is the path relative to the input that the walk builds.
@@ -93,39 +93,6 @@ class FileOutcome:
         self.patch: Optional[str] = None
         self.skip_reason: Optional[str] = None
         self.internal_error: Optional[str] = None
-
-
-class RuleCount:
-    __slots__ = ("refactorings", "fixed", "unfixable")
-
-    def __init__(self, refactorings: int = 0):
-        self.refactorings = refactorings  # fixable findings
-        self.fixed = 0
-        self.unfixable = 0
-
-
-class ProjectReport:
-    __slots__ = (
-        "rule_counts",
-        "java_files",
-        "xml_files",
-        "parse_failures",
-        "warnings",
-    )
-
-    def __init__(
-        self,
-        rule_counts: dict[RuleId, RuleCount],
-        java_files: int = 0,
-        xml_files: int = 0,
-        parse_failures: int = 0,
-        warnings: Optional[list[str]] = None,
-    ):
-        self.rule_counts = rule_counts
-        self.java_files = java_files
-        self.xml_files = xml_files
-        self.parse_failures = parse_failures
-        self.warnings = [] if warnings is None else warnings
 
 
 _GLOB_PARTS = {"**/": "(?:.*/)?", "**": ".*", "*": "[^/]*", "?": "[^/]"}
@@ -364,46 +331,21 @@ def _unified_diff(original: bytes, text: bytes, shown: str) -> str:
     return "".join(diff)
 
 
-def run_project(config: RunConfig) -> tuple[ProjectReport, list[FileOutcome]]:
-    """Analyze (and, per mode, rewrite) every eligible file under the input."""
+def run_project(config: RunConfig) -> tuple[list[FileOutcome], list[str]]:
+    """Analyze (and, per mode, rewrite) every eligible file under the input;
+    return the files' outcomes and the warnings to show."""
     warnings: list[str] = []
     outcomes = [
         process_file(path, lang, config, shown)
         for shown, path, lang in discover_files(config, warnings)
     ]
-
-    counts = {rule: RuleCount() for rule in RuleId}
-    java_files = xml_files = parse_failures = 0
     for outcome in outcomes:
         if outcome.skip_reason:
             warnings.append(f"{outcome.path}: skipped: {outcome.skip_reason}")
-        elif outcome.language == "java":
-            java_files += 1
-        else:
-            xml_files += 1
-        if outcome.diagnostics:
-            parse_failures += 1
         for d in outcome.diagnostics:
             warnings.append(
                 f"{outcome.path}:{d.line}:{d.column}: parse error: {d.message}"
             )
         if outcome.internal_error:
             warnings.append(f"{outcome.path}: error: {outcome.internal_error}")
-        applied = outcome.rewritten or outcome.patch is not None
-        for finding in outcome.findings:
-            count = counts[finding.rule]
-            if not finding.fixable:
-                count.unfixable += 1
-                continue
-            count.refactorings += 1
-            if applied:
-                count.fixed += 1
-
-    report = ProjectReport(
-        rule_counts=counts,
-        java_files=java_files,
-        xml_files=xml_files,
-        parse_failures=parse_failures,
-        warnings=warnings,
-    )
-    return report, outcomes
+    return outcomes, warnings

@@ -1,16 +1,17 @@
-"""Corpus-level aggregation of per-project refactoring counts.
+"""Per-rule counts of findings, and their corpus-level aggregation.
 
-`aggregate` reduces many ProjectReports to one row per rule plus a combined
-"Any" row. A row holds the CSV cells: the rule, total refactorings, number
-of affected projects, percentage of the corpus affected (integer percent)
-and mean refactorings per affected project (one decimal, "-" when no
-project is affected). Both round half up. `emit` renders the rows as CSV,
-or as JSON with the corpus size in every row.
+`rule_counts` is the one place findings become numbers: it counts one
+project's findings by rule. `aggregate` reduces many projects' counts to
+one row per rule plus a combined "Any" row. A row holds the CSV cells: the
+rule, total refactorings, number of affected projects, percentage of the
+corpus affected (integer percent) and mean refactorings per affected
+project (one decimal, "-" when no project is affected). Both round half
+up. `emit` renders the rows as CSV, or as JSON with the corpus size in
+every row.
 """
 
 from __future__ import annotations
 
-from .engine import ProjectReport
 from .rules import RuleId
 
 ANY = "Any"
@@ -30,14 +31,32 @@ def _round_half_up(numerator: int, denominator: int) -> int:
     return (2 * numerator + denominator) // (2 * denominator)
 
 
-def aggregate(reports: list[ProjectReport]) -> list[Row]:
-    """Reduce per-project reports to the summary rows, in ROW_ORDER.
+def rule_counts(outcomes: list) -> dict[RuleId, dict[str, int]]:
+    """Each rule's "refactorings", "fixed" and "unfixable" counts over the
+    findings of ``outcomes`` (`engine.FileOutcome`s). A fixable finding is
+    fixed when its file was rewritten or patched."""
+    counts = {rule: {"refactorings": 0, "fixed": 0, "unfixable": 0} for rule in RuleId}
+    for outcome in outcomes:
+        applied = outcome.rewritten or outcome.patch is not None
+        for finding in outcome.findings:
+            count = counts[finding.rule]
+            if not finding.fixable:
+                count["unfixable"] += 1
+                continue
+            count["refactorings"] += 1
+            if applied:
+                count["fixed"] += 1
+    return counts
+
+
+def aggregate(per_project: list[dict[RuleId, dict[str, int]]]) -> list[Row]:
+    """Reduce each project's `rule_counts` to the summary rows, in ROW_ORDER.
 
     A project counts toward a rule iff it has at least one refactoring
     (fixable finding) of that rule, and toward "Any" iff it has one of any
     rule.
     """
-    columns = [[r.rule_counts[rule].refactorings for r in reports] for rule in RuleId]
+    columns = [[p[rule]["refactorings"] for p in per_project] for rule in RuleId]
     columns.append(list(map(sum, zip(*columns))))  # each project's total
     rows = []
     for rule, counts in zip(ROW_ORDER, columns):
@@ -47,7 +66,7 @@ def aggregate(reports: list[ProjectReport]) -> list[Row]:
         if projects:
             tenths = _round_half_up(total * 10, projects)
             incidence = f"{tenths // 10}.{tenths % 10}"
-        percent = _round_half_up(projects * 100, len(reports))
+        percent = _round_half_up(projects * 100, len(per_project))
         rows.append((rule, total, projects, percent, incidence))
     return rows
 

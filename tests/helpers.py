@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 
-from greenlint.engine import ProjectReport, RuleCount
 from greenlint.java.lexer import tokenize
 from greenlint.java.parser import Node, SyntaxTree
 from greenlint.report import CSV_HEADER, Row
@@ -48,11 +47,13 @@ def assert_spans_sound(tree) -> None:
             assert contains(element.span, SourceSpan(start, end))
 
 
-def make_report(refactorings: dict[RuleId, int]) -> ProjectReport:
-    """A ProjectReport with the given per-rule refactoring counts, for
-    aggregating without running the engine."""
-    counts = {rule: RuleCount(refactorings.get(rule, 0)) for rule in RuleId}
-    return ProjectReport(counts)
+def make_counts(refactorings: dict[RuleId, int]) -> dict[RuleId, dict[str, int]]:
+    """A project's `report.rule_counts` with the given per-rule refactoring
+    counts, for aggregating without running the engine."""
+    return {
+        rule: {"refactorings": refactorings.get(rule, 0), "fixed": 0, "unfixable": 0}
+        for rule in RuleId
+    }
 
 
 def parse_summary(data: bytes) -> tuple[list[Row], int]:

@@ -25,7 +25,7 @@ from pathlib import Path
 from greenlint.cli import main
 from greenlint.engine import MODE_REPORT, RunConfig, run_project
 from greenlint.java.parser import parse_java_source
-from greenlint.report import aggregate, emit
+from greenlint.report import aggregate, emit, rule_counts
 from greenlint.rules import (
     RuleId,
     apply_draw_allocation,
@@ -38,7 +38,7 @@ from greenlint.spans import apply_edit_set
 from greenlint.xmltree import parse_layout_xml
 
 from conftest import CLEAN_CORPUS, GOLDEN, GOLDEN_CASES
-from helpers import assert_spans_sound, make_report
+from helpers import assert_spans_sound, make_counts
 from mutations import java_mutations, xml_mutations
 
 _JAVA_RULES = {
@@ -184,7 +184,7 @@ def test_criterion_4_outputs_reparse():
             assert tree is not None and diags == [], case
 
 
-def _published_table_reports():
+def _published_table_counts():
     """140 synthetic projects whose per-rule counts reproduce a published
     Android smell-frequency study: per-project totals are free, only the
     column sums are pinned."""
@@ -196,14 +196,14 @@ def _published_table_reports():
     for i in range(40, 45):  # 5 projects, 7 holder rewrites
         counts[i][RuleId.VIEW_HOLDER] = 3 if i == 40 else 1
     counts[45][RuleId.WAKE_LOCK] = 1
-    return [make_report(c) for c in counts.values()]
+    return [make_counts(c) for c in counts.values()]
 
 
 def test_criterion_5_aggregation_matches_published_table():
     with criterion(5, "aggregation reproduces the published frequency table"):
-        reports = _published_table_reports()
-        assert len(reports) == 140
-        table = emit(aggregate(reports), "csv", len(reports)).decode()
+        projects = _published_table_counts()
+        assert len(projects) == 140
+        table = emit(aggregate(projects), "csv", len(projects)).decode()
         # rule, total refactorings, affected projects, percentage, incidence.
         # The published table prints 4.8 for Any's incidence; 222/45 =
         # 4.933... rounds to 4.9, so the printed value does not satisfy its
@@ -257,10 +257,11 @@ def test_criterion_6_corpus_determinism(tmp_path, capsys):
 
 def test_criterion_7_clean_corpus_zero_findings():
     with criterion(7, "known-clean corpus yields zero findings"):
-        report, outcomes = run_project(
+        outcomes, _ = run_project(
             RunConfig(input_path=CLEAN_CORPUS, mode=MODE_REPORT)
         )
-        assert report.java_files == 18 and report.xml_files == 12
-        assert report.parse_failures == 0
+        languages = [o.language for o in outcomes if not o.skip_reason]
+        assert languages.count("java") == 18 and languages.count("xml") == 12
+        assert not any(o.diagnostics for o in outcomes)
         assert all(o.findings == [] for o in outcomes)
-        assert all(c.refactorings == 0 for c in report.rule_counts.values())
+        assert all(c["refactorings"] == 0 for c in rule_counts(outcomes).values())

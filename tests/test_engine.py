@@ -24,6 +24,7 @@ from greenlint.engine import (
     discover_files,
     run_project,
 )
+from greenlint.report import rule_counts
 from greenlint.java import parser
 from greenlint.java.lexer import tokenize
 from greenlint.java.parser import parse_java_source
@@ -198,34 +199,37 @@ def _hashes(root: Path) -> dict:
 def test_report_mode_counts_without_writing(tmp_path):
     proj = _project_from_golden(tmp_path)
     before = _hashes(proj)
-    report, outcomes = run_project(RunConfig(input_path=proj, mode=MODE_REPORT))
+    outcomes, _ = run_project(RunConfig(input_path=proj, mode=MODE_REPORT))
     assert _hashes(proj) == before
-    assert report.java_files == 4 and report.xml_files == 1
-    assert report.parse_failures == 0
+    assert [o.language for o in outcomes].count("java") == 4
+    assert [o.language for o in outcomes].count("xml") == 1
+    assert not any(o.diagnostics for o in outcomes)
+    counts = rule_counts(outcomes)
     for rule in RuleId:
-        assert report.rule_counts[rule].refactorings == 1, rule
-        assert report.rule_counts[rule].fixed == 0
+        assert counts[rule]["refactorings"] == 1, rule
+        assert counts[rule]["fixed"] == 0
     assert not any(o.rewritten for o in outcomes)
 
 
 def test_fix_mode_rewrites_to_golden_output(tmp_path):
     proj = _project_from_golden(tmp_path)
-    report, outcomes = run_project(RunConfig(input_path=proj, mode=MODE_FIX))
+    outcomes, _ = run_project(RunConfig(input_path=proj, mode=MODE_FIX))
+    counts = rule_counts(outcomes)
     for rule in RuleId:
-        assert report.rule_counts[rule].fixed == 1, rule
+        assert counts[rule]["fixed"] == 1, rule
     for name, ext in GOLDEN_CASES.items():
         rel = f"src/{name}.java" if ext == "java" else f"res/layout/{name}.xml"
         expected = (GOLDEN / name / f"after.{ext}").read_bytes()
         assert (proj / rel).read_bytes() == expected, name
     # a second pass is a no-op
-    report2, _ = run_project(RunConfig(input_path=proj, mode=MODE_FIX))
-    assert all(c.refactorings == 0 for c in report2.rule_counts.values())
+    outcomes, _ = run_project(RunConfig(input_path=proj, mode=MODE_FIX))
+    assert all(c["refactorings"] == 0 for c in rule_counts(outcomes).values())
 
 
 def test_patch_mode_leaves_files_alone(tmp_path):
     proj = _project_from_golden(tmp_path)
     before = _hashes(proj)
-    _, outcomes = run_project(RunConfig(input_path=proj, mode=MODE_PATCH))
+    outcomes, _ = run_project(RunConfig(input_path=proj, mode=MODE_PATCH))
     assert _hashes(proj) == before
     patches = [o for o in outcomes if o.patch]
     assert len(patches) == 5
@@ -236,10 +240,10 @@ def test_patch_mode_leaves_files_alone(tmp_path):
 
 def test_counts_come_from_findings_and_what_was_applied(tmp_path, monkeypatch):
     proj = _project_from_golden(tmp_path)
-    report, _ = run_project(RunConfig(input_path=proj, mode=MODE_PATCH))
+    outcomes, _ = run_project(RunConfig(input_path=proj, mode=MODE_PATCH))
+    counts = rule_counts(outcomes)
     for rule in RuleId:
-        count = report.rule_counts[rule]
-        assert (count.refactorings, count.fixed, count.unfixable) == (1, 1, 0), rule
+        assert counts[rule] == {"refactorings": 1, "fixed": 1, "unfixable": 0}, rule
     # a local wake lock is not fixable; a rolled-back fix is not fixed
     path = _write(
         tmp_path / "two",
@@ -249,12 +253,11 @@ def test_counts_come_from_findings_and_what_was_applied(tmp_path, monkeypatch):
     )
     stubborn = _marker_rule(b"/*x*/", False, True, stubborn=True)
     monkeypatch.setattr(engine, "apply_recycle", stubborn)
-    report, outcomes = run_project(RunConfig(input_path=path.parent, mode=MODE_FIX))
+    outcomes, _ = run_project(RunConfig(input_path=path.parent, mode=MODE_FIX))
     assert outcomes[0].internal_error is not None
-    wake = report.rule_counts[RuleId.WAKE_LOCK]
-    assert (wake.refactorings, wake.fixed, wake.unfixable) == (0, 0, 1)
-    recycle = report.rule_counts[RuleId.RECYCLE]
-    assert (recycle.refactorings, recycle.fixed, recycle.unfixable) == (1, 0, 0)
+    counts = rule_counts(outcomes)
+    assert counts[RuleId.WAKE_LOCK] == {"refactorings": 0, "fixed": 0, "unfixable": 1}
+    assert counts[RuleId.RECYCLE] == {"refactorings": 1, "fixed": 0, "unfixable": 0}
 
 
 def test_every_rule_takes_only_the_tree_and_the_path():
@@ -272,18 +275,19 @@ def test_enabled_rules_filter(tmp_path):
         mode=MODE_REPORT,
         enabled_rules=frozenset({RuleId.RECYCLE}),
     )
-    report, _ = run_project(config)
-    assert report.rule_counts[RuleId.RECYCLE].refactorings == 1
+    outcomes, _ = run_project(config)
+    counts = rule_counts(outcomes)
+    assert counts[RuleId.RECYCLE]["refactorings"] == 1
     for rule in RuleId:
         if rule is not RuleId.RECYCLE:
-            assert report.rule_counts[rule].refactorings == 0
+            assert counts[rule]["refactorings"] == 0
 
 
 def test_two_runs_give_identical_results(tmp_path):
     proj = _project_from_golden(tmp_path)
     results = []
     for _ in range(2):
-        _, outcomes = run_project(RunConfig(input_path=proj, mode=MODE_REPORT))
+        outcomes, _ = run_project(RunConfig(input_path=proj, mode=MODE_REPORT))
         results.append(
             [
                 (o.path, f.rule, f.span.start, f.message)
@@ -298,8 +302,8 @@ def test_unparseable_java_skipped_not_fatal(tmp_path):
     proj = tmp_path / "proj"
     _write(proj, "src/Broken.java", b"class {")
     _write(proj, "src/Fine.java", b"class Fine {}\n")
-    report, outcomes = run_project(RunConfig(input_path=proj, mode=MODE_FIX))
-    assert report.parse_failures == 1
+    outcomes, _ = run_project(RunConfig(input_path=proj, mode=MODE_FIX))
+    assert sum(1 for o in outcomes if o.diagnostics) == 1
     broken = next(o for o in outcomes if o.path == str(proj / "src/Broken.java"))
     assert len(broken.diagnostics) == 1
     assert (proj / "src/Broken.java").read_bytes() == b"class {"
@@ -308,10 +312,10 @@ def test_unparseable_java_skipped_not_fatal(tmp_path):
 def test_non_utf8_file_skipped_with_warning(tmp_path):
     proj = tmp_path / "proj"
     _write(proj, "src/Latin.java", b"class A { // caf\xe9 }\n")
-    report, outcomes = run_project(RunConfig(input_path=proj, mode=MODE_FIX))
+    outcomes, warnings = run_project(RunConfig(input_path=proj, mode=MODE_FIX))
     assert outcomes[0].language == "java"
     assert outcomes[0].skip_reason is not None
-    assert any("not UTF-8" in w for w in report.warnings)
+    assert any("not UTF-8" in w for w in warnings)
 
 
 # The path and the stderr line each file gets, for each way of writing the
@@ -349,7 +353,7 @@ def test_file_names_do_not_depend_on_how_the_root_is_written(
     monkeypatch.chdir(tmp_path / cwd)
     root = root.format(tmp=tmp_path)
     paths = [p.format(tmp=tmp_path) for p in paths]
-    _, outcomes = run_project(RunConfig(input_path=Path(root)))
+    outcomes, _ = run_project(RunConfig(input_path=Path(root)))
     assert [o.path for o in outcomes] == paths
     main(["check", root])
     stderr = [p + _STDERR_FOR[p.rsplit("/", 1)[-1]] for p in paths]
@@ -369,11 +373,11 @@ def test_verification_failure_rolls_back(tmp_path, monkeypatch):
         return result
 
     monkeypatch.setattr(engine, "apply_recycle", sabotaged)
-    report, outcomes = run_project(RunConfig(input_path=proj, mode=MODE_FIX))
+    outcomes, warnings = run_project(RunConfig(input_path=proj, mode=MODE_FIX))
     assert outcomes[0].internal_error is not None
     assert not outcomes[0].rewritten
     assert (proj / "src/R.java").read_bytes() == before
-    assert any("error" in w for w in report.warnings)
+    assert any("error" in w for w in warnings)
 
 
 def _marker_rule(marker: bytes, at_start: bool, at_end: bool, stubborn=False):
@@ -400,7 +404,7 @@ def test_rule_still_fixable_after_its_fix_rolls_back(tmp_path, monkeypatch):
     path = _write(tmp_path, "A.java")
     stubborn = _marker_rule(b"/*x*/", False, True, stubborn=True)
     monkeypatch.setattr(engine, "apply_recycle", stubborn)
-    _, outcomes = run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX))
+    outcomes, _ = run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX))
     assert "still reports fixable" in outcomes[0].internal_error
     assert path.read_bytes() == b"class A {}\n"
 
@@ -415,16 +419,16 @@ def test_deferred_rule_holds_back_the_rules_after_it(tmp_path, monkeypatch):
     ):
         monkeypatch.setattr(engine, name, rule)
     path = _write(tmp_path, "A.java")
-    _, outcomes = run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX))
+    outcomes, _ = run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX))
     assert outcomes[0].internal_error is None
     assert path.read_bytes() == b"/*B*//*A*/class A {}\n/*B*//*C*/"
 
 
 def test_clean_corpus_yields_zero_findings():
-    report, outcomes = run_project(
+    outcomes, _ = run_project(
         RunConfig(input_path=CLEAN_CORPUS, mode=MODE_REPORT)
     )
-    assert report.parse_failures == 0
+    assert not any(o.diagnostics for o in outcomes)
     assert all(not o.findings for o in outcomes)
 
 
@@ -497,7 +501,7 @@ def test_clean_java_file_is_parsed_once(tmp_path, monkeypatch):
 def test_rewritten_java_file_is_parsed_twice(tmp_path, monkeypatch, name):
     calls = _count_calls(monkeypatch)
     path = _write(tmp_path, "A.java", (GOLDEN / name / "before.java").read_bytes())
-    _, outcomes = run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX))
+    outcomes, _ = run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX))
     assert outcomes[0].rewritten
     assert path.read_bytes() == (GOLDEN / name / "after.java").read_bytes()
     assert calls["parse_java_source"] == 2
@@ -506,12 +510,13 @@ def test_rewritten_java_file_is_parsed_twice(tmp_path, monkeypatch, name):
 def test_rule_whose_edits_touch_earlier_ones_waits_a_pass(tmp_path, monkeypatch):
     calls = _count_calls(monkeypatch)
     _write(tmp_path, "P.java", SHARED_INSERT_POINT.encode())
-    report, outcomes = run_project(
+    outcomes, _ = run_project(
         RunConfig(input_path=tmp_path, mode=MODE_FIX)
     )
     assert outcomes[0].rewritten
-    assert report.rule_counts[RuleId.WAKE_LOCK].fixed == 1
-    assert report.rule_counts[RuleId.RECYCLE].fixed == 1
+    counts = rule_counts(outcomes)
+    assert counts[RuleId.WAKE_LOCK]["fixed"] == 1
+    assert counts[RuleId.RECYCLE]["fixed"] == 1
     assert calls["parse_java_source"] == 3
 
 
@@ -620,7 +625,7 @@ def _differential_cases() -> list:
 def test_fix_matches_rule_by_rule_chain(tmp_path, ext, before):
     rel = "Case.java" if ext == "java" else "res/layout/case.xml"
     path = _write(tmp_path, rel, before)
-    _, outcomes = run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX))
+    outcomes, _ = run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX))
     assert outcomes[0].internal_error is None
     assert path.read_bytes() == _chained_fix(before, ext)
 
@@ -727,12 +732,12 @@ def test_verification_moves_no_finding(tmp_path, before):
     found = {}
     for mode in (MODE_REPORT, MODE_FIX):
         _write(tmp_path / mode, "Case.java", before)
-        report, outcomes = run_project(RunConfig(input_path=tmp_path / mode, mode=mode))
+        outcomes, _ = run_project(RunConfig(input_path=tmp_path / mode, mode=mode))
         found[mode] = _located(outcomes)
         for _, start, _, line, column, _, _ in found[mode]:
             assert line_col(before, start) == (line, column)
     assert found[MODE_FIX] == found[MODE_REPORT]
-    assert sum(c.fixed for c in report.rule_counts.values()) >= 1
+    assert sum(c["fixed"] for c in rule_counts(outcomes).values()) >= 1
 
 
 def test_shifted_finding_case_moves_the_declined_method():
@@ -868,8 +873,8 @@ def _per_pass(monkeypatch, counter: list[int]) -> list[int]:
 def test_verification_lexes_only_around_the_edits(tmp_path, monkeypatch, lexer_matches):
     matches = _per_pass(monkeypatch, lexer_matches)
     _write(tmp_path, "Big.java", _big_source().encode())
-    report, _ = run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX))
-    assert report.rule_counts[RuleId.RECYCLE].fixed == 1
+    outcomes, _ = run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX))
+    assert rule_counts(outcomes)[RuleId.RECYCLE]["fixed"] == 1
     assert len(matches) == 2
     assert matches[1] < 0.1 * matches[0]
 
@@ -890,8 +895,8 @@ def _members_per_pass(monkeypatch) -> list[int]:
 def test_verification_parses_only_the_edited_members(tmp_path, monkeypatch):
     members = _members_per_pass(monkeypatch)
     _write(tmp_path, "Big.java", _big_source().encode())
-    report, _ = run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX))
-    assert report.rule_counts[RuleId.RECYCLE].fixed == 1
+    outcomes, _ = run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX))
+    assert rule_counts(outcomes)[RuleId.RECYCLE]["fixed"] == 1
     assert len(members) == 2
     assert members[1] < 0.1 * members[0]
 
@@ -909,8 +914,8 @@ def test_verification_reuses_the_member_before_a_field_inserted_after_it(tmp_pat
         "}\r\n"
     )
     _write(tmp_path, "V.java", source.encode())
-    report, _ = run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX))
-    assert report.rule_counts[RuleId.DRAW_ALLOCATION].fixed == 1
+    outcomes, _ = run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX))
+    assert rule_counts(outcomes)[RuleId.DRAW_ALLOCATION]["fixed"] == 1
     assert members == [2, 2]
 
 
@@ -937,11 +942,11 @@ def test_xml_verification_failure_rolls_back(tmp_path, monkeypatch, sabotage, me
         return result
 
     monkeypatch.setattr(engine, "apply_obsolete_layout_param", sabotaged)
-    report, outcomes = run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX))
+    outcomes, warnings = run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX))
     assert message in outcomes[0].internal_error
     assert not outcomes[0].rewritten
     assert path.read_bytes() == before
-    assert any(": error: " in w for w in report.warnings)
+    assert any(": error: " in w for w in warnings)
 
 
 def test_every_rule_call_runs_on_the_calling_thread(tmp_path, monkeypatch):

@@ -4,20 +4,20 @@ from hypothesis import strategies as st
 from greenlint.report import ANY, CSV_HEADER, ROW_ORDER, aggregate, emit
 from greenlint.rules import RuleId
 
-from helpers import make_report, parse_summary
+from helpers import make_counts, parse_summary
 
 
-def _by_rule(reports) -> dict[str, tuple]:
+def _by_rule(projects) -> dict[str, tuple]:
     """The cells after the rule name of each summary row, by rule name."""
-    return {row[0]: row[1:] for row in aggregate(reports)}
+    return {row[0]: row[1:] for row in aggregate(projects)}
 
 
 def test_two_project_aggregation():
-    reports = [
-        make_report({RuleId.RECYCLE: 3}),
-        make_report({RuleId.RECYCLE: 1, RuleId.OBSOLETE_LAYOUT_PARAM: 2}),
+    projects = [
+        make_counts({RuleId.RECYCLE: 3}),
+        make_counts({RuleId.RECYCLE: 1, RuleId.OBSOLETE_LAYOUT_PARAM: 2}),
     ]
-    rows = _by_rule(reports)
+    rows = _by_rule(projects)
     # total refactorings, affected projects, percentage, incidence
     assert rows["Recycle"] == (4, 2, 100, "2.0")
     assert rows["ObsoleteLayoutParam"] == (2, 1, 50, "2.0")
@@ -27,30 +27,30 @@ def test_two_project_aggregation():
 
 def test_rounding_is_half_up():
     # 1 of 8 projects affected: 12.5% must round to 13, not banker's 12
-    reports = [make_report({RuleId.WAKE_LOCK: 1})] + [
-        make_report({}) for _ in range(2, 9)
+    projects = [make_counts({RuleId.WAKE_LOCK: 1})] + [
+        make_counts({}) for _ in range(2, 9)
     ]
-    assert _by_rule(reports)["WakeLock"][2] == 13
+    assert _by_rule(projects)["WakeLock"][2] == 13
 
     # 5 refactorings over 2 projects: incidence 2.5 stays 2.5
-    reports = [
-        make_report({RuleId.RECYCLE: 4}),
-        make_report({RuleId.RECYCLE: 1}),
+    projects = [
+        make_counts({RuleId.RECYCLE: 4}),
+        make_counts({RuleId.RECYCLE: 1}),
     ]
-    assert _by_rule(reports)["Recycle"][3] == "2.5"
+    assert _by_rule(projects)["Recycle"][3] == "2.5"
 
     # 9 over 4 projects: 2.25 rounds half up to 2.3
-    reports = [
-        make_report({RuleId.RECYCLE: 6}),
-        make_report({RuleId.RECYCLE: 1}),
-        make_report({RuleId.RECYCLE: 1}),
-        make_report({RuleId.RECYCLE: 1}),
+    projects = [
+        make_counts({RuleId.RECYCLE: 6}),
+        make_counts({RuleId.RECYCLE: 1}),
+        make_counts({RuleId.RECYCLE: 1}),
+        make_counts({RuleId.RECYCLE: 1}),
     ]
-    assert _by_rule(reports)["Recycle"][3] == "2.3"
+    assert _by_rule(projects)["Recycle"][3] == "2.3"
 
 
 def test_csv_shape():
-    rows = aggregate([make_report({RuleId.VIEW_HOLDER: 2})])
+    rows = aggregate([make_counts({RuleId.VIEW_HOLDER: 2})])
     lines = emit(rows, "csv", 1).decode().splitlines()
     assert lines[0] == CSV_HEADER
     assert [line.split(",")[0] for line in lines[1:]] == list(ROW_ORDER)
@@ -60,7 +60,7 @@ def test_csv_shape():
 
 def test_emit_is_byte_deterministic():
     rows = aggregate(
-        [make_report({RuleId.RECYCLE: 2}), make_report({})]
+        [make_counts({RuleId.RECYCLE: 2}), make_counts({})]
     )
     for fmt in ("csv", "json"):
         assert emit(rows, fmt, 2) == emit(rows, fmt, 2)
@@ -69,9 +69,9 @@ def test_emit_is_byte_deterministic():
 def test_json_round_trip():
     rows = aggregate(
         [
-            make_report({RuleId.RECYCLE: 2, RuleId.WAKE_LOCK: 1}),
-            make_report({RuleId.OBSOLETE_LAYOUT_PARAM: 5}),
-            make_report({}),
+            make_counts({RuleId.RECYCLE: 2, RuleId.WAKE_LOCK: 1}),
+            make_counts({RuleId.OBSOLETE_LAYOUT_PARAM: 5}),
+            make_counts({}),
         ]
     )
     assert [row[0] for row in rows] == list(ROW_ORDER)
@@ -85,21 +85,21 @@ _counts = st.fixed_dictionaries(
 
 @given(st.lists(_counts, min_size=1, max_size=8), st.randoms())
 def test_aggregation_is_permutation_invariant(count_dicts, rng):
-    reports = [
-        make_report(counts) for counts in count_dicts
+    projects = [
+        make_counts(counts) for counts in count_dicts
     ]
-    shuffled = list(reports)
+    shuffled = list(projects)
     rng.shuffle(shuffled)
-    size = len(reports)
-    assert emit(aggregate(reports), "csv", size) == emit(aggregate(shuffled), "csv", size)
+    size = len(projects)
+    assert emit(aggregate(projects), "csv", size) == emit(aggregate(shuffled), "csv", size)
 
 
 @given(st.lists(_counts, min_size=1, max_size=8))
 def test_summary_recomputable_from_raw_counts(count_dicts):
-    reports = [
-        make_report(counts) for counts in count_dicts
+    projects = [
+        make_counts(counts) for counts in count_dicts
     ]
-    rows = _by_rule(reports)
+    rows = _by_rule(projects)
     for rule in RuleId:
         total = sum(c[rule] for c in count_dicts)
         projects = sum(1 for c in count_dicts if c[rule] > 0)
