@@ -322,13 +322,22 @@ def _atomic_replace(path: str, text: bytes) -> None:
     os.replace(tmp, path)
 
 
+_LINE = re.compile(r"[^\n]*\n|[^\n]+")
+
+
 def _unified_diff(original: bytes, text: bytes, shown: str) -> str:
+    """The patch from ``original`` to ``text`` as `git apply` and `patch -p1`
+    read it: a line ends at a line feed only, as those tools split lines,
+    and a last line with none is marked as such."""
     import difflib  # only patches need it; kept out of every run's start-up
 
-    a = original.decode("utf-8").splitlines(keepends=True)
-    b = text.decode("utf-8").splitlines(keepends=True)
+    a = _LINE.findall(original.decode("utf-8"))
+    b = _LINE.findall(text.decode("utf-8"))
     diff = difflib.unified_diff(a, b, fromfile=f"a/{shown}", tofile=f"b/{shown}")
-    return "".join(diff)
+    return "".join(
+        line if line.endswith("\n") else line + "\n\\ No newline at end of file\n"
+        for line in diff
+    )
 
 
 def run_project(config: RunConfig) -> tuple[list[FileOutcome], list[str]]:

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import os
 import shutil
+import subprocess
 import threading
 from collections import Counter
 from pathlib import Path
@@ -236,6 +237,59 @@ def test_patch_mode_leaves_files_alone(tmp_path):
     for o in patches:
         assert o.patch.startswith("--- a/")
         assert "+++ b/" in o.patch
+
+
+# Two inputs that `git apply` and `patch` split into lines unlike
+# `str.splitlines`: a last line with no line feed, and a form feed, which
+# ends no line for them.
+_PATCHES = {
+    "no-final-newline": (
+        "res/layout/main.xml",
+        '<LinearLayout xmlns:android="http://schemas.android.com/apk/res/android">\n'
+        '    <TextView android:layout_below="@id/x" android:layout_width="1dp"/>'
+        "</LinearLayout>",
+        "@@ -1,2 +1,2 @@\n"
+        ' <LinearLayout xmlns:android="http://schemas.android.com/apk/res/android">\n'
+        '-    <TextView android:layout_below="@id/x" android:layout_width="1dp"/>'
+        "</LinearLayout>\n"
+        "\\ No newline at end of file\n"
+        '+    <TextView android:layout_width="1dp"/></LinearLayout>\n'
+        "\\ No newline at end of file\n",
+    ),
+    "form-feed": (
+        "src/H.java",
+        "class H {\n"
+        "    void h(Db db) {\n"
+        '        Cursor c = db.query("t"); \f c.moveToFirst();\n'
+        "    }\n"
+        "}\n",
+        "@@ -1,5 +1,8 @@\n"
+        " class H {\n"
+        "     void h(Db db) {\n"
+        '         Cursor c = db.query("t"); \f c.moveToFirst();\n'
+        "+        if (c != null) {\n"
+        "+            c.close();\n"
+        "+        }\n"
+        "     }\n"
+        " }\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _PATCHES)
+def test_patch_is_one_git_apply_accepts(tmp_path, case):
+    rel, source, hunk = _PATCHES[case]
+    _write(tmp_path, rel, source.encode())
+    [outcome], _ = run_project(RunConfig(input_path=tmp_path, mode=MODE_PATCH))
+    assert outcome.patch == f"--- a/{rel}\n+++ b/{rel}\n" + hunk
+    if shutil.which("git") is None:
+        return
+    (tmp_path / "p.patch").write_text(outcome.patch)
+    check = subprocess.run(
+        ["git", "apply", "--check", "p.patch"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=60,
+    )
+    assert check.returncode == 0, check.stderr
 
 
 def test_counts_come_from_findings_and_what_was_applied(tmp_path, monkeypatch):
