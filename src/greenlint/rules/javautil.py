@@ -348,6 +348,22 @@ def find_creations(tokens: Tokens, lo: int, hi: int) -> Iterator[Creation]:
         yield Creation(type_name, j, args, span, has_body)
 
 
+def unwrap(values: list[str], lo: int, hi: int) -> tuple[int, int, bool]:
+    """The expression tokens ``lo`` to ``hi`` with the parentheses around
+    them and the casts before them stripped, and whether a cast was. A
+    parenthesized receiver, as in `(a).b()` or `(a)[0]`, is kept."""
+    cast = False
+    while values[lo] == "(":
+        end = match_group(values, lo)[1]
+        if end == hi:
+            lo, hi = lo + 1, hi - 1
+        elif values[end] in (".", "["):
+            break
+        else:
+            lo, cast = end, True
+    return lo, hi, cast
+
+
 def initialized_local(stmt: Node) -> Optional[dict]:
     """The declarator of ``stmt`` if it declares one local variable with an
     initializer, else None."""

@@ -36,6 +36,7 @@ from .javautil import (
     line_indent,
     methods_of,
     release_point,
+    unwrap,
     uses,
 )
 
@@ -95,23 +96,14 @@ def _source(
     casts stripped; and whether it is the initializer itself with only
     parentheses stripped. A call in a lambda, a `{}` group, an argument or a
     receiver is not the local's value."""
-    values = tokens.values
-    for a, b in _arms(values, lo, hi):
-        bare = (a, b) == (lo, hi)
-        while values[a] == "(":
-            end = match_group(values, a)[1]
-            if end == b:
-                a, b = a + 1, b - 1
-            elif values[end] in (".", "["):
-                break  # a parenthesized receiver
-            else:
-                a, bare = end, False  # a cast
+    for arm in _arms(tokens.values, lo, hi):
+        a, b, cast = unwrap(tokens.values, *arm)
         name = _last_call(tokens, a, b)
         if name is not None:
             call = next(find_invocations(tokens, name, b))
             factory = _match_factory(call.name, call.receiver, declared_type)
             if factory is not None:
-                return factory, call, bare
+                return factory, call, arm == (lo, hi) and not cast
     return None
 
 

@@ -5,8 +5,10 @@ row layout and re-run findViewById on every call, and rewrites them to the
 tag-cached holder form: lookups run once per row layout, cached in a
 private holder class stashed on the view via setTag/getTag. Only a lookup
 that gives the same view for every row made from the layout is cached:
-one on convertView whose initializer names no other parameter and no
-local. The holder is `static` when its host class is top-level or
+`convertView.findViewById(ID)`, parentheses and a cast aside, ID being an
+integer literal or a dotted name such as `R.id.title` that starts at no
+parameter or local. Any other id, say a field set to the position, may be
+read per row. The holder is `static` when its host class is top-level or
 `static`, since Java before 16 allows no static member in an inner,
 anonymous or local class. In an interface it is a plain member class,
 which is implicitly public and static, as no interface member may be
@@ -35,6 +37,7 @@ from .javautil import (
     names_in_scope,
     own_line_start,
     reindent,
+    unwrap,
 )
 
 HOLDER_BASE_NAME = "ViewHolderItem"
@@ -43,7 +46,7 @@ READS_CACHED = (
     "a lookup reads an earlier cached view, which the holder block would read before declaring it"
 )
 PER_ROW = (
-    "a lookup that is not on the row view, or that names a parameter or local,"
+    "a lookup that is not on the row view, or whose id is not a constant name or number,"
     " may find another view for another row"
 )
 
@@ -107,17 +110,24 @@ def _reads_cached(values: list[str], cached: list[tuple[Node, dict]]) -> bool:
 def _differs_per_row(
     tree: SyntaxTree, method: Node, cached: list[tuple[Node, dict]], convert_view: str
 ) -> bool:
-    """True if a lookup may find another view when the row is reused: its
-    `findViewById` is not called on ``convert_view``, or its initializer
-    names another parameter or a local of ``method``."""
-    values = tree.tokens.values
-    names = declared_locals(method) - {convert_view}
+    """True unless every lookup is `findViewById(ID)` on ``convert_view``,
+    parentheses and a cast aside, ``ID`` being a number or a dotted name
+    whose first part is no parameter or local of ``method``."""
+    tokens = tree.tokens
+    names = declared_locals(method)
     for _, decl in cached:
-        lo, hi = decl["init"]
-        if any(
-            inv.name == "findViewById" and inv.receiver != convert_view
-            for inv in find_invocations(tree.tokens, lo, hi)
-        ) or any(values[j] in names and values[j - 1] != "." for j in range(lo, hi)):
+        lo, hi, _ = unwrap(tokens.values, *decl["init"])
+        call = tokens.values[lo : lo + 4] + tokens.values[hi - 1 : hi]
+        kinds, arg = tokens.kinds[lo + 4 : hi - 1], tokens.values[lo + 4 : hi - 1]
+        dotted = (
+            len(arg) % 2 == 1
+            and len(arg) > 1
+            and arg[0] not in names
+            and set(kinds[::2]) == {"ident"}
+            and set(arg[1::2]) == {"."}
+        )
+        lookup = [convert_view, ".", "findViewById", "(", ")"]
+        if call != lookup or not (dotted or kinds == ["number"]):
             return True
     return False
 

@@ -32,8 +32,8 @@ READS_CACHED = (
     "declaring it" + NO_FIX
 )
 PER_ROW = (
-    "; a lookup that is not on the row view, or that names a parameter or local, may find "
-    "another view for another row" + NO_FIX
+    "; a lookup that is not on the row view, or whose id is not a constant name or number, "
+    "may find another view for another row" + NO_FIX
 )
 
 RECYCLE = "'{name}' ({type}) is obtained but never released with {release}()"

@@ -186,6 +186,14 @@ def test_lookup_reading_an_earlier_cached_view_is_declined():
     assert result.edits == []
 
 
+def _per_row_field(lookup: str) -> bytes:
+    """An adapter whose getView sets a field to the row's position before
+    ``lookup``."""
+    return _adapter(lookup).replace(
+        b"        convertView = inf", b"        row = pos;\n        convertView = inf"
+    ).replace(b"class A extends BaseAdapter {\n", b"class A extends BaseAdapter {\n    int row;\n")
+
+
 @pytest.mark.parametrize(
     "source",
     [
@@ -195,10 +203,20 @@ def test_lookup_reading_an_earlier_cached_view_is_declined():
         _adapter("TextView t = (TextView) convertView.findViewById(id);").replace(
             b"        convertView = inf", b"        int id = ids[pos];\n        convertView = inf"
         ),
+        _per_row_field("TextView t = (TextView) convertView.findViewById(row);"),
+        _per_row_field("TextView t = (TextView) convertView.findViewById(IDS[row]);"),
+        _per_row_field("TextView t = (TextView) convertView.findViewById(idFor(row));"),
+        _per_row_field("TextView t = (TextView) convertView.findViewById(this.row);"),
+        _adapter("TextView t = (TextView) convertView.findViewById(R.id.a).findViewById(R.id.b);"),
+        _adapter("TextView t = (TextView) convertView.findViewById(R.id.a);").replace(
+            b"        convertView = inf", b"        Ids R = ids(pos);\n        convertView = inf"
+        ),
     ],
     ids=[
         "argument-names-a-parameter", "receiver-is-the-list", "no-receiver",
-        "argument-names-a-local",
+        "argument-names-a-local", "argument-is-a-field", "argument-indexes-by-a-field",
+        "argument-is-a-call", "argument-is-this-field", "lookup-on-a-lookup",
+        "dotted-name-starts-at-a-local",
     ],
 )
 def test_lookup_that_may_differ_per_row_is_declined(source):
@@ -208,6 +226,20 @@ def test_lookup_that_may_differ_per_row_is_declined(source):
     assert [f.fixable for f in result.findings] == [False]
     assert "may find another view for another row" in result.findings[0].message
     assert result.edits == []
+
+
+@pytest.mark.parametrize(
+    "lookup",
+    [
+        "TextView t = ((TextView) convertView.findViewById(android.R.id.text1));",
+        "TextView t = (TextView) (convertView.findViewById(0x7f0a0001));",
+    ],
+)
+def test_lookup_by_a_constant_id_is_cached(lookup):
+    result, fixed = fix_java(apply_view_holder, _adapter(lookup))
+    assert [f.fixable for f in result.findings] == [True]
+    init = lookup.split(" = ")[1]
+    assert f"viewHolderItem.t = {init}\n".encode() in fixed
 
 
 def test_member_named_like_an_earlier_cached_view_is_no_read_of_it():
