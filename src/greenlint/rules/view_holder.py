@@ -7,8 +7,8 @@ private holder class stashed on the view via setTag/getTag. Only a lookup
 that gives the same view for every row made from the layout is cached:
 `convertView.findViewById(ID)`, parentheses and a cast aside, ID being an
 integer literal or a dotted name such as `R.id.title` that starts at no
-parameter or local. Any other id, say a field set to the position, may be
-read per row. The holder is `static` when its host class is top-level or
+parameter, local or field of the host. Any other id, say a field set to
+the position, may be read per row. The holder is `static` when its host class is top-level or
 `static`, since Java before 16 allows no static member in an inner,
 anonymous or local class. In an interface it is a plain member class,
 which is implicitly public and static, as no interface member may be
@@ -24,6 +24,7 @@ from .base import RuleId, RuleResult
 from .javautil import (
     SHARED_LINE,
     cannot_declare,
+    class_fields,
     declared_locals,
     declared_static,
     file_eol,
@@ -108,13 +109,14 @@ def _reads_cached(values: list[str], cached: list[tuple[Node, dict]]) -> bool:
 
 
 def _differs_per_row(
-    tree: SyntaxTree, method: Node, cached: list[tuple[Node, dict]], convert_view: str
+    tree: SyntaxTree, owner: Node, method: Node, cached: list[tuple[Node, dict]], convert_view: str
 ) -> bool:
     """True unless every lookup is `findViewById(ID)` on ``convert_view``,
     parentheses and a cast aside, ``ID`` being a number or a dotted name
-    whose first part is no parameter or local of ``method``."""
+    whose first part is no parameter or local of ``method`` and no field of
+    ``owner``."""
     tokens = tree.tokens
-    names = declared_locals(method)
+    names = declared_locals(method).union(class_fields(owner.children))
     for _, decl in cached:
         lo, hi, _ = unwrap(tokens.values, *decl["init"])
         call = tokens.values[lo : lo + 4] + tokens.values[hi - 1 : hi]
@@ -165,7 +167,7 @@ def apply_view_holder(tree: SyntaxTree, path: str = "") -> RuleResult:
         reason = (
             cannot_declare(tree, method, types, static=static)
             or (READS_CACHED if _reads_cached(toks.values, cached) else "")
-            or (PER_ROW if _differs_per_row(tree, method, cached, convert_view) else "")
+            or (PER_ROW if _differs_per_row(tree, owner, method, cached, convert_view) else "")
             or ("" if fits else SHARED_LINE)
         )
         message = (

@@ -186,12 +186,12 @@ def test_lookup_reading_an_earlier_cached_view_is_declined():
     assert result.edits == []
 
 
-def _per_row_field(lookup: str) -> bytes:
-    """An adapter whose getView sets a field to the row's position before
-    ``lookup``."""
+def _per_row_field(lookup: str, field: str = "int row;", assign: str = "row = pos;") -> bytes:
+    """An adapter with ``field`` whose getView runs ``assign``, which sets
+    it per row, before ``lookup``."""
     return _adapter(lookup).replace(
-        b"        convertView = inf", b"        row = pos;\n        convertView = inf"
-    ).replace(b"class A extends BaseAdapter {\n", b"class A extends BaseAdapter {\n    int row;\n")
+        b"        convertView = inf", f"        {assign}\n        convertView = inf".encode()
+    ).replace(b"BaseAdapter {\n", f"BaseAdapter {{\n    {field}\n".encode())
 
 
 @pytest.mark.parametrize(
@@ -207,6 +207,11 @@ def _per_row_field(lookup: str) -> bytes:
         _per_row_field("TextView t = (TextView) convertView.findViewById(IDS[row]);"),
         _per_row_field("TextView t = (TextView) convertView.findViewById(idFor(row));"),
         _per_row_field("TextView t = (TextView) convertView.findViewById(this.row);"),
+        _per_row_field(
+            "TextView t = (TextView) convertView.findViewById(ids.title);",
+            "Ids ids;",
+            "ids = idsFor(pos);",
+        ),
         _adapter("TextView t = (TextView) convertView.findViewById(R.id.a).findViewById(R.id.b);"),
         _adapter("TextView t = (TextView) convertView.findViewById(R.id.a);").replace(
             b"        convertView = inf", b"        Ids R = ids(pos);\n        convertView = inf"
@@ -215,8 +220,8 @@ def _per_row_field(lookup: str) -> bytes:
     ids=[
         "argument-names-a-parameter", "receiver-is-the-list", "no-receiver",
         "argument-names-a-local", "argument-is-a-field", "argument-indexes-by-a-field",
-        "argument-is-a-call", "argument-is-this-field", "lookup-on-a-lookup",
-        "dotted-name-starts-at-a-local",
+        "argument-is-a-call", "argument-is-this-field", "dotted-name-starts-at-a-field",
+        "lookup-on-a-lookup", "dotted-name-starts-at-a-local",
     ],
 )
 def test_lookup_that_may_differ_per_row_is_declined(source):
