@@ -8,11 +8,11 @@ that gives the same view for every row made from the layout is cached:
 `convertView.findViewById(ID)`, parentheses and a cast aside, ID being an
 integer literal or a dotted name such as `R.id.title` that starts at no
 parameter, local or field of the host. Any other id, say a field set to
-the position, may be read per row. The holder is `static` when its host class is top-level or
-`static`, since Java before 16 allows no static member in an inner,
-anonymous or local class. In an interface it is a plain member class,
-which is implicitly public and static, as no interface member may be
-private. Its name is no name in the host's scope
+the position, may be read per row. The holder is `static` when its host
+class is top-level or `static`, since Java before 16 allows no static
+member in an inner, anonymous or local class. In an interface it is a
+plain member class, which is implicitly public and static, as no
+interface member may be private. Its name is no name in the host's scope
 (`javautil.names_in_scope`).
 """
 
@@ -117,6 +117,7 @@ def _differs_per_row(
     ``owner``."""
     tokens = tree.tokens
     names = declared_locals(method).union(class_fields(owner.children))
+    lookup = [convert_view, ".", "findViewById", "(", ")"]
     for _, decl in cached:
         lo, hi, _ = unwrap(tokens.values, *decl["init"])
         call = tokens.values[lo : lo + 4] + tokens.values[hi - 1 : hi]
@@ -128,7 +129,6 @@ def _differs_per_row(
             and set(kinds[::2]) == {"ident"}
             and set(arg[1::2]) == {"."}
         )
-        lookup = [convert_view, ".", "findViewById", "(", ")"]
         if call != lookup or not (dotted or kinds == ["number"]):
             return True
     return False
