@@ -8,12 +8,12 @@ every enabled rule on that tree and applies their merged edit lists in one
 step. The first pass is the report, so findings point into the file on
 disk; in report mode (`check`, `corpus`), where nothing is written, it is
 the only pass. When fixing or emitting patches, the pass after a rewrite
-is its verification; for Java it re-lexes only around the edits and
-re-parses only the members they touch, reusing the old tokens and
-subtrees elsewhere. Rewritten text must re-parse cleanly and the rules
-must then report nothing fixable, otherwise the file's fixes are rolled
-back and surfaced as an internal error. `run_project` returns the
-outcomes; `report.rule_counts` counts their findings.
+is its verification; for Java it re-lexes only around the edits, reusing
+the old tokens elsewhere, and parses the tokens in full. Rewritten text
+must re-parse cleanly and the rules must then report nothing fixable,
+otherwise the file's fixes are rolled back and surfaced as an internal
+error. `run_project` returns the outcomes; `report.rule_counts` counts
+their findings.
 
 Discovery walks the input on strings, with no `Path` per entry: a file's
 shown name is the path relative to the input that the walk builds.
@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Callable, Optional, Union
 
 from .diagnostics import ParseDiagnostic, line_col
+from .java.lexer import Tokens
 from .java.parser import SyntaxTree, parse_java_source
 from .rules import (
     Finding,
@@ -263,14 +264,14 @@ def _fix(
     rule-by-rule chain writes. A pass after a rewrite is its
     verification: a rule already applied must find nothing fixable. Each
     pass applies at least the first pending rule, hence the bound. A Java
-    pass after a rewrite is given the previous tree and the edits, so it
-    re-lexes only around them and re-parses only the members they touch.
+    pass after a rewrite is given the previous tokens and the edits, so it
+    re-lexes only around them.
     """
     if not rules:
         return original
     applied: set[RuleId] = set()
     text = original
-    previous: Optional[tuple[SyntaxTree, list[Edit]]] = None
+    previous: Optional[tuple[Tokens, list[Edit]]] = None
     for pass_no in range(len(rules) + 1):
         tree, diags = parse(text) if previous is None else parse(text, previous)
         if tree is None:
@@ -300,7 +301,7 @@ def _fix(
             break
         text = apply_edit_set(text, merged)
         if isinstance(tree, SyntaxTree):
-            previous = (tree, merged)
+            previous = (tree.tokens, merged)
     return text
 
 

@@ -26,9 +26,8 @@ Incremental Parsing", TOPLAS 1998). It copies the old tokens whose match
 reads no byte of an edit, then walks the full scan's matches from the last
 of them until a token past the edit starts where an old token started. A
 token depends only on the bytes from its start, so that old token and the
-ones after it, up to the next edit, are the new ones, shifted. The runs of
-old tokens copied are kept in `Tokens.kept` for the parser's subtree reuse.
-The result and any `ParseError` are those of a full scan.
+ones after it, up to the next edit, are the new ones, shifted. The result
+and any `ParseError` are those of a full scan.
 """
 
 from __future__ import annotations
@@ -98,7 +97,7 @@ _FIRST.update({c: "ident" for c in map(chr, range(128)) if c.isalpha()})
 _FIRST.update({**dict.fromkeys("0123456789.", "number"), '"': "string", "'": "char"})
 _NON_ASCII = re.compile(r"[\x80-\xff]+")
 # A match reads at most two bytes past its token (`.` looks for `...`), so
-# an old token is kept only if it ends that far before the next edit.
+# an old token is copied only if it ends that far before the next edit.
 _LOOKAHEAD = 2
 
 
@@ -106,20 +105,15 @@ class Tokens:
     """The tokens of one text as parallel lists: token ``j`` is
     ``values[j]``, of kind ``kinds[j]`` (ident, keyword, number, string,
     char or op), at the bytes ``starts[j]:ends[j]``. An operator or keyword
-    is known by its value alone, since no other token spells one.
+    is known by its value alone, since no other token spells one."""
 
-    After a re-lex, ``kept`` lists the runs of old tokens copied unchanged,
-    as ``(old lo, old hi, new lo)`` index triples; it is empty after a full
-    scan."""
-
-    __slots__ = ("kinds", "values", "starts", "ends", "kept")
+    __slots__ = ("kinds", "values", "starts", "ends")
 
     def __init__(self, kinds: list[str], values: list[str], starts: list[int], ends: list[int]):
         self.kinds = kinds
         self.values = values
         self.starts = starts
         self.ends = ends
-        self.kept: list[tuple[int, int, int]] = []
 
     def __len__(self) -> int:
         return len(self.values)
@@ -153,7 +147,6 @@ def tokenize(data: bytes, previous: Optional[tuple[Tokens, list[Edit]]] = None) 
         else:
             k = len(old)
         if j < k:
-            tokens.kept.append((j, k, len(tokens)))
             tokens.extend(old, j, k, delta)
             j = k
         if i == len(edits):

@@ -34,13 +34,6 @@ index pairs):
 Package and import declarations, annotations and modifiers are checked
 and skipped; no node holds them. A block's or a type's closing brace is
 its last token.
-
-Given an earlier tree and the edits since, only the members they touch
-are parsed (the subtree reuse of Wagner & Graham, TOPLAS 1998). A
-top-level type or type-body member parses from its own tokens and its
-enclosing type's name alone, so one whose tokens the lexer copied in one
-run (`Tokens.kept`) is moved over from the old tree and shifted in place;
-nothing reads the old tree after.
 """
 
 from __future__ import annotations
@@ -201,19 +194,14 @@ class SyntaxTree:
         return self.data[span.start : span.end].decode("utf-8")
 
 
-# (token index, enclosing type name) -> (old node there, token shift)
-_Reusable = dict[tuple[int, Optional[str]], tuple[Node, int]]
-
-
 class _Parser:
-    def __init__(self, data: bytes, tokens: Tokens, reusable: _Reusable):
+    def __init__(self, data: bytes, tokens: Tokens):
         self.data = data
         self.tokens = tokens
         self.kinds = tokens.kinds + _END
         self.values = tokens.values + _END
         self.n = len(tokens)
         self.i = 0
-        self.reusable = reusable
 
     # --- token helpers -------------------------------------------------
 
@@ -256,17 +244,8 @@ class _Parser:
             if self.at(";"):
                 self.i += 1
                 continue
-            children.append(self._reuse(None) or self._parse_type_decl())
+            children.append(self._parse_type_decl())
         return Node("compilation_unit", lo, self.i, children)
-
-    def _reuse(self, enclosing: Optional[str]) -> Optional[Node]:
-        """The old node a parse at the cursor would rebuild, moved there."""
-        node, dt = self.reusable.pop((self.i, enclosing), (None, 0))
-        if dt:
-            _shift(node, dt)
-        if node is not None:
-            self.i = node.tok_hi
-        return node
 
     def _at_package_decl(self) -> bool:
         # annotations may precede `package`
@@ -461,7 +440,7 @@ class _Parser:
             if v == ";":
                 self.i += 1
             else:
-                members.append(self._reuse(enclosing) or self._parse_member(enclosing))
+                members.append(self._parse_member(enclosing))
         return members
 
     def _parse_member(self, enclosing: str) -> Node:
@@ -829,71 +808,20 @@ _SIMPLE_STATEMENTS = {
 }
 
 
-def _shift(node: Node, dt: int) -> None:
-    """Move ``node``'s subtree ``dt`` tokens on, in place."""
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        n.tok_lo += dt
-        n.tok_hi += dt
-        stack += n.children
-        props = n.props
-        if not props:
-            continue
-        if "cond" in props:
-            lo, hi = props["cond"]
-            props["cond"] = (lo + dt, hi + dt)
-        # a method's props hold a name_tok, each declarator also an init
-        for d in props.get("declarators", [props]):
-            if "name_tok" in d:
-                d["name_tok"] += dt
-            lo, hi = d.get("init", (None, None))
-            if lo is not None:
-                d["init"] = (lo + dt, hi + dt)
-
-
-def _reusable(old: SyntaxTree, tokens: Tokens) -> _Reusable:
-    """The top-level types and type-body members of ``old`` whose tokens
-    the lexer kept in one run, keyed by where their first token is now."""
-    out: _Reusable = {}
-
-    def visit(enclosing: Optional[str], members: list[Node]) -> None:
-        for node in members:
-            if node.kind == "anonymous_class_body":  # an enum constant's, not a member
-                visit("", node.children)
-                continue
-            for lo, hi, at in tokens.kept:
-                if lo <= node.tok_lo and node.tok_hi <= hi:
-                    out[(node.tok_lo + at - lo, enclosing)] = (node, at - lo)
-                    break
-            else:
-                if node.kind in TYPE_DECLS:
-                    visit(node.props["name"], node.children)
-
-    visit(None, old.root.children)
-    del visit  # its closure holds it: break that cycle so reference counting frees it
-    return out
-
-
 def parse_java_source(
-    data: bytes, previous: Optional[tuple[SyntaxTree, list[Edit]]] = None
+    data: bytes, previous: Optional[tuple[Tokens, list[Edit]]] = None
 ) -> tuple[Optional[SyntaxTree], list[ParseDiagnostic]]:
     """Parse Java source bytes into a lossless SyntaxTree.
 
     Returns (tree, []) on success or (None, diagnostics) on failure; the
     caller is expected to skip undecodable or unparseable files.
-    ``previous`` may hold the tree of an earlier text, not to be read
-    afterwards, and the edits that made ``data`` from it: then only the
-    bytes around the edits are lexed and the members they touch parsed.
+    ``previous`` may hold the tokens of an earlier text and the edits that
+    made ``data`` from it: then only the bytes around the edits are lexed,
+    and the tokens are parsed in full.
     """
 
     def parse() -> SyntaxTree:
-        if previous is None:
-            tokens, reusable = tokenize(data), {}
-        else:
-            tokens = tokenize(data, (previous[0].tokens, previous[1]))
-            reusable = _reusable(previous[0], tokens)
-        root = _Parser(data, tokens, reusable).parse_compilation_unit()
-        return SyntaxTree(data, tokens, root)
+        tokens = tokenize(data, previous)
+        return SyntaxTree(data, tokens, _Parser(data, tokens).parse_compilation_unit())
 
     return guarded_parse(data, parse)

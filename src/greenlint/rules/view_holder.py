@@ -7,13 +7,13 @@ private holder class stashed on the view via setTag/getTag. Only a lookup
 that gives the same view for every row made from the layout is cached:
 `convertView.findViewById(ID)`, parentheses and a cast aside, ID being an
 integer literal or a dotted name such as `R.id.title` that starts at no
-parameter, local or field of the host. Any other id, say a field set to
-the position, may be read per row. The holder is `static` when its host
-class is top-level or `static`, since Java before 16 allows no static
-member in an inner, anonymous or local class. In an interface it is a
-plain member class, which is implicitly public and static, as no
-interface member may be private. Its name is no name in the host's scope
-(`javautil.names_in_scope`).
+parameter, local or field of the host or of a class enclosing it. Any
+other id, say a field set to the position, may be read per row. The
+holder is `static` when its host class is top-level or `static`, since
+Java before 16 allows no static member in an inner, anonymous or local
+class. In an interface it is a plain member class, which is implicitly
+public and static, as no interface member may be private. Its name is no
+name in the host's scope (`javautil.names_in_scope`).
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .javautil import (
     methods_of,
     names_in_scope,
     own_line_start,
+    path_to,
     reindent,
     unwrap,
 )
@@ -114,9 +115,10 @@ def _differs_per_row(
     """True unless every lookup is `findViewById(ID)` on ``convert_view``,
     parentheses and a cast aside, ``ID`` being a number or a dotted name
     whose first part is no parameter or local of ``method`` and no field of
-    ``owner``."""
+    ``owner`` or of a type or body enclosing it."""
     tokens = tree.tokens
-    names = declared_locals(method).union(class_fields(owner.children))
+    fields = (class_fields(node.children) for node in path_to(tree, owner))
+    names = declared_locals(method).union(*fields)
     lookup = [convert_view, ".", "findViewById", "(", ")"]
     for _, decl in cached:
         lo, hi, _ = unwrap(tokens.values, *decl["init"])

@@ -26,7 +26,6 @@ from greenlint.engine import (
     run_project,
 )
 from greenlint.report import rule_counts
-from greenlint.java import parser
 from greenlint.java.lexer import tokenize
 from greenlint.java.parser import parse_java_source
 from greenlint.rules import (
@@ -781,8 +780,8 @@ def _located(outcomes) -> list[tuple]:
 )
 def test_verification_moves_no_finding(tmp_path, before):
     # Findings are recorded in pass 0; the verify pass, which fix runs and
-    # report mode does not, reuses and shifts the nodes their spans came
-    # from, which must leave them where the file on disk has them.
+    # report mode does not, re-lexes the rewritten text, which must leave
+    # them where the file on disk has them.
     found = {}
     for mode in (MODE_REPORT, MODE_FIX):
         _write(tmp_path / mode, "Case.java", before)
@@ -851,17 +850,17 @@ def _outcome(tree, diags):
 
 @settings(max_examples=400, deadline=None)
 @given(_edited_classes())
-def test_reused_tree_equals_a_fresh_parse(case):
+def test_relexed_tree_equals_a_fresh_parse(case):
     old, edits = case
     tree, diags = parse_java_source(old)
     assert tree is not None, diags
     new = apply_edit_set(old, edits)
     fresh = _outcome(*parse_java_source(new))
-    assert _outcome(*parse_java_source(new, (tree, edits))) == fresh, (new, edits)
+    assert _outcome(*parse_java_source(new, (tree.tokens, edits))) == fresh, (new, edits)
 
 
-def test_an_enum_constant_body_is_never_reused_as_an_initializer():
-    # `;` after the constant makes the kept `{ int w; }` a member block
+def test_a_relexed_enum_constant_body_after_a_semicolon_is_an_initializer():
+    # `;` after the constant makes the copied `{ int w; }` a member block
     old = b"enum F {\n    Y { int w; }\n}\n"
     edits = [Edit.insert(old.index(b"{ int"), b"; ")]
     new = apply_edit_set(old, edits)
@@ -869,12 +868,23 @@ def test_an_enum_constant_body_is_never_reused_as_an_initializer():
     assert tree is not None, diags
     fresh = _outcome(*parse_java_source(new))
     assert fresh[2][0] == "initializer"
-    assert _outcome(*parse_java_source(new, (tree, edits))) == fresh
+    assert _outcome(*parse_java_source(new, (tree.tokens, edits))) == fresh
 
 
-def test_a_reusing_parse_leaves_nothing_for_the_collector():
+def test_a_verify_parse_leaves_the_earlier_tree_as_it_was():
+    old = b"class A {\n    int a;\n    void m() {}\n}\n"
+    edits = [Edit.insert(old.index(b"    int a"), b"    int z;\n")]
+    tree, diags = parse_java_source(old)
+    assert tree is not None, diags
+    shape = tree_shape(tree)
+    new, diags = parse_java_source(apply_edit_set(old, edits), (tree.tokens, edits))
+    assert new is not None, diags
+    assert tree_shape(tree) == shape
+
+
+def test_a_relexing_parse_leaves_nothing_for_the_collector():
     # With the collector off, reference counting alone must free every
-    # object a verify parse that reuses members made.
+    # object a verify parse made.
     old = _big_source().encode()
     at = old.index(b"c.moveToFirst()")
     edits = [Edit.replace(at, at + 1, b"d")]
@@ -883,9 +893,9 @@ def test_a_reusing_parse_leaves_nothing_for_the_collector():
     gc.disable()
     try:
         tree, diags = parse_java_source(old)
-        reused, diags = parse_java_source(new, (tree, edits))
-        assert reused is not None, diags
-        del tree, reused
+        relexed, diags = parse_java_source(new, (tree.tokens, edits))
+        assert relexed is not None, diags
+        del tree, relexed
         found = gc.collect()
     finally:
         gc.enable()
@@ -931,46 +941,6 @@ def test_verification_lexes_only_around_the_edits(tmp_path, monkeypatch, lexer_m
     assert rule_counts(outcomes)[RuleId.RECYCLE]["fixed"] == 1
     assert len(matches) == 2
     assert matches[1] < 0.1 * matches[0]
-
-
-def _members_per_pass(monkeypatch) -> list[int]:
-    """How many type-body members each Java parse from here on parses."""
-    calls = [0]
-    real_member = parser._Parser._parse_member
-
-    def counting(self, enclosing):
-        calls[0] += 1
-        return real_member(self, enclosing)
-
-    monkeypatch.setattr(parser._Parser, "_parse_member", counting)
-    return _per_pass(monkeypatch, calls)
-
-
-def test_verification_parses_only_the_edited_members(tmp_path, monkeypatch):
-    members = _members_per_pass(monkeypatch)
-    _write(tmp_path, "Big.java", _big_source().encode())
-    outcomes, _ = run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX))
-    assert rule_counts(outcomes)[RuleId.RECYCLE]["fixed"] == 1
-    assert len(members) == 2
-    assert members[1] < 0.1 * members[0]
-
-
-def test_verification_reuses_the_member_before_a_field_inserted_after_it(tmp_path, monkeypatch):
-    # The field goes on the line after `a`'s `}`, two bytes (CRLF) past it:
-    # `a` is reused, and only the new field and the edited onDraw are parsed.
-    members = _members_per_pass(monkeypatch)
-    source = (
-        "class V extends View {\r\n"
-        "    void a() {\r\n    }\r\n"
-        "    @Override\r\n    protected void onDraw(Canvas canvas) {\r\n"
-        "        Rect r = new Rect(0, 0, 1, 1);\r\n"
-        "        canvas.drawRect(r, paint);\r\n    }\r\n"
-        "}\r\n"
-    )
-    _write(tmp_path, "V.java", source.encode())
-    outcomes, _ = run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX))
-    assert rule_counts(outcomes)[RuleId.DRAW_ALLOCATION]["fixed"] == 1
-    assert members == [2, 2]
 
 
 @pytest.mark.parametrize(

@@ -194,6 +194,16 @@ def _per_row_field(lookup: str, field: str = "int row;", assign: str = "row = po
     ).replace(b"BaseAdapter {\n", f"BaseAdapter {{\n    {field}\n".encode())
 
 
+def _in_activity(adapter: bytes) -> bytes:
+    """``adapter`` as a member of an Activity whose field ``ids`` it sets per row."""
+    return b"class Act extends Activity {\n    Ids ids;\n" + adapter + b"}\n"
+
+
+_IDS_FIELD_LOOKUP = _per_row_field(
+    "TextView t = (TextView) convertView.findViewById(ids.title);", "", "ids = idsFor(pos);"
+)
+
+
 @pytest.mark.parametrize(
     "source",
     [
@@ -212,6 +222,11 @@ def _per_row_field(lookup: str, field: str = "int row;", assign: str = "row = po
             "Ids ids;",
             "ids = idsFor(pos);",
         ),
+        _in_activity(_IDS_FIELD_LOOKUP),
+        _in_activity(
+            _IDS_FIELD_LOOKUP.replace(b"class A extends BaseAdapter", b"A a = new BaseAdapter()")
+            + b";\n"
+        ),
         _adapter("TextView t = (TextView) convertView.findViewById(R.id.a).findViewById(R.id.b);"),
         _adapter("TextView t = (TextView) convertView.findViewById(R.id.a);").replace(
             b"        convertView = inf", b"        Ids R = ids(pos);\n        convertView = inf"
@@ -221,6 +236,8 @@ def _per_row_field(lookup: str, field: str = "int row;", assign: str = "row = po
         "argument-names-a-parameter", "receiver-is-the-list", "no-receiver",
         "argument-names-a-local", "argument-is-a-field", "argument-indexes-by-a-field",
         "argument-is-a-call", "argument-is-this-field", "dotted-name-starts-at-a-field",
+        "dotted-name-starts-at-an-enclosing-class-field",
+        "dotted-name-starts-at-a-field-around-an-anonymous-adapter",
         "lookup-on-a-lookup", "dotted-name-starts-at-a-local",
     ],
 )
@@ -321,6 +338,16 @@ def _host(head: str, tail: str, depth: int) -> bytes:
             ),
             "private class ViewHolderItem",
         ),
+        # `R` is spelled around the adapter, but it names no field there
+        (
+            _host(
+                "class O {\n    void m() {\n        setContentView(R.layout.main);\n"
+                "        list.setAdapter(new BaseAdapter() {\n",
+                "        });\n    }\n}\n",
+                3,
+            ),
+            "private class ViewHolderItem",
+        ),
         # an enum constant's body is an anonymous class
         (_host("enum E {\n    ONE {\n", "    };\n}\n", 2), "private class ViewHolderItem"),
         # no interface member is private, and a member class there is static
@@ -346,6 +373,7 @@ def _host(head: str, tail: str, depth: int) -> bytes:
     ],
     ids=[
         "top-level", "static-nested", "inner-member", "anonymous", "local-class",
+        "anonymous-in-a-method-spelling-r",
         "enum-constant-body", "interface-default", "enclosing-type-name",
         "enclosing-method-local-class",
     ],
