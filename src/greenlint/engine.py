@@ -8,12 +8,11 @@ every enabled rule on that tree and applies their merged edit lists in one
 step. The first pass is the report, so findings point into the file on
 disk; in report mode (`check`, `corpus`), where nothing is written, it is
 the only pass. When fixing or emitting patches, the pass after a rewrite
-is its verification; for Java it re-lexes only around the edits, reusing
-the old tokens elsewhere, and parses the tokens in full. Rewritten text
-must re-parse cleanly and the rules must then report nothing fixable,
-otherwise the file's fixes are rolled back and surfaced as an internal
-error. `run_project` returns the outcomes; `report.rule_counts` counts
-their findings.
+is its verification, which lexes and parses the rewritten text in full,
+as the first pass does. Rewritten text must re-parse cleanly and the
+rules must then report nothing fixable, otherwise the file's fixes are
+rolled back and surfaced as an internal error. `run_project` returns the
+outcomes; `report.rule_counts` counts their findings.
 
 Discovery walks the input on strings, with no `Path` per entry: a file's
 shown name is the path relative to the input that the walk builds.
@@ -28,7 +27,6 @@ from pathlib import Path
 from typing import Callable, Optional, Union
 
 from .diagnostics import ParseDiagnostic, line_col
-from .java.lexer import Tokens
 from .java.parser import SyntaxTree, parse_java_source
 from .rules import (
     Finding,
@@ -247,7 +245,7 @@ class _VerificationError(Exception):
 
 def _fix(
     original: bytes,
-    parse: Callable[..., tuple[Optional[_Tree], list[ParseDiagnostic]]],
+    parse: Callable[[bytes], tuple[Optional[_Tree], list[ParseDiagnostic]]],
     rules: list[tuple[RuleId, _Rule]],
     shown: str,
     outcome: FileOutcome,
@@ -263,17 +261,14 @@ def _fix(
     the next pass over the rewritten text; so the bytes are those a
     rule-by-rule chain writes. A pass after a rewrite is its
     verification: a rule already applied must find nothing fixable. Each
-    pass applies at least the first pending rule, hence the bound. A Java
-    pass after a rewrite is given the previous tokens and the edits, so it
-    re-lexes only around them.
+    pass applies at least the first pending rule, hence the bound.
     """
     if not rules:
         return original
     applied: set[RuleId] = set()
     text = original
-    previous: Optional[tuple[Tokens, list[Edit]]] = None
     for pass_no in range(len(rules) + 1):
-        tree, diags = parse(text) if previous is None else parse(text, previous)
+        tree, diags = parse(text)
         if tree is None:
             if pass_no == 0:
                 outcome.diagnostics = diags
@@ -300,8 +295,6 @@ def _fix(
         if not merged or not writes:
             break
         text = apply_edit_set(text, merged)
-        if isinstance(tree, SyntaxTree):
-            previous = (tree.tokens, merged)
     return text
 
 

@@ -18,28 +18,16 @@ sound for the syntactic analysis done here: non-ASCII only ever appears
 inside identifiers, literals and comments, and only tokens holding such
 bytes are decoded again as UTF-8. Trivia is dropped from the token lists
 but always recoverable from the bytes between adjacent token spans.
-
-Given the tokens of an earlier text and the edits that made `data` from
-it, `tokenize` re-lexes only around the edits, as the resynchronisation
-step of incremental lexers does (Wagner & Graham, "Efficient and Flexible
-Incremental Parsing", TOPLAS 1998). It copies the old tokens whose match
-reads no byte of an edit, then walks the full scan's matches from the last
-of them until a token past the edit starts where an old token started. A
-token depends only on the bytes from its start, so that old token and the
-ones after it, up to the next edit, are the new ones, shifted. The result
-and any `ParseError` are those of a full scan.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from itertools import accumulate, chain
 from operator import itemgetter
-from typing import Optional
 
 from ..diagnostics import ParseError
-from ..spans import Edit
 
 KEYWORDS = frozenset(
     """abstract assert boolean break byte case catch char class const continue
@@ -96,9 +84,6 @@ _FIRST.update(dict.fromkeys("_$" + "".join(map(chr, range(0x80, 0x100))), "ident
 _FIRST.update({c: "ident" for c in map(chr, range(128)) if c.isalpha()})
 _FIRST.update({**dict.fromkeys("0123456789.", "number"), '"': "string", "'": "char"})
 _NON_ASCII = re.compile(r"[\x80-\xff]+")
-# A match reads at most two bytes past its token (`.` looks for `...`), so
-# an old token is copied only if it ends that far before the next edit.
-_LOOKAHEAD = 2
 
 
 class Tokens:
@@ -118,70 +103,15 @@ class Tokens:
     def __len__(self) -> int:
         return len(self.values)
 
-    def extend(self, other: Tokens, lo: int, hi: int, shift: int = 0) -> None:
-        """Append ``other``'s tokens ``lo`` to ``hi``, moved ``shift`` bytes on."""
-        self.kinds += other.kinds[lo:hi]
-        self.values += other.values[lo:hi]
-        starts, ends = other.starts[lo:hi], other.ends[lo:hi]
-        self.starts += map(shift.__add__, starts) if shift else starts
-        self.ends += map(shift.__add__, ends) if shift else ends
 
-
-def tokenize(data: bytes, previous: Optional[tuple[Tokens, list[Edit]]] = None) -> Tokens:
-    """Tokenize Java source bytes; raises ParseError on malformed input.
-
-    ``previous`` may hold the tokens of an earlier text and the edits that
-    turned it into ``data``; then only the bytes around the edits are lexed.
-    """
+def tokenize(data: bytes) -> Tokens:
+    """Tokenize Java source bytes; raises ParseError on malformed input."""
     text = data.decode("latin-1")
-    if previous is None:
-        return _build(text, 0, _TOKEN.findall(text))
-    old, edits = previous
-    edits = sorted(edits, key=lambda e: (e.span.start, e.span.end))
-    tokens = Tokens([], [], [], [])
-    j = delta = i = 0  # next old token, new minus old offset, next edit
-    while True:
-        # Copy the old tokens whose match reads no byte of the next edit.
-        if i < len(edits):
-            k = bisect_right(old.ends, edits[i].span.start - _LOOKAHEAD, j)
-        else:
-            k = len(old)
-        if j < k:
-            tokens.extend(old, j, k, delta)
-            j = k
-        if i == len(edits):
-            return tokens
-        # Re-lex across edit i, and every later edit a token reaches, up to
-        # the first token past them that starts where an old token started.
-        delta += len(edits[i].replacement) - len(edits[i].span)
-        new_end = edits[i].span.end + delta
-        pos = tokens.ends[-1] if tokens else 0
-        pairs = []
-        for m in _TOKEN.finditer(text, pos):
-            start = m.start(2)
-            while i + 1 < len(edits) and start >= edits[i + 1].span.start + delta:
-                i += 1
-                delta += len(edits[i].replacement) - len(edits[i].span)
-                new_end = edits[i].span.end + delta
-            if start >= new_end:
-                j = bisect_left(old.starts, start - delta, j)
-                if j < len(old) and old.starts[j] == start - delta:
-                    break
-            pairs.append(m.groups(""))
-        stretch = _build(text, pos, pairs)
-        tokens.extend(stretch, 0, len(stretch))
-        if not m[2]:  # the last match holds no token: the text ended first
-            return tokens
-        i += 1
-
-
-def _build(text: str, pos: int, pairs: list[tuple[str, str]]) -> Tokens:
-    """The tokens of the (trivia, token) match pairs that run from ``pos``
-    in ``text``; raises ParseError at the first error token."""
+    pairs = _TOKEN.findall(text)  # (trivia, token) per match
     while pairs and not pairs[-1][1]:  # trailing trivia, then the end
         pairs.pop()
     values = list(map(itemgetter(1), pairs))
-    offsets = list(accumulate(map(len, chain.from_iterable(pairs)), initial=pos))
+    offsets = list(accumulate(map(len, chain.from_iterable(pairs)), initial=0))
     starts, ends = offsets[1::2], offsets[2::2]
     # each distinct spelling is looked up once, then every token by spelling
     kind_of = _SPELLINGS.copy()
@@ -193,7 +123,7 @@ def _build(text: str, pos: int, pairs: list[tuple[str, str]]) -> Tokens:
         value = values[cut]
         raise ParseError(starts[cut], _UNTERMINATED.get(value, f"unexpected character {value!r}"))
     if not text.isascii():
-        for m in _NON_ASCII.finditer(text, pos, ends[-1] if ends else pos):
+        for m in _NON_ASCII.finditer(text):
             k = bisect_right(starts, m.start()) - 1
             if k >= 0 and m.start() < ends[k]:
                 codec = "ascii" if kinds[k] == "number" else "utf-8"

@@ -41,7 +41,7 @@ from __future__ import annotations
 from typing import Any, Iterator, Optional, Union
 
 from ..diagnostics import ParseDiagnostic, ParseError, guarded_parse
-from ..spans import Edit, SourceSpan
+from ..spans import SourceSpan
 from .lexer import Tokens, tokenize
 
 MODIFIER_KEYWORDS = frozenset(
@@ -122,11 +122,12 @@ def match_group(values: list[str], j: int) -> tuple[bool, int]:
     return False, j
 
 
-def args_after_new(tokens: Tokens, j: int) -> Optional[int]:
-    """Index of the `(` after `new` and the qualified type name and type
-    arguments that start at token ``j``; None for an array creation or
-    anything else. Like the rest of the parser, it accepts more than Java:
-    the name may be missing."""
+def new_type_end(tokens: Tokens, j: int) -> Optional[int]:
+    """Index of the token after `new` and the qualified type name and type
+    arguments that start at token ``j``: `(` for a class instance creation;
+    None if the type arguments do not close or the tokens end. Like the
+    rest of the parser, it accepts more than Java: the name may be
+    missing."""
     kinds, values = tokens.kinds, tokens.values
     n = len(values)
     if j < n and kinds[j] == "ident":
@@ -137,7 +138,7 @@ def args_after_new(tokens: Tokens, j: int) -> Optional[int]:
         closed, j = match_group(values, j)
         if not closed:
             return None
-    return j if j < n and values[j] == "(" else None
+    return j if j < n else None
 
 
 class Node:
@@ -761,13 +762,15 @@ class _Parser:
             elif v == "}":
                 raise self.fail("unexpected '}' in expression")
             elif v == "new":
-                args = args_after_new(self.tokens, i + 1)
-                if args is not None:
+                k = new_type_end(self.tokens, i + 1)
+                if k is not None and values[k] == "(":
                     # jump to the `(`: a comma in the type arguments ends
                     # no declarator
-                    new_args.add(args)
-                    i = args
+                    new_args.add(k)
+                    i = k
                     continue
+                if k is not None and values[k] == "{":  # `new B {`: no arguments
+                    raise ParseError(self.tokens.starts[k], "'(' or '[' expected")
             elif not v:  # the end marker
                 raise self.fail("unexpected end of file in expression")
             i += 1
@@ -808,20 +811,15 @@ _SIMPLE_STATEMENTS = {
 }
 
 
-def parse_java_source(
-    data: bytes, previous: Optional[tuple[Tokens, list[Edit]]] = None
-) -> tuple[Optional[SyntaxTree], list[ParseDiagnostic]]:
+def parse_java_source(data: bytes) -> tuple[Optional[SyntaxTree], list[ParseDiagnostic]]:
     """Parse Java source bytes into a lossless SyntaxTree.
 
     Returns (tree, []) on success or (None, diagnostics) on failure; the
     caller is expected to skip undecodable or unparseable files.
-    ``previous`` may hold the tokens of an earlier text and the edits that
-    made ``data`` from it: then only the bytes around the edits are lexed,
-    and the tokens are parsed in full.
     """
 
     def parse() -> SyntaxTree:
-        tokens = tokenize(data, previous)
+        tokens = tokenize(data)
         return SyntaxTree(data, tokens, _Parser(data, tokens).parse_compilation_unit())
 
     return guarded_parse(data, parse)

@@ -15,7 +15,7 @@ from typing import Iterator, Optional
 from ..java.lexer import Tokens
 from ..java.parser import (
     _BRACKET_CLOSERS, _OPENERS, PRIMITIVE_TYPES, TYPE_DECLS, Node, SyntaxTree,
-    args_after_new, match_group,
+    match_group, new_type_end,
 )
 from ..spans import Edit, SourceSpan
 
@@ -333,8 +333,8 @@ def find_creations(tokens: Tokens, lo: int, hi: int) -> Iterator[Creation]:
     for j in range(lo, min(hi, len(values))):
         if values[j] != "new":
             continue
-        k = args_after_new(tokens, j + 1)
-        if k is None:
+        k = new_type_end(tokens, j + 1)
+        if k is None or values[k] != "(":
             continue  # array creation or malformed
         # the qualified name, up to its type arguments
         type_name = "".join(values[j + 1 : k]).split("<", 1)[0]

@@ -59,29 +59,6 @@ def fix_xml(rule_fn, data: bytes, **kwargs) -> tuple[object, bytes]:
 
 
 @pytest.fixture
-def lexer_matches(monkeypatch) -> list[int]:
-    """Counts the matches of the Java lexer's token regex from here on."""
-    from greenlint.java import lexer
-
-    count = [0]
-    pattern = lexer._TOKEN
-
-    class Counting:
-        def findall(self, text: str):
-            found = pattern.findall(text)
-            count[0] += len(found)
-            return found
-
-        def finditer(self, text: str, pos: int):
-            for m in pattern.finditer(text, pos):
-                count[0] += 1
-                yield m
-
-    monkeypatch.setattr(lexer, "_TOKEN", Counting())
-    return count
-
-
-@pytest.fixture
 def parse_errors(monkeypatch) -> list[int]:
     """Counts the `ParseError`s the Java parser constructs from here on,
     whether raised to the caller or caught inside the parser."""

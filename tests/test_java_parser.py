@@ -60,6 +60,8 @@ def test_non_utf8_rejected():
         b"class T { void f() { try (Reader r = open()) { use(r); } catch (IOException e) { } finally { done(); } } }",
         b"class S { int f(int x) { switch (x) { case 1: return 2; default: return 0; } } }",
         b"class V { void f(int... xs) { int[] a = new int[] { 1, 2 }; } }",
+        b'class C { void f() { int[] a = new int[] {1}; String[] s = new String[] {"x"}; } }',
+        b"class C { void f() { Object b = new B() {}; Object c = new B<T>() {}; } }",
     ],
 )
 def test_parses_common_constructs(source):
@@ -339,6 +341,8 @@ def test_split_args_splits_on_top_level_commas_only():
         (b"class A { void f() { final class B extends {} } }", "1:44: expected type"),
         (b"class A { void f() { x(new B() { int ; }); } }", "1:38: expected member name"),
         (b"class A { void f() { x(new B() { void g() {} ); } }", "1:46: expected type"),
+        (b"class A { X a = new B { void m() {} }; }", "1:23: '(' or '[' expected"),
+        (b"class A { void m() { Object o = new B<T> { }; } }", "1:42: '(' or '[' expected"),
         (b"class A { @B( int x; }", "1:13: unbalanced ')'"),
         (b"record R(int x) {}", "1:1: expected class, interface or enum declaration"),
         (b"class T { record R(int x) {} }", "1:11: records are not supported"),

@@ -1,17 +1,15 @@
 """The regex tokenizer against the byte-walking reference in
-`reference_lexer.py`: same tokens field for field, or the same ParseError.
-Tokens spliced from an earlier text's are checked against a full scan."""
+`reference_lexer.py`: same tokens field for field, or the same ParseError."""
 
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenlint.diagnostics import ParseError
 from greenlint.java.lexer import tokenize
 from greenlint.java.parser import parse_java_source
-from greenlint.spans import Edit, apply_edit_set
 
 from conftest import FIXTURES, GOLDEN, GOLDEN_CASES
 from helpers import assert_spans_sound
@@ -26,8 +24,8 @@ def _outcome(lex, data: bytes):
         return ("ParseError", exc.offset, exc.message)
 
 
-def _fields(data: bytes, previous=None) -> list[tuple[str, str, int, int]]:
-    t = tokenize(data, previous)
+def _fields(data: bytes) -> list[tuple[str, str, int, int]]:
+    t = tokenize(data)
     return list(zip(t.kinds, t.values, t.starts, t.ends))
 
 
@@ -130,81 +128,3 @@ def test_generated_java_matches_reference_and_round_trips(text: str):
         assert diags
         return
     assert_spans_sound(tree)
-
-
-SPLICE_CASES = [
-    (b"x..z", [(3, 4, b".")]),  # the kept `.` must not precede a new `...`
-    (b"a = b;", [(2, 3, b"<<"), (4, 4, b"=")]),
-    (b"int a; int b;", [(0, 0, b"/*")]),  # swallows the rest: unterminated
-    (b"a /* b */ c", [(7, 9, b"")]),
-    (b'x = "" + y;', [(5, 5, b'"')]),
-    (b's = """\n a """; t', [(12, 14, b""), (16, 17, b'u"""')]),
-    (b"ab", [(2, 2, b"c"), (2, 2, b"d"), (0, 0, b"z")]),
-    (b"class A { int x; }", [(0, 18, b"")]),
-    (b"f(1e5);", [(4, 4, b"+"), (3, 3, b"e")]),
-    # Deleting the `/*` uncovers a token that the re-lex must read whole.
-    (b"a /* /* c */ */ b;", [(2, 4, b"")]),
-    (b'a /* """\n t """ */ b;', [(2, 4, b"")]),
-    (b'a /* "s" */ b;', [(2, 4, b"")]),
-    (b"a /* x...y */ b;", [(2, 4, b"")]),
-    ("a /* \u00e9_n */ b;".encode(), [(2, 4, b"")]),
-]
-
-
-@pytest.mark.parametrize("old, spans", SPLICE_CASES, ids=repr)
-def test_splice_edge_case_equals_a_full_scan(old: bytes, spans):
-    edits = [Edit.replace(*span) for span in spans]
-    new = apply_edit_set(old, edits)
-    spliced = _outcome(lambda data: _fields(data, (tokenize(old), edits)), new)
-    assert spliced == _outcome(_fields, new)
-
-
-def test_window_running_into_the_next_edit_resyncs_after_it(lexer_matches):
-    # `aqq` covers both edits; the old tokens after it are reused.
-    old = b"a b " + b"c " * 300
-    edits = [Edit.delete(1, 2), Edit.replace(2, 3, b"qq")]
-    previous = (tokenize(old), edits)
-    new = apply_edit_set(old, edits)
-    full = _fields(new)
-    lexer_matches[0] = 0
-    assert _fields(new, previous) == full
-    assert lexer_matches[0] < 10
-
-
-# Bytes that open, close or extend a token, so that an edit can change how
-# the text around it lexes.
-_REPLACEMENTS = [
-    "/*", "*/", '"', '"""', "'", "//", "\n", "\r\n", ">", "=", ".", "e+", "x",
-    "Q", "0", "9", " ",
-]
-
-
-@st.composite
-def _edited(draw):
-    """A text that lexes, 1-4 disjoint edits in any order, and the result."""
-    old = draw(_JAVA_ISH).encode("utf-8")
-    try:
-        tokens = tokenize(old)
-    except ParseError:
-        tokens = None
-    assume(tokens is not None)
-    count = draw(st.integers(1, 4))
-    cuts = sorted(draw(st.lists(st.integers(0, len(old)), min_size=2 * count, max_size=2 * count)))
-    edits = [
-        Edit.replace(
-            cuts[k],
-            cuts[k + 1],
-            "".join(draw(st.lists(st.sampled_from(_REPLACEMENTS), max_size=3))).encode(),
-        )
-        for k in range(0, len(cuts), 2)
-    ]
-    edits = draw(st.permutations(edits))
-    return tokens, edits, apply_edit_set(old, edits)
-
-
-@settings(max_examples=500, deadline=None)
-@given(_edited())
-def test_spliced_tokens_equal_a_full_scan(case):
-    tokens, edits, new = case
-    spliced = _outcome(lambda data: _fields(data, (tokens, edits)), new)
-    assert spliced == _outcome(_fields, new), (new, edits)
