@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import inspect
 import os
@@ -9,6 +10,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import greenlint.engine as engine
 import greenlint.rules
@@ -23,6 +26,8 @@ from greenlint.engine import (
     run_project,
 )
 from greenlint.report import rule_counts
+from greenlint.java.lexer import tokenize
+from greenlint.java.parser import parse_java_source
 from greenlint.rules import (
     Finding,
     RuleId,
@@ -37,6 +42,7 @@ from greenlint.rules.javautil import methods_of
 from greenlint.spans import Edit, SourceSpan, apply_edit_set
 
 from conftest import CLEAN_CORPUS, GOLDEN, GOLDEN_CASES, parse_java, parse_xml
+from helpers import tree_shape
 from mutations import java_mutations, xml_mutations
 
 
@@ -677,24 +683,62 @@ def test_fix_matches_rule_by_rule_chain(tmp_path, ext, before):
     assert path.read_bytes() == _chained_fix(before, ext)
 
 
-@pytest.mark.parametrize(
-    "ext,before", [c for c in _differential_cases() if c.values[0] == "java"]
-)
-def test_verification_parses_the_bytes_written(tmp_path, monkeypatch, ext, before):
+def _check_verify_passes(tmp_path, monkeypatch, before: bytes, check) -> None:
+    """Fix ``before``, calling ``check(data, tree)`` on each verify pass: every
+    Java parse after the first. The last one must parse the bytes written."""
     real_parse = engine.parse_java_source
     parsed = []
 
-    def recording(data):
+    def checking(data):
         tree, diags = real_parse(data)
-        if tree is not None:
-            assert methods_of(tree) is methods_of(tree)  # found once, shared by the rules
+        if parsed:
+            check(data, tree)
         parsed.append(data)
         return tree, diags
 
-    monkeypatch.setattr(engine, "parse_java_source", recording)
+    monkeypatch.setattr(engine, "parse_java_source", checking)
     path = _write(tmp_path, "Case.java", before)
     run_project(RunConfig(input_path=tmp_path, mode=MODE_FIX))
     assert len(parsed) >= 2 and parsed[-1] == path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "ext,before", [c for c in _differential_cases() if c.values[0] == "java"]
+)
+def test_verification_tokens_equal_a_fresh_scan(tmp_path, monkeypatch, ext, before):
+    def same_tokens(data, tree):
+        fresh = tokenize(data)
+        for field in ("kinds", "values", "starts", "ends"):
+            assert getattr(tree.tokens, field) == getattr(fresh, field)
+
+    _check_verify_passes(tmp_path, monkeypatch, before, same_tokens)
+
+
+@pytest.mark.parametrize(
+    "ext,before", [c for c in _differential_cases() if c.values[0] == "java"]
+)
+def test_verification_tree_equals_a_fresh_parse(tmp_path, monkeypatch, ext, before):
+    def same_tree(data, tree):
+        assert tree_shape(tree) == tree_shape(parse_java(data))
+
+    _check_verify_passes(tmp_path, monkeypatch, before, same_tree)
+
+
+@pytest.mark.parametrize(
+    "ext,before", [c for c in _differential_cases() if c.values[0] == "java"]
+)
+def test_verification_methods_equal_a_fresh_parse(tmp_path, monkeypatch, ext, before):
+    def shape(tree):
+        return [
+            (owner.kind, owner.tok_lo, owner.tok_hi, method.props["name"], method.tok_lo)
+            for owner, method in methods_of(tree)
+        ]
+
+    def same_methods(data, tree):
+        assert shape(tree) == shape(parse_java(data))
+        assert methods_of(tree) is methods_of(tree)  # found once, shared by the rules
+
+    _check_verify_passes(tmp_path, monkeypatch, before, same_methods)
 
 
 # A Recycle fix above a ViewHolder finding that is declined (the method's
@@ -758,6 +802,127 @@ def test_shifted_finding_case_moves_the_declined_method():
     assert getview.props["name"] == "getView"
     assert result.edits[0].span.start < tree.span_of(getview).start
     assert not apply_view_holder(tree, "").findings[0].fixable
+
+
+# Members of a generated class; the last two depend on the class's name.
+_MEMBERS = [
+    "int f;",
+    'String s = "a", t;',
+    "int[] a = {1, 2}, b;",
+    "void m() { if (x) { f(); } else g(); }",
+    "static { x = 1; }",
+    "class B { B() {} void n() { int q = 0; } }",
+    "enum E { X, Y { void z() {} }; int q; }",
+    "Runnable r = new Runnable() { public void run() {} };",
+    "<T> T id(T t) { return t; }",
+    '@Override public String toString() { return "A"; }',
+    "interface I { void i(); }",
+    "A() { super(); }",
+    "A(int x) { this(); }",
+]
+# Replacement texts: whole members and the bytes that change how the text
+# around an edit lexes or parses.
+_INSERTS = _MEMBERS + ["A", "B", "{", "}", ";", "(", "/*", "*/", '"', " ", "\n", "x", ""]
+
+
+@st.composite
+def _edited_classes(draw):
+    """A class of generated members (and maybe a second class), 1-4 disjoint
+    edits, some on member boundaries, and the edited text."""
+    members = draw(st.lists(st.sampled_from(_MEMBERS), min_size=1, max_size=8))
+    text = "class A {\n" + "".join(f"    {m}\n" for m in members) + "}\n"
+    if draw(st.booleans()):
+        text += "class A2 extends A {\n    void k() {}\n}\n"
+    old = text.encode()
+    boundaries = [i + 1 for i, b in enumerate(old) if b == ord("\n")]
+    offset = st.one_of(st.sampled_from(boundaries), st.integers(0, len(old)))
+    count = draw(st.integers(1, 4))
+    cuts = sorted(draw(st.lists(offset, min_size=2 * count, max_size=2 * count)))
+    edits = [
+        Edit.replace(cuts[k], cuts[k + 1], draw(st.sampled_from(_INSERTS)).encode())
+        for k in range(0, len(cuts), 2)
+    ]
+    return old, draw(st.permutations(edits))
+
+
+def _outcome(tree, diags):
+    return tree_shape(tree) if tree is not None else [str(d) for d in diags]
+
+
+def _verify_parse(old: bytes, edits) -> tuple:
+    """What a verify pass sees: the edited text parsed after ``old`` was,
+    with the earlier tree still alive."""
+    tree, diags = parse_java_source(old)
+    assert tree is not None, diags
+    return tree, parse_java_source(apply_edit_set(old, edits))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_edited_classes())
+def test_relexed_tree_equals_a_fresh_parse(case):
+    # A parse keeps nothing from an earlier one: the edited text parses the
+    # same before and after the text it was edited from.
+    old, edits = case
+    new = apply_edit_set(old, edits)
+    fresh = _outcome(*parse_java_source(new))
+    _, relexed = _verify_parse(old, edits)
+    assert _outcome(*relexed) == fresh, (new, edits)
+
+
+def test_a_relexed_enum_constant_body_after_a_semicolon_is_an_initializer():
+    # `;` after the constant makes the copied `{ int w; }` a member block
+    old = b"enum F {\n    Y { int w; }\n}\n"
+    edits = [Edit.insert(old.index(b"{ int"), b"; ")]
+    fresh = _outcome(*parse_java_source(apply_edit_set(old, edits)))
+    assert fresh[2][0] == "initializer"
+    _, relexed = _verify_parse(old, edits)
+    assert _outcome(*relexed) == fresh
+
+
+def test_a_verify_parse_leaves_the_earlier_tree_as_it_was():
+    old = b"class A {\n    int a;\n    void m() {}\n}\n"
+    edits = [Edit.insert(old.index(b"    int a"), b"    int z;\n")]
+    tree, diags = parse_java_source(old)
+    assert tree is not None, diags
+    shape = tree_shape(tree)
+    new, diags = parse_java_source(apply_edit_set(old, edits))
+    assert new is not None, diags
+    assert tree_shape(tree) == shape
+
+
+def test_a_relexing_parse_leaves_nothing_for_the_collector():
+    # With the collector off, reference counting alone must free every
+    # object a verify parse made.
+    old = _big_source().encode()
+    at = old.index(b"c.moveToFirst()")
+    edits = [Edit.replace(at, at + 1, b"d")]
+    gc.collect()
+    gc.disable()
+    try:
+        tree, (relexed, diags) = _verify_parse(old, edits)
+        assert relexed is not None, diags
+        del tree, relexed
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
+
+
+def _big_source() -> str:
+    """A one-class file of over 300 lines whose first method Recycle fixes."""
+    filler = "".join(
+        f"    int get{i}(int x) {{\n        return x * {i} + field{i};\n    }}\n"
+        for i in range(98)
+    )
+    source = (
+        "public class Big {\n"
+        "    void read(Db db) {\n"
+        '        Cursor c = db.query("t");\n'
+        "        c.moveToFirst();\n"
+        "    }\n" + filler + "}\n"
+    )
+    assert source.count("\n") >= 300
+    return source
 
 
 @pytest.mark.parametrize(

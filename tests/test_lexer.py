@@ -1,15 +1,18 @@
 """The regex tokenizer against the byte-walking reference in
-`reference_lexer.py`: same tokens field for field, or the same ParseError."""
+`reference_lexer.py`: same tokens field for field, or the same ParseError.
+Texts edited so that the bytes around an edit lex differently are checked
+the same way."""
 
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from greenlint.diagnostics import ParseError
 from greenlint.java.lexer import tokenize
 from greenlint.java.parser import parse_java_source
+from greenlint.spans import Edit, apply_edit_set
 
 from conftest import FIXTURES, GOLDEN, GOLDEN_CASES
 from helpers import assert_spans_sound
@@ -128,3 +131,63 @@ def test_generated_java_matches_reference_and_round_trips(text: str):
         assert diags
         return
     assert_spans_sound(tree)
+
+
+# Texts made by an edit whose bytes change how the text around them lexes.
+SPLICE_CASES = [
+    (b"x..z", [(3, 4, b".")]),  # the kept `.` must not precede a new `...`
+    (b"a = b;", [(2, 3, b"<<"), (4, 4, b"=")]),
+    (b"int a; int b;", [(0, 0, b"/*")]),  # swallows the rest: unterminated
+    (b"a /* b */ c", [(7, 9, b"")]),
+    (b'x = "" + y;', [(5, 5, b'"')]),
+    (b's = """\n a """; t', [(12, 14, b""), (16, 17, b'u"""')]),
+    (b"ab", [(2, 2, b"c"), (2, 2, b"d"), (0, 0, b"z")]),
+    (b"class A { int x; }", [(0, 18, b"")]),
+    (b"f(1e5);", [(4, 4, b"+"), (3, 3, b"e")]),
+    # Deleting the `/*` uncovers a token that must be read whole.
+    (b"a /* /* c */ */ b;", [(2, 4, b"")]),
+    (b'a /* """\n t """ */ b;', [(2, 4, b"")]),
+    (b'a /* "s" */ b;', [(2, 4, b"")]),
+    (b"a /* x...y */ b;", [(2, 4, b"")]),
+    ("a /* \u00e9_n */ b;".encode(), [(2, 4, b"")]),
+]
+
+
+@pytest.mark.parametrize("old, spans", SPLICE_CASES, ids=repr)
+def test_splice_edge_case_equals_a_full_scan(old: bytes, spans):
+    assert_same_as_reference(apply_edit_set(old, [Edit.replace(*span) for span in spans]))
+
+
+# Bytes that open, close or extend a token, so that an edit can change how
+# the text around it lexes.
+_REPLACEMENTS = [
+    "/*", "*/", '"', '"""', "'", "//", "\n", "\r\n", ">", "=", ".", "e+", "x",
+    "Q", "0", "9", " ",
+]
+
+
+@st.composite
+def _edited(draw):
+    """A text that lexes, edited by 1-4 disjoint edits in any order."""
+    old = draw(_JAVA_ISH).encode("utf-8")
+    try:
+        tokenize(old)
+    except ParseError:
+        assume(False)
+    count = draw(st.integers(1, 4))
+    cuts = sorted(draw(st.lists(st.integers(0, len(old)), min_size=2 * count, max_size=2 * count)))
+    edits = [
+        Edit.replace(
+            cuts[k],
+            cuts[k + 1],
+            "".join(draw(st.lists(st.sampled_from(_REPLACEMENTS), max_size=3))).encode(),
+        )
+        for k in range(0, len(cuts), 2)
+    ]
+    return apply_edit_set(old, draw(st.permutations(edits)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_edited())
+def test_spliced_tokens_equal_a_full_scan(new: bytes):
+    assert_same_as_reference(new)
