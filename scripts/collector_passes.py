@@ -9,10 +9,12 @@ The input is the workload's corpus at the seed, made by this repository's
 ``bench/corpus.py``, and the greenlint arguments are those the benchmark
 gives that workload (``bench/run.py``'s ``Job``); neither file is edited.
 Each run is one fresh ``python -c`` process that imports ``greenlint.cli``
-from ``DIR/src``, installs a ``gc.callbacks`` hook and calls
-``greenlint.cli.run``, so only passes after start-up are counted. The
-script prints each run's passes per generation and the seconds they took,
-then the median of each over the runs.
+from ``DIR/src``, installs a ``gc.callbacks`` hook, registers the print of
+its count with ``atexit`` and calls ``greenlint.cli.run``, which runs the
+``atexit`` handlers before it ends the process (an older ``run`` exits
+through ``SystemExit``, which runs them too); so only passes after start-up
+are counted. The script prints each run's passes per generation and the
+seconds they took, then the median of each over the runs.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ REPO = Path(__file__).resolve().parent.parent
 # Run as `python -c CHILD SRC ARG...`: greenlint's own output goes to its
 # streams; the last line of stderr is [passes per generation, seconds].
 CHILD = """
-import gc, json, sys, time
+import atexit, gc, json, sys, time
 sys.path.insert(0, sys.argv[1])
 import greenlint.cli
 
@@ -44,14 +46,14 @@ def hook(phase, info):
         passes[info["generation"]] += 1
         spent[0] += time.perf_counter() - began[0]
 
+def report():
+    gc.callbacks.remove(hook)
+    print(json.dumps([passes, spent[0]]), file=sys.stderr)
+
 gc.callbacks.append(hook)
+atexit.register(report)  # `run` ends the process itself, after the handlers
 sys.argv = ["greenlint", *sys.argv[2:]]
-try:
-    greenlint.cli.run()
-except SystemExit:
-    pass
-gc.callbacks.remove(hook)
-print(json.dumps([passes, spent[0]]), file=sys.stderr)
+greenlint.cli.run()
 """
 
 

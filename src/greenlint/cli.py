@@ -12,7 +12,9 @@ Exit codes: 0 clean, 1 findings reported or fixes applied, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -253,17 +255,28 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def run() -> None:
     """The console entry point: `main` with the cyclic collector off, then
-    exit without the collector's pass over every object still alive;
-    `atexit` handlers and the stream flushes still run. Past the argument
-    parser and the standard JSON encoder, a fixed few objects, a run makes
-    no reference cycle (tests/test_no_cycles.py pins this), so reference
-    counting frees what it drops and collector passes would find nothing.
-    `main` itself leaves the collector alone, for callers that go on
+    the `atexit` handlers and a flush of stdout and stderr, and an exit
+    that skips the interpreter's teardown, which would free every object
+    still alive only for the OS to reclaim the memory anyway. A flush that
+    fails (the reader closed the pipe) ends the run with status 120, as
+    the interpreter's own exit does. Past the argument parser and the
+    standard JSON encoder, a fixed few objects, a run makes no reference
+    cycle (tests/test_no_cycles.py pins this), so reference counting frees
+    what it drops and collector passes would find nothing. `main` itself
+    leaves the collector and the process alone, for callers that go on
     running."""
     gc.disable()
     code = main()
-    gc.freeze()
-    sys.exit(code)
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is None:  # started with that descriptor closed
+            continue
+        try:
+            stream.flush()
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 120
+    os._exit(code)
 
 
 if __name__ == "__main__":

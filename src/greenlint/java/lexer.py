@@ -8,24 +8,25 @@ not close, or a character no token can start with, is captured as an
 error token, so malformed input raises `ParseError` rather than lexing as
 something shorter.
 
-`tokenize` returns the tokens as four parallel lists, filled by one
-`findall` with no Python code per token. The source is decoded as latin-1,
-so offsets into the text are byte offsets into the UTF-8 input. The
-offsets are running sums of the trivia and token lengths; a token's kind is
-looked up by its spelling (keywords, operators and the error tokens), else
-by its first character. Any byte >= 0x80 continues an identifier, which is
-sound for the syntactic analysis done here: non-ASCII only ever appears
-inside identifiers, literals and comments, and only tokens holding such
-bytes are decoded again as UTF-8. Trivia is dropped from the token lists
-but always recoverable from the bytes between adjacent token spans.
+`tokenize` returns the tokens as four parallel lists, built by one
+`split` and bulk list operations with no Python code per token. The source
+is decoded as latin-1, so offsets into the text are byte offsets into the
+UTF-8 input. The offsets are running sums of the trivia and token lengths;
+a token's kind is looked up by its spelling (keywords, operators and the
+error tokens), else found once per distinct spelling from its first
+character. Any byte >= 0x80 continues an identifier, which is sound for the
+syntactic analysis done here: non-ASCII only ever appears inside
+identifiers, literals and comments. Only in a text that is not ASCII are
+the distinct non-ASCII spellings decoded again as UTF-8, and the tokens
+spelled so replaced. Trivia is dropped from the token lists but always
+recoverable from the bytes between adjacent token spans.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
-from itertools import accumulate, chain
-from operator import itemgetter
+from itertools import accumulate, compress, count, filterfalse
+from operator import add, sub
 
 from ..diagnostics import ParseError
 
@@ -83,7 +84,6 @@ _FIRST = {chr(c): "error" for c in range(256)}
 _FIRST.update(dict.fromkeys("_$" + "".join(map(chr, range(0x80, 0x100))), "ident"))
 _FIRST.update({c: "ident" for c in map(chr, range(128)) if c.isalpha()})
 _FIRST.update({**dict.fromkeys("0123456789.", "number"), '"': "string", "'": "char"})
-_NON_ASCII = re.compile(r"[\x80-\xff]+")
 
 
 class Tokens:
@@ -104,28 +104,42 @@ class Tokens:
         return len(self.values)
 
 
+class _Kinds(dict):
+    """Token kinds by spelling, for one text: seeded with `_SPELLINGS`, and
+    any other spelling is classified by its first character when first
+    looked up."""
+
+    __slots__ = ()
+
+    def __missing__(self, value: str) -> str:
+        kind = self[value] = _FIRST[value[0]]
+        return kind
+
+
 def tokenize(data: bytes) -> Tokens:
     """Tokenize Java source bytes; raises ParseError on malformed input."""
     text = data.decode("latin-1")
-    pairs = _TOKEN.findall(text)  # (trivia, token) per match
-    while pairs and not pairs[-1][1]:  # trailing trivia, then the end
-        pairs.pop()
-    values = list(map(itemgetter(1), pairs))
-    offsets = list(accumulate(map(len, chain.from_iterable(pairs)), initial=0))
-    starts, ends = offsets[1::2], offsets[2::2]
-    # each distinct spelling is looked up once, then every token by spelling
-    kind_of = _SPELLINGS.copy()
-    new = set(values).difference(kind_of)
-    kind_of.update(zip(new, map(_FIRST.__getitem__, map(itemgetter(0), new))))
+    # '', then per match its trivia, its token and the text up to the next
+    # match, always '' as matches abut; the last such text is the tail
+    parts = _TOKEN.split(text)
+    del parts[-1]
+    while parts and parts[-1] is None:  # trailing trivia, then the empty match at the end
+        del parts[-3:]
+    values = parts[2::3]
+    lengths = list(map(len, values))
+    ends = list(accumulate(map(add, map(len, parts[1::3]), lengths)))
+    starts = list(map(sub, ends, lengths))
+    kind_of = _Kinds(_SPELLINGS)
     kinds = list(map(kind_of.__getitem__, values))
     if "error" in kinds:
         cut = kinds.index("error")
         value = values[cut]
         raise ParseError(starts[cut], _UNTERMINATED.get(value, f"unexpected character {value!r}"))
     if not text.isascii():
-        for m in _NON_ASCII.finditer(text):
-            k = bisect_right(starts, m.start()) - 1
-            if k >= 0 and m.start() < ends[k]:
-                codec = "ascii" if kinds[k] == "number" else "utf-8"
-                values[k] = text[starts[k] : ends[k]].encode("latin-1").decode(codec, "replace")
+        odd = {
+            v: v.encode("latin-1").decode("ascii" if kind_of[v] == "number" else "utf-8", "replace")
+            for v in filterfalse(str.isascii, kind_of)
+        }
+        for k in compress(count(), map(odd.__contains__, values)):
+            values[k] = odd[values[k]]
     return Tokens(kinds, values, starts, ends)

@@ -265,12 +265,34 @@ class _Parser:
         return j < n and values[j] == "package"
 
     def _skip_group(self, j: int) -> int:
-        closed, k = match_group(self.values, j)
-        if closed:
+        """Index just past the group that opens at token ``j``. A class
+        instance creation in it is checked as `_consume_expression` checks
+        one, so a skipped run holds no `new B {`."""
+        values = self.values
+        closed, k = match_group(values, j)
+        if not closed:
+            if k == j:
+                raise self.fail(f"unbalanced {_CLOSERS[values[j]]!r}")
+            raise ParseError(self.tokens.starts[k], f"unexpected {values[k]!r}")
+        # most groups hold no `new`, which their bytes show more cheaply
+        # than the `ValueError` below
+        starts = self.tokens.starts
+        if self.data.find(b"new", starts[j], starts[k - 1]) < 0:
             return k
-        if k == j:
-            raise self.fail(f"unbalanced {_CLOSERS[self.values[j]]!r}")
-        raise ParseError(self.tokens.starts[k], f"unexpected {self.values[k]!r}")
+        try:
+            while True:
+                j = values.index("new", j, k) + 1
+                self._new_type_end(j)
+        except ValueError:  # no `new` left in the group
+            return k
+
+    def _new_type_end(self, j: int) -> Optional[int]:
+        """`new_type_end`, failing at a `{` there: a class instance creation
+        with no argument list, `new B {`."""
+        k = new_type_end(self.tokens, j)
+        if k is not None and self.values[k] == "{":
+            raise ParseError(self.tokens.starts[k], "'(' or '[' expected")
+        return k
 
     def _skip_optional_group(self, opener: str) -> None:
         """Skip the group at the cursor if it opens with ``opener``."""
@@ -762,15 +784,13 @@ class _Parser:
             elif v == "}":
                 raise self.fail("unexpected '}' in expression")
             elif v == "new":
-                k = new_type_end(self.tokens, i + 1)
+                k = self._new_type_end(i + 1)
                 if k is not None and values[k] == "(":
                     # jump to the `(`: a comma in the type arguments ends
                     # no declarator
                     new_args.add(k)
                     i = k
                     continue
-                if k is not None and values[k] == "{":  # `new B {`: no arguments
-                    raise ParseError(self.tokens.starts[k], "'(' or '[' expected")
             elif not v:  # the end marker
                 raise self.fail("unexpected end of file in expression")
             i += 1

@@ -62,6 +62,9 @@ def test_non_utf8_rejected():
         b"class V { void f(int... xs) { int[] a = new int[] { 1, 2 }; } }",
         b'class C { void f() { int[] a = new int[] {1}; String[] s = new String[] {"x"}; } }',
         b"class C { void f() { Object b = new B() {}; Object c = new B<T>() {}; } }",
+        b"class C { void f(int x) { if (new B() { } == null) {} switch (x) { case 1: "
+        b"Object o = new B() { }; g(B::new); } Object[] a = { new int[] {1}, B::new }; "
+        b'while (renew("new")) {} } }',
     ],
 )
 def test_parses_common_constructs(source):
@@ -343,6 +346,14 @@ def test_split_args_splits_on_top_level_commas_only():
         (b"class A { void f() { x(new B() { void g() {} ); } }", "1:46: expected type"),
         (b"class A { X a = new B { void m() {} }; }", "1:23: '(' or '[' expected"),
         (b"class A { void m() { Object o = new B<T> { }; } }", "1:42: '(' or '[' expected"),
+        # the same in token runs the parser skips: a header, a switch body
+        # and an array initializer
+        (b"class A { void f() { if (new B { } == null) {} } }", "1:32: '(' or '[' expected"),
+        (
+            b"class A { void f(int x) { switch (x) { case 1: Object o = new B { }; } } }",
+            "1:65: '(' or '[' expected",
+        ),
+        (b"class A { void f() { int[] a = { new B { } }; } }", "1:40: '(' or '[' expected"),
         (b"class A { @B( int x; }", "1:13: unbalanced ')'"),
         (b"record R(int x) {}", "1:1: expected class, interface or enum declaration"),
         (b"class T { record R(int x) {} }", "1:11: records are not supported"),

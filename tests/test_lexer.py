@@ -70,6 +70,11 @@ EDGE_CASES = [
     b'"a\nb"',
     b"a\\b",
     '"ééé"; #'.encode(),
+    b" \t\n/* a */ // b\n  ",
+    b"a;  \n\t// last",
+    'é = é + é; /* é */ s = "é"; // é'.encode(),
+    "x = 1é + 'é' + '\\u00e9';".encode(),
+    "/* é */ ü `".encode(),
 ]
 
 

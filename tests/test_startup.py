@@ -1,9 +1,12 @@
-"""Start-up guard: importing the CLI loads only what every run needs.
+"""Start-up and exit guards: importing the CLI loads only what every run
+needs, and `cli.run`'s own exit keeps what the interpreter's would.
 
 Modules that only some commands use (patches, corpus CSV/JSON, JSON output)
 are imported inside the functions that use them. These tests run fresh
 interpreters, so they see exactly what `python -m greenlint.cli` loads, and
-then run each command that needs a deferred import.
+then run each command that needs a deferred import. `run` ends the process
+itself once `main` returns, so they also check its exit status, `atexit`
+handlers, output through a pipe and a flush that fails.
 """
 
 import json
@@ -15,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from conftest import GOLDEN
+from greenlint.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -23,10 +27,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 DEFERRED = ("dataclasses", "inspect", "difflib", "csv", "decimal", "json")
 
 
-def _python(*args: str) -> subprocess.CompletedProcess:
+def _python(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+        timeout=120,
     )
 
 
@@ -110,8 +115,8 @@ def test_check_json_in_a_fresh_process(project):
 
 
 def test_check_json_larger_than_a_pipe_buffer_arrives_whole(tmp_path):
-    # `run` freezes the collector's objects before exiting; the payload must
-    # still be flushed whole, past the 64 KiB a pipe holds.
+    # `run` ends the process without the interpreter's teardown; the payload
+    # must still be flushed whole, past the 64 KiB a pipe holds.
     methods = "".join(
         f"  void m{k}(Ctx ctx) {{\n"
         f"    TypedArray a = ctx.obtainStyledAttributes({k});\n"
@@ -124,3 +129,50 @@ def test_check_json_larger_than_a_pipe_buffer_arrives_whole(tmp_path):
     assert proc.returncode == 1, proc.stderr  # findings reported
     assert len(proc.stdout) > 65536
     assert len(json.loads(proc.stdout)["findings"]) == 300
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["check", "{empty}"], 0),
+        (["check", "{project}"], 1),
+        (["check", "{project}", "--only", "Nope"], 2),
+        (["corpus", "{corpus}", "--out", "{empty}/missing/summary.csv"], 3),
+    ],
+)
+def test_a_fresh_process_exits_as_main_returns(project, tmp_path, capsys, args, code):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    argv = [a.format(empty=empty, project=project, corpus=project.parent) for a in args]
+    assert main(argv) == code
+    capsys.readouterr()
+    proc = _python("-m", "greenlint.cli", *argv)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_atexit_handlers_registered_before_run_still_run(tmp_path):
+    script = (
+        "import atexit, sys\n"
+        "import greenlint.cli\n"
+        "atexit.register(print, 'handler ran', file=sys.stderr)\n"
+        f"sys.argv = ['greenlint', 'check', {str(tmp_path)!r}]\n"
+        "greenlint.cli.run()\n"
+        "print('run returned', file=sys.stderr)\n"
+    )
+    proc = _python("-c", script)
+    assert (proc.returncode, proc.stderr) == (0, "handler ran\n")
+
+
+def test_a_failed_flush_ends_with_status_120_and_no_traceback(project, monkeypatch):
+    # Buffered stdout into a pipe whose reader is gone: the finding line is
+    # written by the flush at exit, which fails with EPIPE.
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _python("-m", "greenlint.cli", "check", str(project), stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 120, proc.stderr
+    assert proc.stderr == "error: [Errno 32] Broken pipe\n"
