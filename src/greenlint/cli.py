@@ -5,18 +5,25 @@ Subcommands:
   fix    <path>   rewrite files in place, or emit unified diffs (--patch-dir)
   corpus <root>   treat each child directory as a project, aggregate results
 
+The command line is read against one table of each command's options, with
+no argparse, whose import and parser building cost a few milliseconds of
+every run. An option's value follows it or an `=`; `--exclude` repeats; a
+lone `--` ends the options; `-h`/`--help` prints the usage. No option may
+be abbreviated. A bad command line prints the usage and
+`greenlint: error: <reason>` on stderr, in argparse's words.
+
 Exit codes: 0 clean, 1 findings reported or fixes applied, 2 usage error,
 3 internal error (a verification rollback of `fix`, or an I/O failure).
 """
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import gc
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional
 
 from .engine import (
@@ -39,56 +46,114 @@ EXIT_INTERNAL = 3
 JSON_SCHEMA_VERSION = "1"
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="greenlint",
-        description=(
-            "Detect and fix Android energy code smells in Java and layout XML."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each command's input argument and options. An option maps to a tuple of
+# its allowed values, the first being its default, to `Path` for a path, or to
+# None for any value. `--exclude` may repeat, and `corpus` requires `--out`.
+# `--jobs N` is hidden, checked to be an integer and ignored: files are
+# processed in order in one thread.
+_COMMON = {"--only": None, "--exclude": None, "--jobs": None}
+_COMMANDS = {
+    "check": ("path", {"--format": ("text", "json"), **_COMMON}),
+    "fix": ("path", {"--patch-dir": Path, **_COMMON}),
+    "corpus": ("root", {"--out": Path, "--format": ("csv", "json"), **_COMMON}),
+}
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--only",
-            metavar="RULE[,RULE...]",
-            help="run only these rules (names: "
-            + ", ".join(str(r) for r in RuleId)
-            + ")",
+_USAGE = """\
+usage: greenlint check PATH [--format {text,json}] [OPTIONS]
+       greenlint fix PATH [--patch-dir DIR] [OPTIONS]
+       greenlint corpus ROOT --out FILE [--format {csv,json}] [OPTIONS]
+
+Detect and fix Android energy code smells in Java and layout XML.
+
+  check   report findings, write nothing
+  fix     rewrite files in place, or write unified diffs to DIR
+  corpus  treat each child directory of ROOT as a project, and write one
+          row per rule to FILE
+
+options:
+  --only RULE[,RULE...]  run only these rules: ViewHolder, DrawAllocation,
+                         WakeLock, Recycle, ObsoleteLayoutParam
+  --exclude GLOB         exclude glob, repeatable (default: build/, .git/,
+                         generated/)
+  -h, --help             show this help and exit
+
+An option's value follows it or an '=' (--format json, --format=json);
+no option may be abbreviated; '--' ends the options."""
+
+
+class _CommandLineError(Exception):
+    """A command line that names no command, or that its command rejects."""
+
+
+def _is_option(arg: str) -> bool:
+    """Whether ``arg`` reads as an option; a lone `-` and a negative
+    integer are values, as argparse reads them."""
+    return arg[:1] == "-" and arg != "-" and not arg[1:].isdigit()
+
+
+def _parse_args(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The command and its options as the `_cmd_*` functions read them, or
+    None once `-h` or `--help` has printed the usage."""
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        print(_USAGE)
+        return None
+    if command not in _COMMANDS:
+        raise _CommandLineError(
+            f"argument command: invalid choice: {command!r} (choose from 'check', 'fix', 'corpus')"
+            if argv
+            else "the following arguments are required: command"
         )
-        p.add_argument(
-            "--exclude",
-            action="append",
-            default=None,
-            metavar="GLOB",
-            help="exclude glob, repeatable (default: build/, .git/, generated/)",
-        )
-        # Accepted for compatibility and ignored: files are processed in order
-        # in one thread.
-        p.add_argument("--jobs", type=int, default=0, help=argparse.SUPPRESS)
-
-    check = sub.add_parser("check", help="report findings without writing")
-    check.add_argument("path", type=Path)
-    check.add_argument("--format", choices=("text", "json"), default="text")
-    add_common(check)
-
-    fix = sub.add_parser("fix", help="apply fixes in place")
-    fix.add_argument("path", type=Path)
-    fix.add_argument(
-        "--patch-dir",
-        type=Path,
-        default=None,
-        help="write unified diffs here instead of rewriting files",
-    )
-    add_common(fix)
-
-    corpus = sub.add_parser("corpus", help="aggregate findings across projects")
-    corpus.add_argument("root", type=Path)
-    corpus.add_argument("--out", type=Path, required=True)
-    corpus.add_argument("--format", choices=("csv", "json"), default="csv")
-    add_common(corpus)
-
-    return parser
+    input_name, options = _COMMANDS[command]
+    found = {o: a[0] if type(a) is tuple else None for o, a in options.items()}
+    excludes: list[str] = []
+    positional: list[str] = []
+    unknown: list[str] = []
+    rest = iter(argv[1:])
+    for arg in rest:
+        option, eq, value = arg.partition("=")
+        if arg == "--":
+            positional += rest
+        elif not _is_option(arg):
+            positional.append(arg)
+        elif arg in ("-h", "--help"):
+            print(_USAGE)
+            return None
+        elif option not in options:
+            unknown.append(arg)
+        else:
+            if not eq:
+                value = next(rest, "--")  # `--` reads as an option: no value
+                if _is_option(value):
+                    raise _CommandLineError(f"argument {option}: expected one argument")
+            allowed = options[option]
+            if allowed is Path:
+                value = Path(value)
+            elif allowed and value not in allowed:
+                choices = ", ".join(map(repr, allowed))
+                raise _CommandLineError(
+                    f"argument {option}: invalid choice: {value!r} (choose from {choices})"
+                )
+            elif option == "--exclude":
+                excludes.append(value)
+            elif option == "--jobs":
+                try:
+                    int(value)
+                except ValueError:
+                    message = f"argument --jobs: invalid int value: {value!r}"
+                    raise _CommandLineError(message) from None
+            found[option] = value
+    missing = [] if positional else [input_name]
+    if found.get("--out", "") is None:  # only `corpus` has `--out`, and requires it
+        missing.append("--out")
+    if missing:
+        raise _CommandLineError(f"the following arguments are required: {', '.join(missing)}")
+    if unknown or positional[1:]:
+        raise _CommandLineError(f"unrecognized arguments: {' '.join(unknown + positional[1:])}")
+    args = SimpleNamespace(**{o[2:].replace("-", "_"): v for o, v in found.items()})
+    args.command, args.exclude = command, excludes or None
+    setattr(args, input_name, Path(positional[0]))
+    return args
 
 
 def _parse_rules(only: Optional[str]) -> frozenset[RuleId]:
@@ -110,7 +175,7 @@ class _UsageError(Exception):
     pass
 
 
-def _make_config(args: argparse.Namespace, path: Path, mode: str) -> RunConfig:
+def _make_config(args: SimpleNamespace, path: Path, mode: str) -> RunConfig:
     excludes = DEFAULT_EXCLUDES if args.exclude is None else tuple(args.exclude)
     try:
         return RunConfig(
@@ -180,7 +245,7 @@ def _exit_status(outcomes: list[FileOutcome]) -> int:
     return EXIT_CLEAN
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: SimpleNamespace) -> int:
     outcomes = _run(_make_config(args, args.path, MODE_REPORT))
     if args.format == "json":
         import json
@@ -191,7 +256,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return _exit_status(outcomes)
 
 
-def _cmd_fix(args: argparse.Namespace) -> int:
+def _cmd_fix(args: SimpleNamespace) -> int:
     mode = MODE_PATCH if args.patch_dir is not None else MODE_FIX
     outcomes = _run(_make_config(args, args.path, mode))
     if args.patch_dir is not None:
@@ -211,7 +276,7 @@ def _cmd_fix(args: argparse.Namespace) -> int:
     return _exit_status(outcomes)
 
 
-def _cmd_corpus(args: argparse.Namespace) -> int:
+def _cmd_corpus(args: SimpleNamespace) -> int:
     root = args.root
     if not root.is_dir():
         raise _UsageError(f"corpus root must be a directory: {root}")
@@ -232,11 +297,13 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+    except _CommandLineError as exc:
+        print(f"{_USAGE}\ngreenlint: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if args is None:  # the usage was asked for
+        return EXIT_CLEAN
     try:
         if args.command == "check":
             return _cmd_check(args)
@@ -259,12 +326,11 @@ def run() -> None:
     that skips the interpreter's teardown, which would free every object
     still alive only for the OS to reclaim the memory anyway. A flush that
     fails (the reader closed the pipe) ends the run with status 120, as
-    the interpreter's own exit does. Past the argument parser and the
-    standard JSON encoder, a fixed few objects, a run makes no reference
-    cycle (tests/test_no_cycles.py pins this), so reference counting frees
-    what it drops and collector passes would find nothing. `main` itself
-    leaves the collector and the process alone, for callers that go on
-    running."""
+    the interpreter's own exit does. Past the standard JSON encoder's few
+    objects, a run makes no reference cycle (tests/test_no_cycles.py pins
+    this), so reference counting frees what it drops and collector passes
+    would find nothing. `main` itself leaves the collector and the process
+    alone, for callers that go on running."""
     gc.disable()
     code = main()
     atexit._run_exitfuncs()

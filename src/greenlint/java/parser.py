@@ -32,8 +32,9 @@ index pairs):
   and synchronized statements.
 
 Package and import declarations, annotations and modifiers are checked
-and skipped; no node holds them. A block's or a type's closing brace is
-its last token.
+and skipped; no node holds them. The type arguments of a declaration's
+types are checked to hold only types; those in an expression stay token
+runs. A block's or a type's closing brace is its last token.
 """
 
 from __future__ import annotations
@@ -62,6 +63,9 @@ TYPE_DECLS = frozenset(_TYPE_KINDS.values()) | {"annotation_declaration"}
 
 # A local class declaration starts with one of these or an annotation.
 _LOCAL_TYPE_STARTS = frozenset(_TYPE_KINDS) | {"final", "abstract", "static"}
+
+# What a type's type arguments may hold besides names and annotations.
+_TYPE_ARGUMENT_TOKENS = frozenset(". , ? & [ ] < > extends super".split()) | PRIMITIVE_TYPES
 
 _CLOSERS = {"(": ")", "[": "]", "{": "}", "<": ">"}
 _OPENERS = frozenset("([{")
@@ -358,16 +362,43 @@ class _Parser:
         while self.values[self.i] == "[" and self.values[self.i + 1] == "]":
             self.i += 2
 
-    def _skip_type(self) -> None:
-        """Move the cursor past a type reference."""
-        if self.values[self.i] in PRIMITIVE_TYPES:
+    def _skip_type(self, check: bool = True) -> None:
+        """Move the cursor past a type reference, `Outer<A>.Inner<B>[]` among
+        them. With ``check``, its type arguments are checked as
+        `_check_type_args` checks them; a probe that does not yet know the
+        statement is a declaration checks them once it does."""
+        values = self.values
+        if values[self.i] in PRIMITIVE_TYPES:
             self.i += 1
         elif self.kinds[self.i] == "ident":
             self._parse_qualified_name()
-            self._skip_optional_group("<")
+            while values[self.i] == "<":
+                lo = self.i
+                self.i = self._skip_group(lo)
+                if check:
+                    self._check_type_args(lo)
+                if values[self.i] != "." or self.kinds[self.i + 1] != "ident":
+                    break
+                self.i += 1
+                self._parse_qualified_name()
         else:
             raise self.fail("expected type")
         self._skip_dims()
+
+    def _check_type_args(self, lo: int) -> None:
+        """Fail with javac's `illegal start of type` at the first token from
+        ``lo`` up to the cursor that no type or type argument holds: one
+        other than a name, a primitive type, `. , ? & [ ] < > extends super`
+        and an annotation with its arguments, as the `1` of `List<1 + 2>`."""
+        hi, self.i = self.i, lo
+        while self.i < hi:
+            v = self.values[self.i]
+            if v == "@":
+                self._parse_annotation()
+            elif v in _TYPE_ARGUMENT_TOKENS or self.kinds[self.i] == "ident":
+                self.i += 1
+            else:
+                raise self.fail("illegal start of type")
 
     def _parse_type(self) -> str:
         """Parse a type reference; returns its source text."""
@@ -400,6 +431,7 @@ class _Parser:
             return []
         lo = self.i
         self.i = self._skip_group(lo)
+        self._check_type_args(lo)
         values = self.values
         names, depth = [], 0
         for k in range(lo, self.i):
@@ -710,7 +742,7 @@ class _Parser:
             return None
         else:
             try:
-                self._skip_type()
+                self._skip_type(check=False)
             except ParseError:  # an unclosed `<`, as in `a < b;`
                 self.i = lo
                 return None
@@ -718,6 +750,8 @@ class _Parser:
             if kinds[i] != "ident" or values[i + 1] not in ("=", ";", ",", "["):
                 self.i = lo
                 return None
+            if i > type_lo + 1:  # a one-token type holds no type arguments
+                self._check_type_args(type_lo)
         text = self._text(type_lo, self.i)
         return self._parse_declarators("local_variable_declaration", lo, text, "variable name")
 

@@ -10,6 +10,7 @@ from greenlint.cli import (
     main,
 )
 from greenlint.diagnostics import line_col
+from greenlint.rules import RuleId
 
 from conftest import CLEAN_CORPUS, GOLDEN, GOLDEN_CASES
 
@@ -220,6 +221,83 @@ def test_removed_flag_is_a_usage_error(tmp_path, capsys, flag):
     proj = _recycle_project(tmp_path)
     assert main(["check", str(proj), *flag.split()]) == EXIT_USAGE
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# A bad command line, its exit status and the reason printed on stderr after
+# the usage; `{p}` is an existing directory, `{q}` a second path. argparse,
+# which the CLI once used, gave the same statuses.
+USAGE_ERRORS = [
+    ([], EXIT_USAGE, "the following arguments are required: command"),
+    (
+        ["lint", "{p}"],
+        EXIT_USAGE,
+        "argument command: invalid choice: 'lint' (choose from 'check', 'fix', 'corpus')",
+    ),
+    (["check"], EXIT_USAGE, "the following arguments are required: path"),
+    (["check", "{p}", "{q}"], EXIT_USAGE, "unrecognized arguments: {q}"),
+    (
+        ["check", "{p}", "--format", "xml"],
+        EXIT_USAGE,
+        "argument --format: invalid choice: 'xml' (choose from 'text', 'json')",
+    ),
+    (["check", "{p}", "--format"], EXIT_USAGE, "argument --format: expected one argument"),
+    (["check", "{p}", "--jobs", "x"], EXIT_USAGE, "argument --jobs: invalid int value: 'x'"),
+    (["corpus", "{p}"], EXIT_USAGE, "the following arguments are required: --out"),
+    (["fix", "{p}", "--out", "f"], EXIT_USAGE, "unrecognized arguments: --out f"),
+    (["check", "{p}", "--patch-dir", "d"], EXIT_USAGE, "unrecognized arguments: --patch-dir d"),
+    # no option is abbreviated
+    (["check", "{p}", "--form", "json"], EXIT_USAGE, "unrecognized arguments: --form json"),
+]
+
+
+@pytest.mark.parametrize("args, code, reason", USAGE_ERRORS)
+def test_usage_error_prints_the_usage_and_the_reason(tmp_path, capsys, args, code, reason):
+    paths = {"p": tmp_path, "q": tmp_path / "q"}
+    assert main([a.format(**paths) for a in args]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: greenlint check PATH")
+    assert captured.err.endswith(f"\ngreenlint: error: {reason.format(**paths)}\n")
+
+
+def test_help_prints_the_usage_on_stdout(tmp_path, capsys):
+    assert main(["-h"]) == EXIT_CLEAN
+    usage = capsys.readouterr()
+    assert usage.err == ""
+    assert usage.out.startswith("usage: greenlint check PATH")
+    assert all(str(rule) in usage.out for rule in RuleId)
+    assert main(["fix", str(tmp_path), "--help", "--format", "xml"]) == EXIT_CLEAN
+    assert capsys.readouterr() == usage
+
+
+def test_option_values_after_an_equals_sign(tmp_path, capsys):
+    proj = _recycle_project(tmp_path)
+    assert main(["check", str(proj), "--format=json", "--only=Recycle"]) == EXIT_FINDINGS
+    assert len(json.loads(capsys.readouterr().out)["findings"]) == 1
+    out = tmp_path / "summary.json"
+    assert main(["corpus", str(tmp_path), f"--out={out}", "--format=json"]) == EXIT_CLEAN
+    assert json.loads(out.read_text())[-1]["rule"] == "Any"
+
+
+def test_exclude_repeats(tmp_path, capsys):
+    proj = tmp_path / "proj"
+    for part in ("a", "b"):
+        (proj / part).mkdir(parents=True)
+        (proj / part / "R.java").write_bytes((GOLDEN / "recycle" / "before.java").read_bytes())
+    assert main(["check", str(proj), "--exclude", "a/**"]) == EXIT_FINDINGS
+    assert capsys.readouterr().out.startswith("b/R.java:")
+    assert main(["check", str(proj), "--exclude", "a/**", "--exclude=b/**"]) == EXIT_CLEAN
+    assert capsys.readouterr().out == ""
+
+
+def test_double_dash_ends_the_options(tmp_path, capsys, monkeypatch):
+    proj = _recycle_project(tmp_path)
+    proj.rename(tmp_path / "-h")
+    monkeypatch.chdir(tmp_path)
+    assert main(["check", "--only", "Recycle", "--", "-h"]) == EXIT_FINDINGS
+    assert capsys.readouterr().out.startswith("src/RecycleSample.java:")
+    assert main(["check", "--", "-h", "--format"]) == EXIT_USAGE
+    assert capsys.readouterr().err.endswith(" error: unrecognized arguments: --format\n")
 
 
 @pytest.mark.parametrize(

@@ -354,6 +354,21 @@ def test_split_args_splits_on_top_level_commas_only():
             "1:65: '(' or '[' expected",
         ),
         (b"class A { void f() { int[] a = { new B { } }; } }", "1:40: '(' or '[' expected"),
+        # a type's type arguments hold types only, where javac 17 fails at
+        # the same token
+        (b"import java.util.List; class G { List<1 + 2> x; }", "1:39: illegal start of type"),
+        (b"class A { List<new B() {}> x; }", "1:16: illegal start of type"),
+        (b"class L { void f() { List<1 + 2> x = null; } }", "1:27: illegal start of type"),
+        (b"class L { void f() { final List<1> x; } }", "1:33: illegal start of type"),
+        (b"class L { void f() { List<(String)> x; } }", "1:27: illegal start of type"),
+        (b"class P { void f(List<1> a) {} }", "1:23: illegal start of type"),
+        (b"class R { List<1> f() { return null; } }", "1:16: illegal start of type"),
+        (b"class E extends B<1> {}", "1:19: illegal start of type"),
+        (b'class I implements B<"s"> {}', "1:22: illegal start of type"),
+        (b"class U { <T extends List<1>> void f() {} }", "1:27: illegal start of type"),
+        (b"class W { List<int> a; List<this> b; }", "1:29: illegal start of type"),
+        (b"class Y { List<String>.Inner<1> a; }", "1:30: illegal start of type"),
+        (b"class Z { void f() { List<@A(new B {}) String> x; } }", "1:36: '(' or '[' expected"),
         (b"class A { @B( int x; }", "1:13: unbalanced ')'"),
         (b"record R(int x) {}", "1:1: expected class, interface or enum declaration"),
         (b"class T { record R(int x) {} }", "1:11: records are not supported"),
@@ -370,6 +385,27 @@ def test_parse_error_message_and_location(source, expected):
     assert tree is None
     d = diags[0]
     assert f"{d.line}:{d.column}: {d.message}" == expected
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        b"class S { Map.Entry<String, int[]>[] a; }",
+        b"class S { List<? extends Number> b; }",
+        b"class S { List<@NonNull String> c; }",
+        b"class S { Class<?> d; }",
+        b"class S { List<? super @A(x = 1) T> e; }",
+        b"class S { Outer<String>.Inner<Integer> x; }",
+        b"class S { void f(List<a.b> x, List<String>... y) {} }",
+        b"class S<T extends Comparable<? super T> & Serializable> extends B<T[]> {}",
+        b"class S { void f() { Outer<String>.Inner<Integer> x = null; a.b<c>.d y; } }",
+        # an expression statement is no declaration, so its `<` is not checked
+        b"class S { void f() { Foo<String>.bar(); if (a < b) x = c > d; } }",
+    ],
+)
+def test_type_argument_shapes_parse(source):
+    tree, diags = parse_java_source(source)
+    assert diags == []
 
 
 def test_record_as_an_identifier_still_parses():

@@ -2,17 +2,16 @@
 
 A greenlint run may leave the collector off only while reference counting
 alone frees everything the run makes, so no run may leave a reference
-cycle behind. Each test here runs one command's path with the collector
-off and asserts that a full collection afterwards finds nothing. The
-commands run through `cli._cmd_check`, `_cmd_fix` and `_cmd_corpus`, which
-call `engine.run_project` in report, fix and patch mode and the report
-module on the corpus path; `main` is left out because argparse's parser
-holds cycles of its own, which `run` leaves for the exit to drop.
+cycle behind. Each test here runs one command line through `cli.main` with
+the collector off and asserts that a full collection afterwards finds
+nothing. The command lines are check as text and JSON, fix in place and
+with `--patch-dir`, corpus as CSV and JSON, and one usage error; they call
+`engine.run_project` in report, fix and patch mode and the report module
+on the corpus path.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import shutil
@@ -64,22 +63,15 @@ def _projects(root: Path) -> None:
 INPUTS = {"golden": _golden, "clean": _clean, "failing": _failing, "projects": _projects}
 
 
-def _args(**kwargs) -> argparse.Namespace:
-    return argparse.Namespace(only=None, exclude=None, **kwargs)
-
-
 def _commands(root: Path, out: Path) -> dict:
     return {
-        "check-text": lambda: cli._cmd_check(_args(path=root, format="text")),
-        "check-json": lambda: cli._cmd_check(_args(path=root, format="json")),
-        "fix": lambda: cli._cmd_fix(_args(path=root, patch_dir=None)),
-        "patch": lambda: cli._cmd_fix(_args(path=root, patch_dir=out / "patches")),
-        "corpus-csv": lambda: cli._cmd_corpus(
-            _args(root=root, out=out / "table.csv", format="csv")
-        ),
-        "corpus-json": lambda: cli._cmd_corpus(
-            _args(root=root, out=out / "table.json", format="json")
-        ),
+        "check-text": ["check", str(root)],
+        "check-json": ["check", str(root), "--format", "json"],
+        "fix": ["fix", str(root)],
+        "patch": ["fix", str(root), "--patch-dir", str(out / "patches")],
+        "corpus-csv": ["corpus", str(root), "--out", str(out / "table.csv")],
+        "corpus-json": ["corpus", str(root), "--out", str(out / "table.json"), "--format=json"],
+        "usage-error": ["check", str(root), "--format", "xml"],
     }
 
 
@@ -115,7 +107,11 @@ def test_a_run_leaves_nothing_for_the_collector(tmp_path, capsys, monkeypatch, n
     INPUTS[name](root)
     out = tmp_path / "out"
     out.mkdir()
-    run = _commands(root, out)[command]
+    argv = _commands(root, out)[command]
+
+    def run():
+        return cli.main(argv)
+
     run()  # a first run loads every module the command imports
     if command == "fix":
         shutil.rmtree(root)

@@ -264,31 +264,6 @@ def test_compare_parses_lists_the_files_that_differ(monkeypatch, capsys):
     ]
 
 
-def test_collector_passes_finds_none_after_start_up():
-    # `cli.run` turns the collector off, so a run of this checkout counts none.
-    proc = subprocess.run(
-        [
-            sys.executable,
-            str(SCRIPTS / "collector_passes.py"),
-            "--checkout",
-            str(SCRIPTS.parent),
-            "--workload",
-            "check-java",
-            "--seed",
-            "1",
-            "--runs",
-            "1",
-        ],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0].startswith("run 1: passes by generation [0, 0, 0], ")
-    assert lines[-1].startswith("check-java seed 1, 1 run(s): median passes gen0 0 gen1 0 gen2 0")
-
-
 def _compare_outputs():
     spec = importlib.util.spec_from_file_location(
         "compare_outputs", SCRIPTS / "compare_outputs.py"

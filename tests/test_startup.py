@@ -2,7 +2,7 @@
 needs, and `cli.run`'s own exit keeps what the interpreter's would.
 
 Modules that only some commands use (patches, corpus CSV/JSON, JSON output)
-are imported inside the functions that use them. These tests run fresh
+are imported inside the functions that use them, and no run loads argparse. These tests run fresh
 interpreters, so they see exactly what `python -m greenlint.cli` loads, and
 then run each command that needs a deferred import. `run` ends the process
 itself once `main` returns, so they also check its exit status, `atexit`
@@ -47,6 +47,32 @@ def test_importing_the_cli_loads_no_deferred_module():
     added = set(proc.stdout.split())
     assert "greenlint.cli" in added
     assert sorted(added.intersection(DEFERRED)) == []
+
+
+def test_neither_an_import_nor_a_run_loads_argparse(tmp_path):
+    # The command line is read without argparse, which with the `gettext`
+    # and `locale` it imports cost about 2 ms of every run.
+    never = ("argparse", "gettext", "locale")
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import greenlint.cli\n"
+        "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "greenlint.cli" in added
+    assert sorted(added.intersection(never)) == []
+    proc = _python("-X", "importtime", "-m", "greenlint.cli", "check", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    loaded = {
+        line.rsplit("|", 1)[-1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "greenlint.engine" in loaded
+    assert sorted(loaded.intersection(never)) == []
 
 
 def test_importing_the_package_loads_no_submodule():
