@@ -320,8 +320,8 @@ class _Parser:
             self.expect("*")
         self.expect(";")
 
-    def _parse_qualified_name(self) -> None:
-        self.expect_ident("name")
+    def _parse_qualified_name(self, what: str = "name") -> None:
+        self.expect_ident(what)
         while self.values[self.i] == "." and self.kinds[self.i + 1] == "ident":
             self.i += 2
 
@@ -412,15 +412,20 @@ class _Parser:
 
     def _parse_type_list(self, keyword: str) -> Optional[str]:
         """Parse an optional `keyword Type, Type...` clause (`extends`,
-        `implements`, `throws`); returns the first type's text, or None when
-        the clause is absent."""
-        if not self.at(keyword):
-            return None
-        self.advance()
-        first = self._parse_type()
-        while self.at(","):
-            self.advance()
-            self._skip_type()
+        `implements`, `throws`), each type after its annotations; returns
+        the first type's text, without them, or None when the clause is
+        absent. A `throws` type is a qualified name, as javac reads it."""
+        first = None
+        while self.at("," if first else keyword):
+            self.i += 1
+            while self.at("@"):
+                self._parse_annotation()
+            lo = self.i
+            if keyword == "throws":
+                self._parse_qualified_name("type")
+            else:
+                self._skip_type()
+            first = first or self._text(lo, self.i)
         return first
 
     def _parse_type_params(self) -> list[str]:
@@ -704,12 +709,32 @@ class _Parser:
         children = [self._parse_block()]
         while self.at("catch"):
             self.advance()
-            self._skip_parens("catch")
+            self._parse_catch_parameter()
             children.append(self._parse_block())
         if self.at("finally"):
             self.advance()
             children.append(self._parse_block())
         return Node("try_statement", lo, self.i, children)
+
+    def _parse_catch_parameter(self) -> None:
+        """`( final-or-annotations Type | Type ... name[] )`, its types
+        checked as a declaration's are. javac's parser refuses any other
+        modifier there."""
+        if not self.at("("):
+            raise self.fail("expected '(' after catch")
+        self.i += 1
+        while (v := self.values[self.i]) in ("final", "@"):
+            if v == "@":
+                self._parse_annotation()
+            else:
+                self.i += 1
+        self._skip_type()
+        while self.at("|"):
+            self.advance()
+            self._skip_type()
+        self.expect_ident("exception parameter name")
+        self._skip_dims()
+        self.expect(")")
 
     def _parse_switch(self) -> Node:
         lo = self.i

@@ -1,10 +1,11 @@
 """A step-by-step layout XML parser kept only as a test oracle.
 
 It reads a start tag one piece at a time (whitespace byte by byte, then a
-name, `=` and a quoted value), so its rules are easy to read off.
-`greenlint.xmltree.parse_layout_xml` must give the same elements and
-attribute spans as `parse_reference`, or fail with the same offset and
-message as the `ParseError` it raises.
+name, `=` and a quoted value), so its rules are easy to read off. Where
+`greenlint.xmltree.parse_layout_xml` accepts a layout, it must give the
+same elements and attribute spans as `parse_reference`; it must reject
+every layout `parse_reference` rejects, and rejects more: references, a
+`<` or `&` in a value and a DOCTYPE, which this reader lets through.
 """
 
 from __future__ import annotations

@@ -51,6 +51,22 @@ def test_check_json_payload(tmp_path, capsys):
     assert payload["summary"]["rules"]["Recycle"]["refactorings"] == 1
 
 
+def test_fix_leaves_a_layout_that_expat_rejects_alone(tmp_path, capsys):
+    # A bare `&` in a value: aapt2 cannot build the layout, so greenlint
+    # must not rewrite it, though its obsolete parameter is still there.
+    before = (GOLDEN / "obsolete_layout_param" / "before.xml").read_bytes()
+    broken = before.replace(b'width="wrap_content"', b'width="wrap_con&tent"', 1)
+    assert broken != before
+    layout = tmp_path / "proj" / "res" / "layout" / "main.xml"
+    layout.parent.mkdir(parents=True)
+    layout.write_bytes(broken)
+    assert main(["fix", str(tmp_path / "proj")]) == EXIT_CLEAN
+    out, err = capsys.readouterr()
+    assert err == f"{layout}:5:44: parse error: not well-formed (invalid token)\n"
+    assert out == "0 refactoring(s) applied\n"
+    assert layout.read_bytes() == broken
+
+
 def test_check_clean_directory_exits_zero(capsys):
     assert main(["check", str(CLEAN_CORPUS)]) == EXIT_CLEAN
     assert capsys.readouterr().out == ""

@@ -331,6 +331,9 @@ def test_split_args_splits_on_top_level_commas_only():
         (b"class A { void f() { try x(); } }", "1:26: expected '{'"),
         (b"class A { void f() { try {} catch x {} } }", "1:35: expected '(' after catch"),
         (b"class A { void f() { try {} catch (E e) x(); } }", "1:41: expected '{'"),
+        (b"class A { void f() { try {} catch (static E e) {} } }", "1:36: expected type"),
+        (b"class A { void f() { try {} catch (E | e) {} } }", "1:41: expected exception parameter name"),
+        (b"class A { void f() { try {} catch (E e, F f) {} } }", "1:39: expected ')'"),
         (b"class A { void f() { try {} finally x(); } }", "1:37: expected '{'"),
         (b"class A { void f() { synchronized (x) x(); } }", "1:39: expected '{'"),
         (b"class A { void f() { int x, ; } }", "1:29: expected variable name"),
@@ -368,6 +371,11 @@ def test_split_args_splits_on_top_level_commas_only():
         (b"class U { <T extends List<1>> void f() {} }", "1:27: illegal start of type"),
         (b"class W { List<int> a; List<this> b; }", "1:29: illegal start of type"),
         (b"class Y { List<String>.Inner<1> a; }", "1:30: illegal start of type"),
+        (b"class C { void f() { try { } catch (E<1> e) {} } }", "1:39: illegal start of type"),
+        (b"class C { void f() { try { } catch (A | E<1> e) {} } }", "1:43: illegal start of type"),
+        # a `throws` type is an annotated qualified name
+        (b"class X { void g() throws E<String> {} }", "1:28: expected ';'"),
+        (b"class X { void g() throws E[] {} }", "1:28: expected ';'"),
         (b"class Z { void f() { List<@A(new B {}) String> x; } }", "1:36: '(' or '[' expected"),
         (b"class A { @B( int x; }", "1:13: unbalanced ')'"),
         (b"record R(int x) {}", "1:1: expected class, interface or enum declaration"),
@@ -401,11 +409,19 @@ def test_parse_error_message_and_location(source, expected):
         b"class S { void f() { Outer<String>.Inner<Integer> x = null; a.b<c>.d y; } }",
         # an expression statement is no declaration, so its `<` is not checked
         b"class S { void f() { Foo<String>.bar(); if (a < b) x = c > d; } }",
+        b"class S { void f() { try { } catch (final @A E | F e) {} } }",
+        b"class S { void f() { try { } catch (@A final a.E<?>[] e[]) {} } }",
+        b"class S extends @A Y implements @B I, @C(1) J { void g() throws @D a.E, F {} }",
     ],
 )
 def test_type_argument_shapes_parse(source):
     tree, diags = parse_java_source(source)
     assert diags == []
+
+
+def test_extends_keeps_the_type_without_its_annotations():
+    tree = parse_java(b"class X extends @A @B(1) p.Y<String> {} interface I extends @A J, K {}")
+    assert [t.props["extends"] for t in tree.root.children] == ["p.Y<String>", "J"]
 
 
 def test_record_as_an_identifier_still_parses():
