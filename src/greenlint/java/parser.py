@@ -16,6 +16,8 @@ a child of the enum among its members.
 Node kinds, and the props that rules read (token ranges are half-open
 index pairs):
 
+- every declaration below: ``modifiers``, the modifier keywords of its
+  head in source order, without its annotations (a tuple);
 - class_, interface_, enum_ and annotation_declaration: ``name``,
   ``extends`` (the first extended type's text, or None), ``type_params``
   (the names of its type parameters);
@@ -31,10 +33,10 @@ index pairs):
   continue, assert, for, while, do, try, switch (its body kept as tokens)
   and synchronized statements.
 
-Package and import declarations, annotations and modifiers are checked
-and skipped; no node holds them. The type arguments of a declaration's
-types are checked to hold only types; those in an expression stay token
-runs. A block's or a type's closing brace is its last token.
+Package and import declarations and annotations are checked and skipped;
+no node holds them. The type arguments of a declaration's types are
+checked to hold only types; those in an expression stay token runs. A
+block's or a type's closing brace is its last token.
 """
 
 from __future__ import annotations
@@ -61,11 +63,15 @@ _TYPE_KINDS = {
 }
 TYPE_DECLS = frozenset(_TYPE_KINDS.values()) | {"annotation_declaration"}
 
-# A local class declaration starts with one of these or an annotation.
-_LOCAL_TYPE_STARTS = frozenset(_TYPE_KINDS) | {"final", "abstract", "static"}
+# The tokens that start a declaration in a block. javac's parser refuses
+# any other modifier keyword there, but takes any after one of these.
+_LOCAL_DECLARATION_STARTS = frozenset(_TYPE_KINDS) | {"@", "final", "abstract", "strictfp"}
 
 # What a type's type arguments may hold besides names and annotations.
 _TYPE_ARGUMENT_TOKENS = frozenset(". , ? & [ ] < > extends super".split()) | PRIMITIVE_TYPES
+
+# A declaration's first token index and its modifier keywords.
+_Head = tuple[int, tuple[str, ...]]
 
 _CLOSERS = {"(": ")", "[": "]", "{": "}", "<": ">"}
 _OPENERS = frozenset("([{")
@@ -129,8 +135,9 @@ def match_group(values: list[str], j: int) -> tuple[bool, int]:
 def new_type_end(tokens: Tokens, j: int) -> Optional[int]:
     """Index of the token after `new` and the qualified type name and type
     arguments that start at token ``j``: `(` for a class instance creation;
-    None if the type arguments do not close or the tokens end. Like the
-    rest of the parser, it accepts more than Java: the name may be
+    None if the type arguments do not close or the tokens end. Fails at a
+    `{` there: a class instance creation with no argument list, `new B {`.
+    Like the rest of the parser, it accepts more than Java: the name may be
     missing."""
     kinds, values = tokens.kinds, tokens.values
     n = len(values)
@@ -142,6 +149,8 @@ def new_type_end(tokens: Tokens, j: int) -> Optional[int]:
         closed, j = match_group(values, j)
         if not closed:
             return None
+    if j < n and values[j] == "{":
+        raise ParseError(tokens.starts[j], "'(' or '[' expected")
     return j if j < n else None
 
 
@@ -239,10 +248,15 @@ class _Parser:
     # --- entry ---------------------------------------------------------
 
     def parse_compilation_unit(self) -> Node:
-        lo = self.i
         children: list[Node] = []
-        if self._at_package_decl():
-            self._parse_package()
+        while self.at("@") and self.values[self.i + 1] != "interface":
+            self._parse_annotation()
+        if self.at("package"):
+            self.i += 1
+            self._parse_qualified_name()
+            self.expect(";")
+        else:
+            self.i = 0  # the annotations belong to the first type declaration
         while self.at("import"):
             self._parse_import()
         while self.i < self.n:
@@ -250,23 +264,7 @@ class _Parser:
                 self.i += 1
                 continue
             children.append(self._parse_type_decl())
-        return Node("compilation_unit", lo, self.i, children)
-
-    def _at_package_decl(self) -> bool:
-        # annotations may precede `package`
-        kinds, values, n = self.kinds, self.values, self.n
-        j = self.i
-        while j < n and values[j] == "@":
-            j += 1
-            while j < n and kinds[j] in ("ident", "keyword"):
-                j += 1
-                if j < n and values[j] == ".":
-                    j += 1
-                else:
-                    break
-            if j < n and values[j] == "(":
-                j = self._skip_group(j)
-        return j < n and values[j] == "package"
+        return Node("compilation_unit", 0, self.i, children)
 
     def _skip_group(self, j: int) -> int:
         """Index just past the group that opens at token ``j``. A class
@@ -286,29 +284,14 @@ class _Parser:
         try:
             while True:
                 j = values.index("new", j, k) + 1
-                self._new_type_end(j)
+                new_type_end(self.tokens, j)
         except ValueError:  # no `new` left in the group
             return k
-
-    def _new_type_end(self, j: int) -> Optional[int]:
-        """`new_type_end`, failing at a `{` there: a class instance creation
-        with no argument list, `new B {`."""
-        k = new_type_end(self.tokens, j)
-        if k is not None and self.values[k] == "{":
-            raise ParseError(self.tokens.starts[k], "'(' or '[' expected")
-        return k
 
     def _skip_optional_group(self, opener: str) -> None:
         """Skip the group at the cursor if it opens with ``opener``."""
         if self.values[self.i] == opener:
             self.i = self._skip_group(self.i)
-
-    def _parse_package(self) -> None:
-        while not self.at("package"):
-            self.advance()
-        self.advance()
-        self._parse_qualified_name()
-        self.expect(";")
 
     def _parse_import(self) -> None:
         self.advance()  # import
@@ -320,10 +303,21 @@ class _Parser:
             self.expect("*")
         self.expect(";")
 
-    def _parse_qualified_name(self, what: str = "name") -> None:
+    def _parse_qualified_name(self, what: str = "name", annotated: bool = False) -> None:
+        """Read `a.b.c`. Only in a type (``annotated``) may annotations
+        follow a `.`, as in `a.@A b`: javac's parser reads them there alone."""
         self.expect_ident(what)
-        while self.values[self.i] == "." and self.kinds[self.i + 1] == "ident":
-            self.i += 2
+        values = self.values
+        while values[self.i] == ".":
+            if self.kinds[self.i + 1] == "ident":
+                self.i += 2
+            elif annotated and values[self.i + 1] == "@":
+                self.i += 1
+                while values[self.i] == "@":
+                    self._parse_annotation()
+                self.expect_ident(what)
+            else:
+                return
 
     # --- annotations / modifiers --------------------------------------
 
@@ -332,21 +326,36 @@ class _Parser:
         self._parse_qualified_name()
         self._skip_optional_group("(")
 
-    def _parse_modifiers(self) -> None:
-        """Skip annotations and modifier keywords.
+    def _parse_modifiers(self) -> tuple[str, ...]:
+        """Read annotations and modifier keywords; returns the keywords in
+        source order. A repeated one fails, as in javac's parser.
 
         Stops before `@interface`, so an `@` left at the cursor starts an
         annotation type declaration.
         """
         values = self.values
+        keywords: tuple[str, ...] = ()
         while True:
             v = values[self.i]
             if v == "@" and values[self.i + 1] != "interface":
                 self._parse_annotation()
             elif v in MODIFIER_KEYWORDS:
+                if v in keywords:
+                    raise self.fail("repeated modifier")
+                keywords += (v,)
                 self.i += 1
             else:
-                return
+                return keywords
+
+    def _parse_final(self) -> None:
+        """Read the annotations and the one `final` that javac's parser
+        takes before the type of a parameter or an exception parameter."""
+        while self.at("@"):
+            self._parse_annotation()
+        if self.at("final"):
+            self.i += 1
+            while self.at("@"):
+                self._parse_annotation()
 
     def _reject_record(self) -> None:
         """Fail at `record R(` and `record R<`, which would otherwise read
@@ -371,16 +380,18 @@ class _Parser:
         if values[self.i] in PRIMITIVE_TYPES:
             self.i += 1
         elif self.kinds[self.i] == "ident":
-            self._parse_qualified_name()
+            self._parse_qualified_name(annotated=True)
             while values[self.i] == "<":
                 lo = self.i
                 self.i = self._skip_group(lo)
                 if check:
                     self._check_type_args(lo)
-                if values[self.i] != "." or self.kinds[self.i + 1] != "ident":
+                if values[self.i] != ".":
                     break
                 self.i += 1
-                self._parse_qualified_name()
+                while values[self.i] == "@":
+                    self._parse_annotation()
+                self._parse_qualified_name(annotated=True)
         else:
             raise self.fail("expected type")
         self._skip_dims()
@@ -422,7 +433,7 @@ class _Parser:
                 self._parse_annotation()
             lo = self.i
             if keyword == "throws":
-                self._parse_qualified_name("type")
+                self._parse_qualified_name("type", annotated=True)
             else:
                 self._skip_type()
             first = first or self._text(lo, self.i)
@@ -452,9 +463,10 @@ class _Parser:
 
     # --- type declarations ---------------------------------------------
 
-    def _parse_type_decl(self) -> Node:
-        lo = self.i
-        self._parse_modifiers()
+    def _parse_type_decl(self, head: Optional[_Head] = None) -> Node:
+        """The type declaration at the cursor; ``head`` is its start and
+        modifiers when the caller has read them."""
+        lo, modifiers = head or (self.i, self._parse_modifiers())
         if self.i >= self.n:
             raise self.fail("expected type declaration")
         if self.at("@"):  # `@interface`, see _parse_modifiers
@@ -475,7 +487,7 @@ class _Parser:
             else self._parse_members(name)
         )
         self.expect("}")
-        props = {"name": name, "extends": extends, "type_params": type_params}
+        props = dict(name=name, extends=extends, type_params=type_params, modifiers=modifiers)
         return Node(kind, lo, self.i, members, props)
 
     def _parse_enum_body(self, enclosing: str) -> list[Node]:
@@ -505,14 +517,13 @@ class _Parser:
 
     def _parse_member(self, enclosing: str) -> Node:
         lo = self.i
-        self._parse_modifiers()
+        head = (lo, self._parse_modifiers())
         v = self.values[self.i]
         if not v:
             raise self.fail("unexpected end of class body")
         # nested types, `@interface` included (see _parse_modifiers)
         if v in _TYPE_KINDS or v == "@":
-            self.i = lo
-            return self._parse_type_decl()
+            return self._parse_type_decl(head)
         # initializer block (static handled by modifiers)
         if v == "{":
             body = self._parse_block()
@@ -523,17 +534,17 @@ class _Parser:
         i, values = self.i, self.values
         if values[i] == enclosing and self.kinds[i] == "ident" and values[i + 1] == "(":
             self.i = i + 1
-            return self._finish_method("constructor_declaration", lo, type_params)
+            return self._finish_method("constructor_declaration", head, type_params)
         type_lo = i
         self._skip_type()
         self.expect_ident("member name")
         if values[self.i] == "(":
-            return self._finish_method("method_declaration", lo, type_params)
+            return self._finish_method("method_declaration", head, type_params)
         self.i -= 1  # the declarators start at the name just read
         type_text = self._text(type_lo, self.i)
-        return self._parse_declarators("field_declaration", lo, type_text, "field name")
+        return self._parse_declarators("field_declaration", head, type_text, "field name")
 
-    def _finish_method(self, kind: str, lo: int, type_params: list[str]) -> Node:
+    def _finish_method(self, kind: str, head: _Head, type_params: list[str]) -> Node:
         name_tok = self.i - 1  # the cursor is just past the name
         params = self._parse_params()
         self._skip_dims()
@@ -553,8 +564,9 @@ class _Parser:
             "body": body,
             "name_tok": name_tok,
             "type_params": type_params,
+            "modifiers": head[1],
         }
-        return Node(kind, lo, self.i, [body] if body else [], props)
+        return Node(kind, head[0], self.i, [body] if body else [], props)
 
     def _parse_params(self) -> list[tuple[str, str]]:
         self.expect("(")
@@ -563,13 +575,7 @@ class _Parser:
         while values[self.i] != ")":
             if params:  # a comma separates parameters; none may trail
                 self.expect(",")
-            # only annotations and `final` may precede a parameter's type
-            while values[self.i] == "@":
-                self._parse_annotation()
-            if values[self.i] == "final":
-                self.i += 1
-            while values[self.i] == "@":
-                self._parse_annotation()
+            self._parse_final()
             type_text = self._parse_type()
             if values[self.i] == "...":
                 self.i += 1
@@ -583,10 +589,11 @@ class _Parser:
         self.i += 1  # )
         return params
 
-    def _parse_declarators(self, kind: str, lo: int, type_text: str, what: str) -> Node:
+    def _parse_declarators(self, kind: str, head: _Head, type_text: str, what: str) -> Node:
         """Parse `name[] = init, name...;` into a field or local variable
-        declaration, whose children are the anonymous class bodies in the
-        initializers; ``what`` names the identifier expected at each name."""
+        declaration that ``head`` starts, whose children are the anonymous
+        class bodies in the initializers; ``what`` names the identifier
+        expected at each name."""
         children: list[Node] = []
         declarators: list[dict[str, Any]] = []
         values = self.values
@@ -605,8 +612,8 @@ class _Parser:
                 break
             self.i += 1
         self.expect(";")
-        props = {"type": type_text, "declarators": declarators}
-        return Node(kind, lo, self.i, children, props)
+        props = {"type": type_text, "declarators": declarators, "modifiers": head[1]}
+        return Node(kind, head[0], self.i, children, props)
 
     # --- statements ----------------------------------------------------
 
@@ -646,14 +653,16 @@ class _Parser:
             if kind is not None:
                 self.advance()
                 return self._finish_simple_statement(kind, self.i - 1)
-        if v == "@" or v in _LOCAL_TYPE_STARTS:
-            saved = self.i
-            self._parse_modifiers()
+        if v in _LOCAL_DECLARATION_STARTS:
+            head = (i, self._parse_modifiers())
             self._reject_record()
-            is_type = self.values[self.i] in _TYPE_KINDS
-            self.i = saved
-            if is_type:
-                return self._parse_type_decl()
+            if self.values[self.i] in _TYPE_KINDS or self.at("@"):  # `@interface`
+                return self._parse_type_decl(head)
+            if v == "abstract" or v == "strictfp":
+                raise self.fail("expected class, interface or enum declaration")
+            return self._try_local_var_decl(head)
+        if v in MODIFIER_KEYWORDS:
+            raise self.fail("orphaned default" if v == "default" else "illegal start of expression")
         decl = self._try_local_var_decl()
         if decl is not None:
             return decl
@@ -723,11 +732,7 @@ class _Parser:
         if not self.at("("):
             raise self.fail("expected '(' after catch")
         self.i += 1
-        while (v := self.values[self.i]) in ("final", "@"):
-            if v == "@":
-                self._parse_annotation()
-            else:
-                self.i += 1
+        self._parse_final()
         self._skip_type()
         while self.at("|"):
             self.advance()
@@ -754,31 +759,32 @@ class _Parser:
         body = self._parse_block()
         return Node("synchronized_statement", lo, self.i, [body])
 
-    def _try_local_var_decl(self) -> Optional[Node]:
+    def _try_local_var_decl(self, head: Optional[_Head] = None) -> Optional[Node]:
         """The local variable declaration at the cursor, or None, the cursor
-        unmoved, if the statement there is not one."""
-        lo = self.i
-        self._parse_modifiers()
+        unmoved, if the statement there is not one. ``head``, the start and
+        modifiers of a declaration whose modifiers the caller has read,
+        makes it one."""
         type_lo = self.i
         kinds, values = self.kinds, self.values
-        if type_lo > lo:  # a modifier or annotation starts only a declaration
+        if head is not None:
             self._skip_type()
-        elif kinds[lo] != "ident" and values[lo] not in PRIMITIVE_TYPES:
+        elif kinds[type_lo] != "ident" and values[type_lo] not in PRIMITIVE_TYPES:
             return None
         else:
             try:
                 self._skip_type(check=False)
             except ParseError:  # an unclosed `<`, as in `a < b;`
-                self.i = lo
+                self.i = type_lo
                 return None
             i = self.i
             if kinds[i] != "ident" or values[i + 1] not in ("=", ";", ",", "["):
-                self.i = lo
+                self.i = type_lo
                 return None
             if i > type_lo + 1:  # a one-token type holds no type arguments
                 self._check_type_args(type_lo)
         text = self._text(type_lo, self.i)
-        return self._parse_declarators("local_variable_declaration", lo, text, "variable name")
+        head = head or (type_lo, ())
+        return self._parse_declarators("local_variable_declaration", head, text, "variable name")
 
     def _parse_initializer(self, children: list[Node]) -> tuple[int, int]:
         """Consume a variable initializer after its '='; returns its token
@@ -843,7 +849,7 @@ class _Parser:
             elif v == "}":
                 raise self.fail("unexpected '}' in expression")
             elif v == "new":
-                k = self._new_type_end(i + 1)
+                k = new_type_end(self.tokens, i + 1)
                 if k is not None and values[k] == "(":
                     # jump to the `(`: a comma in the type arguments ends
                     # no declarator

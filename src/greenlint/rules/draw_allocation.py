@@ -65,17 +65,13 @@ def _args_are_invariant(
     return True
 
 
-def _final_fields(values: list[str], members: list[Node]) -> set[str]:
+def _final_fields(members: list[Node]) -> set[str]:
     """The fields among ``members`` declared `final` with an initializer (a
-    blank final may be read before a constructor sets it), found by the
-    token values before each declaration's first name: nodes keep no
-    modifiers."""
+    blank final may be read before a constructor sets it)."""
     names: set[str] = set()
     for member in members:
-        if member.kind != "field_declaration":
-            continue
-        decls = member.props["declarators"]
-        if "final" in values[member.tok_lo : decls[0]["name_tok"]]:
+        if member.kind == "field_declaration" and "final" in member.props["modifiers"]:
+            decls = member.props["declarators"]
             names.update(d["name"] for d in decls if d["init"] != (None, None))
     return names
 
@@ -132,7 +128,7 @@ def apply_draw_allocation(tree: SyntaxTree, path: str = "") -> RuleResult:
         # The field is hoisted just above onDraw, where reading a field
         # declared below it is an illegal forward reference.
         above = owner.children[: owner.children.index(method)]
-        fields = _final_fields(tree.tokens.values, above)
+        fields = _final_fields(above)
         locals_ = declared_locals(method)
 
         for stmt in body.children:

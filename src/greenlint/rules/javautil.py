@@ -69,7 +69,7 @@ def cannot_declare(tree: SyntaxTree, method: Node, types: list[str], static: boo
     local_types = {n.props["name"] for n in method.props["body"].walk() if n.kind in TYPE_DECLS}
     if names.intersection(local_types.union(method.props["type_params"])):
         return "the local's type is declared in the method, so it is not in scope outside it"
-    if not static and declared_static(tree, method):
+    if not static and "static" in method.props["modifiers"]:
         return "the method is 'static', so it cannot use an instance member the fix declares"
     return ""
 
@@ -80,14 +80,6 @@ def path_to(tree: SyntaxTree, node: Node) -> list[Node]:
     while path[-1] is not node:
         path.append(next(c for c in path[-1].children if c.tok_lo <= node.tok_lo < c.tok_hi))
     return path[1:]
-
-
-def declared_static(tree: SyntaxTree, node: Node) -> bool:
-    """True if the modifiers of the method, type or anonymous body ``node``
-    hold `static`: nodes keep no modifiers, so its tokens are read."""
-    values = tree.tokens.values
-    end = node.props.get("name_tok") or values.index("{", node.tok_lo)
-    return "static" in values[node.tok_lo : end]
 
 
 def fresh_name(base: str, taken: set[str]) -> str:

@@ -26,7 +26,6 @@ from .javautil import (
     cannot_declare,
     class_fields,
     declared_locals,
-    declared_static,
     file_eol,
     find_invocations,
     fresh_name,
@@ -164,7 +163,8 @@ def apply_view_holder(tree: SyntaxTree, path: str = "") -> RuleResult:
         region_start = own_line_start(data, stmt_start)
         fits = holder_at is not None and region_start is not None
         interface = owner.kind == "interface_declaration"
-        static = interface or owner in tree.root.children or declared_static(tree, owner)
+        nested_static = "static" in owner.props.get("modifiers", ())  # none on an anonymous body
+        static = interface or owner in tree.root.children or nested_static
         types = [stmt.props["type"] for stmt, _ in cached]
         reason = (
             cannot_declare(tree, method, types, static=static)

@@ -227,8 +227,7 @@ def test_complete_expression_statements_parse(statement):
         (b"class A { void f() { if (x { } } }", 25, "')'"),
         (b"class A<T { }", 8, "'>'"),
         (b"class A { Map<K,V> m = Collections.<K; }", 36, "'>'"),
-        # the package lookahead fails where the cursor stands, not at the '('
-        (b"@Deprecated(x class A { }", 1, "')'"),
+        (b"@Deprecated(x class A { }", 12, "')'"),
     ],
 )
 def test_unclosed_group_fails_at_the_cursor(source, column, closer):
@@ -378,6 +377,20 @@ def test_split_args_splits_on_top_level_commas_only():
         (b"class X { void g() throws E[] {} }", "1:28: expected ';'"),
         (b"class Z { void f() { List<@A(new B {}) String> x; } }", "1:36: '(' or '[' expected"),
         (b"class A { @B( int x; }", "1:13: unbalanced ')'"),
+        # a block takes a declaration's modifiers as javac's parser does
+        (b"class A { void f() { static int x = 1; } }", "1:22: illegal start of expression"),
+        (b"class A { void f() { public class B {} } }", "1:22: illegal start of expression"),
+        (b"class A { void f() { default int x; } }", "1:22: orphaned default"),
+        (
+            b"class A { void f() { abstract int x = 1; } }",
+            "1:31: expected class, interface or enum declaration",
+        ),
+        (b"class A { static final static int x; }", "1:24: repeated modifier"),
+        (b"class A { void f() { final final int x; } }", "1:28: repeated modifier"),
+        (b"class A { void f() { try {} catch (final final E e) {} } }", "1:42: expected type"),
+        # only a type's name takes annotations after a `.`
+        (b"import a.@A b;", "1:10: expected '*'"),
+        (b"@a.@B C class X {}", "1:3: expected class, interface or enum declaration"),
         (b"record R(int x) {}", "1:1: expected class, interface or enum declaration"),
         (b"class T { record R(int x) {} }", "1:11: records are not supported"),
         (b"class T { private static record R(int x) {} }", "1:26: records are not supported"),
@@ -412,6 +425,8 @@ def test_parse_error_message_and_location(source, expected):
         b"class S { void f() { try { } catch (final @A E | F e) {} } }",
         b"class S { void f() { try { } catch (@A final a.E<?>[] e[]) {} } }",
         b"class S extends @A Y implements @B I, @C(1) J { void g() throws @D a.E, F {} }",
+        b"class S extends Y.@A Z { a.@B C f; void g(a.@C D x) throws E.@D F { a.@E B c; } }",
+        b"class S { Outer<A>.@B Inner<C> f; }",
     ],
 )
 def test_type_argument_shapes_parse(source):
@@ -422,6 +437,55 @@ def test_type_argument_shapes_parse(source):
 def test_extends_keeps_the_type_without_its_annotations():
     tree = parse_java(b"class X extends @A @B(1) p.Y<String> {} interface I extends @A J, K {}")
     assert [t.props["extends"] for t in tree.root.children] == ["p.Y<String>", "J"]
+
+
+def test_declarations_keep_their_modifier_keywords():
+    tree = parse_java(
+        b"@A public final class Top {\n"
+        b"    @B(1) private static final int f = 1, g;\n"
+        b"    protected Top() {}\n"
+        b"    public static synchronized <T> void m(final int p) {\n"
+        b"        @C final int local = 1;\n"
+        b"        abstract @D strictfp class Local {}\n"
+        b"        int plain;\n"
+        b"        Object o = new Object() { void run() {} };\n"
+        b"    }\n"
+        b"    static abstract class Nested {}\n"
+        b"    private interface NestedI {}\n"
+        b"    public enum NestedE { A { } }\n"
+        b"    @interface NestedAnnotation {}\n"
+        b"}\n"
+        b"strictfp interface TopI {}\n"
+        b"enum TopE { B }\n"
+        b"@Deprecated public @interface TopAnnotation {}\n"
+    )
+    heads = []
+    for n in tree.root.walk():
+        if "modifiers" in n.props:
+            assert type(n.props["modifiers"]) is tuple
+            name = n.props.get("name") or n.props["declarators"][0]["name"]
+            heads.append((n.kind, name, n.props["modifiers"]))
+    assert heads == [
+        ("class_declaration", "Top", ("public", "final")),
+        ("field_declaration", "f", ("private", "static", "final")),
+        ("constructor_declaration", "Top", ("protected",)),
+        ("method_declaration", "m", ("public", "static", "synchronized")),
+        ("local_variable_declaration", "local", ("final",)),
+        ("class_declaration", "Local", ("abstract", "strictfp")),
+        ("local_variable_declaration", "plain", ()),
+        ("local_variable_declaration", "o", ()),
+        ("method_declaration", "run", ()),
+        ("class_declaration", "Nested", ("static", "abstract")),
+        ("interface_declaration", "NestedI", ("private",)),
+        ("enum_declaration", "NestedE", ("public",)),
+        ("annotation_declaration", "NestedAnnotation", ()),
+        ("interface_declaration", "TopI", ("strictfp",)),
+        ("enum_declaration", "TopE", ()),
+        ("annotation_declaration", "TopAnnotation", ("public",)),
+    ]
+    # an anonymous class body, an enum constant's among them, has no head
+    bodies = find_all(tree, "anonymous_class_body")
+    assert len(bodies) == 2 and all(b.props == {} for b in bodies)
 
 
 def test_record_as_an_identifier_still_parses():

@@ -1,29 +1,68 @@
 """greenlint's Java parser must accept exactly the programs javac's parser
 accepts.
 
-Each case is written to its own file, and one parse-only javac call reads
-them all: `-XDshould-stop.ifError=PARSE -XDshould-stop.ifNoError=PARSE`
+Each program is written to its own file, and one parse-only javac call
+reads them all: `-XDshould-stop.ifError=PARSE -XDshould-stop.ifNoError=PARSE`
 stops it after parsing, and `-XDrawDiagnostics` prints each error as
-`Name.java:line:col: key`. The cases are annotated types in `extends`,
-`implements` and `throws` lists, a `throws` list holding more than a
-qualified name, and `catch` headers. Skipped when no `javac` is on the
-path.
+`Name.java:line:col: key`. The hand-written cases are annotated types,
+`throws` lists, `catch` headers and the modifiers of declaration heads. The
+mutants are seeded single-token damage to the Java fixtures. Skipped when
+no `javac` is on the path.
 """
 
+import random
 import shutil
 import subprocess
+from pathlib import Path
 
 import pytest
 
+from greenlint.java.lexer import tokenize
 from greenlint.java.parser import parse_java_source
+
+from conftest import FIXTURES
 
 JAVAC = shutil.which("javac")
 pytestmark = pytest.mark.skipif(JAVAC is None, reason="javac is not installed")
 
 
+def _javac_rejects(directory: Path, sources: dict[str, bytes]) -> tuple[set[str], str]:
+    """Write each source to ``directory`` as ``<name>.java`` and parse them
+    all in one parse-only javac call; returns the names javac reports an
+    error for, and its stderr."""
+    for name, data in sources.items():
+        (directory / f"{name}.java").write_bytes(data)
+    result = subprocess.run(
+        [
+            JAVAC,
+            "-XDrawDiagnostics",
+            "-XDshould-stop.ifError=PARSE",
+            "-XDshould-stop.ifNoError=PARSE",
+            "-Xmaxerrs",
+            str(10 * len(sources)),
+            *(f"{name}.java" for name in sources),
+        ],
+        cwd=directory,
+        capture_output=True,
+        text=True,
+    )
+    lines = result.stderr.splitlines()
+    return {line.split(".java:", 1)[0] for line in lines if ".java:" in line}, result.stderr
+
+
+def _greenlint_rejects(sources: dict[str, bytes]) -> set[str]:
+    return {name for name, data in sources.items() if parse_java_source(data)[1]}
+
+
 def _catch(header: str) -> str:
     return f"class C {{ void f() {{ try {{ }} catch ({header}) {{}} }} }}"
 
+
+def _block(statement: str) -> str:
+    return f"class C {{ void f() {{ {statement} }} }}"
+
+
+_MODIFIERS = "public protected private static native transient volatile final abstract strictfp"
 
 CASES = {
     "ExtendsAnnotated": "class X extends @A Y {}",
@@ -42,28 +81,66 @@ CASES = {
     "CatchStatic": _catch("static E e"),
     "CatchNoName": _catch("E"),
     "CatchUnionNoName": _catch("E | e"),
+    "CatchFinalFinal": _catch("final final E e"),
+    # a type annotation may follow each `.` of a type's name, but not of a
+    # package, import or annotation name
+    "FieldQualifiedAnnotated": "class X { Y.@A Z f; }",
+    "ExtendsQualifiedAnnotated": "class X extends Y.@A Z implements I.@B @C J {}",
+    "ThrowsQualifiedAnnotated": "class X { void g() throws @A E.@B F {} }",
+    "CatchQualifiedAnnotated": _catch("Y.@A Z e"),
+    "ParamQualifiedAnnotated": "class X { void g(final Y.@A Z z) {} }",
+    "LocalQualifiedAnnotated": _block("Y.@A Z z = null; final a.@A b.@B(1) C c;"),
+    "InnerQualifiedAnnotated": "class X { Outer<A>.@B Inner<C> f; }",
+    "ImportQualifiedAnnotated": "import a.@A b; class X {}",
+    "PackageQualifiedAnnotated": "package a.@A b;",
+    "AnnotationQualifiedAnnotated": "@a.@B C class X {}",
+    # the first modifier of a declaration in a block decides: `final`,
+    # `abstract`, `strictfp` or an annotation start one, and then any
+    # modifier may follow; a local variable cannot start with `abstract` or
+    # `strictfp`, and a leading `default` is orphaned
+    **{f"Local{m.title()}Variable": _block(f"{m} int x = 1;") for m in _MODIFIERS.split()},
+    **{f"Local{m.title()}Class": _block(f"{m} class Q {{}}") for m in _MODIFIERS.split()},
+    "LocalDefaultVariable": _block("default int x = 1;"),
+    "LocalDefaultClass": _block("default class Q {}"),
+    "LocalFinalStaticVariable": _block("final static int x = 1;"),
+    "LocalAnnotatedPublicClass": _block("@A public class Q {}"),
+    "LocalAnnotatedAnnotationType": _block("@A @interface Q {}"),
+    "LocalFinalFinal": _block("final final int x = 1;"),
+    "FieldStaticStatic": "class C { static static int x; }",
 }
 
 
 def test_greenlint_accepts_what_javac_parses(tmp_path):
-    for name, text in CASES.items():
-        (tmp_path / f"{name}.java").write_text(text + "\n")
-    result = subprocess.run(
-        [
-            JAVAC,
-            "-XDrawDiagnostics",
-            "-XDshould-stop.ifError=PARSE",
-            "-XDshould-stop.ifNoError=PARSE",
-            *(f"{name}.java" for name in CASES),
-        ],
-        cwd=tmp_path,
-        capture_output=True,
-        text=True,
-    )
-    javac_rejects = {
-        line.split(".java:", 1)[0] for line in result.stderr.splitlines() if ".java:" in line
-    }
-    greenlint_rejects = {
-        name for name, text in CASES.items() if parse_java_source(text.encode())[1]
-    }
-    assert greenlint_rejects == javac_rejects, result.stderr
+    sources = {name: (text + "\n").encode() for name, text in CASES.items()}
+    javac_rejects, stderr = _javac_rejects(tmp_path, sources)
+    assert _greenlint_rejects(sources) == javac_rejects, stderr
+
+
+def _mutants() -> dict[str, bytes]:
+    """Seeded damage to every Java fixture: 25 single-token deletions, then
+    10 single-token duplications (the copy after a space), per file."""
+    rng = random.Random(7)
+    mutants = {}
+    for path in sorted(FIXTURES.rglob("*.java")):
+        data = path.read_bytes()
+        tokens = tokenize(data)
+        for n in range(35):
+            k = rng.randrange(len(tokens))
+            lo, hi = tokens.starts[k], tokens.ends[k]
+            mutant = data[:lo] + data[hi:] if n < 25 else data[:hi] + b" " + data[lo:]
+            mutants[f"M{len(mutants)}"] = mutant
+    return mutants
+
+
+# Mutants that javac's parser rejects and greenlint parses. Lower the pin
+# when a change makes greenlint reject more of them; it may not rise.
+ACCEPTED_THAT_JAVAC_REJECTS = 259
+
+
+def test_mutated_fixtures_parse_where_javac_parses_them(tmp_path):
+    mutants = _mutants()
+    assert len(mutants) == 910
+    javac_rejects, stderr = _javac_rejects(tmp_path, mutants)
+    greenlint_rejects = _greenlint_rejects(mutants)
+    assert greenlint_rejects - javac_rejects == set(), stderr
+    assert len(javac_rejects - greenlint_rejects) == ACCEPTED_THAT_JAVAC_REJECTS

@@ -319,6 +319,16 @@ def _host(head: str, tail: str, depth: int) -> bytes:
             _host("class O {\n    static class A extends BaseAdapter {\n", "    }\n}\n", 2),
             "private static class ViewHolderItem",
         ),
+        # the `{` of an annotation's argument ends no head
+        (
+            _host(
+                'class O {\n    @SuppressWarnings({"unchecked"}) static class Host'
+                " extends BaseAdapter {\n",
+                "    }\n}\n",
+                2,
+            ),
+            "private static class ViewHolderItem",
+        ),
         # before Java 16 an inner, anonymous or local class holds no static member
         (
             _host("class O {\n    class A extends BaseAdapter {\n", "    }\n}\n", 2),
@@ -372,7 +382,8 @@ def _host(head: str, tail: str, depth: int) -> bytes:
         ),
     ],
     ids=[
-        "top-level", "static-nested", "inner-member", "anonymous", "local-class",
+        "top-level", "static-nested", "static-nested-annotated", "inner-member", "anonymous",
+        "local-class",
         "anonymous-in-a-method-spelling-r",
         "enum-constant-body", "interface-default", "enclosing-type-name",
         "enclosing-method-local-class",
