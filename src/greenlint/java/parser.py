@@ -1,17 +1,22 @@
 """Structural recursive-descent parser for Java source files.
 
 The parser recognizes the declarations and statement structure the energy
-rules need while keeping expressions as token slices. It reads its own
-copies of the lexer's parallel token lists, with end markers, by index, and
-tests an operator or keyword by its value alone. Every node carries a token
-index range into the lexer's lists, so the original bytes of any node are
-always reachable. A probe for a local variable declaration does not raise
-when the statement is an expression.
+rules need, and the calls and class instance creations inside expressions;
+the rest of an expression stays a token run. It reads its own copies of the
+lexer's parallel token lists, with end markers, by index, and tests an
+operator or keyword by its value alone. Every node carries a token index
+range into the lexer's lists, so the original bytes of any node are always
+reachable. A probe for a local variable declaration does not raise when the
+statement is an expression.
 
-Anonymous class bodies inside expressions are parsed as full class bodies
-and attached as child nodes, so rules see methods declared in anonymous
-adapters too. An enum constant's body is an anonymous class body as well,
-a child of the enum among its members.
+One walker, `_Parser._walk`, reads every token run the parser does not parse
+into statements (expressions, headers, switch bodies, lambda bodies, array
+initializers, annotation arguments) and records a ``call`` node at each
+`name(...)` and a ``creation`` node at each `new T(...)` in it. An
+anonymous class body in an expression is parsed as a full class body, so
+rules see methods declared in anonymous adapters too; in the other runs it
+stays tokens. An enum constant's body is an anonymous class body as well, a
+child of the enum among its members.
 
 Node kinds, and the props that rules read (token ranges are half-open
 index pairs):
@@ -28,15 +33,31 @@ index pairs):
   (dicts of ``name``, ``name_tok`` and ``init``, the initializer's token
   range or (None, None));
 - if_statement: ``cond``, the token range in its parens;
+- for_statement: ``parts``, the init, condition and update ranges of its
+  header, or [] for an enhanced `for`;
+- call: ``name``, ``name_tok``, ``receiver`` (the simple name before
+  `.name(`, or None) and ``args``; its range runs from the receiver, or
+  else the name, to the `)`;
+- creation: ``type`` (the qualified name, without type arguments),
+  ``args`` and ``body`` (its anonymous_class_body, or None); its range
+  runs from `new` to the `)`, or to the end of its body;
 - without props: compilation_unit, block, anonymous_class_body,
   initializer, and the labeled, expression, empty, return, throw, break,
-  continue, assert, for, while, do, try, switch (its body kept as tokens)
-  and synchronized statements.
+  continue, assert, while, do, try, switch and synchronized statements.
+
+``args`` are the token ranges of the arguments, split at the commas
+between them: a range is empty where two commas meet, and an empty last
+one is left out, so `f()` has none. Nodes nest: the calls and creations
+in an argument list are that node's children, an anonymous class body is
+its creation's child, and those in a declaration, a statement or its
+header are its children. Children are in source order, so the nodes of a
+`while` or `for` header come before its body.
 
 Package and import declarations and annotations are checked and skipped;
-no node holds them. The type arguments of a declaration's types are
-checked to hold only types; those in an expression stay token runs. A
-block's or a type's closing brace is its last token.
+no node holds them, nor the calls in an annotation's or an enum
+constant's arguments. The type arguments of a declaration's types, of
+`new T<...>(` and of `a.<T>f()` are checked to hold only types. A block's
+or a type's closing brace is its last token.
 """
 
 from __future__ import annotations
@@ -81,10 +102,10 @@ _ANGLE_MARKS = _BRACKETS | {"<", ">"}
 
 # The parser's copies of the token lists end in these markers (the tree keeps
 # the lexer's). No token spells "", so a test of the token up to two past the
-# cursor needs no bound check.
+# cursor, or before the first, needs no bound check.
 _END = ["", "", ""]
-# The tokens `_consume_expression` acts on, the end marker among them.
-_EXPRESSION_MARKS = frozenset("( ) [ ] ; , { } . new".split()) | {""}
+# The tokens `_walk` acts on, the end marker among them.
+_WALK_MARKS = _BRACKETS | frozenset("; , < new".split()) | {""}
 
 # An expression never starts or ends with an assignment operator. `>>=` and
 # `>>>=` lex as `>` tokens then `>=`, since `>` is always a token of its own.
@@ -99,9 +120,9 @@ def match_group(values: list[str], j: int) -> tuple[bool, int]:
     Returns ``(True, end)``, ``end`` being the index just past the group, or
     ``(False, k)`` if the group does not close properly. Inside any group
     `()[]{}` must nest. ``k`` is the index of the closer that breaks the
-    nesting of a bracket opened inside the group, or ``j`` when the group's
-    own bracket is the one left open. A `<` group ends at the `>` that
-    balances its `<`s, counting only those outside the brackets it holds.
+    nesting, or ``j`` when the group is left open. A `<` group ends at the
+    `>` that balances its `<`s, counting only those outside the brackets it
+    holds.
     """
     angle = values[j] == "<"
     marks = _ANGLE_MARKS if angle else _BRACKETS
@@ -117,9 +138,7 @@ def match_group(values: list[str], j: int) -> tuple[bool, int]:
             if not expected:
                 return False, j
             if expected.pop() != v:
-                # The stray closer is at fault if it meets a bracket opened
-                # inside the group; if it meets the group's own, the opener is.
-                return False, k if angle or expected else j
+                return False, k
             if not expected and not angle:
                 return True, k + 1
         elif angle and not expected:
@@ -132,26 +151,15 @@ def match_group(values: list[str], j: int) -> tuple[bool, int]:
     return False, j
 
 
-def new_type_end(tokens: Tokens, j: int) -> Optional[int]:
-    """Index of the token after `new` and the qualified type name and type
-    arguments that start at token ``j``: `(` for a class instance creation;
-    None if the type arguments do not close or the tokens end. Fails at a
-    `{` there: a class instance creation with no argument list, `new B {`.
-    Like the rest of the parser, it accepts more than Java: the name may be
-    missing."""
-    kinds, values = tokens.kinds, tokens.values
-    n = len(values)
-    if j < n and kinds[j] == "ident":
-        j += 1
-        while j + 1 < n and values[j] == "." and kinds[j + 1] == "ident":
-            j += 2
-    if j < n and values[j] == "<":
-        closed, j = match_group(values, j)
-        if not closed:
-            return None
-    if j < n and values[j] == "{":
-        raise ParseError(tokens.starts[j], "'(' or '[' expected")
-    return j if j < n else None
+def _without_type_args(values: list[str]) -> str:
+    """The text of a class type's tokens, ``values``, without its type
+    arguments: `Outer.Inner` for `Outer<A>.Inner<B<C>>`."""
+    depth, text = 0, ""
+    for v in values:
+        depth += (v == "<") - (v == ">")
+        if not depth and v != ">":
+            text += v
+    return text
 
 
 class Node:
@@ -267,31 +275,26 @@ class _Parser:
         return Node("compilation_unit", 0, self.i, children)
 
     def _skip_group(self, j: int) -> int:
-        """Index just past the group that opens at token ``j``. A class
-        instance creation in it is checked as `_consume_expression` checks
-        one, so a skipped run holds no `new B {`."""
-        values = self.values
-        closed, k = match_group(values, j)
+        """Index just past the `<` group that opens at token ``j``, which
+        the caller checks with `_check_type_args`."""
+        closed, k = match_group(self.values, j)
         if not closed:
             if k == j:
-                raise self.fail(f"unbalanced {_CLOSERS[values[j]]!r}")
-            raise ParseError(self.tokens.starts[k], f"unexpected {values[k]!r}")
-        # most groups hold no `new`, which their bytes show more cheaply
-        # than the `ValueError` below
-        starts = self.tokens.starts
-        if self.data.find(b"new", starts[j], starts[k - 1]) < 0:
-            return k
-        try:
-            while True:
-                j = values.index("new", j, k) + 1
-                new_type_end(self.tokens, j)
-        except ValueError:  # no `new` left in the group
-            return k
+                raise ParseError(self.tokens.starts[j], "unbalanced '>'")
+            raise ParseError(self.tokens.starts[k], f"unexpected {self.values[k]!r}")
+        return k
 
-    def _skip_optional_group(self, opener: str) -> None:
-        """Skip the group at the cursor if it opens with ``opener``."""
-        if self.values[self.i] == opener:
-            self.i = self._skip_group(self.i)
+    def _walk_parens(
+        self, children: list[Node], after: str = "", sep: Optional[str] = None
+    ) -> list[tuple[int, int]]:
+        """Walk the `(` group at the cursor, adding the nodes in it to
+        ``children``; see `_walk` for ``sep`` and what it returns. The group
+        may be missing unless it must follow keyword ``after``."""
+        if self.values[self.i] == "(":
+            return self._walk(children, group=True, sep=sep)
+        if after:
+            raise self.fail(f"expected '(' after {after}")
+        return []
 
     def _parse_import(self) -> None:
         self.advance()  # import
@@ -324,7 +327,7 @@ class _Parser:
     def _parse_annotation(self) -> None:
         self.expect("@")
         self._parse_qualified_name()
-        self._skip_optional_group("(")
+        self._walk_parens([])
 
     def _parse_modifiers(self) -> tuple[str, ...]:
         """Read annotations and modifier keywords; returns the keywords in
@@ -371,11 +374,12 @@ class _Parser:
         while self.values[self.i] == "[" and self.values[self.i + 1] == "]":
             self.i += 2
 
-    def _skip_type(self, check: bool = True) -> None:
+    def _skip_type(self, check: bool = True, dims: bool = True) -> None:
         """Move the cursor past a type reference, `Outer<A>.Inner<B>[]` among
-        them. With ``check``, its type arguments are checked as
-        `_check_type_args` checks them; a probe that does not yet know the
-        statement is a declaration checks them once it does."""
+        them, or without ``dims`` past all but its `[]` pairs. With
+        ``check``, its type arguments are checked as `_check_type_args`
+        checks them; a probe that does not yet know the statement is a
+        declaration checks them once it does."""
         values = self.values
         if values[self.i] in PRIMITIVE_TYPES:
             self.i += 1
@@ -394,7 +398,8 @@ class _Parser:
                 self._parse_qualified_name(annotated=True)
         else:
             raise self.fail("expected type")
-        self._skip_dims()
+        if dims:
+            self._skip_dims()
 
     def _check_type_args(self, lo: int) -> None:
         """Fail with javac's `illegal start of type` at the first token from
@@ -495,7 +500,7 @@ class _Parser:
         # constants: Name, Name(args), Name { body }
         while self.i < self.n and not (self.at("}") or self.at(";")):
             self.expect_ident("enum constant")
-            self._skip_optional_group("(")
+            self._walk_parens([])
             if self.at("{"):
                 members.append(self._parse_anonymous_body())
             if not self.at(","):
@@ -555,7 +560,7 @@ class _Parser:
         else:
             if self.at("default"):  # annotation member default value
                 self.advance()
-                self._consume_expression()
+                self._walk([])
             self.expect(";")
         name = self.values[name_tok]
         props = {
@@ -629,7 +634,9 @@ class _Parser:
         self.i += 1
         return Node("block", lo, self.i, stmts)
 
-    def _parse_statement(self) -> Node:
+    def _parse_statement(self, alone: bool = False) -> Node:
+        """The statement at the cursor. One that is ``alone``, the body of
+        `if`, `else`, a loop or a label, may not be a declaration."""
         i = self.i
         v = self.values[i]
         if not v:  # the end marker
@@ -642,7 +649,7 @@ class _Parser:
         if self.kinds[i] == "ident":
             if self.values[i + 1] == ":":
                 self.i = i + 2  # a labeled statement (JLS 14.7): `label: statement`
-                body = self._parse_statement()
+                body = self._parse_statement(alone=True)
                 return Node("labeled_statement", i, self.i, [body])
             self._reject_record()
         else:
@@ -657,65 +664,71 @@ class _Parser:
             head = (i, self._parse_modifiers())
             self._reject_record()
             if self.values[self.i] in _TYPE_KINDS or self.at("@"):  # `@interface`
+                if alone:
+                    self.i += self.at("@")  # javac points at `interface`
+                    raise self.fail("class, interface or enum declaration not allowed here")
                 return self._parse_type_decl(head)
             if v == "abstract" or v == "strictfp":
                 raise self.fail("expected class, interface or enum declaration")
-            return self._try_local_var_decl(head)
+            return self._try_local_var_decl(head, alone)
         if v in MODIFIER_KEYWORDS:
             raise self.fail("orphaned default" if v == "default" else "illegal start of expression")
-        decl = self._try_local_var_decl()
+        decl = self._try_local_var_decl(alone=alone)
         if decl is not None:
             return decl
         return self._finish_simple_statement("expression_statement", self.i)
 
     def _finish_simple_statement(self, kind: str, lo: int) -> Node:
         """The `[expression];` that ends a statement begun at ``lo``."""
-        children = self._consume_expression()
+        children: list[Node] = []
+        self._walk(children)
         self.expect(";")
         return Node(kind, lo, self.i, children)
-
-    def _skip_parens(self, after: str) -> None:
-        """Skip the parenthesised header that must follow keyword ``after``."""
-        if not self.at("("):
-            raise self.fail(f"expected '(' after {after}")
-        self.i = self._skip_group(self.i)
 
     def _parse_if(self) -> Node:
         lo = self.i
         self.advance()
         cond_lo = self.i + 1
-        self._skip_parens("if")
+        children: list[Node] = []
+        self._walk_parens(children, "if")
         props = {"cond": (cond_lo, self.i - 1)}
-        children = [self._parse_statement()]
+        children.append(self._parse_statement(alone=True))
         if self.at("else"):
             self.advance()
-            children.append(self._parse_statement())
+            children.append(self._parse_statement(alone=True))
         return Node("if_statement", lo, self.i, children, props)
 
     def _parse_loop(self) -> Node:
         """`for (...) body` or `while (...) body`; the keyword names the kind."""
         lo = self.i
         keyword = self.advance()
-        self._skip_parens(keyword)
-        body = self._parse_statement()
-        return Node(f"{keyword}_statement", lo, self.i, [body])
+        children: list[Node] = []
+        parts = self._walk_parens(children, keyword, ";" if keyword == "for" else None)
+        children.append(self._parse_statement(alone=True))
+        if keyword == "while":
+            return Node("while_statement", lo, self.i, children)
+        if len(parts) == 2:  # an empty update, left out as an empty last range
+            parts.append((parts[1][1] + 1, parts[1][1] + 1))
+        props = {"parts": parts if len(parts) > 1 else []}
+        return Node("for_statement", lo, self.i, children, props)
 
     def _parse_do(self) -> Node:
         lo = self.i
         self.advance()
-        body = self._parse_statement()
+        children = [self._parse_statement(alone=True)]
         if not self.at("while"):
             raise self.fail("expected 'while' after do body")
         self.advance()
-        self._skip_parens("while")
+        self._walk_parens(children, "while")
         self.expect(";")
-        return Node("do_statement", lo, self.i, [body])
+        return Node("do_statement", lo, self.i, children)
 
     def _parse_try(self) -> Node:
         lo = self.i
         self.advance()
-        self._skip_optional_group("(")  # try-with-resources header, kept opaque
-        children = [self._parse_block()]
+        children: list[Node] = []
+        self._walk_parens(children)  # try-with-resources header
+        children.append(self._parse_block())
         while self.at("catch"):
             self.advance()
             self._parse_catch_parameter()
@@ -744,26 +757,28 @@ class _Parser:
     def _parse_switch(self) -> Node:
         lo = self.i
         self.advance()
-        self._skip_parens("switch")
+        children: list[Node] = []
+        self._walk_parens(children, "switch")
         if not self.at("{"):
             raise self.fail("expected '{' after switch header")
-        # Case bodies stay opaque token runs; anonymous classes inside are
-        # still brace-balanced by the group matcher.
-        self.i = self._skip_group(self.i)
-        return Node("switch_statement", lo, self.i)
+        self._walk(children, group=True)  # the case bodies stay a token run
+        return Node("switch_statement", lo, self.i, children)
 
     def _parse_synchronized(self) -> Node:
         lo = self.i
         self.advance()
-        self._skip_optional_group("(")
-        body = self._parse_block()
-        return Node("synchronized_statement", lo, self.i, [body])
+        children: list[Node] = []
+        self._walk_parens(children)
+        children.append(self._parse_block())
+        return Node("synchronized_statement", lo, self.i, children)
 
-    def _try_local_var_decl(self, head: Optional[_Head] = None) -> Optional[Node]:
+    def _try_local_var_decl(
+        self, head: Optional[_Head] = None, alone: bool = False
+    ) -> Optional[Node]:
         """The local variable declaration at the cursor, or None, the cursor
         unmoved, if the statement there is not one. ``head``, the start and
         modifiers of a declaration whose modifiers the caller has read,
-        makes it one."""
+        makes it one. A statement that is ``alone`` fails if it is one."""
         type_lo = self.i
         kinds, values = self.kinds, self.values
         if head is not None:
@@ -782,90 +797,168 @@ class _Parser:
                 return None
             if i > type_lo + 1:  # a one-token type holds no type arguments
                 self._check_type_args(type_lo)
+        if alone:
+            raise self.fail("variable declaration not allowed here")
         text = self._text(type_lo, self.i)
         head = head or (type_lo, ())
         return self._parse_declarators("local_variable_declaration", head, text, "variable name")
 
     def _parse_initializer(self, children: list[Node]) -> tuple[int, int]:
         """Consume a variable initializer after its '='; returns its token
-        range and adds any anonymous class bodies in it to `children`."""
+        range and adds the nodes in it to `children`."""
         lo = self.i
-        children.extend(self._consume_expression(stop_at_comma=True))
+        self._walk(children, stop_at_comma=True)
         if self.i == lo:
             raise self.fail("expected expression")
         return lo, self.i
 
-    def _consume_expression(self, stop_at_comma: bool = False) -> list[Node]:
-        """Consume expression tokens up to ';' (or top-level ',').
+    def _walk(
+        self,
+        children: list[Node],
+        group: bool = False,
+        stop_at_comma: bool = False,
+        sep: Optional[str] = None,
+    ) -> list[tuple[int, int]]:
+        """Walk the token run at the cursor, adding the calls and creations
+        in it to ``children``; see the module docstring for their shapes.
 
-        A run that starts or ends with an assignment operator fails with
-        "expected expression". Anonymous class bodies (`new T(...) { ... }`)
-        are parsed into child class-body nodes; everything else remains a
-        token run. Returns the child nodes discovered along the way.
+        Without ``group``, the run is an expression, which ends before a
+        `;`, a top-level `,` if ``stop_at_comma``, or a `)` or `]` that
+        closes no bracket of its own; it fails with "expected expression"
+        if it starts or ends with an assignment operator. An anonymous class
+        body in it is parsed, unless it lies in a `{}` group (a lambda body
+        or an array initializer). With ``group``, the run is the bracket
+        group that opens at the cursor, whose anonymous class bodies stay
+        tokens, and the ranges between its top-level ``sep``s are returned.
+        Brackets must nest, and the type arguments of `new T<...>(` and
+        `a.<T>f()` hold only types.
         """
-        children: list[Node] = []
-        values = self.values
-        lo = i = self.i  # the cursor; stored at each mark, where calls and failures read it
-        open_at: list[int] = []  # indices of the open `(`/`[`, innermost last
-        new_args: set[int] = set()  # indices of each `(` after `new Type`
-        body_at = -1  # a `{` at this index follows `new Type(...)`
+        values, kinds = self.values, self.kinds
+        lo = i = self.i
+        # the state of each level outside the innermost bracket: its opener,
+        # the node whose arguments it holds, the list its nodes go to, the
+        # ranges between its separators (None if not kept), where the last
+        # range starts, and the separator
+        stack: list[tuple[int, Optional[Node], list[Node], Optional[list], int, Any]] = []
+        opener, node, args, arg_lo = -1, None, None, 0
+        # the depth of the group walked, or of a `{` group in an expression,
+        # 0 for none: a closer that meets the group's own bracket, or the end
+        # of the file, fails at the group's opener as `unbalanced`
+        root = 0
+        # `new`, its type, its `(`, and a `{` after its `)`
+        new_at = new_type = new_paren = body_at = -1
+        if group:
+            stack.append((opener, node, children, args, arg_lo, None))
+            opener, args, arg_lo, root = i, [], i + 1, 1
+            i += 1
+        else:
+            sep = None
         while True:
             v = values[i]
-            if v not in _EXPRESSION_MARKS:
+            if v not in _WALK_MARKS:
                 i += 1
                 continue
-            self.i = i
-            if v == ".":
-                if values[i + 1] == "<":
-                    # explicit type arguments, `Collections.<K, V>emptyMap()`:
-                    # a comma in them ends no declarator; an unclosed `<` is
-                    # reported at the cursor, so it moves there first
-                    self.i = i + 1
-                    i = self._skip_group(i + 1)
+            if v == "(" or v == "[" or v == "{":
+                new = None
+                if v == "(":
+                    if i == new_paren:
+                        name = _without_type_args(values[new_type:i])
+                        props = {"type": name, "args": None, "body": None}
+                        new = Node("creation", new_at, 0, [], props)
+                    elif kinds[i - 1] == "ident" and values[i - 2] != "new":
+                        at = i - 3 if values[i - 2] == "." and kinds[i - 3] == "ident" else i - 1
+                        props = {"name": values[i - 1], "name_tok": i - 1, "args": None}
+                        props["receiver"] = values[at] if at < i - 1 else None
+                        new = Node("call", at, 0, [], props)
+                elif v == "{" and i == body_at and not root:  # an anonymous class body
+                    self.i = i
+                    body = self._parse_anonymous_body()
+                    creation = children[-1]
+                    creation.children.append(body)
+                    creation.props["body"] = body
+                    creation.tok_hi = i = self.i
                     continue
-            elif v == "(" or v == "[":
-                open_at.append(i)
-            elif v == ")" or v == "]":
-                if not open_at:
+                stack.append((opener, node, children, args, arg_lo, sep))
+                opener, node, args, arg_lo, sep = i, new, None, i + 1, None
+                if new is not None:
+                    children, args, sep = new.children, [], ","
+                elif v == "{" and not root:  # a lambda body or an array initializer
+                    root = len(stack)
+            elif v == ")" or v == "]" or v == "}":
+                if not stack:  # the expression ends, or fails at a `}`
+                    if v == "}":
+                        self.i = i
+                        raise self.fail("unexpected '}' in expression")
                     break
-                j = open_at.pop()
-                if _CLOSERS[values[j]] != v:
-                    raise self.fail(f"unexpected {v!r} in expression")
-                if j in new_args:
-                    body_at = i + 1
-            elif v == ";" and not open_at:
-                break
-            elif v == "," and not open_at and stop_at_comma:
-                break
-            elif v == "{":
-                # brace in expression position: anonymous class body,
-                # lambda body, or array initializer
-                if i == body_at:
-                    children.append(self._parse_anonymous_body())
+                if _CLOSERS[values[opener]] != v:
+                    if not root:
+                        raise ParseError(self.tokens.starts[i], f"unexpected {v!r} in expression")
+                    if len(stack) == root:  # the group's own bracket is left open
+                        break
+                    raise ParseError(self.tokens.starts[i], f"unexpected {v!r}")
+                if args is not None and arg_lo < i:
+                    args.append((arg_lo, i))
+                done, ranges = node, args
+                depth = len(stack)
+                opener, node, children, args, arg_lo, sep = stack.pop()
+                if done is not None:
+                    done.tok_hi = i + 1
+                    done.props["args"] = ranges
+                    children.append(done)
+                    if done.kind == "creation":
+                        body_at = i + 1
+                if depth == root:
+                    if group:
+                        self.i = i + 1
+                        return ranges
+                    root = 0
+            elif v == sep:
+                args.append((arg_lo, i))
+                arg_lo = i + 1
+            elif v == ";" or v == ",":
+                if not stack and (v == ";" or stop_at_comma):
+                    break
+            elif v == "<":
+                if values[i - 1] == ".":  # explicit type arguments, `a.<T>f()`
+                    self.i = self._skip_group(i)
+                    self._check_type_args(i)
                     i = self.i
-                else:
-                    i = self._skip_group(i)
-                continue
-            elif v == "}":
-                raise self.fail("unexpected '}' in expression")
-            elif v == "new":
-                k = new_type_end(self.tokens, i + 1)
-                if k is not None and values[k] == "(":
-                    # jump to the `(`: a comma in the type arguments ends
-                    # no declarator
-                    new_args.add(k)
-                    i = k
                     continue
-            elif not v:  # the end marker
+            elif v == "new":
+                self.i = i + 1
+                if values[i + 1] == "<":  # constructor type arguments, `new <T>A()`
+                    self.i = self._skip_group(i + 1)
+                    self._check_type_args(i + 1)
+                while values[self.i] == "@":
+                    self._parse_annotation()
+                k = new_type = self.i
+                if kinds[k] == "ident":
+                    self._skip_type(dims=False)
+                    k = self.i
+                    if values[k] == "(":
+                        new_at, new_paren = i, k
+                if values[k] == "{":
+                    raise self.fail("'(' or '[' expected")
+                # on to the `(` or `[`: a comma in the type arguments ends
+                # no declarator
+                i = k
+                continue
+            else:  # the end marker
+                if root:
+                    break
+                self.i = i
                 raise self.fail("unexpected end of file in expression")
             i += 1
+        if root:  # a bracket of the group, or of a `{` group, is left open
+            at = opener if len(stack) == root else stack[root][0]
+            raise ParseError(self.tokens.starts[at], f"unbalanced {_CLOSERS[values[at]]!r}")
         self.i = i
         if i > lo:
             if values[lo] in _ASSIGNMENT_HEADS:
                 raise ParseError(self.tokens.starts[lo], "expected expression")
             if values[i - 1] in _ASSIGNMENT_TAILS:
                 raise self.fail("expected expression")
-        return children
+        return []
 
     def _parse_anonymous_body(self) -> Node:
         lo = self.i

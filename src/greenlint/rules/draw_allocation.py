@@ -19,9 +19,9 @@ from ..spans import Edit
 from .base import RuleId, RuleResult
 from .javautil import (
     SHARED_LINE,
+    calls,
     cannot_declare,
     declared_locals,
-    find_creations,
     has_signature,
     initialized_local,
     insert_lines,
@@ -30,19 +30,17 @@ from .javautil import (
     names_in_scope,
     own_line_start,
     reindent,
-    split_args,
     uses,
 )
 
 
-def _args_are_invariant(
-    tokens: Tokens,
-    args: tuple[tuple[int, int], ...],
-    fields: set[str],
-    locals_: set[str],
-) -> bool:
+def _args_are_invariant(tokens: Tokens, node: Node, fields: set[str], locals_: set[str]) -> bool:
+    """True if the arguments of the call or creation ``node`` cannot change
+    between draw passes. One that holds a call may: its value may vary."""
+    if node.children:
+        return False
     kinds, values = tokens.kinds, tokens.values
-    for lo, hi in args:
+    for lo, hi in node.props["args"]:
         for j in range(lo, hi):
             v = values[j]
             if v in ("new", "this", "super"):
@@ -51,8 +49,6 @@ def _args_are_invariant(
                 continue
             if v in ("null", "true", "false"):
                 continue
-            if j + 1 < hi and values[j + 1] == "(":
-                return False  # call: value may vary between iterations
             if j > lo and values[j - 1] == ".":
                 continue  # later segment of a qualified name
             if v in locals_:
@@ -76,20 +72,16 @@ def _final_fields(members: list[Node]) -> set[str]:
     return names
 
 
-def _drawn(values: list[str], lo: int, hi: int, canvas: str) -> set[int]:
-    """Indices of the tokens ``lo`` to ``hi`` that are a whole argument of
-    a `canvas.draw*(...)` call: Canvas's draw methods only read them."""
-    out: set[int] = set()
-    for j in range(lo, hi - 3):
-        if (
-            values[j] == canvas
-            and values[j + 1] == "."
-            and values[j + 2].startswith("draw")
-            and values[j + 3] == "("
-        ):
-            args, _ = split_args(values, j + 3)
-            out.update(a for a, b in args if b - a == 1)
-    return out
+def _drawn(body: Node, canvas: str) -> set[int]:
+    """Indices of the tokens in ``body`` that are a whole argument of a
+    `canvas.draw*(...)` call: Canvas's draw methods only read them."""
+    return {
+        a
+        for call in calls(body)
+        if call.props["receiver"] == canvas and call.props["name"].startswith("draw")
+        for a, b in call.props["args"]
+        if b - a == 1
+    }
 
 
 def _changed_elsewhere(
@@ -101,18 +93,18 @@ def _changed_elsewhere(
     change it, or hand it to code that does, as `m.mapRect(r)` or
     `Rect a = r;` do."""
     body = method.props["body"]
-    toks = tree.tokens
-    values = toks.values
-    drawn = _drawn(values, body.tok_lo, body.tok_hi, method.props["params"][0][1])
+    drawn = _drawn(body, method.props["params"][0][1])
+    # the `set*` calls on the local, by the index of the receiver
+    setters = {
+        call.tok_lo: call
+        for call in calls(body)
+        if call.props["receiver"] == name and call.props["name"].startswith("set")
+    }
     for j in uses(tree, body.tok_lo, body.tok_hi, name):
         if decl.tok_lo <= j < decl.tok_hi or j in drawn:
             continue
-        if not (
-            values[j + 1] == "."
-            and values[j + 2].startswith("set")
-            and values[j + 3] == "("
-            and _args_are_invariant(toks, split_args(values, j + 3)[0], fields, locals_)
-        ):
+        setter = setters.get(j)
+        if setter is None or not _args_are_invariant(tree.tokens, setter, fields, locals_):
             return True
     return False
 
@@ -135,19 +127,14 @@ def apply_draw_allocation(tree: SyntaxTree, path: str = "") -> RuleResult:
             decl = initialized_local(stmt)
             if decl is None:
                 continue
-            init_lo, init_hi = decl["init"]
-            creations = list(find_creations(tree.tokens, init_lo, init_hi))
+            creations = list(calls(stmt, "creation"))
             if len(creations) != 1:
                 continue
             creation = creations[0]
             # initializer must be exactly the allocation, nothing around it
-            if (
-                creation.new_index != init_lo
-                or creation.span.end != tree.tokens.ends[init_hi - 1]
-                or creation.has_body
-            ):
+            if (creation.tok_lo, creation.tok_hi) != decl["init"] or creation.props["body"]:
                 continue
-            if not _args_are_invariant(tree.tokens, creation.args, fields, locals_):
+            if not _args_are_invariant(tree.tokens, creation, fields, locals_):
                 continue
             name = decl["name"]
             if name in names_in_scope(tree, owner):
@@ -162,10 +149,10 @@ def apply_draw_allocation(tree: SyntaxTree, path: str = "") -> RuleResult:
                 SHARED_LINE if insert_at is None else ""
             )
             message = (
-                f"allocation of {creation.type_name} inside onDraw() runs "
+                f"allocation of {creation.props['type']} inside onDraw() runs "
                 "on every draw pass; hoist it to a field"
             )
-            span = creation.span
+            span = tree.span_of(creation)
             if not result.report(RuleId.DRAW_ALLOCATION, path, span, message, reason):
                 continue
 

@@ -1,8 +1,9 @@
-"""Shared token- and text-level helpers for the Java rules.
+"""Shared node-, token- and text-level helpers for the Java rules.
 
-Rules are purely syntactic: expressions stay token runs, and these helpers
-extract just enough structure (invocations, object creations, identifier
-uses) for conservative detection.
+Rules are purely syntactic. They read calls and class instance creations
+from the parser's ``call`` and ``creation`` nodes (`calls`), and the rest
+of an expression, such as identifier uses, from its tokens, for
+conservative detection.
 """
 
 from __future__ import annotations
@@ -13,11 +14,8 @@ from itertools import chain
 from typing import Iterator, Optional
 
 from ..java.lexer import Tokens
-from ..java.parser import (
-    _BRACKET_CLOSERS, _OPENERS, PRIMITIVE_TYPES, TYPE_DECLS, Node, SyntaxTree,
-    match_group, new_type_end,
-)
-from ..spans import Edit, SourceSpan
+from ..java.parser import PRIMITIVE_TYPES, TYPE_DECLS, Node, SyntaxTree, match_group
+from ..spans import Edit
 
 
 def dominant_eol(data: bytes) -> bytes:
@@ -140,26 +138,26 @@ def _ends_in_endless_loop(tokens: Tokens, block: Node) -> bool:
         stmt = stmt.children[0]
     kinds, values = tokens.kinds, tokens.values
     if stmt.kind == "for_statement":
-        parts = split_args(values, stmt.tok_lo + 1, ";")[0]  # init, condition, update
-        if len(parts) < 2:
+        if not stmt.props["parts"]:
             return False  # an enhanced for
+        _, cond, update = stmt.props["parts"]
         # A name the update assigns is a variable, so the condition, which
         # shares its scope, is no constant.
-        update = range(*parts[2]) if len(parts) == 3 else ()
         assigned = {
             values[k]
-            for k in update
+            for k in range(*update)
             if kinds[k] == "ident"
             and values[k - 1] != "."
             and (values[k - 1] in _STEPS or values[k + 1] in _CHANGES)
         }
-        return _could_be_constant(tokens, *parts[1], assigned)
-    if stmt.kind not in ("while_statement", "do_statement"):
-        return False
-    body = stmt.children[0]
+        return _could_be_constant(tokens, stmt, *cond, assigned)
     if stmt.kind == "while_statement":
-        return _could_be_constant(tokens, stmt.tok_lo + 2, body.tok_lo - 1, set())
-    return _could_be_constant(tokens, body.tok_hi + 2, stmt.tok_hi - 2, set())
+        body = stmt.children[-1]
+        return _could_be_constant(tokens, stmt, stmt.tok_lo + 2, body.tok_lo - 1, set())
+    if stmt.kind == "do_statement":
+        body = stmt.children[0]
+        return _could_be_constant(tokens, stmt, body.tok_hi + 2, stmt.tok_hi - 2, set())
+    return False
 
 
 _STEPS = frozenset(("++", "--"))
@@ -169,16 +167,18 @@ _CHANGES = _STEPS | frozenset("= += -= *= /= %= &= |= ^= <<=".split())
 _NOT_CONSTANT = _CHANGES | frozenset(("[", "->", "::"))
 
 
-def _could_be_constant(tokens: Tokens, lo: int, hi: int, assigned: set[str]) -> bool:
-    """True if tokens ``lo`` to ``hi`` hold only names, literals, `.`,
-    parentheses, casts to primitive types and operators that change
-    nothing, with no call and no simple name in ``assigned``; an empty range
-    counts."""
+def _could_be_constant(tokens: Tokens, loop: Node, lo: int, hi: int, assigned: set[str]) -> bool:
+    """True if tokens ``lo`` to ``hi`` of ``loop``'s header hold only names,
+    literals, `.`, parentheses, casts to primitive types and operators that
+    change nothing, with no call (no node of the header starts there) and
+    no simple name in ``assigned``; an empty range counts."""
+    if any(lo <= node.tok_lo < hi for node in loop.children):
+        return False
     kinds, values = tokens.kinds, tokens.values
     for j in range(lo, hi):
         kind, v = kinds[j], values[j]
         if kind == "ident":
-            if values[j + 1] == "(" or (v in assigned and values[j - 1] != "."):
+            if v in assigned and values[j - 1] != ".":
                 return False
         elif kind == "keyword":
             if v not in PRIMITIVE_TYPES:
@@ -244,100 +244,10 @@ def file_indent(tree: SyntaxTree) -> str:
     return tree.indent
 
 
-class Invocation:
-    __slots__ = ("name", "receiver", "span")
-
-    def __init__(self, name: str, receiver: Optional[str], span: SourceSpan):
-        self.name = name
-        self.receiver = receiver  # simple identifier right before `.name(`, if any
-        self.span = span  # receiver-or-name start .. closing paren
-
-
-class Creation:
-    __slots__ = ("type_name", "new_index", "args", "span", "has_body")
-
-    def __init__(
-        self,
-        type_name: str,
-        new_index: int,
-        args: list[tuple[int, int]],
-        span: SourceSpan,
-        has_body: bool,
-    ):
-        self.type_name = type_name
-        self.new_index = new_index
-        self.args = args
-        self.span = span  # `new` .. closing paren
-        self.has_body = has_body  # anonymous class body follows
-
-
-def split_args(
-    values: list[str], open_idx: int, sep: str = ","
-) -> tuple[list[tuple[int, int]], int]:
-    """Split the argument list opened at token ``open_idx`` on top-level
-    ``sep``s, given the token values.
-
-    Returns (arg index ranges, index of the closing paren), the index being
-    ``len(values)`` if the list does not close. A range is empty where two
-    separators meet; an empty last argument is left out.
-    """
-    args: list[tuple[int, int]] = []
-    arg_lo = j = open_idx + 1
-    while j < len(values):
-        v = values[j]
-        if v in _OPENERS:
-            closed, j = match_group(values, j)
-            if not closed:
-                break
-            continue
-        if v in _BRACKET_CLOSERS:
-            if arg_lo < j:
-                args.append((arg_lo, j))
-            return args, j
-        if v == sep:
-            args.append((arg_lo, j))
-            arg_lo = j + 1
-        j += 1
-    return args, len(values)
-
-
-def find_invocations(tokens: Tokens, lo: int, hi: int) -> Iterator[Invocation]:
-    """Yield every `name(...)` call in tokens ``lo`` to ``hi``, outermost first."""
-    kinds, values, starts = tokens.kinds, tokens.values, tokens.starts
-    for j in range(lo, min(hi, len(values) - 1)):
-        if values[j + 1] != "(" or kinds[j] != "ident" or (j > 0 and values[j - 1] == "new"):
-            continue
-        receiver = None
-        start = starts[j]
-        if j >= 2 and values[j - 1] == "." and kinds[j - 2] == "ident":
-            receiver = values[j - 2]
-            start = starts[j - 2]
-        closed, end = match_group(values, j + 1)
-        if not closed or end > hi:
-            continue  # call extends past the slice; caller's slice was partial
-        yield Invocation(values[j], receiver, SourceSpan(start, tokens.ends[end - 1]))
-
-
-def find_creations(tokens: Tokens, lo: int, hi: int) -> Iterator[Creation]:
-    """Yield every `new Type(...)` in tokens ``lo`` to ``hi`` (array news
-    excluded)."""
-    values = tokens.values
-    for j in range(lo, min(hi, len(values))):
-        if values[j] != "new":
-            continue
-        k = new_type_end(tokens, j + 1)
-        if k is None or values[k] != "(":
-            continue  # array creation or malformed
-        # the qualified name, up to its type arguments
-        type_name = "".join(values[j + 1 : k]).split("<", 1)[0]
-        if not type_name:
-            continue
-        args, close_idx = split_args(values, k)
-        if close_idx >= hi:
-            continue  # the call runs past the slice or never closes
-        has_body = close_idx + 1 < len(values) and values[close_idx + 1] == "{"
-        span = SourceSpan(tokens.starts[j], tokens.ends[close_idx])
-        yield Creation(type_name, j, args, span, has_body)
+def calls(node: Node, kind: str = "call") -> Iterator[Node]:
+    """The ``call`` nodes, or the nodes of another ``kind`` such as
+    ``creation``, under ``node``, in source order."""
+    return (n for n in node.walk() if n.kind == kind)
 
 
 def unwrap(values: list[str], lo: int, hi: int) -> tuple[int, int, bool]:

@@ -26,10 +26,9 @@ from ..java.parser import Node, SyntaxTree, match_group
 from .base import RuleId, RuleResult
 from .javautil import (
     OWNER_KINDS,
-    Invocation,
     base_type_name,
+    calls,
     file_indent,
-    find_invocations,
     guarded_release,
     initialized_local,
     insert_lines,
@@ -89,19 +88,19 @@ def _match_factory(
 
 
 def _source(
-    tokens: Tokens, lo: int, hi: int, declared_type: str
-) -> Optional[tuple[ResourceFactory, Invocation, bool]]:
+    tokens: Tokens, stmt: Node, lo: int, hi: int, declared_type: str
+) -> Optional[tuple[ResourceFactory, Node, bool]]:
     """The factory call that is the value of the initializer tokens ``lo``
-    to ``hi``, or of either arm of its top-level `?:`, with parentheses and
-    casts stripped; and whether it is the initializer itself with only
-    parentheses stripped. A call in a lambda, a `{}` group, an argument or a
-    receiver is not the local's value."""
+    to ``hi`` of ``stmt``, or of either arm of its top-level `?:`, with
+    parentheses and casts stripped; and whether it is the initializer
+    itself with only parentheses stripped. A call in a lambda, a `{}` group,
+    an argument or a receiver is not the local's value."""
+    ending = {call.tok_hi: call for call in calls(stmt)}  # by the index past its `)`
     for arm in _arms(tokens.values, lo, hi):
         a, b, cast = unwrap(tokens.values, *arm)
-        name = _last_call(tokens, a, b)
-        if name is not None:
-            call = next(find_invocations(tokens, name, b))
-            factory = _match_factory(call.name, call.receiver, declared_type)
+        call = ending.get(b)
+        if call is not None and _is_chain(tokens, a, call.props["name_tok"]):
+            factory = _match_factory(call.props["name"], call.props["receiver"], declared_type)
             if factory is not None:
                 return factory, call, arm == (lo, hi) and not cast
     return None
@@ -133,23 +132,20 @@ def _arms(values: list[str], lo: int, hi: int) -> Iterator[tuple[int, int]]:
     yield lo, hi
 
 
-def _last_call(tokens: Tokens, lo: int, hi: int) -> Optional[int]:
-    """The index of the method name of the call that ends tokens ``lo`` to
-    ``hi``, if they are one chain of names, `this`, `super`, `.` and
-    bracket groups and the name begins it or follows a `.`; else None."""
+def _is_chain(tokens: Tokens, lo: int, name: int) -> bool:
+    """True if the tokens from ``lo`` up to the method name at ``name`` are
+    one chain of names, `this`, `super`, `.` and bracket groups, and the
+    name begins it or follows a `.`."""
     kinds, values = tokens.kinds, tokens.values
-    j = opened = lo
-    while j < hi:
+    j = lo
+    while j < name:
         if values[j] == "(" or values[j] == "[":
-            opened, j = j, match_group(values, j)[1]
+            j = match_group(values, j)[1]
         elif kinds[j] == "ident" or values[j] in (".", "this", "super"):
             j += 1
         else:
-            return None
-    name = opened - 1
-    if values[hi - 1] == ")" and name >= lo and kinds[name] == "ident":
-        return name if name == lo or values[name - 1] == "." else None
-    return None
+            return False
+    return j == name and (name == lo or values[name - 1] == ".")
 
 
 def _released_in_method(tree: SyntaxTree, method: Node, name: str, release: str) -> bool:
@@ -215,11 +211,11 @@ def apply_recycle(tree: SyntaxTree, path: str = "") -> RuleResult:
                 if decl is None:
                     continue
                 declared_type = base_type_name(stmt.props["type"])
-                source = _source(tree.tokens, *decl["init"], declared_type)
+                source = _source(tree.tokens, stmt, *decl["init"], declared_type)
                 if source is None:
                     continue
                 factory, call, bare = source
-                resource = factory.returns or call.receiver
+                resource = factory.returns or call.props["receiver"]
                 name = decl["name"]
                 if _released_in_method(tree, method, name, factory.release):
                     continue
@@ -238,7 +234,7 @@ def apply_recycle(tree: SyntaxTree, path: str = "") -> RuleResult:
                     f"'{name}' ({declared_type}) is obtained but never "
                     f"released with {factory.release}()"
                 )
-                if not result.report(RuleId.RECYCLE, path, call.span, message, reason):
+                if not result.report(RuleId.RECYCLE, path, tree.span_of(call), message, reason):
                     continue
 
                 si = line_indent(data, tree.span_of(stmt).start)

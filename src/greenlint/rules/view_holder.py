@@ -23,11 +23,11 @@ from ..spans import Edit, SourceSpan
 from .base import RuleId, RuleResult
 from .javautil import (
     SHARED_LINE,
+    calls,
     cannot_declare,
     class_fields,
     declared_locals,
     file_eol,
-    find_invocations,
     fresh_name,
     has_signature,
     initialized_local,
@@ -70,17 +70,12 @@ def _find_inflate_assignment(tree: SyntaxTree, body: Node, convert_view: str):
             continue
         if values[stmt.tok_lo] != convert_view or values[stmt.tok_lo + 1] != "=":
             continue
-        if any(
-            inv.name == "inflate"
-            for inv in find_invocations(tree.tokens, stmt.tok_lo + 2, stmt.tok_hi)
-        ):
+        if any(call.props["name"] == "inflate" for call in calls(stmt)):
             return stmt
     return None
 
 
-def _collect_cached_views(
-    tree: SyntaxTree, body: Node, after: Node
-) -> list[tuple[Node, dict]]:
+def _collect_cached_views(body: Node, after: Node) -> list[tuple[Node, dict]]:
     """Contiguous run of findViewById-initialized locals following ``after``,
     as (statement, declarator) pairs."""
     stmts = body.children
@@ -88,10 +83,7 @@ def _collect_cached_views(
     cached: list[tuple[Node, dict]] = []
     for stmt in stmts[idx + 1 :]:
         decl = initialized_local(stmt)
-        if decl is None or not any(
-            inv.name == "findViewById"
-            for inv in find_invocations(tree.tokens, *decl["init"])
-        ):
+        if decl is None or not any(call.props["name"] == "findViewById" for call in calls(stmt)):
             break
         cached.append((stmt, decl))
     return cached
@@ -118,11 +110,16 @@ def _differs_per_row(
     tokens = tree.tokens
     fields = (class_fields(node.children) for node in path_to(tree, owner))
     names = declared_locals(method).union(*fields)
-    lookup = [convert_view, ".", "findViewById", "(", ")"]
-    for _, decl in cached:
-        lo, hi, _ = unwrap(tokens.values, *decl["init"])
-        call = tokens.values[lo : lo + 4] + tokens.values[hi - 1 : hi]
-        kinds, arg = tokens.kinds[lo + 4 : hi - 1], tokens.values[lo + 4 : hi - 1]
+    for stmt, decl in cached:
+        call = next(calls(stmt))  # the outermost, which must be the whole value
+        args = call.props["args"]
+        if (
+            (call.tok_lo, call.tok_hi) != unwrap(tokens.values, *decl["init"])[:2]
+            or (call.props["receiver"], call.props["name"]) != (convert_view, "findViewById")
+            or len(args) != 1
+        ):
+            return True
+        kinds, arg = tokens.kinds[slice(*args[0])], tokens.values[slice(*args[0])]
         dotted = (
             len(arg) % 2 == 1
             and len(arg) > 1
@@ -130,7 +127,7 @@ def _differs_per_row(
             and set(kinds[::2]) == {"ident"}
             and set(arg[1::2]) == {"."}
         )
-        if call != lookup or not (dotted or kinds == ["number"]):
+        if not (dotted or kinds == ["number"]):
             return True
     return False
 
@@ -151,7 +148,7 @@ def apply_view_holder(tree: SyntaxTree, path: str = "") -> RuleResult:
         assign = _find_inflate_assignment(tree, body, convert_view)
         if assign is None:
             continue
-        cached = _collect_cached_views(tree, body, assign)
+        cached = _collect_cached_views(body, assign)
         if not cached:
             continue
 

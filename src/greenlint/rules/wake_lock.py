@@ -19,10 +19,10 @@ from .base import Finding, RuleId, RuleResult
 from .javautil import (
     SHARED_LINE,
     base_type_name,
+    calls,
     class_fields,
     declared_locals,
     file_indent,
-    find_invocations,
     guarded_release,
     insert_lines,
     line_indent,
@@ -82,14 +82,14 @@ def apply_wake_lock(tree: SyntaxTree, path: str = "") -> RuleResult:
         local_acquires: list[SourceSpan] = []
         for method in lifecycle:
             locals_ = declared_locals(method)
-            body = method.props["body"]
-            for inv in find_invocations(tree.tokens, body.tok_lo, body.tok_hi):
-                if inv.name != "acquire" or inv.receiver is None:
+            for call in calls(method.props["body"]):
+                receiver = call.props["receiver"]
+                if call.props["name"] != "acquire" or receiver is None:
                     continue
-                if inv.receiver in wl_fields and inv.receiver not in locals_:
-                    acquisitions.append((inv.receiver, inv.span))
-                elif _local_wake_lock(method, inv.receiver):
-                    local_acquires.append(inv.span)
+                if receiver in wl_fields and receiver not in locals_:
+                    acquisitions.append((receiver, tree.span_of(call)))
+                elif _local_wake_lock(method, receiver):
+                    local_acquires.append(tree.span_of(call))
 
         on_pause = _method_named(owner, "onPause")
         pause_body = on_pause.props["body"] if on_pause is not None else None
@@ -104,8 +104,11 @@ def apply_wake_lock(tree: SyntaxTree, path: str = "") -> RuleResult:
             exit_stmt, insert_at, reason = release_point(
                 tree, pause_body, pause_body.tok_lo, ("return", "throw"), "onPause()"
             )
-            calls = find_invocations(tree.tokens, pause_body.tok_lo, pause_body.tok_hi)
-            released = {inv.receiver for inv in calls if inv.name == "release"}
+            released = {
+                call.props["receiver"]
+                for call in calls(pause_body)
+                if call.props["name"] == "release"
+            }
         # a release of a name onPause() declares would release that local
         shadows = declared_locals(on_pause) if on_pause is not None else set()
         pending_release: list[str] = []

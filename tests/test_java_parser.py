@@ -4,7 +4,8 @@ import pytest
 
 from greenlint import diagnostics
 from greenlint.java.lexer import tokenize
-from greenlint.java.parser import parse_java_source
+from greenlint.java.parser import Node, parse_java_source
+from greenlint.rules.javautil import path_to
 
 from conftest import CLEAN_CORPUS, GOLDEN, parse_java
 from helpers import assert_spans_sound, contains, find_all
@@ -266,20 +267,123 @@ def test_annotated_local_declaration(statement, kind):
     assert [c.kind for c in body.children] == [kind]
 
 
-def test_split_args_splits_on_top_level_commas_only():
-    from greenlint.rules.javautil import split_args
-
+def test_call_args_split_on_top_level_commas_only():
     tree = parse_java(b"class A { void f() { g(a < b, c > d, h(e, f), new int[] { 1, 2 }); } }")
     values = tree.tokens.values
-    open_idx = values.index("g") + 1
-    args, close_idx = split_args(values, open_idx)
-    assert [" ".join(values[lo:hi]) for lo, hi in args] == [
+    (g,) = (n for n in find_all(tree, "call") if n.props["name"] == "g")
+    assert [" ".join(values[lo:hi]) for lo, hi in g.props["args"]] == [
         "a < b",
         "c > d",
         "h ( e , f )",
         "new int [ ] { 1 , 2 }",
     ]
-    assert values[close_idx] == ")" and values[close_idx + 1] == ";"
+    assert values[g.tok_hi - 1] == ")" and values[g.tok_hi] == ";"
+
+
+_CALLS = b"""class A {
+    void f(int k) {
+        a.g(h(1), new p.B<String>(x, , y) { void run() { i(); } }, );
+        Object o = new C();
+        if (c.ok()) j(); else m();
+        while (n()) { o(); }
+        switch (k) { case 1: p(); }
+        Runnable r = () -> { q(); };
+        for (int i = s(), j = 0; i < t(); i++, j++) {}
+        for (;;) {}
+        for (String u : v()) {}
+        do { w(); } while (z());
+    }
+}
+"""
+
+
+def test_calls_and_creations_are_nodes_in_source_order():
+    tree = parse_java(_CALLS)
+    assert_spans_sound(tree)
+    values = tree.tokens.values
+
+    def text(node_or_range):
+        if isinstance(node_or_range, Node):
+            node_or_range = (node_or_range.tok_lo, node_or_range.tok_hi)
+        return " ".join(values[slice(*node_or_range)])
+
+    body = find_all(tree, "method_declaration")[0].props["body"]
+    g_stmt, new_c, if_stmt, while_stmt, switch, lambda_decl = body.children[:6]
+    for_stmt, for_ever, for_each, do = body.children[6:]
+
+    (g,) = g_stmt.children
+    assert g.kind == "call"
+    assert {k: v for k, v in g.props.items() if k != "args"} == {
+        "name": "g",
+        "name_tok": g.tok_lo + 2,
+        "receiver": "a",
+    }
+    # an empty last argument is left out; two commas that meet hold an empty one
+    assert [text(a) for a in g.props["args"]] == ["h ( 1 )", text(g.children[1])]
+    h, creation = g.children  # the nodes in its arguments
+    assert (h.kind, h.props["receiver"], text(h)) == ("call", None, "h ( 1 )")
+    assert creation.kind == "creation"
+    assert creation.props["type"] == "p.B"
+    assert [text(a) for a in creation.props["args"]] == ["x", "", "y"]
+    (anonymous,) = creation.children
+    assert creation.props["body"] is anonymous and anonymous.kind == "anonymous_class_body"
+    assert text(creation) == "new p . B < String > ( x , , y ) { void run ( ) { i ( ) ; } }"
+    assert path_to(tree, anonymous)[-4:] == [g_stmt, g, creation, anonymous]
+    (i,) = (n for n in anonymous.walk() if n.kind == "call")
+    assert i.props == {"name": "i", "name_tok": i.tok_lo, "receiver": None, "args": []}
+
+    (c,) = new_c.children
+    assert (c.props["type"], c.props["args"], c.props["body"], c.children) == ("C", [], None, [])
+    assert text(c) == "new C ( )"
+
+    # a header's nodes come first, a `while` or `for` body last
+    assert [(n.kind, n.props.get("name")) for n in if_stmt.children] == [
+        ("call", "ok"),
+        ("expression_statement", None),
+        ("expression_statement", None),
+    ]
+    assert if_stmt.children[0].props["receiver"] == "c"
+    assert [n.kind for n in while_stmt.children] == ["call", "block"]
+    assert [n.props["name"] for n in switch.children] == ["p"]
+    assert [n.props["name"] for n in lambda_decl.children] == ["q"]
+    assert [n.kind for n in for_stmt.children] == ["call", "call", "block"]
+    assert [text(part) for part in for_stmt.props["parts"]] == [
+        "int i = s ( ) , j = 0",
+        "i < t ( )",
+        "i ++ , j ++",
+    ]
+    assert [text(part) for part in for_ever.props["parts"]] == ["", "", ""]
+    assert for_each.props["parts"] == []
+    assert [n.kind for n in for_each.children] == ["call", "block"]
+    assert [n.kind for n in do.children] == ["block", "call"]
+
+
+@pytest.mark.parametrize(
+    "expression,type_name",
+    [
+        (b"new a.B<C<D>>(1)", "a.B"),
+        (b"new Outer<A>.Inner<B>(1)", "Outer.Inner"),
+        (b"new <T>B(1)", "B"),
+        (b"new @A B(1)", "B"),
+    ],
+)
+def test_a_creation_keeps_its_class_name(expression, type_name):
+    tree = parse_java(b"class T { void f() { o = " + expression + b"; } }")
+    (creation,) = find_all(tree, "creation")
+    assert creation.props["type"] == type_name
+    assert find_all(tree, "call") == []
+
+
+def test_an_anonymous_body_in_a_token_run_stays_tokens():
+    tree = parse_java(b"class A { void f() { if (new B() { void g() { h(); } } == null) {} } }")
+    (if_stmt,) = find_all(tree, "if_statement")
+    names = [n.props.get("name") or n.props.get("type") for n in if_stmt.children[:-1]]
+    assert names == ["B", "g", "h"]
+    assert if_stmt.children[0].props["body"] is None
+    assert find_all(tree, "anonymous_class_body") == []
+
+
+_CLASS_NOT_ALLOWED = "class, interface or enum declaration not allowed here"
 
 
 @pytest.mark.parametrize(
@@ -377,6 +481,36 @@ def test_split_args_splits_on_top_level_commas_only():
         (b"class X { void g() throws E[] {} }", "1:28: expected ';'"),
         (b"class Z { void f() { List<@A(new B {}) String> x; } }", "1:36: '(' or '[' expected"),
         (b"class A { @B( int x; }", "1:13: unbalanced ')'"),
+        # the type arguments of `new T<...>(` and `a.<T>f()` hold types only
+        (b"class C { Object o = new java.util.ArrayList<1>(); }", "1:46: illegal start of type"),
+        (
+            b"class C { void f() { java.util.Collections.<1>emptyList(); } }",
+            "1:45: illegal start of type",
+        ),
+        (
+            b"class C { void f() { g(new java.util.ArrayList<1 + 2>()); } }",
+            "1:48: illegal start of type",
+        ),
+        (b"class C { void f() { new Outer<A>.Inner<1>(); } }", "1:41: illegal start of type"),
+        (b"class C { void f() { Object o = new A<B(); } }", "1:38: unbalanced '>'"),
+        # the body of `if`, `else`, a loop or a label is no declaration
+        *(
+            (b"class C { void f(boolean b) { " + statement + b" } }", expected)
+            for statement, expected in [
+                (b"if (b) int y = 1;", "1:42: variable declaration not allowed here"),
+                (b"if (b) final int y = 1;", "1:48: variable declaration not allowed here"),
+                (b"if (b) @A int y = 1;", "1:45: variable declaration not allowed here"),
+                (b"for (;;) int y = 1;", "1:44: variable declaration not allowed here"),
+                (b"do int y = 1; while (b);", "1:38: variable declaration not allowed here"),
+                (b"if (b) ; else int y;", "1:49: variable declaration not allowed here"),
+                (b"for (String s : x) int y;", "1:54: variable declaration not allowed here"),
+                (b"if (b) class Q {}", "1:38: " + _CLASS_NOT_ALLOWED),
+                (b"if (b) final class Q {}", "1:44: " + _CLASS_NOT_ALLOWED),
+                (b"if (b) enum E {}", "1:38: " + _CLASS_NOT_ALLOWED),
+                (b"L: class Q {}", "1:34: " + _CLASS_NOT_ALLOWED),
+                (b"while (b) class Q {}", "1:41: " + _CLASS_NOT_ALLOWED),
+            ]
+        ),
         # a block takes a declaration's modifiers as javac's parser does
         (b"class A { void f() { static int x = 1; } }", "1:22: illegal start of expression"),
         (b"class A { void f() { public class B {} } }", "1:22: illegal start of expression"),

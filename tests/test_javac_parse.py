@@ -5,9 +5,11 @@ Each program is written to its own file, and one parse-only javac call
 reads them all: `-XDshould-stop.ifError=PARSE -XDshould-stop.ifNoError=PARSE`
 stops it after parsing, and `-XDrawDiagnostics` prints each error as
 `Name.java:line:col: key`. The hand-written cases are annotated types,
-`throws` lists, `catch` headers and the modifiers of declaration heads. The
-mutants are seeded single-token damage to the Java fixtures. Skipped when
-no `javac` is on the path.
+`throws` lists, `catch` headers, the modifiers of declaration heads, the
+statements that may not be declarations and the type arguments in
+expressions. The mutants are seeded single-token damage to the Java
+fixtures; where javac's parser accepts one, so must it the file `fix`
+makes of it. Skipped when no `javac` is on the path.
 """
 
 import random
@@ -17,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from greenlint.cli import main
 from greenlint.java.lexer import tokenize
 from greenlint.java.parser import parse_java_source
 
@@ -60,6 +63,10 @@ def _catch(header: str) -> str:
 
 def _block(statement: str) -> str:
     return f"class C {{ void f() {{ {statement} }} }}"
+
+
+def _body(statement: str) -> str:
+    return f"class C {{ void f(boolean b) {{ {statement} }} }}"
 
 
 _MODIFIERS = "public protected private static native transient volatile final abstract strictfp"
@@ -107,6 +114,40 @@ CASES = {
     "LocalAnnotatedAnnotationType": _block("@A @interface Q {}"),
     "LocalFinalFinal": _block("final final int x = 1;"),
     "FieldStaticStatic": "class C { static static int x; }",
+    # the body of `if`, `else`, a loop or a label is no declaration
+    "IfVariable": _body("if (b) int y = 1;"),
+    "IfFinalVariable": _body("if (b) final int y = 1;"),
+    "IfAnnotatedVariable": _body("if (b) @A int y = 1;"),
+    "ForVariable": _body("for (;;) int y = 1;"),
+    "DoVariable": _body("do int y = 1; while (b);"),
+    "ElseVariable": _body("if (b) ; else int y;"),
+    "ForEachVariable": _body("for (String s : x) int y;"),
+    "LabeledVariable": _body("L: int x = 1;"),
+    "IfClass": _body("if (b) class Q {}"),
+    "IfFinalClass": _body("if (b) final class Q {}"),
+    "IfEnum": _body("if (b) enum E {}"),
+    "IfAnnotationType": _body("if (b) @interface Q {}"),
+    "LabeledClass": _body("L: class Q {}"),
+    "WhileClass": _body("while (b) class Q {}"),
+    "IfBlockVariable": _body("if (b) { int y = 1; }"),
+    "LabeledBlockVariable": _body("L: { int x; }"),
+    "LabeledLabeled": _body("L: M: x++;"),
+    "IfElseExpressions": _body("if (b) x = 1; else y();"),
+    # the type arguments of `new T<...>(` and `a.<...>f()` hold types only
+    "NewNumberTypeArgument": "class C { Object o = new java.util.ArrayList<1>(); }",
+    "CallNumberTypeArgument": _block("java.util.Collections.<1>emptyList();"),
+    "NewSumTypeArgument": _block("g(new java.util.ArrayList<1 + 2>());"),
+    "NewInnerNumberTypeArgument": _block("new Outer<A>.Inner<1>();"),
+    "NewInHeaderNumberTypeArgument": _block("if (new ArrayList<1>() == null) {}"),
+    "NewDiamond": _block("Object o = new ArrayList<>();"),
+    "NewAnnotatedArrayTypeArgument": _block("Object o = new HashMap<String, @A int[]>();"),
+    "CallTypeArguments": _block("Object o = Collections.<String, Integer>emptyMap();"),
+    "NewWildcardTypeArgument": _block("Object o = new ArrayList<? extends Number>();"),
+    "CallArrayTypeArgument": _block("this.<int[]>f();"),
+    "NewInnerTypeArguments": _block("Object o = new Outer<A>.Inner<B>();"),
+    "NewConstructorTypeArguments": _block("Object o = new <T>Foo(1);"),
+    "NewConstructorNumberTypeArgument": _block("Object o = new <1>Foo(1);"),
+    "NewAnnotated": _block("Object o = new @A Foo(1);"),
 }
 
 
@@ -137,10 +178,32 @@ def _mutants() -> dict[str, bytes]:
 ACCEPTED_THAT_JAVAC_REJECTS = 259
 
 
-def test_mutated_fixtures_parse_where_javac_parses_them(tmp_path):
+@pytest.fixture(scope="module")
+def mutants_and_javac_rejects(tmp_path_factory) -> tuple[dict[str, bytes], set[str], str]:
+    """The mutants, the names of those javac's parser rejects, and its stderr."""
     mutants = _mutants()
+    return mutants, *_javac_rejects(tmp_path_factory.mktemp("mutants"), mutants)
+
+
+def test_mutated_fixtures_parse_where_javac_parses_them(mutants_and_javac_rejects):
+    mutants, javac_rejects, stderr = mutants_and_javac_rejects
     assert len(mutants) == 910
-    javac_rejects, stderr = _javac_rejects(tmp_path, mutants)
     greenlint_rejects = _greenlint_rejects(mutants)
     assert greenlint_rejects - javac_rejects == set(), stderr
     assert len(javac_rejects - greenlint_rejects) == ACCEPTED_THAT_JAVAC_REJECTS
+
+
+def test_fix_keeps_the_mutants_javac_parses_parseable(mutants_and_javac_rejects, tmp_path, capsys):
+    mutants, javac_rejects, _ = mutants_and_javac_rejects
+    parsed = {name: data for name, data in mutants.items() if name not in javac_rejects}
+    project = tmp_path / "project"
+    project.mkdir()
+    for name, data in parsed.items():
+        (project / f"{name}.java").write_bytes(data)
+    main(["fix", str(project)])
+    capsys.readouterr()
+    fixed = {name: (project / f"{name}.java").read_bytes() for name in parsed}
+    fixed = {name: data for name, data in fixed.items() if data != parsed[name]}
+    assert fixed  # else the test shows nothing
+    rejects, stderr = _javac_rejects(tmp_path, fixed)
+    assert rejects == set(), stderr

@@ -1,5 +1,6 @@
 import pytest
 
+from greenlint.diagnostics import line_col
 from greenlint.java.lexer import tokenize
 from greenlint.rules.base import RuleId
 from greenlint.rules.draw_allocation import apply_draw_allocation
@@ -282,3 +283,37 @@ def test_on_pause_ending_in_an_endless_loop_declines_the_fix(golden, loop):
     assert [f.fixable for f in result.findings] == [False]
     assert "the block ends in a loop that may never exit" in result.findings[0].message
     assert fixed == source
+
+
+_SWITCH_AND_LAMBDA = (
+    b"class A extends Activity {\n"
+    b"    WakeLock wl;\n"
+    b"    void onCreate(Bundle b) {\n"
+    b"        switch (b.size()) { case 1: wl.acquire(); break; }\n"
+    b"        runOnUiThread(() -> { wl.acquire(); });\n"
+    b"    }\n"
+)
+
+
+def test_acquires_in_a_switch_body_and_a_block_lambda_are_found():
+    source = _SWITCH_AND_LAMBDA + b"}\n"
+    result, fixed = fix_java(apply_wake_lock, source)
+    assert [(line_col(source, f.span.start), f.fixable) for f in result.findings] == [
+        ((4, 37), True),
+        ((5, 31), True),
+    ]
+    assert len(result.edits) == 1
+    assert fixed.count(b"wl.release();") == 1
+
+
+def test_a_release_in_a_switch_body_in_on_pause_is_found():
+    source = _SWITCH_AND_LAMBDA + (
+        b"    void onPause() {\n"
+        b"        switch (1) { default: wl.release(); }\n"
+        b"    }\n"
+        b"}\n"
+    )
+    assert apply_wake_lock(parse_java(source)).findings == []
+    # the release is what answers both acquires
+    unreleased = source.replace(b"wl.release();", b"")
+    assert len(apply_wake_lock(parse_java(unreleased)).findings) == 2
