@@ -7,7 +7,8 @@ lexer's parallel token lists, with end markers, by index, and tests an
 operator or keyword by its value alone. Every node carries a token index
 range into the lexer's lists, so the original bytes of any node are always
 reachable. A probe for a local variable declaration does not raise when the
-statement is an expression.
+statement is an expression; a statement that starts `Name<` is always a
+declaration (JLS 14.8).
 
 One walker, `_Parser._walk`, reads every token run the parser does not parse
 into statements (expressions, headers, switch bodies, lambda bodies, array
@@ -55,9 +56,12 @@ header are its children. Children are in source order, so the nodes of a
 
 Package and import declarations and annotations are checked and skipped;
 no node holds them, nor the calls in an annotation's or an enum
-constant's arguments. The type arguments of a declaration's types, of
-`new T<...>(` and of `a.<T>f()` are checked to hold only types. A block's
-or a type's closing brace is its last token.
+constant's arguments. Type arguments and type parameters are read by their
+grammar (JLS 4.5.1, 8.1.2) in one pass, wherever they appear: in a
+declaration's types and in `new T<...>(`, `new <T>A(` and `a.<T>f()`. Only
+the type of a `new` with arguments may end in the diamond `<>`. Any other
+`<` in an expression is an operator to the walker. A block's or a type's
+closing brace is its last token.
 """
 
 from __future__ import annotations
@@ -88,78 +92,22 @@ TYPE_DECLS = frozenset(_TYPE_KINDS.values()) | {"annotation_declaration"}
 # any other modifier keyword there, but takes any after one of these.
 _LOCAL_DECLARATION_STARTS = frozenset(_TYPE_KINDS) | {"@", "final", "abstract", "strictfp"}
 
-# What a type's type arguments may hold besides names and annotations.
-_TYPE_ARGUMENT_TOKENS = frozenset(". , ? & [ ] < > extends super".split()) | PRIMITIVE_TYPES
-
 # A declaration's first token index and its modifier keywords.
 _Head = tuple[int, tuple[str, ...]]
 
-_CLOSERS = {"(": ")", "[": "]", "{": "}", "<": ">"}
-_OPENERS = frozenset("([{")
-_BRACKET_CLOSERS = frozenset(")]}")
-_BRACKETS = _OPENERS | _BRACKET_CLOSERS
-_ANGLE_MARKS = _BRACKETS | {"<", ">"}
+_CLOSERS = {"(": ")", "[": "]", "{": "}"}
 
 # The parser's copies of the token lists end in these markers (the tree keeps
 # the lexer's). No token spells "", so a test of the token up to two past the
 # cursor, or before the first, needs no bound check.
 _END = ["", "", ""]
 # The tokens `_walk` acts on, the end marker among them.
-_WALK_MARKS = _BRACKETS | frozenset("; , < new".split()) | {""}
+_WALK_MARKS = frozenset("( ) [ ] { } ; , < new".split()) | {""}
 
 # An expression never starts or ends with an assignment operator. `>>=` and
 # `>>>=` lex as `>` tokens then `>=`, since `>` is always a token of its own.
 _ASSIGNMENT_TAILS = frozenset("= += -= *= /= %= &= |= ^= <<= >=".split())
 _ASSIGNMENT_HEADS = _ASSIGNMENT_TAILS | {">"}
-
-
-def match_group(values: list[str], j: int) -> tuple[bool, int]:
-    """Match the group that opens at token ``j`` (one of ``_CLOSERS``), given
-    the token values.
-
-    Returns ``(True, end)``, ``end`` being the index just past the group, or
-    ``(False, k)`` if the group does not close properly. Inside any group
-    `()[]{}` must nest. ``k`` is the index of the closer that breaks the
-    nesting, or ``j`` when the group is left open. A `<` group ends at the
-    `>` that balances its `<`s, counting only those outside the brackets it
-    holds.
-    """
-    angle = values[j] == "<"
-    marks = _ANGLE_MARKS if angle else _BRACKETS
-    depth = 0
-    expected: list[str] = []  # the closers of the open brackets, innermost last
-    for k in range(j, len(values)):
-        v = values[k]
-        if v not in marks:
-            continue
-        if v in _OPENERS:
-            expected.append(_CLOSERS[v])
-        elif v in _BRACKET_CLOSERS:
-            if not expected:
-                return False, j
-            if expected.pop() != v:
-                return False, k
-            if not expected and not angle:
-                return True, k + 1
-        elif angle and not expected:
-            if v == "<":
-                depth += 1
-            elif v == ">":
-                depth -= 1
-                if depth == 0:
-                    return True, k + 1
-    return False, j
-
-
-def _without_type_args(values: list[str]) -> str:
-    """The text of a class type's tokens, ``values``, without its type
-    arguments: `Outer.Inner` for `Outer<A>.Inner<B<C>>`."""
-    depth, text = 0, ""
-    for v in values:
-        depth += (v == "<") - (v == ">")
-        if not depth and v != ">":
-            text += v
-    return text
 
 
 class Node:
@@ -274,16 +222,6 @@ class _Parser:
             children.append(self._parse_type_decl())
         return Node("compilation_unit", 0, self.i, children)
 
-    def _skip_group(self, j: int) -> int:
-        """Index just past the `<` group that opens at token ``j``, which
-        the caller checks with `_check_type_args`."""
-        closed, k = match_group(self.values, j)
-        if not closed:
-            if k == j:
-                raise ParseError(self.tokens.starts[j], "unbalanced '>'")
-            raise ParseError(self.tokens.starts[k], f"unexpected {self.values[k]!r}")
-        return k
-
     def _walk_parens(
         self, children: list[Node], after: str = "", sep: Optional[str] = None
     ) -> list[tuple[int, int]]:
@@ -306,21 +244,24 @@ class _Parser:
             self.expect("*")
         self.expect(";")
 
-    def _parse_qualified_name(self, what: str = "name", annotated: bool = False) -> None:
-        """Read `a.b.c`. Only in a type (``annotated``) may annotations
-        follow a `.`, as in `a.@A b`: javac's parser reads them there alone."""
-        self.expect_ident(what)
+    def _parse_qualified_name(self, what: str = "name", annotated: bool = False) -> str:
+        """Read `a.b.c`; returns it without annotations. Only in a type
+        (``annotated``) may annotations follow a `.`, as in `a.@A b`:
+        javac's parser reads them there alone."""
+        name = self.expect_ident(what)
         values = self.values
         while values[self.i] == ".":
             if self.kinds[self.i + 1] == "ident":
+                name += "." + values[self.i + 1]
                 self.i += 2
             elif annotated and values[self.i + 1] == "@":
                 self.i += 1
                 while values[self.i] == "@":
                     self._parse_annotation()
-                self.expect_ident(what)
+                name += "." + self.expect_ident(what)
             else:
-                return
+                break
+        return name
 
     # --- annotations / modifiers --------------------------------------
 
@@ -370,51 +311,79 @@ class _Parser:
     # --- types ---------------------------------------------------------
 
     def _skip_dims(self) -> None:
-        """Skip the `[]` pairs after a type, a declarator or a parameter list."""
-        while self.values[self.i] == "[" and self.values[self.i + 1] == "]":
+        """Skip the `[]` pairs after a type, a declarator or a parameter
+        list, each after its annotations, as in `int @A [] @B []`."""
+        values = self.values
+        while (v := values[self.i]) == "[" or v == "@":
+            j = self.i
+            while values[self.i] == "@":
+                self._parse_annotation()
+            if values[self.i] != "[" or values[self.i + 1] != "]":
+                self.i = j
+                return
             self.i += 2
 
-    def _skip_type(self, check: bool = True, dims: bool = True) -> None:
+    def _skip_type(self, dims: bool = True, creation: bool = False) -> str:
         """Move the cursor past a type reference, `Outer<A>.Inner<B>[]` among
-        them, or without ``dims`` past all but its `[]` pairs. With
-        ``check``, its type arguments are checked as `_check_type_args`
-        checks them; a probe that does not yet know the statement is a
-        declaration checks them once it does."""
+        them, or without ``dims`` past all but its `[]` pairs; returns its
+        qualified name without annotations and type arguments, `Outer.Inner`.
+        Its type arguments are read by `_skip_type_args`; the last may be
+        the diamond `<>` of a ``creation``."""
         values = self.values
         if values[self.i] in PRIMITIVE_TYPES:
-            self.i += 1
+            name = self.advance()
         elif self.kinds[self.i] == "ident":
-            self._parse_qualified_name(annotated=True)
+            name = self._parse_qualified_name(annotated=True)
             while values[self.i] == "<":
-                lo = self.i
-                self.i = self._skip_group(lo)
-                if check:
-                    self._check_type_args(lo)
+                self._skip_type_args(creation)
                 if values[self.i] != ".":
                     break
                 self.i += 1
                 while values[self.i] == "@":
                     self._parse_annotation()
-                self._parse_qualified_name(annotated=True)
+                name += "." + self._parse_qualified_name(annotated=True)
         else:
             raise self.fail("expected type")
         if dims:
             self._skip_dims()
+        return name
 
-    def _check_type_args(self, lo: int) -> None:
-        """Fail with javac's `illegal start of type` at the first token from
-        ``lo`` up to the cursor that no type or type argument holds: one
-        other than a name, a primitive type, `. , ? & [ ] < > extends super`
-        and an annotation with its arguments, as the `1` of `List<1 + 2>`."""
-        hi, self.i = self.i, lo
-        while self.i < hi:
-            v = self.values[self.i]
-            if v == "@":
-                self._parse_annotation()
-            elif v in _TYPE_ARGUMENT_TOKENS or self.kinds[self.i] == "ident":
-                self.i += 1
-            else:
+    def _skip_type_args(self, diamond: bool = False) -> None:
+        """Read the type arguments `<A, ? extends B>` at the cursor (JLS
+        4.5.1), each by `_skip_type_arg`, failing at the token that is no
+        `,` or `>` after one, as javac's parser does. With ``diamond``,
+        `<>` may end the type of a `new` that takes arguments."""
+        values = self.values
+        self.i += 1
+        if diamond and values[self.i] == ">":
+            self.i += 1
+            if values[self.i] == "[":
+                raise ParseError(self.tokens.starts[self.i - 2], "cannot create array with '<>'")
+            if values[self.i] == ".":
                 raise self.fail("illegal start of type")
+            return
+        self._skip_type_arg(wildcard=True)
+        while values[self.i] == ",":
+            self.i += 1
+            self._skip_type_arg(wildcard=True)
+        self.expect(">")
+
+    def _skip_type_arg(self, wildcard: bool = False) -> None:
+        """Read annotations, then a type, or with ``wildcard`` a `?` and an
+        optional `extends` or `super` bound; fails with javac's `illegal
+        start of type` where neither starts, as at the `1` of `List<1>`."""
+        while self.values[self.i] == "@":
+            self._parse_annotation()
+        v = self.values[self.i]
+        if v == "?" and wildcard:
+            self.i += 1
+            if self.values[self.i] in ("extends", "super"):
+                self.i += 1
+                self._skip_type_arg()
+        elif v in PRIMITIVE_TYPES or self.kinds[self.i] == "ident":
+            self._skip_type()
+        else:
+            raise self.fail("illegal start of type")
 
     def _parse_type(self) -> str:
         """Parse a type reference; returns its source text."""
@@ -445,25 +414,26 @@ class _Parser:
         return first
 
     def _parse_type_params(self) -> list[str]:
-        """Skip the type parameters at the cursor, if any; returns their
-        names. A name is an identifier at the group's top level that an
-        `extends`, `,` or `>` follows, and that is not part of a bound."""
-        if not self.at("<"):
-            return []
-        lo = self.i
-        self.i = self._skip_group(lo)
-        self._check_type_args(lo)
+        """Read the type parameters at the cursor, if any, as in
+        `<@A T extends B & C, U>`; returns their names. A missing `>` fails
+        just past the last parameter, where javac's parser does."""
         values = self.values
-        names, depth = [], 0
-        for k in range(lo, self.i):
-            depth += (values[k] == "<") - (values[k] == ">")
-            if (
-                depth == 1
-                and self.kinds[k] == "ident"
-                and values[k + 1] in ("extends", ",", ">")
-                and values[k - 1] not in ("extends", "&", ".")
-            ):
-                names.append(values[k])
+        names: list[str] = []
+        if values[self.i] != "<":
+            return names
+        while not names or values[self.i] == ",":
+            self.i += 1
+            while values[self.i] == "@":
+                self._parse_annotation()
+            names.append(self.expect_ident("type parameter name"))
+            bound = "extends"
+            while values[self.i] == bound:
+                self.i += 1
+                self._skip_type_arg()
+                bound = "&"
+        if values[self.i] != ">":
+            raise ParseError(self.tokens.ends[self.i - 1], "expected '>'")
+        self.i += 1
         return names
 
     # --- type declarations ---------------------------------------------
@@ -704,6 +674,14 @@ class _Parser:
         keyword = self.advance()
         children: list[Node] = []
         parts = self._walk_parens(children, keyword, ";" if keyword == "for" else None)
+        # javac's parser reads `(init; cond; update)` or `(T x : y)`, so a
+        # header with one `;` or more than two fails where its shape breaks
+        semis = [hi for _, hi in parts if self.values[hi] == ";"]
+        if len(semis) == 1 or len(semis) > 2:
+            hi, closer = (semis[2], "')'") if len(semis) > 2 else (self.i - 1, "';'")
+            if self.values[hi - 1] == ";":  # no condition, or a `;` for an update
+                raise ParseError(self.tokens.starts[hi], "illegal start of expression")
+            raise ParseError(self.tokens.ends[hi - 1], f"expected {closer}")
         children.append(self._parse_statement(alone=True))
         if keyword == "while":
             return Node("while_statement", lo, self.i, children)
@@ -778,25 +756,23 @@ class _Parser:
         """The local variable declaration at the cursor, or None, the cursor
         unmoved, if the statement there is not one. ``head``, the start and
         modifiers of a declaration whose modifiers the caller has read,
-        makes it one. A statement that is ``alone`` fails if it is one."""
+        makes it one, as does a `<` after the name it starts with: no
+        expression statement starts `Name<` (JLS 14.8), so `a < b;` fails
+        as javac's parser fails it. A statement that is ``alone`` fails if
+        it is one."""
         type_lo = self.i
         kinds, values = self.kinds, self.values
-        if head is not None:
-            self._skip_type()
-        elif kinds[type_lo] != "ident" and values[type_lo] not in PRIMITIVE_TYPES:
+        if head is None and kinds[type_lo] != "ident" and values[type_lo] not in PRIMITIVE_TYPES:
             return None
-        else:
-            try:
-                self._skip_type(check=False)
-            except ParseError:  # an unclosed `<`, as in `a < b;`
-                self.i = type_lo
-                return None
-            i = self.i
-            if kinds[i] != "ident" or values[i + 1] not in ("=", ";", ",", "["):
-                self.i = type_lo
-                return None
-            if i > type_lo + 1:  # a one-token type holds no type arguments
-                self._check_type_args(type_lo)
+        self._skip_type()
+        i = self.i
+        if (
+            head is None
+            and (kinds[i] != "ident" or values[i + 1] not in ("=", ";", ",", "["))
+            and "<" not in values[type_lo:i]
+        ):
+            self.i = type_lo
+            return None
         if alone:
             raise self.fail("variable declaration not allowed here")
         text = self._text(type_lo, self.i)
@@ -830,8 +806,8 @@ class _Parser:
         or an array initializer). With ``group``, the run is the bracket
         group that opens at the cursor, whose anonymous class bodies stay
         tokens, and the ranges between its top-level ``sep``s are returned.
-        Brackets must nest, and the type arguments of `new T<...>(` and
-        `a.<T>f()` hold only types.
+        Brackets must nest, and the type arguments of `new T<...>(`,
+        `new <T>A(` and `a.<T>f()` are read by `_skip_type_args`.
         """
         values, kinds = self.values, self.kinds
         lo = i = self.i
@@ -845,8 +821,9 @@ class _Parser:
         # 0 for none: a closer that meets the group's own bracket, or the end
         # of the file, fails at the group's opener as `unbalanced`
         root = 0
-        # `new`, its type, its `(`, and a `{` after its `)`
-        new_at = new_type = new_paren = body_at = -1
+        # `new`, its `(`, and a `{` after its `)`; the name of its type
+        new_at = new_paren = body_at = -1
+        new_name = ""
         if group:
             stack.append((opener, node, children, args, arg_lo, None))
             opener, args, arg_lo, root = i, [], i + 1, 1
@@ -862,8 +839,7 @@ class _Parser:
                 new = None
                 if v == "(":
                     if i == new_paren:
-                        name = _without_type_args(values[new_type:i])
-                        props = {"type": name, "args": None, "body": None}
+                        props = {"type": new_name, "args": None, "body": None}
                         new = Node("creation", new_at, 0, [], props)
                     elif kinds[i - 1] == "ident" and values[i - 2] != "new":
                         at = i - 3 if values[i - 2] == "." and kinds[i - 3] == "ident" else i - 1
@@ -920,23 +896,22 @@ class _Parser:
                     break
             elif v == "<":
                 if values[i - 1] == ".":  # explicit type arguments, `a.<T>f()`
-                    self.i = self._skip_group(i)
-                    self._check_type_args(i)
+                    self.i = i
+                    self._skip_type_args()
                     i = self.i
                     continue
             elif v == "new":
                 self.i = i + 1
                 if values[i + 1] == "<":  # constructor type arguments, `new <T>A()`
-                    self.i = self._skip_group(i + 1)
-                    self._check_type_args(i + 1)
+                    self._skip_type_args()
                 while values[self.i] == "@":
                     self._parse_annotation()
-                k = new_type = self.i
+                k = self.i
                 if kinds[k] == "ident":
-                    self._skip_type(dims=False)
+                    name = self._skip_type(dims=False, creation=True)
                     k = self.i
                     if values[k] == "(":
-                        new_at, new_paren = i, k
+                        new_at, new_paren, new_name = i, k, name
                 if values[k] == "{":
                     raise self.fail("'(' or '[' expected")
                 # on to the `(` or `[`: a comma in the type arguments ends

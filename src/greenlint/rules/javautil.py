@@ -14,7 +14,7 @@ from itertools import chain
 from typing import Iterator, Optional
 
 from ..java.lexer import Tokens
-from ..java.parser import PRIMITIVE_TYPES, TYPE_DECLS, Node, SyntaxTree, match_group
+from ..java.parser import PRIMITIVE_TYPES, TYPE_DECLS, Node, SyntaxTree
 from ..spans import Edit
 
 
@@ -250,13 +250,28 @@ def calls(node: Node, kind: str = "call") -> Iterator[Node]:
     return (n for n in node.walk() if n.kind == kind)
 
 
+_OPENERS = frozenset("([{")
+_CLOSERS = frozenset(")]}")
+
+
+def group_end(values: list[str], j: int) -> int:
+    """Index just past the bracket group that opens at token ``j``, among
+    tokens whose brackets the parser has found to nest."""
+    depth = 0
+    for k in range(j, len(values)):
+        depth += (values[k] in _OPENERS) - (values[k] in _CLOSERS)
+        if not depth:
+            return k + 1
+    return len(values)
+
+
 def unwrap(values: list[str], lo: int, hi: int) -> tuple[int, int, bool]:
     """The expression tokens ``lo`` to ``hi`` with the parentheses around
     them and the casts before them stripped, and whether a cast was. A
     parenthesized receiver, as in `(a).b()` or `(a)[0]`, is kept."""
     cast = False
     while values[lo] == "(":
-        end = match_group(values, lo)[1]
+        end = group_end(values, lo)
         if end == hi:
             lo, hi = lo + 1, hi - 1
         elif values[end] in (".", "["):
@@ -371,7 +386,13 @@ def declared_locals(method: Node) -> set[str]:
     return names
 
 
+_TYPE_ARGS = re.compile(r"<[^<>]*>")
+
+
 def base_type_name(type_text: str) -> str:
-    """Last segment of a type reference, generics and arrays stripped."""
-    t = type_text.split("<", 1)[0].replace("[]", "").strip()
-    return t.split(".")[-1]
+    """Last segment of a type reference, its type arguments and arrays
+    stripped: `Inner` for `Outer<A>.Inner<B>[]`."""
+    t, found = type_text, "<" in type_text
+    while found:  # the innermost type arguments first
+        t, found = _TYPE_ARGS.subn("", t)
+    return t.replace("[]", "").strip().split(".")[-1]

@@ -22,13 +22,14 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from ..java.lexer import Tokens
-from ..java.parser import Node, SyntaxTree, match_group
+from ..java.parser import Node, SyntaxTree
 from .base import RuleId, RuleResult
 from .javautil import (
     OWNER_KINDS,
     base_type_name,
     calls,
     file_indent,
+    group_end,
     guarded_release,
     initialized_local,
     insert_lines,
@@ -114,7 +115,7 @@ def _arms(values: list[str], lo: int, hi: int) -> Iterator[tuple[int, int]]:
     while j < hi:
         v = values[j]
         if v == "(" or v == "[" or v == "{":
-            j = match_group(values, j)[1]
+            j = group_end(values, j)
             continue
         if v == "->" and depth == 0:
             return
@@ -140,7 +141,7 @@ def _is_chain(tokens: Tokens, lo: int, name: int) -> bool:
     j = lo
     while j < name:
         if values[j] == "(" or values[j] == "[":
-            j = match_group(values, j)[1]
+            j = group_end(values, j)
         elif kinds[j] == "ident" or values[j] in (".", "this", "super"):
             j += 1
         else:

@@ -328,7 +328,7 @@ def test_double_dash_ends_the_options(tmp_path, capsys, monkeypatch):
         (
             "class G extends Activity { WakeLock wl; void onCreate() {"
             " List<f(a]> x; wl.acquire(); } }",
-            67,
+            65,
         ),
     ],
 )

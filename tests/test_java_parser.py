@@ -5,7 +5,7 @@ import pytest
 from greenlint import diagnostics
 from greenlint.java.lexer import tokenize
 from greenlint.java.parser import Node, parse_java_source
-from greenlint.rules.javautil import path_to
+from greenlint.rules.javautil import base_type_name, path_to
 
 from conftest import CLEAN_CORPUS, GOLDEN, parse_java
 from helpers import assert_spans_sound, contains, find_all
@@ -226,15 +226,18 @@ def test_complete_expression_statements_parse(statement):
     "source,column,closer",
     [
         (b"class A { void f() { if (x { } } }", 25, "')'"),
-        (b"class A<T { }", 8, "'>'"),
-        (b"class A { Map<K,V> m = Collections.<K; }", 36, "'>'"),
+        # javac's parser expects a `>` just past the last type parameter,
+        # and at the token after the last type argument
+        (b"class A<T { }", 10, "'>'"),
+        (b"class A { Map<K,V> m = Collections.<K; }", 38, "'>'"),
         (b"@Deprecated(x class A { }", 12, "')'"),
     ],
 )
 def test_unclosed_group_fails_at_the_cursor(source, column, closer):
     tree, diags = parse_java_source(source)
     assert tree is None
-    assert (diags[0].column, diags[0].message) == (column, f"unbalanced {closer}")
+    message = f"expected {closer}" if closer == "'>'" else f"unbalanced {closer}"
+    assert (diags[0].column, diags[0].message) == (column, message)
 
 
 @pytest.mark.parametrize(
@@ -365,6 +368,7 @@ def test_calls_and_creations_are_nodes_in_source_order():
         (b"new Outer<A>.Inner<B>(1)", "Outer.Inner"),
         (b"new <T>B(1)", "B"),
         (b"new @A B(1)", "B"),
+        (b"new Y.@A Z(1)", "Y.Z"),
     ],
 )
 def test_a_creation_keeps_its_class_name(expression, type_name):
@@ -372,6 +376,20 @@ def test_a_creation_keeps_its_class_name(expression, type_name):
     (creation,) = find_all(tree, "creation")
     assert creation.props["type"] == type_name
     assert find_all(tree, "call") == []
+
+
+@pytest.mark.parametrize(
+    "type_text,name",
+    [
+        ("WakeLock", "WakeLock"),
+        ("PowerManager.WakeLock", "WakeLock"),
+        ("List<String>[]", "List"),
+        ("Outer<A>.Inner", "Inner"),
+        ("a.b.C<D<E>>.F<G>[]", "F"),
+    ],
+)
+def test_base_type_name_is_the_last_segment(type_text, name):
+    assert base_type_name(type_text) == name
 
 
 def test_an_anonymous_body_in_a_token_run_stays_tokens():
@@ -492,7 +510,18 @@ _CLASS_NOT_ALLOWED = "class, interface or enum declaration not allowed here"
             "1:48: illegal start of type",
         ),
         (b"class C { void f() { new Outer<A>.Inner<1>(); } }", "1:41: illegal start of type"),
-        (b"class C { void f() { Object o = new A<B(); } }", "1:38: unbalanced '>'"),
+        (b"class C { void f() { Object o = new A<B(); } }", "1:40: expected '>'"),
+        (b"class C { void f() { Object o = new A<>[1]; } }", "1:38: cannot create array with '<>'"),
+        (b"class C { void f() { Object o = new A<>.B(); } }", "1:40: illegal start of type"),
+        (b"class C { <T extends A & > void f() {} }", "1:26: illegal start of type"),
+        (b"class C<T U> {}", "1:10: expected '>'"),
+        # a `for` header is `(init; cond; update)` or `(T x : y)`
+        (b"class C { void f(int n) { for (int i = 0; i < n) {} } }", "1:48: expected ';'"),
+        (b"class C { void f() { for (;;;) {} } }", "1:29: illegal start of expression"),
+        (b"class C { void f() { for (;) {} } }", "1:28: illegal start of expression"),
+        # no expression statement starts `Name<`, so this is a declaration
+        # whose variable name is missing (javac: `not a statement` at 1:33)
+        (b"class S { void f() { Foo<String>.bar(); } }", "1:37: expected variable name"),
         # the body of `if`, `else`, a loop or a label is no declaration
         *(
             (b"class C { void f(boolean b) { " + statement + b" } }", expected)
@@ -554,13 +583,14 @@ def test_parse_error_message_and_location(source, expected):
         b"class S { void f(List<a.b> x, List<String>... y) {} }",
         b"class S<T extends Comparable<? super T> & Serializable> extends B<T[]> {}",
         b"class S { void f() { Outer<String>.Inner<Integer> x = null; a.b<c>.d y; } }",
-        # an expression statement is no declaration, so its `<` is not checked
-        b"class S { void f() { Foo<String>.bar(); if (a < b) x = c > d; } }",
+        # a `<` in an expression is no type's
+        b"class S { void f() { if (a < b) x = c > d; } }",
         b"class S { void f() { try { } catch (final @A E | F e) {} } }",
         b"class S { void f() { try { } catch (@A final a.E<?>[] e[]) {} } }",
         b"class S extends @A Y implements @B I, @C(1) J { void g() throws @D a.E, F {} }",
         b"class S extends Y.@A Z { a.@B C f; void g(a.@C D x) throws E.@D F { a.@E B c; } }",
         b"class S { Outer<A>.@B Inner<C> f; }",
+        b"class S { List<String @A [] @B []> f; int @C [] g() @D [] { return null; } }",
     ],
 )
 def test_type_argument_shapes_parse(source):

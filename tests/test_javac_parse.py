@@ -6,10 +6,12 @@ reads them all: `-XDshould-stop.ifError=PARSE -XDshould-stop.ifNoError=PARSE`
 stops it after parsing, and `-XDrawDiagnostics` prints each error as
 `Name.java:line:col: key`. The hand-written cases are annotated types,
 `throws` lists, `catch` headers, the modifiers of declaration heads, the
-statements that may not be declarations and the type arguments in
-expressions. The mutants are seeded single-token damage to the Java
-fixtures; where javac's parser accepts one, so must it the file `fix`
-makes of it. Skipped when no `javac` is on the path.
+statements that may not be declarations, and type arguments and type
+parameters, in declarations and in expressions. The mutants are seeded
+single-token damage to the Java fixtures; where javac's parser accepts
+one, so must it the file `fix` makes of it, and where both parsers reject
+one, the pinned count of first diagnostics at javac's line and column may
+not fall. Skipped when no `javac` is on the path.
 """
 
 import random
@@ -148,6 +150,30 @@ CASES = {
     "NewConstructorTypeArguments": _block("Object o = new <T>Foo(1);"),
     "NewConstructorNumberTypeArgument": _block("Object o = new <1>Foo(1);"),
     "NewAnnotated": _block("Object o = new @A Foo(1);"),
+    # type arguments and type parameters, read by their grammar
+    "UnclosedTypeArguments": _block("List<String x;"),
+    "TrailingCommaTypeArgument": _block("Map<String,> m;"),
+    "DiamondInDeclaration": _block("List<> x;"),
+    "WildcardNoBound": _block("List<? extends> x;"),
+    "EmptyTypeParameters": "class C<> {}",
+    "TrailingCommaTypeParameter": "class C { <T,> void f() {} }",
+    "TrailingAmpersandBound": "class C { <T extends A & > void f() {} }",
+    "CallDiamond": _block("a.<>f();"),
+    "NewConstructorDiamond": _block("new <>A();"),
+    "LessThanStatement": _block("a < b;"),
+    "ExtraClosingAngle": _block("List<String>> x;"),
+    "UnclosedInnerTypeArguments": _block("List<A<B> x = null;"),
+    "TypeArgumentsThenCall": _block("Foo<String>.bar();"),
+    "PrimitiveTypeArgument": _block("List<int> x;"),
+    "SuperAnnotatedBound": _block("List<? super @A B> x;"),
+    "NewDiamondControl": _block("Object o = new ArrayList<>();"),
+    "QualifiedGenericLocal": _block("a.b<c> d;"),
+    "GenericLocalNoSpaces": _block("a<b>c;"),
+    "GenericArrayLocal": _block("List<String>[] x;"),
+    "IntersectionBoundTypeParameters": "class C { <T extends A & B, U> void f() {} }",
+    "ArrayClassLiteralCall": _block("String[].class.getName();"),
+    "AnnotatedDimsTypeArgument": _block("List<String @A []> x;"),
+    "AnnotatedDimsField": "class C { String @A [] f; int g() @B [] { return null; } }",
 }
 
 
@@ -175,7 +201,12 @@ def _mutants() -> dict[str, bytes]:
 
 # Mutants that javac's parser rejects and greenlint parses. Lower the pin
 # when a change makes greenlint reject more of them; it may not rise.
-ACCEPTED_THAT_JAVAC_REJECTS = 259
+ACCEPTED_THAT_JAVAC_REJECTS = 254
+
+# Mutants that both parsers reject where greenlint's first diagnostic has
+# javac's first line and column. Raise the pin when a change places more of
+# them as javac does; it may not fall.
+LOCATED_AS_JAVAC = 168
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +222,20 @@ def test_mutated_fixtures_parse_where_javac_parses_them(mutants_and_javac_reject
     greenlint_rejects = _greenlint_rejects(mutants)
     assert greenlint_rejects - javac_rejects == set(), stderr
     assert len(javac_rejects - greenlint_rejects) == ACCEPTED_THAT_JAVAC_REJECTS
+
+
+def test_first_diagnostics_of_mutants_are_where_javac_puts_them(mutants_and_javac_rejects):
+    mutants, javac_rejects, stderr = mutants_and_javac_rejects
+    javac_first: dict[str, str] = {}
+    for line in stderr.splitlines():
+        name, sep, rest = line.partition(".java:")
+        if sep and name in mutants:
+            javac_first.setdefault(name, ":".join(rest.split(":", 2)[:2]))
+    located = 0
+    for name in javac_rejects:
+        diags = parse_java_source(mutants[name])[1]
+        located += bool(diags) and f"{diags[0].line}:{diags[0].column}" == javac_first[name]
+    assert located == LOCATED_AS_JAVAC
 
 
 def test_fix_keeps_the_mutants_javac_parses_parseable(mutants_and_javac_rejects, tmp_path, capsys):
