@@ -10,14 +10,16 @@ reachable. A probe for a local variable declaration does not raise when the
 statement is an expression; a statement that starts `Name<` is always a
 declaration (JLS 14.8).
 
-One walker, `_Parser._walk`, reads every token run the parser does not parse
-into statements (expressions, headers, switch bodies, lambda bodies, array
-initializers, annotation arguments) and records a ``call`` node at each
-`name(...)` and a ``creation`` node at each `new T(...)` in it. An
-anonymous class body in an expression is parsed as a full class body, so
-rules see methods declared in anonymous adapters too; in the other runs it
-stays tokens. An enum constant's body is an anonymous class body as well, a
-child of the enum among its members.
+One walker reads every token run the parser does not parse into statements
+(expressions, headers, switch bodies, lambda bodies, array initializers,
+annotation arguments), by recursive descent too: `_Parser._walk` reads an
+expression, and `_scan` moves to the next closer or separator, handing each
+bracket group on its way to `_group`, which walks the group by `_scan`. It
+records a ``call`` node at each `name(...)` and a ``creation`` node at each
+`new T(...)`. An anonymous class body in an expression is parsed as a full
+class body, so rules see methods declared in anonymous adapters too; in the
+other runs it stays tokens. An enum constant's body is an anonymous class
+body as well, a child of the enum among its members.
 
 Node kinds, and the props that rules read (token ranges are half-open
 index pairs):
@@ -101,7 +103,7 @@ _CLOSERS = {"(": ")", "[": "]", "{": "}"}
 # the lexer's). No token spells "", so a test of the token up to two past the
 # cursor, or before the first, needs no bound check.
 _END = ["", "", ""]
-# The tokens `_walk` acts on, the end marker among them.
+# The tokens `_scan` acts on, the end marker among them.
 _WALK_MARKS = frozenset("( ) [ ] { } ; , < new".split()) | {""}
 
 # An expression never starts or ends with an assignment operator. `>>=` and
@@ -226,10 +228,10 @@ class _Parser:
         self, children: list[Node], after: str = "", sep: Optional[str] = None
     ) -> list[tuple[int, int]]:
         """Walk the `(` group at the cursor, adding the nodes in it to
-        ``children``; see `_walk` for ``sep`` and what it returns. The group
-        may be missing unless it must follow keyword ``after``."""
+        ``children``; returns the ranges between its top-level ``sep``s.
+        The group may be missing unless it must follow keyword ``after``."""
         if self.values[self.i] == "(":
-            return self._walk(children, group=True, sep=sep)
+            return self._group(children, self.i, None, sep)
         if after:
             raise self.fail(f"expected '(' after {after}")
         return []
@@ -348,11 +350,13 @@ class _Parser:
             self._skip_dims()
         return name
 
-    def _skip_type_args(self, diamond: bool = False) -> None:
+    def _skip_type_args(self, diamond: bool = False, wildcard: bool = True) -> None:
         """Read the type arguments `<A, ? extends B>` at the cursor (JLS
         4.5.1), each by `_skip_type_arg`, failing at the token that is no
         `,` or `>` after one, as javac's parser does. With ``diamond``,
-        `<>` may end the type of a `new` that takes arguments."""
+        `<>` may end the type of a `new` that takes arguments; without
+        ``wildcard``, as for the explicit ones of a call or a constructor,
+        no `?` may stand for one."""
         values = self.values
         self.i += 1
         if diamond and values[self.i] == ">":
@@ -362,10 +366,10 @@ class _Parser:
             if values[self.i] == ".":
                 raise self.fail("illegal start of type")
             return
-        self._skip_type_arg(wildcard=True)
+        self._skip_type_arg(wildcard)
         while values[self.i] == ",":
             self.i += 1
-            self._skip_type_arg(wildcard=True)
+            self._skip_type_arg(wildcard)
         self.expect(">")
 
     def _skip_type_arg(self, wildcard: bool = False) -> None:
@@ -552,9 +556,14 @@ class _Parser:
                 self.expect(",")
             self._parse_final()
             type_text = self._parse_type()
+            j = self.i
+            while values[self.i] == "@":  # as in `String @A ... a`
+                self._parse_annotation()
             if values[self.i] == "...":
                 self.i += 1
                 type_text += "..."
+            else:  # only a `...` takes them; the name check fails at the `@`
+                self.i = j
             if values[self.i] == "this":  # receiver parameter
                 name = self.advance()
             else:
@@ -739,7 +748,7 @@ class _Parser:
         self._walk_parens(children, "switch")
         if not self.at("{"):
             raise self.fail("expected '{' after switch header")
-        self._walk(children, group=True)  # the case bodies stay a token run
+        self._group(children, self.i, None, None)  # the case bodies stay a token run
         return Node("switch_statement", lo, self.i, children)
 
     def _parse_synchronized(self) -> Node:
@@ -771,6 +780,9 @@ class _Parser:
             and (kinds[i] != "ident" or values[i + 1] not in ("=", ";", ",", "["))
             and "<" not in values[type_lo:i]
         ):
+            if values[i] != "." and values[type_lo] in PRIMITIVE_TYPES:
+                # only `int.class` and the like start an expression statement
+                raise ParseError(self.tokens.starts[type_lo], "not a statement")
             self.i = type_lo
             return None
         if alone:
@@ -788,152 +800,132 @@ class _Parser:
             raise self.fail("expected expression")
         return lo, self.i
 
-    def _walk(
-        self,
-        children: list[Node],
-        group: bool = False,
-        stop_at_comma: bool = False,
-        sep: Optional[str] = None,
-    ) -> list[tuple[int, int]]:
-        """Walk the token run at the cursor, adding the calls and creations
-        in it to ``children``; see the module docstring for their shapes.
+    def _walk(self, children: list[Node], stop_at_comma: bool = False) -> None:
+        """Walk the expression at the cursor, adding the calls and creations
+        in it to ``children``. It ends before a `;`, a top-level `,` if
+        ``stop_at_comma``, or a `)` or `]` that closes no bracket of its
+        own, and fails with "expected expression" if it starts or ends with
+        an assignment operator."""
+        values = self.values
+        lo = self.i
+        while True:
+            self._scan(children, None)
+            v = values[self.i]
+            if v == "," and not stop_at_comma:
+                self.i += 1
+            elif v == "}":
+                raise self.fail("unexpected '}' in expression")
+            elif not v:  # the end marker
+                raise self.fail("unexpected end of file in expression")
+            else:
+                break
+        i = self.i
+        if i > lo:
+            if values[lo] in _ASSIGNMENT_HEADS:
+                raise ParseError(self.tokens.starts[lo], "expected expression")
+            if values[i - 1] in _ASSIGNMENT_TAILS:
+                raise self.fail("expected expression")
 
-        Without ``group``, the run is an expression, which ends before a
-        `;`, a top-level `,` if ``stop_at_comma``, or a `)` or `]` that
-        closes no bracket of its own; it fails with "expected expression"
-        if it starts or ends with an assignment operator. An anonymous class
-        body in it is parsed, unless it lies in a `{}` group (a lambda body
-        or an array initializer). With ``group``, the run is the bracket
-        group that opens at the cursor, whose anonymous class bodies stay
-        tokens, and the ranges between its top-level ``sep``s are returned.
-        Brackets must nest, and the type arguments of `new T<...>(`,
-        `new <T>A(` and `a.<T>f()` are read by `_skip_type_args`.
-        """
+    def _scan(self, children: list[Node], root: Optional[int]) -> None:
+        """Move the cursor to the next `)`, `]`, `}`, `;`, `,` or end
+        marker, walking each bracket group on the way by `_group`; a `{`
+        group becomes the ``root`` if there is none. The type arguments of
+        `new T<...>(`, `new <T>A(` and `a.<T>f()` are read by
+        `_skip_type_args`, and after the type of a `new` only its `(`, or
+        else a `[` after annotations, may follow."""
         values, kinds = self.values, self.kinds
-        lo = i = self.i
-        # the state of each level outside the innermost bracket: its opener,
-        # the node whose arguments it holds, the list its nodes go to, the
-        # ranges between its separators (None if not kept), where the last
-        # range starts, and the separator
-        stack: list[tuple[int, Optional[Node], list[Node], Optional[list], int, Any]] = []
-        opener, node, args, arg_lo = -1, None, None, 0
-        # the depth of the group walked, or of a `{` group in an expression,
-        # 0 for none: a closer that meets the group's own bracket, or the end
-        # of the file, fails at the group's opener as `unbalanced`
-        root = 0
-        # `new`, its `(`, and a `{` after its `)`; the name of its type
-        new_at = new_paren = body_at = -1
-        new_name = ""
-        if group:
-            stack.append((opener, node, children, args, arg_lo, None))
-            opener, args, arg_lo, root = i, [], i + 1, 1
-            i += 1
-        else:
-            sep = None
+        i = self.i
         while True:
             v = values[i]
             if v not in _WALK_MARKS:
                 i += 1
                 continue
             if v == "(" or v == "[" or v == "{":
-                new = None
-                if v == "(":
-                    if i == new_paren:
-                        props = {"type": new_name, "args": None, "body": None}
-                        new = Node("creation", new_at, 0, [], props)
-                    elif kinds[i - 1] == "ident" and values[i - 2] != "new":
-                        at = i - 3 if values[i - 2] == "." and kinds[i - 3] == "ident" else i - 1
-                        props = {"name": values[i - 1], "name_tok": i - 1, "args": None}
-                        props["receiver"] = values[at] if at < i - 1 else None
-                        new = Node("call", at, 0, [], props)
-                elif v == "{" and i == body_at and not root:  # an anonymous class body
-                    self.i = i
-                    body = self._parse_anonymous_body()
-                    creation = children[-1]
-                    creation.children.append(body)
-                    creation.props["body"] = body
-                    creation.tok_hi = i = self.i
-                    continue
-                stack.append((opener, node, children, args, arg_lo, sep))
-                opener, node, args, arg_lo, sep = i, new, None, i + 1, None
-                if new is not None:
-                    children, args, sep = new.children, [], ","
-                elif v == "{" and not root:  # a lambda body or an array initializer
-                    root = len(stack)
-            elif v == ")" or v == "]" or v == "}":
-                if not stack:  # the expression ends, or fails at a `}`
-                    if v == "}":
-                        self.i = i
-                        raise self.fail("unexpected '}' in expression")
-                    break
-                if _CLOSERS[values[opener]] != v:
-                    if not root:
-                        raise ParseError(self.tokens.starts[i], f"unexpected {v!r} in expression")
-                    if len(stack) == root:  # the group's own bracket is left open
-                        break
-                    raise ParseError(self.tokens.starts[i], f"unexpected {v!r}")
-                if args is not None and arg_lo < i:
-                    args.append((arg_lo, i))
-                done, ranges = node, args
-                depth = len(stack)
-                opener, node, children, args, arg_lo, sep = stack.pop()
-                if done is not None:
-                    done.tok_hi = i + 1
-                    done.props["args"] = ranges
-                    children.append(done)
-                    if done.kind == "creation":
-                        body_at = i + 1
-                if depth == root:
-                    if group:
-                        self.i = i + 1
-                        return ranges
-                    root = 0
-            elif v == sep:
-                args.append((arg_lo, i))
-                arg_lo = i + 1
-            elif v == ";" or v == ",":
-                if not stack and (v == ";" or stop_at_comma):
-                    break
+                self.i = i
+                if v == "(" and kinds[i - 1] == "ident":
+                    at = i - 3 if values[i - 2] == "." and kinds[i - 3] == "ident" else i - 1
+                    props = {"name": values[i - 1], "name_tok": i - 1, "args": None}
+                    props["receiver"] = values[at] if at < i - 1 else None
+                    self._group(children, root, Node("call", at, 0, [], props), ",")
+                else:
+                    self._group(children, i if root is None and v == "{" else root, None, None)
             elif v == "<":
                 if values[i - 1] == ".":  # explicit type arguments, `a.<T>f()`
                     self.i = i
-                    self._skip_type_args()
-                    i = self.i
-                    continue
+                    self._skip_type_args(wildcard=False)
+                else:
+                    self.i = i + 1
             elif v == "new":
                 self.i = i + 1
                 if values[i + 1] == "<":  # constructor type arguments, `new <T>A()`
-                    self._skip_type_args()
+                    self._skip_type_args(wildcard=False)
                 while values[self.i] == "@":
                     self._parse_annotation()
-                k = self.i
-                if kinds[k] == "ident":
+                if kinds[self.i] == "ident" or values[self.i] in PRIMITIVE_TYPES:  # not `A::new`
                     name = self._skip_type(dims=False, creation=True)
-                    k = self.i
-                    if values[k] == "(":
-                        new_at, new_paren, new_name = i, k, name
-                if values[k] == "{":
-                    raise self.fail("'(' or '[' expected")
-                # on to the `(` or `[`: a comma in the type arguments ends
-                # no declarator
-                i = k
-                continue
-            else:  # the end marker
-                if root:
-                    break
+                    if values[self.i] == "(" and name not in PRIMITIVE_TYPES:
+                        props = {"type": name, "args": None, "body": None}
+                        self._group(children, root, Node("creation", i, 0, [], props), ",")
+                    else:
+                        array_only = name in PRIMITIVE_TYPES or values[self.i] == "@"
+                        while values[self.i] == "@":
+                            self._parse_annotation()
+                        if values[self.i] != "[":
+                            raise self.fail("'[' expected" if array_only else "'(' or '[' expected")
+            else:  # `) ] } ; ,` or the end marker
                 self.i = i
-                raise self.fail("unexpected end of file in expression")
-            i += 1
-        if root:  # a bracket of the group, or of a `{` group, is left open
-            at = opener if len(stack) == root else stack[root][0]
-            raise ParseError(self.tokens.starts[at], f"unbalanced {_CLOSERS[values[at]]!r}")
-        self.i = i
-        if i > lo:
-            if values[lo] in _ASSIGNMENT_HEADS:
-                raise ParseError(self.tokens.starts[lo], "expected expression")
-            if values[i - 1] in _ASSIGNMENT_TAILS:
-                raise self.fail("expected expression")
-        return []
+                return
+            i = self.i
+
+    def _group(
+        self, children: list[Node], root: Optional[int], node: Optional[Node], sep: Optional[str]
+    ) -> list[tuple[int, int]]:
+        """Walk the bracket group at the cursor; returns the ranges between
+        its top-level ``sep``s. Its nodes go to the children of ``node``, a
+        call or creation it holds the arguments of, which joins
+        ``children`` when the group closes, or else to ``children``.
+        ``root`` is the opener of the header, switch body, lambda body or
+        array initializer the group lies in, or None: a creation's anonymous
+        class body is parsed only outside one, and a closer that meets the
+        root's own bracket, or the end of the file, fails at it as
+        `unbalanced`."""
+        values = self.values
+        opener = self.i
+        closer = _CLOSERS[values[opener]]
+        inner = children if node is None else node.children
+        ranges: list[tuple[int, int]] = []
+        lo = self.i = opener + 1
+        while True:
+            self._scan(inner, root)
+            i = self.i
+            v = values[i]
+            if v == closer:
+                break
+            if v == sep:
+                ranges.append((lo, i))
+                lo = i + 1
+            elif v != ";" and v != ",":  # another bracket's closer, or the end marker
+                if root is None:
+                    if not v:
+                        raise self.fail("unexpected end of file in expression")
+                    raise ParseError(self.tokens.starts[i], f"unexpected {v!r} in expression")
+                if v and opener != root:
+                    raise ParseError(self.tokens.starts[i], f"unexpected {v!r}")
+                raise ParseError(self.tokens.starts[root], f"unbalanced {_CLOSERS[values[root]]!r}")
+            self.i = i + 1
+        if lo < i:
+            ranges.append((lo, i))
+        self.i = i + 1
+        if node is not None:
+            node.tok_hi = i + 1
+            node.props["args"] = ranges
+            children.append(node)
+            if node.kind == "creation" and values[i + 1] == "{" and root is None:
+                body = self._parse_anonymous_body()
+                node.children.append(body)
+                node.props["body"] = body
+                node.tok_hi = self.i
+        return ranges
 
     def _parse_anonymous_body(self) -> Node:
         lo = self.i

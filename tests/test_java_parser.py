@@ -66,6 +66,13 @@ def test_non_utf8_rejected():
         b"class C { void f(int x) { if (new B() { } == null) {} switch (x) { case 1: "
         b"Object o = new B() { }; g(B::new); } Object[] a = { new int[] {1}, B::new }; "
         b'while (renew("new")) {} } }',
+        b"class C { void f() { g(A::new, int[]::new, A::<T>new); List<?> x = a.<T>f(); } }",
+        b"class C { void f() { Object o = new String @A [5]; o = new @A int @B [1]; } }",
+        b"class C { void f(String @A ... a) { int.class.getName(); int[].class.getName(); } }",
+        # the walker nests 300 brackets deep
+        b"class D { int x = " + b"(" * 300 + b"1" + b")" * 300 + b"; }",
+        b"class D { int x = " + b"f(" * 300 + b"1" + b")" * 300 + b"; }",
+        b"class D { int[] x = " + b"{" * 300 + b"1" + b"}" * 300 + b"; }",
     ],
 )
 def test_parses_common_constructs(source):
@@ -562,6 +569,22 @@ _CLASS_NOT_ALLOWED = "class, interface or enum declaration not allowed here"
         (b"class T { void f() { final record R(int x) {} } }", "1:28: records are not supported"),
         (b"class A { // \xff }", "1:1: not valid UTF-8: invalid start byte"),
         (b"class A { void f() " + b"{" * 3000 + b"}" * 3000 + b" }", "1:1: nesting too deep"),
+        # each bracket of an expression costs two frames of the walker
+        (b"class A { int x = " + b"(" * 5000 + b"1" + b")" * 5000 + b"; }", "1:1: nesting too deep"),
+        # after the type of a `new` only its `(`, or a `[` after annotations
+        (b"class N1 { void f() { Object o = new A; } }", "1:39: '(' or '[' expected"),
+        (b"class N2 { void f() { new A<B>>(); } }", "1:31: '(' or '[' expected"),
+        (b"class N3 { void f() { Object o = new int; } }", "1:41: '[' expected"),
+        (b"class N4 { void f() { Object o = new A @B (); } }", "1:45: '[' expected"),
+        (b"class N5 { void f() { Object o = new int @A; } }", "1:44: '[' expected"),
+        # explicit type arguments take no wildcard
+        (b"class W1 { void f() { a.<?>f(); } }", "1:26: illegal start of type"),
+        (b"class W2 { void f() { new <?>A(); } }", "1:28: illegal start of type"),
+        # a statement that starts with a primitive type is a declaration or
+        # starts `int.class`
+        (b"class P1 { void f() { int<String> x; } }", "1:23: not a statement"),
+        (b"class P2 { void f() { int < 3; } }", "1:23: not a statement"),
+        (b"class V { void f(String @A a) {} }", "1:25: expected parameter name"),
     ],
 )
 def test_parse_error_message_and_location(source, expected):
