@@ -872,6 +872,8 @@ class _Parser:
                             self._parse_annotation()
                         if values[self.i] != "[":
                             raise self.fail("'[' expected" if array_only else "'(' or '[' expected")
+                elif values[self.i] == "{":  # `new {1}` names no type
+                    raise self.fail("'(' or '[' expected")
             else:  # `) ] } ; ,` or the end marker
                 self.i = i
                 return

@@ -577,6 +577,9 @@ _CLASS_NOT_ALLOWED = "class, interface or enum declaration not allowed here"
         (b"class N3 { void f() { Object o = new int; } }", "1:41: '[' expected"),
         (b"class N4 { void f() { Object o = new A @B (); } }", "1:45: '[' expected"),
         (b"class N5 { void f() { Object o = new int @A; } }", "1:44: '[' expected"),
+        # a `new` must name a type before a `{`
+        (b"class N6 { void f() { Object o = new {1}; } }", "1:38: '(' or '[' expected"),
+        (b"class N7 { void f() { Object o = new @A { }; } }", "1:41: '(' or '[' expected"),
         # explicit type arguments take no wildcard
         (b"class W1 { void f() { a.<?>f(); } }", "1:26: illegal start of type"),
         (b"class W2 { void f() { new <?>A(); } }", "1:28: illegal start of type"),

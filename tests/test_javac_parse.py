@@ -183,6 +183,8 @@ CASES = {
     "NewAnnotatedNoDims": _block("Object o = new int @A;"),
     "NewDiamondNoArguments": _block("Object o = new A<>;"),
     "NewAnnotatedDims": _block("Object o = new String @A [5];"),
+    "NewNoType": _block("Object o = new {1};"),
+    "NewAnnotatedNoType": _block("Object o = new @A { };"),
     "ConstructorReferences": _block("g(A::new, int[]::new, A::<T>new);"),
     # explicit type arguments take no wildcard; a primitive type none
     "CallWildcardTypeArgument": _block("a.<?>f();"),
