@@ -1,25 +1,31 @@
-"""Structural recursive-descent parser for Java source files.
+"""Recursive-descent parser for Java source files.
 
 The parser recognizes the declarations and statement structure the energy
-rules need, and the calls and class instance creations inside expressions;
-the rest of an expression stays a token run. It reads its own copies of the
-lexer's parallel token lists, with end markers, by index, and tests an
-operator or keyword by its value alone. Every node carries a token index
-range into the lexer's lists, so the original bytes of any node are always
-reachable. A probe for a local variable declaration does not raise when the
-statement is an expression; a statement that starts `Name<` is always a
-declaration (JLS 14.8).
+rules need, and reads every expression by its grammar (JLS chapter 15). It
+reads its own copies of the lexer's parallel token lists, with end markers,
+by index, and tests an operator or keyword by its value alone. Every node
+carries a token index range into the lexer's lists, so the original bytes
+of any node are always reachable. A probe for a local variable declaration
+does not raise when the statement is an expression; a statement that
+starts `Name<`, or with a type and then a name, is always a declaration
+(JLS 14.4, 14.8).
 
-One walker reads every token run the parser does not parse into statements
-(expressions, headers, switch bodies, lambda bodies, array initializers,
-annotation arguments), by recursive descent too: `_Parser._walk` reads an
-expression, and `_scan` moves to the next closer or separator, handing each
-bracket group on its way to `_group`, which walks the group by `_scan`. It
-records a ``call`` node at each `name(...)` and a ``creation`` node at each
-`new T(...)`. An anonymous class body in an expression is parsed as a full
-class body, so rules see methods declared in anonymous adapters too; in the
-other runs it stays tokens. An enum constant's body is an anonymous class
-body as well, a child of the enum among its members.
+Expressions are read by top-down operator precedence (Pratt, POPL 1973):
+`_Parser._expr` reads an operand with its prefix and postfix operators,
+then each infix operator that binds tighter than its caller's, by one table
+of binding powers (`_INFIX`), and the operand to its right. After a `(`,
+the tokens up to its `)` and the one after tell a cast, a lambda and a
+parenthesized expression apart, by the table of javac's `analyzeParens`.
+Abutting `>` tokens join into shift operators. The `for` header, the
+resources of a `try`, annotation element values, array initializers and
+the labels and bodies of a switch are read by their grammar too. Only calls
+and class instance creations are kept from an expression: a ``call`` node
+at each `name(...)` and a ``creation`` node at each `new T(...)`, with its
+anonymous class body parsed as a full class body, so rules see methods
+declared in anonymous adapters too. The statements of a switch body or a
+lambda body are parsed but not kept; their outermost calls and creations
+are. An enum constant's body is an anonymous class body as well, a child
+of the enum among its members.
 
 Node kinds, and the props that rules read (token ranges are half-open
 index pairs):
@@ -33,8 +39,12 @@ index pairs):
   index), ``params`` (a list of (type text, name)), ``body`` (the block,
   or None), ``type_params``;
 - field_ and local_variable_declaration: ``type`` (text), ``declarators``
-  (dicts of ``name``, ``name_tok`` and ``init``, the initializer's token
-  range or (None, None));
+  (dicts of ``name``, ``name_tok``, ``init``, the initializer's token
+  range or (None, None), and ``value``, the initializer's value: a
+  (node, cast) entry per arm of its top-level `?:`, or one if it has
+  none, where node is the call or creation the arm is once parentheses
+  and casts are stripped, or None, and cast tells whether a cast was;
+  [] without an initializer);
 - if_statement: ``cond``, the token range in its parens;
 - for_statement: ``parts``, the init, condition and update ranges of its
   header, or [] for an enhanced `for`;
@@ -45,30 +55,30 @@ index pairs):
   ``args`` and ``body`` (its anonymous_class_body, or None); its range
   runs from `new` to the `)`, or to the end of its body;
 - without props: compilation_unit, block, anonymous_class_body,
-  initializer, and the labeled, expression, empty, return, throw, break,
-  continue, assert, while, do, try, switch and synchronized statements.
+  initializer, and the labeled, expression, empty, return, throw, yield,
+  break, continue, assert, while, do, try, switch and synchronized
+  statements.
 
-``args`` are the token ranges of the arguments, split at the commas
-between them: a range is empty where two commas meet, and an empty last
-one is left out, so `f()` has none. Nodes nest: the calls and creations
-in an argument list are that node's children, an anonymous class body is
-its creation's child, and those in a declaration, a statement or its
-header are its children. Children are in source order, so the nodes of a
-`while` or `for` header come before its body.
+``args`` are the token ranges of the arguments, so `f()` has none. Nodes
+nest: the calls and creations in an argument list are that node's
+children, an anonymous class body is its creation's child, and those in a
+declaration, a statement or its header are its children. Children are in
+source order, so the nodes of a `while` or `for` header come before its
+body.
 
 Package and import declarations and annotations are checked and skipped;
 no node holds them, nor the calls in an annotation's or an enum
 constant's arguments. Type arguments and type parameters are read by their
 grammar (JLS 4.5.1, 8.1.2) in one pass, wherever they appear: in a
-declaration's types and in `new T<...>(`, `new <T>A(` and `a.<T>f()`. Only
-the type of a `new` with arguments may end in the diamond `<>`. Any other
-`<` in an expression is an operator to the walker. A block's or a type's
-closing brace is its last token.
+declaration's types and in `new T<...>(`, `new <T>A(`, `a.<T>f()` and
+`List<T>::m`. Only the type of a `new` with arguments may end in the
+diamond `<>`. Any other `<` in an expression is an operator. A block's or
+a type's closing brace is its last token.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional, Union
+from typing import Any, Callable, Iterator, Optional, Union
 
 from ..diagnostics import ParseDiagnostic, ParseError, guarded_parse
 from ..spans import SourceSpan
@@ -97,19 +107,71 @@ _LOCAL_DECLARATION_STARTS = frozenset(_TYPE_KINDS) | {"@", "final", "abstract", 
 # A declaration's first token index and its modifier keywords.
 _Head = tuple[int, tuple[str, ...]]
 
-_CLOSERS = {"(": ")", "[": "]", "{": "}"}
-
 # The parser's copies of the token lists end in these markers (the tree keeps
 # the lexer's). No token spells "", so a test of the token up to two past the
 # cursor, or before the first, needs no bound check.
 _END = ["", "", ""]
-# The tokens `_scan` acts on, the end marker among them.
-_WALK_MARKS = frozenset("( ) [ ] { } ; , < new".split()) | {""}
 
-# An expression never starts or ends with an assignment operator. `>>=` and
-# `>>>=` lex as `>` tokens then `>=`, since `>` is always a token of its own.
-_ASSIGNMENT_TAILS = frozenset("= += -= *= /= %= &= |= ^= <<= >=".split())
-_ASSIGNMENT_HEADS = _ASSIGNMENT_TAILS | {">"}
+# The binding power of each infix operator (JLS 15.17-15.26): an operator
+# takes the operand on its right while its power exceeds that of the
+# operator holding it. Assignment is right-associative, and `?:` reads its
+# arms by its own rule; the rest are left-associative. `>>`, `>>>`, `>>=`
+# and `>>>=` lex as abutting `>` and `>=` tokens (see `_shift`).
+_ASSIGN = 1
+_INFIX = {
+    **dict.fromkeys("= += -= *= /= %= &= |= ^= <<= >>= >>>=".split(), _ASSIGN),
+    "?": 2,
+    "||": 3,
+    "&&": 4,
+    "|": 5,
+    "^": 6,
+    "&": 7,
+    **dict.fromkeys("== !=".split(), 8),
+    **dict.fromkeys("< > <= >= instanceof".split(), 9),
+    **dict.fromkeys("<< >> >>>".split(), 10),
+    **dict.fromkeys("+ -".split(), 11),
+    **dict.fromkeys("* / %".split(), 12),
+}
+# The power a cast's and a prefix operator's operand is read at: above all.
+_UNARY = 13
+_PREFIX = frozenset("+ - ! ~ ++ --".split())
+
+# The tokens after the `)` of a parenthesized name that make it a cast, as
+# in `(T) x`; before any other, as in `(a) + b`, it is an expression.
+_CAST_FOLLOWERS = frozenset("! ~ ( this super new switch".split()) | PRIMITIVE_TYPES
+_OPERAND_KINDS = frozenset(("ident", "number", "string", "char"))
+# Literals that lex as identifiers but name nothing (JLS 3.9).
+_LITERAL_NAMES = frozenset(("true", "false", "null"))
+
+# The tokens after `yield` that make it a yield statement (JLS 14.21).
+_YIELD_FOLLOWERS = frozenset("+ - ! ~ ++ -- ( new switch this super ;".split()) | PRIMITIVE_TYPES
+
+
+def _entry(value: Any) -> tuple[Optional[Node], bool]:
+    """The value entry of an expression whose value `_Parser._expr`
+    returned: the call or creation node it is once parentheses and casts
+    are stripped, or None, and whether a cast was stripped."""
+    if type(value) is tuple:
+        return value
+    return (value, False) if type(value) is Node else (None, False)
+
+
+def _entries(value: Any) -> list[tuple[Optional[Node], bool]]:
+    """The value entries of an expression: one per arm of its top-level
+    `?:`, or else one."""
+    return value if type(value) is list else [_entry(value)]
+
+
+def _outermost(node: Node, out: list[Node]) -> None:
+    """Add ``node`` to ``out`` if it is a call or a creation, or else the
+    calls and creations under it that lie in no other one, in source order."""
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if n.kind == "call" or n.kind == "creation":
+            out.append(n)
+        else:
+            stack += reversed(n.children)
 
 
 class Node:
@@ -174,6 +236,8 @@ class _Parser:
         self.values = tokens.values + _END
         self.n = len(tokens)
         self.i = 0
+        # in a `case` label, where `x ->` ends the label, not a lambda's parameter
+        self.in_label = False
 
     # --- token helpers -------------------------------------------------
 
@@ -198,7 +262,7 @@ class _Parser:
 
     def expect_ident(self, what: str) -> str:
         i = self.i
-        if self.kinds[i] != "ident":
+        if self.kinds[i] != "ident" or self.values[i] in _LITERAL_NAMES:
             raise self.fail(f"expected {what}")
         self.i = i + 1
         return self.values[i]
@@ -224,17 +288,18 @@ class _Parser:
             children.append(self._parse_type_decl())
         return Node("compilation_unit", 0, self.i, children)
 
-    def _walk_parens(
-        self, children: list[Node], after: str = "", sep: Optional[str] = None
-    ) -> list[tuple[int, int]]:
-        """Walk the `(` group at the cursor, adding the nodes in it to
-        ``children``; returns the ranges between its top-level ``sep``s.
-        The group may be missing unless it must follow keyword ``after``."""
-        if self.values[self.i] == "(":
-            return self._group(children, self.i, None, sep)
-        if after:
-            raise self.fail(f"expected '(' after {after}")
-        return []
+    def _try(self, i: int, read: Callable[[], Any]) -> Optional[int]:
+        """Where ``read`` leaves the cursor when it starts at token ``i``, or
+        None if it fails there; the parser's state stays as it is."""
+        at, in_label = self.i, self.in_label
+        self.i = i
+        try:
+            read()
+            return self.i
+        except ParseError:
+            return None
+        finally:
+            self.i, self.in_label = at, in_label
 
     def _parse_import(self) -> None:
         self.advance()  # import
@@ -268,9 +333,40 @@ class _Parser:
     # --- annotations / modifiers --------------------------------------
 
     def _parse_annotation(self) -> None:
+        """Read an annotation (JLS 9.7): its element values, a lone one or
+        `name = value` pairs, are read but no node keeps them."""
         self.expect("@")
         self._parse_qualified_name()
-        self._walk_parens([])
+        if self.values[self.i] != "(":
+            return
+        self.i += 1
+        if self.kinds[self.i] == "ident" and self.values[self.i + 1] == "=":
+            pairs = True
+            while pairs:
+                self.expect_ident("element name")
+                self.expect("=")
+                self._element_value()
+                pairs = self.at(",")
+                self.i += pairs
+        elif not self.at(")"):
+            self._element_value()
+        self._close(")")
+
+    def _element_value(self) -> None:
+        """An annotation, `{` element values `}` or a conditional expression."""
+        values = self.values
+        if values[self.i] == "@":
+            self._parse_annotation()
+        elif values[self.i] == "{":
+            self.i += 2 if values[self.i + 1 : self.i + 3] == [",", "}"] else 1  # `{,}` is empty
+            while values[self.i] != "}":
+                self._element_value()
+                if values[self.i] != ",":
+                    break
+                self.i += 1
+            self._close("}")
+        else:
+            self._expr([], _ASSIGN)
 
     def _parse_modifiers(self) -> tuple[str, ...]:
         """Read annotations and modifier keywords; returns the keywords in
@@ -474,7 +570,8 @@ class _Parser:
         # constants: Name, Name(args), Name { body }
         while self.i < self.n and not (self.at("}") or self.at(";")):
             self.expect_ident("enum constant")
-            self._walk_parens([])
+            if self.at("("):
+                self._arguments([])
             if self.at("{"):
                 members.append(self._parse_anonymous_body())
             if not self.at(","):
@@ -534,7 +631,7 @@ class _Parser:
         else:
             if self.at("default"):  # annotation member default value
                 self.advance()
-                self._walk([])
+                self._element_value()
             self.expect(";")
         name = self.values[name_tok]
         props = {
@@ -575,29 +672,54 @@ class _Parser:
 
     def _parse_declarators(self, kind: str, head: _Head, type_text: str, what: str) -> Node:
         """Parse `name[] = init, name...;` into a field or local variable
-        declaration that ``head`` starts, whose children are the anonymous
-        class bodies in the initializers; ``what`` names the identifier
+        declaration that ``head`` starts, whose children are the calls and
+        creations in the initializers; ``what`` names the identifier
         expected at each name."""
         children: list[Node] = []
+        declarators = self._declarators(children, what)
+        if declarators[-1]["init"][0] is None:
+            self.expect(";")
+        else:
+            self._close(";")
+        props = {"type": type_text, "declarators": declarators, "modifiers": head[1]}
+        return Node(kind, head[0], self.i, children, props)
+
+    def _declarators(self, out: list[Node], what: str) -> list[dict[str, Any]]:
+        """Read `name[] = init, name...`, adding the calls and creations in
+        the initializers to ``out``; returns a dict per declarator of its
+        ``name``, ``name_tok``, ``init`` (the initializer's token range, or
+        (None, None)) and ``value`` (its value entries, see `_entries`, or [])."""
         declarators: list[dict[str, Any]] = []
         values = self.values
         while True:
             name = self.expect_ident(what)
             name_tok = self.i - 1
             self._skip_dims()
-            init_lo = init_hi = None
+            init: tuple[Optional[int], Optional[int]] = (None, None)
+            value: list[tuple[Optional[Node], bool]] = []
             if values[self.i] == "=":
-                self.i += 1
-                init_lo, init_hi = self._parse_initializer(children)
-            declarators.append(
-                {"name": name, "name_tok": name_tok, "init": (init_lo, init_hi)}
-            )
+                lo = self.i = self.i + 1
+                value = _entries(self._var_init(out))
+                init = (lo, self.i)
+            declarators.append({"name": name, "name_tok": name_tok, "init": init, "value": value})
+            if values[self.i] != ",":
+                return declarators
+            self.i += 1
+
+    def _var_init(self, out: list[Node]) -> Any:
+        """Read a variable initializer, an expression or an array
+        initializer `{...}` (JLS 10.6); returns its value (see `_expr`)."""
+        values = self.values
+        if values[self.i] != "{":
+            return self._expr(out)
+        self.i += 2 if values[self.i + 1 : self.i + 3] == [",", "}"] else 1  # `{,}` is empty
+        while values[self.i] != "}":
+            self._var_init(out)
             if values[self.i] != ",":
                 break
             self.i += 1
-        self.expect(";")
-        props = {"type": type_text, "declarators": declarators, "modifiers": head[1]}
-        return Node(kind, head[0], self.i, children, props)
+        self._close("}")
+        return None
 
     # --- statements ----------------------------------------------------
 
@@ -630,6 +752,11 @@ class _Parser:
                 self.i = i + 2  # a labeled statement (JLS 14.7): `label: statement`
                 body = self._parse_statement(alone=True)
                 return Node("labeled_statement", i, self.i, [body])
+            if v == "yield" and (
+                self.kinds[i + 1] in _OPERAND_KINDS or self.values[i + 1] in _YIELD_FOLLOWERS
+            ):
+                self.i = i + 1
+                return self._finish_simple_statement("yield_statement", i)
             self._reject_record()
         else:
             handler = _STATEMENT_PARSERS.get(v)
@@ -639,7 +766,9 @@ class _Parser:
             if kind is not None:
                 self.advance()
                 return self._finish_simple_statement(kind, self.i - 1)
-        if v in _LOCAL_DECLARATION_STARTS:
+        declared = v in _LOCAL_DECLARATION_STARTS
+        head: _Head = (i, ())
+        if declared:
             head = (i, self._parse_modifiers())
             self._reject_record()
             if self.values[self.i] in _TYPE_KINDS or self.at("@"):  # `@interface`
@@ -649,55 +778,119 @@ class _Parser:
                 return self._parse_type_decl(head)
             if v == "abstract" or v == "strictfp":
                 raise self.fail("expected class, interface or enum declaration")
-            return self._try_local_var_decl(head, alone)
-        if v in MODIFIER_KEYWORDS:
+        elif v in MODIFIER_KEYWORDS:
             raise self.fail("orphaned default" if v == "default" else "illegal start of expression")
-        decl = self._try_local_var_decl(alone=alone)
-        if decl is not None:
-            return decl
-        return self._finish_simple_statement("expression_statement", self.i)
+        type_text = self._local_type(declared)
+        if type_text is None:
+            return self._finish_simple_statement("expression_statement", i)
+        if alone:
+            raise self.fail("variable declaration not allowed here")
+        return self._parse_declarators("local_variable_declaration", head, type_text, "variable name")
 
     def _finish_simple_statement(self, kind: str, lo: int) -> Node:
-        """The `[expression];` that ends a statement begun at ``lo``."""
+        """The rest of a statement begun at ``lo`` that ends in a `;`: an
+        expression statement, or what follows the keyword of a `return`,
+        `throw`, `yield`, `assert`, `break` or `continue`."""
         children: list[Node] = []
-        self._walk(children)
-        self.expect(";")
+        values = self.values
+        if kind == "expression_statement":
+            self._statement_expr(children)
+        elif kind == "break_statement" or kind == "continue_statement":
+            self.i += self.kinds[self.i] == "ident"  # a label
+        elif values[self.i] != ";" or kind != "return_statement":
+            self._expr(children)
+            if kind == "assert_statement" and values[self.i] == ":":
+                self.i += 1
+                self._expr(children)
+        self._close(";")
         return Node(kind, lo, self.i, children)
+
+    def _statement_expr(self, out: list[Node]) -> None:
+        """Read an expression that may stand as a statement (JLS 14.8)."""
+        lo = self.i
+        value = self._expr(out)
+        if value is not True and type(value) is not Node:
+            raise ParseError(self.tokens.starts[lo], "not a statement")
+
+    def _par_expr(self, out: list[Node], keyword: str) -> tuple[int, int]:
+        """Read the `(expression)` after ``keyword``; returns the range
+        inside the parentheses."""
+        if self.values[self.i] != "(":
+            raise self.fail(f"expected '(' after {keyword}")
+        lo = self.i = self.i + 1
+        self._expr(out)
+        hi = self.i
+        self._close(")")
+        return lo, hi
 
     def _parse_if(self) -> Node:
         lo = self.i
         self.advance()
-        cond_lo = self.i + 1
         children: list[Node] = []
-        self._walk_parens(children, "if")
-        props = {"cond": (cond_lo, self.i - 1)}
+        props = {"cond": self._par_expr(children, "if")}
         children.append(self._parse_statement(alone=True))
         if self.at("else"):
             self.advance()
             children.append(self._parse_statement(alone=True))
         return Node("if_statement", lo, self.i, children, props)
 
-    def _parse_loop(self) -> Node:
-        """`for (...) body` or `while (...) body`; the keyword names the kind."""
+    def _parse_headed(self) -> Node:
+        """`while (e) statement`, `switch (e) {...}` or `synchronized (e)
+        block`; the keyword names the kind."""
         lo = self.i
         keyword = self.advance()
         children: list[Node] = []
-        parts = self._walk_parens(children, keyword, ";" if keyword == "for" else None)
-        # javac's parser reads `(init; cond; update)` or `(T x : y)`, so a
-        # header with one `;` or more than two fails where its shape breaks
-        semis = [hi for _, hi in parts if self.values[hi] == ";"]
-        if len(semis) == 1 or len(semis) > 2:
-            hi, closer = (semis[2], "')'") if len(semis) > 2 else (self.i - 1, "';'")
-            if self.values[hi - 1] == ";":  # no condition, or a `;` for an update
-                raise ParseError(self.tokens.starts[hi], "illegal start of expression")
-            raise ParseError(self.tokens.ends[hi - 1], f"expected {closer}")
+        self._par_expr(children, keyword)
+        if keyword == "switch":
+            self._switch_body(children, statement=True)
+        elif keyword == "while":
+            children.append(self._parse_statement(alone=True))
+        else:
+            children.append(self._parse_block())
+        return Node(f"{keyword}_statement", lo, self.i, children)
+
+    def _parse_for(self) -> Node:
+        """`for (init; cond; update) body` or `for (T x : e) body` (JLS
+        14.14). The init is a local variable declaration, after the
+        annotations and one `final` javac's parser takes there, or a list of
+        statement expressions, as the update is."""
+        lo = self.i
+        self.advance()
+        if not self.at("("):
+            raise self.fail("expected '(' after for")
+        children: list[Node] = []
+        values = self.values
+        init_lo = self.i = self.i + 1
+        declared = values[self.i] == "final" or values[self.i] == "@"
+        self._parse_final()
+        if self._local_type(declared) is not None:
+            decls = self._declarators(children, "variable name")
+            if values[self.i] == ":" and len(decls) == 1 and decls[0]["init"][0] is None:
+                self.i += 1
+                self._expr(children)
+                self._close(")")
+                children.append(self._parse_statement(alone=True))
+                return Node("for_statement", lo, self.i, children, {"parts": []})
+        elif values[self.i] != ";":
+            self._statement_exprs(children)
+        parts = [(init_lo, self.i)]
+        self.expect(";")
+        if values[self.i] != ";":
+            self._expr(children)
+        parts.append((parts[0][1] + 1, self.i))
+        self.expect(";")
+        if values[self.i] != ")":
+            self._statement_exprs(children)
+        parts.append((parts[1][1] + 1, self.i))
+        self._close(")")
         children.append(self._parse_statement(alone=True))
-        if keyword == "while":
-            return Node("while_statement", lo, self.i, children)
-        if len(parts) == 2:  # an empty update, left out as an empty last range
-            parts.append((parts[1][1] + 1, parts[1][1] + 1))
-        props = {"parts": parts if len(parts) > 1 else []}
-        return Node("for_statement", lo, self.i, children, props)
+        return Node("for_statement", lo, self.i, children, {"parts": parts})
+
+    def _statement_exprs(self, out: list[Node]) -> None:
+        self._statement_expr(out)
+        while self.values[self.i] == ",":
+            self.i += 1
+            self._statement_expr(out)
 
     def _parse_do(self) -> Node:
         lo = self.i
@@ -706,7 +899,7 @@ class _Parser:
         if not self.at("while"):
             raise self.fail("expected 'while' after do body")
         self.advance()
-        self._walk_parens(children, "while")
+        self._par_expr(children, "while")
         self.expect(";")
         return Node("do_statement", lo, self.i, children)
 
@@ -714,7 +907,16 @@ class _Parser:
         lo = self.i
         self.advance()
         children: list[Node] = []
-        self._walk_parens(children)  # try-with-resources header
+        if self.at("("):  # resources, each ended by a `;`, the last one optionally
+            self.i += 1
+            while True:
+                self._resource(children)
+                if not self.at(";"):
+                    break
+                self.i += 1
+                if self.at(")"):
+                    break
+            self._close(")")
         children.append(self._parse_block())
         while self.at("catch"):
             self.advance()
@@ -724,6 +926,19 @@ class _Parser:
             self.advance()
             children.append(self._parse_block())
         return Node("try_statement", lo, self.i, children)
+
+    def _resource(self, out: list[Node]) -> None:
+        """A resource (JLS 14.20.3): a local variable with an initializer,
+        or an expression naming one."""
+        declared = self.at("final") or self.at("@")
+        self._parse_final()
+        lo = self.i
+        if self._local_type(declared) is not None:
+            self.expect_ident("resource name")
+            self.expect("=")
+            self._expr(out)
+        elif self._expr(out) is not None:  # javac takes a name or a field access there
+            raise ParseError(self.tokens.starts[lo], "resource is not a variable")
 
     def _parse_catch_parameter(self) -> None:
         """`( final-or-annotations Type | Type ... name[] )`, its types
@@ -741,193 +956,449 @@ class _Parser:
         self._skip_dims()
         self.expect(")")
 
-    def _parse_switch(self) -> Node:
-        lo = self.i
-        self.advance()
-        children: list[Node] = []
-        self._walk_parens(children, "switch")
-        if not self.at("{"):
+    def _switch_body(self, out: list[Node], statement: bool) -> None:
+        """Read the `{...}` of a switch (JLS 14.11, 15.28): `case` and
+        `default` labels, each group ended by `:` and statements, or by `->`
+        and a block, a `throw` or an expression and `;`, a statement
+        expression in a ``statement``. No node keeps the labels or the
+        statements: their outermost calls and creations go to ``out``."""
+        values = self.values
+        if values[self.i] != "{":
             raise self.fail("expected '{' after switch header")
-        self._group(children, self.i, None, None)  # the case bodies stay a token run
-        return Node("switch_statement", lo, self.i, children)
+        self.i += 1
+        while (v := values[self.i]) != "}":
+            if v == "case":
+                self.in_label = True
+                self.i += 1
+                self._expr(out)
+                while values[self.i] == ",":
+                    self.i += 1
+                    self._expr(out)
+                self.in_label = False
+            elif v == "default":
+                self.i += 1
+            else:
+                raise self._unexpected("expected 'case', 'default' or '}'")
+            if values[self.i] != "->":
+                self.expect(":")
+                while (v := values[self.i]) != "case" and v != "default" and v != "}":
+                    _outermost(self._parse_statement(), out)
+            elif values[self.i + 1] == "{" or values[self.i + 1] == "throw":
+                self.i += 1
+                _outermost(self._parse_statement(), out)
+            else:
+                self.i += 1
+                self._statement_expr(out) if statement else self._expr(out)
+                self._close(";")
+        self.i += 1
 
-    def _parse_synchronized(self) -> Node:
-        lo = self.i
-        self.advance()
-        children: list[Node] = []
-        self._walk_parens(children)
-        children.append(self._parse_block())
-        return Node("synchronized_statement", lo, self.i, children)
-
-    def _try_local_var_decl(
-        self, head: Optional[_Head] = None, alone: bool = False
-    ) -> Optional[Node]:
-        """The local variable declaration at the cursor, or None, the cursor
-        unmoved, if the statement there is not one. ``head``, the start and
-        modifiers of a declaration whose modifiers the caller has read,
-        makes it one, as does a `<` after the name it starts with: no
-        expression statement starts `Name<` (JLS 14.8), so `a < b;` fails
-        as javac's parser fails it. A statement that is ``alone`` fails if
-        it is one."""
+    def _local_type(self, declared: bool) -> Optional[str]:
+        """Read the type of the local variable declaration at the cursor and
+        return its text, or return None, the cursor unmoved, if the
+        statement there is an expression. A ``declared`` one, whose
+        modifiers have been read, is a declaration, and so is one whose type
+        is followed by a name or holds a `<`: no expression statement starts
+        `Name<` or a type and a name (JLS 14.8), so `a < b;` and `int x y;`
+        fail as javac's parser fails them."""
         type_lo = self.i
         kinds, values = self.kinds, self.values
-        if head is None and kinds[type_lo] != "ident" and values[type_lo] not in PRIMITIVE_TYPES:
+        v = values[type_lo]
+        if not declared and (kinds[type_lo] != "ident" or v in _LITERAL_NAMES) and v not in PRIMITIVE_TYPES:
             return None
         self._skip_type()
         i = self.i
-        if (
-            head is None
-            and (kinds[i] != "ident" or values[i + 1] not in ("=", ";", ",", "["))
-            and "<" not in values[type_lo:i]
-        ):
-            if values[i] != "." and values[type_lo] in PRIMITIVE_TYPES:
+        if not declared and kinds[i] != "ident" and "<" not in values[type_lo:i]:
+            if values[i] != "." and v in PRIMITIVE_TYPES:
                 # only `int.class` and the like start an expression statement
                 raise ParseError(self.tokens.starts[type_lo], "not a statement")
             self.i = type_lo
             return None
-        if alone:
-            raise self.fail("variable declaration not allowed here")
-        text = self._text(type_lo, self.i)
-        head = head or (type_lo, ())
-        return self._parse_declarators("local_variable_declaration", head, text, "variable name")
+        return self._text(type_lo, i)
 
-    def _parse_initializer(self, children: list[Node]) -> tuple[int, int]:
-        """Consume a variable initializer after its '='; returns its token
-        range and adds the nodes in it to `children`."""
-        lo = self.i
-        self._walk(children, stop_at_comma=True)
-        if self.i == lo:
-            raise self.fail("expected expression")
-        return lo, self.i
+    # --- expressions ---------------------------------------------------
 
-    def _walk(self, children: list[Node], stop_at_comma: bool = False) -> None:
-        """Walk the expression at the cursor, adding the calls and creations
-        in it to ``children``. It ends before a `;`, a top-level `,` if
-        ``stop_at_comma``, or a `)` or `]` that closes no bracket of its
-        own, and fails with "expected expression" if it starts or ends with
-        an assignment operator."""
-        values = self.values
-        lo = self.i
-        while True:
-            self._scan(children, None)
+    def _expr(self, out: list[Node], bp: int = 0) -> Any:
+        """Read the expression at the cursor whose infix operators bind
+        tighter than ``bp`` (see `_INFIX`), by top-down operator precedence:
+        an operand with its prefix and postfix operators, then each infix
+        operator and its right operand. Its outermost calls and creations go
+        to ``out``.
+
+        Returns its value: the call or creation node it is; True for an
+        assignment, `++`, `--` or an explicit constructor call, which may
+        stand as statements too; for a `?:`, a list of the value entries of
+        its arms, each flattened if itself a `?:`; for parentheses or a
+        cast, the entry of what they hold (see `_entry`); or else None."""
+        values, kinds = self.values, self.kinds
+        lo = i = self.i
+        v, kind = values[i], kinds[i]
+        if kind == "ident":
+            if values[i + 1] == "(":
+                value = self._arguments(out, self._call(i))
+            elif values[i + 1] == "->" and not self.in_label:
+                self.i = i + 2
+                return self._lambda_body(out)
+            else:
+                self.i = i + 1
+                value = None
+        elif kind == "number" or kind == "string" or kind == "char":
+            self.i = i + 1
+            value = None
+        elif v == "(":
+            form = self._parens_form()
+            if form == "lambda":
+                return self._lambda(out)
+            if form == "cast":  # `(T & I) operand`
+                self.i = i + 1
+                self._skip_type_arg()
+                while values[self.i] == "&":
+                    self.i += 1
+                    self._skip_type_arg()
+                self.expect(")")
+                value = _entry(self._expr(out, _UNARY))[0], True
+            else:
+                self.i = i + 1
+                value = _entry(self._expr(out))
+                self._close(")")
+        elif v == "new":
+            node = self._new(out)
+            value = node and self._arguments(out, node)
+        elif v in _PREFIX:
+            self.i = i + 1
+            self._expr(out, _UNARY)
+            value = True if v == "++" or v == "--" else None
+        else:
+            value = self._primary(out)
+        while True:  # postfix operators
             v = values[self.i]
-            if v == "," and not stop_at_comma:
+            if v == ".":
+                j = self.i + 1
+                if kinds[j] != "ident" or values[j] in _LITERAL_NAMES:
+                    value = self._select(out)
+                elif values[j + 1] == "(":
+                    value = self._arguments(out, self._call(j))
+                else:
+                    self.i = j + 1
+                    value = None
+            elif v == "[":
+                if values[self.i + 1] == "]":  # an array type, in `T[].class` or `T[]::new`
+                    self._skip_dims()
+                    self._class_literal()
+                else:
+                    self.i += 1
+                    self._expr(out)
+                    self._close("]")
+                value = None
+            elif v == "::":
+                self._member_ref()
+                value = None
+            elif v == "++" or v == "--":
                 self.i += 1
-            elif v == "}":
-                raise self.fail("unexpected '}' in expression")
-            elif not v:  # the end marker
-                raise self.fail("unexpected end of file in expression")
+                value = True
             else:
                 break
-        i = self.i
-        if i > lo:
-            if values[lo] in _ASSIGNMENT_HEADS:
-                raise ParseError(self.tokens.starts[lo], "expected expression")
-            if values[i - 1] in _ASSIGNMENT_TAILS:
-                raise self.fail("expected expression")
+        while True:  # infix operators
+            v, n = values[self.i], 1
+            power = _INFIX.get(v)
+            if power is None:
+                return value
+            if v == ">" and (values[self.i + 1] == ">" or values[self.i + 1] == ">="):
+                v, n = self._shift()
+                power = _INFIX[v]
+            if power <= bp:
+                return value
+            if v == "<" and kinds[lo] == "ident" and kinds[self.i - 1] == "ident":
+                # `Name<T>::m` (JLS 15.13): type arguments, not a comparison
+                j = self._try(lo, self._skip_type)
+                if j is not None and values[j] == "::":
+                    self.i = j
+                    self._member_ref()
+                    value = None
+                    continue
+            self.i += n
+            if power == _ASSIGN:
+                self._expr(out)
+                value = True
+            elif v == "?":
+                then = self._expr(out)
+                self._close(":")
+                value = _entries(then) + _entries(self._expr(out, _ASSIGN))
+            elif v == "instanceof":  # a type, or a pattern: annotations, `final`, a type, a name
+                final = self.at("final")
+                self._parse_final()
+                self._skip_type()
+                if self.kinds[self.i] == "ident":
+                    self.i += 1
+                elif final:
+                    raise self.fail("expected variable name")
+                value = None
+            else:
+                self._expr(out, power)
+                value = None
 
-    def _scan(self, children: list[Node], root: Optional[int]) -> None:
-        """Move the cursor to the next `)`, `]`, `}`, `;`, `,` or end
-        marker, walking each bracket group on the way by `_group`; a `{`
-        group becomes the ``root`` if there is none. The type arguments of
-        `new T<...>(`, `new <T>A(` and `a.<T>f()` are read by
-        `_skip_type_args`, and after the type of a `new` only its `(`, or
-        else a `[` after annotations, may follow."""
-        values, kinds = self.values, self.kinds
-        i = self.i
-        while True:
-            v = values[i]
-            if v not in _WALK_MARKS:
-                i += 1
-                continue
-            if v == "(" or v == "[" or v == "{":
-                self.i = i
-                if v == "(" and kinds[i - 1] == "ident":
-                    at = i - 3 if values[i - 2] == "." and kinds[i - 3] == "ident" else i - 1
-                    props = {"name": values[i - 1], "name_tok": i - 1, "args": None}
-                    props["receiver"] = values[at] if at < i - 1 else None
-                    self._group(children, root, Node("call", at, 0, [], props), ",")
-                else:
-                    self._group(children, i if root is None and v == "{" else root, None, None)
-            elif v == "<":
-                if values[i - 1] == ".":  # explicit type arguments, `a.<T>f()`
-                    self.i = i
-                    self._skip_type_args(wildcard=False)
-                else:
-                    self.i = i + 1
-            elif v == "new":
-                self.i = i + 1
-                if values[i + 1] == "<":  # constructor type arguments, `new <T>A()`
-                    self._skip_type_args(wildcard=False)
-                while values[self.i] == "@":
-                    self._parse_annotation()
-                if kinds[self.i] == "ident" or values[self.i] in PRIMITIVE_TYPES:  # not `A::new`
-                    name = self._skip_type(dims=False, creation=True)
-                    if values[self.i] == "(" and name not in PRIMITIVE_TYPES:
-                        props = {"type": name, "args": None, "body": None}
-                        self._group(children, root, Node("creation", i, 0, [], props), ",")
-                    else:
-                        array_only = name in PRIMITIVE_TYPES or values[self.i] == "@"
-                        while values[self.i] == "@":
-                            self._parse_annotation()
-                        if values[self.i] != "[":
-                            raise self.fail("'[' expected" if array_only else "'(' or '[' expected")
-                elif values[self.i] == "{":  # `new {1}` names no type
-                    raise self.fail("'(' or '[' expected")
-            else:  # `) ] } ; ,` or the end marker
-                self.i = i
-                return
-            i = self.i
+    def _shift(self) -> tuple[str, int]:
+        """The operator the `>` at the cursor spells with the `>` and `>=`
+        tokens that abut it, and how many tokens it takes: the lexer keeps
+        each `>` a token of its own, so that type arguments close."""
+        values, starts, ends = self.values, self.tokens.starts, self.tokens.ends
+        i = j = self.i
+        while j - i < 2 and values[j] == ">" and values[j + 1] in (">", ">=") and starts[j + 1] == ends[j]:
+            j += 1
+        return "".join(values[i : j + 1]), j + 1 - i
 
-    def _group(
-        self, children: list[Node], root: Optional[int], node: Optional[Node], sep: Optional[str]
-    ) -> list[tuple[int, int]]:
-        """Walk the bracket group at the cursor; returns the ranges between
-        its top-level ``sep``s. Its nodes go to the children of ``node``, a
-        call or creation it holds the arguments of, which joins
-        ``children`` when the group closes, or else to ``children``.
-        ``root`` is the opener of the header, switch body, lambda body or
-        array initializer the group lies in, or None: a creation's anonymous
-        class body is parsed only outside one, and a closer that meets the
-        root's own bracket, or the end of the file, fails at it as
-        `unbalanced`."""
+    def _primary(self, out: list[Node]) -> Any:
+        """An operand that starts with a keyword or `<`: `this` or `super`,
+        a primitive type's class literal or method reference, a switch
+        expression, or `<T>this(...)`; returns its value."""
         values = self.values
-        opener = self.i
-        closer = _CLOSERS[values[opener]]
-        inner = children if node is None else node.children
-        ranges: list[tuple[int, int]] = []
-        lo = self.i = opener + 1
+        v = values[self.i]
+        if v == "<":  # an explicit constructor call's type arguments
+            self._skip_type_args(wildcard=False)
+            v = values[self.i]
+            if v not in ("this", "super") or values[self.i + 1] != "(":
+                raise self.fail("illegal start of expression")
+        if v == "this" or v == "super":
+            self.i += 1
+            if values[self.i] == "(":
+                self._arguments(out)
+                return True
+            if v == "super" and values[self.i] != "." and values[self.i] != "::":
+                raise self.fail("expected '.'")
+        elif v in PRIMITIVE_TYPES:
+            self.i += 1
+            self._skip_dims()
+            self._class_literal()
+        elif v == "switch":
+            self.i += 1
+            self._par_expr(out, "switch")
+            self._switch_body(out, statement=False)
+        else:
+            raise self._unexpected("expected expression")
+        return None
+
+    def _call(self, name: int) -> Node:
+        """A call node for the method name at token ``name``, the cursor
+        moved to the `(` after it. Its receiver is the simple name before
+        `.name(`, if any, where its range starts."""
+        values = self.values
+        at = name - 2 if values[name - 1] == "." and self.kinds[name - 2] == "ident" else name
+        self.i = name + 1
+        props = {"name": values[name], "name_tok": name, "args": []}
+        props["receiver"] = values[at] if at < name else None
+        return Node("call", at, 0, [], props)
+
+    def _arguments(self, out: list[Node], node: Optional[Node] = None) -> Optional[Node]:
+        """Read the argument list at the cursor into ``node``, a call or a
+        creation, and a creation's anonymous class body after it, then add
+        ``node`` to ``out`` and return it. Without ``node`` the calls and
+        creations in the arguments go to ``out``."""
+        values = self.values
+        inner = out if node is None else node.children
+        args: list[tuple[int, int]] = []
+        self.i += 1
+        if values[self.i] != ")":
+            while True:
+                lo = self.i
+                self._expr(inner)
+                args.append((lo, self.i))
+                if values[self.i] != ",":
+                    break
+                self.i += 1
+        self._close(")")
+        if node is None:
+            return None
+        node.props["args"] = args
+        node.tok_hi = self.i
+        out.append(node)
+        if node.kind == "creation" and values[self.i] == "{":
+            body = node.props["body"] = self._parse_anonymous_body()
+            node.children.append(body)
+            node.tok_hi = self.i
+        return node
+
+    def _new(self, out: list[Node]) -> Optional[Node]:
+        """Read the `new` at the cursor and the type after it (JLS 15.9,
+        15.10.1). A class instance creation returns its node, the cursor at
+        its `(`; an array creation is read whole, and returns None. A class
+        type may take type arguments, the diamond among them; a primitive
+        type, none, and neither may constructor type arguments before it.
+        Only a class type's `(` may follow, or after annotations a `[` that
+        holds a dimension or starts `[]` pairs and an initializer."""
+        values = self.values
+        lo = self.i
+        self.i += 1
+        typed = values[self.i] == "<"
+        if typed:  # constructor type arguments, `new <T>A()`
+            self._skip_type_args(wildcard=False)
+        while values[self.i] == "@":
+            self._parse_annotation()
+        v = values[self.i]
+        if self.kinds[self.i] == "ident":
+            name = self._skip_type(dims=False, creation=True)
+            if values[self.i] == "(":
+                return Node("creation", lo, 0, [], {"type": name, "args": [], "body": None})
+            array_only = values[self.i] == "@"
+        elif v in PRIMITIVE_TYPES and v != "void" and not typed:
+            self.i += 1
+            array_only = True
+        else:
+            raise ParseError(self.tokens.ends[self.i - 1], "<identifier> expected")
+        while values[self.i] == "@":
+            self._parse_annotation()
+        if values[self.i] != "[":
+            raise self.fail("'[' expected" if array_only else "'(' or '[' expected")
+        if values[self.i + 1] == "]":
+            self._skip_dims()
+            if values[self.i] != "{":
+                raise self.fail("array dimension missing")
+            self._var_init(out)
+            return None
+        while values[self.i] == "[" and values[self.i + 1] != "]":
+            self.i += 1
+            self._expr(out)
+            self._close("]")
+        self._skip_dims()
+        return None
+
+    def _select(self, out: list[Node]) -> Any:
+        """Read the `.` at the cursor and what follows it but a name: a
+        call's explicit type arguments, `new`, `class`, `this` or `super`;
+        returns the value."""
+        values = self.values
+        self.i += 1
+        v = values[self.i]
+        if v == "<":
+            self._skip_type_args(wildcard=False)
+            name = self.i
+            self.expect_ident("method name")
+            if values[self.i] != "(":
+                raise self.fail("expected '('")
+            return self._arguments(out, self._call(name))
+        if v == "new":
+            node = self._new(out)
+            if node is None:  # an array creation, where an inner class's must be
+                raise ParseError(self.tokens.ends[self.i - 1], "'(' expected")
+            return self._arguments(out, node)
+        if v != "class" and v != "this" and v != "super":
+            raise ParseError(self.tokens.ends[self.i - 1], "<identifier> expected")
+        self.i += 1
+        if v == "super" and values[self.i] == "(":
+            self._arguments(out)
+            return True
+        return None
+
+    def _class_literal(self) -> None:
+        """Read the `.class` after a type, unless a `::` follows it."""
+        if self.values[self.i] == "." and self.values[self.i + 1] == "class":
+            self.i += 2
+        elif self.values[self.i] != "::":
+            raise self.fail("expected '.class'")
+
+    def _member_ref(self) -> None:
+        """Read the `::` at the cursor and the method name or `new` after
+        it, with any type arguments between."""
+        self.i += 1
+        if self.values[self.i] == "<":
+            self._skip_type_args(wildcard=False)
+        if self.values[self.i] == "new":
+            self.i += 1
+        else:
+            self.expect_ident("method name")
+
+    def _parens_form(self) -> str:
+        """What the `(` at the cursor opens: a "cast", a "lambda"'s
+        parameters or "parens" around an expression. The tokens up to its
+        `)` and the one after decide, by the table of javac's
+        `JavacParser.analyzeParens`: `(a) b` is a cast and `(a) + b` a
+        sum; `(a) ->` and `(A a, ...` start lambdas. Type arguments and
+        annotations on the way are read by their grammar."""
+        values, kinds = self.values, self.kinds
+        i = self.i + 1
+        if values[i] == ")":
+            return "lambda"
+        typed, default = False, "parens"
         while True:
-            self._scan(inner, root)
-            i = self.i
-            v = values[i]
-            if v == closer:
-                break
-            if v == sep:
-                ranges.append((lo, i))
-                lo = i + 1
-            elif v != ";" and v != ",":  # another bracket's closer, or the end marker
-                if root is None:
-                    if not v:
-                        raise self.fail("unexpected end of file in expression")
-                    raise ParseError(self.tokens.starts[i], f"unexpected {v!r} in expression")
-                if v and opener != root:
-                    raise ParseError(self.tokens.starts[i], f"unexpected {v!r}")
-                raise ParseError(self.tokens.starts[root], f"unbalanced {_CLOSERS[values[root]]!r}")
-            self.i = i + 1
-        if lo < i:
-            ranges.append((lo, i))
-        self.i = i + 1
-        if node is not None:
-            node.tok_hi = i + 1
-            node.props["args"] = ranges
-            children.append(node)
-            if node.kind == "creation" and values[i + 1] == "{" and root is None:
-                body = self._parse_anonymous_body()
-                node.children.append(body)
-                node.props["body"] = body
-                node.tok_hi = self.i
-        return ranges
+            v, after = values[i], values[i + 1]
+            if kinds[i] == "ident":
+                if kinds[i + 1] == "ident":
+                    return "lambda"
+                if after == ")" and values[i + 2] == "->":
+                    return "parens" if self.in_label else "lambda"
+                if after == ",":
+                    default = "lambda"
+                typed = False
+            elif v in PRIMITIVE_TYPES:
+                if after == ")":
+                    return "cast"
+                if kinds[i + 1] == "ident":
+                    return "lambda"
+            elif v == ")":
+                follows = kinds[i + 1] in _OPERAND_KINDS or after in _CAST_FOLLOWERS
+                return "cast" if typed or follows else default
+            elif v == "final" or v == "...":
+                return "lambda"
+            elif v == "[" or v == "<" or v == "@":  # dimensions, type arguments, annotations
+                if v == "[":
+                    j = i + 2 if after == "]" else None
+                else:
+                    j = self._try(i, self._skip_type_args if v == "<" else self._parse_annotation)
+                if j is None:
+                    return "parens"
+                if v != "@":
+                    if values[j] == ")" or values[j] == "&":
+                        return "cast"
+                    if values[j] == "..." or kinds[j] == "ident" and (
+                        v == "[" or values[j + 1] == "," or values[j + 1:j + 3] == [")", "->"]
+                    ):
+                        return "lambda"
+                typed = True
+                i = j - 1
+            elif v != "." and v != "&":
+                return default
+            i += 1
+
+    def _lambda(self, out: list[Node]) -> None:
+        """Read the lambda whose parameters are at the cursor: names alone,
+        or declared as a method's are."""
+        if self.kinds[self.i + 1] == "ident" and self.values[self.i + 2] in (",", ")"):
+            self.i += 1
+            self.expect_ident("parameter name")
+            while self.at(","):
+                self.i += 1
+                self.expect_ident("parameter name")
+            self.expect(")")
+        else:
+            self._parse_params()
+        self.expect("->")
+        self._lambda_body(out)
+
+    def _lambda_body(self, out: list[Node]) -> None:
+        """Read a lambda's body, an expression or a block. No node keeps a
+        block's statements: their outermost calls and creations go to
+        ``out``."""
+        if self.values[self.i] == "{":
+            _outermost(self._parse_block(), out)
+        else:
+            self._expr(out)
+
+    def _close(self, closer: str) -> None:
+        """Step past the ``closer`` that must end a list or an expression
+        here. Another token there fails where javac's parser reports it:
+        just past the token before."""
+        v = self.values[self.i]
+        if v != closer:
+            if v and v != ")" and v != "]" and v != "}":
+                raise ParseError(self.tokens.ends[self.i - 1], f"expected {closer!r}")
+            raise self._unexpected("")
+        self.i += 1
+
+    def _unexpected(self, message: str) -> ParseError:
+        """A failure with ``message`` at the cursor, unless the token there
+        closes a bracket or the file ends there: then that is named."""
+        v = self.values[self.i]
+        if v == ")" or v == "]" or v == "}":
+            return self.fail(f"unexpected {v!r} in expression")
+        return self.fail(message if v else "unexpected end of file in expression")
 
     def _parse_anonymous_body(self) -> Node:
         lo = self.i
@@ -942,12 +1413,12 @@ class _Parser:
 # cycle that holds its token list until the cyclic collector runs.
 _STATEMENT_PARSERS = {
     "if": _Parser._parse_if,
-    "for": _Parser._parse_loop,
-    "while": _Parser._parse_loop,
+    "for": _Parser._parse_for,
+    "while": _Parser._parse_headed,
     "do": _Parser._parse_do,
     "try": _Parser._parse_try,
-    "switch": _Parser._parse_switch,
-    "synchronized": _Parser._parse_synchronized,
+    "switch": _Parser._parse_headed,
+    "synchronized": _Parser._parse_headed,
 }
 _SIMPLE_STATEMENTS = {
     "return": "return_statement",

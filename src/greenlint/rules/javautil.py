@@ -1,9 +1,10 @@
 """Shared node-, token- and text-level helpers for the Java rules.
 
 Rules are purely syntactic. They read calls and class instance creations
-from the parser's ``call`` and ``creation`` nodes (`calls`), and the rest
-of an expression, such as identifier uses, from its tokens, for
-conservative detection.
+from the parser's ``call`` and ``creation`` nodes (`calls`), an
+initializer's value from its declarator's ``value``, and the rest of an
+expression, such as identifier uses, from its tokens, for conservative
+detection.
 """
 
 from __future__ import annotations
@@ -100,8 +101,8 @@ def release_point(
     exit is unreachable, which javac rejects, so the release goes before
     it, else before the block's `}`. It is declined after a loop that may
     never exit, where an exit token between token ``since`` and the release
-    could skip it (tokens are scanned, since switch bodies stay token runs),
-    and where other code shares the line.
+    could skip it (tokens are scanned, since no node keeps a switch body's
+    statements), and where other code shares the line.
     """
     toks = tree.tokens
     last = block.children[-1] if block.children else None
@@ -248,37 +249,6 @@ def calls(node: Node, kind: str = "call") -> Iterator[Node]:
     """The ``call`` nodes, or the nodes of another ``kind`` such as
     ``creation``, under ``node``, in source order."""
     return (n for n in node.walk() if n.kind == kind)
-
-
-_OPENERS = frozenset("([{")
-_CLOSERS = frozenset(")]}")
-
-
-def group_end(values: list[str], j: int) -> int:
-    """Index just past the bracket group that opens at token ``j``, among
-    tokens whose brackets the parser has found to nest."""
-    depth = 0
-    for k in range(j, len(values)):
-        depth += (values[k] in _OPENERS) - (values[k] in _CLOSERS)
-        if not depth:
-            return k + 1
-    return len(values)
-
-
-def unwrap(values: list[str], lo: int, hi: int) -> tuple[int, int, bool]:
-    """The expression tokens ``lo`` to ``hi`` with the parentheses around
-    them and the casts before them stripped, and whether a cast was. A
-    parenthesized receiver, as in `(a).b()` or `(a)[0]`, is kept."""
-    cast = False
-    while values[lo] == "(":
-        end = group_end(values, lo)
-        if end == hi:
-            lo, hi = lo + 1, hi - 1
-        elif values[end] in (".", "["):
-            break
-        else:
-            lo, cast = end, True
-    return lo, hi, cast
 
 
 def initialized_local(stmt: Node) -> Optional[dict]:

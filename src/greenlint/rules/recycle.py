@@ -21,22 +21,18 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from ..java.lexer import Tokens
 from ..java.parser import Node, SyntaxTree
 from .base import RuleId, RuleResult
 from .javautil import (
     OWNER_KINDS,
     base_type_name,
-    calls,
     file_indent,
-    group_end,
     guarded_release,
     initialized_local,
     insert_lines,
     line_indent,
     methods_of,
     release_point,
-    unwrap,
     uses,
 )
 
@@ -88,65 +84,18 @@ def _match_factory(
     return None
 
 
-def _source(
-    tokens: Tokens, stmt: Node, lo: int, hi: int, declared_type: str
-) -> Optional[tuple[ResourceFactory, Node, bool]]:
-    """The factory call that is the value of the initializer tokens ``lo``
-    to ``hi`` of ``stmt``, or of either arm of its top-level `?:`, with
-    parentheses and casts stripped; and whether it is the initializer
-    itself with only parentheses stripped. A call in a lambda, a `{}` group,
-    an argument or a receiver is not the local's value."""
-    ending = {call.tok_hi: call for call in calls(stmt)}  # by the index past its `)`
-    for arm in _arms(tokens.values, lo, hi):
-        a, b, cast = unwrap(tokens.values, *arm)
-        call = ending.get(b)
-        if call is not None and _is_chain(tokens, a, call.props["name_tok"]):
+def _source(decl: dict, declared_type: str) -> Optional[tuple[ResourceFactory, Node, bool]]:
+    """The factory call that is the value of the initializer of the
+    declarator ``decl``, or of an arm of its top-level `?:`, once
+    parentheses and casts are stripped (its ``value``, see the parser); and
+    whether it is the initializer itself with only parentheses stripped. A
+    call in a lambda, an argument or a receiver is not the local's value."""
+    for call, cast in decl["value"]:
+        if call is not None and call.kind == "call":
             factory = _match_factory(call.props["name"], call.props["receiver"], declared_type)
             if factory is not None:
-                return factory, call, arm == (lo, hi) and not cast
+                return factory, call, len(decl["value"]) == 1 and not cast
     return None
-
-
-def _arms(values: list[str], lo: int, hi: int) -> Iterator[tuple[int, int]]:
-    """The token ranges the expression ``lo`` to ``hi`` takes its value
-    from: the arms of its top-level `?:`, each in turn, or else itself.
-    A lambda has none: the calls in its body are not its value."""
-    j, depth, question = lo, 0, -1
-    while j < hi:
-        v = values[j]
-        if v == "(" or v == "[" or v == "{":
-            j = group_end(values, j)
-            continue
-        if v == "->" and depth == 0:
-            return
-        if v == "?":
-            if depth == 0:
-                question = j
-            depth += 1
-        elif v == ":" and depth:
-            depth -= 1
-            if depth == 0:
-                yield from _arms(values, question + 1, j)
-                yield from _arms(values, j + 1, hi)
-                return
-        j += 1
-    yield lo, hi
-
-
-def _is_chain(tokens: Tokens, lo: int, name: int) -> bool:
-    """True if the tokens from ``lo`` up to the method name at ``name`` are
-    one chain of names, `this`, `super`, `.` and bracket groups, and the
-    name begins it or follows a `.`."""
-    kinds, values = tokens.kinds, tokens.values
-    j = lo
-    while j < name:
-        if values[j] == "(" or values[j] == "[":
-            j = group_end(values, j)
-        elif kinds[j] == "ident" or values[j] in (".", "this", "super"):
-            j += 1
-        else:
-            return False
-    return j == name and (name == lo or values[name - 1] == ".")
 
 
 def _released_in_method(tree: SyntaxTree, method: Node, name: str, release: str) -> bool:
@@ -212,7 +161,7 @@ def apply_recycle(tree: SyntaxTree, path: str = "") -> RuleResult:
                 if decl is None:
                     continue
                 declared_type = base_type_name(stmt.props["type"])
-                source = _source(tree.tokens, stmt, *decl["init"], declared_type)
+                source = _source(decl, declared_type)
                 if source is None:
                     continue
                 factory, call, bare = source

@@ -38,7 +38,6 @@ from .javautil import (
     own_line_start,
     path_to,
     reindent,
-    unwrap,
 )
 
 HOLDER_BASE_NAME = "ViewHolderItem"
@@ -103,19 +102,21 @@ def _reads_cached(values: list[str], cached: list[tuple[Node, dict]]) -> bool:
 def _differs_per_row(
     tree: SyntaxTree, owner: Node, method: Node, cached: list[tuple[Node, dict]], convert_view: str
 ) -> bool:
-    """True unless every lookup is `findViewById(ID)` on ``convert_view``,
-    parentheses and a cast aside, ``ID`` being a number or a dotted name
-    whose first part is no parameter or local of ``method`` and no field of
-    ``owner`` or of a type or body enclosing it."""
+    """True unless every lookup's value is `findViewById(ID)` on
+    ``convert_view``, parentheses and a cast aside, ``ID`` being a number or
+    a dotted name whose first part is no parameter or local of ``method``
+    and no field of ``owner`` or of a type or body enclosing it."""
     tokens = tree.tokens
     fields = (class_fields(node.children) for node in path_to(tree, owner))
     names = declared_locals(method).union(*fields)
-    for stmt, decl in cached:
-        call = next(calls(stmt))  # the outermost, which must be the whole value
-        args = call.props["args"]
+    for _, decl in cached:
+        call = decl["value"][0][0] if len(decl["value"]) == 1 else None
+        args = call.props["args"] if call is not None else ()
         if (
-            (call.tok_lo, call.tok_hi) != unwrap(tokens.values, *decl["init"])[:2]
+            call is None
+            or call.kind != "call"
             or (call.props["receiver"], call.props["name"]) != (convert_view, "findViewById")
+            or tokens.values[call.tok_lo - 1] == "."  # a qualified receiver, `a.convertView`
             or len(args) != 1
         ):
             return True

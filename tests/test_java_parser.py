@@ -1,3 +1,4 @@
+import threading
 from pathlib import Path
 
 import pytest
@@ -232,19 +233,38 @@ def test_complete_expression_statements_parse(statement):
 @pytest.mark.parametrize(
     "source,column,closer",
     [
-        (b"class A { void f() { if (x { } } }", 25, "')'"),
-        # javac's parser expects a `>` just past the last type parameter,
-        # and at the token after the last type argument
+        # javac's parser expects a `)` or a `>` just past the token before
+        # the one it finds, and at the token after the last type argument
+        (b"class A { void f() { if (x { } } }", 27, "')'"),
         (b"class A<T { }", 10, "'>'"),
         (b"class A { Map<K,V> m = Collections.<K; }", 38, "'>'"),
-        (b"@Deprecated(x class A { }", 12, "')'"),
+        (b"@Deprecated(x class A { }", 14, "')'"),
     ],
 )
 def test_unclosed_group_fails_at_the_cursor(source, column, closer):
     tree, diags = parse_java_source(source)
     assert tree is None
-    message = f"expected {closer}" if closer == "'>'" else f"unbalanced {closer}"
-    assert (diags[0].column, diags[0].message) == (column, message)
+    assert (diags[0].column, diags[0].message) == (column, f"expected {closer}")
+
+
+@pytest.mark.parametrize("opener,closer", [(b"(", b")"), (b"f(", b")"), (b"a[", b"]"), (b"new A(", b")")])
+def test_an_expression_480_brackets_deep_parses(opener, closer):
+    # each bracket level costs at most two frames of the recursive descent,
+    # under Python's default recursion limit; a thread of its own keeps the
+    # test runner's frames off the parser's stack
+    source = b"class A { Object x = " + opener * 480 + b"1" + closer * 480 + b"; }"
+    results = []
+    thread = threading.Thread(target=lambda: results.append(parse_java_source(source)))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert results[0][1] == []
+
+
+def test_a_long_chain_of_infix_operators_parses():
+    # a left-associative operator's chain is read in a loop, not by recursion
+    source = b"class A { int x = " + b" + ".join([b"1"] * 5000) + b"; }"
+    assert parse_java_source(source)[1] == []
 
 
 @pytest.mark.parametrize(
@@ -292,7 +312,7 @@ def test_call_args_split_on_top_level_commas_only():
 
 _CALLS = b"""class A {
     void f(int k) {
-        a.g(h(1), new p.B<String>(x, , y) { void run() { i(); } }, );
+        a.g(h(1), new p.B<String>(x, y) { void run() { i(); } });
         Object o = new C();
         if (c.ok()) j(); else m();
         while (n()) { o(); }
@@ -328,16 +348,15 @@ def test_calls_and_creations_are_nodes_in_source_order():
         "name_tok": g.tok_lo + 2,
         "receiver": "a",
     }
-    # an empty last argument is left out; two commas that meet hold an empty one
     assert [text(a) for a in g.props["args"]] == ["h ( 1 )", text(g.children[1])]
     h, creation = g.children  # the nodes in its arguments
     assert (h.kind, h.props["receiver"], text(h)) == ("call", None, "h ( 1 )")
     assert creation.kind == "creation"
     assert creation.props["type"] == "p.B"
-    assert [text(a) for a in creation.props["args"]] == ["x", "", "y"]
+    assert [text(a) for a in creation.props["args"]] == ["x", "y"]
     (anonymous,) = creation.children
     assert creation.props["body"] is anonymous and anonymous.kind == "anonymous_class_body"
-    assert text(creation) == "new p . B < String > ( x , , y ) { void run ( ) { i ( ) ; } }"
+    assert text(creation) == "new p . B < String > ( x , y ) { void run ( ) { i ( ) ; } }"
     assert path_to(tree, anonymous)[-4:] == [g_stmt, g, creation, anonymous]
     (i,) = (n for n in anonymous.walk() if n.kind == "call")
     assert i.props == {"name": "i", "name_tok": i.tok_lo, "receiver": None, "args": []}
@@ -399,13 +418,13 @@ def test_base_type_name_is_the_last_segment(type_text, name):
     assert base_type_name(type_text) == name
 
 
-def test_an_anonymous_body_in_a_token_run_stays_tokens():
+def test_an_anonymous_body_in_a_header_is_a_class_body():
     tree = parse_java(b"class A { void f() { if (new B() { void g() { h(); } } == null) {} } }")
     (if_stmt,) = find_all(tree, "if_statement")
-    names = [n.props.get("name") or n.props.get("type") for n in if_stmt.children[:-1]]
-    assert names == ["B", "g", "h"]
-    assert if_stmt.children[0].props["body"] is None
-    assert find_all(tree, "anonymous_class_body") == []
+    creation, body = if_stmt.children
+    assert (creation.kind, body.kind) == ("creation", "block")
+    assert creation.children == [creation.props["body"]]
+    assert [n.props["name"] for n in find_all(tree, "method_declaration")] == ["f", "g"]
 
 
 _CLASS_NOT_ALLOWED = "class, interface or enum declaration not allowed here"
@@ -505,7 +524,7 @@ _CLASS_NOT_ALLOWED = "class, interface or enum declaration not allowed here"
         (b"class X { void g() throws E<String> {} }", "1:28: expected ';'"),
         (b"class X { void g() throws E[] {} }", "1:28: expected ';'"),
         (b"class Z { void f() { List<@A(new B {}) String> x; } }", "1:36: '(' or '[' expected"),
-        (b"class A { @B( int x; }", "1:13: unbalanced ')'"),
+        (b"class A { @B( int x; }", "1:19: expected '.class'"),
         # the type arguments of `new T<...>(` and `a.<T>f()` hold types only
         (b"class C { Object o = new java.util.ArrayList<1>(); }", "1:46: illegal start of type"),
         (
@@ -524,8 +543,8 @@ _CLASS_NOT_ALLOWED = "class, interface or enum declaration not allowed here"
         (b"class C<T U> {}", "1:10: expected '>'"),
         # a `for` header is `(init; cond; update)` or `(T x : y)`
         (b"class C { void f(int n) { for (int i = 0; i < n) {} } }", "1:48: expected ';'"),
-        (b"class C { void f() { for (;;;) {} } }", "1:29: illegal start of expression"),
-        (b"class C { void f() { for (;) {} } }", "1:28: illegal start of expression"),
+        (b"class C { void f() { for (;;;) {} } }", "1:29: expected expression"),
+        (b"class C { void f() { for (;) {} } }", "1:28: unexpected ')' in expression"),
         # no expression statement starts `Name<`, so this is a declaration
         # whose variable name is missing (javac: `not a statement` at 1:33)
         (b"class S { void f() { Foo<String>.bar(); } }", "1:37: expected variable name"),
@@ -569,7 +588,7 @@ _CLASS_NOT_ALLOWED = "class, interface or enum declaration not allowed here"
         (b"class T { void f() { final record R(int x) {} } }", "1:28: records are not supported"),
         (b"class A { // \xff }", "1:1: not valid UTF-8: invalid start byte"),
         (b"class A { void f() " + b"{" * 3000 + b"}" * 3000 + b" }", "1:1: nesting too deep"),
-        # each bracket of an expression costs two frames of the walker
+        # each bracket of an expression costs up to two frames of the parser
         (b"class A { int x = " + b"(" * 5000 + b"1" + b")" * 5000 + b"; }", "1:1: nesting too deep"),
         # after the type of a `new` only its `(`, or a `[` after annotations
         (b"class N1 { void f() { Object o = new A; } }", "1:39: '(' or '[' expected"),
@@ -577,9 +596,10 @@ _CLASS_NOT_ALLOWED = "class, interface or enum declaration not allowed here"
         (b"class N3 { void f() { Object o = new int; } }", "1:41: '[' expected"),
         (b"class N4 { void f() { Object o = new A @B (); } }", "1:45: '[' expected"),
         (b"class N5 { void f() { Object o = new int @A; } }", "1:44: '[' expected"),
-        # a `new` must name a type before a `{`
-        (b"class N6 { void f() { Object o = new {1}; } }", "1:38: '(' or '[' expected"),
-        (b"class N7 { void f() { Object o = new @A { }; } }", "1:41: '(' or '[' expected"),
+        # a `new` must name a type, a primitive one only for an array and
+        # with no type arguments
+        (b"class N6 { void f() { Object o = new {1}; } }", "1:37: <identifier> expected"),
+        (b"class N7 { void f() { Object o = new @A { }; } }", "1:40: <identifier> expected"),
         # explicit type arguments take no wildcard
         (b"class W1 { void f() { a.<?>f(); } }", "1:26: illegal start of type"),
         (b"class W2 { void f() { new <?>A(); } }", "1:28: illegal start of type"),
@@ -588,6 +608,20 @@ _CLASS_NOT_ALLOWED = "class, interface or enum declaration not allowed here"
         (b"class P1 { void f() { int<String> x; } }", "1:23: not a statement"),
         (b"class P2 { void f() { int < 3; } }", "1:23: not a statement"),
         (b"class V { void f(String @A a) {} }", "1:25: expected parameter name"),
+        # a type and a name start a declaration (JLS 14.4), so this one
+        # lacks its `;` (javac: `';' expected` at 1:28)
+        (b"class Q4 { void f() { int x y; } }", "1:29: expected ';'"),
+        # operands and operators alternate; a call's `)` ends no expression
+        # that goes on, nor does an anonymous class body follow it
+        (b"class X1 { void f() { x = = 1; } }", "1:27: expected expression"),
+        (b"class X2 { void f() { g(1, , 2); } }", "1:28: expected expression"),
+        (b"class X3 { void f() { g(1, ); } }", "1:28: unexpected ')' in expression"),
+        (b"class X4 { void f() { a b c; } }", "1:27: expected ';'"),
+        (b"class X5 { void f() { o = new A().b() { }; } }", "1:38: expected ';'"),
+        (b"class X6 { void f() { x; } }", "1:23: not a statement"),
+        (b"class X7 { void f() { f(a; } }", "1:26: expected ')'"),
+        (b"class X8 { void f() { Object o = new void[1]; } }", "1:37: <identifier> expected"),
+        (b"class X9 { void f() { for (List<1> x : y) {} } }", "1:33: illegal start of type"),
     ],
 )
 def test_parse_error_message_and_location(source, expected):
@@ -703,7 +737,6 @@ def _anonymous_bodies(source: bytes) -> list[str]:
         (b"new String[][] { { \"a\" } }", []),
         (b"() -> { return 1; }", []),
         (b"f((a) -> { g(); })", []),
-        (b"new A().b() { }", []),
     ],
 )
 def test_anonymous_class_body_detection(expression, bodies):
@@ -769,7 +802,7 @@ def test_every_byte_prefix_of_a_small_file_parses_or_fails_with_one_diagnostic()
     "source,expected",
     [
         (b"class T { record R", "1:19: expected ';'"),
-        (b"class T { void f() { record R", "1:30: unexpected end of file in expression"),
+        (b"class T { void f() { record R", "1:30: expected ';'"),
     ],
 )
 def test_a_lookahead_past_the_last_token_matches_no_token(source, expected):

@@ -329,10 +329,13 @@ def test_resource_in_a_nested_class_method_is_released_once(head, tail):
         ("Supplier<TypedArray> s = () -> flag ? ctx.obtainStyledAttributes(1) : null;", None),
         ("String d = describe(ctx.obtainStyledAttributes(1));", None),
         ("int n = ctx.obtainStyledAttributes(1).getInt(0, 0);", None),
+        ("TypedArray a = new Ctx().obtainStyledAttributes(1);", "a"),
+        ("TypedArray a = ctx.<Object>obtainStyledAttributes(1);", "a"),
     ],
     ids=[
         "anonymous", "lambda", "array-initializer", "array-argument",
         "expression-lambda", "lambda-conditional", "argument", "chained-receiver",
+        "creation-receiver", "type-arguments",
     ],
 )
 def test_only_a_call_outside_the_initializer_braces_is_the_source(stmt, fixed_name):

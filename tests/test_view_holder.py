@@ -228,6 +228,8 @@ _IDS_FIELD_LOOKUP = _per_row_field(
             + b";\n"
         ),
         _adapter("TextView t = (TextView) convertView.findViewById(R.id.a).findViewById(R.id.b);"),
+        _adapter("TextView t = (TextView) this.convertView.findViewById(R.id.title);"),
+        _adapter("TextView t = pos == 0 ? (TextView) convertView.findViewById(R.id.a) : null;"),
         _adapter("TextView t = (TextView) convertView.findViewById(R.id.a);").replace(
             b"        convertView = inf", b"        Ids R = ids(pos);\n        convertView = inf"
         ),
@@ -238,7 +240,8 @@ _IDS_FIELD_LOOKUP = _per_row_field(
         "argument-is-a-call", "argument-is-this-field", "dotted-name-starts-at-a-field",
         "dotted-name-starts-at-an-enclosing-class-field",
         "dotted-name-starts-at-a-field-around-an-anonymous-adapter",
-        "lookup-on-a-lookup", "dotted-name-starts-at-a-local",
+        "lookup-on-a-lookup", "receiver-is-a-qualified-name", "lookup-in-a-conditional",
+        "dotted-name-starts-at-a-local",
     ],
 )
 def test_lookup_that_may_differ_per_row_is_declined(source):
