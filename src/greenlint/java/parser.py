@@ -143,8 +143,9 @@ _OPERAND_KINDS = frozenset(("ident", "number", "string", "char"))
 # Literals that lex as identifiers but name nothing (JLS 3.9).
 _LITERAL_NAMES = frozenset(("true", "false", "null"))
 
-# The tokens after `yield` that make it a yield statement (JLS 14.21).
-_YIELD_FOLLOWERS = frozenset("+ - ! ~ ++ -- ( new switch this super ;".split()) | PRIMITIVE_TYPES
+# The tokens after `yield` that make it a yield statement (JLS 14.21), as
+# javac's parser takes them.
+_YIELD_FOLLOWERS = frozenset("+ - ! ~ ++ -- ( new switch this super ;".split())
 
 
 def _entry(value: Any) -> tuple[Optional[Node], bool]:
@@ -1037,7 +1038,7 @@ class _Parser:
                 value = self._arguments(out, self._call(i))
             elif values[i + 1] == "->" and not self.in_label:
                 self.i = i + 2
-                return self._lambda_body(out)
+                value = self._lambda_body(out)
             else:
                 self.i = i + 1
                 value = None
@@ -1047,8 +1048,8 @@ class _Parser:
         elif v == "(":
             form = self._parens_form()
             if form == "lambda":
-                return self._lambda(out)
-            if form == "cast":  # `(T & I) operand`
+                value = self._lambda(out)
+            elif form == "cast":  # `(T & I) operand`
                 self.i = i + 1
                 self._skip_type_arg()
                 while values[self.i] == "&":
@@ -1095,6 +1096,14 @@ class _Parser:
             elif v == "++" or v == "--":
                 self.i += 1
                 value = True
+            elif v == "<" and kinds[lo] == "ident" and kinds[self.i - 1] == "ident":
+                # `Name<T>::m` (JLS 15.13): type arguments, not a comparison
+                j = self._try(lo, self._skip_type)
+                if j is None or j < self.i or values[j] != "::":
+                    break
+                self.i = j
+                self._member_ref()
+                value = None
             else:
                 break
         while True:  # infix operators
@@ -1107,14 +1116,6 @@ class _Parser:
                 power = _INFIX[v]
             if power <= bp:
                 return value
-            if v == "<" and kinds[lo] == "ident" and kinds[self.i - 1] == "ident":
-                # `Name<T>::m` (JLS 15.13): type arguments, not a comparison
-                j = self._try(lo, self._skip_type)
-                if j is not None and values[j] == "::":
-                    self.i = j
-                    self._member_ref()
-                    value = None
-                    continue
             self.i += n
             if power == _ASSIGN:
                 self._expr(out)

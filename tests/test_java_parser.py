@@ -221,6 +221,7 @@ def test_statement_with_a_dangling_assignment_is_rejected(statement, column):
         b"return a instanceof List<?>;",
         b"return;",
         b"l = new Runnable() { public void run() { x = 1; } };",
+        b"b = A::m < c;",
     ],
 )
 def test_complete_expression_statements_parse(statement):

@@ -226,6 +226,9 @@ CASES = {
     "ShiftAssignments": _block("i >>>= 1; i >>= 2; j = i >> 3 >>> 4;"),
     "PrimitiveCastUnaryPlus": _block("int i = (int) +1;"),
     "NameCastUnaryPlus": _block("Object o = (Integer) +1;"),
+    "MethodReferencesCompared": _block("b = A::m < c; b = x > List<String>::size;"),
+    "BlockLambdaThenOperator": _block("g(() -> {} == null, (a) -> { } + 1, x ? () -> {} : null);"),
+    "YieldPrimitiveClass": _block("int y = switch (k) { default -> { yield int.class; } };"),
     "CastsAndLambdas": _block(
         "f((a) -> a, (int a, int b) -> a, (a, b) -> { return; }, (List<String>) x, (A[]) y,"
         " (a) + b, (a) - b, (String) (x), (Map<K, V>) m, (@A String s) -> s);"
